@@ -21,7 +21,6 @@ from .ridge import (
     ALL_BLOCKS,
     PriorFeatureSpace,
     RidgePriorImputer,
-    build_prior_features,
     solve_ridge,
 )
 
@@ -46,6 +45,5 @@ __all__ = [
     "ALL_BLOCKS",
     "PriorFeatureSpace",
     "RidgePriorImputer",
-    "build_prior_features",
     "solve_ridge",
 ]

@@ -9,13 +9,20 @@ feature values, plus plain indicator one-hots of those observed values.
 Training rows exclude the row language's own target observation from
 every distribution (leave-one-out), so a language never predicts itself
 from itself.
+
+All distributions are read from integer count tables built once per
+fit over the statistics languages: a language x (feature, value)
+one-hot, its joint counts, per-feature co-observation counts, genus and
+family counts, and counts over each language's radius neighbours.  A
+target's training design matrix is gathered from these tables in
+blocks; leave-one-out subtracts the row's own one-hot from its counts.
+Every value's regressor is then solved in one call.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +33,6 @@ from .base import Imputer, ImputerQuery, NoPredictionError, Prediction
 __all__ = [
     "solve_ridge",
     "PriorFeatureSpace",
-    "build_prior_features",
     "RidgePriorImputer",
     "ALL_BLOCKS",
 ]
@@ -39,18 +45,21 @@ def solve_ridge(
     y: np.ndarray,
     lam: float,
     fit_intercept: bool = True,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Minimize ||Xw + b - y||^2 + lam*||w||^2 with an unpenalized bias.
 
     Solved exactly via the centered normal equations; when the feature
     dimension exceeds the row count the equivalent dual system is used
-    instead.  Returns (w, b); b is 0.0 when fit_intercept is false.
+    instead.  ``y`` is one target of shape (n,) or k targets of shape
+    (n, k) sharing one factorization.  Returns (w, b): w of shape (d,)
+    with a float b, or (d, k) with b of shape (k,); b is 0 when
+    fit_intercept is false.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+    if X.ndim != 2 or y.ndim not in (1, 2) or X.shape[0] != y.shape[0]:
         raise ValueError(f"shape mismatch: X {X.shape}, y {y.shape}")
-    if X.shape[0] < 1 or X.shape[1] < 1:
+    if X.shape[0] < 1 or X.shape[1] < 1 or (y.ndim == 2 and y.shape[1] < 1):
         raise ValueError("need at least one row and one column")
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -60,12 +69,10 @@ def solve_ridge(
     n, d = X.shape
     if fit_intercept:
         x_mean = X.mean(axis=0)
-        y_mean = float(y.mean())
+        y_mean = y.mean(axis=0)
         Xc = X - x_mean
         yc = y - y_mean
     else:
-        x_mean = np.zeros(d)
-        y_mean = 0.0
         Xc = X
         yc = y
 
@@ -78,61 +85,112 @@ def solve_ridge(
         outer[np.diag_indices_from(outer)] += lam
         w = Xc.T @ np.linalg.solve(outer, yc)
 
-    b = y_mean - float(x_mean @ w) if fit_intercept else 0.0
-    return w, b
+    b = y_mean - x_mean @ w if fit_intercept else np.zeros(y.shape[1:])
+    return w, (float(b) if y.ndim == 1 else b)
+
+
+class _GroupCounts:
+    """Counts per genus or family name.  ``of`` holds each statistics
+    language's row; the last row stays zero for names no statistics
+    language has."""
+
+    def __init__(self, names: list[str], onehot: np.ndarray):
+        self.rows = {name: i for i, name in enumerate(sorted(set(names)))}
+        self.of = np.array([self.rows[name] for name in names], dtype=np.intp)
+        self.table = np.zeros((len(self.rows) + 1, onehot.shape[1]), dtype=np.int64)
+        np.add.at(self.table, self.of, onehot)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.table[self.rows.get(name, -1)]
 
 
 @dataclass
 class _PriorStats:
-    """Counting tables over the statistics languages (train, optionally
-    plus the observed cells of an evaluation set)."""
+    """Integer count tables over the statistics languages (train,
+    optionally plus the observed cells of an evaluation set).
+
+    Columns of the one-hot are (feature, value) pairs over every value
+    any statistics language observes, so totals include values outside
+    the training inventory.
+    """
 
     languages: list[Language]
-    observed: dict[str, dict[str, str]]  # code -> feature -> value
-    genus: dict[tuple[str, str], Counter]  # (genus, feature) -> value counts
-    family: dict[tuple[str, str], Counter]
-    joint: dict[tuple[str, str], Counter]  # (A, B) -> (a, b) counts
-    support: Counter  # (A, B) -> co-observing language count
-    neighbors: dict[str, set[str]]  # code -> codes within areal_km (self excluded)
+    rows: dict[str, int]  # code -> row of the one-hot
+    columns: dict[str, dict[str, int]]  # feature -> value -> column
+    onehot: np.ndarray  # languages x columns, 0/1
+    joint: np.ndarray  # columns x columns: languages observing both
+    support: np.ndarray  # features x features: languages observing both
+    feature_index: dict[str, int]
+    genus: _GroupCounts
+    family: _GroupCounts
+    areal: np.ndarray  # languages x columns over radius neighbours, self excluded
     areal_km: float
+    _query_areal: dict[Language, np.ndarray] = field(default_factory=dict)
+
+    def areal_counts(self, language: Language) -> np.ndarray:
+        """Counts over the radius neighbours of ``language``.
+
+        A statistics language reads its fit-time row; any other language
+        is scanned once with the scalar kernel and cached.
+        """
+        row = self.rows.get(language.code)
+        if row is not None:
+            return self.areal[row]
+        counts = self._query_areal.get(language)
+        if counts is None:
+            here = GeoPoint(language.latitude, language.longitude)
+            near = [
+                i
+                for i, lang in enumerate(self.languages)
+                if haversine_km(here, GeoPoint(lang.latitude, lang.longitude)) <= self.areal_km
+            ]
+            counts = self.onehot[near].sum(axis=0)
+            self._query_areal[language] = counts
+        return counts
+
+
+def _count_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of 0/1 count matrices; float sums of small integers are
+    exact in any order, so the result does not depend on BLAS threads."""
+    return (a.astype(float) @ b.astype(float)).astype(np.int64)
 
 
 def _build_stats(sources: Sequence[Dataset], areal_km: float) -> _PriorStats:
     languages: list[Language] = []
-    observed: dict[str, dict[str, str]] = {}
+    observed: list[dict[str, str]] = []
+    rows: dict[str, int] = {}
     for d in sources:
         for lang in d.languages:
-            if lang.code in observed:
+            if lang.code in rows:
                 continue
+            rows[lang.code] = len(languages)
             languages.append(lang)
-            observed[lang.code] = d.observed_of(lang.code)
+            observed.append(d.observed_of(lang.code))
 
-    genus: dict[tuple[str, str], Counter] = {}
-    family: dict[tuple[str, str], Counter] = {}
-    joint: dict[tuple[str, str], Counter] = {}
-    support: Counter = Counter()
-    for lang in languages:
-        obs = observed[lang.code]
+    pairs = sorted({item for obs in observed for item in obs.items()})
+    columns: dict[str, dict[str, int]] = {}
+    for i, (feature, value) in enumerate(pairs):
+        columns.setdefault(feature, {})[value] = i
+    feature_index = {feature: i for i, feature in enumerate(columns)}
+
+    onehot = np.zeros((len(languages), len(pairs)), dtype=np.int64)
+    seen = np.zeros((len(languages), len(feature_index)), dtype=np.int64)
+    for i, obs in enumerate(observed):
         for feature, value in obs.items():
-            genus.setdefault((lang.genus, feature), Counter())[value] += 1
-            family.setdefault((lang.family, feature), Counter())[value] += 1
-        feats = sorted(obs)
-        for fa in feats:
-            for fb in feats:
-                if fa != fb:
-                    joint.setdefault((fa, fb), Counter())[(obs[fa], obs[fb])] += 1
-                    support[(fa, fb)] += 1
+            onehot[i, columns[feature][value]] = 1
+            seen[i, feature_index[feature]] = 1
 
-    neighbors = _neighbor_sets(languages, areal_km)
-    return _PriorStats(languages, observed, genus, family, joint, support, neighbors, areal_km)
+    return _PriorStats(
+        languages, rows, columns, onehot, _count_matmul(onehot.T, onehot),
+        _count_matmul(seen.T, seen), feature_index,
+        _GroupCounts([lang.genus for lang in languages], onehot),
+        _GroupCounts([lang.family for lang in languages], onehot),
+        _count_matmul(_radius_mask(languages, areal_km), onehot), areal_km,
+    )
 
 
-def _neighbor_sets(languages: Sequence[Language], radius_km: float) -> dict[str, set[str]]:
+def _radius_mask(languages: Sequence[Language], radius_km: float) -> np.ndarray:
     """Pairwise radius membership, vectorized; self is never a neighbor."""
-    n = len(languages)
-    out: dict[str, set[str]] = {lang.code: set() for lang in languages}
-    if n < 2:
-        return out
     lat = np.radians(np.array([lang.latitude for lang in languages]))
     lon = np.radians(np.array([lang.longitude for lang in languages]))
     sin_dlat = np.sin((lat[:, None] - lat[None, :]) / 2.0)
@@ -140,12 +198,8 @@ def _neighbor_sets(languages: Sequence[Language], radius_km: float) -> dict[str,
     h = sin_dlat**2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * sin_dlon**2
     dist = 2.0 * 6371.0088 * np.arcsin(np.sqrt(np.minimum(1.0, h)))
     within = dist <= radius_km
-    codes = [lang.code for lang in languages]
-    for i in range(n):
-        for j in range(n):
-            if i != j and within[i, j]:
-                out[codes[i]].add(codes[j])
-    return out
+    np.fill_diagonal(within, False)
+    return within
 
 
 class PriorFeatureSpace:
@@ -171,6 +225,13 @@ class PriorFeatureSpace:
         self.min_support = min_support
         self.blocks = tuple(blocks)
 
+        # Every statistics value of the target: shares divide by all of
+        # them, columns exist only for the inventory.
+        target_columns = stats.columns.get(target, {})
+        self._target_columns = np.array(list(target_columns.values()), dtype=np.intp)
+        order = list(target_columns)
+        self._value_positions = np.array([order.index(v) for v in self.inventory], dtype=np.intp)
+
         keys: list[tuple] = []
         if "genetic" in self.blocks:
             keys += [("genus", v) for v in self.inventory]
@@ -178,141 +239,105 @@ class PriorFeatureSpace:
         if "areal" in self.blocks:
             keys += [("areal", v) for v in self.inventory]
         others = sorted(f for f in inventories if f != target)
+        self._impl_start = len(keys)
+        self._impl: dict[tuple[str, str], int] = {}
         if "implicational" in self.blocks:
             for feat in others:
-                if stats.support[(feat, target)] >= min_support:
+                if self._support(feat) >= min_support:
                     for a in inventories[feat]:
+                        self._impl[(feat, a)] = len(self._impl)
                         keys += [("impl", feat, a, v) for v in self.inventory]
+        self._obs_start = len(keys)
+        self._obs: dict[tuple[str, str], int] = {}
         if "indicators" in self.blocks:
             for feat in others:
-                keys += [("obs", feat, a) for a in inventories[feat]]
+                for a in inventories[feat]:
+                    self._obs[(feat, a)] = len(self._obs)
+                    keys.append(("obs", feat, a))
         self.keys = tuple(keys)
-        self._index = {key: i for i, key in enumerate(keys)}
+        self._impl_columns = np.array(
+            [stats.columns[f][a] for f, a in self._impl], dtype=np.intp
+        )
+        self._obs_columns = np.array(
+            [stats.columns[f][a] for f, a in self._obs], dtype=np.intp
+        )
 
     def __len__(self) -> int:
         return len(self.keys)
 
-    def _conditional(
-        self, counts: Optional[Counter], exclude_value: Optional[str]
-    ) -> Optional[dict[str, float]]:
-        """Distribution from a count table, optionally dropping one
-        observation (leave-one-out); None when nothing remains."""
-        if not counts:
-            return None
-        if exclude_value is not None:
-            counts = Counter(counts)
-            counts[exclude_value] -= 1
-        total = sum(counts.values())
-        if total <= 0:
-            return None
-        return {v: counts[v] / total for v in self.inventory if counts[v] > 0}
+    def _support(self, feat: str) -> int:
+        index = self.stats.feature_index
+        if feat not in index or self.target not in index:
+            return 0
+        return int(self.stats.support[index[feat], index[self.target]])
 
-    def sparse(
-        self,
-        language: Language,
-        observed: Mapping[str, str],
-        own_value: Optional[str] = None,
-    ) -> dict[tuple, float]:
-        """Sparse prior vector for one language.
-
-        ``own_value`` is the language's own target observation to leave
-        out of every distribution (training rows); pass None for
-        queries.  Blocks that have no supporting data are simply absent.
-        """
-        stats = self.stats
-        out: dict[tuple, float] = {}
-
-        def put(prefix: tuple, dist: Optional[dict[str, float]]):
-            if dist:
-                for v, p in dist.items():
-                    key = prefix + (v,)
-                    if key in self._index:
-                        out[key] = p
-
-        if "genetic" in self.blocks:
-            put(("genus",), self._conditional(
-                stats.genus.get((language.genus, self.target)), own_value))
-            put(("family",), self._conditional(
-                stats.family.get((language.family, self.target)), own_value))
-
-        if "areal" in self.blocks:
-            neighbor_codes = stats.neighbors.get(language.code)
-            if neighbor_codes is None:
-                neighbor_codes = self._query_neighbors(language)
-            counts = Counter()
-            for code in neighbor_codes:
-                value = stats.observed[code].get(self.target)
-                if value is not None:
-                    counts[value] += 1
-            put(("areal",), self._conditional(counts, None))
-
-        if "implicational" in self.blocks:
-            for feat, a in sorted(observed.items()):
-                if stats.support[(feat, self.target)] < self.min_support:
-                    continue
-                joint = stats.joint.get((feat, self.target), Counter())
-                counts = Counter()
-                for (ja, jb), n in joint.items():
-                    if ja == a:
-                        counts[jb] += n
-                dist = self._conditional(counts, own_value if counts else None)
-                if dist:
-                    for v, p in dist.items():
-                        key = ("impl", feat, a, v)
-                        if key in self._index:
-                            out[key] = p
-
-        if "indicators" in self.blocks:
-            for feat, a in observed.items():
-                key = ("obs", feat, a)
-                if key in self._index:
-                    out[key] = 1.0
-
+    def _shares(self, counts: np.ndarray) -> np.ndarray:
+        """Inventory shares of each row of target counts; rows with no
+        count left are all zero."""
+        total = counts.sum(axis=-1, keepdims=True)
+        out = np.zeros(counts.shape[:-1] + (len(self.inventory),))
+        np.divide(counts[..., self._value_positions], total, out=out, where=total > 0)
         return out
 
-    def _query_neighbors(self, language: Language) -> set[str]:
-        here = GeoPoint(language.latitude, language.longitude)
-        result = set()
-        for lang in self.stats.languages:
-            if lang.code == language.code:
-                continue
-            there = GeoPoint(lang.latitude, lang.longitude)
-            if haversine_km(here, there) <= self.stats.areal_km:
-                result.add(lang.code)
-        return result
+    def _fill(self, out: np.ndarray, genus, family, areal, impl_rows, impl_keys, impl_counts,
+              obs_rows, obs_keys) -> None:
+        """Write the blocks into ``out`` (rows x keys) from target counts."""
+        n_values = len(self.inventory)
+        col = 0
+        if "genetic" in self.blocks:
+            out[:, 0:n_values] = self._shares(genus)
+            out[:, n_values:2 * n_values] = self._shares(family)
+            col = 2 * n_values
+        if "areal" in self.blocks:
+            out[:, col:col + n_values] = self._shares(areal)
+        if len(impl_keys):
+            cols = self._impl_start + impl_keys[:, None] * n_values + np.arange(n_values)
+            out[impl_rows[:, None], cols] = self._shares(impl_counts)
+        if len(obs_keys):
+            out[obs_rows, self._obs_start + obs_keys] = 1.0
 
-    def dense(
-        self,
-        language: Language,
-        observed: Mapping[str, str],
-        own_value: Optional[str] = None,
-    ) -> np.ndarray:
-        vec = np.zeros(len(self.keys))
-        for key, value in self.sparse(language, observed, own_value).items():
-            vec[self._index[key]] = value
-        return vec
+    def design(self, rows: np.ndarray) -> np.ndarray:
+        """Training design matrix of the statistics rows ``rows``, each
+        observing the target; its own observation is left out of every
+        distribution."""
+        stats = self.stats
+        tc = self._target_columns
+        own = stats.onehot[np.ix_(rows, tc)]
+        impl_rows, impl_keys = np.nonzero(stats.onehot[np.ix_(rows, self._impl_columns)])
+        obs_rows, obs_keys = np.nonzero(stats.onehot[np.ix_(rows, self._obs_columns)])
+        X = np.zeros((len(rows), len(self.keys)))
+        self._fill(
+            X,
+            stats.genus.table[np.ix_(stats.genus.of[rows], tc)] - own,
+            stats.family.table[np.ix_(stats.family.of[rows], tc)] - own,
+            stats.areal[np.ix_(rows, tc)],
+            impl_rows, impl_keys,
+            stats.joint[np.ix_(self._impl_columns[impl_keys], tc)] - own[impl_rows],
+            obs_rows, obs_keys,
+        )
+        return X
 
-
-def build_prior_features(
-    train: Dataset,
-    language: Language,
-    observed: Mapping[str, str],
-    target: str,
-    areal_km: float = 2500.0,
-    min_support: int = 5,
-    blocks: Sequence[str] = ALL_BLOCKS,
-) -> dict[tuple, float]:
-    """Sparse prior vector for one query against a training dataset.
-
-    Convenience wrapper that builds the counting tables and index space
-    for a single call; fit a RidgePriorImputer to reuse them.
-    """
-    stats = _build_stats([train], areal_km)
-    inventories = {f: train.catalog.values(f) for f in train.catalog.features()}
-    space = PriorFeatureSpace(
-        stats, target, inventories.get(target, ()), inventories, min_support, blocks
-    )
-    return space.sparse(language, observed)
+    def dense(self, language: Language, observed: Mapping[str, str]) -> np.ndarray:
+        """Prior vector of one query language; nothing is left out."""
+        stats = self.stats
+        tc = self._target_columns
+        impl_keys = np.array(
+            [self._impl[item] for item in observed.items() if item in self._impl], dtype=np.intp
+        )
+        obs_keys = np.array(
+            [self._obs[item] for item in observed.items() if item in self._obs], dtype=np.intp
+        )
+        vec = np.zeros((1, len(self.keys)))
+        self._fill(
+            vec,
+            stats.genus[language.genus][tc],
+            stats.family[language.family][tc],
+            stats.areal_counts(language)[tc] if "areal" in self.blocks else None,
+            np.zeros(len(impl_keys), dtype=np.intp), impl_keys,
+            stats.joint[np.ix_(self._impl_columns[impl_keys], tc)],
+            np.zeros(len(obs_keys), dtype=np.intp), obs_keys,
+        )
+        return vec[0]
 
 
 @dataclass
@@ -359,6 +384,8 @@ class RidgePriorImputer(Imputer):
             sources.append(context)
         stats = _build_stats(sources, self.areal_km)
         inventories = {f: train.catalog.values(f) for f in train.catalog.features()}
+        # Training languages come first among the statistics rows.
+        n_train = len(train.languages)
 
         self._fitted = {}
         for target, inventory in inventories.items():
@@ -367,41 +394,17 @@ class RidgePriorImputer(Imputer):
             space = PriorFeatureSpace(
                 stats, target, inventory, inventories, self.min_support, self.blocks
             )
-            rows = [
-                lang
-                for lang in train.languages
-                if target in stats.observed[lang.code]
-            ]
             values = tuple(inventory)
             if len(values) == 1 or len(space) == 0:
                 weights = np.zeros((len(values), len(space)))
                 biases = np.zeros(len(values))
                 self._fitted[target] = _FittedFeature(space, values, weights, biases)
                 continue
-            X = np.vstack(
-                [
-                    space.dense(
-                        lang,
-                        {
-                            f: v
-                            for f, v in stats.observed[lang.code].items()
-                            if f != target
-                        },
-                        own_value=stats.observed[lang.code][target],
-                    )
-                    for lang in rows
-                ]
-            )
-            weights = np.zeros((len(values), len(space)))
-            biases = np.zeros(len(values))
-            for i, value in enumerate(values):
-                y = np.array(
-                    [1.0 if stats.observed[lang.code][target] == value else -1.0 for lang in rows]
-                )
-                w, b = solve_ridge(X, y, self.lam)
-                weights[i] = w
-                biases[i] = b
-            self._fitted[target] = _FittedFeature(space, values, weights, biases)
+            own = stats.onehot[:n_train, [stats.columns[target][v] for v in values]]
+            rows = np.flatnonzero(own.any(axis=1))
+            Y = np.where(own[rows] > 0, 1.0, -1.0)
+            w, b = solve_ridge(space.design(rows), Y, self.lam)
+            self._fitted[target] = _FittedFeature(space, values, np.ascontiguousarray(w.T), b)
         return self
 
     def scores(self, query: ImputerQuery) -> dict[str, float] | None:

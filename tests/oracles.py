@@ -268,28 +268,48 @@ def normal_equation_residual(X, y, lam, w, b, fit_intercept=True):
     return float(np.linalg.norm(residual)) / max(1.0, float(np.linalg.norm(rhs)))
 
 
-def prior_features_oracle(train, language, observed, target, areal_km=2500.0, min_support=5):
-    """Brute-force counted probabilities for every prior block."""
+def prior_features_oracle(train, language, observed, target, areal_km=2500.0, min_support=5,
+                          own_value=None, context=None):
+    """Brute-force counted probabilities for every prior block.
+
+    The statistics languages are ``train`` plus the languages of
+    ``context`` not already in it.  ``own_value`` is the language's own
+    observation of ``target`` on a training row: one such observation is
+    taken out of the genus, family and implicational counts.  Shares
+    divide by every counted value, but only values of the training
+    inventories get a key.
+    """
     obs = observed_maps(train)
     by_code = {lang.code: lang for lang in train.languages}
+    if context is not None:
+        context_obs = observed_maps(context)
+        for lang in context.languages:
+            if lang.code not in by_code:
+                by_code[lang.code] = lang
+                obs[lang.code] = context_obs[lang.code]
+    values = set(inventory(train, target))
     out: dict[tuple, float] = {}
 
-    def distribution(codes):
-        counts = Counter(
-            obs[c][target] for c in codes if target in obs[c]
-        )
+    def distribution(targets, leave_out=None):
+        counts = Counter(targets)
+        if leave_out is not None:
+            counts[leave_out] -= 1
         total = sum(counts.values())
-        return {v: n / total for v, n in counts.items()} if total else {}
+        if total <= 0:
+            return {}
+        return {v: n / total for v, n in counts.items() if n > 0 and v in values}
 
-    # oracle covers the query case: no leave-one-out, only the areal
-    # block excludes the language itself
+    def holders(codes):
+        return [obs[c][target] for c in codes if target in obs[c]]
+
     genus_codes = [c for c, l in by_code.items() if l.genus == language.genus]
     family_codes = [c for c, l in by_code.items() if l.family == language.family]
-    for v, p in distribution(genus_codes).items():
+    for v, p in distribution(holders(genus_codes), own_value).items():
         out[("genus", v)] = p
-    for v, p in distribution(family_codes).items():
+    for v, p in distribution(holders(family_codes), own_value).items():
         out[("family", v)] = p
 
+    # the areal block never contains the language itself
     areal_codes = [
         c
         for c, l in by_code.items()
@@ -297,22 +317,244 @@ def prior_features_oracle(train, language, observed, target, areal_km=2500.0, mi
         and great_circle_km(language.latitude, language.longitude, l.latitude, l.longitude)
         <= areal_km
     ]
-    for v, p in distribution(areal_codes).items():
+    for v, p in distribution(holders(areal_codes)).items():
         out[("areal", v)] = p
 
     for feature, a in observed.items():
+        if feature == target or a not in inventory(train, feature):
+            continue
         co = [m for m in obs.values() if feature in m and target in m]
         if len(co) < min_support:
             continue
         matching = [m[target] for m in co if m[feature] == a]
-        total = len(matching)
-        if total:
-            for v, n in Counter(matching).items():
-                out[("impl", feature, a, v)] = n / total
+        for v, p in distribution(matching, own_value if matching else None).items():
+            out[("impl", feature, a, v)] = p
     for feature, a in observed.items():
-        out[("obs", feature, a)] = 1.0
+        if feature != target and a in inventory(train, feature):
+            out[("obs", feature, a)] = 1.0
     return out
 
+
+# ---------------------------------------------------------------------------
+# ridge prior features, counted one language at a time
+#
+# This is how the ridge imputer built its features before its count
+# tables: Counter tables per (group, feature) and one dict per design
+# row.  It is kept as the reference the tables must reproduce exactly,
+# so it also keeps both of that code's distance kernels: the vectorized
+# one for statistics languages and the scalar one for queries.
+
+RIDGE_BLOCKS = ("genetic", "areal", "implicational", "indicators")
+
+
+class CountedPriorStats:
+    """Counting tables over the statistics languages of ``sources``;
+    a language in several sources counts once, from the first."""
+
+    def __init__(self, sources, areal_km):
+        self.languages = []
+        self.observed = {}
+        for d in sources:
+            for lang in d.languages:
+                if lang.code in self.observed:
+                    continue
+                self.languages.append(lang)
+                self.observed[lang.code] = d.observed_of(lang.code)
+
+        self.genus = {}
+        self.family = {}
+        self.joint = {}
+        self.support = Counter()
+        for lang in self.languages:
+            obs = self.observed[lang.code]
+            for feature, value in obs.items():
+                self.genus.setdefault((lang.genus, feature), Counter())[value] += 1
+                self.family.setdefault((lang.family, feature), Counter())[value] += 1
+            feats = sorted(obs)
+            for fa in feats:
+                for fb in feats:
+                    if fa != fb:
+                        self.joint.setdefault((fa, fb), Counter())[(obs[fa], obs[fb])] += 1
+                        self.support[(fa, fb)] += 1
+        self.neighbors = _vectorized_neighbor_sets(self.languages, areal_km)
+        self.areal_km = areal_km
+
+
+def _vectorized_neighbor_sets(languages, radius_km):
+    n = len(languages)
+    out = {lang.code: set() for lang in languages}
+    if n < 2:
+        return out
+    lat = np.radians(np.array([lang.latitude for lang in languages]))
+    lon = np.radians(np.array([lang.longitude for lang in languages]))
+    sin_dlat = np.sin((lat[:, None] - lat[None, :]) / 2.0)
+    sin_dlon = np.sin((lon[:, None] - lon[None, :]) / 2.0)
+    h = sin_dlat**2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * sin_dlon**2
+    dist = 2.0 * 6371.0088 * np.arcsin(np.sqrt(np.minimum(1.0, h)))
+    within = dist <= radius_km
+    codes = [lang.code for lang in languages]
+    for i in range(n):
+        for j in range(n):
+            if i != j and within[i, j]:
+                out[codes[i]].add(codes[j])
+    return out
+
+
+def _scalar_haversine_km(lat1, lon1, lat2, lon2):
+    phi1 = math.radians(lat1)
+    phi2 = math.radians(lat2)
+    dlat = math.radians(abs(lat2 - lat1))
+    dlon = math.radians(abs(lon2 - lon1))
+    h = math.sin(dlat / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlon / 2.0) ** 2
+    h = min(1.0, h)
+    return 2.0 * 6371.0088 * math.asin(math.sqrt(h))
+
+
+class CountedPriorSpace:
+    """Key order and per-language prior vectors of one target."""
+
+    def __init__(self, stats, target, inventory, inventories, min_support=5, blocks=RIDGE_BLOCKS):
+        self.stats = stats
+        self.target = target
+        self.inventory = tuple(inventory)
+        self.min_support = min_support
+        self.blocks = tuple(blocks)
+
+        keys = []
+        if "genetic" in self.blocks:
+            keys += [("genus", v) for v in self.inventory]
+            keys += [("family", v) for v in self.inventory]
+        if "areal" in self.blocks:
+            keys += [("areal", v) for v in self.inventory]
+        others = sorted(f for f in inventories if f != target)
+        if "implicational" in self.blocks:
+            for feat in others:
+                if stats.support[(feat, target)] >= min_support:
+                    for a in inventories[feat]:
+                        keys += [("impl", feat, a, v) for v in self.inventory]
+        if "indicators" in self.blocks:
+            for feat in others:
+                keys += [("obs", feat, a) for a in inventories[feat]]
+        self.keys = tuple(keys)
+        self._index = {key: i for i, key in enumerate(keys)}
+
+    def _conditional(self, counts, exclude_value):
+        if not counts:
+            return None
+        if exclude_value is not None:
+            counts = Counter(counts)
+            counts[exclude_value] -= 1
+        total = sum(counts.values())
+        if total <= 0:
+            return None
+        return {v: counts[v] / total for v in self.inventory if counts[v] > 0}
+
+    def sparse(self, language, observed, own_value=None):
+        """``own_value`` is the language's own target observation, left
+        out of every distribution (training rows); None for queries."""
+        stats = self.stats
+        out = {}
+
+        def put(prefix, dist):
+            if dist:
+                for v, p in dist.items():
+                    key = prefix + (v,)
+                    if key in self._index:
+                        out[key] = p
+
+        if "genetic" in self.blocks:
+            put(("genus",), self._conditional(
+                stats.genus.get((language.genus, self.target)), own_value))
+            put(("family",), self._conditional(
+                stats.family.get((language.family, self.target)), own_value))
+
+        if "areal" in self.blocks:
+            neighbor_codes = stats.neighbors.get(language.code)
+            if neighbor_codes is None:
+                neighbor_codes = {
+                    lang.code
+                    for lang in stats.languages
+                    if lang.code != language.code
+                    and _scalar_haversine_km(
+                        language.latitude, language.longitude, lang.latitude, lang.longitude
+                    ) <= stats.areal_km
+                }
+            counts = Counter()
+            for code in neighbor_codes:
+                value = stats.observed[code].get(self.target)
+                if value is not None:
+                    counts[value] += 1
+            put(("areal",), self._conditional(counts, None))
+
+        if "implicational" in self.blocks:
+            for feat, a in sorted(observed.items()):
+                if stats.support[(feat, self.target)] < self.min_support:
+                    continue
+                joint = stats.joint.get((feat, self.target), Counter())
+                counts = Counter()
+                for (ja, jb), n in joint.items():
+                    if ja == a:
+                        counts[jb] += n
+                dist = self._conditional(counts, own_value if counts else None)
+                if dist:
+                    for v, p in dist.items():
+                        key = ("impl", feat, a, v)
+                        if key in self._index:
+                            out[key] = p
+
+        if "indicators" in self.blocks:
+            for feat, a in observed.items():
+                key = ("obs", feat, a)
+                if key in self._index:
+                    out[key] = 1.0
+        return out
+
+    def dense(self, language, observed, own_value=None):
+        vec = np.zeros(len(self.keys))
+        for key, value in self.sparse(language, observed, own_value).items():
+            vec[self._index[key]] = value
+        return vec
+
+
+def build_prior_features(train, language, observed, target, areal_km=2500.0,
+                         min_support=5, blocks=RIDGE_BLOCKS, own_value=None):
+    """Sparse prior vector of one language against a training dataset."""
+    stats = CountedPriorStats([train], areal_km)
+    inventories = {f: train.catalog.values(f) for f in train.catalog.features()}
+    space = CountedPriorSpace(
+        stats, target, inventories.get(target, ()), inventories, min_support, blocks
+    )
+    return space.sparse(language, observed, own_value)
+
+
+def counted_ridge_fit(train, context=None, lam=1.0, areal_km=2500.0, min_support=5,
+                      blocks=RIDGE_BLOCKS):
+    """target -> (space, weights, biases) with one dense normal-equation
+    solve per inventory value; weights have one row per value.
+    ``context`` joins the counting tables."""
+    sources = [train] + ([context] if context is not None else [])
+    stats = CountedPriorStats(sources, areal_km)
+    inventories = {f: train.catalog.values(f) for f in train.catalog.features()}
+    fitted = {}
+    for target, values in inventories.items():
+        if not values:
+            continue
+        space = CountedPriorSpace(stats, target, values, inventories, min_support, blocks)
+        codes = [lang.code for lang in train.languages if target in stats.observed[lang.code]]
+        rows = []
+        for code in codes:
+            obs = stats.observed[code]
+            others = {f: v for f, v in obs.items() if f != target}
+            rows.append(space.dense(train.language(code), others, own_value=obs[target]))
+        X = np.array(rows).reshape(len(codes), len(space.keys))
+        weights = np.zeros((len(values), len(space.keys)))
+        biases = np.zeros(len(values))
+        if len(values) > 1 and space.keys:
+            for i, value in enumerate(values):
+                y = np.array([1.0 if stats.observed[c][target] == value else -1.0 for c in codes])
+                weights[i], biases[i] = ridge_oracle(X, y, lam)
+        fitted[target] = (space, weights, biases)
+    return fitted
 
 # ---------------------------------------------------------------------------
 # evaluation

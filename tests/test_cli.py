@@ -1,14 +1,19 @@
 """Command-line interface: exit codes, output files, and determinism."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import typoimpute
 from typoimpute.cli import main
 from typoimpute.configio import read_kv
 from typoimpute.kb import BLANKED, OBSERVED, UNKNOWN, Cell, Dataset, parse_dataset, serialize_dataset
 
-from synth import make_language
+from synth import blank_some, make_language, random_dataset
 
 
 def _corpus_dataset():
@@ -407,3 +412,33 @@ def test_usage_errors_from_argparse(tmp_path):
     assert main(["frobnicate"]) == 1  # unknown subcommand
     assert main(["filter", "--input"]) == 1  # flag without value
     assert main(["filter"]) == 1  # required flags missing
+
+
+@pytest.mark.parametrize("use_context", ["true", "false"])
+def test_ridge_impute_ignores_blas_thread_count(tmp_path, use_context):
+    rng = random.Random(31)
+    data = random_dataset(rng, n_languages=160, n_features=10, p_observed=0.6, min_observed=3)
+    codes = data.codes()
+    (tmp_path / "train.tsv").write_text(serialize_dataset(data.subset(codes[:120])),
+                                        encoding="utf-8")
+    test = blank_some(data.subset(codes[120:]), rng, per_language=2)
+    (tmp_path / "test.tsv").write_text(serialize_dataset(test), encoding="utf-8")
+    cfg = tmp_path / "ridge.cfg"
+    cfg.write_text(f"method=ridge\nmin_support=1\nuse_context={use_context}\n",
+                   encoding="utf-8")
+    src = str(Path(typoimpute.__file__).resolve().parents[1])
+    filled = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        out = tmp_path / f"filled{threads}.tsv"
+        subprocess.run(
+            [sys.executable, "-m", "typoimpute.cli", "impute",
+             "--train", str(tmp_path / "train.tsv"), "--test", str(tmp_path / "test.tsv"),
+             "--out", str(out), "--imputer-config", str(cfg), "--no-fallback"],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        filled.append(out.read_bytes())
+    assert b"?" not in filled[0]
+    assert filled[0] == filled[1]

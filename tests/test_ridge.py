@@ -1,10 +1,13 @@
 """Ridge solver and the prior-distribution feature space built on it."""
 
+import itertools
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from typoimpute.geo import haversine_km
 from typoimpute.kb import Cell, Dataset
 from typoimpute.imputers import (
     ALL_BLOCKS,
@@ -12,13 +15,21 @@ from typoimpute.imputers import (
     NoPredictionError,
     PriorFeatureSpace,
     RidgePriorImputer,
-    build_prior_features,
     fill_dataset,
     solve_ridge,
 )
+from typoimpute.imputers import ridge
 from typoimpute.imputers.ridge import _build_stats
 
-from oracles import normal_equation_residual, prior_features_oracle, ridge_oracle
+from oracles import (
+    CountedPriorSpace,
+    CountedPriorStats,
+    build_prior_features,
+    counted_ridge_fit,
+    normal_equation_residual,
+    prior_features_oracle,
+    ridge_oracle,
+)
 from synth import make_language, random_dataset
 
 
@@ -92,6 +103,21 @@ def test_solver_column_permutation_equivariance():
     assert bp == pytest.approx(b)
 
 
+def test_solver_multi_column_matches_single_columns():
+    rng = np.random.default_rng(84)
+    for n, d in ((30, 8), (6, 25)):  # primal (d <= n) and dual (d > n) branches
+        X = rng.normal(size=(n, d))
+        Y = rng.normal(size=(n, 4))
+        for fit_intercept in (True, False):
+            W, b = solve_ridge(X, Y, 0.5, fit_intercept=fit_intercept)
+            assert W.shape == (d, 4) and b.shape == (4,)
+            for j in range(4):
+                w, bj = solve_ridge(X, Y[:, j], 0.5, fit_intercept=fit_intercept)
+                assert isinstance(bj, float)
+                assert np.allclose(W[:, j], w, rtol=0.0, atol=1e-12)
+                assert b[j] == pytest.approx(bj, rel=0.0, abs=1e-12)
+
+
 def test_solver_input_validation():
     X = np.ones((3, 2))
     y = np.ones(3)
@@ -107,38 +133,194 @@ def test_solver_input_validation():
         solve_ridge(bad, y, 1.0)
     with pytest.raises(ValueError):
         solve_ridge(np.ones((0, 2)), np.ones(0), 1.0)
+    with pytest.raises(ValueError):
+        solve_ridge(X, np.ones((3, 0)), 1.0)
+    with pytest.raises(ValueError):
+        solve_ridge(X, np.ones((3, 2, 1)), 1.0)
 
 
 # ---------------------------------------------------------------------------
 # prior feature blocks
 
 
+def _inventories(train):
+    return {f: train.catalog.values(f) for f in train.catalog.features()}
+
+
+def _space(stats, train, target, min_support=5, blocks=ALL_BLOCKS):
+    inventories = _inventories(train)
+    return PriorFeatureSpace(
+        stats, target, inventories.get(target, ()), inventories, min_support, blocks
+    )
+
+
+def _training_design(space, train):
+    """Codes of the training languages observing the target, with the
+    design matrix of their rows."""
+    codes = [lang.code for lang in train.languages if space.target in train.observed_of(lang.code)]
+    rows = np.array([space.stats.rows[code] for code in codes], dtype=np.intp)
+    return codes, space.design(rows)
+
+
+def _as_sparse(space, vec):
+    return {key: p for key, p in zip(space.keys, vec.tolist()) if p != 0.0}
+
+
+def _query_sparse(train, lang, observed, target, areal_km=2500.0, min_support=5):
+    space = _space(_build_stats([train], areal_km), train, target, min_support)
+    return _as_sparse(space, space.dense(lang, observed))
+
+
+def _random_sources(rng, with_context):
+    """A random training set and, optionally, a context set with its
+    own codes whose six features and four values include some the
+    training set never observes."""
+    train = random_dataset(
+        rng,
+        n_languages=rng.randint(4, 16),
+        n_features=rng.randint(2, 5),
+        p_observed=rng.choice([0.6, 0.9]),
+        min_observed=1,
+    )
+    if not with_context:
+        return train, None
+    extra = random_dataset(rng, n_languages=rng.randint(2, 8), n_features=6, n_values=4,
+                           min_observed=1)
+    context = Dataset.build(
+        [replace(lang, code="c" + lang.code) for lang in extra.languages],
+        {("c" + code, f): cell for (code, f), cell in extra.cells.items()},
+    )
+    return train, context
+
+
+def _others(observed, target):
+    return {f: v for f, v in observed.items() if f != target}
+
+
 def test_prior_features_match_oracle():
     rng = random.Random(84)
-    for trial in range(15):
-        train = random_dataset(
-            rng,
-            n_languages=rng.randint(4, 14),
-            n_features=rng.randint(2, 5),
-            p_observed=rng.choice([0.6, 0.9]),
-            min_observed=1,
-        )
+    for trial in range(16):
+        train, context = _random_sources(rng, with_context=trial % 2 == 1)
+        sources = [train] + ([context] if context else [])
         areal = rng.choice([800.0, 2500.0])
         min_support = rng.choice([1, 3])
-        for code in train.codes():
-            lang = train.language(code)
-            full = train.observed_of(code)
-            for target in train.catalog.features():
-                observed = {f: v for f, v in full.items() if f != target}
+        stats = _build_stats(sources, areal)
+        for target in train.catalog.features():
+            space = _space(stats, train, target, min_support)
+            codes, X = _training_design(space, train)
+            cases = [
+                (train.language(code), train.observed_of(code), _as_sparse(space, x))
+                for code, x in zip(codes, X)
+            ]
+            queries = [(lang, train.observed_of(lang.code)) for lang in train.languages
+                       if lang.code not in codes]
+            if context:
+                queries += [(lang, context.observed_of(lang.code)) for lang in context.languages]
+            cases += [
+                (lang, full, _as_sparse(space, space.dense(lang, _others(full, target))))
+                for lang, full in queries
+            ]
+            for lang, full, got in cases:
+                own = full.get(target) if lang.code in codes else None
                 want = prior_features_oracle(
-                    train, lang, observed, target, areal_km=areal, min_support=min_support
-                )
-                got = build_prior_features(
-                    train, lang, observed, target, areal_km=areal, min_support=min_support
+                    train, lang, _others(full, target), target, areal_km=areal,
+                    min_support=min_support, own_value=own, context=context,
                 )
                 assert sorted(got) == sorted(want)
                 for key, p in want.items():
                     assert got[key] == pytest.approx(p, rel=1e-9, abs=1e-12)
+
+
+def test_design_matches_counted_oracle():
+    rng = random.Random(89)
+    subsets = [
+        blocks
+        for r in range(1, len(ALL_BLOCKS) + 1)
+        for blocks in itertools.combinations(ALL_BLOCKS, r)
+    ]
+    for trial in range(6):
+        train, context = _random_sources(rng, with_context=trial % 2 == 1)
+        sources = [train] + ([context] if context else [])
+        areal = rng.choice([800.0, 2500.0])
+        stats = _build_stats(sources, areal)
+        counted = CountedPriorStats(sources, areal)
+        stranger = make_language("new", lat=rng.uniform(-60, 60), lon=rng.uniform(-170, 170))
+        queries = [(stranger, train.observed_of(train.languages[0].code))]
+        if context:
+            queries += [(lang, context.observed_of(lang.code)) for lang in context.languages]
+        inventories = _inventories(train)
+        for blocks, min_support, target in itertools.product(
+            subsets, (1, 5), train.catalog.features()
+        ):
+            space = _space(stats, train, target, min_support, blocks)
+            oracle = CountedPriorSpace(
+                counted, target, inventories[target], inventories, min_support, blocks
+            )
+            assert space.keys == oracle.keys
+            codes, X = _training_design(space, train)
+            want = np.zeros((len(codes), len(oracle.keys)))
+            for i, code in enumerate(codes):
+                full = train.observed_of(code)
+                want[i] = oracle.dense(
+                    train.language(code), _others(full, target), own_value=full[target]
+                )
+            assert np.array_equal(X, want)
+            for lang, full in queries:
+                observed = _others(full, target)
+                assert np.array_equal(space.dense(lang, observed), oracle.dense(lang, observed))
+
+
+def test_leave_one_out_design_ignores_own_value():
+    """A training row's features do not change when only its own target
+    value does: genus, family and implicational counts leave it out, and
+    the areal and indicator blocks never contain it."""
+    rng = random.Random(90)
+    checked = 0
+    for trial in range(8):
+        train = random_dataset(rng, n_languages=12, n_features=3, p_observed=0.9, min_observed=2)
+        stats = _build_stats([train], 2500.0)
+        counted = CountedPriorStats([train], 2500.0)
+        inventories = _inventories(train)
+        for target in train.catalog.features():
+            base_codes, base_X = _training_design(_space(stats, train, target, 1), train)
+            oracle = CountedPriorSpace(counted, target, inventories[target], inventories, 1)
+            for i, code in enumerate(base_codes):
+                own = train.cells[(code, target)].value
+                for other in inventories[target]:
+                    cells = dict(train.cells)
+                    cells[(code, target)] = Cell.observed(other)
+                    changed = Dataset.build(train.languages, cells)
+                    if other == own or _inventories(changed)[target] != inventories[target]:
+                        continue
+                    space = _space(_build_stats([changed], 2500.0), changed, target, 1)
+                    codes, X = _training_design(space, changed)
+                    assert codes == base_codes
+                    assert np.array_equal(X[i], base_X[i])
+                    changed_oracle = CountedPriorSpace(
+                        CountedPriorStats([changed], 2500.0), target, inventories[target],
+                        inventories, 1,
+                    )
+                    lang = train.language(code)
+                    observed = _others(train.observed_of(code), target)
+                    assert np.array_equal(
+                        changed_oracle.dense(lang, observed, own_value=other),
+                        oracle.dense(lang, observed, own_value=own),
+                    )
+                    checked += 1
+    assert checked > 50
+
+
+def test_prior_blocks_are_distributions():
+    rng = random.Random(85)
+    for trial in range(10):
+        train = random_dataset(rng, n_languages=rng.randint(4, 12), min_observed=1)
+        for code in train.codes():
+            lang = train.language(code)
+            full = train.observed_of(code)
+            for target in train.catalog.features():
+                sparse = _query_sparse(train, lang, _others(full, target), target)
+                for group, total in _block_sums(sparse).items():
+                    assert total == pytest.approx(1.0), group
 
 
 def _block_sums(sparse):
@@ -151,25 +333,11 @@ def _block_sums(sparse):
     return sums
 
 
-def test_prior_blocks_are_distributions():
-    rng = random.Random(85)
-    for trial in range(10):
-        train = random_dataset(rng, n_languages=rng.randint(4, 12), min_observed=1)
-        for code in train.codes():
-            lang = train.language(code)
-            full = train.observed_of(code)
-            for target in train.catalog.features():
-                observed = {f: v for f, v in full.items() if f != target}
-                sparse = build_prior_features(train, lang, observed, target)
-                for group, total in _block_sums(sparse).items():
-                    assert total == pytest.approx(1.0), group
-
-
 def test_prior_space_key_order_deterministic():
     rng = random.Random(86)
     train = random_dataset(rng, n_languages=8)
     target = train.catalog.features()[0]
-    inventories = {f: train.catalog.values(f) for f in train.catalog.features()}
+    inventories = _inventories(train)
     stats = _build_stats([train], 2500.0)
     a = PriorFeatureSpace(stats, target, inventories[target], inventories, 5, ALL_BLOCKS)
     b = PriorFeatureSpace(stats, target, inventories[target], inventories, 5, ALL_BLOCKS)
@@ -181,16 +349,14 @@ def test_dense_agrees_with_sparse():
     rng = random.Random(87)
     train = random_dataset(rng, n_languages=8, min_observed=1)
     target = train.catalog.features()[0]
-    inventories = {f: train.catalog.values(f) for f in train.catalog.features()}
-    stats = _build_stats([train], 2500.0)
-    space = PriorFeatureSpace(stats, target, inventories[target], inventories, 1, ALL_BLOCKS)
-    lang = train.languages[0]
-    observed = {f: v for f, v in train.observed_of(lang.code).items() if f != target}
-    sparse = space.sparse(lang, observed)
-    dense = space.dense(lang, observed)
-    assert np.count_nonzero(dense) == len(sparse)
-    for key, p in sparse.items():
-        assert dense[space.keys.index(key)] == p
+    space = _space(_build_stats([train], 2500.0), train, target, min_support=1)
+    for lang in train.languages:
+        observed = _others(train.observed_of(lang.code), target)
+        sparse = build_prior_features(train, lang, observed, target, min_support=1)
+        dense = space.dense(lang, observed)
+        assert np.count_nonzero(dense) == len(sparse)
+        for key, p in sparse.items():
+            assert dense[space.keys.index(key)] == p
 
 
 def test_isolated_language_has_no_areal_block():
@@ -205,13 +371,9 @@ def test_isolated_language_has_no_areal_block():
         ("far", "T"): Cell.observed("x"),
     }
     train = Dataset.build(languages, cells)
-    sparse = build_prior_features(
-        train, train.language("far"), {}, "T", areal_km=1000.0
-    )
+    sparse = _query_sparse(train, train.language("far"), {}, "T", areal_km=1000.0)
     assert not any(key[0] == "areal" for key in sparse)
-    near = build_prior_features(
-        train, train.language("aaa"), {}, "T", areal_km=1000.0
-    )
+    near = _query_sparse(train, train.language("aaa"), {}, "T", areal_km=1000.0)
     assert near[("areal", "y")] == 1.0  # bbb only; self excluded
 
 
@@ -227,19 +389,40 @@ def test_leave_one_out_removes_own_observation():
         ("la3", "T"): Cell.observed("y"),
     }
     train = Dataset.build(languages, cells)
-    inventories = {"T": train.catalog.values("T")}
-    stats = _build_stats([train], 2500.0)
-    space = PriorFeatureSpace(stats, "T", inventories["T"], inventories, 5, ALL_BLOCKS)
+    space = _space(_build_stats([train], 2500.0), train, "T")
 
     # query case keeps all three observations
-    plain = space.sparse(train.language("la1"), {})
+    plain = _as_sparse(space, space.dense(train.language("la1"), {}))
     assert plain[("genus", "x")] == pytest.approx(1 / 3)
     assert plain[("genus", "y")] == pytest.approx(2 / 3)
 
     # training row for la1 drops its own x
-    loo = space.sparse(train.language("la1"), {}, own_value="x")
+    codes, X = _training_design(space, train)
+    loo = _as_sparse(space, X[codes.index("la1")])
     assert ("genus", "x") not in loo
     assert loo[("genus", "y")] == pytest.approx(1.0)
+
+
+def test_query_neighbourhood_scanned_once_per_language(monkeypatch):
+    rng = random.Random(91)
+    train = random_dataset(rng, n_languages=10, min_observed=2)
+    imp = RidgePriorImputer(min_support=1).fit(train)
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return haversine_km(a, b)
+
+    monkeypatch.setattr(ridge, "haversine_km", counted)
+    query = make_language("qqq", lat=10.0, lon=20.0)
+    observed = train.observed_of(train.languages[0].code)
+    for _ in range(2):
+        for target in train.catalog.features():
+            imp.predict(_query(query, _others(observed, target), target))
+    assert len(calls) == len(train.languages)
+    for lang in train.languages:  # statistics languages read the fit-time table
+        imp.predict(_query(lang, {}, train.catalog.features()[0]))
+    assert len(calls) == len(train.languages)
 
 
 # ---------------------------------------------------------------------------
@@ -373,3 +556,37 @@ def test_fill_dataset_with_ridge():
     assert len(predictions) == len(mapping)
     for (code, _), pred in predictions.items():
         assert pred.value == test.cells[(code, "T")].value
+
+
+def test_fit_matches_counted_oracle():
+    rng = random.Random(92)
+    compared = 0
+    for trial in range(12):
+        train, context = _random_sources(rng, with_context=trial % 2 == 1)
+        blocks = ALL_BLOCKS if trial % 3 else ("genetic", "implicational")
+        min_support = rng.choice([1, 5])
+        imp = RidgePriorImputer(min_support=min_support, blocks=blocks,
+                                use_context=context is not None)
+        imp.fit(train, context=context)
+        want = counted_ridge_fit(train, context, min_support=min_support, blocks=blocks)
+        queries = [(lang, train.observed_of(lang.code)) for lang in train.languages]
+        if context:
+            queries += [(lang, context.observed_of(lang.code)) for lang in context.languages]
+        for target, (space, weights, biases) in want.items():
+            fitted = imp._fitted[target]
+            assert fitted.weights.shape == weights.shape
+            assert np.allclose(fitted.weights, weights, rtol=0.0, atol=1e-9)
+            assert np.allclose(fitted.biases, biases, rtol=0.0, atol=1e-9)
+            for lang, full in queries:
+                observed = _others(full, target)
+                raw = weights @ space.dense(lang, observed) + biases
+                scores = imp.scores(_query(lang, observed, target))
+                assert list(scores) == list(fitted.values)
+                # the argmax is defined only where the top two scores are
+                # further apart than the weights may differ
+                top = np.sort(raw)[-2:]
+                if len(top) == 2 and top[1] - top[0] > 1e-6:
+                    assert imp.predict(_query(lang, observed, target)).value == \
+                        fitted.values[int(np.argmax(raw))]
+                    compared += 1
+    assert compared > 200
