@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from .imputers.base import Prediction
 from .kb import OBSERVED, Dataset
@@ -285,6 +284,9 @@ def _pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
 def _t_approx_p(r: float, n: int) -> float:
     if abs(r) == 1.0:
         return 0.0
+    # Imported here so that no other command pays for loading scipy.
+    from scipy.stats import t as student_t
+
     tstat = r * math.sqrt((n - 2) / (1.0 - r * r))
     return 2.0 * float(student_t.sf(abs(tstat), n - 2))
 

@@ -1,0 +1,79 @@
+"""Integer-coded counts over the observed cells of one or more datasets.
+
+The counting imputers (knn, correlation, ridge) all read these tables:
+a language x (feature, value) one-hot, a language x feature observation
+mask, and their products.  Columns are ordered by (feature, value), so
+the columns of one feature are contiguous and its values sorted.
+Counts stay integers, so no result depends on how a BLAS library
+orders its sums.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+from typing import Sequence
+
+import numpy as np
+
+from ..kb import Dataset, Language
+
+__all__ = ["CodedCounts", "count_matmul"]
+
+
+def count_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of 0/1 count matrices; float sums of small integers are
+    exact in any order, so the result does not depend on BLAS threads."""
+    return (a.astype(float) @ b.astype(float)).astype(np.int64)
+
+
+class CodedCounts:
+    """Observed cells of ``sources`` as integer tables.
+
+    A language code seen in an earlier source keeps its first row.
+    ``columns`` maps feature -> value -> one-hot column over every value
+    any of these languages observes.
+    """
+
+    def __init__(self, sources: Sequence[Dataset]):
+        self.languages: list[Language] = []
+        self.rows: dict[str, int] = {}
+        observed: list[dict[str, str]] = []
+        for d in sources:
+            for lang in d.languages:
+                if lang.code in self.rows:
+                    continue
+                self.rows[lang.code] = len(self.languages)
+                self.languages.append(lang)
+                observed.append(d.observed_of(lang.code))
+
+        pairs = sorted({item for obs in observed for item in obs.items()})
+        self.columns: dict[str, dict[str, int]] = {}
+        for i, (feature, value) in enumerate(pairs):
+            self.columns.setdefault(feature, {})[value] = i
+        self.feature_index = {feature: i for i, feature in enumerate(self.columns)}
+        # Feature of every column, and the first column of every feature.
+        self.feature_of = np.array([self.feature_index[f] for f, _ in pairs], dtype=np.intp)
+        self.starts = np.array([min(values.values()) for values in self.columns.values()],
+                               dtype=np.intp)
+
+        cells = [(i, f, v) for i, obs in enumerate(observed) for f, v in obs.items()]
+        rows = np.array([i for i, _, _ in cells], dtype=np.intp)
+        self.onehot = np.zeros((len(self.languages), len(pairs)), dtype=np.int64)
+        self.onehot[rows, np.array([self.columns[f][v] for _, f, v in cells], dtype=np.intp)] = 1
+        self.seen = np.zeros((len(self.languages), len(self.feature_index)), dtype=np.int64)
+        self.seen[rows, np.array([self.feature_index[f] for _, f, _ in cells], dtype=np.intp)] = 1
+
+    @cached_property
+    def joint(self) -> np.ndarray:
+        """columns x columns: languages observing both values."""
+        return count_matmul(self.onehot.T, self.onehot)
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """features x features: languages observing both features."""
+        return count_matmul(self.seen.T, self.seen)
+
+    @cached_property
+    def marginal(self) -> np.ndarray:
+        """columns x features: languages observing the value and the feature."""
+        return count_matmul(self.onehot.T, self.seen)

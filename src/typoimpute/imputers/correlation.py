@@ -6,59 +6,52 @@ voted on by every feature the language does have.  Each observed
 feature A=a contributes its smoothed conditional distribution over the
 target's values, weighted by how informative A is about the target
 (normalized mutual information over co-observing languages).  Pairs
-with too few co-observations are ignored.
+with too few co-observations are ignored.  Pair counts, marginals and
+co-observation counts are read from the integer tables of
+``coded.CodedCounts``.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
-from dataclasses import dataclass
+from typing import Mapping
 
-from ..kb import OBSERVED, Dataset
+import numpy as np
+
+from ..kb import Dataset
 from .base import Imputer, ImputerQuery, NoPredictionError, Prediction
+from .coded import CodedCounts
 
 __all__ = ["CorrelationImputer"]
 
 
-@dataclass
-class _PairStats:
-    """Counts over languages observing both features of an ordered pair."""
+def _normalized_mi(counts: CodedCounts) -> np.ndarray:
+    """features x features: mutual information of each feature pair over
+    their co-observing languages, normalized by the geometric mean of
+    the two marginal entropies; zero when either feature is constant
+    there."""
+    joint, marginal, support = counts.joint, counts.marginal, counts.support
+    of, starts = counts.feature_of, counts.starts
+    if not len(of):
+        return np.zeros(support.shape)
 
-    joint: Counter  # (a, b) -> count
-    marginal_a: Counter  # a -> count
-    support: int  # number of co-observing languages
-    weight: float  # normalized mutual information in [0, 1]
+    # Entropy of feature f over the languages that also observe g.
+    total = support[of]  # columns x features
+    p = np.divide(marginal, total, out=np.zeros(marginal.shape), where=marginal > 0)
+    plogp = np.multiply(p, np.log(p, out=np.zeros(p.shape), where=p > 0))
+    entropy = -np.add.reduceat(plogp, starts, axis=0)
 
+    # Joint terms p(a, b) log(p(a, b) / (p(a) p(b))) for every value pair.
+    total = support[np.ix_(of, of)]
+    ok = joint > 0
+    p = np.divide(joint, total, out=np.zeros(joint.shape), where=ok)
+    ratio = np.divide(p * total * total, marginal[:, of] * marginal[:, of].T,
+                      out=np.ones(joint.shape), where=ok)
+    terms = p * np.log(ratio)
+    mi = np.maximum(0.0, np.add.reduceat(np.add.reduceat(terms, starts, axis=0), starts, axis=1))
 
-def _entropy(counts: Counter, total: int) -> float:
-    h = 0.0
-    for n in counts.values():
-        if n > 0:
-            p = n / total
-            h -= p * math.log(p)
-    return h
-
-
-def _normalized_mi(joint: Counter, total: int) -> float:
-    """Mutual information normalized by the geometric mean of the
-    marginal entropies; zero when either feature is constant."""
-    marg_a = Counter()
-    marg_b = Counter()
-    for (a, b), n in joint.items():
-        marg_a[a] += n
-        marg_b[b] += n
-    ha = _entropy(marg_a, total)
-    hb = _entropy(marg_b, total)
-    if ha <= 0.0 or hb <= 0.0:
-        return 0.0
-    mi = 0.0
-    for (a, b), n in joint.items():
-        if n > 0:
-            p = n / total
-            mi += p * math.log(p * total * total / (marg_a[a] * marg_b[b]))
-    mi = max(0.0, mi)  # clamp float noise
-    return min(1.0, mi / math.sqrt(ha * hb))
+    both = (entropy > 0) & (entropy.T > 0)
+    nmi = np.divide(mi, np.sqrt(entropy * entropy.T), out=np.zeros(mi.shape), where=both)
+    return np.minimum(1.0, nmi)
 
 
 class CorrelationImputer(Imputer):
@@ -71,60 +64,59 @@ class CorrelationImputer(Imputer):
             raise ValueError("alpha must be nonnegative")
         self.alpha = alpha
         self.min_support = min_support
-        self._pairs: dict[tuple[str, str], _PairStats] = {}
-        self._inventory: dict[str, tuple[str, ...]] = {}
+        self._counts = CodedCounts(())
+        self._profiles: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def fit(self, train: Dataset, context: Dataset | None = None) -> "CorrelationImputer":
-        self._inventory = {f: train.catalog.values(f) for f in train.catalog.features()}
-
-        joint: dict[tuple[str, str], Counter] = {}
-        support: Counter = Counter()
-        for lang in train.languages:
-            observed = train.observed_of(lang.code)
-            feats = sorted(observed)
-            for fa in feats:
-                for fb in feats:
-                    if fa == fb:
-                        continue
-                    joint.setdefault((fa, fb), Counter())[(observed[fa], observed[fb])] += 1
-                    support[(fa, fb)] += 1
-
-        self._pairs = {}
-        for pair, j in joint.items():
-            total = support[pair]
-            marg = Counter()
-            for (a, _), n in j.items():
-                marg[a] += n
-            self._pairs[pair] = _PairStats(
-                joint=j,
-                marginal_a=marg,
-                support=total,
-                weight=_normalized_mi(j, total),
-            )
+        counts = CodedCounts([train])
+        self._counts = counts
+        self._profiles = {}
+        # A feature votes on a target it co-occurs with in enough languages.
+        self._can_vote = counts.support >= max(1, self.min_support)
+        self._weight = _normalized_mi(counts)
+        self._sizes = np.bincount(counts.feature_of, minlength=len(counts.starts))
         return self
+
+    def _votes_of(self, observed: Mapping[str, str]) -> tuple[np.ndarray, np.ndarray]:
+        """Vote totals of an observed map for every (feature, value)
+        column, and whether any of its features votes on each feature;
+        cached per observed map."""
+        key = tuple(sorted(observed.items()))
+        votes = self._profiles.get(key)
+        if votes is None:
+            counts = self._counts
+            of = counts.feature_of
+            cells = [(counts.feature_index[f], counts.columns[f].get(a, -1))
+                     for f, a in key if f in counts.columns]
+            features, values = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+            voting = self._can_vote[features]
+            # A value no training language has counts zero everywhere.
+            known = (values >= 0)[:, None]
+            denom = np.where(known, counts.marginal[values], 0) + self.alpha * self._sizes
+            use = (voting & (denom > 0))[:, of]
+            p = np.divide(np.where(known, counts.joint[values], 0) + self.alpha, denom[:, of],
+                          out=np.zeros(use.shape), where=use)
+            # Each voter adds its weighted share in feature order, as a
+            # running total; a voter that does not vote adds exactly 0.
+            terms = np.where(use, self._weight[features][:, of] * p, 0.0)
+            totals = np.cumsum(terms, axis=0)[-1] if len(cells) else np.zeros(len(of))
+            votes = (totals, voting.any(axis=0))
+            self._profiles[key] = votes
+        return votes
 
     def scores(self, query: ImputerQuery) -> dict[str, float] | None:
         """Per-value vote totals for the target, or None when no observed
         feature has enough co-observation support."""
-        inventory = self._inventory.get(query.target)
-        if not inventory:
+        counts = self._counts
+        if query.target not in counts.columns:
             return None
-        any_support = False
-        totals = {b: 0.0 for b in inventory}
-        for fa, a in sorted(query.observed.items()):
-            stats = self._pairs.get((fa, query.target))
-            if stats is None or stats.support < self.min_support:
-                continue
-            any_support = True
-            denom = stats.marginal_a[a] + self.alpha * len(inventory)
-            if denom <= 0:
-                continue
-            for b in inventory:
-                p = (stats.joint[(a, b)] + self.alpha) / denom
-                totals[b] += stats.weight * p
-        if not any_support:
+        inventory = counts.columns[query.target]
+        target = counts.feature_index[query.target]
+        totals, supported = self._votes_of(query.observed)
+        if not supported[target]:
             return None
-        return totals
+        first = counts.starts[target]
+        return dict(zip(inventory, totals[first:first + len(inventory)].tolist()))
 
     def predict(self, query: ImputerQuery) -> Prediction:
         totals = self.scores(query)

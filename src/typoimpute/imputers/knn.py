@@ -4,7 +4,10 @@ With a vector file (one language per line, ``code<TAB>v1<TAB>...``),
 neighbors are ranked by cosine distance between vectors.  Without one,
 languages are compared by agreement over their shared observed features
 (1 - matching/shared); languages sharing no features rank last, and
-geographic distance breaks ties.
+geographic distance breaks ties.  Agreement is counted from the integer
+tables of ``coded.CodedCounts``, once per query language and observed
+map; geographic distance is computed only for the candidates tied at
+the k-th place.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from typing import Mapping
 import numpy as np
 
 from ..geo import GeoPoint, haversine_km
-from ..kb import Dataset, DatasetError
+from ..kb import Dataset, DatasetError, Language
 from .base import Imputer, ImputerQuery, NoPredictionError, Prediction, mode_with_confidence
+from .coded import CodedCounts
 
 __all__ = ["NearestNeighborImputer", "load_language_vectors"]
 
@@ -71,12 +75,17 @@ class NearestNeighborImputer(Imputer):
             raise ValueError("k must be >= 1")
         self.k = k
         self.vectors = dict(vectors) if vectors else None
-        self._languages = []
-        self._observed: dict[str, dict[str, str]] = {}
+        self._counts = CodedCounts(())
+        self._distances: dict[tuple, np.ndarray] = {}
+        self._geo: dict[Language, np.ndarray] = {}
 
     def fit(self, train: Dataset, context: Dataset | None = None) -> "NearestNeighborImputer":
-        self._languages = list(train.languages)
-        self._observed = {lang.code: train.observed_of(lang.code) for lang in train.languages}
+        self._counts = CodedCounts([train])
+        codes = [lang.code for lang in self._counts.languages]
+        self._code_rank = np.empty(len(codes), dtype=np.intp)
+        self._code_rank[sorted(range(len(codes)), key=codes.__getitem__)] = np.arange(len(codes))
+        self._distances = {}
+        self._geo = {}
         return self
 
     def _vector_key(self, query: ImputerQuery, candidate) -> tuple:
@@ -86,37 +95,77 @@ class NearestNeighborImputer(Imputer):
             return (1, 0.0, candidate.code)  # no vector: after all ranked ones
         return (0, _cosine_distance(qvec, cvec), candidate.code)
 
-    def _agreement_key(self, query: ImputerQuery, candidate) -> tuple:
-        observed = self._observed[candidate.code]
-        shared = [f for f in query.observed if f in observed]
-        geo = haversine_km(
-            GeoPoint(query.language.latitude, query.language.longitude),
-            GeoPoint(candidate.latitude, candidate.longitude),
-        )
-        if not shared:
-            return (1, 0.0, geo, candidate.code)
-        matching = sum(1 for f in shared if query.observed[f] == observed[f])
-        return (0, 1.0 - matching / len(shared), geo, candidate.code)
+    def _agreement(self, query: ImputerQuery) -> np.ndarray:
+        """Agreement distance 1 - matching/shared of every training
+        language, or 2.0 (after every shared distance) when it shares no
+        feature with the query; cached per language and observed map."""
+        key = (query.language, tuple(sorted(query.observed.items())))
+        distance = self._distances.get(key)
+        if distance is None:
+            counts = self._counts
+            features = [counts.feature_index[f] for f in query.observed if f in counts.columns]
+            values = [
+                counts.columns[f][v]
+                for f, v in query.observed.items()
+                if v in counts.columns.get(f, ())
+            ]
+            shared = counts.seen[:, features].sum(axis=1)
+            matching = counts.onehot[:, values].sum(axis=1)
+            distance = np.full(len(shared), 2.0)
+            np.divide(matching, shared, out=distance, where=shared > 0)
+            np.subtract(1.0, distance, out=distance, where=shared > 0)
+            self._distances[key] = distance
+        return distance
+
+    def _nearest(self, query: ImputerQuery, candidates: np.ndarray) -> np.ndarray:
+        """The k candidates ranked first by agreement distance; where the
+        k-th place is tied, geographic distance and then code decide."""
+        if len(candidates) <= self.k:
+            return candidates
+        distance = self._agreement(query)[candidates]
+        kth = np.partition(distance, self.k - 1)[self.k - 1]
+        ahead = candidates[distance < kth]
+        tied = candidates[distance == kth]
+        need = self.k - len(ahead)
+        if len(tied) > need:
+            order = np.lexsort((self._code_rank[tied], self._km(query.language, tied)))
+            tied = tied[order[:need]]
+        return np.concatenate([ahead, tied])
+
+    def _km(self, language: Language, rows: np.ndarray) -> np.ndarray:
+        """Great-circle distances from ``language`` to the training
+        languages ``rows``; each pair is computed once per fit."""
+        km = self._geo.get(language)
+        if km is None:
+            km = self._geo[language] = np.full(len(self._counts.languages), np.nan)
+        here = GeoPoint(language.latitude, language.longitude)
+        for i in rows[np.isnan(km[rows])].tolist():
+            lang = self._counts.languages[i]
+            km[i] = haversine_km(here, GeoPoint(lang.latitude, lang.longitude))
+        return km[rows]
 
     def predict(self, query: ImputerQuery) -> Prediction:
-        candidates = [
-            lang
-            for lang in self._languages
-            if lang.code != query.language.code
-            and query.target in self._observed[lang.code]
-        ]
-        if not candidates:
+        counts = self._counts
+        values = counts.columns.get(query.target, {})
+        observing = counts.onehot[:, list(values.values())]
+        has_target = observing.any(axis=1)
+        row = counts.rows.get(query.language.code)
+        if row is not None:
+            has_target[row] = False
+        candidates = np.flatnonzero(has_target)
+        if not len(candidates):
             raise NoPredictionError(f"no training language observes {query.target!r}")
 
         use_vectors = self.vectors is not None and query.language.code in self.vectors
         if use_vectors:
-            candidates.sort(key=lambda c: self._vector_key(query, c))
+            ranked = sorted(candidates, key=lambda i: self._vector_key(query, counts.languages[i]))
+            taken = ranked[: self.k]
             source = "knn-vector"
         else:
-            candidates.sort(key=lambda c: self._agreement_key(query, c))
+            taken = self._nearest(query, candidates)
             source = "knn-agreement"
 
-        taken = candidates[: self.k]
-        votes = Counter(self._observed[c.code][query.target] for c in taken)
+        names = list(values)
+        votes = Counter(names[j] for j in observing[taken].argmax(axis=1))
         value, share = mode_with_confidence(votes)
         return Prediction(value, share, source=source)

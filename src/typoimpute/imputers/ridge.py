@@ -21,14 +21,15 @@ Every value's regressor is then solved in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..geo import GeoPoint, haversine_km
+from ..geo import EARTH_RADIUS_KM, GeoPoint, haversine_km
 from ..kb import Dataset, Language
 from .base import Imputer, ImputerQuery, NoPredictionError, Prediction
+from .coded import CodedCounts, count_matmul
 
 __all__ = [
     "solve_ridge",
@@ -104,28 +105,24 @@ class _GroupCounts:
         return self.table[self.rows.get(name, -1)]
 
 
-@dataclass
-class _PriorStats:
+class _PriorStats(CodedCounts):
     """Integer count tables over the statistics languages (train,
-    optionally plus the observed cells of an evaluation set).
+    optionally plus the observed cells of an evaluation set): the coded
+    counts plus genus, family and areal counts.
 
     Columns of the one-hot are (feature, value) pairs over every value
     any statistics language observes, so totals include values outside
     the training inventory.
     """
 
-    languages: list[Language]
-    rows: dict[str, int]  # code -> row of the one-hot
-    columns: dict[str, dict[str, int]]  # feature -> value -> column
-    onehot: np.ndarray  # languages x columns, 0/1
-    joint: np.ndarray  # columns x columns: languages observing both
-    support: np.ndarray  # features x features: languages observing both
-    feature_index: dict[str, int]
-    genus: _GroupCounts
-    family: _GroupCounts
-    areal: np.ndarray  # languages x columns over radius neighbours, self excluded
-    areal_km: float
-    _query_areal: dict[Language, np.ndarray] = field(default_factory=dict)
+    def __init__(self, sources: Sequence[Dataset], areal_km: float):
+        super().__init__(sources)
+        self.genus = _GroupCounts([lang.genus for lang in self.languages], self.onehot)
+        self.family = _GroupCounts([lang.family for lang in self.languages], self.onehot)
+        # languages x columns over radius neighbours, self excluded
+        self.areal = count_matmul(_radius_mask(self.languages, areal_km), self.onehot)
+        self.areal_km = areal_km
+        self._query_areal: dict[Language, np.ndarray] = {}
 
     def areal_counts(self, language: Language) -> np.ndarray:
         """Counts over the radius neighbours of ``language``.
@@ -149,46 +146,6 @@ class _PriorStats:
         return counts
 
 
-def _count_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of 0/1 count matrices; float sums of small integers are
-    exact in any order, so the result does not depend on BLAS threads."""
-    return (a.astype(float) @ b.astype(float)).astype(np.int64)
-
-
-def _build_stats(sources: Sequence[Dataset], areal_km: float) -> _PriorStats:
-    languages: list[Language] = []
-    observed: list[dict[str, str]] = []
-    rows: dict[str, int] = {}
-    for d in sources:
-        for lang in d.languages:
-            if lang.code in rows:
-                continue
-            rows[lang.code] = len(languages)
-            languages.append(lang)
-            observed.append(d.observed_of(lang.code))
-
-    pairs = sorted({item for obs in observed for item in obs.items()})
-    columns: dict[str, dict[str, int]] = {}
-    for i, (feature, value) in enumerate(pairs):
-        columns.setdefault(feature, {})[value] = i
-    feature_index = {feature: i for i, feature in enumerate(columns)}
-
-    onehot = np.zeros((len(languages), len(pairs)), dtype=np.int64)
-    seen = np.zeros((len(languages), len(feature_index)), dtype=np.int64)
-    for i, obs in enumerate(observed):
-        for feature, value in obs.items():
-            onehot[i, columns[feature][value]] = 1
-            seen[i, feature_index[feature]] = 1
-
-    return _PriorStats(
-        languages, rows, columns, onehot, _count_matmul(onehot.T, onehot),
-        _count_matmul(seen.T, seen), feature_index,
-        _GroupCounts([lang.genus for lang in languages], onehot),
-        _GroupCounts([lang.family for lang in languages], onehot),
-        _count_matmul(_radius_mask(languages, areal_km), onehot), areal_km,
-    )
-
-
 def _radius_mask(languages: Sequence[Language], radius_km: float) -> np.ndarray:
     """Pairwise radius membership, vectorized; self is never a neighbor."""
     lat = np.radians(np.array([lang.latitude for lang in languages]))
@@ -196,7 +153,7 @@ def _radius_mask(languages: Sequence[Language], radius_km: float) -> np.ndarray:
     sin_dlat = np.sin((lat[:, None] - lat[None, :]) / 2.0)
     sin_dlon = np.sin((lon[:, None] - lon[None, :]) / 2.0)
     h = sin_dlat**2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * sin_dlon**2
-    dist = 2.0 * 6371.0088 * np.arcsin(np.sqrt(np.minimum(1.0, h)))
+    dist = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(1.0, h)))
     within = dist <= radius_km
     np.fill_diagonal(within, False)
     return within
@@ -382,7 +339,7 @@ class RidgePriorImputer(Imputer):
         sources = [train]
         if self.use_context and context is not None:
             sources.append(context)
-        stats = _build_stats(sources, self.areal_km)
+        stats = _PriorStats(sources, self.areal_km)
         inventories = {f: train.catalog.values(f) for f in train.catalog.features()}
         # Training languages come first among the statistics rows.
         n_train = len(train.languages)

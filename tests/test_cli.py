@@ -414,8 +414,19 @@ def test_usage_errors_from_argparse(tmp_path):
     assert main(["filter"]) == 1  # required flags missing
 
 
-@pytest.mark.parametrize("use_context", ["true", "false"])
-def test_ridge_impute_ignores_blas_thread_count(tmp_path, use_context):
+def _child_env(**extra):
+    src = str(Path(typoimpute.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                **extra)
+
+
+@pytest.mark.parametrize("config", [
+    "method=ridge\nmin_support=1\nuse_context=true\n",
+    "method=ridge\nmin_support=1\nuse_context=false\n",
+    "method=knn\nk=3\n",
+    "method=correlation\nmin_support=1\n",
+], ids=["true", "false", "knn", "correlation"])
+def test_ridge_impute_ignores_blas_thread_count(tmp_path, config):
     rng = random.Random(31)
     data = random_dataset(rng, n_languages=160, n_features=10, p_observed=0.6, min_observed=3)
     codes = data.codes()
@@ -423,15 +434,12 @@ def test_ridge_impute_ignores_blas_thread_count(tmp_path, use_context):
                                         encoding="utf-8")
     test = blank_some(data.subset(codes[120:]), rng, per_language=2)
     (tmp_path / "test.tsv").write_text(serialize_dataset(test), encoding="utf-8")
-    cfg = tmp_path / "ridge.cfg"
-    cfg.write_text(f"method=ridge\nmin_support=1\nuse_context={use_context}\n",
-                   encoding="utf-8")
-    src = str(Path(typoimpute.__file__).resolve().parents[1])
+    cfg = tmp_path / "imputer.cfg"
+    cfg.write_text(config, encoding="utf-8")
     filled = []
     for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = threads
+        env = _child_env(**{var: threads for var in
+                            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
         out = tmp_path / f"filled{threads}.tsv"
         subprocess.run(
             [sys.executable, "-m", "typoimpute.cli", "impute",
@@ -442,3 +450,25 @@ def test_ridge_impute_ignores_blas_thread_count(tmp_path, use_context):
         filled.append(out.read_bytes())
     assert b"?" not in filled[0]
     assert filled[0] == filled[1]
+
+
+def _scipy_loaded(code: str, *argv: str) -> bool:
+    """Run ``code`` in a fresh interpreter; whether scipy got imported."""
+    probe = f"import sys\n{code}\nprint('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=_child_env(),
+                          check=True, capture_output=True, text=True, timeout=120)
+    return done.stdout.split()[-1] == "True"
+
+
+def test_scipy_is_imported_only_by_evaluate(tmp_path, split_dirs):
+    run = "from typoimpute.cli import main\nif main(sys.argv[1:]):\n    sys.exit('failed')"
+    assert not _scipy_loaded("import typoimpute.cli")
+    freq = _impute(split_dirs, tmp_path / "freq.tsv")
+    out_dir = tmp_path / "eval"
+    assert _scipy_loaded(run, "evaluate", "--test", str(split_dirs / "test.tsv"),
+                         "--gold", str(split_dirs / "test_gold.tsv"),
+                         "--system", f"freq={freq}", "--out-dir", str(out_dir))
+    # the evaluation computed a correlation p-value, which needs scipy
+    assert ",NA" not in (out_dir / "systems.csv").read_text(encoding="utf-8")
+    assert not _scipy_loaded(run, "report", "--input", str(out_dir),
+                             "--out", str(tmp_path / "report.txt"))

@@ -186,3 +186,40 @@ def test_fill_blanked_cells_end_to_end():
     for (code, feature), pred in predictions.items():
         assert feature == "B"
         assert pred.value == test.cells[(code, "B")].value
+
+
+def test_predictions_match_oracle_at_benchmark_size():
+    """600 languages x 60 features at 30% density, the size of the
+    benchmark's models-M workload.  Predictions agree with the oracle
+    wherever its top two totals are more than 1e-9 apart, and exact
+    oracle ties stay exact (then the smaller value wins)."""
+    rng = random.Random(71)
+    train = random_dataset(rng, n_languages=600, n_features=60, n_values=3,
+                           p_observed=0.3, min_observed=3)
+    imp = CorrelationImputer().fit(train)
+    features = train.catalog.features()
+    decided = ties = 0
+    for code in rng.sample(train.codes(), 25):
+        lang = train.language(code)
+        full = train.observed_of(code)
+        observed = {f: v for f, v in full.items() if rng.random() < 0.7}
+        # a value no training language has votes evenly: an exact tie
+        unseen = {f: "unseen" for f in rng.sample(features, 2)}
+        for profile in (observed, unseen):
+            for target in rng.sample([f for f in features if f not in profile], 3):
+                want = correlation_scores_oracle(train, profile, target)
+                got = imp.scores(_query(lang, profile, target))
+                if want is None:
+                    assert got is None
+                    continue
+                ranked = sorted(want, key=lambda b: (-want[b], b))
+                predicted = imp.predict(_query(lang, profile, target)).value
+                if want[ranked[0]] - want[ranked[1]] > 1e-9:
+                    assert predicted == ranked[0]
+                    decided += 1
+                tied = [b for b in ranked if want[b] == want[ranked[0]]]
+                if len(tied) > 1:
+                    assert len({got[b] for b in tied}) == 1
+                    assert predicted == ranked[0]
+                    ties += 1
+    assert decided > 50 and ties > 10

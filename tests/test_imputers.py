@@ -384,6 +384,103 @@ def test_knn_agreement_matches_oracle():
                 assert imp.predict(query).value == want
 
 
+def _tied_train(same_place):
+    """Six languages that all agree with the query on "g" and differ in
+    "f": every agreement distance is 0, so geography (or, at one shared
+    place, the code) decides."""
+    languages, cells = [], {}
+    for i, code in enumerate(["e", "c", "a", "f", "b", "d"]):
+        lat, lon = (10.0, 20.0) if same_place else (10.0 + 3 * i, 20.0 - 2 * i)
+        languages.append(make_language(code, lat=lat, lon=lon))
+        cells[(code, "g")] = Cell.observed("1")
+        cells[(code, "f")] = Cell.observed(f"v{i % 3}")
+    return Dataset.build(languages, cells)
+
+
+@pytest.mark.parametrize("same_place", [False, True], ids=["distinct", "identical"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_knn_agreement_ties_match_oracle(monkeypatch, same_place, k):
+    from typoimpute.imputers import knn
+
+    calls = []
+    real = knn.haversine_km
+    monkeypatch.setattr(knn, "haversine_km", lambda a, b: calls.append(1) or real(a, b))
+    train = _tied_train(same_place)
+    imp = NearestNeighborImputer(k=k).fit(train)
+    for lat, lon in [(10.0, 20.0), (25.0, 10.0), (-40.0, 100.0)]:
+        qlang = make_language("q", lat=lat, lon=lon)
+        query = _fresh_query(qlang, {"g": "1"}, "f")
+        want = knn_oracle(train, qlang, {"g": "1"}, "f", k)
+        assert imp.predict(query).value == want
+        assert imp.predict(query).value == want  # from the cache
+    # each tied candidate is measured once per query language
+    assert len(calls) == 3 * 6
+
+
+def test_knn_calls_haversine_only_for_ties(monkeypatch):
+    from typoimpute.imputers import knn
+
+    calls = []
+    real = knn.haversine_km
+    monkeypatch.setattr(knn, "haversine_km", lambda a, b: calls.append(1) or real(a, b))
+    languages = [make_language(c, lat=float(i), lon=0.0) for i, c in enumerate("abc")]
+    cells = {}
+    for code, g, h in [("a", "1", "1"), ("b", "1", "0"), ("c", "0", "0")]:
+        cells[(code, "g")] = Cell.observed(g)
+        cells[(code, "h")] = Cell.observed(h)
+        cells[(code, "f")] = Cell.observed(code)
+    imp = NearestNeighborImputer(k=2).fit(Dataset.build(languages, cells))
+    query = _fresh_query(make_language("q"), {"g": "1", "h": "1"}, "f")
+    assert imp.predict(query).value == "a"  # distances 0, 0.5, 1: no tie at place 2
+    assert calls == []
+
+
+def test_knn_neighbourhood_follows_observed_map():
+    languages = [make_language(c) for c in ("near_g", "near_h")]
+    cells = {
+        ("near_g", "g"): Cell.observed("1"), ("near_g", "h"): Cell.observed("0"),
+        ("near_g", "f"): Cell.observed("a"),
+        ("near_h", "g"): Cell.observed("0"), ("near_h", "h"): Cell.observed("1"),
+        ("near_h", "f"): Cell.observed("b"),
+    }
+    train = Dataset.build(languages, cells)
+    imp = NearestNeighborImputer(k=1).fit(train)
+    qlang = make_language("q", lat=5.0, lon=5.0)
+    got = []
+    for observed in ({"g": "1"}, {"h": "1"}, {"g": "1"}):
+        got.append(imp.predict(_fresh_query(qlang, observed, "f")).value)
+        assert got[-1] == knn_oracle(train, qlang, observed, "f", 1)
+    assert got == ["a", "b", "a"]
+
+
+def test_knn_ties_match_oracle_on_random_data():
+    rng = random.Random(66)
+    places = [(0.0, 0.0), (0.0, 0.0), (10.0, 10.0), (-20.0, 40.0)]
+    for trial in range(20):
+        train = random_dataset(rng, n_languages=rng.randint(5, 25), n_features=4,
+                               n_values=2, p_observed=0.6, min_observed=1)
+        # few places, some shared, so geography often ties as well
+        languages = [
+            make_language(lang.code, lat=places[i % 4][0], lon=places[i % 4][1])
+            for i, lang in enumerate(train.languages)
+        ]
+        train = Dataset.build(languages, train.cells)
+        k = rng.choice([1, 3])
+        imp = NearestNeighborImputer(k=k).fit(train)
+        for code in train.codes():
+            qlang = train.language(code)
+            full = train.observed_of(code)
+            for target in train.catalog.features():
+                observed = {f: v for f, v in full.items() if f != target}
+                want = knn_oracle(train, qlang, observed, target, k)
+                query = _fresh_query(qlang, observed, target)
+                if want is None:
+                    with pytest.raises(NoPredictionError):
+                        imp.predict(query)
+                    continue
+                assert imp.predict(query).value == want
+
+
 def test_knn_no_candidates():
     train = Dataset.build([make_language("aaa")], {("aaa", "f"): Cell.observed("v")})
     imp = NearestNeighborImputer(k=2)
