@@ -18,7 +18,7 @@ from .evaluate import (
     UndefinedCorrelationError,
     score,
 )
-from .geo import EARTH_RADIUS_KM, GeoPoint, NeighborIndex, haversine_km
+from .geo import EARTH_RADIUS_KM, GeoPoint, haversine_km
 from .imputers import (
     Imputer,
     ImputerQuery,
@@ -58,7 +58,6 @@ __all__ = [
     "score",
     "EARTH_RADIUS_KM",
     "GeoPoint",
-    "NeighborIndex",
     "haversine_km",
     "Imputer",
     "ImputerQuery",

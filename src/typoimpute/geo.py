@@ -1,23 +1,27 @@
-"""Great-circle geometry and neighbor queries over language coordinates.
+"""Great-circle geometry over language coordinates.
 
 Distances are spherical (haversine) with the IUGG mean Earth radius.
-The index is a plain linear scan; language counts in typological
-datasets are small enough that nothing faster is warranted.
+Every distance in the package comes from one vectorized kernel,
+``distance_matrix``; ``haversine_km`` is its 1 x 1 case.  The kernel
+is exactly symmetric and computes each entry from its own two points
+alone, so a row computed by itself equals the same row of any larger
+matrix: a language's neighbourhood does not depend on which caller
+computed it, or alongside which other languages.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable
+
+import numpy as np
 
 __all__ = [
     "EARTH_RADIUS_KM",
     "GeoPoint",
-    "NeighborIndex",
+    "coordinates",
+    "distance_matrix",
     "haversine_km",
-    "within_radius",
-    "nearest_with_predicate",
 ]
 
 EARTH_RADIUS_KM = 6371.0088
@@ -29,78 +33,31 @@ class GeoPoint:
     longitude: float
 
 
-def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance between two points in kilometres.
+def coordinates(points: Iterable) -> np.ndarray:
+    """(n, 2) array of the (latitude, longitude) degrees of ``points``,
+    anything with those two attributes (GeoPoint, kb.Language)."""
+    return np.array([(p.latitude, p.longitude) for p in points], dtype=float).reshape(-1, 2)
 
-    The formula is evaluated symmetrically, so d(a, b) == d(b, a)
-    exactly in floating point.
+
+def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Great-circle kilometres from every row of ``a`` to every row of
+    ``b``, both (n, 2) arrays as ``coordinates`` returns.
+
+    ``distance_matrix(a, b)`` is bitwise ``distance_matrix(b, a).T``:
+    differences enter as absolute values (their half-angle sines are
+    squared, so the sign never mattered) and the cosine product
+    commutes.
     """
-    lat1 = math.radians(a.latitude)
-    lat2 = math.radians(b.latitude)
-    # abs() keeps the evaluation bit-identical under argument swap; the
-    # half-angle sines are squared, so the sign never mattered anyway.
-    dlat = math.radians(abs(b.latitude - a.latitude))
-    dlon = math.radians(abs(b.longitude - a.longitude))
-    h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
+    dlat = np.radians(np.abs(a[:, None, 0] - b[None, :, 0]))
+    dlon = np.radians(np.abs(a[:, None, 1] - b[None, :, 1]))
+    cos_a = np.cos(np.radians(a[:, 0]))[:, None]
+    cos_b = np.cos(np.radians(b[:, 0]))[None, :]
+    h = np.sin(dlat / 2.0) ** 2 + cos_a * cos_b * np.sin(dlon / 2.0) ** 2
     # Guard against rounding pushing h a hair above 1 near antipodes.
-    h = min(1.0, h)
-    return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(1.0, h)))
 
 
-class NeighborIndex:
-    """Immutable list of (language code, position) supporting radius and
-    nearest-neighbor queries by linear scan."""
-
-    def __init__(self, points: Iterable[tuple[str, GeoPoint]]):
-        self._points = list(points)
-        codes = [code for code, _ in self._points]
-        if len(codes) != len(set(codes)):
-            raise ValueError("duplicate language codes in neighbor index")
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def points(self) -> list[tuple[str, GeoPoint]]:
-        return list(self._points)
-
-
-def within_radius(
-    idx: NeighborIndex,
-    center: GeoPoint,
-    radius_km: float,
-    exclude: Optional[str] = None,
-) -> set[str]:
-    """Codes of all points within ``radius_km`` of ``center`` (inclusive).
-
-    ``exclude`` drops the query language's own code from the result.
-    """
-    if radius_km < 0:
-        raise ValueError("radius must be nonnegative")
-    result = set()
-    for code, point in idx.points():
-        if code == exclude:
-            continue
-        if haversine_km(center, point) <= radius_km:
-            result.add(code)
-    return result
-
-
-def nearest_with_predicate(
-    idx: NeighborIndex,
-    center: GeoPoint,
-    accept: Callable[[str], bool],
-) -> Optional[tuple[str, float]]:
-    """Closest accepted point, or None if the predicate rejects all.
-
-    Distance ties break on the lexicographically smaller code.
-    """
-    best: Optional[tuple[float, str]] = None
-    for code, point in idx.points():
-        if not accept(code):
-            continue
-        d = haversine_km(center, point)
-        if best is None or (d, code) < best:
-            best = (d, code)
-    if best is None:
-        return None
-    return best[1], best[0]
+def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
+    """Great-circle distance between two points in kilometres: the
+    1 x 1 case of ``distance_matrix``, so d(a, b) == d(b, a) exactly."""
+    return float(distance_matrix(coordinates([a]), coordinates([b]))[0, 0])

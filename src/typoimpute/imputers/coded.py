@@ -1,11 +1,12 @@
 """Integer-coded counts over the observed cells of one or more datasets.
 
-The counting imputers (knn, correlation, ridge) all read these tables:
-a language x (feature, value) one-hot, a language x feature observation
-mask, and their products.  Columns are ordered by (feature, value), so
-the columns of one feature are contiguous and its values sorted.
-Counts stay integers, so no result depends on how a BLAS library
-orders its sums.
+Every counting imputer (frequency, the genus/family and geographic
+back-offs, knn, correlation, ridge) reads these tables: a language x
+(feature, value) one-hot, a language x feature observation mask, their
+products, and one-hot counts grouped by genus or family.  Columns are
+ordered by (feature, value), so the columns of one feature are
+contiguous and its values sorted.  Counts stay integers, so no result
+depends on how a BLAS library orders its sums.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from ..kb import Dataset, Language
 
-__all__ = ["CodedCounts", "count_matmul"]
+__all__ = ["CodedCounts", "GroupCounts", "count_matmul"]
 
 
 def count_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -77,3 +78,20 @@ class CodedCounts:
     def marginal(self) -> np.ndarray:
         """columns x features: languages observing the value and the feature."""
         return count_matmul(self.onehot.T, self.seen)
+
+
+class GroupCounts:
+    """One-hot counts summed per group name (genus or family).
+
+    ``names`` gives each one-hot row's group; ``of`` holds each row's
+    group index.  The last table row stays zero for names no row has.
+    """
+
+    def __init__(self, names: list[str], onehot: np.ndarray):
+        self.rows = {name: i for i, name in enumerate(sorted(set(names)))}
+        self.of = np.array([self.rows[name] for name in names], dtype=np.intp)
+        self.table = np.zeros((len(self.rows) + 1, onehot.shape[1]), dtype=np.int64)
+        np.add.at(self.table, self.of, onehot)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.table[self.rows.get(name, -1)]

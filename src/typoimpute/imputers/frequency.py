@@ -9,26 +9,46 @@ Three related predictors, each a strict extension of the previous:
   has the target within a far radius, then global.
 
 Confidence is the winning value's share of the counts at the deciding
-level.
+level.  All counts come from the integer tables of
+``coded.CodedCounts``: global counts are column sums, genus and family
+counts are grouped tables, and the geographic levels sum the one-hot
+rows of the target's holders selected by one distance row per query
+language.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from typing import Optional
 
-from ..geo import GeoPoint, haversine_km
-from ..kb import OBSERVED, Dataset
-from .base import Imputer, ImputerQuery, NoPredictionError, Prediction, mode_with_confidence
+import numpy as np
+
+from ..geo import coordinates, distance_matrix
+from ..geo import haversine_km  # noqa: F401  (bench/trace_child.py counts calls through this name)
+from ..kb import Dataset, Language
+from .base import Imputer, ImputerQuery, NoPredictionError, Prediction
+from .coded import CodedCounts, GroupCounts
 
 __all__ = ["GlobalFrequencyImputer", "GenusFamilyBackoffImputer", "GeoBackoffImputer"]
 
 
-def _observed_counts(train: Dataset) -> dict[str, Counter]:
-    counts: dict[str, Counter] = {}
-    for (_, feature), cell in train.cells.items():
-        if cell.state == OBSERVED:
-            counts.setdefault(feature, Counter())[cell.value] += 1
-    return counts
+def _target_columns(counts: CodedCounts, target: str) -> tuple[list[str], slice]:
+    """The target's values (sorted) and their one-hot columns."""
+    values = counts.columns.get(target)
+    if not values:
+        raise NoPredictionError(f"unknown feature {target!r}")
+    start = counts.starts[counts.feature_index[target]]
+    return list(values), slice(start, start + len(values))
+
+
+def _mode(values: list[str], counts: np.ndarray) -> Optional[tuple[str, float]]:
+    """Most frequent value with its share of ``counts`` (one per value);
+    values are sorted, so the first maximum breaks ties on the
+    lexicographically smaller value.  None for empty counts."""
+    total = int(counts.sum())
+    if total <= 0:
+        return None
+    best = int(counts.argmax())
+    return values[best], int(counts[best]) / total
 
 
 class GlobalFrequencyImputer(Imputer):
@@ -37,17 +57,17 @@ class GlobalFrequencyImputer(Imputer):
     name = "frequency"
 
     def __init__(self):
-        self._counts: dict[str, Counter] = {}
+        self._counts = CodedCounts(())
+        self._totals = np.zeros(0, dtype=np.int64)
 
     def fit(self, train: Dataset, context: Dataset | None = None) -> "GlobalFrequencyImputer":
-        self._counts = _observed_counts(train)
+        self._counts = CodedCounts([train])
+        self._totals = self._counts.onehot.sum(axis=0)
         return self
 
     def predict(self, query: ImputerQuery) -> Prediction:
-        counts = self._counts.get(query.target)
-        if not counts:
-            raise NoPredictionError(f"unknown feature {query.target!r}")
-        value, confidence = mode_with_confidence(counts)
+        values, columns = _target_columns(self._counts, query.target)
+        value, confidence = _mode(values, self._totals[columns])
         return Prediction(value, confidence, source="global")
 
 
@@ -57,36 +77,28 @@ class GenusFamilyBackoffImputer(Imputer):
     name = "genus_family"
 
     def __init__(self):
-        self._genus: dict[tuple[str, str], Counter] = {}
-        self._family: dict[tuple[str, str], Counter] = {}
-        self._global: dict[str, Counter] = {}
+        self.counts = CodedCounts(())
+        self._totals = np.zeros(0, dtype=np.int64)
+        self.genus = self.family = GroupCounts([], self.counts.onehot)
 
     def fit(self, train: Dataset, context: Dataset | None = None) -> "GenusFamilyBackoffImputer":
-        self._genus = {}
-        self._family = {}
-        self._global = _observed_counts(train)
-        by_code = {lang.code: lang for lang in train.languages}
-        for (code, feature), cell in train.cells.items():
-            if cell.state != OBSERVED:
-                continue
-            lang = by_code[code]
-            self._genus.setdefault((lang.genus, feature), Counter())[cell.value] += 1
-            self._family.setdefault((lang.family, feature), Counter())[cell.value] += 1
+        self.counts = counts = CodedCounts([train])
+        self._totals = counts.onehot.sum(axis=0)
+        self.genus = GroupCounts([lang.genus for lang in counts.languages], counts.onehot)
+        self.family = GroupCounts([lang.family for lang in counts.languages], counts.onehot)
         return self
 
     def predict(self, query: ImputerQuery) -> Prediction:
+        values, columns = _target_columns(self.counts, query.target)
         lang = query.language
         for source, counts in (
-            ("genus", self._genus.get((lang.genus, query.target))),
-            ("family", self._family.get((lang.family, query.target))),
+            ("genus", self.genus[lang.genus]),
+            ("family", self.family[lang.family]),
         ):
-            mode = mode_with_confidence(counts) if counts else None
+            mode = _mode(values, counts[columns])
             if mode is not None:
                 return Prediction(mode[0], mode[1], source=source)
-        counts = self._global.get(query.target)
-        if not counts:
-            raise NoPredictionError(f"unknown feature {query.target!r}")
-        value, confidence = mode_with_confidence(counts)
+        value, confidence = _mode(values, self._totals[columns])
         return Prediction(value, confidence, source="global")
 
 
@@ -96,8 +108,9 @@ class GeoBackoffImputer(Imputer):
     When neither genus nor family has seen the target, take the mode
     over training languages within ``near_km`` that have it.  Failing
     that, find the nearest training language with the target inside
-    ``far_km`` and use its family's mode.  Global frequency terminates
-    the chain.
+    ``far_km`` (ties broken on the smaller code) and use its family's
+    mode.  Global frequency terminates the chain.  The query language's
+    own training row, if any, never counts.
     """
 
     name = "geo_backoff"
@@ -106,45 +119,47 @@ class GeoBackoffImputer(Imputer):
         self.near_km = near_km
         self.far_km = far_km
         self._backoff = GenusFamilyBackoffImputer()
-        self._languages = []
-        self._observed: dict[str, dict[str, str]] = {}
+        self._coords = coordinates(())
+        self._km: dict[Language, np.ndarray] = {}
 
     def fit(self, train: Dataset, context: Dataset | None = None) -> "GeoBackoffImputer":
         self._backoff.fit(train)
-        self._languages = list(train.languages)
-        self._observed = {lang.code: train.observed_of(lang.code) for lang in train.languages}
+        self._coords = coordinates(self._backoff.counts.languages)
+        self._km = {}
         return self
 
-    def _holders(self, target: str, exclude: str):
-        """Training languages observing the target, with their values."""
-        for lang in self._languages:
-            if lang.code == exclude:
-                continue
-            value = self._observed[lang.code].get(target)
-            if value is not None:
-                yield lang, value
+    def _distances(self, language: Language) -> np.ndarray:
+        """Kilometres from ``language`` to every training language; one
+        kernel row per query language, cached."""
+        km = self._km.get(language)
+        if km is None:
+            km = self._km[language] = distance_matrix(coordinates([language]), self._coords)[0]
+        return km
 
     def predict(self, query: ImputerQuery) -> Prediction:
         pred = self._backoff.predict(query)  # may raise NoPredictionError
         if pred.source in ("genus", "family"):
             return pred
 
-        here = GeoPoint(query.language.latitude, query.language.longitude)
-        holders = [
-            (lang, value, haversine_km(here, GeoPoint(lang.latitude, lang.longitude)))
-            for lang, value in self._holders(query.target, query.language.code)
-        ]
+        counts = self._backoff.counts
+        values, columns = _target_columns(counts, query.target)
+        onehot = counts.onehot[:, columns]
+        holders = onehot.any(axis=1)
+        own = counts.rows.get(query.language.code)
+        if own is not None:
+            holders[own] = False
+        km = self._distances(query.language)
 
-        near = Counter(v for _, v, dist in holders if dist <= self.near_km)
-        mode = mode_with_confidence(near)
+        mode = _mode(values, onehot[holders & (km <= self.near_km)].sum(axis=0))
         if mode is not None:
             return Prediction(mode[0], mode[1], source="neighborhood")
 
-        in_far = [(dist, lang.code, lang.family) for lang, _, dist in holders if dist <= self.far_km]
-        if in_far:
-            _, _, family = min(in_far)
-            family_counts = Counter(v for lang, v, _ in holders if lang.family == family)
-            mode = mode_with_confidence(family_counts)
+        in_far = np.flatnonzero(holders & (km <= self.far_km))
+        if len(in_far):
+            tied = in_far[km[in_far] == km[in_far].min()]
+            nearest = min(tied.tolist(), key=lambda i: counts.languages[i].code)
+            family = self._backoff.family.of
+            mode = _mode(values, onehot[holders & (family == family[nearest])].sum(axis=0))
             if mode is not None:
                 return Prediction(mode[0], mode[1], source="nearest-family")
 

@@ -26,10 +26,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..geo import EARTH_RADIUS_KM, GeoPoint, haversine_km
+from ..geo import coordinates, distance_matrix
+from ..geo import haversine_km  # noqa: F401  (bench/trace_child.py counts calls through this name)
 from ..kb import Dataset, Language
 from .base import Imputer, ImputerQuery, NoPredictionError, Prediction
-from .coded import CodedCounts, count_matmul
+from .coded import CodedCounts, GroupCounts, count_matmul
 
 __all__ = [
     "solve_ridge",
@@ -90,21 +91,6 @@ def solve_ridge(
     return w, (float(b) if y.ndim == 1 else b)
 
 
-class _GroupCounts:
-    """Counts per genus or family name.  ``of`` holds each statistics
-    language's row; the last row stays zero for names no statistics
-    language has."""
-
-    def __init__(self, names: list[str], onehot: np.ndarray):
-        self.rows = {name: i for i, name in enumerate(sorted(set(names)))}
-        self.of = np.array([self.rows[name] for name in names], dtype=np.intp)
-        self.table = np.zeros((len(self.rows) + 1, onehot.shape[1]), dtype=np.int64)
-        np.add.at(self.table, self.of, onehot)
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.table[self.rows.get(name, -1)]
-
-
 class _PriorStats(CodedCounts):
     """Integer count tables over the statistics languages (train,
     optionally plus the observed cells of an evaluation set): the coded
@@ -117,10 +103,13 @@ class _PriorStats(CodedCounts):
 
     def __init__(self, sources: Sequence[Dataset], areal_km: float):
         super().__init__(sources)
-        self.genus = _GroupCounts([lang.genus for lang in self.languages], self.onehot)
-        self.family = _GroupCounts([lang.family for lang in self.languages], self.onehot)
+        self.genus = GroupCounts([lang.genus for lang in self.languages], self.onehot)
+        self.family = GroupCounts([lang.family for lang in self.languages], self.onehot)
         # languages x columns over radius neighbours, self excluded
-        self.areal = count_matmul(_radius_mask(self.languages, areal_km), self.onehot)
+        self.coords = coordinates(self.languages)
+        within = distance_matrix(self.coords, self.coords) <= areal_km
+        np.fill_diagonal(within, False)
+        self.areal = count_matmul(within, self.onehot)
         self.areal_km = areal_km
         self._query_areal: dict[Language, np.ndarray] = {}
 
@@ -128,35 +117,18 @@ class _PriorStats(CodedCounts):
         """Counts over the radius neighbours of ``language``.
 
         A statistics language reads its fit-time row; any other language
-        is scanned once with the scalar kernel and cached.
+        gets one kernel row, cached.  Both come from the same kernel, so
+        a query at a statistics language's coordinates has that
+        language's neighbours (plus the language itself).
         """
         row = self.rows.get(language.code)
         if row is not None:
             return self.areal[row]
         counts = self._query_areal.get(language)
         if counts is None:
-            here = GeoPoint(language.latitude, language.longitude)
-            near = [
-                i
-                for i, lang in enumerate(self.languages)
-                if haversine_km(here, GeoPoint(lang.latitude, lang.longitude)) <= self.areal_km
-            ]
-            counts = self.onehot[near].sum(axis=0)
-            self._query_areal[language] = counts
+            near = distance_matrix(coordinates([language]), self.coords) <= self.areal_km
+            counts = self._query_areal[language] = count_matmul(near, self.onehot)[0]
         return counts
-
-
-def _radius_mask(languages: Sequence[Language], radius_km: float) -> np.ndarray:
-    """Pairwise radius membership, vectorized; self is never a neighbor."""
-    lat = np.radians(np.array([lang.latitude for lang in languages]))
-    lon = np.radians(np.array([lang.longitude for lang in languages]))
-    sin_dlat = np.sin((lat[:, None] - lat[None, :]) / 2.0)
-    sin_dlon = np.sin((lon[:, None] - lon[None, :]) / 2.0)
-    h = sin_dlat**2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * sin_dlon**2
-    dist = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(1.0, h)))
-    within = dist <= radius_km
-    np.fill_diagonal(within, False)
-    return within
 
 
 class PriorFeatureSpace:

@@ -22,7 +22,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .configio import ConfigError, read_kv, write_kv
-from .geo import GeoPoint, haversine_km
+from .geo import coordinates, distance_matrix
+from .geo import haversine_km  # noqa: F401  (bench/trace_child.py counts calls through this name)
 from .kb import BLANKED, OBSERVED, Cell, Dataset, DatasetError
 
 __all__ = [
@@ -249,13 +250,15 @@ def build_controlled_split(d: Dataset, spec: SplitSpec) -> SplitResult:
     n_sample = _round_half_up(spec.random_holdout_fraction * len(remainder))
     sampled = set(rng.sample(sorted(lang.code for lang in remainder), n_sample))
 
-    held_points = [GeoPoint(lang.latitude, lang.longitude) for lang in held]
     held_genera = {lang.genus for lang in held}
+    near_held = (
+        distance_matrix(coordinates(d.languages), coordinates(held)) <= spec.exclusion_radius_km
+    ).any(axis=1)
 
     provenance: list[LanguageProvenance] = []
     train_codes: list[str] = []
     test_codes: list[str] = []
-    for lang in d.languages:
+    for lang, near in zip(d.languages, near_held.tolist()):
         if lang.code in held_codes:
             test_codes.append(lang.code)
             provenance.append(LanguageProvenance(lang.code, "test", REASON_HELD_GENUS))
@@ -264,17 +267,11 @@ def build_controlled_split(d: Dataset, spec: SplitSpec) -> SplitResult:
             provenance.append(LanguageProvenance(lang.code, "test", REASON_RANDOM))
         elif lang.genus in held_genera:
             provenance.append(LanguageProvenance(lang.code, "excluded", REASON_SAME_GENUS))
+        elif near:
+            provenance.append(LanguageProvenance(lang.code, "excluded", REASON_WITHIN_RADIUS))
         else:
-            point = GeoPoint(lang.latitude, lang.longitude)
-            if any(
-                haversine_km(point, hp) <= spec.exclusion_radius_km for hp in held_points
-            ):
-                provenance.append(
-                    LanguageProvenance(lang.code, "excluded", REASON_WITHIN_RADIUS)
-                )
-            else:
-                train_codes.append(lang.code)
-                provenance.append(LanguageProvenance(lang.code, "train", REASON_NONE))
+            train_codes.append(lang.code)
+            provenance.append(LanguageProvenance(lang.code, "train", REASON_NONE))
 
     train = d.subset(train_codes)
     test = blank_features(d.subset(test_codes), spec)

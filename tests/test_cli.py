@@ -425,7 +425,10 @@ def _child_env(**extra):
     "method=ridge\nmin_support=1\nuse_context=false\n",
     "method=knn\nk=3\n",
     "method=correlation\nmin_support=1\n",
-], ids=["true", "false", "knn", "correlation"])
+    "method=frequency\n",
+    "method=genus_family\n",
+    "method=geo_backoff\n",
+], ids=["true", "false", "knn", "correlation", "frequency", "genus_family", "geo_backoff"])
 def test_ridge_impute_ignores_blas_thread_count(tmp_path, config):
     rng = random.Random(31)
     data = random_dataset(rng, n_languages=160, n_features=10, p_observed=0.6, min_observed=3)

@@ -1,17 +1,19 @@
-"""Great-circle distances and neighbor queries."""
+"""Great-circle distances: the scalar form and the one vectorized kernel."""
 
 import math
 import random
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from typoimpute.geo import (
     EARTH_RADIUS_KM,
     GeoPoint,
-    NeighborIndex,
+    coordinates,
+    distance_matrix,
     haversine_km,
-    nearest_with_predicate,
-    within_radius,
 )
 
 from oracles import great_circle_km
@@ -78,67 +80,128 @@ def test_triangle_inequality_sampled():
         assert ac <= ab + bc + 1e-6
 
 
-def _index():
-    return NeighborIndex(
-        [
-            ("aaa", GeoPoint(0.0, 0.0)),
-            ("bbb", GeoPoint(0.0, 1.0)),
-            ("ccc", GeoPoint(0.0, 2.0)),
-            ("ddd", GeoPoint(50.0, 100.0)),
-        ]
-    )
+def _random_points(rng, n):
+    """Uniform points plus the awkward ones: poles, the antimeridian,
+    exact duplicates and antipodes."""
+    pts = [(rng.uniform(-90, 90), rng.uniform(-180, 180)) for _ in range(n - 8)]
+    pts += [(90.0, 0.0), (-90.0, 45.0), (0.0, 180.0), (0.0, -180.0),
+            pts[0], pts[1], (-pts[2][0], pts[2][1] + 180.0), (-87.5, -180.0)]
+    return np.array(pts)
 
 
-def test_index_rejects_duplicate_codes():
-    with pytest.raises(ValueError, match="duplicate"):
-        NeighborIndex([("aaa", GeoPoint(0, 0)), ("aaa", GeoPoint(1, 1))])
+def test_kernel_is_exactly_symmetric():
+    rng = random.Random(34)
+    a, b = _random_points(rng, 300), _random_points(rng, 200)
+    assert np.array_equal(distance_matrix(a, b), distance_matrix(b, a).T)
+    square = distance_matrix(a, a)
+    assert np.array_equal(square, square.T)
+    assert not np.diagonal(square).any()
+
+
+def test_kernel_row_alone_equals_row_of_large_matrix():
+    rng = random.Random(35)
+    pts = _random_points(rng, 1001)
+    full = distance_matrix(pts, pts)
+    for i in rng.sample(range(len(pts)), 60) + [0, 1, len(pts) - 1]:
+        assert np.array_equal(distance_matrix(pts[i:i + 1], pts)[0], full[i])
+        assert np.array_equal(distance_matrix(pts, pts[i:i + 1])[:, 0], full[:, i])
+    for n in (2, 3, 7, 8, 9, 17, 33):
+        rows = np.array(rng.sample(range(len(pts)), n))
+        assert np.array_equal(distance_matrix(pts[rows], pts), full[rows])
+        assert np.array_equal(distance_matrix(pts[rows], pts[rows]), full[np.ix_(rows, rows)])
+
+
+def test_kernel_one_by_one_equals_haversine():
+    rng = random.Random(36)
+    pts = _random_points(rng, 200)
+    full = distance_matrix(pts, pts)
+    for i, j in [(rng.randrange(200), rng.randrange(200)) for _ in range(300)]:
+        a, b = GeoPoint(*pts[i]), GeoPoint(*pts[j])
+        assert haversine_km(a, b) == full[i, j]
+        assert distance_matrix(coordinates([a]), coordinates([b]))[0, 0] == full[i, j]
+
+
+def test_kernel_matches_high_precision_oracle():
+    rng = random.Random(37)
+    pts = _random_points(rng, 40)
+    full = distance_matrix(pts, pts)
+    for i in range(len(pts)):
+        for j in range(0, len(pts), 3):
+            want = great_circle_km(pts[i][0], pts[i][1], pts[j][0], pts[j][1])
+            assert full[i, j] == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("a, b", [
+    # the haversine term of these pairs rounds to 1 + 2**-52 and
+    # 1 + 2**-51; the square root of the second exceeds 1, so unclamped
+    # its arcsine is NaN
+    ((-87.5, -180.0), (87.5, 0.0)),
+    ((-64.03974011776948, -115.62141842715934), (64.03974011643476, 64.37858157284066)),
+])
+def test_kernel_antipodal_clamp(a, b):
+    got = distance_matrix(np.array([a]), np.array([b]))[0, 0]
+    assert got == 2.0 * EARTH_RADIUS_KM * math.asin(1.0)
+    assert got == pytest.approx(great_circle_km(*a, *b), rel=1e-9)
+    assert haversine_km(GeoPoint(*a), GeoPoint(*b)) == got
+
+
+def test_kernel_empty_sides():
+    pts = _random_points(random.Random(38), 18)
+    assert distance_matrix(pts, coordinates([])).shape == (18, 0)
+    assert distance_matrix(coordinates([]), pts).shape == (0, 18)
+
+
+CODES = ["aaa", "bbb", "ccc", "ddd"]
+PLACES = coordinates([GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0), GeoPoint(0.0, 2.0),
+                      GeoPoint(50.0, 100.0)])
+
+
+def _within(radius_km, center=0, exclude_self=False):
+    row = distance_matrix(PLACES[center:center + 1], PLACES)[0]
+    return {
+        code for i, code in enumerate(CODES)
+        if row[i] <= radius_km and not (exclude_self and i == center)
+    }
 
 
 def test_within_radius_inclusive_boundary():
-    idx = _index()
-    center = GeoPoint(0.0, 0.0)
-    boundary = haversine_km(center, GeoPoint(0.0, 1.0))
+    boundary = haversine_km(GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0))
     # radius exactly equal to a point's distance includes that point
-    assert within_radius(idx, center, boundary) == {"aaa", "bbb"}
-    assert within_radius(idx, center, boundary - 1e-6) == {"aaa"}
+    assert _within(boundary) == {"aaa", "bbb"}
+    assert _within(boundary - 1e-6) == {"aaa"}
+    assert _within(0.0) == {"aaa"}
 
 
-def test_within_radius_exclude_and_errors():
-    idx = _index()
-    center = GeoPoint(0.0, 0.0)
-    assert within_radius(idx, center, 500.0, exclude="aaa") == {"bbb", "ccc"}
-    assert within_radius(idx, center, 50.0, exclude="aaa") == set()
-    assert within_radius(idx, center, 0.0) == {"aaa"}
-    with pytest.raises(ValueError, match="nonnegative"):
-        within_radius(idx, center, -1.0)
+def test_within_radius_excludes_self_by_row():
+    # a language is always within its own radius; callers drop it by row
+    assert _within(500.0) == {"aaa", "bbb", "ccc"}
+    assert _within(500.0, exclude_self=True) == {"bbb", "ccc"}
+    assert _within(50.0, exclude_self=True) == set()
+    assert _within(0.0, center=3, exclude_self=True) == set()
 
 
-def test_nearest_with_predicate_picks_closest_accepted():
-    idx = _index()
-    center = GeoPoint(0.0, 0.1)
-    code, dist = nearest_with_predicate(idx, center, lambda c: c != "aaa")
-    assert code == "bbb"
-    assert dist == pytest.approx(haversine_km(center, GeoPoint(0.0, 1.0)))
+def test_nearest_ties_break_on_code():
+    codes = ["zzz", "mmm", "qqq"]
+    places = coordinates([GeoPoint(0.0, 1.0), GeoPoint(0.0, 1.0), GeoPoint(0.0, -1.0)])
+    row = distance_matrix(coordinates([GeoPoint(0.0, 0.0)]), places)[0]
+    # identical coordinates give bitwise-equal distances, so the code decides
+    assert row[0] == row[1] == row[2]
+    assert min(range(3), key=lambda i: (row[i], codes[i])) == 1
 
 
-def test_nearest_with_predicate_tie_breaks_on_code():
-    idx = NeighborIndex(
-        [
-            ("zzz", GeoPoint(0.0, 1.0)),
-            ("mmm", GeoPoint(0.0, 1.0)),
-        ]
+def test_only_geo_evaluates_haversine_trigonometry():
+    """One kernel: no other module computes great-circle trigonometry."""
+    trig = re.compile(
+        r"\b(?:sin|cos|tan|arcsin|asin|arccos|acos|arctan2?|atan2?|radians|deg2rad)\s*\("
     )
-    code, _ = nearest_with_predicate(idx, GeoPoint(0.0, 0.0), lambda c: True)
-    assert code == "mmm"
-
-
-def test_nearest_with_predicate_none_when_all_rejected():
-    assert nearest_with_predicate(_index(), GeoPoint(0, 0), lambda c: False) is None
-
-
-def test_index_len_and_points_copy():
-    idx = _index()
-    assert len(idx) == 4
-    pts = idx.points()
-    pts.clear()
-    assert len(idx.points()) == 4
+    package = Path(__file__).resolve().parents[1] / "src" / "typoimpute"
+    sources = sorted(package.rglob("*.py"))
+    assert package / "geo.py" in sources and len(sources) > 10
+    offenders = [
+        f"{path.relative_to(package)}:{n}"
+        for path in sources
+        if path != package / "geo.py"
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if trig.search(line)
+    ]
+    assert offenders == []

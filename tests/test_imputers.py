@@ -1,11 +1,14 @@
 """Frequency, genealogical backoff, geographic backoff, and kNN imputers."""
 
+import functools
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from typoimpute.geo import GeoPoint, haversine_km
 from typoimpute.kb import DatasetError
 
 from typoimpute.kb import Cell, Dataset
@@ -22,10 +25,12 @@ from typoimpute.imputers import (
     mode_with_confidence,
 )
 
+import oracles
 from oracles import (
     genus_family_oracle,
     geo_backoff_oracle,
     global_mode_oracle,
+    great_circle_km,
     knn_oracle,
     observed_maps,
 )
@@ -232,6 +237,27 @@ def test_geo_backoff_prefers_genus_family():
     assert (pred.value, pred.source) == ("genusval", "genus")
 
 
+def test_geo_backoff_radii_are_inclusive():
+    """A holder exactly at ``near_km`` (or ``far_km``) counts, with the
+    distance from the same kernel as ``haversine_km``."""
+    train = _geo_fixture()
+    here = train.language("qqq")
+
+    def km(code):
+        lang = train.language(code)
+        return haversine_km(GeoPoint(here.latitude, here.longitude),
+                            GeoPoint(lang.latitude, lang.longitude))
+
+    query = _fresh_query(here, {}, "f")
+    pred = GeoBackoffImputer(near_km=km("nr1"), far_km=km("nr1")).fit(train).predict(query)
+    assert (pred.value, pred.source, pred.confidence) == ("near1", "neighborhood", 1.0)
+    pred = GeoBackoffImputer(near_km=0.0, far_km=km("nr1")).fit(train).predict(query)
+    assert (pred.value, pred.source) == ("near1", "nearest-family")
+    just_short = float(np.nextafter(km("nr1"), 0))
+    pred = GeoBackoffImputer(near_km=0.0, far_km=just_short).fit(train).predict(query)
+    assert pred.source == "global"
+
+
 def test_geo_backoff_matches_oracle():
     rng = random.Random(63)
     for trial in range(20):
@@ -258,6 +284,104 @@ def test_geo_backoff_matches_oracle():
                 pred = imp.predict(query)
                 assert (pred.value, pred.source) == (want[0], want[2])
                 assert pred.confidence == pytest.approx(want[1])
+
+
+def _backoff_benchmark_data(rng, n_languages=300, n_features=10, n_queries=40):
+    """A few hundred training languages: a third in 25 shared genera
+    (five families), a third alone in their genus but in 30 shared
+    families, a third alone in genus and family.  Half of them sit at
+    one of 100 shared sites, so many lie at identical coordinates, and
+    codes are shuffled against row order, so a tie on distance is
+    decided by code, not by row.  Queries are training languages, some
+    of them under other genus and family names, and new languages in
+    known and unseen genera and families, half at a site."""
+    sites = [(rng.uniform(-60, 60), rng.uniform(-170, 170)) for _ in range(100)]
+
+    def place():
+        return sites[rng.randrange(len(sites))] if rng.random() < 0.5 else (
+            rng.uniform(-60, 60), rng.uniform(-170, 170))
+
+    codes = [f"l{i:03d}" for i in range(n_languages)]
+    rng.shuffle(codes)
+    languages, cells = [], {}
+    for i, code in enumerate(codes):
+        if i % 3 == 0:
+            g = rng.randrange(25)
+            genus, family = f"G{g}", f"F{g % 5}"
+        elif i % 3 == 1:
+            genus, family = f"Gen-{code}", f"SF{rng.randrange(30)}"
+        else:
+            genus, family = f"Gen-{code}", f"Fam-{code}"
+        lat, lon = place()
+        languages.append(make_language(code, genus=genus, family=family, lat=lat, lon=lon))
+        for j in range(n_features):
+            if rng.random() < 0.3:
+                cells[(code, f"f{j}")] = Cell.observed(f"v{min(rng.randrange(5), 3)}")
+    train = Dataset.build(languages, cells)
+
+    queries = rng.sample(languages, n_queries // 4)
+    # a training code under other metadata: its own row must not count
+    queries += [replace(lang, genus=f"GenR{i}", family=f"FamR{i}")
+                for i, lang in enumerate(rng.sample(languages, n_queries // 8))]
+    for j in range(n_queries - len(queries)):
+        kind = j % 4
+        genus = f"G{rng.randrange(25)}" if kind == 0 else f"GenQ{j}"
+        family = f"SF{rng.randrange(30)}" if kind == 1 else f"FamQ{j}"
+        lat, lon = place()
+        queries.append(make_language(f"q{j:03d}", genus=genus, family=family, lat=lat, lon=lon))
+    return train, queries
+
+
+def test_genus_family_matches_oracle_at_benchmark_size():
+    rng = random.Random(64)
+    train, queries = _backoff_benchmark_data(rng, n_queries=120)
+    imp = GenusFamilyBackoffImputer().fit(train)
+    sources = Counter()
+    for lang in queries:
+        for target in train.catalog.features():
+            want = genus_family_oracle(train, lang, target)
+            pred = imp.predict(_fresh_query(lang, {}, target))
+            assert (pred.value, pred.confidence, pred.source) == want
+            sources[pred.source] += 1
+    assert min(sources[s] for s in ("genus", "family", "global")) > 50
+
+
+def test_geo_backoff_matches_oracle_at_benchmark_size(monkeypatch):
+    rng = random.Random(65)
+    train, queries = _backoff_benchmark_data(rng)
+    # the oracle asks for each pair again per target and radius
+    monkeypatch.setattr(oracles, "great_circle_km", functools.lru_cache(None)(great_circle_km))
+    obs = observed_maps(train)
+    sources = Counter()
+    code_decided = 0
+    for near, far in ((1000.0, 2000.0), (300.0, 1500.0), (0.0, 2500.0)):
+        imp = GeoBackoffImputer(near_km=near, far_km=far).fit(train)
+        for lang in queries:
+            for target in train.catalog.features():
+                want = geo_backoff_oracle(train, lang, target, near, far)
+                pred = imp.predict(_fresh_query(lang, {}, target))
+                assert (pred.value, pred.confidence, pred.source) == want
+                sources[pred.source] += 1
+                if pred.source == "nearest-family":
+                    code_decided += _nearest_decided_by_code(train, obs, lang, target, far)
+    assert min(sources[s] for s in ("neighborhood", "nearest-family", "global")) > 20
+    assert code_decided > 5
+
+
+def _nearest_decided_by_code(train, obs, lang, target, far):
+    """Whether the nearest holders within ``far`` tie on distance across
+    more than one family."""
+    holders = [
+        (oracles.great_circle_km(lang.latitude, lang.longitude, other.latitude, other.longitude),
+         other.family)
+        for other in train.languages
+        if other.code != lang.code and target in obs[other.code]
+    ]
+    within = [(d, family) for d, family in holders if d <= far]
+    if not within:
+        return False
+    best = min(d for d, _ in within)
+    return len({family for d, family in within if d == best}) > 1
 
 
 def test_knn_vector_mode_exact_match():

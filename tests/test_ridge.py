@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from typoimpute.geo import haversine_km
+from typoimpute.geo import GeoPoint, distance_matrix, haversine_km
 from typoimpute.kb import Cell, Dataset
 from typoimpute.imputers import (
     ALL_BLOCKS,
@@ -410,19 +410,52 @@ def test_query_neighbourhood_scanned_once_per_language(monkeypatch):
     calls = []
 
     def counted(a, b):
-        calls.append(1)
-        return haversine_km(a, b)
+        calls.append((len(a), len(b)))
+        return distance_matrix(a, b)
 
-    monkeypatch.setattr(ridge, "haversine_km", counted)
+    monkeypatch.setattr(ridge, "distance_matrix", counted)
     query = make_language("qqq", lat=10.0, lon=20.0)
     observed = train.observed_of(train.languages[0].code)
     for _ in range(2):
         for target in train.catalog.features():
             imp.predict(_query(query, _others(observed, target), target))
-    assert len(calls) == len(train.languages)
+    # one kernel row against every statistics language
+    assert calls == [(1, len(train.languages))]
     for lang in train.languages:  # statistics languages read the fit-time table
         imp.predict(_query(lang, {}, train.catalog.features()[0]))
-    assert len(calls) == len(train.languages)
+    assert calls == [(1, len(train.languages))]
+
+
+def test_query_at_statistics_coordinates_shares_its_neighbourhood():
+    """A query language placed exactly at a statistics language's
+    coordinates gets that language's fit-time areal counts plus the
+    language itself, also when a neighbour lies exactly on the radius;
+    where the language does not observe the target, the areal blocks
+    are byte-equal."""
+    rng = random.Random(92)
+    train = random_dataset(rng, n_languages=40, p_observed=0.5, min_observed=2)
+    langs = train.languages
+    compared = 0
+    for _ in range(30):
+        s, t = rng.sample(range(len(langs)), 2)
+        # t sits exactly on the radius around s
+        radius = haversine_km(GeoPoint(langs[s].latitude, langs[s].longitude),
+                              GeoPoint(langs[t].latitude, langs[t].longitude))
+        stats = _PriorStats([train], radius)
+        row = stats.rows[langs[s].code]
+        query = replace(langs[s], code="qqq")
+        assert np.array_equal(stats.areal_counts(query), stats.areal[row] + stats.onehot[row])
+        observed = train.observed_of(langs[s].code)
+        for target in train.catalog.features():
+            if target in observed:
+                continue
+            space = _space(stats, train, target, min_support=1)
+            areal = [i for i, key in enumerate(space.keys) if key[0] == "areal"]
+            got = space.dense(query, observed)[areal]
+            want = space.dense(langs[s], observed)[areal]
+            assert got.tobytes() == want.tobytes()
+            compared += 1
+    assert compared > 20
 
 
 # ---------------------------------------------------------------------------
