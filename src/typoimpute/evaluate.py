@@ -272,6 +272,8 @@ class CorrelationResult:
 def _pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise UndefinedCorrelationError("an input is not finite")
     xd = x - x.mean()
     yd = y - y.mean()
     denom = math.sqrt(float(xd @ xd) * float(yd @ yd))
@@ -281,14 +283,63 @@ def _pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
     return max(-1.0, min(1.0, r))
 
 
+# For b = 1/2 and n up to 1e9, scanned around the branch switch, the
+# continued fraction needed at most 72 steps; the cap only turns a bug
+# into an error.
+_CF_MAX_STEPS = 300
+_CF_TINY = 1e-300
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the regularized incomplete beta I_x(a, b),
+    evaluated by the modified Lentz method (Numerical Recipes, 6.4)."""
+
+    def nonzero(v: float) -> float:
+        return v if abs(v) >= _CF_TINY else _CF_TINY
+
+    c = 1.0
+    d = 1.0 / nonzero(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, _CF_MAX_STEPS + 1):
+        even = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        for coef in (even, odd):
+            d = 1.0 / nonzero(1.0 + coef * d)
+            c = nonzero(1.0 + coef / c)
+            step = d * c
+            h *= step
+        if abs(step - 1.0) < 1e-15:
+            return h
+    raise EvaluationError(
+        f"incomplete beta did not converge for a={a!r}, b={b!r}, x={x!r}"
+    )
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b) for 0 < x <= 1, with ``y`` = 1 - x passed in so that it
+    keeps its own precision."""
+    if y == 0.0:
+        return 1.0
+    front = math.exp(
+        a * math.log(x) + b * math.log(y)
+        + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    )
+    # each tail's fraction converges fast only on its own side of the mean
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, y) / b
+
+
 def _t_approx_p(r: float, n: int) -> float:
+    """Two-sided p-value of the t test of a Pearson ``r`` over ``n``
+    points: I_x((n - 2)/2, 1/2) at x = (1 - r)(1 + r), which is
+    P(|T| >= |t|) for Student's t with n - 2 degrees of freedom.  Fewer
+    than 3 points have no p-value (NaN)."""
+    if n < 3:
+        return float("nan")
     if abs(r) == 1.0:
         return 0.0
-    # Imported here so that no other command pays for loading scipy.
-    from scipy.stats import t as student_t
-
-    tstat = r * math.sqrt((n - 2) / (1.0 - r * r))
-    return 2.0 * float(student_t.sf(abs(tstat), n - 2))
+    return _betainc((n - 2) / 2, 0.5, (1.0 - r) * (1.0 + r), r * r)
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
@@ -326,8 +377,7 @@ def meta_correlation(points: Sequence[tuple[float, float]]) -> CorrelationResult
     macros = [p[0] for p in points]
     blanking = [p[1] for p in points]
     r = _pearson_r(macros, blanking)
-    p = _t_approx_p(r, n) if n >= 3 else float("nan")
-    return CorrelationResult(r, p, n)
+    return CorrelationResult(r, _t_approx_p(r, n), n)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@ against.
 
 Everything here is implemented from the documented rules, on purpose
 without reusing package internals, so a bug in the implementation
-cannot hide in its own oracle.  High-precision geometry uses mpmath.
+cannot hide in its own oracle.  High-precision geometry and the
+Student-t tail use mpmath.
 """
 
 from __future__ import annotations
@@ -590,3 +591,13 @@ def pearson_oracle(xs, ys) -> float:
     sxx = sum((x - mx) ** 2 for x in xs)
     syy = sum((y - my) ** 2 for y in ys)
     return sxy / math.sqrt(sxx * syy)
+
+
+def t_tail_oracle(r: float, n: int, dps: int = 50) -> float:
+    """Two-sided Student-t p-value of a Pearson ``r`` over ``n`` points,
+    I_x((n - 2)/2, 1/2) at x = (1 - r)(1 + r), computed by mpmath from
+    the same double ``r``."""
+    with mp.workdps(dps):
+        rr = mpf(r)
+        p = mp.betainc(mpf(n - 2) / 2, mpf(1) / 2, 0, (1 - rr) * (1 + rr), regularized=True)
+        return float(p)

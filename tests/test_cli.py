@@ -463,15 +463,41 @@ def _scipy_loaded(code: str, *argv: str) -> bool:
     return done.stdout.split()[-1] == "True"
 
 
-def test_scipy_is_imported_only_by_evaluate(tmp_path, split_dirs):
+def test_no_command_imports_scipy(tmp_path, corpus, spec_file):
     run = "from typoimpute.cli import main\nif main(sys.argv[1:]):\n    sys.exit('failed')"
     assert not _scipy_loaded("import typoimpute.cli")
-    freq = _impute(split_dirs, tmp_path / "freq.tsv")
+    assert not _scipy_loaded(run, "filter", "--input", str(corpus),
+                             "--out", str(tmp_path / "dense.tsv"))
+    assert not _scipy_loaded(run, "split", "--input", str(corpus),
+                             "--out-dir", str(tmp_path / "splits"), "--spec", str(spec_file))
+    # random languages, so that each system's accuracy varies with the
+    # hidden share and every correlation has a p-value
+    data = random_dataset(random.Random(37), n_languages=80, n_features=10,
+                          p_observed=0.7, min_observed=4)
+    codes = data.codes()
+    train = tmp_path / "train.tsv"
+    train.write_text(serialize_dataset(data.subset(codes[:50])), encoding="utf-8")
+    (tmp_path / "rest.tsv").write_text(serialize_dataset(data.subset(codes[50:])),
+                                       encoding="utf-8")
+    blanked = tmp_path / "blanked"
+    assert not _scipy_loaded(run, "blank", "--input", str(tmp_path / "rest.tsv"),
+                             "--out-dir", str(blanked), "--seed", "3")
+    systems = []
+    for method in ("frequency", "genus_family", "knn"):
+        cfg = tmp_path / f"{method}.cfg"
+        cfg.write_text(f"method={method}\n", encoding="utf-8")
+        out = tmp_path / f"{method}.tsv"
+        assert not _scipy_loaded(run, "impute", "--train", str(train),
+                                 "--test", str(blanked / "blanked.tsv"), "--out", str(out),
+                                 "--imputer-config", str(cfg))
+        systems += ["--system", f"{method}={out}"]
     out_dir = tmp_path / "eval"
-    assert _scipy_loaded(run, "evaluate", "--test", str(split_dirs / "test.tsv"),
-                         "--gold", str(split_dirs / "test_gold.tsv"),
-                         "--system", f"freq={freq}", "--out-dir", str(out_dir))
-    # the evaluation computed a correlation p-value, which needs scipy
+    assert not _scipy_loaded(run, "evaluate", "--test", str(blanked / "blanked.tsv"),
+                             "--gold", str(blanked / "gold.tsv"), *systems,
+                             "--out-dir", str(out_dir), "--seed", "5", "--samples", "200")
+    # every system got a blanking p-value, and the systems a meta p-value
     assert ",NA" not in (out_dir / "systems.csv").read_text(encoding="utf-8")
+    summary = (out_dir / "summary.txt").read_text(encoding="utf-8")
+    assert "across systems" in summary and "p=nan" not in summary
     assert not _scipy_loaded(run, "report", "--input", str(out_dir),
                              "--out", str(tmp_path / "report.txt"))

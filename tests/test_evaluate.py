@@ -3,10 +3,12 @@
 import logging
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
+from typoimpute import evaluate
 from typoimpute.evaluate import (
     CorrelationResult,
     EvalReport,
@@ -27,7 +29,7 @@ from typoimpute.evaluate import (
 from typoimpute.imputers import Prediction
 from typoimpute.kb import Cell, Dataset
 
-from oracles import exhaustive_permutation_p, macro_oracle, pearson_oracle
+from oracles import exhaustive_permutation_p, macro_oracle, pearson_oracle, t_tail_oracle
 from synth import make_language
 
 
@@ -318,6 +320,63 @@ def test_pearson_matches_oracle():
         result = pearson(xs, ys)
         assert result.r == pytest.approx(pearson_oracle(xs, ys), rel=1e-12, abs=1e-12)
         assert 0.0 <= result.p_value <= 1.0
+
+
+P_GRID_N = (3, 4, 5, 7, 20, 207, 2000, 5000)
+P_GRID_ABS_R = (1e-12, 1e-8, 1e-5, 0.5, 1 - 1e-9, 1 - 1e-15)
+
+
+def _p_grid_r(n):
+    rng = random.Random(113 + n)
+    rs = [rng.uniform(-1.0, 1.0) for _ in range(30)]
+    return rs + [s * a for a in P_GRID_ABS_R for s in (1.0, -1.0)]
+
+
+def test_t_tail_matches_mpmath_oracle():
+    for n in P_GRID_N:
+        for r in _p_grid_r(n):
+            got = evaluate._t_approx_p(r, n)
+            want = t_tail_oracle(r, n)
+            if want < sys.float_info.min:
+                # below the normal doubles only an underflowed value will do
+                assert 0.0 <= got < sys.float_info.min, (r, n, got, want)
+            else:
+                assert abs(got - want) <= 1e-10 * want, (r, n, got, want)
+
+
+def test_t_tail_properties():
+    for n in P_GRID_N:
+        assert evaluate._t_approx_p(0.0, n) == 1.0
+        assert evaluate._t_approx_p(-0.0, n) == 1.0
+        rs = _p_grid_r(n)
+        for r in rs:
+            p = evaluate._t_approx_p(r, n)
+            assert 0.0 <= p <= 1.0
+            assert evaluate._t_approx_p(-r, n) == p
+        by_abs = [evaluate._t_approx_p(a, n) for a in sorted({abs(r) for r in rs} | {0.0, 1.0})]
+        assert by_abs[-1] == 0.0
+        assert all(later <= earlier for earlier, later in zip(by_abs, by_abs[1:]))
+    assert math.isnan(evaluate._t_approx_p(0.5, 2))
+
+
+def test_t_tail_refuses_an_unconverged_fraction(monkeypatch):
+    monkeypatch.setattr(evaluate, "_CF_MAX_STEPS", 1)
+    with pytest.raises(EvaluationError, match="did not converge"):
+        evaluate._t_approx_p(0.3, 207)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pearson_rejects_non_finite_input(bad):
+    xs = [1.0, 2.0, 3.0, 4.0]
+    ys = [1.0, 0.5, 0.2, 0.9]
+    with pytest.raises(UndefinedCorrelationError, match="not finite"):
+        pearson(xs[:2] + [bad] + xs[3:], ys)
+    with pytest.raises(UndefinedCorrelationError, match="not finite"):
+        pearson(xs, ys[:2] + [bad] + ys[3:])
+    with pytest.raises(UndefinedCorrelationError, match="not finite"):
+        meta_correlation([(0.6, 0.1), (0.7, bad), (0.8, 0.2)])
+    with pytest.raises(UndefinedCorrelationError, match="not finite"):
+        meta_correlation([(bad, 0.1), (0.7, 0.3)])
 
 
 def test_pearson_validation():

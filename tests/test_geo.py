@@ -1,5 +1,6 @@
 """Great-circle distances: the scalar form and the one vectorized kernel."""
 
+import ast
 import math
 import random
 import re
@@ -204,4 +205,24 @@ def test_only_geo_evaluates_haversine_trigonometry():
         for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
         if trig.search(line)
     ]
+    assert offenders == []
+
+
+def test_no_module_imports_scipy():
+    """The correlation p-value is computed in pure Python; no module,
+    not even inside a function, imports scipy."""
+    package = Path(__file__).resolve().parents[1] / "src" / "typoimpute"
+    sources = sorted(package.rglob("*.py"))
+    assert package / "evaluate.py" in sources
+    offenders = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                offenders.append(f"{path.relative_to(package)}:{node.lineno}")
     assert offenders == []
