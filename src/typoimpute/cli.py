@@ -27,10 +27,10 @@ from typing import Mapping, Optional, Sequence
 from . import evaluate as ev
 from .configio import ConfigError, config_hash, file_digest, read_kv, write_kv
 from .imputers import (
+    EnsembleImputer,
     GlobalFrequencyImputer,
-    ImputerQuery,
-    NoPredictionError,
     build_imputer,
+    fill_dataset,
     load_language_vectors,
 )
 from .kb import (
@@ -304,35 +304,17 @@ def _imputer_config_from_args(args: argparse.Namespace) -> dict[str, str]:
 def cmd_impute(args: argparse.Namespace) -> int:
     train = _load_dataset(args.train)
     test = _load_dataset(args.test)
+    if not any(train.catalog.values(f) for f in train.catalog.features()):
+        raise DatasetError(f"{args.train} has no observed cells to train on")
     config = _imputer_config_from_args(args)
     vectors = load_language_vectors(args.vectors) if args.vectors else None
     imputer = build_imputer(config, vectors=vectors)
-    imputer.fit(train, context=test)
-    fallback = None
     if not args.no_fallback:
-        fallback = GlobalFrequencyImputer().fit(train)
+        imputer = EnsembleImputer([imputer, GlobalFrequencyImputer()], "first_success")
+    imputer.fit(train, context=test)
 
-    fill: dict[tuple[str, str], str] = {}
-    n_unfilled = 0
-    for lang in test.languages:
-        observed = test.observed_of(lang.code)
-        for feature, cell in sorted(test.cells_of(lang.code).items()):
-            if cell.state == OBSERVED:
-                continue
-            query = ImputerQuery(language=lang, observed=observed, target=feature)
-            try:
-                prediction = imputer.predict(query)
-            except NoPredictionError:
-                if fallback is None:
-                    n_unfilled += 1
-                    continue
-                try:
-                    prediction = fallback.predict(query)
-                except NoPredictionError:
-                    n_unfilled += 1
-                    continue
-            fill[(lang.code, feature)] = prediction.value
-
+    fill = {key: p.value for key, p in fill_dataset(imputer, test).items()}
+    n_unfilled = sum(1 for cell in test.cells.values() if cell.state != OBSERVED) - len(fill)
     Path(args.out).write_text(serialize_dataset(test, fill=fill), encoding="utf-8")
     log.info("filled %d cells (%d left unfilled)", len(fill), n_unfilled)
     if n_unfilled and not args.no_fallback:

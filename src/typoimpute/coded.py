@@ -3,20 +3,26 @@
 Every counting imputer (frequency, the genus/family and geographic
 back-offs, knn, correlation, ridge) reads these tables: a language x
 (feature, value) one-hot, a language x feature observation mask, their
-products, and one-hot counts grouped by genus or family.  Columns are
-ordered by (feature, value), so the columns of one feature are
-contiguous and its values sorted.  Counts stay integers, so no result
-depends on how a BLAS library orders its sums.
+products, column totals, and one-hot counts grouped by genus or family.
+Columns are ordered by (feature, value), so the columns of one feature
+are contiguous and its values sorted.  Counts stay integers, so no
+result depends on how a BLAS library orders its sums.  The tables of one
+training set are built once, as ``Dataset.counts``, and shared by every
+imputer fitted on it, together with one cached distance row per query
+language.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..kb import Dataset, Language
+from .geo import coordinates, distance_matrix
+
+if TYPE_CHECKING:
+    from .kb import Dataset, Language
 
 __all__ = ["CodedCounts", "GroupCounts", "count_matmul"]
 
@@ -63,6 +69,7 @@ class CodedCounts:
         self.onehot[rows, np.array([self.columns[f][v] for _, f, v in cells], dtype=np.intp)] = 1
         self.seen = np.zeros((len(self.languages), len(self.feature_index)), dtype=np.int64)
         self.seen[rows, np.array([self.feature_index[f] for _, f, _ in cells], dtype=np.intp)] = 1
+        self._km: dict[Language, np.ndarray] = {}
 
     @cached_property
     def joint(self) -> np.ndarray:
@@ -78,6 +85,34 @@ class CodedCounts:
     def marginal(self) -> np.ndarray:
         """columns x features: languages observing the value and the feature."""
         return count_matmul(self.onehot.T, self.seen)
+
+    @cached_property
+    def totals(self) -> np.ndarray:
+        """columns: languages observing each value."""
+        return self.onehot.sum(axis=0)
+
+    @cached_property
+    def genus(self) -> GroupCounts:
+        """One-hot counts per genus."""
+        return GroupCounts([lang.genus for lang in self.languages], self.onehot)
+
+    @cached_property
+    def family(self) -> GroupCounts:
+        """One-hot counts per family."""
+        return GroupCounts([lang.family for lang in self.languages], self.onehot)
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """(languages, 2) coordinates of the rows, as ``geo.coordinates``."""
+        return coordinates(self.languages)
+
+    def distances(self, language: Language) -> np.ndarray:
+        """Kilometres from ``language`` to every row language: one kernel
+        row per query language, cached and shared by every reader."""
+        km = self._km.get(language)
+        if km is None:
+            km = self._km[language] = distance_matrix(coordinates([language]), self.coords)[0]
+        return km
 
 
 class GroupCounts:

@@ -6,7 +6,6 @@ from .base import (
     NoPredictionError,
     Prediction,
     fill_dataset,
-    mode_with_confidence,
 )
 from .config import KNOWN_KEYS, METHODS, build_imputer
 from .correlation import CorrelationImputer
@@ -30,7 +29,6 @@ __all__ = [
     "NoPredictionError",
     "Prediction",
     "fill_dataset",
-    "mode_with_confidence",
     "KNOWN_KEYS",
     "METHODS",
     "build_imputer",

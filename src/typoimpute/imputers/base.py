@@ -3,18 +3,18 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from ..kb import BLANKED, OBSERVED, UNKNOWN, Dataset, Language
+import numpy as np
+
+from ..kb import OBSERVED, Dataset, Language
 
 __all__ = [
     "NoPredictionError",
     "ImputerQuery",
     "Prediction",
     "Imputer",
-    "mode_with_confidence",
     "fill_dataset",
 ]
 
@@ -59,17 +59,15 @@ class Imputer:
         raise NotImplementedError
 
 
-def mode_with_confidence(counts: Counter) -> Optional[tuple[str, float]]:
-    """Most frequent value with its share of the counts.
-
-    Ties break on the lexicographically smaller value; None for empty
-    counts.
-    """
-    total = sum(counts.values())
+def _mode(values: list[str], counts: np.ndarray) -> Optional[tuple[str, float]]:
+    """Most frequent value with its share of ``counts`` (one per value);
+    values are sorted, so the first maximum breaks ties on the
+    lexicographically smaller value.  None for empty counts."""
+    total = int(counts.sum())
     if total <= 0:
         return None
-    value, n = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return value, n / total
+    best = int(counts.argmax())
+    return values[best], int(counts[best]) / total
 
 
 def fill_dataset(imputer: Imputer, test: Dataset) -> dict[tuple[str, str], Prediction]:
@@ -77,8 +75,9 @@ def fill_dataset(imputer: Imputer, test: Dataset) -> dict[tuple[str, str], Predi
 
     Queries see only the language's observed cells.  Iteration order is
     fixed (dataset order, then feature name), so results are
-    deterministic.  NoPredictionError propagates; wrap the imputer in an
-    ensemble ending in a global-frequency member for total coverage.
+    deterministic.  A cell the imputer cannot answer is left out of the
+    result; a ``first_success`` ensemble ending in a global-frequency
+    member answers every cell whose feature training observes.
     """
     out: dict[tuple[str, str], Prediction] = {}
     for lang in test.languages:
@@ -87,5 +86,8 @@ def fill_dataset(imputer: Imputer, test: Dataset) -> dict[tuple[str, str], Predi
             if cell.state == OBSERVED:
                 continue
             query = ImputerQuery(language=lang, observed=observed, target=feature)
-            out[(lang.code, feature)] = imputer.predict(query)
+            try:
+                out[(lang.code, feature)] = imputer.predict(query)
+            except NoPredictionError:
+                continue
     return out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -48,9 +49,12 @@ def _get_float(config: Mapping[str, str], key: str, default: float) -> float:
     if key not in config:
         return default
     try:
-        return float(config[key])
+        value = float(config[key])
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {config[key]!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {config[key]!r}")
+    return value
 
 
 def _get_int(config: Mapping[str, str], key: str, default: int) -> int:
@@ -82,7 +86,8 @@ def build_imputer(
     The ``method`` key selects the system; the remaining keys override
     its defaults.  An ensemble lists its members as a comma-separated
     ``members`` value, and every member is built from this same mapping,
-    so shared parameter overrides apply to each.
+    so shared parameter overrides apply to each.  A value an imputer
+    rejects raises ConfigError.
     """
     unknown = set(config) - KNOWN_KEYS
     if unknown:
@@ -90,7 +95,10 @@ def build_imputer(
     method = config.get("method")
     if method is None:
         raise ConfigError("config is missing the method key")
-    return _build(method, config, vectors)
+    try:
+        return _build(method, config, vectors)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _build(

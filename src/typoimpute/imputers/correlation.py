@@ -7,8 +7,8 @@ feature A=a contributes its smoothed conditional distribution over the
 target's values, weighted by how informative A is about the target
 (normalized mutual information over co-observing languages).  Pairs
 with too few co-observations are ignored.  Pair counts, marginals and
-co-observation counts are read from the integer tables of
-``coded.CodedCounts``.
+co-observation counts are read from the training set's shared integer
+tables, ``Dataset.counts``.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from typing import Mapping
 
 import numpy as np
 
+from ..coded import CodedCounts
 from ..kb import Dataset
 from .base import Imputer, ImputerQuery, NoPredictionError, Prediction
-from .coded import CodedCounts
 
 __all__ = ["CorrelationImputer"]
 
@@ -64,13 +64,10 @@ class CorrelationImputer(Imputer):
             raise ValueError("alpha must be nonnegative")
         self.alpha = alpha
         self.min_support = min_support
-        self._counts = CodedCounts(())
-        self._profiles: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def fit(self, train: Dataset, context: Dataset | None = None) -> "CorrelationImputer":
-        counts = CodedCounts([train])
-        self._counts = counts
-        self._profiles = {}
+        self._counts = counts = train.counts
+        self._profiles: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         # A feature votes on a target it co-occurs with in enough languages.
         self._can_vote = counts.support >= max(1, self.min_support)
         self._weight = _normalized_mi(counts)

@@ -4,24 +4,23 @@ With a vector file (one language per line, ``code<TAB>v1<TAB>...``),
 neighbors are ranked by cosine distance between vectors.  Without one,
 languages are compared by agreement over their shared observed features
 (1 - matching/shared); languages sharing no features rank last, and
-geographic distance breaks ties.  Agreement is counted from the integer
-tables of ``coded.CodedCounts``, once per query language and observed
-map; geographic distance is computed only for the candidates tied at
-the k-th place.
+geographic distance breaks ties.  Agreement is counted from the
+training set's shared integer tables, ``Dataset.counts``, once per query
+language and observed map; geographic distance is read from the table's
+cached distance row of the query language, computed only when
+candidates tie at the k-th place.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from ..geo import GeoPoint, haversine_km
-from ..kb import Dataset, DatasetError, Language
-from .base import Imputer, ImputerQuery, NoPredictionError, Prediction, mode_with_confidence
-from .coded import CodedCounts
+from ..geo import haversine_km  # noqa: F401  (bench/trace_child.py counts calls through this name)
+from ..kb import Dataset, DatasetError
+from .base import Imputer, ImputerQuery, NoPredictionError, Prediction, _mode
 
 __all__ = ["NearestNeighborImputer", "load_language_vectors"]
 
@@ -29,8 +28,8 @@ __all__ = ["NearestNeighborImputer", "load_language_vectors"]
 def load_language_vectors(path: str | Path) -> dict[str, np.ndarray]:
     """Read a tab-separated language-vector file.
 
-    Every line is a code followed by the vector components; all vectors
-    in one file must share a dimension.
+    Every line is a code followed by finite vector components; all
+    vectors in one file must share a dimension.
     """
     vectors: dict[str, np.ndarray] = {}
     dim = None
@@ -45,6 +44,8 @@ def load_language_vectors(path: str | Path) -> dict[str, np.ndarray]:
             vec = np.array([float(x) for x in fields[1:]], dtype=float)
         except ValueError:
             raise DatasetError(f"vector file line {lineno}: non-numeric component") from None
+        if not np.isfinite(vec).all():
+            raise DatasetError(f"vector file line {lineno}: non-finite component")
         if dim is None:
             dim = vec.size
         elif vec.size != dim:
@@ -75,17 +76,13 @@ class NearestNeighborImputer(Imputer):
             raise ValueError("k must be >= 1")
         self.k = k
         self.vectors = dict(vectors) if vectors else None
-        self._counts = CodedCounts(())
-        self._distances: dict[tuple, np.ndarray] = {}
-        self._geo: dict[Language, np.ndarray] = {}
 
     def fit(self, train: Dataset, context: Dataset | None = None) -> "NearestNeighborImputer":
-        self._counts = CodedCounts([train])
+        self._counts = train.counts
         codes = [lang.code for lang in self._counts.languages]
         self._code_rank = np.empty(len(codes), dtype=np.intp)
         self._code_rank[sorted(range(len(codes)), key=codes.__getitem__)] = np.arange(len(codes))
-        self._distances = {}
-        self._geo = {}
+        self._distances: dict[tuple, np.ndarray] = {}
         return self
 
     def _vector_key(self, query: ImputerQuery, candidate) -> tuple:
@@ -128,21 +125,9 @@ class NearestNeighborImputer(Imputer):
         tied = candidates[distance == kth]
         need = self.k - len(ahead)
         if len(tied) > need:
-            order = np.lexsort((self._code_rank[tied], self._km(query.language, tied)))
-            tied = tied[order[:need]]
+            km = self._counts.distances(query.language)[tied]
+            tied = tied[np.lexsort((self._code_rank[tied], km))[:need]]
         return np.concatenate([ahead, tied])
-
-    def _km(self, language: Language, rows: np.ndarray) -> np.ndarray:
-        """Great-circle distances from ``language`` to the training
-        languages ``rows``; each pair is computed once per fit."""
-        km = self._geo.get(language)
-        if km is None:
-            km = self._geo[language] = np.full(len(self._counts.languages), np.nan)
-        here = GeoPoint(language.latitude, language.longitude)
-        for i in rows[np.isnan(km[rows])].tolist():
-            lang = self._counts.languages[i]
-            km[i] = haversine_km(here, GeoPoint(lang.latitude, lang.longitude))
-        return km[rows]
 
     def predict(self, query: ImputerQuery) -> Prediction:
         counts = self._counts
@@ -165,7 +150,6 @@ class NearestNeighborImputer(Imputer):
             taken = self._nearest(query, candidates)
             source = "knn-agreement"
 
-        names = list(values)
-        votes = Counter(names[j] for j in observing[taken].argmax(axis=1))
-        value, share = mode_with_confidence(votes)
+        votes = np.bincount(observing[taken].argmax(axis=1), minlength=len(values))
+        value, share = _mode(list(values), votes)
         return Prediction(value, share, source=source)

@@ -10,10 +10,12 @@ Training rows exclude the row language's own target observation from
 every distribution (leave-one-out), so a language never predicts itself
 from itself.
 
-All distributions are read from integer count tables built once per
-fit over the statistics languages: a language x (feature, value)
-one-hot, its joint counts, per-feature co-observation counts, genus and
-family counts, and counts over each language's radius neighbours.  A
+All distributions are read from integer count tables over the
+statistics languages: a language x (feature, value) one-hot, its joint
+counts, per-feature co-observation counts, genus and family counts, and
+counts over each language's radius neighbours.  Without the evaluation
+set's cells these are the training set's shared tables,
+``Dataset.counts``, plus the radius counts built once per fit.  A
 target's training design matrix is gathered from these tables in
 blocks; leave-one-out subtracts the row's own one-hot from its counts.
 Every value's regressor is then solved in one call.
@@ -26,11 +28,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..geo import coordinates, distance_matrix
+from ..coded import CodedCounts, count_matmul
+from ..geo import distance_matrix
 from ..geo import haversine_km  # noqa: F401  (bench/trace_child.py counts calls through this name)
 from ..kb import Dataset, Language
 from .base import Imputer, ImputerQuery, NoPredictionError, Prediction
-from .coded import CodedCounts, GroupCounts, count_matmul
 
 __all__ = [
     "solve_ridge",
@@ -91,43 +93,40 @@ def solve_ridge(
     return w, (float(b) if y.ndim == 1 else b)
 
 
-class _PriorStats(CodedCounts):
-    """Integer count tables over the statistics languages (train,
-    optionally plus the observed cells of an evaluation set): the coded
-    counts plus genus, family and areal counts.
+class _PriorStats:
+    """The coded counts of the statistics languages (train, optionally
+    plus the observed cells of an evaluation set) and their counts over
+    each language's radius neighbours.
 
     Columns of the one-hot are (feature, value) pairs over every value
     any statistics language observes, so totals include values outside
     the training inventory.
     """
 
-    def __init__(self, sources: Sequence[Dataset], areal_km: float):
-        super().__init__(sources)
-        self.genus = GroupCounts([lang.genus for lang in self.languages], self.onehot)
-        self.family = GroupCounts([lang.family for lang in self.languages], self.onehot)
-        # languages x columns over radius neighbours, self excluded
-        self.coords = coordinates(self.languages)
-        within = distance_matrix(self.coords, self.coords) <= areal_km
-        np.fill_diagonal(within, False)
-        self.areal = count_matmul(within, self.onehot)
+    def __init__(self, counts: CodedCounts, areal_km: float):
+        self.counts = counts
         self.areal_km = areal_km
+        # languages x columns over radius neighbours, self excluded
+        within = distance_matrix(counts.coords, counts.coords) <= areal_km
+        np.fill_diagonal(within, False)
+        self.areal = count_matmul(within, counts.onehot)
         self._query_areal: dict[Language, np.ndarray] = {}
 
     def areal_counts(self, language: Language) -> np.ndarray:
         """Counts over the radius neighbours of ``language``.
 
         A statistics language reads its fit-time row; any other language
-        gets one kernel row, cached.  Both come from the same kernel, so
-        a query at a statistics language's coordinates has that
-        language's neighbours (plus the language itself).
+        reads the counts' cached distance row.  Both come from the same
+        kernel, so a query at a statistics language's coordinates has
+        that language's neighbours (plus the language itself).
         """
-        row = self.rows.get(language.code)
+        row = self.counts.rows.get(language.code)
         if row is not None:
             return self.areal[row]
         counts = self._query_areal.get(language)
         if counts is None:
-            near = distance_matrix(coordinates([language]), self.coords) <= self.areal_km
-            counts = self._query_areal[language] = count_matmul(near, self.onehot)[0]
+            near = self.counts.distances(language)[None] <= self.areal_km
+            counts = self._query_areal[language] = count_matmul(near, self.counts.onehot)[0]
         return counts
 
 
@@ -153,10 +152,11 @@ class PriorFeatureSpace:
         self.inventory = tuple(inventory)
         self.min_support = min_support
         self.blocks = tuple(blocks)
+        counts = stats.counts
 
         # Every statistics value of the target: shares divide by all of
         # them, columns exist only for the inventory.
-        target_columns = stats.columns.get(target, {})
+        target_columns = counts.columns.get(target, {})
         self._target_columns = np.array(list(target_columns.values()), dtype=np.intp)
         order = list(target_columns)
         self._value_positions = np.array([order.index(v) for v in self.inventory], dtype=np.intp)
@@ -185,20 +185,20 @@ class PriorFeatureSpace:
                     keys.append(("obs", feat, a))
         self.keys = tuple(keys)
         self._impl_columns = np.array(
-            [stats.columns[f][a] for f, a in self._impl], dtype=np.intp
+            [counts.columns[f][a] for f, a in self._impl], dtype=np.intp
         )
         self._obs_columns = np.array(
-            [stats.columns[f][a] for f, a in self._obs], dtype=np.intp
+            [counts.columns[f][a] for f, a in self._obs], dtype=np.intp
         )
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def _support(self, feat: str) -> int:
-        index = self.stats.feature_index
+        index = self.stats.counts.feature_index
         if feat not in index or self.target not in index:
             return 0
-        return int(self.stats.support[index[feat], index[self.target]])
+        return int(self.stats.counts.support[index[feat], index[self.target]])
 
     def _shares(self, counts: np.ndarray) -> np.ndarray:
         """Inventory shares of each row of target counts; rows with no
@@ -229,19 +229,19 @@ class PriorFeatureSpace:
         """Training design matrix of the statistics rows ``rows``, each
         observing the target; its own observation is left out of every
         distribution."""
-        stats = self.stats
+        counts = self.stats.counts
         tc = self._target_columns
-        own = stats.onehot[np.ix_(rows, tc)]
-        impl_rows, impl_keys = np.nonzero(stats.onehot[np.ix_(rows, self._impl_columns)])
-        obs_rows, obs_keys = np.nonzero(stats.onehot[np.ix_(rows, self._obs_columns)])
+        own = counts.onehot[np.ix_(rows, tc)]
+        impl_rows, impl_keys = np.nonzero(counts.onehot[np.ix_(rows, self._impl_columns)])
+        obs_rows, obs_keys = np.nonzero(counts.onehot[np.ix_(rows, self._obs_columns)])
         X = np.zeros((len(rows), len(self.keys)))
         self._fill(
             X,
-            stats.genus.table[np.ix_(stats.genus.of[rows], tc)] - own,
-            stats.family.table[np.ix_(stats.family.of[rows], tc)] - own,
-            stats.areal[np.ix_(rows, tc)],
+            counts.genus.table[np.ix_(counts.genus.of[rows], tc)] - own,
+            counts.family.table[np.ix_(counts.family.of[rows], tc)] - own,
+            self.stats.areal[np.ix_(rows, tc)],
             impl_rows, impl_keys,
-            stats.joint[np.ix_(self._impl_columns[impl_keys], tc)] - own[impl_rows],
+            counts.joint[np.ix_(self._impl_columns[impl_keys], tc)] - own[impl_rows],
             obs_rows, obs_keys,
         )
         return X
@@ -249,6 +249,7 @@ class PriorFeatureSpace:
     def dense(self, language: Language, observed: Mapping[str, str]) -> np.ndarray:
         """Prior vector of one query language; nothing is left out."""
         stats = self.stats
+        counts = stats.counts
         tc = self._target_columns
         impl_keys = np.array(
             [self._impl[item] for item in observed.items() if item in self._impl], dtype=np.intp
@@ -259,11 +260,11 @@ class PriorFeatureSpace:
         vec = np.zeros((1, len(self.keys)))
         self._fill(
             vec,
-            stats.genus[language.genus][tc],
-            stats.family[language.family][tc],
+            counts.genus[language.genus][tc],
+            counts.family[language.family][tc],
             stats.areal_counts(language)[tc] if "areal" in self.blocks else None,
             np.zeros(len(impl_keys), dtype=np.intp), impl_keys,
-            stats.joint[np.ix_(self._impl_columns[impl_keys], tc)],
+            counts.joint[np.ix_(self._impl_columns[impl_keys], tc)],
             np.zeros(len(obs_keys), dtype=np.intp), obs_keys,
         )
         return vec[0]
@@ -300,6 +301,8 @@ class RidgePriorImputer(Imputer):
         unknown = set(blocks) - set(ALL_BLOCKS)
         if unknown:
             raise ValueError(f"unknown prior blocks: {sorted(unknown)}")
+        if not 0.0 < lam < float("inf"):
+            raise ValueError(f"lambda must be positive and finite, got {lam}")
         self.lam = lam
         self.areal_km = areal_km
         self.min_support = min_support
@@ -308,10 +311,10 @@ class RidgePriorImputer(Imputer):
         self._fitted: dict[str, _FittedFeature] = {}
 
     def fit(self, train: Dataset, context: Dataset | None = None) -> "RidgePriorImputer":
-        sources = [train]
+        counts = train.counts
         if self.use_context and context is not None:
-            sources.append(context)
-        stats = _PriorStats(sources, self.areal_km)
+            counts = CodedCounts([train, context])
+        stats = _PriorStats(counts, self.areal_km)
         inventories = {f: train.catalog.values(f) for f in train.catalog.features()}
         # Training languages come first among the statistics rows.
         n_train = len(train.languages)
@@ -329,7 +332,7 @@ class RidgePriorImputer(Imputer):
                 biases = np.zeros(len(values))
                 self._fitted[target] = _FittedFeature(space, values, weights, biases)
                 continue
-            own = stats.onehot[:n_train, [stats.columns[target][v] for v in values]]
+            own = counts.onehot[:n_train, [counts.columns[target][v] for v in values]]
             rows = np.flatnonzero(own.any(axis=1))
             Y = np.where(own[rows] > 0, 1.0, -1.0)
             w, b = solve_ridge(space.design(rows), Y, self.lam)

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
+
+from .coded import CodedCounts
 
 __all__ = [
     "DatasetError",
@@ -153,7 +156,9 @@ class Dataset:
     """Languages plus a sparse (language, feature) cell matrix.
 
     Treated as immutable after construction; all pipeline operations
-    build new datasets rather than mutating.
+    build new datasets rather than mutating.  ``counts`` is therefore
+    built once, on first use, and shared by every imputer fitted on the
+    dataset.
     """
 
     languages: list[Language]
@@ -182,6 +187,11 @@ class Dataset:
         """Construct a dataset, deriving the catalog from the cells."""
         cells = dict(cells)
         return cls(list(languages), cells, FeatureCatalog.from_cells(cells))
+
+    @cached_property
+    def counts(self) -> CodedCounts:
+        """Integer tables of the observed cells."""
+        return CodedCounts([self])
 
     def language(self, code: str) -> Language:
         for lang in self.languages:

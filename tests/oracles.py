@@ -81,6 +81,38 @@ def global_mode_oracle(train, target: str) -> tuple[str, float] | None:
     return _mode(counts)
 
 
+def impute_loop_oracle(imputer, train, test, fallback: bool = True):
+    """The fill loop the ``impute`` command once wrote by hand.
+
+    ``imputer`` is fitted with the test set as context.  Every hidden
+    cell, in dataset order and then by feature name, asks ``imputer``;
+    where it has no answer, the fallback (a separately computed global
+    mode of ``train``) answers if ``fallback`` is set.  Returns the filled
+    values and the number of hidden cells left unfilled.
+    """
+    from typoimpute.imputers import ImputerQuery, NoPredictionError
+
+    imputer.fit(train, context=test)
+    fill: dict[tuple[str, str], str] = {}
+    n_unfilled = 0
+    for lang in test.languages:
+        observed = test.observed_of(lang.code)
+        for feature, cell in sorted(test.cells_of(lang.code).items()):
+            if cell.state == OBSERVED:
+                continue
+            query = ImputerQuery(language=lang, observed=observed, target=feature)
+            try:
+                value = imputer.predict(query).value
+            except NoPredictionError:
+                mode = global_mode_oracle(train, feature) if fallback else None
+                if mode is None:
+                    n_unfilled += 1
+                    continue
+                value = mode[0]
+            fill[(lang.code, feature)] = value
+    return fill, n_unfilled
+
+
 def genus_family_oracle(train, language, target: str) -> tuple[str, float, str] | None:
     """(value, confidence, level) per the genus -> family -> global chain."""
     by_code = {lang.code: lang for lang in train.languages}

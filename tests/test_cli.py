@@ -10,9 +10,11 @@ import pytest
 
 import typoimpute
 from typoimpute.cli import main
-from typoimpute.configio import read_kv
+from typoimpute.configio import parse_kv, read_kv
+from typoimpute.imputers import build_imputer
 from typoimpute.kb import BLANKED, OBSERVED, UNKNOWN, Cell, Dataset, parse_dataset, serialize_dataset
 
+from oracles import impute_loop_oracle
 from synth import blank_some, make_language, random_dataset
 
 
@@ -501,3 +503,148 @@ def test_no_command_imports_scipy(tmp_path, corpus, spec_file):
     assert "across systems" in summary and "p=nan" not in summary
     assert not _scipy_loaded(run, "report", "--input", str(out_dir),
                              "--out", str(tmp_path / "report.txt"))
+
+
+# ---------------------------------------------------------------------------
+# impute: one fill loop, one table, bad settings
+
+
+IMPUTE_CONFIGS = {
+    "frequency": "method=frequency\n",
+    "genus_family": "method=genus_family\n",
+    "geo_backoff": "method=geo_backoff\nnear_km=300\nfar_km=900\n",
+    "knn": "method=knn\nk=3\n",
+    # min_support high enough that some targets have no voter
+    "correlation": "method=correlation\nmin_support=25\n",
+    "ridge": "method=ridge\nmin_support=2\n",
+    "ridge_context": "method=ridge\nmin_support=2\nuse_context=true\n",
+    "ensemble_max": "method=ensemble\nmembers=correlation,genus_family\nmin_support=25\n",
+    "ensemble_first": (
+        "method=ensemble\nmembers=correlation,knn\npolicy=first_success\nmin_support=25\n"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def impute_files(tmp_path_factory):
+    """A training set that never observes one feature the test set
+    hides, so some cells stay unfilled even with the fallback."""
+    tmp = tmp_path_factory.mktemp("impute")
+    rng = random.Random(41)
+    data = random_dataset(rng, n_languages=70, n_features=7, p_observed=0.6, min_observed=3)
+    codes = data.codes()
+    unseen = data.catalog.features()[-1]
+    train = data.subset(codes[:50])
+    train = Dataset.build(train.languages,
+                          {k: c for k, c in train.cells.items() if k[1] != unseen})
+    test = blank_some(data.subset(codes[50:]), rng, per_language=2)
+    cells = dict(test.cells)
+    for code in test.codes()[::3]:
+        cells[(code, unseen)] = Cell.unknown()
+    test = Dataset.build(test.languages, cells)
+    (tmp / "train.tsv").write_text(serialize_dataset(train), encoding="utf-8")
+    (tmp / "test.tsv").write_text(serialize_dataset(test), encoding="utf-8")
+    return tmp
+
+
+@pytest.mark.parametrize("fallback", [True, False], ids=["fallback", "no-fallback"])
+@pytest.mark.parametrize("method", sorted(IMPUTE_CONFIGS))
+def test_impute_matches_fill_loop_oracle(tmp_path, impute_files, caplog, method, fallback):
+    cfg = tmp_path / "imputer.cfg"
+    cfg.write_text(IMPUTE_CONFIGS[method], encoding="utf-8")
+    out = tmp_path / "filled.tsv"
+    argv = ["impute", "--train", str(impute_files / "train.tsv"),
+            "--test", str(impute_files / "test.tsv"), "--out", str(out),
+            "--imputer-config", str(cfg)]
+    with caplog.at_level("INFO"):
+        assert main(argv + ([] if fallback else ["--no-fallback"])) == 0
+
+    train = parse_dataset((impute_files / "train.tsv").read_text(encoding="utf-8"))
+    test = parse_dataset((impute_files / "test.tsv").read_text(encoding="utf-8"))
+    fill, n_unfilled = impute_loop_oracle(
+        build_imputer(read_kv(cfg)), train, test, fallback=fallback
+    )
+    assert out.read_text(encoding="utf-8") == serialize_dataset(test, fill=fill)
+    assert f"filled {len(fill)} cells ({n_unfilled} left unfilled)" in caplog.text
+    assert n_unfilled > 0  # the feature training never observes
+
+
+def test_impute_fallback_answers_what_the_method_cannot(tmp_path, impute_files):
+    """The fallback matters on this data: correlation alone leaves more
+    cells as ? than correlation with the global mode behind it."""
+    train = parse_dataset((impute_files / "train.tsv").read_text(encoding="utf-8"))
+    test = parse_dataset((impute_files / "test.tsv").read_text(encoding="utf-8"))
+    config = parse_kv(IMPUTE_CONFIGS["correlation"])
+    _, alone = impute_loop_oracle(build_imputer(config), train, test, fallback=False)
+    _, backed = impute_loop_oracle(build_imputer(config), train, test, fallback=True)
+    assert alone > backed > 0
+
+
+@pytest.mark.parametrize("method,expected", [
+    ("frequency", 1), ("genus_family", 1), ("geo_backoff", 1), ("knn", 1),
+    ("correlation", 1), ("ridge", 1), ("ridge_context", 2), ("ensemble_max", 1),
+    ("ensemble_first", 1),
+])
+def test_impute_builds_one_table_per_training_set(tmp_path, impute_files, monkeypatch,
+                                                  method, expected):
+    """Every imputer of the stage, the fallback included, counts from
+    one table of the training set; ridge with ``use_context=true`` adds
+    its table over training and test cells."""
+    from typoimpute.coded import CodedCounts
+
+    built = []
+    real = CodedCounts.__init__
+
+    def counted(self, sources):
+        built.append(len(sources))
+        real(self, sources)
+
+    monkeypatch.setattr(CodedCounts, "__init__", counted)
+    cfg = tmp_path / "imputer.cfg"
+    cfg.write_text(IMPUTE_CONFIGS[method], encoding="utf-8")
+    assert main(["impute", "--train", str(impute_files / "train.tsv"),
+                 "--test", str(impute_files / "test.tsv"), "--out", str(tmp_path / "f.tsv"),
+                 "--imputer-config", str(cfg)]) == 0
+    assert len(built) == expected
+    assert built.count(1) == 1  # the training set's own table
+
+
+@pytest.mark.parametrize("config,flags", [
+    ("method=knn\n", ["--k", "0"]),
+    ("method=ridge\n", ["--lambda", "-1"]),
+    ("method=ridge\n", ["--lambda", "0"]),
+    ("method=ridge\n", ["--lambda", "nan"]),
+    ("method=ridge\n", ["--lambda", "inf"]),
+    ("method=geo_backoff\nnear_km=nan\n", []),
+    ("method=correlation\nalpha=nan\n", []),
+    ("method=correlation\nalpha=-1\n", []),
+    ("method=ensemble\nmembers=ridge,frequency\nlambda=-inf\n", []),
+], ids=["k0", "lambda-neg", "lambda-zero", "lambda-nan", "lambda-inf", "near-nan",
+        "alpha-nan", "alpha-neg", "ensemble-lambda"])
+def test_impute_bad_numeric_setting_is_config_error(tmp_path, impute_files, capsys,
+                                                    config, flags):
+    cfg = tmp_path / "imputer.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    out = tmp_path / "f.tsv"
+    code = main(["impute", "--train", str(impute_files / "train.tsv"),
+                 "--test", str(impute_files / "test.tsv"), "--out", str(out),
+                 "--imputer-config", str(cfg), *flags])
+    assert code == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("train_text", [
+    "",
+    "aaa\tA\t1.0\t2.0\tGenA\tFamX\tXX\tf=?\nbbb\tB\t3.0\t4.0\tGenA\tFamX\tXX\t\n",
+], ids=["empty", "featureless"])
+def test_impute_without_training_cells_is_data_error(tmp_path, impute_files, capsys,
+                                                     train_text):
+    train = tmp_path / "train.tsv"
+    train.write_text(train_text, encoding="utf-8")
+    out = tmp_path / "f.tsv"
+    code = main(["impute", "--train", str(train), "--test", str(impute_files / "test.tsv"),
+                 "--out", str(out)])
+    assert code == 2
+    assert "no observed cells" in capsys.readouterr().err
+    assert not out.exists()

@@ -208,6 +208,20 @@ def test_only_geo_evaluates_haversine_trigonometry():
     assert offenders == []
 
 
+def test_only_geo_calls_the_kernel_per_pair():
+    """Callers take whole distance rows or matrices from the kernel; no
+    module but geo.py calls the scalar ``haversine_km``."""
+    package = Path(__file__).resolve().parents[1] / "src" / "typoimpute"
+    offenders = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        if path != package / "geo.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and "haversine_km" in ast.unparse(node.func)
+    ]
+    assert offenders == []
+
+
 def test_no_module_imports_scipy():
     """The correlation p-value is computed in pure Python; no module,
     not even inside a function, imports scipy."""

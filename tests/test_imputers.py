@@ -22,8 +22,8 @@ from typoimpute.imputers import (
     Prediction,
     fill_dataset,
     load_language_vectors,
-    mode_with_confidence,
 )
+from typoimpute.imputers.base import _mode
 
 import oracles
 from oracles import (
@@ -48,11 +48,12 @@ def _fresh_query(language, observed, target):
     return ImputerQuery(language=language, observed=observed, target=target)
 
 
-def test_mode_with_confidence_majority_and_tie():
-    assert mode_with_confidence(Counter({"SOV": 5, "SVO": 3})) == ("SOV", 0.625)
-    # lexicographic tie break
-    assert mode_with_confidence(Counter({"b": 2, "a": 2})) == ("a", 0.5)
-    assert mode_with_confidence(Counter()) is None
+def test_mode_majority_and_tie():
+    assert _mode(["SOV", "SVO"], np.array([5, 3])) == ("SOV", 0.625)
+    # values are sorted, so a tie goes to the lexicographically smaller one
+    assert _mode(["a", "b"], np.array([2, 2])) == ("a", 0.5)
+    assert _mode(["a", "b"], np.array([0, 0])) is None
+    assert _mode([], np.zeros(0, dtype=np.int64)) is None
 
 
 def test_global_frequency_spec_example():
@@ -521,14 +522,20 @@ def _tied_train(same_place):
     return Dataset.build(languages, cells)
 
 
+def _count_distance_rows(monkeypatch):
+    """Rows of every distance kernel call made for the coded tables."""
+    from typoimpute import coded
+
+    rows = []
+    real = coded.distance_matrix
+    monkeypatch.setattr(coded, "distance_matrix", lambda a, b: rows.append(len(a)) or real(a, b))
+    return rows
+
+
 @pytest.mark.parametrize("same_place", [False, True], ids=["distinct", "identical"])
 @pytest.mark.parametrize("k", [1, 3])
 def test_knn_agreement_ties_match_oracle(monkeypatch, same_place, k):
-    from typoimpute.imputers import knn
-
-    calls = []
-    real = knn.haversine_km
-    monkeypatch.setattr(knn, "haversine_km", lambda a, b: calls.append(1) or real(a, b))
+    rows = _count_distance_rows(monkeypatch)
     train = _tied_train(same_place)
     imp = NearestNeighborImputer(k=k).fit(train)
     for lat, lon in [(10.0, 20.0), (25.0, 10.0), (-40.0, 100.0)]:
@@ -537,16 +544,12 @@ def test_knn_agreement_ties_match_oracle(monkeypatch, same_place, k):
         want = knn_oracle(train, qlang, {"g": "1"}, "f", k)
         assert imp.predict(query).value == want
         assert imp.predict(query).value == want  # from the cache
-    # each tied candidate is measured once per query language
-    assert len(calls) == 3 * 6
+    # every query language ties, and gets one distance row
+    assert rows == [1, 1, 1]
 
 
 def test_knn_calls_haversine_only_for_ties(monkeypatch):
-    from typoimpute.imputers import knn
-
-    calls = []
-    real = knn.haversine_km
-    monkeypatch.setattr(knn, "haversine_km", lambda a, b: calls.append(1) or real(a, b))
+    rows = _count_distance_rows(monkeypatch)
     languages = [make_language(c, lat=float(i), lon=0.0) for i, c in enumerate("abc")]
     cells = {}
     for code, g, h in [("a", "1", "1"), ("b", "1", "0"), ("c", "0", "0")]:
@@ -556,7 +559,7 @@ def test_knn_calls_haversine_only_for_ties(monkeypatch):
     imp = NearestNeighborImputer(k=2).fit(Dataset.build(languages, cells))
     query = _fresh_query(make_language("q"), {"g": "1", "h": "1"}, "f")
     assert imp.predict(query).value == "a"  # distances 0, 0.5, 1: no tie at place 2
-    assert calls == []
+    assert rows == []
 
 
 def test_knn_neighbourhood_follows_observed_map():
@@ -634,6 +637,14 @@ def test_load_language_vectors_rejects_ragged(tmp_path):
         load_language_vectors(path)
 
 
+@pytest.mark.parametrize("component", ["nan", "inf", "-inf", "NaN"])
+def test_load_language_vectors_rejects_non_finite(tmp_path, component):
+    path = tmp_path / "vec.tsv"
+    path.write_text(f"aaa\t1.0\t2.0\nbbb\t1.0\t{component}\n")
+    with pytest.raises(DatasetError, match="line 2: non-finite"):
+        load_language_vectors(path)
+
+
 def test_query_validation():
     lang = make_language("aaa")
     with pytest.raises(ValueError):
@@ -669,10 +680,15 @@ def test_fill_dataset_fills_every_gap():
         assert pred.value is not None
 
 
-def test_fill_dataset_propagates_no_prediction():
+def test_fill_dataset_leaves_out_unanswerable_cells():
     train = Dataset.build([make_language("aaa")], {("aaa", "f"): Cell.observed("v")})
-    test = Dataset.build([make_language("ttt")], {("ttt", "g"): Cell.unknown()})
-    imp = GlobalFrequencyImputer()
-    imp.fit(train)
+    test = Dataset.build(
+        [make_language("ttt")],
+        {("ttt", "f"): Cell.unknown(), ("ttt", "g"): Cell.unknown()},
+    )
+    imp = GlobalFrequencyImputer().fit(train)
     with pytest.raises(NoPredictionError):
-        fill_dataset(imp, test)
+        imp.predict(_fresh_query(test.language("ttt"), {}, "g"))
+    predictions = fill_dataset(imp, test)
+    assert sorted(predictions) == [("ttt", "f")]
+    assert predictions[("ttt", "f")].value == "v"

@@ -18,6 +18,8 @@ from typoimpute.imputers import (
     fill_dataset,
     solve_ridge,
 )
+from typoimpute import coded
+from typoimpute.coded import CodedCounts
 from typoimpute.imputers import ridge
 from typoimpute.imputers.ridge import _PriorStats
 
@@ -158,7 +160,7 @@ def _training_design(space, train):
     """Codes of the training languages observing the target, with the
     design matrix of their rows."""
     codes = [lang.code for lang in train.languages if space.target in train.observed_of(lang.code)]
-    rows = np.array([space.stats.rows[code] for code in codes], dtype=np.intp)
+    rows = np.array([space.stats.counts.rows[code] for code in codes], dtype=np.intp)
     return codes, space.design(rows)
 
 
@@ -167,7 +169,7 @@ def _as_sparse(space, vec):
 
 
 def _query_sparse(train, lang, observed, target, areal_km=2500.0, min_support=5):
-    space = _space(_PriorStats([train], areal_km), train, target, min_support)
+    space = _space(_PriorStats(train.counts, areal_km), train, target, min_support)
     return _as_sparse(space, space.dense(lang, observed))
 
 
@@ -204,7 +206,7 @@ def test_prior_features_match_oracle():
         sources = [train] + ([context] if context else [])
         areal = rng.choice([800.0, 2500.0])
         min_support = rng.choice([1, 3])
-        stats = _PriorStats(sources, areal)
+        stats = _PriorStats(CodedCounts(sources), areal)
         for target in train.catalog.features():
             space = _space(stats, train, target, min_support)
             codes, X = _training_design(space, train)
@@ -242,7 +244,7 @@ def test_design_matches_counted_oracle():
         train, context = _random_sources(rng, with_context=trial % 2 == 1)
         sources = [train] + ([context] if context else [])
         areal = rng.choice([800.0, 2500.0])
-        stats = _PriorStats(sources, areal)
+        stats = _PriorStats(CodedCounts(sources), areal)
         counted = CountedPriorStats(sources, areal)
         stranger = make_language("new", lat=rng.uniform(-60, 60), lon=rng.uniform(-170, 170))
         queries = [(stranger, train.observed_of(train.languages[0].code))]
@@ -278,7 +280,7 @@ def test_leave_one_out_design_ignores_own_value():
     checked = 0
     for trial in range(8):
         train = random_dataset(rng, n_languages=12, n_features=3, p_observed=0.9, min_observed=2)
-        stats = _PriorStats([train], 2500.0)
+        stats = _PriorStats(train.counts, 2500.0)
         counted = CountedPriorStats([train], 2500.0)
         inventories = _inventories(train)
         for target in train.catalog.features():
@@ -292,7 +294,7 @@ def test_leave_one_out_design_ignores_own_value():
                     changed = Dataset.build(train.languages, cells)
                     if other == own or _inventories(changed)[target] != inventories[target]:
                         continue
-                    space = _space(_PriorStats([changed], 2500.0), changed, target, 1)
+                    space = _space(_PriorStats(changed.counts, 2500.0), changed, target, 1)
                     codes, X = _training_design(space, changed)
                     assert codes == base_codes
                     assert np.array_equal(X[i], base_X[i])
@@ -338,7 +340,7 @@ def test_prior_space_key_order_deterministic():
     train = random_dataset(rng, n_languages=8)
     target = train.catalog.features()[0]
     inventories = _inventories(train)
-    stats = _PriorStats([train], 2500.0)
+    stats = _PriorStats(train.counts, 2500.0)
     a = PriorFeatureSpace(stats, target, inventories[target], inventories, 5, ALL_BLOCKS)
     b = PriorFeatureSpace(stats, target, inventories[target], inventories, 5, ALL_BLOCKS)
     assert a.keys == b.keys
@@ -349,7 +351,7 @@ def test_dense_agrees_with_sparse():
     rng = random.Random(87)
     train = random_dataset(rng, n_languages=8, min_observed=1)
     target = train.catalog.features()[0]
-    space = _space(_PriorStats([train], 2500.0), train, target, min_support=1)
+    space = _space(_PriorStats(train.counts, 2500.0), train, target, min_support=1)
     for lang in train.languages:
         observed = _others(train.observed_of(lang.code), target)
         sparse = build_prior_features(train, lang, observed, target, min_support=1)
@@ -389,7 +391,7 @@ def test_leave_one_out_removes_own_observation():
         ("la3", "T"): Cell.observed("y"),
     }
     train = Dataset.build(languages, cells)
-    space = _space(_PriorStats([train], 2500.0), train, "T")
+    space = _space(_PriorStats(train.counts, 2500.0), train, "T")
 
     # query case keeps all three observations
     plain = _as_sparse(space, space.dense(train.language("la1"), {}))
@@ -413,7 +415,9 @@ def test_query_neighbourhood_scanned_once_per_language(monkeypatch):
         calls.append((len(a), len(b)))
         return distance_matrix(a, b)
 
+    # the query row comes from the shared tables; ridge itself computes none
     monkeypatch.setattr(ridge, "distance_matrix", counted)
+    monkeypatch.setattr(coded, "distance_matrix", counted)
     query = make_language("qqq", lat=10.0, lon=20.0)
     observed = train.observed_of(train.languages[0].code)
     for _ in range(2):
@@ -441,10 +445,11 @@ def test_query_at_statistics_coordinates_shares_its_neighbourhood():
         # t sits exactly on the radius around s
         radius = haversine_km(GeoPoint(langs[s].latitude, langs[s].longitude),
                               GeoPoint(langs[t].latitude, langs[t].longitude))
-        stats = _PriorStats([train], radius)
-        row = stats.rows[langs[s].code]
+        stats = _PriorStats(train.counts, radius)
+        row = stats.counts.rows[langs[s].code]
         query = replace(langs[s], code="qqq")
-        assert np.array_equal(stats.areal_counts(query), stats.areal[row] + stats.onehot[row])
+        assert np.array_equal(stats.areal_counts(query),
+                              stats.areal[row] + stats.counts.onehot[row])
         observed = train.observed_of(langs[s].code)
         for target in train.catalog.features():
             if target in observed:
