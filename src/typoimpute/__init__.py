@@ -31,7 +31,6 @@ from .kb import (
     Cell,
     Dataset,
     DatasetError,
-    FeatureCatalog,
     Language,
     ParseError,
     filter_dataset,
@@ -68,7 +67,6 @@ __all__ = [
     "Cell",
     "Dataset",
     "DatasetError",
-    "FeatureCatalog",
     "Language",
     "ParseError",
     "filter_dataset",

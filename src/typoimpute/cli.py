@@ -34,8 +34,8 @@ from .imputers import (
     load_language_vectors,
 )
 from .kb import (
-    BLANKED,
-    OBSERVED,
+    BLANKED_CODE,
+    OBSERVED_CODE,
     Dataset,
     DatasetError,
     filter_dataset,
@@ -122,7 +122,9 @@ def _write_table(
             writer.writerow([_fmt(value) for value in row])
 
 
-def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
+def _read_table(path: Path, numeric: Sequence[int]) -> list[list[str]]:
+    """The rows under the header of a table ``evaluate`` wrote; each must
+    hold a number in every ``numeric`` column."""
     lines = [
         line
         for line in path.read_text(encoding="utf-8").splitlines()
@@ -131,7 +133,13 @@ def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
     rows = list(csv.reader(lines))
     if not rows:
         raise DatasetError(f"{path} has no table rows")
-    return rows[0], rows[1:]
+    for row in rows[1:]:
+        try:
+            for column in numeric:
+                float(row[column])
+        except (IndexError, ValueError):
+            raise DatasetError(f"{path}: malformed row {','.join(row)!r}") from None
+    return rows[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +150,11 @@ def cmd_filter(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.input)
     filtered = filter_dataset(dataset, args.min_features, args.min_languages)
     removed_langs = len(dataset.languages) - len(filtered.languages)
-    removed_feats = len(dataset.catalog.features()) - len(filtered.catalog.features())
+    removed_feats = len(dataset.feature_names) - len(filtered.feature_names)
     Path(args.out).write_text(serialize_dataset(filtered), encoding="utf-8")
-    log.info(
-        "kept %d of %d languages (%d removed), %d of %d features (%d removed)",
-        len(filtered.languages),
-        len(dataset.languages),
-        removed_langs,
-        len(filtered.catalog.features()),
-        len(dataset.catalog.features()),
-        removed_feats,
-    )
+    log.info("kept %d of %d languages (%d removed), %d of %d features (%d removed)",
+             len(filtered.languages), len(dataset.languages), removed_langs,
+             len(filtered.feature_names), len(dataset.feature_names), removed_feats)
     config = RunConfig(
         "filter",
         {
@@ -277,7 +279,7 @@ def cmd_blank(args: argparse.Namespace) -> int:
         ["language", "target_ratio"],
         [(code, ratios[code]) for code in sorted(ratios)],
     )
-    n_blanked = sum(1 for cell in blanked.cells.values() if cell.state == BLANKED)
+    n_blanked = int((blanked.cell_state == BLANKED_CODE).sum())
     log.info("blanked %d cells across %d languages", n_blanked, len(blanked.languages))
     config = RunConfig(
         "blank", {"low": str(args.low), "high": str(args.high)}, seed=args.seed
@@ -304,7 +306,7 @@ def _imputer_config_from_args(args: argparse.Namespace) -> dict[str, str]:
 def cmd_impute(args: argparse.Namespace) -> int:
     train = _load_dataset(args.train)
     test = _load_dataset(args.test)
-    if not any(train.catalog.values(f) for f in train.catalog.features()):
+    if not train.counts.columns:
         raise DatasetError(f"{args.train} has no observed cells to train on")
     config = _imputer_config_from_args(args)
     vectors = load_language_vectors(args.vectors) if args.vectors else None
@@ -314,7 +316,7 @@ def cmd_impute(args: argparse.Namespace) -> int:
     imputer.fit(train, context=test)
 
     fill = {key: p.value for key, p in fill_dataset(imputer, test).items()}
-    n_unfilled = sum(1 for cell in test.cells.values() if cell.state != OBSERVED) - len(fill)
+    n_unfilled = int((test.cell_state != OBSERVED_CODE).sum()) - len(fill)
     Path(args.out).write_text(serialize_dataset(test, fill=fill), encoding="utf-8")
     log.info("filled %d cells (%d left unfilled)", len(fill), n_unfilled)
     if n_unfilled and not args.no_fallback:
@@ -577,7 +579,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     systems_path = in_dir / "systems.csv"
     if not systems_path.exists():
         raise UsageError(f"{in_dir} does not look like an evaluation directory (no systems.csv)")
-    _, system_rows = _read_table(systems_path)
+    system_rows = _read_table(systems_path, (1, 2, 3, 4))
 
     lines = ["imputation evaluation report", ""]
     lines.append("systems by macro accuracy:")
@@ -593,7 +595,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     significance_path = in_dir / "significance.csv"
     if significance_path.exists():
-        _, rows = _read_table(significance_path)
+        rows = _read_table(significance_path, (2, 3))
         if rows:
             lines.append("")
             lines.append("significance (paired permutation):")
@@ -605,7 +607,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     feature_path = in_dir / "per_feature.csv"
     if feature_path.exists():
-        _, rows = _read_table(feature_path)
+        rows = _read_table(feature_path, (1, 2, 3))
         if rows:
             ordered = sorted(rows, key=lambda row: (-float(row[1]), row[0]))
             show = min(args.top, len(ordered))
@@ -624,7 +626,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     breakdown_path = in_dir / "breakdown.csv"
     if breakdown_path.exists():
-        _, rows = _read_table(breakdown_path)
+        rows = _read_table(breakdown_path, (2, 3))
         if rows:
             lines.append("")
             lines.append("held-out genus breakdown:")

@@ -15,14 +15,12 @@ language.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .geo import coordinates, distance_matrix
-
-if TYPE_CHECKING:
-    from .kb import Dataset, Language
+from .kb import OBSERVED_CODE, Dataset, Language, intern_names
 
 __all__ = ["CodedCounts", "GroupCounts", "count_matmul"]
 
@@ -34,7 +32,8 @@ def count_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class CodedCounts:
-    """Observed cells of ``sources`` as integer tables.
+    """Observed cells of ``sources`` as integer tables, read from their
+    coded cell tables.
 
     A language code seen in an earlier source keeps its first row.
     ``columns`` maps feature -> value -> one-hot column over every value
@@ -44,16 +43,25 @@ class CodedCounts:
     def __init__(self, sources: Sequence[Dataset]):
         self.languages: list[Language] = []
         self.rows: dict[str, int] = {}
-        observed: list[dict[str, str]] = []
+        pairs: list[tuple[str, str]] = []  # (feature, value) of each pair code
+        rows, columns = [], []
         for d in sources:
-            for lang in d.languages:
-                if lang.code in self.rows:
-                    continue
-                self.rows[lang.code] = len(self.languages)
-                self.languages.append(lang)
-                observed.append(d.observed_of(lang.code))
+            row = np.full(len(d.languages), -1, dtype=np.intp)
+            for i, lang in enumerate(d.languages):
+                if lang.code not in self.rows:
+                    row[i] = self.rows[lang.code] = len(self.languages)
+                    self.languages.append(lang)
+            keep = (row[d.cell_row] >= 0) & (d.cell_state == OBSERVED_CODE)
+            width = len(d.value_names)
+            codes, pair = np.unique(d.cell_feature[keep] * width + d.cell_value[keep],
+                                    return_inverse=True)
+            rows.append(row[d.cell_row[keep]])
+            columns.append(pair + len(pairs))
+            pairs += [(d.feature_names[c // width], d.value_names[c % width])
+                      for c in codes.tolist()]
+        pairs, column = intern_names(pairs, np.concatenate(columns))
+        row = np.concatenate(rows)
 
-        pairs = sorted({item for obs in observed for item in obs.items()})
         self.columns: dict[str, dict[str, int]] = {}
         for i, (feature, value) in enumerate(pairs):
             self.columns.setdefault(feature, {})[value] = i
@@ -62,13 +70,10 @@ class CodedCounts:
         self.feature_of = np.array([self.feature_index[f] for f, _ in pairs], dtype=np.intp)
         self.starts = np.array([min(values.values()) for values in self.columns.values()],
                                dtype=np.intp)
-
-        cells = [(i, f, v) for i, obs in enumerate(observed) for f, v in obs.items()]
-        rows = np.array([i for i, _, _ in cells], dtype=np.intp)
         self.onehot = np.zeros((len(self.languages), len(pairs)), dtype=np.int64)
-        self.onehot[rows, np.array([self.columns[f][v] for _, f, v in cells], dtype=np.intp)] = 1
+        self.onehot[row, column] = 1
         self.seen = np.zeros((len(self.languages), len(self.feature_index)), dtype=np.int64)
-        self.seen[rows, np.array([self.feature_index[f] for _, f, _ in cells], dtype=np.intp)] = 1
+        self.seen[row, self.feature_of[column]] = 1
         self._km: dict[Language, np.ndarray] = {}
 
     @cached_property

@@ -10,15 +10,16 @@ test on per-language accuracies weighted the same way.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .imputers.base import Prediction
-from .kb import OBSERVED, Dataset
+from .kb import BLANKED_CODE, OBSERVED_CODE, Dataset, locate_cells
 
 __all__ = [
     "EvaluationError",
@@ -27,7 +28,6 @@ __all__ = [
     "EvalReport",
     "PermutationResult",
     "CorrelationResult",
-    "output_from_predictions",
     "output_from_dataset",
     "score",
     "genus_weights",
@@ -59,12 +59,6 @@ class SystemOutput:
     predictions: Mapping[tuple[str, str], str]
 
 
-def output_from_predictions(
-    name: str, predictions: Mapping[tuple[str, str], Prediction]
-) -> SystemOutput:
-    return SystemOutput(name, {key: pred.value for key, pred in predictions.items()})
-
-
 def output_from_dataset(name: str, filled: Dataset, reference: Dataset) -> SystemOutput:
     """Read predictions out of a filled copy of ``reference``.
 
@@ -72,13 +66,13 @@ def output_from_dataset(name: str, filled: Dataset, reference: Dataset) -> Syste
     ``reference`` is hidden (blanked or unknown).  Cells the filled copy
     left unknown stay missing.
     """
-    predictions: dict[tuple[str, str], str] = {}
-    for (code, feature), cell in filled.cells.items():
-        if cell.state != OBSERVED:
-            continue
-        ref = reference.cells.get((code, feature))
-        if ref is not None and ref.state != OBSERVED:
-            predictions[(code, feature)] = cell.value
+    codes = filled.codes()
+    at = locate_cells(reference, codes, filled.feature_names, filled.cell_row, filled.cell_feature)
+    hit = (filled.cell_state == OBSERVED_CODE) & (at >= 0)
+    hit[hit] = reference.cell_state[at[hit]] != OBSERVED_CODE
+    cells = zip(filled.cell_row[hit].tolist(), filled.cell_feature[hit].tolist(),
+                filled.cell_value[hit].tolist())
+    predictions = {(codes[r], filled.feature_names[f]): filled.value_names[v] for r, f, v in cells}
     return SystemOutput(name, predictions)
 
 
@@ -104,15 +98,6 @@ class EvalReport:
         return correct / total
 
 
-def _gold_cells(gold: Dataset) -> dict[str, dict[str, str]]:
-    by_language: dict[str, dict[str, str]] = {}
-    for lang in gold.languages:
-        blanked = gold.blanked_of(lang.code)
-        if blanked:
-            by_language[lang.code] = blanked
-    return by_language
-
-
 def score(gold: Dataset, output: SystemOutput, exclude_missing: bool = False) -> EvalReport:
     """Score one system against the blanked cells of ``gold``.
 
@@ -122,13 +107,14 @@ def score(gold: Dataset, output: SystemOutput, exclude_missing: bool = False) ->
     entirely).  Predictions for cells that are not blanked are ignored
     with a warning.
     """
-    eval_cells = _gold_cells(gold)
-    if not eval_cells:
+    blanked = gold.cell_state == BLANKED_CODE
+    if not blanked.any():
         raise EvaluationError("gold dataset has no blanked cells to score")
-    known = {
-        (code, feature) for code, features in eval_cells.items() for feature in features
-    }
-    extra = sorted(set(output.predictions) - known)
+    codes = gold.codes()
+    cells = zip(gold.cell_row[blanked].tolist(), gold.cell_feature[blanked].tolist(),
+                gold.cell_value[blanked].tolist())
+    cells = [(r, gold.feature_names[f], gold.value_names[v]) for r, f, v in cells]
+    extra = sorted(set(output.predictions) - {(codes[r], feature) for r, feature, _ in cells})
     if extra:
         shown = ", ".join(f"{code}:{feature}" for code, feature in extra[:3])
         more = ", ..." if len(extra) > 3 else ""
@@ -139,6 +125,8 @@ def score(gold: Dataset, output: SystemOutput, exclude_missing: bool = False) ->
             shown,
             more,
         )
+    n_observed = np.bincount(gold.cell_row[gold.cell_state == OBSERVED_CODE],
+                             minlength=len(codes))
 
     per_language: dict[str, float] = {}
     language_genus: dict[str, str] = {}
@@ -146,12 +134,11 @@ def score(gold: Dataset, output: SystemOutput, exclude_missing: bool = False) ->
     per_feature_counts: dict[str, list[int]] = {}
     n_blanked = n_missing = n_correct = 0
 
-    for lang in gold.languages:
-        features = eval_cells.get(lang.code)
-        if not features:
-            continue
-        correct = missing = 0
-        for feature in sorted(features):
+    for row, group in itertools.groupby(cells, key=operator.itemgetter(0)):
+        lang = gold.languages[row]
+        hidden = correct = missing = 0
+        for _, feature, answer in group:
+            hidden += 1
             n_blanked += 1
             predicted = output.predictions.get((lang.code, feature))
             if predicted is None:
@@ -161,17 +148,16 @@ def score(gold: Dataset, output: SystemOutput, exclude_missing: bool = False) ->
                     continue
             counts = per_feature_counts.setdefault(feature, [0, 0])
             counts[1] += 1
-            if predicted == features[feature]:
+            if predicted == answer:
                 counts[0] += 1
                 correct += 1
                 n_correct += 1
-        scored = len(features) - missing if exclude_missing else len(features)
+        scored = hidden - missing if exclude_missing else hidden
         if scored == 0:
             continue
         per_language[lang.code] = correct / scored
         language_genus[lang.code] = lang.genus
-        n_observed = len(gold.observed_of(lang.code))
-        language_ratio[lang.code] = len(features) / (len(features) + n_observed)
+        language_ratio[lang.code] = hidden / (hidden + int(n_observed[row]))
 
     if not per_language:
         raise EvaluationError("no language has a scored cell")

@@ -8,7 +8,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from ..kb import OBSERVED, Dataset, Language
+from ..kb import OBSERVED_CODE, Dataset, Language
 
 __all__ = [
     "NoPredictionError",
@@ -80,14 +80,15 @@ def fill_dataset(imputer: Imputer, test: Dataset) -> dict[tuple[str, str], Predi
     member answers every cell whose feature training observes.
     """
     out: dict[tuple[str, str], Prediction] = {}
-    for lang in test.languages:
+    hidden = test.cell_state != OBSERVED_CODE
+    for row, lang in enumerate(test.languages):
+        span = slice(test.bounds[row], test.bounds[row + 1])
         observed = test.observed_of(lang.code)
-        for feature, cell in sorted(test.cells_of(lang.code).items()):
-            if cell.state == OBSERVED:
-                continue
-            query = ImputerQuery(language=lang, observed=observed, target=feature)
+        for feature in test.cell_feature[span][hidden[span]].tolist():
+            target = test.feature_names[feature]
+            query = ImputerQuery(language=lang, observed=observed, target=target)
             try:
-                out[(lang.code, feature)] = imputer.predict(query)
+                out[(lang.code, target)] = imputer.predict(query)
             except NoPredictionError:
                 continue
     return out

@@ -62,6 +62,8 @@ class CorrelationImputer(Imputer):
     def __init__(self, alpha: float = 1.0, min_support: int = 5):
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
+        if min_support < 0:
+            raise ValueError(f"min_support must be nonnegative, got {min_support}")
         self.alpha = alpha
         self.min_support = min_support
 

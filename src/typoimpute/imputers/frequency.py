@@ -90,6 +90,8 @@ class GeoBackoffImputer(Imputer):
     name = "geo_backoff"
 
     def __init__(self, near_km: float = 1000.0, far_km: float = 2000.0):
+        if not 0.0 <= near_km <= far_km:
+            raise ValueError(f"need 0 <= near_km <= far_km, got {near_km} and {far_km}")
         self.near_km = near_km
         self.far_km = far_km
         self._backoff = GenusFamilyBackoffImputer()

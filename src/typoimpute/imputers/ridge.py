@@ -303,6 +303,10 @@ class RidgePriorImputer(Imputer):
             raise ValueError(f"unknown prior blocks: {sorted(unknown)}")
         if not 0.0 < lam < float("inf"):
             raise ValueError(f"lambda must be positive and finite, got {lam}")
+        if not 0.0 <= areal_km:
+            raise ValueError(f"areal_km must be nonnegative, got {areal_km}")
+        if min_support < 0:
+            raise ValueError(f"min_support must be nonnegative, got {min_support}")
         self.lam = lam
         self.areal_km = areal_km
         self.min_support = min_support
@@ -315,14 +319,12 @@ class RidgePriorImputer(Imputer):
         if self.use_context and context is not None:
             counts = CodedCounts([train, context])
         stats = _PriorStats(counts, self.areal_km)
-        inventories = {f: train.catalog.values(f) for f in train.catalog.features()}
+        inventories = {f: tuple(values) for f, values in train.counts.columns.items()}
         # Training languages come first among the statistics rows.
         n_train = len(train.languages)
 
         self._fitted = {}
         for target, inventory in inventories.items():
-            if not inventory:
-                continue
             space = PriorFeatureSpace(
                 stats, target, inventory, inventories, self.min_support, self.blocks
             )

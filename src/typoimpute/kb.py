@@ -11,23 +11,28 @@ Real-world files of this format are known to carry stray tab characters
 inside feature values, so everything after the seventh column is treated
 as one logical field: the extra tabs are normalized to single spaces
 instead of shifting columns.
+
+Each dataset is one integer-coded cell table, which every pipeline stage
+reads; ``Dataset.cells`` is a (code, feature) -> ``Cell`` view of it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from .coded import CodedCounts
+import numpy as np
+
+if TYPE_CHECKING:
+    from .coded import CodedCounts
 
 __all__ = [
     "DatasetError",
     "ParseError",
     "Language",
     "Cell",
-    "FeatureCatalog",
     "Dataset",
     "parse_dataset",
     "serialize_dataset",
@@ -36,10 +41,12 @@ __all__ = [
 
 UNKNOWN_MARKER = "?"
 
-# Cell states
+# Cell states; a state's code in ``Dataset.cell_state`` is its index in STATES.
 OBSERVED = "observed"
 BLANKED = "blanked"
 UNKNOWN = "unknown"
+STATES = (OBSERVED, BLANKED, UNKNOWN)
+OBSERVED_CODE, BLANKED_CODE, UNKNOWN_CODE = range(len(STATES))
 
 # Recognized header spellings for the latitude/longitude columns; a first
 # line whose 3rd/4th fields match is treated as a header and skipped.
@@ -105,55 +112,27 @@ class Cell:
         return cls(UNKNOWN, None)
 
 
-class FeatureCatalog:
-    """Every known feature with its value inventory and training counts.
-
-    The inventory of a feature is the lexicographically sorted list of
-    values observed in the backing dataset; counts record how often each
-    value was observed.  Features that occur only as unknown cells are
-    listed with an empty inventory.
-    """
-
-    def __init__(self, entries: Mapping[str, Counter] | None = None):
-        self._counts: dict[str, Counter] = {f: Counter(c) for f, c in (entries or {}).items()}
-
-    @classmethod
-    def from_cells(cls, cells: Mapping[tuple[str, str], Cell]) -> "FeatureCatalog":
-        counts: dict[str, Counter] = {}
-        for (_, feature), cell in cells.items():
-            bucket = counts.setdefault(feature, Counter())
-            if cell.state == OBSERVED:
-                bucket[cell.value] += 1
-        return cls(counts)
-
-    def features(self) -> list[str]:
-        return sorted(self._counts)
-
-    def __contains__(self, feature: str) -> bool:
-        return feature in self._counts
-
-    def values(self, feature: str) -> tuple[str, ...]:
-        """Lexicographically ordered value inventory of ``feature``."""
-        return tuple(sorted(self._counts[feature]))
-
-    def counts(self, feature: str) -> Counter:
-        return Counter(self._counts[feature])
-
-    def count(self, feature: str, value: str) -> int:
-        return self._counts[feature][value]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FeatureCatalog):
-            return NotImplemented
-        return self._counts == other._counts
-
-    def __repr__(self) -> str:
-        return f"FeatureCatalog({len(self._counts)} features)"
+def intern_names(names: list[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct names ``codes`` use, sorted, and ``codes`` renumbered
+    into them; ``names`` may repeat a name, and -1 (no name) stays -1."""
+    used = np.zeros(len(names) + 1, dtype=bool)
+    used[codes] = True  # -1 marks the spare last slot
+    kept = sorted({names[i] for i in np.flatnonzero(used[:-1]).tolist()})
+    index = {name: i for i, name in enumerate(kept)}
+    renumber = np.array([index.get(name, -1) for name in names] + [-1], dtype=np.intp)
+    return kept, renumber[codes]
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """Languages plus a sparse (language, feature) cell matrix.
+    """Languages plus a sparse (language, feature) cell table, coded as
+    integers: one entry per cell in each of ``cell_row`` (index into
+    ``languages``), ``cell_feature`` (into ``feature_names``),
+    ``cell_value`` (into ``value_names``; -1 for an unknown cell, while a
+    blanked cell holds its gold value) and ``cell_state`` (into
+    ``STATES``).  Construction keeps exactly the names some cell uses,
+    sorted, so codes order like names, orders cells by row, then
+    feature, and maps each code to its row in ``rows``.
 
     Treated as immutable after construction; all pipeline operations
     build new datasets rather than mutating.  ``counts`` is therefore
@@ -162,119 +141,143 @@ class Dataset:
     """
 
     languages: list[Language]
-    cells: dict[tuple[str, str], Cell]
-    catalog: FeatureCatalog = field(default_factory=FeatureCatalog)
-    _by_language: dict[str, dict[str, Cell]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    feature_names: list[str]
+    value_names: list[str]
+    cell_row: np.ndarray
+    cell_feature: np.ndarray
+    cell_value: np.ndarray
+    cell_state: np.ndarray
 
     def __post_init__(self):
-        codes = set()
-        for lang in self.languages:
-            if lang.code in codes:
+        self.rows: dict[str, int] = {}
+        for i, lang in enumerate(self.languages):
+            if lang.code in self.rows:
                 raise DatasetError(f"duplicate language code {lang.code!r}")
-            codes.add(lang.code)
-            self._by_language[lang.code] = {}
-        for (code, feature), cell in self.cells.items():
-            if code not in codes:
-                raise DatasetError(f"cell references unknown language {code!r}")
-            if feature not in self.catalog:
-                raise DatasetError(f"cell references unknown feature {feature!r}")
-            self._by_language[code][feature] = cell
+            self.rows[lang.code] = i
+        self.feature_names, self.cell_feature = intern_names(self.feature_names, self.cell_feature)
+        self.value_names, self.cell_value = intern_names(self.value_names, self.cell_value)
+        key = self.cell_row * len(self.feature_names) + self.cell_feature
+        if (key[1:] <= key[:-1]).any():
+            order = np.argsort(key, kind="stable")
+            for name in ("cell_row", "cell_feature", "cell_value", "cell_state"):
+                setattr(self, name, getattr(self, name)[order])
 
     @classmethod
     def build(cls, languages: Iterable[Language], cells: Mapping[tuple[str, str], Cell]) -> "Dataset":
-        """Construct a dataset, deriving the catalog from the cells."""
-        cells = dict(cells)
-        return cls(list(languages), cells, FeatureCatalog.from_cells(cells))
+        """Construct a dataset from a (code, feature) -> Cell mapping."""
+        languages = list(languages)
+        rows = {lang.code: i for i, lang in enumerate(languages)}
+        for code, _ in cells:
+            if code not in rows:
+                raise DatasetError(f"cell references unknown language {code!r}")
+        # Each cell names its own feature and value; construction interns them.
+        values = [cell.value for cell in cells.values()]
+        index = np.arange(len(values))
+        return cls(languages, [feature for _, feature in cells], values,
+                   np.array([rows[code] for code, _ in cells], dtype=np.intp), index,
+                   np.where([value is None for value in values], -1, index),
+                   np.array([STATES.index(cell.state) for cell in cells.values()], dtype=np.int8))
 
     @cached_property
     def counts(self) -> CodedCounts:
         """Integer tables of the observed cells."""
+        from .coded import CodedCounts  # coded reads this module's state codes
         return CodedCounts([self])
 
+    @property
+    def cells(self) -> Mapping[tuple[str, str], Cell]:
+        """The cells as a read-only (code, feature) -> Cell mapping; its
+        entries are built on first lookup."""
+        return _CellView(self)
+
+    @cached_property
+    def _cells(self) -> dict[tuple[str, str], Cell]:
+        codes = self.codes()
+        values = self.value_names + [None]  # an unknown cell's -1 reads None
+        cells = zip(self.cell_row.tolist(), self.cell_feature.tolist(),
+                    self.cell_value.tolist(), self.cell_state.tolist())
+        return {(codes[r], self.feature_names[f]): Cell(STATES[s], values[v])
+                for r, f, v, s in cells}
+
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        """Row i's cells are ``cell_*[bounds[i]:bounds[i + 1]]``."""
+        return np.searchsorted(self.cell_row, np.arange(len(self.languages) + 1))
+
     def language(self, code: str) -> Language:
-        for lang in self.languages:
-            if lang.code == code:
-                return lang
-        raise KeyError(code)
+        return self.languages[self.rows[code]]
 
     def codes(self) -> list[str]:
         return [lang.code for lang in self.languages]
 
-    def features_of(self, code: str) -> list[str]:
-        """Feature names of all cells of a language, sorted."""
-        return sorted(self._by_language.get(code, {}))
+    def features(self) -> list[str]:
+        """Names of the features some cell has, sorted."""
+        return list(self.feature_names)
 
-    def cells_of(self, code: str) -> dict[str, Cell]:
-        return dict(self._by_language.get(code, {}))
+    # ``bench/tests`` lists the feature names as ``catalog.features()``.
+    catalog = property(lambda self: self)
 
     def observed_of(self, code: str) -> dict[str, str]:
         """Mapping feature -> value over the observed cells of a language."""
-        return {
-            f: cell.value
-            for f, cell in self._by_language.get(code, {}).items()
-            if cell.state == OBSERVED
-        }
+        row = self.rows[code]
+        span = slice(self.bounds[row], self.bounds[row + 1])
+        cells = zip(self.cell_feature[span].tolist(), self.cell_value[span].tolist(),
+                    self.cell_state[span].tolist())
+        return {self.feature_names[f]: self.value_names[v]
+                for f, v, s in cells if s == OBSERVED_CODE}
 
-    def blanked_of(self, code: str) -> dict[str, str]:
-        """Mapping feature -> gold value over the blanked cells of a language."""
-        return {
-            f: cell.value
-            for f, cell in self._by_language.get(code, {}).items()
-            if cell.state == BLANKED
-        }
-
-    def n_observed(self, code: str) -> int:
-        return sum(
-            1 for cell in self._by_language.get(code, {}).values() if cell.state == OBSERVED
-        )
+    def _take(self, keep_rows: np.ndarray, keep_cells: np.ndarray) -> "Dataset":
+        """The languages of ``keep_rows``, order kept, with those of their
+        cells that ``keep_cells`` marks."""
+        cells = keep_cells & keep_rows[self.cell_row]
+        languages = [lang for lang, keep in zip(self.languages, keep_rows.tolist()) if keep]
+        return Dataset(languages, self.feature_names, self.value_names,
+                       (np.cumsum(keep_rows) - 1)[self.cell_row[cells]],
+                       self.cell_feature[cells], self.cell_value[cells], self.cell_state[cells])
 
     def subset(self, codes: Iterable[str]) -> "Dataset":
         """New dataset restricted to ``codes``, original order kept."""
         keep = set(codes)
-        languages = [lang for lang in self.languages if lang.code in keep]
-        cells = {key: cell for key, cell in self.cells.items() if key[0] in keep}
-        return Dataset.build(languages, cells)
+        keep_rows = np.array([lang.code in keep for lang in self.languages], dtype=bool)
+        return self._take(keep_rows, np.ones(len(self.cell_row), dtype=bool))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (
-            self.languages == other.languages
-            and self.cells == other.cells
-            and self.catalog == other.catalog
-        )
+        return self.languages == other.languages and self.cells == other.cells
 
 
-def canonical_value(text: str) -> str:
-    """Normalize a feature value the way the parser would: tabs become
-    single spaces and surrounding whitespace is trimmed."""
-    return text.replace("\t", " ").strip()
+@dataclass(eq=False)
+class _CellView(Mapping):
+    """(code, feature) -> Cell over a dataset's cell table."""
+
+    d: Dataset
+
+    def __getitem__(self, key: tuple[str, str]) -> Cell:
+        return self.d._cells[key]
+
+    def __iter__(self):
+        return iter(self.d._cells)
+
+    def __len__(self) -> int:
+        return len(self.d.cell_row)
 
 
-def _parse_feature_field(raw: str, lineno: int) -> list[tuple[str, str]]:
-    """Split a raw feature field into (name, value) pairs.
-
-    ``raw`` has already had stray tabs normalized to spaces.  Segments
-    are separated by ``|``; each splits on its first ``=`` (names never
-    contain ``=``, values may).  Whitespace-only segments are ignored so
-    that an empty field yields no cells.
-    """
-    pairs = []
-    for segment in raw.split("|"):
-        segment = segment.strip()
-        if not segment:
-            continue
-        if "=" not in segment:
-            raise ParseError(lineno, f"feature segment without '=': {segment!r}")
-        name, value = segment.split("=", 1)
-        name = name.strip()
-        value = value.strip()
-        if not name:
-            raise ParseError(lineno, f"feature segment with empty name: {segment!r}")
-        pairs.append((name, value))
-    return pairs
+def locate_cells(d: Dataset, codes: list[str], features: list[str],
+                 row: np.ndarray, feature: np.ndarray) -> np.ndarray:
+    """Index of the cell of ``d`` at each (codes[row], features[feature]),
+    or -1 where ``d`` has no such cell."""
+    index = {name: i for i, name in enumerate(d.feature_names)}
+    d_row = np.array([d.rows.get(code, -1) for code in codes], dtype=np.intp)[row]
+    d_feature = np.array([index.get(name, -1) for name in features], dtype=np.intp)[feature]
+    width = len(d.feature_names)
+    # Cells are ordered by (row, feature), so their keys increase.
+    keys = d.cell_row * width + d.cell_feature
+    wanted = d_row * width + d_feature
+    at = np.searchsorted(keys, wanted)
+    found = (d_row >= 0) & (d_feature >= 0) & (at < len(keys))
+    found[found] = keys[at[found]] == wanted[found]
+    return np.where(found, at, -1)
 
 
 def _is_header(fields: list[str]) -> bool:
@@ -291,16 +294,22 @@ def parse_dataset(text: str, gold: Dataset | None = None) -> Dataset:
 
     Columns 1-7 are positional; every remaining field belongs to the
     feature list and is re-joined with a single space, so tabs inside
-    feature values do not shift columns.  A ``?`` value produces an
-    unknown cell, or a blanked cell carrying the gold value when
-    ``gold`` observes that same cell.
+    feature values do not shift columns.  Its segments are separated by
+    ``|``; each splits on its first ``=`` (names never contain ``=``,
+    values may), and whitespace-only segments are ignored.  A ``?``
+    value produces an unknown cell, or a blanked cell carrying the gold
+    value when ``gold`` observes that same cell.
 
     Raises ParseError with the offending line number for malformed
     records, and DatasetError for duplicate language codes.
     """
     languages: list[Language] = []
-    cells: dict[tuple[str, str], Cell] = {}
-    seen: set[str] = set()
+    rows: dict[str, int] = {}
+    features: dict[str, int] = {}
+    values: dict[str, int] = {}
+    cell_row: list[int] = []
+    cell_feature: list[int] = []
+    cell_value: list[int] = []
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -328,31 +337,45 @@ def parse_dataset(text: str, gold: Dataset | None = None) -> Dataset:
             )
         except DatasetError as exc:
             raise ParseError(lineno, str(exc)) from None
-        if code in seen:
+        if code in rows:
             raise DatasetError(f"duplicate language code {code!r} (line {lineno})")
-        seen.add(code)
+        row = rows[code] = len(languages)
         languages.append(language)
 
-        feature_field = " ".join(fields[7:])
-        for name, value in _parse_feature_field(feature_field, lineno):
-            key = (code, name)
-            if key in cells:
+        names: set[str] = set()
+        for segment in " ".join(fields[7:]).split("|"):
+            segment = segment.strip()
+            if not segment:
+                continue
+            if "=" not in segment:
+                raise ParseError(lineno, f"feature segment without '=': {segment!r}")
+            name, value = segment.split("=", 1)
+            name = name.strip()
+            value = value.strip()
+            if not name:
+                raise ParseError(lineno, f"feature segment with empty name: {segment!r}")
+            if name in names:
                 raise ParseError(lineno, f"duplicate feature {name!r} for language {code!r}")
-            if value == UNKNOWN_MARKER:
-                gold_cell = gold.cells.get(key) if gold is not None else None
-                if gold_cell is not None and gold_cell.state == OBSERVED:
-                    cells[key] = Cell.blanked(gold_cell.value)
-                else:
-                    cells[key] = Cell.unknown()
-            else:
-                cells[key] = Cell.observed(value)
+            names.add(name)
+            cell_row.append(row)
+            cell_feature.append(features.setdefault(name, len(features)))
+            cell_value.append(-1 if value == UNKNOWN_MARKER
+                              else values.setdefault(value, len(values)))
 
-    return Dataset.build(languages, cells)
-
-
-def _format_float(x: float) -> str:
-    # str() round-trips floats exactly in Python 3.
-    return str(x)
+    row = np.array(cell_row, dtype=np.intp)
+    feature = np.array(cell_feature, dtype=np.intp)
+    value = np.array(cell_value, dtype=np.intp)
+    state = np.where(value < 0, UNKNOWN_CODE, OBSERVED_CODE)
+    value_names = list(values)
+    if gold is not None:
+        at = locate_cells(gold, list(rows), list(features), row, feature)
+        hidden = (value < 0) & (at >= 0)
+        hidden[hidden] = gold.cell_state[at[hidden]] == OBSERVED_CODE
+        state[hidden] = BLANKED_CODE
+        # Gold value codes follow this file's own value names.
+        value[hidden] = len(value_names) + gold.cell_value[at[hidden]]
+        value_names += gold.value_names
+    return Dataset(languages, list(features), value_names, row, feature, value, state)
 
 
 def serialize_dataset(
@@ -362,47 +385,37 @@ def serialize_dataset(
 ) -> str:
     """Serialize a dataset back to the 8-column tab-separated format.
 
-    Features are emitted in catalog-lexicographic order.  Observed cells
-    carry their value; blanked and unknown cells carry ``?`` unless they
-    are covered by ``fill`` (predictions) or, for blanked cells,
+    Features are emitted in lexicographic order.  Observed cells carry
+    their value; blanked and unknown cells carry ``?`` unless they are
+    covered by ``fill`` (predictions) or, for blanked cells,
     ``reveal_blanked`` is set (used to write gold companion files).
     """
-    fill = dict(fill) if fill else {}
-    for key in fill:
-        cell = d.cells.get(key)
-        if cell is None:
-            raise DatasetError(f"fill references nonexistent cell {key!r}")
-        if cell.state == OBSERVED:
-            raise DatasetError(f"fill references observed cell {key!r}")
+    shown = d.cell_state == OBSERVED_CODE
+    if reveal_blanked:
+        shown |= d.cell_state == BLANKED_CODE
+    # A hidden cell reads code -1, the marker after the value names.
+    names = d.value_names + [UNKNOWN_MARKER]
+    texts = [names[v] for v in np.where(shown, d.cell_value, -1).tolist()]
+    if fill:
+        keys = list(fill)
+        at = locate_cells(d, [code for code, _ in keys], [feature for _, feature in keys],
+                          np.arange(len(keys)), np.arange(len(keys)))
+        for key, i in zip(keys, at.tolist()):
+            if i < 0:
+                raise DatasetError(f"fill references nonexistent cell {key!r}")
+            if d.cell_state[i] == OBSERVED_CODE:
+                raise DatasetError(f"fill references observed cell {key!r}")
+            texts[i] = fill[key]
 
-    lines = []
-    for lang in d.languages:
-        parts = []
-        for feature in d.features_of(lang.code):
-            cell = d.cells[(lang.code, feature)]
-            if cell.state == OBSERVED:
-                value = cell.value
-            elif (lang.code, feature) in fill:
-                value = fill[(lang.code, feature)]
-            elif cell.state == BLANKED and reveal_blanked:
-                value = cell.value
-            else:
-                value = UNKNOWN_MARKER
-            parts.append(f"{feature}={value}")
-        lines.append(
-            "\t".join(
-                [
-                    lang.code,
-                    lang.name,
-                    _format_float(lang.latitude),
-                    _format_float(lang.longitude),
-                    lang.genus,
-                    lang.family,
-                    " ".join(lang.country_codes),
-                    " | ".join(parts),
-                ]
-            )
-        )
+    prefixes = [f"{feature}=" for feature in d.feature_names]
+    parts = [prefixes[f] + text for f, text in zip(d.cell_feature.tolist(), texts)]
+    bounds = d.bounds.tolist()
+    # str() round-trips floats exactly.
+    lines = [
+        "\t".join([lang.code, lang.name, str(lang.latitude), str(lang.longitude), lang.genus,
+                   lang.family, " ".join(lang.country_codes), " | ".join(parts[start:end])])
+        for lang, start, end in zip(d.languages, bounds, bounds[1:])
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -416,37 +429,20 @@ def filter_dataset(
     Languages with fewer than ``min_feats_per_lang`` observed features
     are removed first, then features observed in fewer than
     ``min_langs_per_feat`` of the remaining languages; removal repeats
-    until neither rule fires.  The result may be empty.
+    until neither rule fires.  Features never observed count zero
+    languages.  The result may be empty.
     """
-    lang_codes = [lang.code for lang in d.languages]
-    observed: dict[str, set[str]] = {c: set() for c in lang_codes}
-    feature_langs: dict[str, set[str]] = {}
-    for (code, feature), cell in d.cells.items():
-        if cell.state == OBSERVED:
-            observed[code].add(feature)
-            feature_langs.setdefault(feature, set()).add(code)
-    # Features never observed still exist in the matrix as unknown cells.
-    for (_, feature) in d.cells:
-        feature_langs.setdefault(feature, set())
-
-    keep_langs = set(lang_codes)
-    keep_feats = set(feature_langs)
+    observed = d.cell_state == OBSERVED_CODE
+    row, feature = d.cell_row[observed], d.cell_feature[observed]
+    keep_rows = np.ones(len(d.languages), dtype=bool)
+    keep_features = np.ones(len(d.feature_names), dtype=bool)
     while True:
-        drop_langs = {
-            c for c in keep_langs if len(observed[c] & keep_feats) < min_feats_per_lang
-        }
-        keep_langs -= drop_langs
-        drop_feats = {
-            f for f in keep_feats if len(feature_langs[f] & keep_langs) < min_langs_per_feat
-        }
-        keep_feats -= drop_feats
-        if not drop_langs and not drop_feats:
+        per_row = np.bincount(row[keep_features[feature]], minlength=len(keep_rows))
+        drop_rows = keep_rows & (per_row < min_feats_per_lang)
+        keep_rows &= ~drop_rows
+        per_feature = np.bincount(feature[keep_rows[row]], minlength=len(keep_features))
+        drop_features = keep_features & (per_feature < min_langs_per_feat)
+        keep_features &= ~drop_features
+        if not drop_rows.any() and not drop_features.any():
             break
-
-    languages = [lang for lang in d.languages if lang.code in keep_langs]
-    cells = {
-        (code, feature): cell
-        for (code, feature), cell in d.cells.items()
-        if code in keep_langs and feature in keep_feats
-    }
-    return Dataset.build(languages, cells)
+    return d._take(keep_rows, keep_features[d.cell_feature])

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from .configio import ConfigError, read_kv, write_kv
 from .geo import coordinates, distance_matrix
 from .geo import haversine_km  # noqa: F401  (bench/trace_child.py counts calls through this name)
-from .kb import BLANKED, OBSERVED, Cell, Dataset, DatasetError
+from .kb import BLANKED_CODE, OBSERVED_CODE, Dataset, DatasetError
 
 __all__ = [
     "SplitError",
@@ -76,8 +76,8 @@ class SplitSpec:
             raise ConfigError("blanking range must satisfy 0 < low <= high < 1")
         if not 0.0 <= self.random_holdout_fraction <= 1.0:
             raise ConfigError("random holdout fraction must lie in [0, 1]")
-        if self.exclusion_radius_km < 0:
-            raise ConfigError("exclusion radius must be nonnegative")
+        if not 0.0 <= self.exclusion_radius_km < math.inf:
+            raise ConfigError("exclusion radius must be finite and nonnegative")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SplitSpec":
@@ -179,9 +179,12 @@ def blank_features(test: Dataset, spec: SplitSpec) -> Dataset:
     """
     ratios = blanking_ratios(test.codes(), spec)
     rng = random.Random(_stage_seed(spec.seed, "cells"))
-    cells = dict(test.cells)
+    state = test.cell_state.copy()
     for code in sorted(test.codes()):
-        observed = sorted(test.observed_of(code))
+        row = test.rows[code]
+        # The observed cells of the language, in feature-name order.
+        observed = [i for i in range(test.bounds[row], test.bounds[row + 1])
+                    if state[i] == OBSERVED_CODE]
         if len(observed) < 2:
             raise SplitError(
                 f"language {code!r} has {len(observed)} observed features; "
@@ -189,10 +192,8 @@ def blank_features(test: Dataset, spec: SplitSpec) -> Dataset:
             )
         n_blank = _round_half_up(ratios[code] * len(observed))
         n_blank = max(1, min(len(observed) - 1, n_blank))
-        for feature in rng.sample(observed, n_blank):
-            gold = cells[(code, feature)].value
-            cells[(code, feature)] = Cell.blanked(gold)
-    return Dataset.build(test.languages, cells)
+        state[rng.sample(observed, n_blank)] = BLANKED_CODE
+    return replace(test, cell_state=state)
 
 
 def random_split(
@@ -205,6 +206,8 @@ def random_split(
     Sizes follow the fractions under the largest-remainder rule, so they
     always sum to the language count.
     """
+    if not all(0.0 <= f < math.inf for f in fractions):
+        raise ConfigError(f"fractions must be finite and nonnegative, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"fractions must sum to 1, got {fractions}")
     codes = sorted(d.codes())

@@ -9,7 +9,9 @@ Student-t tail use mpmath.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -70,6 +72,133 @@ def _mode(counts: Counter) -> tuple[str, float] | None:
 
 
 # ---------------------------------------------------------------------------
+# parsing
+
+
+_LAT_HEADERS = {"lat", "latitude"}
+_LON_HEADERS = {"long", "lon", "longitude"}
+
+
+def _parse_feature_field(raw: str, lineno: int) -> list[tuple[str, str]]:
+    from typoimpute.kb import ParseError
+
+    pairs = []
+    for segment in raw.split("|"):
+        segment = segment.strip()
+        if not segment:
+            continue
+        if "=" not in segment:
+            raise ParseError(lineno, f"feature segment without '=': {segment!r}")
+        name, value = segment.split("=", 1)
+        name = name.strip()
+        value = value.strip()
+        if not name:
+            raise ParseError(lineno, f"feature segment with empty name: {segment!r}")
+        pairs.append((name, value))
+    return pairs
+
+
+def _is_header(fields: list[str]) -> bool:
+    if len(fields) < 7:
+        return False
+    return (
+        fields[2].strip().lower() in _LAT_HEADERS
+        and fields[3].strip().lower() in _LON_HEADERS
+    )
+
+
+def parse_oracle(text: str, gold: dict | None = None):
+    """The record parser as it was before datasets became coded tables,
+    one dict entry per cell: ``(languages, {(code, feature): (state,
+    value)})``.  ``gold`` is such a cell dict of the gold companion."""
+    from typoimpute.kb import DatasetError, Language, ParseError
+
+    languages = []
+    cells: dict[tuple[str, str], tuple[str, str | None]] = {}
+    seen: set[str] = set()
+
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if lineno == 1 and _is_header(fields):
+            continue
+        if len(fields) < 8:
+            raise ParseError(lineno, f"expected >= 8 tab-separated fields, got {len(fields)}")
+        code = fields[0].strip()
+        try:
+            latitude = float(fields[2])
+            longitude = float(fields[3])
+        except ValueError:
+            raise ParseError(lineno, f"malformed coordinate: {fields[2]!r}, {fields[3]!r}") from None
+        try:
+            language = Language(
+                code=code,
+                name=fields[1].strip(),
+                latitude=latitude,
+                longitude=longitude,
+                genus=fields[4].strip(),
+                family=fields[5].strip(),
+                country_codes=tuple(fields[6].split()),
+            )
+        except DatasetError as exc:
+            raise ParseError(lineno, str(exc)) from None
+        if code in seen:
+            raise DatasetError(f"duplicate language code {code!r} (line {lineno})")
+        seen.add(code)
+        languages.append(language)
+
+        feature_field = " ".join(fields[7:])
+        for name, value in _parse_feature_field(feature_field, lineno):
+            key = (code, name)
+            if key in cells:
+                raise ParseError(lineno, f"duplicate feature {name!r} for language {code!r}")
+            if value == "?":
+                gold_cell = gold.get(key) if gold is not None else None
+                if gold_cell is not None and gold_cell[0] == OBSERVED:
+                    cells[key] = ("blanked", gold_cell[1])
+                else:
+                    cells[key] = ("unknown", None)
+            else:
+                cells[key] = (OBSERVED, value)
+
+    return languages, cells
+
+
+# ---------------------------------------------------------------------------
+# blanking
+
+
+def _stage_seed(seed: int, label: str) -> int:
+    digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def blank_oracle(dataset, low: float, high: float, seed: int) -> dict:
+    """``{(code, feature): (state, value)}`` after blanking by the
+    documented rule: ratios evenly spaced over [low, high] and shuffled
+    by seed over the sorted codes; then, code by code, a seeded sample of
+    round-half-up(ratio x n) of the n observed features (taken in name
+    order, clamped to [1, n - 1]) is hidden with its gold value."""
+    codes = sorted(lang.code for lang in dataset.languages)
+    if len(codes) == 1:
+        ratios = [low]
+    else:
+        step = (high - low) / (len(codes) - 1)
+        ratios = [low + i * step for i in range(len(codes))]
+    random.Random(_stage_seed(seed, "ratios")).shuffle(ratios)
+    rng = random.Random(_stage_seed(seed, "cells"))
+    cells = {key: (cell.state, cell.value) for key, cell in dataset.cells.items()}
+    for code, ratio in zip(codes, ratios):
+        observed = sorted(f for (c, f), (state, _) in cells.items()
+                          if c == code and state == OBSERVED)
+        n_blank = max(1, min(len(observed) - 1, math.floor(ratio * len(observed) + 0.5)))
+        for feature in rng.sample(observed, n_blank):
+            cells[(code, feature)] = ("blanked", cells[(code, feature)][1])
+    return cells
+
+
+# ---------------------------------------------------------------------------
 # counting imputers
 
 
@@ -95,9 +224,12 @@ def impute_loop_oracle(imputer, train, test, fallback: bool = True):
     imputer.fit(train, context=test)
     fill: dict[tuple[str, str], str] = {}
     n_unfilled = 0
+    cells_of: dict[str, dict] = {lang.code: {} for lang in test.languages}
+    for (code, feature), cell in test.cells.items():
+        cells_of[code][feature] = cell
     for lang in test.languages:
         observed = test.observed_of(lang.code)
-        for feature, cell in sorted(test.cells_of(lang.code).items()):
+        for feature, cell in sorted(cells_of[lang.code].items()):
             if cell.state == OBSERVED:
                 continue
             query = ImputerQuery(language=lang, observed=observed, target=feature)
@@ -553,7 +685,7 @@ def build_prior_features(train, language, observed, target, areal_km=2500.0,
                          min_support=5, blocks=RIDGE_BLOCKS, own_value=None):
     """Sparse prior vector of one language against a training dataset."""
     stats = CountedPriorStats([train], areal_km)
-    inventories = {f: train.catalog.values(f) for f in train.catalog.features()}
+    inventories = {f: tuple(inventory(train, f)) for f in sorted({f for _, f in train.cells})}
     space = CountedPriorSpace(
         stats, target, inventories.get(target, ()), inventories, min_support, blocks
     )
@@ -567,7 +699,7 @@ def counted_ridge_fit(train, context=None, lam=1.0, areal_km=2500.0, min_support
     ``context`` joins the counting tables."""
     sources = [train] + ([context] if context is not None else [])
     stats = CountedPriorStats(sources, areal_km)
-    inventories = {f: train.catalog.values(f) for f in train.catalog.features()}
+    inventories = {f: tuple(inventory(train, f)) for f in sorted({f for _, f in train.cells})}
     fitted = {}
     for target, values in inventories.items():
         if not values:

@@ -166,7 +166,7 @@ def test_acceptance_2_counting_oracles():
         for code in train.codes():
             lang = train.language(code)
             full = train.observed_of(code)
-            for target in train.catalog.features():
+            for target in train.features():
                 observed = {f: v for f, v in full.items() if f != target}
                 query = ImputerQuery(language=lang, observed=observed, target=target)
 

@@ -154,6 +154,26 @@ def test_random_split_flag_validation(tmp_path, corpus, spec_file):
     ) == 1
 
 
+@pytest.mark.parametrize("flags,spec", [
+    (["--random-fractions=-0.1,0.6,0.5", "--seed", "1"], None),
+    (["--random-fractions", "nan,0.5,0.5", "--seed", "1"], None),
+    (["--random-fractions", "0.5,0.5,inf", "--seed", "1"], None),
+    (["--radius-km", "nan"], "genera=GenA\n"),
+    (["--radius-km", "inf"], "genera=GenA\n"),
+    ([], "genera=GenA\nradius_km=nan\n"),
+], ids=["fraction-neg", "fraction-nan", "fraction-inf", "radius-nan", "radius-inf",
+        "spec-radius-nan"])
+def test_split_non_finite_or_negative_setting_is_config_error(tmp_path, corpus, capsys,
+                                                               flags, spec):
+    argv = ["split", "--input", str(corpus), "--out-dir", str(tmp_path / "x"), *flags]
+    if spec is not None:
+        (tmp_path / "spec.cfg").write_text(spec, encoding="utf-8")
+        argv += ["--spec", str(tmp_path / "spec.cfg")]
+    assert main(argv) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not list((tmp_path / "x").glob("*.tsv"))
+
+
 def test_blank_command(tmp_path, corpus):
     out_dir = tmp_path / "blanked"
     assert main([
@@ -220,7 +240,7 @@ def test_impute_no_fallback_leaves_unknowns(tmp_path, split_dirs):
 
     test_path = split_dirs / "test.tsv"
     test_plain = parse_dataset(test_path.read_text(encoding="utf-8"))
-    target_feature = next(f for f in test_plain.catalog.features() if f.startswith("f5"))
+    target_feature = next(f for f in test_plain.features() if f.startswith("f5"))
     hidden_f5 = [
         k for k, c in test_plain.cells.items()
         if k[1] == target_feature and c.state != OBSERVED
@@ -398,6 +418,39 @@ def test_report_rejects_non_evaluation_dir(tmp_path):
     assert main(["report", "--input", str(empty), "--out", str(tmp_path / "r.txt")]) == 1
 
 
+REPORT_TABLES = {
+    "systems.csv": ("system,macro_accuracy,micro_accuracy,n_blanked,n_missing,blanking_r,"
+                    "blanking_p", "freq,0.5,0.5,10,0,NA,NA"),
+    "significance.csv": ("system_a,system_b,observed_diff,p_value,samples,seed",
+                         "freq,gf,0.1,0.5,100,1"),
+    "per_feature.csv": ("feature,mean_accuracy,std_accuracy,n_scored", "f1,0.5,0.1,3"),
+    "breakdown.csv": ("system,group,accuracy,n_languages", "freq,all (macro),0.5,3"),
+}
+
+
+@pytest.mark.parametrize("name,row", [
+    ("systems.csv", "freq,high,0.5,10,0,NA,NA"),
+    ("systems.csv", "freq,0.5,0.5"),
+    ("significance.csv", "freq,gf,big,0.5,100,1"),
+    ("significance.csv", "freq,gf,0.1"),
+    ("per_feature.csv", "f1,0.5,wide,3"),
+    ("per_feature.csv", "f1,0.5"),
+    ("breakdown.csv", "freq,all (macro),most,3"),
+    ("breakdown.csv", "freq,all (macro)"),
+])
+def test_report_on_malformed_table_is_data_error(tmp_path, capsys, name, row):
+    eval_dir = tmp_path / "eval"
+    eval_dir.mkdir()
+    for table, (header, good) in REPORT_TABLES.items():
+        (eval_dir / table).write_text(f"# seed=1\n{header}\n{row if table == name else good}\n",
+                                      encoding="utf-8")
+    out = tmp_path / "report.txt"
+    assert main(["report", "--input", str(eval_dir), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error:" in err and str(eval_dir / name) in err
+    assert not out.exists()
+
+
 def test_missing_input_file(tmp_path):
     assert main(["filter", "--input", str(tmp_path / "nope.tsv"),
                  "--out", str(tmp_path / "o.tsv")]) == 1
@@ -533,7 +586,7 @@ def impute_files(tmp_path_factory):
     rng = random.Random(41)
     data = random_dataset(rng, n_languages=70, n_features=7, p_observed=0.6, min_observed=3)
     codes = data.codes()
-    unseen = data.catalog.features()[-1]
+    unseen = data.features()[-1]
     train = data.subset(codes[:50])
     train = Dataset.build(train.languages,
                           {k: c for k, c in train.cells.items() if k[1] != unseen})
@@ -619,8 +672,15 @@ def test_impute_builds_one_table_per_training_set(tmp_path, impute_files, monkey
     ("method=correlation\nalpha=nan\n", []),
     ("method=correlation\nalpha=-1\n", []),
     ("method=ensemble\nmembers=ridge,frequency\nlambda=-inf\n", []),
+    ("method=geo_backoff\nnear_km=-5\nfar_km=-9\n", []),
+    ("method=geo_backoff\nnear_km=5\nfar_km=-9\n", []),
+    ("method=geo_backoff\nnear_km=5000\nfar_km=10\n", []),
+    ("method=ridge\n", ["--areal-km", "-1"]),
+    ("method=ridge\nmin_support=-1\n", []),
+    ("method=correlation\nmin_support=-3\n", []),
 ], ids=["k0", "lambda-neg", "lambda-zero", "lambda-nan", "lambda-inf", "near-nan",
-        "alpha-nan", "alpha-neg", "ensemble-lambda"])
+        "alpha-nan", "alpha-neg", "ensemble-lambda", "near-neg", "far-neg", "far-below-near",
+        "areal-neg", "ridge-support-neg", "correlation-support-neg"])
 def test_impute_bad_numeric_setting_is_config_error(tmp_path, impute_files, capsys,
                                                     config, flags):
     cfg = tmp_path / "imputer.cfg"

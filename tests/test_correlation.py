@@ -152,7 +152,7 @@ def test_scores_match_oracle_on_random_data():
         for code in train.codes():
             lang = train.language(code)
             full = train.observed_of(code)
-            for target in train.catalog.features():
+            for target in train.features():
                 observed = {f: v for f, v in full.items() if f != target}
                 want = correlation_scores_oracle(
                     train, observed, target, alpha=alpha, min_support=min_support
@@ -197,7 +197,7 @@ def test_predictions_match_oracle_at_benchmark_size():
     train = random_dataset(rng, n_languages=600, n_features=60, n_values=3,
                            p_observed=0.3, min_observed=3)
     imp = CorrelationImputer().fit(train)
-    features = train.catalog.features()
+    features = train.features()
     decided = ties = 0
     for code in rng.sample(train.codes(), 25):
         lang = train.language(code)

@@ -50,7 +50,7 @@ def test_ensemble_of_one_is_identity():
     train = random_dataset(rng, n_languages=10, min_observed=1)
     solo = GlobalFrequencyImputer().fit(train)
     combined = EnsembleImputer([GlobalFrequencyImputer()]).fit(train)
-    for target in train.catalog.features():
+    for target in train.features():
         query = _query(target)
         assert combined.predict(query) == solo.predict(query)
 
@@ -213,6 +213,6 @@ def test_built_ensemble_runs_end_to_end():
         "min_support": "1",
     })
     ens.fit(train)
-    for target in train.catalog.features():
+    for target in train.features():
         pred = ens.predict(_query(target))
-        assert pred.value in train.catalog.values(target)
+        assert pred.value in train.counts.columns[target]

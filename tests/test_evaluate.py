@@ -21,12 +21,10 @@ from typoimpute.evaluate import (
     genus_weights,
     meta_correlation,
     output_from_dataset,
-    output_from_predictions,
     paired_permutation_test,
     pearson,
     score,
 )
-from typoimpute.imputers import Prediction
 from typoimpute.kb import Cell, Dataset
 
 from oracles import exhaustive_permutation_p, macro_oracle, pearson_oracle, t_tail_oracle
@@ -500,12 +498,6 @@ def test_genus_breakdown_rows():
 
 # ---------------------------------------------------------------------------
 # adapters
-
-
-def test_output_from_predictions():
-    preds = {("la1", "f1"): Prediction("x", 0.9, "test")}
-    out = output_from_predictions("sys", preds)
-    assert out.predictions == {("la1", "f1"): "x"}
 
 
 def test_output_from_dataset_collects_filled_hidden_cells():

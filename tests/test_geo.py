@@ -240,3 +240,20 @@ def test_no_module_imports_scipy():
             if any(name.split(".")[0] == "scipy" for name in names):
                 offenders.append(f"{path.relative_to(package)}:{node.lineno}")
     assert offenders == []
+
+
+def test_only_kb_builds_or_reads_cell_objects():
+    """Every stage reads the coded cell table: no module but kb.py
+    constructs a ``Cell`` or reads a ``.cells`` mapping."""
+    package = Path(__file__).resolve().parents[1] / "src" / "typoimpute"
+    sources = sorted(package.rglob("*.py"))
+    assert package / "kb.py" in sources and len(sources) > 10
+    offenders = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sources
+        if path != package / "kb.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr == "cells")
+        or (isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[0] == "Cell")
+    ]
+    assert offenders == []

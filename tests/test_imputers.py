@@ -76,7 +76,7 @@ def test_global_frequency_matches_oracle():
         train = random_dataset(rng, n_languages=rng.randint(2, 15))
         imp = GlobalFrequencyImputer()
         imp.fit(train)
-        for target in train.catalog.features():
+        for target in train.features():
             want = global_mode_oracle(train, target)
             query = _fresh_query(make_language("zzz"), {}, target)
             if want is None:
@@ -134,7 +134,7 @@ def test_genus_family_matches_oracle():
         imp.fit(train)
         for code in train.codes():
             lang = train.language(code)
-            for target in train.catalog.features():
+            for target in train.features():
                 want = genus_family_oracle(train, lang, target)
                 query = _fresh_query(lang, {}, target)
                 if want is None:
@@ -275,7 +275,7 @@ def test_geo_backoff_matches_oracle():
         imp.fit(train)
         for code in train.codes():
             lang = train.language(code)
-            for target in train.catalog.features():
+            for target in train.features():
                 want = geo_backoff_oracle(train, lang, target, near, far)
                 query = _fresh_query(lang, {}, target)
                 if want is None:
@@ -339,7 +339,7 @@ def test_genus_family_matches_oracle_at_benchmark_size():
     imp = GenusFamilyBackoffImputer().fit(train)
     sources = Counter()
     for lang in queries:
-        for target in train.catalog.features():
+        for target in train.features():
             want = genus_family_oracle(train, lang, target)
             pred = imp.predict(_fresh_query(lang, {}, target))
             assert (pred.value, pred.confidence, pred.source) == want
@@ -358,7 +358,7 @@ def test_geo_backoff_matches_oracle_at_benchmark_size(monkeypatch):
     for near, far in ((1000.0, 2000.0), (300.0, 1500.0), (0.0, 2500.0)):
         imp = GeoBackoffImputer(near_km=near, far_km=far).fit(train)
         for lang in queries:
-            for target in train.catalog.features():
+            for target in train.features():
                 want = geo_backoff_oracle(train, lang, target, near, far)
                 pred = imp.predict(_fresh_query(lang, {}, target))
                 assert (pred.value, pred.confidence, pred.source) == want
@@ -477,7 +477,7 @@ def test_knn_matches_oracle():
         imp = NearestNeighborImputer(k=k, vectors=vectors)
         imp.fit(train)
         qlang = make_language("qry", lat=rng.uniform(-60, 60), lon=rng.uniform(-170, 170))
-        for target in train.catalog.features():
+        for target in train.features():
             observed = {}
             want = knn_oracle(train, qlang, observed, target, k, vectors=vectors)
             query = _fresh_query(qlang, observed, target)
@@ -498,7 +498,7 @@ def test_knn_agreement_matches_oracle():
         for code in train.codes():
             qlang = train.language(code)
             full = dict(train.observed_of(code))
-            for target in train.catalog.features():
+            for target in train.features():
                 observed = {f: v for f, v in full.items() if f != target}
                 want = knn_oracle(train, qlang, observed, target, k)
                 query = _fresh_query(qlang, observed, target)
@@ -597,7 +597,7 @@ def test_knn_ties_match_oracle_on_random_data():
         for code in train.codes():
             qlang = train.language(code)
             full = train.observed_of(code)
-            for target in train.catalog.features():
+            for target in train.features():
                 observed = {f: v for f, v in full.items() if f != target}
                 want = knn_oracle(train, qlang, observed, target, k)
                 query = _fresh_query(qlang, observed, target)
@@ -661,7 +661,7 @@ def test_prediction_confidence_bounds():
 def test_fill_dataset_fills_every_gap():
     rng = random.Random(66)
     train = random_dataset(rng, n_languages=10, min_observed=1)
-    feats = train.catalog.features()
+    feats = train.features()
     test_langs = [
         make_language("t01", genus="GenA", family="FamX", lat=1.0, lon=1.0),
         make_language("t02", genus="GenC", family="FamY", lat=2.0, lon=2.0),

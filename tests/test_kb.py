@@ -1,25 +1,32 @@
 """Parsing, serialization, and filtering of the tab-separated format."""
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from typoimpute.coded import CodedCounts
 from typoimpute.kb import (
     BLANKED,
+    BLANKED_CODE,
     OBSERVED,
+    OBSERVED_CODE,
     UNKNOWN,
+    UNKNOWN_CODE,
     Cell,
     Dataset,
     DatasetError,
-    FeatureCatalog,
     Language,
     ParseError,
-    canonical_value,
     filter_dataset,
     parse_dataset,
     serialize_dataset,
 )
 
+from oracles import parse_oracle
 from synth import make_language, random_dataset
 
 HEADER = "wals code\tname\tlatitude\tlongitude\tgenus\tfamily\tcountrycodes\tfeatures"
@@ -86,11 +93,6 @@ def test_value_may_contain_equals_sign():
     line = "abc\tAbc\t1.0\t2.0\tGen\tFam\tXX\tf1=a=b"
     d = parse_dataset(line + "\n")
     assert d.cells[("abc", "f1")].value == "a=b"
-
-
-def test_canonical_value():
-    assert canonical_value(" a\tb ") == "a b"
-    assert canonical_value("plain") == "plain"
 
 
 def test_parse_with_gold_marks_blanked():
@@ -195,10 +197,9 @@ def test_catalog_inventories_sorted_with_counts():
             ("aaa", "f2"): Cell.unknown(),
         },
     )
-    assert d.catalog.features() == ["f1", "f2"]
-    assert d.catalog.values("f1") == ("aa", "zz")
-    assert d.catalog.values("f2") == ()
-    assert d.catalog.count("f1", "zz") == 1
+    assert d.features() == ["f1", "f2"]
+    assert d.counts.columns == {"f1": {"aa": 0, "zz": 1}}
+    assert d.counts.totals.tolist() == [1, 1]
 
 
 def test_dataset_accessors():
@@ -210,12 +211,50 @@ def test_dataset_accessors():
             ("aaa", "f3"): Cell.unknown(),
         },
     )
-    assert d.features_of("aaa") == ["f1", "f2", "f3"]
+    assert d.features() == ["f1", "f2", "f3"]
     assert d.observed_of("aaa") == {"f1": "x"}
-    assert d.blanked_of("aaa") == {"f2": "y"}
-    assert d.n_observed("aaa") == 1
+    assert d.feature_names == ["f1", "f2", "f3"] and d.value_names == ["x", "y"]
+    assert d.cell_row.tolist() == [0, 0, 0]
+    assert d.cell_feature.tolist() == [0, 1, 2]
+    assert d.cell_value.tolist() == [0, 1, -1]
+    assert d.cell_state.tolist() == [OBSERVED_CODE, BLANKED_CODE, UNKNOWN_CODE]
+    assert len(d.cells) == 3 and d.cells[("aaa", "f2")] == Cell.blanked("y")
+    assert d.language("aaa").genus == "G1"
     with pytest.raises(KeyError):
         d.language("zzz")
+
+
+def test_counts_cover_observed_values_only():
+    """Blanked gold values, and values that only dropped languages held,
+    are no count columns; a language repeated in a later source keeps
+    its first source's row."""
+    d = Dataset.build(
+        [make_language("aaa"), make_language("bbb"), make_language("ccc")],
+        {
+            ("aaa", "f1"): Cell.observed("x"),
+            ("aaa", "f2"): Cell.blanked("gold"),
+            ("bbb", "f1"): Cell.observed("y"),
+            ("bbb", "f2"): Cell.observed("z"),
+            ("ccc", "f2"): Cell.unknown(),
+        },
+    )
+    assert d.counts.columns == {"f1": {"x": 0, "y": 1}, "f2": {"z": 2}}
+    assert filter_dataset(d, 1, 2).counts.columns == {"f1": {"x": 0, "y": 1}}
+    sub = d.subset(["aaa", "ccc"])
+    assert sub.counts.columns == {"f1": {"x": 0}}
+    other = Dataset.build(
+        [make_language("bbb"), make_language("aaa"), make_language("ddd")],
+        {
+            ("bbb", "f1"): Cell.observed("w"),
+            ("aaa", "f1"): Cell.observed("q"),
+            ("ddd", "f3"): Cell.observed("v"),
+        },
+    )
+    both = CodedCounts([sub, other])
+    assert [lang.code for lang in both.languages] == ["aaa", "ccc", "bbb", "ddd"]
+    assert both.columns == {"f1": {"w": 0, "x": 1}, "f3": {"v": 2}}
+    assert both.onehot.tolist() == [[0, 1, 0], [0, 0, 0], [1, 0, 0], [0, 0, 1]]
+    assert both.seen.tolist() == [[1, 0], [0, 0], [1, 0], [0, 1]]
 
 
 def test_dataset_build_rejects_unknown_language_cells():
@@ -275,13 +314,27 @@ def test_filter_matches_fixed_point_oracle():
             p_observed=rng.uniform(0.2, 0.9),
             min_observed=0,
         )
-        min_feats = rng.randint(1, 4)
-        min_langs = rng.randint(1, 6)
+        # Unknown and blanked cells count for nothing; one feature has
+        # only unknown cells, which min_languages=0 keeps.
+        cells = dict(d.cells)
+        for code in d.codes()[::2]:
+            cells[(code, "zz only unknown")] = Cell.unknown()
+        for key in sorted(cells)[::5]:
+            if cells[key].state == OBSERVED:
+                cells[key] = Cell.blanked(cells[key].value)
+        d = Dataset.build(d.languages, cells)
+        min_feats = rng.randint(0, 4)
+        min_langs = rng.randint(0, 6) if trial % 3 else 0
         got = filter_dataset(d, min_feats, min_langs)
         want_langs, want_feats = _filter_oracle(d, min_feats, min_langs)
-        assert set(got.codes()) == want_langs
-        assert {f for (_, f) in got.cells} <= want_feats
-        assert set(got.catalog.features()) <= want_feats
+        assert got.codes() == [code for code in d.codes() if code in want_langs]
+        assert dict(got.cells) == {
+            (code, f): cell for (code, f), cell in d.cells.items()
+            if code in want_langs and f in want_feats
+        }
+        assert got.features() == sorted({f for _, f in got.cells})
+        if min_langs == 0 and want_langs & set(d.codes()[::2]):
+            assert "zz only unknown" in got.features()
 
 
 def test_filter_cascade_removal():
@@ -309,7 +362,7 @@ def test_filter_defaults_keep_dense_data():
     d = Dataset.build(languages, cells)
     out = filter_dataset(d)
     assert len(out.languages) == 10
-    assert len(out.catalog.features()) == 4
+    assert len(out.features()) == 4
 
 
 def test_language_validation():
@@ -319,8 +372,125 @@ def test_language_validation():
         make_language("aaa", lat=91.0)
 
 
-def test_catalog_equality_and_contains():
-    c1 = FeatureCatalog({"f1": {"a": 1}})
-    c2 = FeatureCatalog({"f1": {"a": 1}})
-    assert c1 == c2
-    assert "f1" in c1 and "f2" not in c1
+# ---------------------------------------------------------------------------
+# the coded parser against the record-by-record oracle
+
+
+def _bench_text(workload: str) -> str:
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    modules = {}
+    for name in ("gen", "workloads"):
+        spec = importlib.util.spec_from_file_location(name, bench / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        sys.modules[name] = modules[name]  # workloads imports gen by name
+        spec.loader.exec_module(modules[name])
+    return modules["gen"].generate(modules["workloads"].WORKLOADS[workload](1).shape, workload, 1)
+
+
+def _hide(text: str, every: int) -> str:
+    """``text`` with the value of every ``every``-th feature segment
+    replaced by ``?``; stray tabs and the header stay."""
+    lines = text.splitlines()
+    count = 0
+    for i, line in enumerate(lines[1:], start=1):
+        fields = line.split("\t")
+        segments = "\t".join(fields[7:]).split("|")
+        for j, segment in enumerate(segments):
+            count += 1
+            if count % every == 0:
+                segments[j] = segment.split("=", 1)[0] + "=?"
+        lines[i] = "\t".join(fields[:7] + ["|".join(segments)])
+    return "\n".join(lines) + "\n"
+
+
+def _as_oracle(d: Dataset):
+    return d.languages, {key: (cell.state, cell.value) for key, cell in d.cells.items()}
+
+
+def _oracle_text(languages, cells, reveal_blanked=False) -> str:
+    parts = {lang.code: [] for lang in languages}
+    for (code, feature), (state, value) in sorted(cells.items()):
+        shown = state == OBSERVED or (reveal_blanked and state == BLANKED)
+        parts[code].append(f"{feature}={value if shown else '?'}")
+    lines = []
+    for lang in languages:
+        lines.append("\t".join([lang.code, lang.name, str(lang.latitude), str(lang.longitude),
+                                lang.genus, lang.family, " ".join(lang.country_codes),
+                                " | ".join(parts[lang.code])]))
+    return "".join(line + "\n" for line in lines)
+
+
+def _assert_coded_invariants(d: Dataset):
+    assert d.feature_names == sorted(set(d.feature_names))
+    assert d.value_names == sorted(set(d.value_names))
+    key = d.cell_row * len(d.feature_names) + d.cell_feature
+    assert (np.diff(key) > 0).all()
+    assert set(np.unique(d.cell_feature).tolist()) == set(range(len(d.feature_names)))
+    used = d.cell_value[d.cell_value >= 0]
+    assert set(used.tolist()) == set(range(len(d.value_names)))
+    assert ((d.cell_value < 0) == (d.cell_state == UNKNOWN_CODE)).all()
+
+
+@pytest.mark.parametrize("workload", ["models-M", "baselines-L", "context-random"])
+def test_parse_matches_oracle_on_bench_files(workload):
+    text = _bench_text(workload)
+    want = parse_oracle(text)
+    d = parse_dataset(text)
+    assert _as_oracle(d) == want
+    _assert_coded_invariants(d)
+    written = serialize_dataset(d)
+    assert written == _oracle_text(*want)
+    assert serialize_dataset(parse_dataset(written)) == written
+
+    # The gold join: hidden cells the gold file observes become blanked.
+    gold_text = _hide(text, 7)
+    hidden_text = _hide(text, 3)
+    want = parse_oracle(hidden_text, gold=parse_oracle(gold_text)[1])
+    states = {state for state, _ in want[1].values()}
+    assert states == {OBSERVED, BLANKED, UNKNOWN}
+    d = parse_dataset(hidden_text, gold=parse_dataset(gold_text))
+    assert _as_oracle(d) == want
+    _assert_coded_invariants(d)
+    assert serialize_dataset(d) == _oracle_text(*want)
+    revealed = serialize_dataset(d, reveal_blanked=True)
+    assert revealed == _oracle_text(*want, reveal_blanked=True)
+    assert parse_dataset(serialize_dataset(d), gold=parse_dataset(revealed)) == d
+
+
+EDGE_TEXTS = {
+    "header": HEADER + "\n" + ROW_MHI + "\n" + ROW_JPN + "\n",
+    "alt-header": "code\tname\tlat\tlong\tgenus\tfamily\tcc\tfeats\n" + ROW_JPN + "\n",
+    "blank-lines": "\n" + ROW_MHI + "\n\n" + ROW_JPN + "\n\n",
+    "stray-tab": "abc\tAbc\t1.0\t2.0\tGen\tFam\tXX\tf1=left\tright | f2=ok\n",
+    "stray-tabs": "abc\tAbc\t1.0\t2.0\tGen\tFam\tXX\tf1=a\tb\tc |\tf2=x\ty\n",
+    "equals": "abc\tAbc\t1.0\t2.0\tGen\tFam\tXX\tf1=a=b | f2==c | f3=?\n",
+    "gold-misses": "abc\tAbc\t1.0\t2.0\tGen\tFam\tXX\tf1=? | a=? | zz=?\n"
+                   "zzz\tZ\t0\t0\tG\tF\t\tf3=?\n",
+    "empty-field": "abc\tAbc\t1.0\t2.0\tGen\tFam\tXX\t\nxyz\tXyz\t-3.5\t7\tGen\tFam\t\tf1=?\n",
+    "unsorted": "abc\tAbc\t1.0\t2.0\tGen\tFam\tXX\tb=2 | a=1 | c=?\n"
+                "xyz\tX\t0\t0\tG\tF\tXX\ta=1 | d=0\n",
+    "duplicate-feature": ROW_MHI + "\nabc\tAbc\t1.0\t2.0\tGen\tFam\tXX\tf1=a | f1=b\n",
+    "duplicate-code": ROW_MHI + "\n" + ROW_MHI + "\n",
+    "no-equals": ROW_MHI + "\nabc\tAbc\t1.0\t2.0\tGen\tFam\tXX\tf1=a | novalue\n",
+    "bad-coordinate": ROW_MHI + "\nabc\tAbc\tnorth\t2.0\tGen\tFam\tXX\tf1=a\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("text", list(EDGE_TEXTS.values()), ids=list(EDGE_TEXTS))
+def test_parse_matches_oracle_on_edge_cases(text):
+    gold = parse_dataset("aaa\tA\t0\t0\tG\tF\tXX\tf3=x\n"
+                         "abc\tAbc\t1.0\t2.0\tGen\tFam\tXX\tf1=g | f3=h | c=i\n")
+    gold_cells = {key: (cell.state, cell.value) for key, cell in gold.cells.items()}
+    for kwargs, oracle_kwargs in (({}, {}), ({"gold": gold}, {"gold": gold_cells})):
+        try:
+            want = parse_oracle(text, **oracle_kwargs)
+        except DatasetError as exc:
+            with pytest.raises(type(exc)) as got:
+                parse_dataset(text, **kwargs)
+            assert str(got.value) == str(exc)
+            continue
+        d = parse_dataset(text, **kwargs)
+        assert _as_oracle(d) == want
+        _assert_coded_invariants(d)
+        assert serialize_dataset(d) == _oracle_text(*want)

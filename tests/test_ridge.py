@@ -146,7 +146,7 @@ def test_solver_input_validation():
 
 
 def _inventories(train):
-    return {f: train.catalog.values(f) for f in train.catalog.features()}
+    return {f: tuple(values) for f, values in train.counts.columns.items()}
 
 
 def _space(stats, train, target, min_support=5, blocks=ALL_BLOCKS):
@@ -207,7 +207,7 @@ def test_prior_features_match_oracle():
         areal = rng.choice([800.0, 2500.0])
         min_support = rng.choice([1, 3])
         stats = _PriorStats(CodedCounts(sources), areal)
-        for target in train.catalog.features():
+        for target in train.features():
             space = _space(stats, train, target, min_support)
             codes, X = _training_design(space, train)
             cases = [
@@ -252,7 +252,7 @@ def test_design_matches_counted_oracle():
             queries += [(lang, context.observed_of(lang.code)) for lang in context.languages]
         inventories = _inventories(train)
         for blocks, min_support, target in itertools.product(
-            subsets, (1, 5), train.catalog.features()
+            subsets, (1, 5), train.features()
         ):
             space = _space(stats, train, target, min_support, blocks)
             oracle = CountedPriorSpace(
@@ -283,7 +283,7 @@ def test_leave_one_out_design_ignores_own_value():
         stats = _PriorStats(train.counts, 2500.0)
         counted = CountedPriorStats([train], 2500.0)
         inventories = _inventories(train)
-        for target in train.catalog.features():
+        for target in train.features():
             base_codes, base_X = _training_design(_space(stats, train, target, 1), train)
             oracle = CountedPriorSpace(counted, target, inventories[target], inventories, 1)
             for i, code in enumerate(base_codes):
@@ -319,7 +319,7 @@ def test_prior_blocks_are_distributions():
         for code in train.codes():
             lang = train.language(code)
             full = train.observed_of(code)
-            for target in train.catalog.features():
+            for target in train.features():
                 sparse = _query_sparse(train, lang, _others(full, target), target)
                 for group, total in _block_sums(sparse).items():
                     assert total == pytest.approx(1.0), group
@@ -338,7 +338,7 @@ def _block_sums(sparse):
 def test_prior_space_key_order_deterministic():
     rng = random.Random(86)
     train = random_dataset(rng, n_languages=8)
-    target = train.catalog.features()[0]
+    target = train.features()[0]
     inventories = _inventories(train)
     stats = _PriorStats(train.counts, 2500.0)
     a = PriorFeatureSpace(stats, target, inventories[target], inventories, 5, ALL_BLOCKS)
@@ -350,7 +350,7 @@ def test_prior_space_key_order_deterministic():
 def test_dense_agrees_with_sparse():
     rng = random.Random(87)
     train = random_dataset(rng, n_languages=8, min_observed=1)
-    target = train.catalog.features()[0]
+    target = train.features()[0]
     space = _space(_PriorStats(train.counts, 2500.0), train, target, min_support=1)
     for lang in train.languages:
         observed = _others(train.observed_of(lang.code), target)
@@ -421,12 +421,12 @@ def test_query_neighbourhood_scanned_once_per_language(monkeypatch):
     query = make_language("qqq", lat=10.0, lon=20.0)
     observed = train.observed_of(train.languages[0].code)
     for _ in range(2):
-        for target in train.catalog.features():
+        for target in train.features():
             imp.predict(_query(query, _others(observed, target), target))
     # one kernel row against every statistics language
     assert calls == [(1, len(train.languages))]
     for lang in train.languages:  # statistics languages read the fit-time table
-        imp.predict(_query(lang, {}, train.catalog.features()[0]))
+        imp.predict(_query(lang, {}, train.features()[0]))
     assert calls == [(1, len(train.languages))]
 
 
@@ -451,7 +451,7 @@ def test_query_at_statistics_coordinates_shares_its_neighbourhood():
         assert np.array_equal(stats.areal_counts(query),
                               stats.areal[row] + stats.counts.onehot[row])
         observed = train.observed_of(langs[s].code)
-        for target in train.catalog.features():
+        for target in train.features():
             if target in observed:
                 continue
             space = _space(stats, train, target, min_support=1)
@@ -569,7 +569,7 @@ def test_softmax_confidence_well_formed():
     for code in train.codes():
         lang = train.language(code)
         full = train.observed_of(code)
-        for target in train.catalog.features():
+        for target in train.features():
             observed = {f: v for f, v in full.items() if f != target}
             pred = imp.predict(_query(lang, observed, target))
             assert 0.0 < pred.confidence <= 1.0

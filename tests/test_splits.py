@@ -19,7 +19,7 @@ from typoimpute.splits import (
     random_split,
 )
 
-from oracles import great_circle_km
+from oracles import blank_oracle, great_circle_km
 from synth import make_language, random_dataset
 
 
@@ -97,6 +97,24 @@ def test_blank_features_counts_and_gold():
                 assert blanked.cells[(code, feature)].value == d.cells[(code, feature)].value
 
 
+def test_blank_features_matches_seeded_oracle():
+    """The exact cells hidden: the seeded sample runs over each
+    language's observed features in name order, whatever unknown cells
+    sit between them."""
+    rng = random.Random(43)
+    for trial in range(20):
+        d = random_dataset(rng, n_languages=rng.randint(1, 12), n_features=8, min_observed=2)
+        cells = dict(d.cells)
+        for code in d.codes()[::2]:
+            cells[(code, "04G unknown")] = Cell.unknown()
+        d = Dataset.build(d.languages, cells)
+        spec = SplitSpec(blanking_low=0.2, blanking_high=0.8, seed=trial)
+        got = blank_features(d, spec)
+        assert {key: (cell.state, cell.value) for key, cell in got.cells.items()} == (
+            blank_oracle(d, 0.2, 0.8, trial)
+        )
+
+
 def test_blank_features_exact_half():
     languages = [make_language("aaa")]
     cells = {("aaa", f"f{i:02d}"): Cell.observed("v") for i in range(20)}
@@ -153,8 +171,16 @@ def test_random_split_deterministic_and_seed_sensitive():
 def test_random_split_rejects_bad_fractions():
     rng = random.Random(45)
     d = random_dataset(rng, n_languages=10)
-    with pytest.raises(ConfigError, match="sum to 1"):
-        random_split(d, (0.5, 0.2, 0.2), seed=0)
+    nan, inf = float("nan"), float("inf")
+    for fractions, match in [
+        ((0.5, 0.2, 0.2), "sum to 1"),
+        ((-0.1, 0.6, 0.5), "nonnegative"),
+        ((nan, 0.5, 0.5), "finite"),
+        ((0.5, nan, 0.5), "finite"),
+        ((inf, 0.5, -inf), "finite"),
+    ]:
+        with pytest.raises(ConfigError, match=match):
+            random_split(d, fractions, seed=0)
 
 
 def _controlled_fixture(rng, n=30, held_genus="HeldG"):
@@ -339,14 +365,16 @@ def test_spec_file_rejects_bad_values(tmp_path):
 
 
 def test_spec_validation():
-    with pytest.raises(ConfigError):
-        SplitSpec(blanking_low=0.0)
-    with pytest.raises(ConfigError):
-        SplitSpec(blanking_low=0.9, blanking_high=0.1)
-    with pytest.raises(ConfigError):
-        SplitSpec(random_holdout_fraction=1.5)
-    with pytest.raises(ConfigError):
-        SplitSpec(exclusion_radius_km=-5.0)
+    for settings in [
+        {"blanking_low": 0.0},
+        {"blanking_low": 0.9, "blanking_high": 0.1},
+        {"random_holdout_fraction": 1.5},
+        {"exclusion_radius_km": -5.0},
+        {"exclusion_radius_km": float("nan")},
+        {"exclusion_radius_km": float("inf")},
+    ]:
+        with pytest.raises(ConfigError):
+            SplitSpec(**settings)
 
 
 def test_with_seed_returns_new_spec():
