@@ -175,7 +175,7 @@ def _split_spec_from_args(args: argparse.Namespace) -> SplitSpec:
     if args.radius_km is not None:
         spec = replace(spec, exclusion_radius_km=args.radius_km)
     if args.seed is not None:
-        spec = spec.with_seed(args.seed)
+        spec = replace(spec, seed=args.seed)
     return spec
 
 
@@ -185,8 +185,8 @@ def cmd_split(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.random_fractions is not None:
-        if args.spec:
-            raise UsageError("--random-fractions and --spec are mutually exclusive")
+        if args.spec or args.radius_km is not None:
+            raise UsageError("--random-fractions excludes --spec and --radius-km")
         if args.seed is None:
             raise UsageError("--seed is required with --random-fractions")
         parts = [p for p in args.random_fractions.split(",") if p.strip()]
@@ -235,18 +235,9 @@ def cmd_split(args: argparse.Namespace) -> int:
     if not result.test.languages:
         log.warning("test set is empty; check the genus list and holdout fraction")
 
-    config = RunConfig(
-        "split",
-        {
-            "mode": "controlled",
-            "genera": ",".join(spec.held_out_genera),
-            "radius_km": str(spec.exclusion_radius_km),
-            "holdout_fraction": str(spec.random_holdout_fraction),
-            "blank_low": str(spec.blanking_low),
-            "blank_high": str(spec.blanking_high),
-        },
-        seed=spec.seed,
-    )
+    params = {"mode": "controlled", **spec.settings()}
+    del params["seed"]  # recorded as the run's seed
+    config = RunConfig("split", params, seed=spec.seed)
     inputs: dict[str, str | Path] = {"input": args.input}
     if args.spec:
         inputs["spec"] = args.spec
@@ -360,6 +351,8 @@ def _parse_system_args(specs: Sequence[str]) -> list[tuple[str, str]]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     systems = _parse_system_args(args.system)
     if len(systems) > 1 and args.seed is None:
         raise UsageError("--seed is required when comparing two or more systems")
@@ -575,6 +568,8 @@ def _write_summary(
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    if args.top < 0:
+        raise UsageError(f"--top must be nonnegative, got {args.top}")
     in_dir = Path(args.input)
     systems_path = in_dir / "systems.csv"
     if not systems_path.exists():
@@ -618,7 +613,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                     f"  {row[0]}: {float(row[1]):.4f} (std {float(row[2]):.4f}, n={row[3]})"
                 )
             lines.append(f"hardest features (bottom {show}):")
-            for row in ordered[-show:]:
+            for row in ordered[len(ordered) - show:]:
                 lines.append(
                     f"  {row[0]}: {float(row[1]):.4f} (std {float(row[2]):.4f}, n={row[3]})"
                 )
@@ -678,8 +673,10 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="dataset to blank (TSV)")
     p.add_argument("--out-dir", required=True, help="directory for blanked/gold files")
     p.add_argument("--seed", type=int, required=True, help="blanking seed")
-    p.add_argument("--low", type=float, default=0.05, help="lowest blanking ratio")
-    p.add_argument("--high", type=float, default=0.95, help="highest blanking ratio")
+    p.add_argument("--low", type=float, default=SplitSpec.blanking_low,
+                   help="lowest blanking ratio")
+    p.add_argument("--high", type=float, default=SplitSpec.blanking_high,
+                   help="highest blanking ratio")
     p.set_defaults(func=cmd_blank)
 
     p = sub.add_parser("impute", help="fill the hidden cells of a test file")

@@ -48,7 +48,6 @@ def solve_ridge(
     X: np.ndarray,
     y: np.ndarray,
     lam: float,
-    fit_intercept: bool = True,
 ) -> tuple[np.ndarray, float | np.ndarray]:
     """Minimize ||Xw + b - y||^2 + lam*||w||^2 with an unpenalized bias.
 
@@ -56,8 +55,7 @@ def solve_ridge(
     dimension exceeds the row count the equivalent dual system is used
     instead.  ``y`` is one target of shape (n,) or k targets of shape
     (n, k) sharing one factorization.  Returns (w, b): w of shape (d,)
-    with a float b, or (d, k) with b of shape (k,); b is 0 when
-    fit_intercept is false.
+    with a float b, or (d, k) with b of shape (k,).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -71,14 +69,10 @@ def solve_ridge(
         raise ValueError("non-finite values in ridge inputs")
 
     n, d = X.shape
-    if fit_intercept:
-        x_mean = X.mean(axis=0)
-        y_mean = y.mean(axis=0)
-        Xc = X - x_mean
-        yc = y - y_mean
-    else:
-        Xc = X
-        yc = y
+    x_mean = X.mean(axis=0)
+    y_mean = y.mean(axis=0)
+    Xc = X - x_mean
+    yc = y - y_mean
 
     if d <= n:
         gram = Xc.T @ Xc
@@ -89,7 +83,7 @@ def solve_ridge(
         outer[np.diag_indices_from(outer)] += lam
         w = Xc.T @ np.linalg.solve(outer, yc)
 
-    b = y_mean - x_mean @ w if fit_intercept else np.zeros(y.shape[1:])
+    b = y_mean - x_mean @ w
     return w, (float(b) if y.ndim == 1 else b)
 
 
@@ -144,8 +138,8 @@ class PriorFeatureSpace:
         target: str,
         inventory: Sequence[str],
         inventories: Mapping[str, Sequence[str]],
-        min_support: int = 5,
-        blocks: Sequence[str] = ALL_BLOCKS,
+        min_support: int,
+        blocks: Sequence[str],
     ):
         self.stats = stats
         self.target = target
@@ -298,9 +292,12 @@ class RidgePriorImputer(Imputer):
         blocks: Sequence[str] = ALL_BLOCKS,
         use_context: bool = False,
     ):
+        if not blocks:
+            raise ValueError("blocks must name at least one prior block")
         unknown = set(blocks) - set(ALL_BLOCKS)
         if unknown:
-            raise ValueError(f"unknown prior blocks: {sorted(unknown)}")
+            raise ValueError(f"unknown prior blocks: {', '.join(sorted(unknown))}; "
+                             f"expected a subset of {ALL_BLOCKS}")
         if not 0.0 < lam < float("inf"):
             raise ValueError(f"lambda must be positive and finite, got {lam}")
         if not 0.0 <= areal_km:

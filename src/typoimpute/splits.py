@@ -60,6 +60,21 @@ class SplitError(DatasetError):
     """A split specification cannot be applied to the dataset."""
 
 
+def _genera(text: str) -> tuple[str, ...]:
+    return tuple(g.strip() for g in text.split(",") if g.strip())
+
+
+# split spec file key -> (SplitSpec field, text parser, text writer)
+_SPEC_KEYS = {
+    "genera": ("held_out_genera", _genera, ",".join),
+    "radius_km": ("exclusion_radius_km", float, str),
+    "holdout_fraction": ("random_holdout_fraction", float, str),
+    "blank_low": ("blanking_low", float, str),
+    "blank_high": ("blanking_high", float, str),
+    "seed": ("seed", int, str),
+}
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Reproducible description of a controlled split."""
@@ -82,40 +97,22 @@ class SplitSpec:
     @classmethod
     def from_file(cls, path: str | Path) -> "SplitSpec":
         kv = read_kv(path)
-        known = {"genera", "radius_km", "holdout_fraction", "blank_low", "blank_high", "seed"}
-        unknown = set(kv) - known
+        unknown = set(kv) - set(_SPEC_KEYS)
         if unknown:
             raise ConfigError(f"unknown split spec keys: {sorted(unknown)}")
         try:
-            genera = tuple(
-                g.strip() for g in kv.get("genera", "").split(",") if g.strip()
-            ) or DEFAULT_HELD_OUT_GENERA
-            return cls(
-                held_out_genera=genera,
-                exclusion_radius_km=float(kv.get("radius_km", 1000.0)),
-                random_holdout_fraction=float(kv.get("holdout_fraction", 0.10)),
-                blanking_low=float(kv.get("blank_low", 0.05)),
-                blanking_high=float(kv.get("blank_high", 0.95)),
-                seed=int(kv["seed"]) if "seed" in kv else 0,
-            )
+            return cls(**{
+                name: parse(kv[key]) for key, (name, parse, _) in _SPEC_KEYS.items() if key in kv
+            })
         except ValueError as exc:
             raise ConfigError(f"bad split spec value: {exc}") from None
 
-    def to_file(self, path: str | Path) -> None:
-        write_kv(
-            path,
-            {
-                "genera": ",".join(self.held_out_genera),
-                "radius_km": self.exclusion_radius_km,
-                "holdout_fraction": self.random_holdout_fraction,
-                "blank_low": self.blanking_low,
-                "blank_high": self.blanking_high,
-                "seed": self.seed,
-            },
-        )
+    def settings(self) -> dict[str, str]:
+        """Spec file key -> value text, in file order."""
+        return {key: show(getattr(self, name)) for key, (name, _, show) in _SPEC_KEYS.items()}
 
-    def with_seed(self, seed: int) -> "SplitSpec":
-        return replace(self, seed=seed)
+    def to_file(self, path: str | Path) -> None:
+        write_kv(path, self.settings())
 
 
 @dataclass(frozen=True)

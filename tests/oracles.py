@@ -399,14 +399,11 @@ def correlation_scores_oracle(train, observed, target, alpha=1.0, min_support=5)
 # ridge regression
 
 
-def ridge_oracle(X, y, lam, fit_intercept=True):
+def ridge_oracle(X, y, lam):
     """Dense solve of the full (d+1)-variable normal equations."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, d = X.shape
-    if not fit_intercept:
-        A = X.T @ X + lam * np.eye(d)
-        return np.linalg.solve(A, X.T @ y), 0.0
     A = np.zeros((d + 1, d + 1))
     A[:d, :d] = X.T @ X + lam * np.eye(d)
     A[:d, d] = X.sum(axis=0)
@@ -417,19 +414,15 @@ def ridge_oracle(X, y, lam, fit_intercept=True):
     return z[:d], float(z[d])
 
 
-def normal_equation_residual(X, y, lam, w, b, fit_intercept=True):
+def normal_equation_residual(X, y, lam, w, b):
     """Relative residual of (w, b) in the normal equations."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     d = X.shape[1]
     top = (X.T @ X + lam * np.eye(d)) @ w + b * X.sum(axis=0) - X.T @ y
-    if fit_intercept:
-        bottom = np.array([X.sum(axis=0) @ w + len(y) * b - y.sum()])
-        residual = np.concatenate([top, bottom])
-        rhs = np.concatenate([X.T @ y, [y.sum()]])
-    else:
-        residual = top
-        rhs = X.T @ y
+    bottom = np.array([X.sum(axis=0) @ w + len(y) * b - y.sum()])
+    residual = np.concatenate([top, bottom])
+    rhs = np.concatenate([X.T @ y, [y.sum()]])
     return float(np.linalg.norm(residual)) / max(1.0, float(np.linalg.norm(rhs)))
 
 

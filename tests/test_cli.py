@@ -152,6 +152,11 @@ def test_random_split_flag_validation(tmp_path, corpus, spec_file):
     assert main(
         base + ["--random-fractions", "0.5,0.3,0.2", "--seed", "1", "--spec", str(spec_file)]
     ) == 1
+    for radius in ("500", "-5"):
+        assert main(
+            base + ["--random-fractions", "0.5,0.3,0.2", "--seed", "1", "--radius-km", radius]
+        ) == 1
+    assert not list((tmp_path / "x").glob("*"))
 
 
 @pytest.mark.parametrize("flags,spec", [
@@ -381,6 +386,22 @@ def test_evaluate_flag_validation(tmp_path, split_dirs):
                         "--seed", "1"]) == 1
 
 
+@pytest.mark.parametrize("systems", [1, 2])
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_evaluate_samples_below_one_is_usage_error(tmp_path, split_dirs, capsys,
+                                                   systems, samples):
+    filled = _impute(split_dirs, tmp_path / "freq.tsv")
+    out_dir = tmp_path / "ev"
+    argv = ["evaluate", "--test", str(split_dirs / "test.tsv"),
+            "--gold", str(split_dirs / "test_gold.tsv"), "--out-dir", str(out_dir),
+            "--seed", "1", "--samples", samples]
+    for i in range(systems):
+        argv += ["--system", f"s{i}={filled}"]
+    assert main(argv) == 1
+    assert "usage error: --samples" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_evaluate_without_blanked_cells_is_data_error(tmp_path, corpus, split_dirs):
     filled = _impute(split_dirs, tmp_path / "freq.tsv")
     code = main([
@@ -410,6 +431,32 @@ def test_report_renders_evaluation(tmp_path, split_dirs, spec_file):
     assert "easiest features (top 2" in text
     assert "held-out genus breakdown" in text
     _manifest_is_timestamp_free(tmp_path / "report.txt.manifest")
+
+
+@pytest.fixture
+def eval_dir(tmp_path, split_dirs):
+    filled = _impute(split_dirs, tmp_path / "freq.tsv")
+    out_dir = tmp_path / "eval"
+    assert main(["evaluate", "--test", str(split_dirs / "test.tsv"),
+                 "--gold", str(split_dirs / "test_gold.tsv"),
+                 "--system", f"freq={filled}", "--out-dir", str(out_dir)]) == 0
+    return out_dir
+
+
+def test_report_top_zero_shows_no_feature_rows(tmp_path, eval_dir):
+    out = tmp_path / "report.txt"
+    assert main(["report", "--input", str(eval_dir), "--out", str(out), "--top", "0"]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    easiest = lines.index("easiest features (top 0 by mean accuracy):")
+    assert lines[easiest + 1] == "hardest features (bottom 0):"
+    assert easiest + 2 == len(lines) or not lines[easiest + 2].startswith("  ")
+
+
+def test_report_negative_top_is_usage_error(tmp_path, eval_dir, capsys):
+    out = tmp_path / "report.txt"
+    assert main(["report", "--input", str(eval_dir), "--out", str(out), "--top", "-2"]) == 1
+    assert "usage error: --top" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_rejects_non_evaluation_dir(tmp_path):
@@ -678,9 +725,13 @@ def test_impute_builds_one_table_per_training_set(tmp_path, impute_files, monkey
     ("method=ridge\n", ["--areal-km", "-1"]),
     ("method=ridge\nmin_support=-1\n", []),
     ("method=correlation\nmin_support=-3\n", []),
+    ("method=ridge\n", ["--k", "3"]),
+    ("method=frequency\nk=0\nlambda=-3\n", []),
+    ("method=ensemble\nmembers=knn,frequency\n", ["--lambda", "2"]),
 ], ids=["k0", "lambda-neg", "lambda-zero", "lambda-nan", "lambda-inf", "near-nan",
         "alpha-nan", "alpha-neg", "ensemble-lambda", "near-neg", "far-neg", "far-below-near",
-        "areal-neg", "ridge-support-neg", "correlation-support-neg"])
+        "areal-neg", "ridge-support-neg", "correlation-support-neg", "ridge-unread-k",
+        "frequency-unread", "ensemble-unread-lambda"])
 def test_impute_bad_numeric_setting_is_config_error(tmp_path, impute_files, capsys,
                                                     config, flags):
     cfg = tmp_path / "imputer.cfg"

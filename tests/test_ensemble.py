@@ -1,6 +1,8 @@
 """Ensemble combination policies and config-driven imputer construction."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from typoimpute.imputers import (
     RidgePriorImputer,
     build_imputer,
 )
+from typoimpute.imputers.config import _METHODS as _METHOD_TABLE, METHODS
 
 from synth import make_language, random_dataset
 
@@ -197,11 +200,50 @@ def test_build_ensemble_members_share_overrides():
         ({"method": "ensemble", "members": " , "}, "members list is empty"),
         ({"method": "ensemble", "members": "frequency,ensemble"}, "cannot nest"),
         ({"method": "ensemble", "members": "frequency", "policy": "vote"}, "unknown policy"),
+        ({"method": "frequency", "k": "0"}, "does not read config keys: k$"),
+        ({"method": "frequency", "lambda": "-3"}, "does not read config keys: lambda$"),
+        ({"method": "ridge", "k": "3"}, "does not read config keys: k$"),
+        ({"method": "knn", "policy": "first_success"}, "does not read config keys: policy$"),
+        ({"method": "correlation", "members": "frequency"}, "does not read config keys: members$"),
+        ({"method": "ensemble", "members": "frequency,knn", "areal_km": "10"},
+         "does not read config keys: areal_km$"),
     ],
 )
 def test_build_rejects_bad_config(config, fragment):
     with pytest.raises(ConfigError, match=fragment):
         build_imputer(config)
+
+
+def _settings(imputer):
+    """The public attributes of an imputer, members' settings included."""
+    settings = {k: v for k, v in vars(imputer).items() if not k.startswith("_")}
+    if "members" in settings:
+        settings["members"] = [(type(m), _settings(m)) for m in settings["members"]]
+    return settings
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_built_defaults_are_the_constructors(method):
+    """The builder sets no default of its own: a config naming only the
+    method builds what the constructor builds."""
+    cls, _ = _METHOD_TABLE[method]
+    if method == "ensemble":
+        built = build_imputer({"method": method, "members": "frequency,ridge"})
+        expected = cls([GlobalFrequencyImputer(), RidgePriorImputer()])
+    else:
+        built, expected = build_imputer({"method": method}), cls()
+    assert type(built) is cls
+    assert _settings(built) == _settings(expected)
+
+
+def test_readme_imputer_keys_match_the_builder():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {}
+    for line in text.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 3:
+            table[cells[0].strip("`")] = tuple(re.findall(r"`([a-z_]+)`", cells[2]))
+    assert table == {method: keys for method, (_, keys) in _METHOD_TABLE.items()}
 
 
 def test_built_ensemble_runs_end_to_end():

@@ -49,14 +49,13 @@ def test_solver_matches_dense_oracle():
         n = int(rng.integers(1, 51))
         d = int(rng.integers(1, 21))
         lam = float(rng.choice([0.01, 1.0, 100.0]))
-        fit_intercept = bool(rng.integers(0, 2))
         X = rng.normal(size=(n, d))
         y = rng.normal(size=n)
-        w, b = solve_ridge(X, y, lam, fit_intercept=fit_intercept)
-        ww, bb = ridge_oracle(X, y, lam, fit_intercept=fit_intercept)
+        w, b = solve_ridge(X, y, lam)
+        ww, bb = ridge_oracle(X, y, lam)
         assert np.allclose(w, ww, rtol=1e-6, atol=1e-8)
         assert b == pytest.approx(bb, rel=1e-6, abs=1e-8)
-        assert normal_equation_residual(X, y, lam, w, b, fit_intercept=fit_intercept) <= 1e-8
+        assert normal_equation_residual(X, y, lam, w, b) <= 1e-8
 
 
 def test_solver_dual_path_when_wide():
@@ -69,10 +68,10 @@ def test_solver_dual_path_when_wide():
 
 
 def test_solver_near_interpolation():
+    X = np.eye(3)
     y = np.array([3.0, -1.0, 2.0])
-    w, b = solve_ridge(np.eye(3), y, 1e-10, fit_intercept=False)
-    assert np.allclose(w, y, atol=1e-6)
-    assert b == 0.0
+    w, b = solve_ridge(X, y, 1e-10)
+    assert np.allclose(X @ w + b, y, atol=1e-6)
 
 
 def test_solver_shrinkage_monotone():
@@ -110,14 +109,13 @@ def test_solver_multi_column_matches_single_columns():
     for n, d in ((30, 8), (6, 25)):  # primal (d <= n) and dual (d > n) branches
         X = rng.normal(size=(n, d))
         Y = rng.normal(size=(n, 4))
-        for fit_intercept in (True, False):
-            W, b = solve_ridge(X, Y, 0.5, fit_intercept=fit_intercept)
-            assert W.shape == (d, 4) and b.shape == (4,)
-            for j in range(4):
-                w, bj = solve_ridge(X, Y[:, j], 0.5, fit_intercept=fit_intercept)
-                assert isinstance(bj, float)
-                assert np.allclose(W[:, j], w, rtol=0.0, atol=1e-12)
-                assert b[j] == pytest.approx(bj, rel=0.0, abs=1e-12)
+        W, b = solve_ridge(X, Y, 0.5)
+        assert W.shape == (d, 4) and b.shape == (4,)
+        for j in range(4):
+            w, bj = solve_ridge(X, Y[:, j], 0.5)
+            assert isinstance(bj, float)
+            assert np.allclose(W[:, j], w, rtol=0.0, atol=1e-12)
+            assert b[j] == pytest.approx(bj, rel=0.0, abs=1e-12)
 
 
 def test_solver_input_validation():

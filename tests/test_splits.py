@@ -350,6 +350,17 @@ def test_spec_file_round_trip(tmp_path):
     assert SplitSpec.from_file(path) == spec
 
 
+def test_spec_file_keeps_the_defaults_of_absent_keys(tmp_path):
+    path = tmp_path / "spec.cfg"
+    path.write_text("seed=3\n")
+    assert SplitSpec.from_file(path) == SplitSpec(seed=3)
+    # an empty genus list is a setting of its own and round-trips
+    spec = SplitSpec(held_out_genera=(), seed=3)
+    spec.to_file(path)
+    assert path.read_text().startswith("genera=\n")
+    assert SplitSpec.from_file(path) == spec
+
+
 def test_spec_file_rejects_unknown_keys(tmp_path):
     path = tmp_path / "spec.cfg"
     path.write_text("seed=1\nbogus=2\n")
@@ -376,9 +387,3 @@ def test_spec_validation():
         with pytest.raises(ConfigError):
             SplitSpec(**settings)
 
-
-def test_with_seed_returns_new_spec():
-    spec = SplitSpec(seed=1)
-    other = spec.with_seed(2)
-    assert other.seed == 2 and spec.seed == 1
-    assert other.held_out_genera == spec.held_out_genera
