@@ -182,7 +182,6 @@ def _split_spec_from_args(args: argparse.Namespace) -> SplitSpec:
 def cmd_split(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.input)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.random_fractions is not None:
         if args.spec or args.radius_km is not None:
@@ -197,6 +196,7 @@ def cmd_split(args: argparse.Namespace) -> int:
         except ValueError:
             raise UsageError(f"bad fraction in {args.random_fractions!r}") from None
         train, dev, test = random_split(dataset, fractions, seed=args.seed)
+        out_dir.mkdir(parents=True, exist_ok=True)
         for name, part in (("train", train), ("dev", dev), ("test", test)):
             (out_dir / f"{name}.tsv").write_text(serialize_dataset(part), encoding="utf-8")
         log.info(
@@ -215,6 +215,7 @@ def cmd_split(args: argparse.Namespace) -> int:
 
     spec = _split_spec_from_args(args)
     result = build_controlled_split(dataset, spec)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "train.tsv").write_text(serialize_dataset(result.train), encoding="utf-8")
     (out_dir / "test.tsv").write_text(serialize_dataset(result.test), encoding="utf-8")
     (out_dir / "test_gold.tsv").write_text(
@@ -251,14 +252,14 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 def cmd_blank(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.input)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     spec = SplitSpec(
         blanking_low=args.low,
         blanking_high=args.high,
         seed=args.seed,
     )
     blanked = blank_features(dataset, spec)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "blanked.tsv").write_text(serialize_dataset(blanked), encoding="utf-8")
     (out_dir / "gold.tsv").write_text(
         serialize_dataset(blanked, reveal_blanked=True), encoding="utf-8"

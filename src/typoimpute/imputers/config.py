@@ -94,8 +94,9 @@ def build_imputer(
     its constructor's defaults, and any other key is a ConfigError.  An
     ensemble lists its members as a comma-separated ``members`` value,
     and every member is built from this same mapping, so a key is valid
-    when any member reads it.  ``vectors`` go to the ``knn`` imputer.
-    A value an imputer rejects raises ConfigError.
+    when any member reads it.  ``vectors`` go to the ``knn`` imputer;
+    passing them to a method with no knn member is a ConfigError, as is
+    a value an imputer rejects.
     """
     unknown = set(config) - KNOWN_KEYS
     if unknown:
@@ -113,6 +114,9 @@ def build_imputer(
         raise ConfigError(
             f"method {method} does not read config keys: {', '.join(sorted(unread))}"
         )
+    built = imputer.members if isinstance(imputer, EnsembleImputer) else [imputer]
+    if vectors is not None and not any(isinstance(m, NearestNeighborImputer) for m in built):
+        raise ConfigError(f"method {method} does not read language vectors; only knn does")
     return imputer
 
 

@@ -15,15 +15,20 @@ statistics languages: a language x (feature, value) one-hot, its joint
 counts, per-feature co-observation counts, genus and family counts, and
 counts over each language's radius neighbours.  Without the evaluation
 set's cells these are the training set's shared tables,
-``Dataset.counts``, plus the radius counts built once per fit.  A
-target's training design matrix is gathered from these tables in
-blocks; leave-one-out subtracts the row's own one-hot from its counts.
-Every value's regressor is then solved in one call.
+``Dataset.counts``, plus the radius counts and the list of the
+one-hot's (row, column) entries, built once per fit.  A target's
+training design matrix is gathered from these tables in blocks, its
+implicational and indicator entries taken from that list;
+leave-one-out subtracts the row's own one-hot from its counts.  Every
+value's regressor is then solved in one call.  A query copies its
+genus, family and implicational shares from tables built once per
+target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -94,7 +99,8 @@ class _PriorStats:
 
     Columns of the one-hot are (feature, value) pairs over every value
     any statistics language observes, so totals include values outside
-    the training inventory.
+    the training inventory.  ``cell_rows`` and ``cell_columns`` list the
+    one-hot's (row, column) entries, row by row.
     """
 
     def __init__(self, counts: CodedCounts, areal_km: float):
@@ -104,6 +110,7 @@ class _PriorStats:
         within = distance_matrix(counts.coords, counts.coords) <= areal_km
         np.fill_diagonal(within, False)
         self.areal = count_matmul(within, counts.onehot)
+        self.cell_rows, self.cell_columns = np.nonzero(counts.onehot)
         self._query_areal: dict[Language, np.ndarray] = {}
 
     def areal_counts(self, language: Language) -> np.ndarray:
@@ -129,7 +136,11 @@ class PriorFeatureSpace:
 
     Keys are tuples: ("genus", v), ("family", v), ("areal", v),
     ("impl", A, a, v), and ("obs", A, a); their order fixes the column
-    order of the design matrix.
+    order of the design matrix.  The space stores only the offsets of
+    its blocks and, for every one-hot column, its implicational and
+    indicator key (-1 for none, also in a spare last slot that stands
+    for values the statistics never observe); ``keys`` is spelled out
+    only when read.
     """
 
     def __init__(
@@ -147,6 +158,7 @@ class PriorFeatureSpace:
         self.min_support = min_support
         self.blocks = tuple(blocks)
         counts = stats.counts
+        n_values = len(self.inventory)
 
         # Every statistics value of the target: shares divide by all of
         # them, columns exist only for the inventory.
@@ -155,38 +167,47 @@ class PriorFeatureSpace:
         order = list(target_columns)
         self._value_positions = np.array([order.index(v) for v in self.inventory], dtype=np.intp)
 
+        others = sorted(f for f in inventories if f != target)
+        self._inventories = inventories
+        self._impl_features = [f for f in others if self._support(f) >= min_support] \
+            if "implicational" in self.blocks else []
+        self._obs_features = others if "indicators" in self.blocks else []
+        impl_columns = [counts.columns[f][a] for f in self._impl_features for a in inventories[f]]
+        obs_columns = [counts.columns[f][a] for f in self._obs_features for a in inventories[f]]
+        self._impl_key = np.full(counts.onehot.shape[1] + 1, -1, dtype=np.intp)
+        self._impl_key[impl_columns] = np.arange(len(impl_columns))
+        self._obs_key = np.full(counts.onehot.shape[1] + 1, -1, dtype=np.intp)
+        self._obs_key[obs_columns] = np.arange(len(obs_columns))
+        self._areal_start = 2 * n_values if "genetic" in self.blocks else 0
+        self._impl_start = self._areal_start + (n_values if "areal" in self.blocks else 0)
+        self._obs_start = self._impl_start + len(impl_columns) * n_values
+        self._size = self._obs_start + len(obs_columns)
+        # Target counts of every implicational key; the query shares of
+        # every implicational key, genus and family.
+        self._impl_counts = counts.joint[np.ix_(impl_columns, self._target_columns)]
+        self._impl_shares = self._shares(self._impl_counts)
+        if "genetic" in self.blocks:
+            self._genus_shares = self._shares(counts.genus.table[:, self._target_columns])
+            self._family_shares = self._shares(counts.family.table[:, self._target_columns])
+
+    @cached_property
+    def keys(self) -> tuple[tuple, ...]:
+        """The key of every column, in column order."""
         keys: list[tuple] = []
         if "genetic" in self.blocks:
             keys += [("genus", v) for v in self.inventory]
             keys += [("family", v) for v in self.inventory]
         if "areal" in self.blocks:
             keys += [("areal", v) for v in self.inventory]
-        others = sorted(f for f in inventories if f != target)
-        self._impl_start = len(keys)
-        self._impl: dict[tuple[str, str], int] = {}
-        if "implicational" in self.blocks:
-            for feat in others:
-                if self._support(feat) >= min_support:
-                    for a in inventories[feat]:
-                        self._impl[(feat, a)] = len(self._impl)
-                        keys += [("impl", feat, a, v) for v in self.inventory]
-        self._obs_start = len(keys)
-        self._obs: dict[tuple[str, str], int] = {}
-        if "indicators" in self.blocks:
-            for feat in others:
-                for a in inventories[feat]:
-                    self._obs[(feat, a)] = len(self._obs)
-                    keys.append(("obs", feat, a))
-        self.keys = tuple(keys)
-        self._impl_columns = np.array(
-            [counts.columns[f][a] for f, a in self._impl], dtype=np.intp
-        )
-        self._obs_columns = np.array(
-            [counts.columns[f][a] for f, a in self._obs], dtype=np.intp
-        )
+        for feat in self._impl_features:
+            for a in self._inventories[feat]:
+                keys += [("impl", feat, a, v) for v in self.inventory]
+        for feat in self._obs_features:
+            keys += [("obs", feat, a) for a in self._inventories[feat]]
+        return tuple(keys)
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return self._size
 
     def _support(self, feat: str) -> int:
         index = self.stats.counts.feature_index
@@ -202,66 +223,61 @@ class PriorFeatureSpace:
         np.divide(counts[..., self._value_positions], total, out=out, where=total > 0)
         return out
 
-    def _fill(self, out: np.ndarray, genus, family, areal, impl_rows, impl_keys, impl_counts,
-              obs_rows, obs_keys) -> None:
-        """Write the blocks into ``out`` (rows x keys) from target counts."""
-        n_values = len(self.inventory)
-        col = 0
-        if "genetic" in self.blocks:
-            out[:, 0:n_values] = self._shares(genus)
-            out[:, n_values:2 * n_values] = self._shares(family)
-            col = 2 * n_values
-        if "areal" in self.blocks:
-            out[:, col:col + n_values] = self._shares(areal)
-        if len(impl_keys):
-            cols = self._impl_start + impl_keys[:, None] * n_values + np.arange(n_values)
-            out[impl_rows[:, None], cols] = self._shares(impl_counts)
-        if len(obs_keys):
-            out[obs_rows, self._obs_start + obs_keys] = 1.0
-
     def design(self, rows: np.ndarray) -> np.ndarray:
         """Training design matrix of the statistics rows ``rows``, each
         observing the target; its own observation is left out of every
         distribution."""
-        counts = self.stats.counts
+        stats = self.stats
+        counts = stats.counts
         tc = self._target_columns
+        n_values = len(self.inventory)
         own = counts.onehot[np.ix_(rows, tc)]
-        impl_rows, impl_keys = np.nonzero(counts.onehot[np.ix_(rows, self._impl_columns)])
-        obs_rows, obs_keys = np.nonzero(counts.onehot[np.ix_(rows, self._obs_columns)])
-        X = np.zeros((len(rows), len(self.keys)))
-        self._fill(
-            X,
-            counts.genus.table[np.ix_(counts.genus.of[rows], tc)] - own,
-            counts.family.table[np.ix_(counts.family.of[rows], tc)] - own,
-            self.stats.areal[np.ix_(rows, tc)],
-            impl_rows, impl_keys,
-            counts.joint[np.ix_(self._impl_columns[impl_keys], tc)] - own[impl_rows],
-            obs_rows, obs_keys,
-        )
+        X = np.zeros((len(rows), self._size))
+        if "genetic" in self.blocks:
+            X[:, :n_values] = self._shares(
+                counts.genus.table[np.ix_(counts.genus.of[rows], tc)] - own)
+            X[:, n_values:2 * n_values] = self._shares(
+                counts.family.table[np.ix_(counts.family.of[rows], tc)] - own)
+        if "areal" in self.blocks:
+            X[:, self._areal_start:self._impl_start] = self._shares(
+                stats.areal[np.ix_(rows, tc)])
+        # the rows' one-hot entries, as (design row, column)
+        at = np.full(len(counts.languages), -1, dtype=np.intp)
+        at[rows] = np.arange(len(rows))
+        at = at[stats.cell_rows]
+        held = at >= 0
+        at, columns = at[held], stats.cell_columns[held]
+        keys = self._impl_key[columns]
+        impl_rows, keys = at[keys >= 0], keys[keys >= 0]
+        X[impl_rows[:, None], self._impl_start + keys[:, None] * n_values + np.arange(n_values)] = \
+            self._shares(self._impl_counts[keys] - own[impl_rows])
+        keys = self._obs_key[columns]
+        X[at[keys >= 0], self._obs_start + keys[keys >= 0]] = 1.0
         return X
 
     def dense(self, language: Language, observed: Mapping[str, str]) -> np.ndarray:
         """Prior vector of one query language; nothing is left out."""
         stats = self.stats
         counts = stats.counts
-        tc = self._target_columns
-        impl_keys = np.array(
-            [self._impl[item] for item in observed.items() if item in self._impl], dtype=np.intp
+        n_values = len(self.inventory)
+        vec = np.zeros(self._size)
+        if "genetic" in self.blocks:
+            vec[:n_values] = self._genus_shares[counts.genus.rows.get(language.genus, -1)]
+            vec[n_values:2 * n_values] = \
+                self._family_shares[counts.family.rows.get(language.family, -1)]
+        if "areal" in self.blocks:
+            vec[self._areal_start:self._impl_start] = self._shares(
+                stats.areal_counts(language)[self._target_columns])
+        columns = np.array(
+            [counts.columns.get(f, {}).get(a, -1) for f, a in observed.items()], dtype=np.intp
         )
-        obs_keys = np.array(
-            [self._obs[item] for item in observed.items() if item in self._obs], dtype=np.intp
-        )
-        vec = np.zeros((1, len(self.keys)))
-        self._fill(
-            vec,
-            counts.genus[language.genus][tc],
-            counts.family[language.family][tc],
-            stats.areal_counts(language)[tc] if "areal" in self.blocks else None,
-            np.zeros(len(impl_keys), dtype=np.intp), impl_keys,
-            counts.joint[np.ix_(self._impl_columns[impl_keys], tc)],
-            np.zeros(len(obs_keys), dtype=np.intp), obs_keys,
-        )
-        return vec[0]
+        keys = self._impl_key[columns]
+        keys = keys[keys >= 0]
+        vec[self._impl_start + keys[:, None] * n_values + np.arange(n_values)] = \
+            self._impl_shares[keys]
+        keys = self._obs_key[columns]
+        vec[self._obs_start + keys[keys >= 0]] = 1.0
+        return vec
 
 
 @dataclass
@@ -270,6 +286,10 @@ class _FittedFeature:
     values: tuple[str, ...]
     weights: np.ndarray  # one row per value
     biases: np.ndarray
+
+    def raw_scores(self, query: ImputerQuery) -> np.ndarray:
+        """The score of every value for ``query``."""
+        return self.weights @ self.space.dense(query.language, query.observed) + self.biases
 
 
 class RidgePriorImputer(Imputer):
@@ -342,17 +362,17 @@ class RidgePriorImputer(Imputer):
         fitted = self._fitted.get(query.target)
         if fitted is None:
             return None
-        x = fitted.space.dense(query.language, query.observed)
-        raw = fitted.weights @ x + fitted.biases
-        return dict(zip(fitted.values, raw.tolist()))
+        return dict(zip(fitted.values, fitted.raw_scores(query).tolist()))
 
     def predict(self, query: ImputerQuery) -> Prediction:
-        scores = self.scores(query)
-        if scores is None:
+        fitted = self._fitted.get(query.target)
+        if fitted is None:
             raise NoPredictionError(f"unknown feature {query.target!r}")
-        value = min(scores, key=lambda v: (-scores[v], v))
-        raw = np.array([scores[v] for v in sorted(scores)])
+        raw = fitted.raw_scores(query)
+        # values are sorted, so the first maximum breaks ties on the
+        # lexicographically smaller value
+        best = int(raw.argmax())
         shifted = np.exp(raw - raw.max())
-        confidence = float(shifted[sorted(scores).index(value)] / shifted.sum())
-        source = "ridge" if len(scores) > 1 else "ridge-constant"
-        return Prediction(value, confidence, source=source)
+        confidence = float(shifted[best] / shifted.sum())
+        source = "ridge" if len(raw) > 1 else "ridge-constant"
+        return Prediction(fitted.values[best], confidence, source=source)

@@ -714,6 +714,117 @@ def counted_ridge_fit(train, context=None, lam=1.0, areal_km=2500.0, min_support
         fitted[target] = (space, weights, biases)
     return fitted
 
+
+# ---------------------------------------------------------------------------
+# ridge queries, gathered one query at a time
+#
+# This is how the ridge imputer built a query's prior vector and its
+# prediction before its fit-time query tables: a (feature, value) ->
+# key dict per block, a gather of the joint counts for each query, and
+# the scores as a dict that is sorted for the softmax.
+
+
+class GatheredPriorSpace:
+    """Key dicts of one target over the coded statistics of the imputer
+    (``stats`` is its ``_PriorStats``)."""
+
+    def __init__(self, stats, target, inventory, inventories, min_support, blocks):
+        self.stats = stats
+        self.target = target
+        self.inventory = tuple(inventory)
+        self.blocks = tuple(blocks)
+        counts = stats.counts
+        target_columns = counts.columns.get(target, {})
+        self._target_columns = np.array(list(target_columns.values()), dtype=np.intp)
+        order = list(target_columns)
+        self._value_positions = np.array([order.index(v) for v in self.inventory], dtype=np.intp)
+
+        n_keys = 0
+        if "genetic" in self.blocks:
+            n_keys += 2 * len(self.inventory)
+        if "areal" in self.blocks:
+            n_keys += len(self.inventory)
+        others = sorted(f for f in inventories if f != target)
+        index = counts.feature_index
+        self._impl_start = n_keys
+        self._impl: dict[tuple[str, str], int] = {}
+        if "implicational" in self.blocks:
+            for feat in others:
+                support = 0
+                if feat in index and target in index:
+                    support = int(counts.support[index[feat], index[target]])
+                if support >= min_support:
+                    for a in inventories[feat]:
+                        self._impl[(feat, a)] = len(self._impl)
+                        n_keys += len(self.inventory)
+        self._obs_start = n_keys
+        self._obs: dict[tuple[str, str], int] = {}
+        if "indicators" in self.blocks:
+            for feat in others:
+                for a in inventories[feat]:
+                    self._obs[(feat, a)] = len(self._obs)
+                    n_keys += 1
+        self.size = n_keys
+        self._impl_columns = np.array(
+            [counts.columns[f][a] for f, a in self._impl], dtype=np.intp
+        )
+
+    def _shares(self, counts):
+        total = counts.sum(axis=-1, keepdims=True)
+        out = np.zeros(counts.shape[:-1] + (len(self.inventory),))
+        np.divide(counts[..., self._value_positions], total, out=out, where=total > 0)
+        return out
+
+    def _fill(self, out, genus, family, areal, impl_rows, impl_keys, impl_counts,
+              obs_rows, obs_keys):
+        n_values = len(self.inventory)
+        col = 0
+        if "genetic" in self.blocks:
+            out[:, 0:n_values] = self._shares(genus)
+            out[:, n_values:2 * n_values] = self._shares(family)
+            col = 2 * n_values
+        if "areal" in self.blocks:
+            out[:, col:col + n_values] = self._shares(areal)
+        if len(impl_keys):
+            cols = self._impl_start + impl_keys[:, None] * n_values + np.arange(n_values)
+            out[impl_rows[:, None], cols] = self._shares(impl_counts)
+        if len(obs_keys):
+            out[obs_rows, self._obs_start + obs_keys] = 1.0
+
+    def dense(self, language, observed):
+        stats = self.stats
+        counts = stats.counts
+        tc = self._target_columns
+        impl_keys = np.array(
+            [self._impl[item] for item in observed.items() if item in self._impl], dtype=np.intp
+        )
+        obs_keys = np.array(
+            [self._obs[item] for item in observed.items() if item in self._obs], dtype=np.intp
+        )
+        vec = np.zeros((1, self.size))
+        self._fill(
+            vec,
+            counts.genus[language.genus][tc],
+            counts.family[language.family][tc],
+            stats.areal_counts(language)[tc] if "areal" in self.blocks else None,
+            np.zeros(len(impl_keys), dtype=np.intp), impl_keys,
+            counts.joint[np.ix_(self._impl_columns[impl_keys], tc)],
+            np.zeros(len(obs_keys), dtype=np.intp), obs_keys,
+        )
+        return vec[0]
+
+
+def ridge_prediction_oracle(scores):
+    """(value, confidence, source) of a ridge score dict: the best score,
+    ties to the smaller value, and its softmax share over the sorted
+    values."""
+    value = min(scores, key=lambda v: (-scores[v], v))
+    raw = np.array([scores[v] for v in sorted(scores)])
+    shifted = np.exp(raw - raw.max())
+    confidence = float(shifted[sorted(scores).index(value)] / shifted.sum())
+    return value, confidence, "ridge" if len(scores) > 1 else "ridge-constant"
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 

@@ -159,6 +159,16 @@ def test_random_split_flag_validation(tmp_path, corpus, spec_file):
     assert not list((tmp_path / "x").glob("*"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["split", "--random-fractions", "0.5,0.5", "--seed", "1"],
+    ["blank", "--seed", "1", "--low", "0.8", "--high", "0.2"],
+], ids=["split-two-fractions", "blank-low-above-high"])
+def test_rejected_split_or_blank_makes_no_out_dir(tmp_path, corpus, argv):
+    out_dir = tmp_path / "out"
+    assert main([*argv, "--input", str(corpus), "--out-dir", str(out_dir)]) == 1
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("flags,spec", [
     (["--random-fractions=-0.1,0.6,0.5", "--seed", "1"], None),
     (["--random-fractions", "nan,0.5,0.5", "--seed", "1"], None),
@@ -743,6 +753,39 @@ def test_impute_bad_numeric_setting_is_config_error(tmp_path, impute_files, caps
     assert code == 1
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.fixture
+def vectors_file(tmp_path, impute_files):
+    codes = [code for name in ("train.tsv", "test.tsv")
+             for code in parse_dataset((impute_files / name).read_text(encoding="utf-8")).codes()]
+    path = tmp_path / "vectors.tsv"
+    path.write_text("".join(f"{code}\t{i % 3}.0\t1.0\n" for i, code in enumerate(codes)),
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("config,accepted", [
+    ("method=frequency\n", False),
+    ("method=knn\n", True),
+    ("method=ensemble\nmembers=knn,frequency\n", True),
+], ids=["frequency", "knn", "ensemble-knn-frequency"])
+def test_impute_vectors_need_a_knn_member(tmp_path, impute_files, vectors_file, capsys,
+                                         config, accepted):
+    cfg = tmp_path / "imputer.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    out = tmp_path / "f.tsv"
+    code = main(["impute", "--train", str(impute_files / "train.tsv"),
+                 "--test", str(impute_files / "test.tsv"), "--out", str(out),
+                 "--imputer-config", str(cfg), "--vectors", str(vectors_file)])
+    if accepted:
+        assert code == 0
+        assert len(read_kv(Path(f"{out}.manifest"))["input.vectors"]) == 64
+    else:
+        assert code == 1
+        assert "config error: method frequency does not read language vectors" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("train_text", [

@@ -13,6 +13,7 @@ from typoimpute.imputers import (
     ALL_BLOCKS,
     ImputerQuery,
     NoPredictionError,
+    Prediction,
     PriorFeatureSpace,
     RidgePriorImputer,
     fill_dataset,
@@ -26,11 +27,13 @@ from typoimpute.imputers.ridge import _PriorStats
 from oracles import (
     CountedPriorSpace,
     CountedPriorStats,
+    GatheredPriorSpace,
     build_prior_features,
     counted_ridge_fit,
     normal_equation_residual,
     prior_features_oracle,
     ridge_oracle,
+    ridge_prediction_oracle,
 )
 from synth import make_language, random_dataset
 
@@ -186,11 +189,15 @@ def _random_sources(rng, with_context):
         return train, None
     extra = random_dataset(rng, n_languages=rng.randint(2, 8), n_features=6, n_values=4,
                            min_observed=1)
-    context = Dataset.build(
+    return train, _recoded(extra)
+
+
+def _recoded(extra):
+    """``extra`` with its language codes prefixed, to serve as context."""
+    return Dataset.build(
         [replace(lang, code="c" + lang.code) for lang in extra.languages],
         {("c" + code, f): cell for (code, f), cell in extra.cells.items()},
     )
-    return train, context
 
 
 def _others(observed, target):
@@ -268,6 +275,62 @@ def test_design_matches_counted_oracle():
             for lang, full in queries:
                 observed = _others(full, target)
                 assert np.array_equal(space.dense(lang, observed), oracle.dense(lang, observed))
+
+
+def _bench_shaped_sources(rng):
+    """A sparse training set shaped like the benchmark's (about a third
+    of the cells observed, up to five values per feature), and a context
+    set whose languages also observe two features and a value that
+    training never observes."""
+    train = random_dataset(rng, n_languages=90, n_features=8, n_values=5, p_observed=0.35,
+                           min_observed=2)
+    extra = random_dataset(rng, n_languages=30, n_features=10, n_values=6, p_observed=0.35,
+                           min_observed=2)
+    return train, _recoded(extra)
+
+
+def _bench_shaped_queries(rng, train, context):
+    """Query languages with their full observed maps: some training
+    languages, every context language, and a stranger observing values
+    and a feature that no statistics language observes."""
+    queries = [(lang, train.observed_of(lang.code)) for lang in rng.sample(train.languages, 12)]
+    queries += [(lang, context.observed_of(lang.code)) for lang in context.languages]
+    stranger = make_language("new", lat=rng.uniform(-60, 60), lon=rng.uniform(-170, 170))
+    unseen = {f: "zz" for f in train.features()[::3]}
+    unseen["99Z Unseen feature"] = "v0"
+    queries.append((stranger, {**train.observed_of(train.languages[0].code), **unseen}))
+    return queries
+
+
+def test_dense_matches_gathered_oracle():
+    """The query vector read from the fit-time tables equals, bit for
+    bit, the one gathered per query, for every block subset, both
+    support thresholds and with or without the context counts."""
+    rng = random.Random(93)
+    train, context = _bench_shaped_sources(rng)
+    queries = _bench_shaped_queries(rng, train, context)
+    inventories = _inventories(train)
+    subsets = [
+        blocks
+        for r in range(1, len(ALL_BLOCKS) + 1)
+        for blocks in itertools.combinations(ALL_BLOCKS, r)
+    ]
+    compared = 0
+    for sources in ([train], [train, context]):
+        stats = _PriorStats(CodedCounts(sources), 2500.0)
+        for blocks, min_support, target in itertools.product(
+            subsets, (1, 5), train.features()
+        ):
+            space = _space(stats, train, target, min_support, blocks)
+            oracle = GatheredPriorSpace(
+                stats, target, inventories[target], inventories, min_support, blocks
+            )
+            assert len(space) == oracle.size
+            for lang, full in queries:
+                observed = _others(full, target)
+                assert np.array_equal(space.dense(lang, observed), oracle.dense(lang, observed))
+                compared += 1
+    assert compared == 2 * 15 * 2 * len(train.features()) * len(queries)
 
 
 def test_leave_one_out_design_ignores_own_value():
@@ -574,6 +637,44 @@ def test_softmax_confidence_well_formed():
             scores = imp.scores(_query(lang, observed, target))
             best = min(scores, key=lambda v: (-scores[v], v))
             assert pred.value == best
+
+
+def test_predict_matches_sorted_softmax_oracle():
+    """Value, confidence and source of ``predict`` equal those of the
+    score dict, sorted for the softmax, also on exact ties and on a
+    one-value inventory."""
+    rng = random.Random(94)
+    train, context = _bench_shaped_sources(rng)
+    queries = _bench_shaped_queries(rng, train, context)
+    stranger = queries[-1][0]
+    languages = [make_language(f"o{i:02d}") for i in range(4)]
+    only = Dataset.build(languages, {(lang.code, "T"): Cell.observed("only") for lang in languages})
+    for use_context in (False, True):
+        imp = RidgePriorImputer(min_support=1, use_context=use_context)
+        imp.fit(train, context=context)
+        fitted = next(f for f in imp._fitted.values() if len(f.values) >= 3)
+        n_values = len(fitted.values)
+        # weights of zero leave the biases as scores: a tie between the
+        # second and the last value, and a tie between all values
+        zero = np.zeros_like(fitted.weights)
+        pair = np.zeros(n_values)
+        pair[[1, -1]] = 0.5
+        imp._fitted["tie-pair"] = replace(fitted, weights=zero, biases=pair)
+        imp._fitted["tie-all"] = replace(fitted, weights=zero, biases=np.full(n_values, 0.3))
+        for target in imp._fitted:
+            for lang, full in queries:
+                query = _query(lang, _others(full, target), target)
+                pred = imp.predict(query)
+                assert (pred.value, pred.confidence, pred.source) == \
+                    ridge_prediction_oracle(imp.scores(query))
+        assert imp.predict(_query(stranger, {}, "tie-pair")).value == fitted.values[1]
+        assert imp.predict(_query(stranger, {}, "tie-all")) == Prediction(
+            fitted.values[0], 1.0 / n_values, "ridge")
+        constant = RidgePriorImputer(use_context=use_context).fit(only, context=context)
+        query = _query(stranger, {}, "T")
+        pred = constant.predict(query)
+        assert (pred.value, pred.confidence, pred.source) == \
+            ridge_prediction_oracle(constant.scores(query)) == ("only", 1.0, "ridge-constant")
 
 
 def test_fill_dataset_with_ridge():

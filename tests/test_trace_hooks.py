@@ -42,15 +42,17 @@ def test_haversine_callers_resolve(trace_child):
         assert importlib.import_module(module_name).haversine_km is haversine_km, module_name
 
 
-def test_traced_impute_records_method_and_fallback_spans(trace_child, tmp_path):
-    """A traced knn ``impute`` stage keeps the method's spans apart from
-    the global-mode fallback's, as the per-layer metrics need."""
+@pytest.mark.parametrize("method", ["knn", "ridge"])
+def test_traced_impute_records_method_and_fallback_spans(trace_child, tmp_path, method):
+    """A traced ``impute`` stage keeps the method's spans apart from the
+    global-mode fallback's, as the per-layer metrics need, and the
+    method answers each hidden cell in a call of its own, which the
+    per-cell metrics count."""
     import random
 
     from synth import blank_some, random_dataset
-    from typoimpute import cli
-    from typoimpute.imputers import NearestNeighborImputer
-    from typoimpute.kb import serialize_dataset
+    from typoimpute import cli, imputers
+    from typoimpute.kb import OBSERVED_CODE, serialize_dataset
 
     rng = random.Random(5)
     data = random_dataset(rng, n_languages=30, n_features=5, min_observed=3)
@@ -58,20 +60,24 @@ def test_traced_impute_records_method_and_fallback_spans(trace_child, tmp_path):
     (tmp_path / "train.tsv").write_text(serialize_dataset(data.subset(codes[:20])))
     test = blank_some(data.subset(codes[20:]), rng, per_language=2)
     (tmp_path / "test.tsv").write_text(serialize_dataset(test))
-    (tmp_path / "knn.cfg").write_text("method=knn\n")
+    (tmp_path / "method.cfg").write_text(f"method={method}\n")
     argv = ["impute", "--train", str(tmp_path / "train.tsv"),
             "--test", str(tmp_path / "test.tsv"), "--out", str(tmp_path / "filled.tsv"),
-            "--imputer-config", str(tmp_path / "knn.cfg")]
+            "--imputer-config", str(tmp_path / "method.cfg")]
 
+    cls = {"knn": imputers.NearestNeighborImputer, "ridge": imputers.RidgePriorImputer}[method]
     tracer, patches = trace_child.Tracer(), trace_child.Patches()
-    predict = NearestNeighborImputer.predict
+    predict = cls.predict
     trace_child.install(tracer, patches)
     try:
         code = tracer.call("cli.impute", cli.main, argv)
     finally:
         patches.undo()
     assert code == 0
-    assert NearestNeighborImputer.predict is predict
-    names = {span[1] for span in tracer.spans}
-    assert {"cli.impute", "imputers.knn.fit", "imputers.knn.predict",
-            "imputers.fallback.fit"} <= names
+    assert cls.predict is predict
+    names = [span[1] for span in tracer.spans]
+    assert {"cli.impute", f"imputers.{method}.fit", f"imputers.{method}.predict",
+            "imputers.fallback.fit"} <= set(names)
+    hidden = int((test.cell_state != OBSERVED_CODE).sum())
+    assert hidden > 0
+    assert names.count(f"imputers.{method}.predict") == hidden
