@@ -10,73 +10,51 @@ and scores the results with genus-balanced accuracy and paired
 permutation significance tests.
 """
 
-from .configio import ConfigError
-from .evaluate import (
-    EvalReport,
-    EvaluationError,
-    SystemOutput,
-    UndefinedCorrelationError,
-    score,
-)
-from .geo import EARTH_RADIUS_KM, GeoPoint, haversine_km
-from .imputers import (
-    Imputer,
-    ImputerQuery,
-    NoPredictionError,
-    Prediction,
-    build_imputer,
-    fill_dataset,
-)
-from .kb import (
-    Cell,
-    Dataset,
-    DatasetError,
-    Language,
-    ParseError,
-    filter_dataset,
-    parse_dataset,
-    serialize_dataset,
-)
-from .splits import (
-    DEFAULT_HELD_OUT_GENERA,
-    SplitError,
-    SplitResult,
-    SplitSpec,
-    build_controlled_split,
-    random_split,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "EvalReport",
-    "EvaluationError",
-    "SystemOutput",
-    "UndefinedCorrelationError",
-    "score",
-    "EARTH_RADIUS_KM",
-    "GeoPoint",
-    "haversine_km",
-    "Imputer",
-    "ImputerQuery",
-    "NoPredictionError",
-    "Prediction",
-    "build_imputer",
-    "fill_dataset",
-    "Cell",
-    "Dataset",
-    "DatasetError",
-    "Language",
-    "ParseError",
-    "filter_dataset",
-    "parse_dataset",
-    "serialize_dataset",
-    "DEFAULT_HELD_OUT_GENERA",
-    "SplitError",
-    "SplitResult",
-    "SplitSpec",
-    "build_controlled_split",
-    "random_split",
-    "__version__",
-]
+# public name -> the submodule that defines it; __getattr__ imports a
+# submodule on first use, so importing the package loads none of them
+_EXPORTS = {
+    "ConfigError": "configio",
+    "EvalReport": "evaluate",
+    "EvaluationError": "errors",
+    "SystemOutput": "evaluate",
+    "UndefinedCorrelationError": "evaluate",
+    "score": "evaluate",
+    "EARTH_RADIUS_KM": "geo",
+    "GeoPoint": "geo",
+    "haversine_km": "geo",
+    "Imputer": "imputers",
+    "ImputerQuery": "imputers",
+    "NoPredictionError": "imputers",
+    "Prediction": "imputers",
+    "build_imputer": "imputers",
+    "fill_dataset": "imputers",
+    "Cell": "kb",
+    "Dataset": "kb",
+    "DatasetError": "errors",
+    "Language": "kb",
+    "ParseError": "errors",
+    "filter_dataset": "kb",
+    "parse_dataset": "kb",
+    "serialize_dataset": "kb",
+    "DEFAULT_HELD_OUT_GENERA": "splits",
+    "SplitError": "splits",
+    "SplitResult": "splits",
+    "SplitSpec": "splits",
+    "build_controlled_split": "splits",
+    "random_split": "splits",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

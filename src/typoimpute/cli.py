@@ -22,34 +22,15 @@ import logging
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from . import evaluate as ev
 from .configio import ConfigError, config_hash, file_digest, read_kv, write_kv
-from .imputers import (
-    EnsembleImputer,
-    GlobalFrequencyImputer,
-    build_imputer,
-    fill_dataset,
-    load_language_vectors,
-)
-from .kb import (
-    BLANKED_CODE,
-    OBSERVED_CODE,
-    Dataset,
-    DatasetError,
-    filter_dataset,
-    parse_dataset,
-    serialize_dataset,
-)
-from .splits import (
-    SplitSpec,
-    blank_features,
-    blanking_ratios,
-    build_controlled_split,
-    provenance_csv,
-    random_split,
-)
+from .errors import DatasetError, EvaluationError
+
+if TYPE_CHECKING:
+    from . import evaluate as ev
+    from .kb import Dataset
+    from .splits import SplitSpec
 
 __all__ = ["main", "build_parser", "RunConfig", "UsageError"]
 
@@ -62,6 +43,18 @@ EXIT_DATA = 2
 
 class UsageError(Exception):
     """Bad command line or infeasible flag combination."""
+
+
+class _BlankHelpFormatter(argparse.HelpFormatter):
+    """Shows the SplitSpec defaults of blank's bounds; splits is imported
+    only when the help is printed."""
+
+    def _get_help_string(self, action: argparse.Action) -> Optional[str]:
+        if action.dest not in _BLANK_BOUNDS:
+            return action.help
+        from .splits import SplitSpec
+
+        return f"{action.help} (default {getattr(SplitSpec, _BLANK_BOUNDS[action.dest])})"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,6 +91,8 @@ def _write_manifest(path: Path, config: RunConfig, inputs: Mapping[str, str | Pa
 
 
 def _load_dataset(path: str | Path, gold: Optional[Dataset] = None) -> Dataset:
+    from .kb import parse_dataset
+
     return parse_dataset(Path(path).read_text(encoding="utf-8"), gold=gold)
 
 
@@ -147,6 +142,8 @@ def _read_table(path: Path, numeric: Sequence[int]) -> list[list[str]]:
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
+    from .kb import filter_dataset, serialize_dataset
+
     dataset = _load_dataset(args.input)
     filtered = filter_dataset(dataset, args.min_features, args.min_languages)
     removed_langs = len(dataset.languages) - len(filtered.languages)
@@ -171,6 +168,8 @@ def cmd_filter(args: argparse.Namespace) -> int:
 
 
 def _split_spec_from_args(args: argparse.Namespace) -> SplitSpec:
+    from .splits import SplitSpec
+
     spec = SplitSpec.from_file(args.spec) if args.spec else SplitSpec()
     if args.radius_km is not None:
         spec = replace(spec, exclusion_radius_km=args.radius_km)
@@ -180,6 +179,9 @@ def _split_spec_from_args(args: argparse.Namespace) -> SplitSpec:
 
 
 def cmd_split(args: argparse.Namespace) -> int:
+    from .kb import serialize_dataset
+    from .splits import build_controlled_split, provenance_csv, random_split
+
     dataset = _load_dataset(args.input)
     out_dir = Path(args.out_dir)
 
@@ -250,13 +252,19 @@ def cmd_split(args: argparse.Namespace) -> int:
 # blank
 
 
+# blank's options that default to a SplitSpec field, by option dest
+_BLANK_BOUNDS = {"low": "blanking_low", "high": "blanking_high"}
+
+
 def cmd_blank(args: argparse.Namespace) -> int:
+    from .kb import BLANKED_CODE, serialize_dataset
+    from .splits import SplitSpec, blank_features, blanking_ratios
+
     dataset = _load_dataset(args.input)
-    spec = SplitSpec(
-        blanking_low=args.low,
-        blanking_high=args.high,
-        seed=args.seed,
-    )
+    bounds = {name: getattr(args, dest) for dest, name in _BLANK_BOUNDS.items()
+              if getattr(args, dest) is not None}
+    spec = SplitSpec(seed=args.seed, **bounds)
+    low, high = spec.blanking_low, spec.blanking_high
     blanked = blank_features(dataset, spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -267,14 +275,14 @@ def cmd_blank(args: argparse.Namespace) -> int:
     ratios = blanking_ratios(dataset.codes(), spec)
     _write_table(
         out_dir / "ratios.csv",
-        [f"config_hash={config_hash({'low': args.low, 'high': args.high})}", f"seed={args.seed}"],
+        [f"config_hash={config_hash({'low': low, 'high': high})}", f"seed={args.seed}"],
         ["language", "target_ratio"],
         [(code, ratios[code]) for code in sorted(ratios)],
     )
     n_blanked = int((blanked.cell_state == BLANKED_CODE).sum())
     log.info("blanked %d cells across %d languages", n_blanked, len(blanked.languages))
     config = RunConfig(
-        "blank", {"low": str(args.low), "high": str(args.high)}, seed=args.seed
+        "blank", {"low": str(low), "high": str(high)}, seed=args.seed
     )
     _write_manifest(out_dir / "run_manifest.txt", config, {"input": args.input})
     return EXIT_OK
@@ -296,13 +304,15 @@ def _imputer_config_from_args(args: argparse.Namespace) -> dict[str, str]:
 
 
 def cmd_impute(args: argparse.Namespace) -> int:
+    from .imputers import EnsembleImputer, GlobalFrequencyImputer, build_imputer, fill_dataset
+    from .kb import OBSERVED_CODE, serialize_dataset
+
     train = _load_dataset(args.train)
     test = _load_dataset(args.test)
     if not train.counts.columns:
         raise DatasetError(f"{args.train} has no observed cells to train on")
     config = _imputer_config_from_args(args)
-    vectors = load_language_vectors(args.vectors) if args.vectors else None
-    imputer = build_imputer(config, vectors=vectors)
+    imputer = build_imputer(config, vectors=args.vectors)
     if not args.no_fallback:
         imputer = EnsembleImputer([imputer, GlobalFrequencyImputer()], "first_success")
     imputer.fit(train, context=test)
@@ -352,6 +362,9 @@ def _parse_system_args(specs: Sequence[str]) -> list[tuple[str, str]]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from . import evaluate as ev
+    from .kb import parse_dataset
+
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
     systems = _parse_system_args(args.system)
@@ -371,6 +384,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     held_genera: tuple[str, ...] = ()
     if args.spec:
+        from .splits import SplitSpec
+
         held_genera = SplitSpec.from_file(args.spec).held_out_genera
 
     params = {
@@ -518,6 +533,8 @@ def _write_summary(
     meta: Optional[ev.CorrelationResult],
     held_genera: Sequence[str],
 ) -> None:
+    from . import evaluate as ev
+
     lines = [f"# {comment}" for comment in comments]
     lines.append("")
     lines.append("system ranking (macro accuracy, genus-weighted):")
@@ -670,14 +687,13 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("blank", help="hide observed cells of a dataset")
+    p = sub.add_parser("blank", help="hide observed cells of a dataset",
+                       formatter_class=_BlankHelpFormatter)
     p.add_argument("--input", required=True, help="dataset to blank (TSV)")
     p.add_argument("--out-dir", required=True, help="directory for blanked/gold files")
     p.add_argument("--seed", type=int, required=True, help="blanking seed")
-    p.add_argument("--low", type=float, default=SplitSpec.blanking_low,
-                   help="lowest blanking ratio")
-    p.add_argument("--high", type=float, default=SplitSpec.blanking_high,
-                   help="highest blanking ratio")
+    p.add_argument("--low", type=float, help="lowest blanking ratio")
+    p.add_argument("--high", type=float, help="highest blanking ratio")
     p.set_defaults(func=cmd_blank)
 
     p = sub.add_parser("impute", help="fill the hidden cells of a test file")
@@ -741,7 +757,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DatasetError, ev.EvaluationError) as exc:
+    except (DatasetError, EvaluationError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import EvaluationError
 from .kb import BLANKED_CODE, OBSERVED_CODE, Dataset, locate_cells
 
 __all__ = [
@@ -40,10 +41,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-
-class EvaluationError(ValueError):
-    """Raised when inputs cannot be scored."""
 
 
 class UndefinedCorrelationError(EvaluationError):

@@ -9,7 +9,8 @@ lives in the imputer's constructor alone.
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping, Optional
+from pathlib import Path
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .base import Imputer
 from .correlation import CorrelationImputer
 from .ensemble import EnsembleImputer
 from .frequency import GenusFamilyBackoffImputer, GeoBackoffImputer, GlobalFrequencyImputer
-from .knn import NearestNeighborImputer
+from .knn import NearestNeighborImputer, load_language_vectors
 from .ridge import RidgePriorImputer
 
 __all__ = ["METHODS", "KNOWN_KEYS", "build_imputer"]
@@ -86,7 +87,7 @@ KNOWN_KEYS = frozenset({"method"}.union(*(keys for _, keys in _METHODS.values())
 
 def build_imputer(
     config: Mapping[str, str],
-    vectors: Optional[Mapping[str, np.ndarray]] = None,
+    vectors: Mapping[str, np.ndarray] | str | Path | None = None,
 ) -> Imputer:
     """Construct an imputer from a key=value mapping.
 
@@ -96,7 +97,8 @@ def build_imputer(
     and every member is built from this same mapping, so a key is valid
     when any member reads it.  ``vectors`` go to the ``knn`` imputer;
     passing them to a method with no knn member is a ConfigError, as is
-    a value an imputer rejects.
+    a value an imputer rejects.  A vector file is read only once the
+    config is known to have a knn member.
     """
     unknown = set(config) - KNOWN_KEYS
     if unknown:
@@ -106,7 +108,7 @@ def build_imputer(
         raise ConfigError("config is missing the method key")
     read = {"method"}
     try:
-        imputer = _build(method, config, vectors, read)
+        imputer = _build(method, config, read)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     unread = set(config) - read
@@ -114,16 +116,21 @@ def build_imputer(
         raise ConfigError(
             f"method {method} does not read config keys: {', '.join(sorted(unread))}"
         )
-    built = imputer.members if isinstance(imputer, EnsembleImputer) else [imputer]
-    if vectors is not None and not any(isinstance(m, NearestNeighborImputer) for m in built):
-        raise ConfigError(f"method {method} does not read language vectors; only knn does")
+    if vectors is not None:
+        built = imputer.members if isinstance(imputer, EnsembleImputer) else [imputer]
+        knn = [m for m in built if isinstance(m, NearestNeighborImputer)]
+        if not knn:
+            raise ConfigError(f"method {method} does not read language vectors; only knn does")
+        if isinstance(vectors, (str, Path)):
+            vectors = load_language_vectors(vectors)
+        for member in knn:
+            member.vectors = dict(vectors)
     return imputer
 
 
 def _build(
     method: str,
     config: Mapping[str, str],
-    vectors: Optional[Mapping[str, np.ndarray]],
     read: set[str],
 ) -> Imputer:
     """Build ``method`` from the keys it reads, adding them to ``read``."""
@@ -136,8 +143,6 @@ def _build(
         if key in config:
             argument, parse = _SETTINGS[key]
             settings[argument] = parse(key, config[key])
-    if cls is NearestNeighborImputer:
-        settings["vectors"] = vectors
     if cls is EnsembleImputer:
         if "members" not in settings:
             raise ConfigError("ensemble config is missing the members key")
@@ -145,5 +150,5 @@ def _build(
             raise ConfigError("ensemble members list is empty")
         if "ensemble" in settings["members"]:
             raise ConfigError("ensembles cannot nest")
-        settings["members"] = [_build(name, config, vectors, read) for name in settings["members"]]
+        settings["members"] = [_build(name, config, read) for name in settings["members"]]
     return cls(**settings)

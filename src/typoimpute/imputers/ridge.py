@@ -15,10 +15,10 @@ statistics languages: a language x (feature, value) one-hot, its joint
 counts, per-feature co-observation counts, genus and family counts, and
 counts over each language's radius neighbours.  Without the evaluation
 set's cells these are the training set's shared tables,
-``Dataset.counts``, plus the radius counts and the list of the
-one-hot's (row, column) entries, built once per fit.  A target's
-training design matrix is gathered from these tables in blocks, its
-implicational and indicator entries taken from that list;
+``Dataset.counts``, plus the radius counts (when the areal block is
+on) and the list of the one-hot's (row, column) entries, built once per
+fit.  A target's training design matrix is gathered from these tables
+in blocks, its implicational and indicator entries taken from that list;
 leave-one-out subtracts the row's own one-hot from its counts.  Every
 value's regressor is then solved in one call.  A query copies its
 genus, family and implicational shares from tables built once per
@@ -95,7 +95,8 @@ def solve_ridge(
 class _PriorStats:
     """The coded counts of the statistics languages (train, optionally
     plus the observed cells of an evaluation set) and their counts over
-    each language's radius neighbours.
+    each language's radius neighbours; ``areal_km=None`` (no areal
+    block) computes no radius counts.
 
     Columns of the one-hot are (feature, value) pairs over every value
     any statistics language observes, so totals include values outside
@@ -103,13 +104,14 @@ class _PriorStats:
     one-hot's (row, column) entries, row by row.
     """
 
-    def __init__(self, counts: CodedCounts, areal_km: float):
+    def __init__(self, counts: CodedCounts, areal_km: float | None):
         self.counts = counts
         self.areal_km = areal_km
-        # languages x columns over radius neighbours, self excluded
-        within = distance_matrix(counts.coords, counts.coords) <= areal_km
-        np.fill_diagonal(within, False)
-        self.areal = count_matmul(within, counts.onehot)
+        if areal_km is not None:
+            # languages x columns over radius neighbours, self excluded
+            within = distance_matrix(counts.coords, counts.coords) <= areal_km
+            np.fill_diagonal(within, False)
+            self.areal = count_matmul(within, counts.onehot)
         self.cell_rows, self.cell_columns = np.nonzero(counts.onehot)
         self._query_areal: dict[Language, np.ndarray] = {}
 
@@ -335,7 +337,7 @@ class RidgePriorImputer(Imputer):
         counts = train.counts
         if self.use_context and context is not None:
             counts = CodedCounts([train, context])
-        stats = _PriorStats(counts, self.areal_km)
+        stats = _PriorStats(counts, self.areal_km if "areal" in self.blocks else None)
         inventories = {f: tuple(values) for f, values in train.counts.columns.items()}
         # Training languages come first among the statistics rows.
         n_train = len(train.languages)

@@ -25,6 +25,8 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
+from .errors import DatasetError, ParseError
+
 if TYPE_CHECKING:
     from .coded import CodedCounts
 
@@ -52,18 +54,6 @@ OBSERVED_CODE, BLANKED_CODE, UNKNOWN_CODE = range(len(STATES))
 # line whose 3rd/4th fields match is treated as a header and skipped.
 _LAT_HEADERS = {"lat", "latitude"}
 _LON_HEADERS = {"long", "lon", "longitude"}
-
-
-class DatasetError(Exception):
-    """A dataset violates a structural constraint."""
-
-
-class ParseError(DatasetError):
-    """A record could not be parsed; carries the 1-based line number."""
-
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
 
 
 @dataclass(frozen=True)

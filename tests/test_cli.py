@@ -44,18 +44,20 @@ def corpus(tmp_path):
     return path
 
 
+SPEC_TEXT = (
+    "genera=GenA\n"
+    "radius_km=500\n"
+    "holdout_fraction=0.1\n"
+    "blank_low=0.05\n"
+    "blank_high=0.95\n"
+    "seed=7\n"
+)
+
+
 @pytest.fixture
 def spec_file(tmp_path):
     path = tmp_path / "split.cfg"
-    path.write_text(
-        "genera=GenA\n"
-        "radius_km=500\n"
-        "holdout_fraction=0.1\n"
-        "blank_low=0.05\n"
-        "blank_high=0.95\n"
-        "seed=7\n",
-        encoding="utf-8",
-    )
+    path.write_text(SPEC_TEXT, encoding="utf-8")
     return path
 
 
@@ -567,21 +569,35 @@ def test_ridge_impute_ignores_blas_thread_count(tmp_path, config):
     assert filled[0] == filled[1]
 
 
-def _scipy_loaded(code: str, *argv: str) -> bool:
-    """Run ``code`` in a fresh interpreter; whether scipy got imported."""
-    probe = f"import sys\n{code}\nprint('scipy' in sys.modules)"
+def _loaded_modules(code: str, *argv: str) -> set[str]:
+    """Run ``code`` in a fresh interpreter; the names of the modules it loaded."""
+    probe = f"import sys\n{code}\nprint(' '.join(sys.modules))"
     done = subprocess.run([sys.executable, "-c", probe, *argv], env=_child_env(),
                           check=True, capture_output=True, text=True, timeout=120)
-    return done.stdout.split()[-1] == "True"
+    return set(done.stdout.splitlines()[-1].split())
 
 
-def test_no_command_imports_scipy(tmp_path, corpus, spec_file):
+def _within(modules: set[str], package: str) -> set[str]:
+    """The loaded modules that are ``package`` or inside it."""
+    return {m for m in modules if m == package or m.startswith(f"{package}.")}
+
+
+@pytest.fixture(scope="module")
+def stage_modules(tmp_path_factory):
+    """Every subcommand run once in a fresh interpreter: the modules each
+    loaded (plus those of a bare ``import typoimpute.cli``), and the
+    evaluation directory."""
+    tmp_path = tmp_path_factory.mktemp("stages")
+    corpus = tmp_path / "raw.tsv"
+    corpus.write_text(serialize_dataset(_corpus_dataset()), encoding="utf-8")
+    spec = tmp_path / "split.cfg"
+    spec.write_text(SPEC_TEXT, encoding="utf-8")
     run = "from typoimpute.cli import main\nif main(sys.argv[1:]):\n    sys.exit('failed')"
-    assert not _scipy_loaded("import typoimpute.cli")
-    assert not _scipy_loaded(run, "filter", "--input", str(corpus),
-                             "--out", str(tmp_path / "dense.tsv"))
-    assert not _scipy_loaded(run, "split", "--input", str(corpus),
-                             "--out-dir", str(tmp_path / "splits"), "--spec", str(spec_file))
+    loaded = {"import": _loaded_modules("import typoimpute.cli")}
+    loaded["filter"] = _loaded_modules(run, "filter", "--input", str(corpus),
+                                       "--out", str(tmp_path / "dense.tsv"))
+    loaded["split"] = _loaded_modules(run, "split", "--input", str(corpus),
+                                      "--out-dir", str(tmp_path / "splits"), "--spec", str(spec))
     # random languages, so that each system's accuracy varies with the
     # hidden share and every correlation has a p-value
     data = random_dataset(random.Random(37), n_languages=80, n_features=10,
@@ -592,27 +608,56 @@ def test_no_command_imports_scipy(tmp_path, corpus, spec_file):
     (tmp_path / "rest.tsv").write_text(serialize_dataset(data.subset(codes[50:])),
                                        encoding="utf-8")
     blanked = tmp_path / "blanked"
-    assert not _scipy_loaded(run, "blank", "--input", str(tmp_path / "rest.tsv"),
-                             "--out-dir", str(blanked), "--seed", "3")
+    loaded["blank"] = _loaded_modules(run, "blank", "--input", str(tmp_path / "rest.tsv"),
+                                      "--out-dir", str(blanked), "--seed", "3")
     systems = []
     for method in ("frequency", "genus_family", "knn"):
         cfg = tmp_path / f"{method}.cfg"
         cfg.write_text(f"method={method}\n", encoding="utf-8")
         out = tmp_path / f"{method}.tsv"
-        assert not _scipy_loaded(run, "impute", "--train", str(train),
-                                 "--test", str(blanked / "blanked.tsv"), "--out", str(out),
-                                 "--imputer-config", str(cfg))
+        loaded[f"impute:{method}"] = _loaded_modules(
+            run, "impute", "--train", str(train), "--test", str(blanked / "blanked.tsv"),
+            "--out", str(out), "--imputer-config", str(cfg))
         systems += ["--system", f"{method}={out}"]
     out_dir = tmp_path / "eval"
-    assert not _scipy_loaded(run, "evaluate", "--test", str(blanked / "blanked.tsv"),
-                             "--gold", str(blanked / "gold.tsv"), *systems,
-                             "--out-dir", str(out_dir), "--seed", "5", "--samples", "200")
+    loaded["evaluate"] = _loaded_modules(
+        run, "evaluate", "--test", str(blanked / "blanked.tsv"),
+        "--gold", str(blanked / "gold.tsv"), *systems,
+        "--out-dir", str(out_dir), "--seed", "5", "--samples", "200")
+    loaded["report"] = _loaded_modules(run, "report", "--input", str(out_dir),
+                                       "--out", str(tmp_path / "report.txt"))
+    return loaded, out_dir
+
+
+def test_no_command_imports_scipy(stage_modules):
+    loaded, out_dir = stage_modules
+    for modules in loaded.values():
+        assert "scipy" not in modules
     # every system got a blanking p-value, and the systems a meta p-value
     assert ",NA" not in (out_dir / "systems.csv").read_text(encoding="utf-8")
     summary = (out_dir / "summary.txt").read_text(encoding="utf-8")
     assert "across systems" in summary and "p=nan" not in summary
-    assert not _scipy_loaded(run, "report", "--input", str(out_dir),
-                             "--out", str(tmp_path / "report.txt"))
+
+
+def test_each_command_loads_only_what_it_runs(stage_modules):
+    loaded, _ = stage_modules
+    assert "typoimpute.cli" in loaded["import"]
+    for package in ("numpy", "typoimpute.kb", "typoimpute.evaluate", "typoimpute.imputers",
+                    "typoimpute.splits"):
+        assert not _within(loaded["import"], package), package
+    assert not _within(loaded["report"], "numpy")
+    assert "typoimpute.kb" not in loaded["report"]
+    for command in ("filter", "split", "blank"):
+        assert "typoimpute.kb" in loaded[command]
+        for package in ("typoimpute.imputers", "typoimpute.evaluate"):
+            assert not _within(loaded[command], package), (command, package)
+    for method in ("frequency", "genus_family", "knn"):
+        modules = loaded[f"impute:{method}"]
+        assert "typoimpute.imputers" in modules
+        for package in ("typoimpute.evaluate", "typoimpute.splits"):
+            assert not _within(modules, package), (method, package)
+    assert "typoimpute.evaluate" in loaded["evaluate"]
+    assert not _within(loaded["evaluate"], "typoimpute.imputers")
 
 
 # ---------------------------------------------------------------------------
@@ -786,6 +831,26 @@ def test_impute_vectors_need_a_knn_member(tmp_path, impute_files, vectors_file, 
         assert "config error: method frequency does not read language vectors" in \
             capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("config,code,message", [
+    ("method=frequency\n", 1, "config error: method frequency does not read language vectors"),
+    ("method=knn\n", 2, "data error: vector file line 1: non-finite component"),
+], ids=["frequency", "knn"])
+def test_impute_vectors_checked_before_they_are_read(tmp_path, impute_files, capsys,
+                                                     config, code, message):
+    """Only a method with a knn member reads the vector file, so a bad
+    file is a data error for knn alone."""
+    vectors = tmp_path / "vectors.tsv"
+    vectors.write_text("aaa\tnan\t1.0\n", encoding="utf-8")
+    cfg = tmp_path / "imputer.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    out = tmp_path / "f.tsv"
+    assert main(["impute", "--train", str(impute_files / "train.tsv"),
+                 "--test", str(impute_files / "test.tsv"), "--out", str(out),
+                 "--imputer-config", str(cfg), "--vectors", str(vectors)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("train_text", [

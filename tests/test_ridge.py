@@ -491,6 +491,25 @@ def test_query_neighbourhood_scanned_once_per_language(monkeypatch):
     assert calls == [(1, len(train.languages))]
 
 
+@pytest.mark.parametrize("blocks,calls", [
+    (("genetic", "implicational"), 0),
+    (("genetic", "areal"), 1),
+], ids=["no-areal", "areal"])
+def test_fit_computes_radius_counts_only_for_the_areal_block(monkeypatch, blocks, calls):
+    rng = random.Random(93)
+    train = random_dataset(rng, n_languages=30, min_observed=2)
+    made = []
+
+    def counted(a, b):
+        made.append((len(a), len(b)))
+        return distance_matrix(a, b)
+
+    monkeypatch.setattr(ridge, "distance_matrix", counted)
+    monkeypatch.setattr(coded, "distance_matrix", counted)
+    RidgePriorImputer(min_support=1, blocks=blocks).fit(train)
+    assert made == [(len(train.languages), len(train.languages))] * calls
+
+
 def test_query_at_statistics_coordinates_shares_its_neighbourhood():
     """A query language placed exactly at a statistics language's
     coordinates gets that language's fit-time areal counts plus the
