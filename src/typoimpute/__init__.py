@@ -27,7 +27,6 @@ _EXPORTS = {
     "GeoPoint": "geo",
     "haversine_km": "geo",
     "Imputer": "imputers",
-    "ImputerQuery": "imputers",
     "NoPredictionError": "imputers",
     "Prediction": "imputers",
     "build_imputer": "imputers",

@@ -9,13 +9,14 @@ are contiguous and its values sorted.  Counts stay integers, so no
 result depends on how a BLAS library orders its sums.  The tables of one
 training set are built once, as ``Dataset.counts``, and shared by every
 imputer fitted on it, together with one cached distance row per query
-language.
+language.  ``encode`` maps the observed cells of a test set into the
+same columns, once per prediction call.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -107,6 +108,11 @@ class CodedCounts:
         return GroupCounts([lang.family for lang in self.languages], self.onehot)
 
     @cached_property
+    def code_rank(self) -> np.ndarray:
+        """Each row's position among the row language codes, sorted."""
+        return np.argsort(np.argsort(np.array([lang.code for lang in self.languages], dtype=str)))
+
+    @cached_property
     def coords(self) -> np.ndarray:
         """(languages, 2) coordinates of the rows, as ``geo.coordinates``."""
         return coordinates(self.languages)
@@ -118,6 +124,25 @@ class CodedCounts:
         if km is None:
             km = self._km[language] = distance_matrix(coordinates([language]), self.coords)[0]
         return km
+
+    def encode(self, d: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        """The observed cells of ``d`` in these tables' columns: a rows x
+        columns one-hot, without values no column holds, and a rows x
+        features mask, without features no column holds."""
+        observed = d.cell_state == OBSERVED_CODE
+        rows, features = d.cell_row[observed], d.cell_feature[observed]
+        width = len(d.value_names)
+        codes, pair = np.unique(features * width + d.cell_value[observed], return_inverse=True)
+        column = np.array([self.columns.get(d.feature_names[c // width], {})
+                           .get(d.value_names[c % width], -1) for c in codes.tolist()],
+                          dtype=np.intp)[pair]
+        feature = np.array([self.feature_index.get(f, -1) for f in d.feature_names] + [-1],
+                           dtype=np.intp)[features]
+        onehot = np.zeros((len(d.languages), len(self.feature_of)), dtype=np.int64)
+        onehot[rows[column >= 0], column[column >= 0]] = 1
+        seen = np.zeros((len(d.languages), len(self.starts)), dtype=np.int64)
+        seen[rows[feature >= 0], feature[feature >= 0]] = 1
+        return onehot, seen
 
 
 class GroupCounts:
@@ -133,5 +158,7 @@ class GroupCounts:
         self.table = np.zeros((len(self.rows) + 1, onehot.shape[1]), dtype=np.int64)
         np.add.at(self.table, self.of, onehot)
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.table[self.rows.get(name, -1)]
+    def index(self, names: Iterable[str]) -> np.ndarray:
+        """The table row of each name; a name no row has gets the zero
+        last row."""
+        return np.array([self.rows.get(name, -1) for name in names], dtype=np.intp)

@@ -2,7 +2,6 @@
 
 from .base import (
     Imputer,
-    ImputerQuery,
     NoPredictionError,
     Prediction,
     fill_dataset,
@@ -25,7 +24,6 @@ from .ridge import (
 
 __all__ = [
     "Imputer",
-    "ImputerQuery",
     "NoPredictionError",
     "Prediction",
     "fill_dataset",

@@ -1,18 +1,17 @@
-"""Common imputer interface: fit on a training dataset, then answer
-(language, target feature) queries with a value and a confidence."""
+"""Common imputer interface: fit on a training dataset, then answer the
+hidden cells of a test dataset, each with a value and a confidence."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from ..kb import OBSERVED_CODE, Dataset, Language
+from ..kb import OBSERVED_CODE, Dataset
 
 __all__ = [
     "NoPredictionError",
-    "ImputerQuery",
     "Prediction",
     "Imputer",
     "fill_dataset",
@@ -20,20 +19,7 @@ __all__ = [
 
 
 class NoPredictionError(Exception):
-    """The imputer cannot answer this query; callers may back off."""
-
-
-@dataclass(frozen=True)
-class ImputerQuery:
-    """One cell to fill: the language, its visible features, the target."""
-
-    language: Language
-    observed: Mapping[str, str]
-    target: str
-
-    def __post_init__(self):
-        if self.target in self.observed:
-            raise ValueError(f"target {self.target!r} is already observed")
+    """No answer; ``predict`` leaves such cells out and raises nothing."""
 
 
 @dataclass(frozen=True)
@@ -55,40 +41,48 @@ class Imputer:
     def fit(self, train: Dataset, context: Dataset | None = None) -> "Imputer":
         raise NotImplementedError
 
-    def predict(self, query: ImputerQuery) -> Prediction:
+    def predict(self, test: Dataset, cells: np.ndarray) -> dict[int, Prediction]:
+        """Answer the hidden cells ``cells`` (indices into the cell table
+        of ``test``) from the observed cells of ``test``, keyed by cell
+        index; a cell the imputer cannot answer is left out."""
         raise NotImplementedError
 
 
-def _mode(values: list[str], counts: np.ndarray) -> Optional[tuple[str, float]]:
-    """Most frequent value with its share of ``counts`` (one per value);
-    values are sorted, so the first maximum breaks ties on the
-    lexicographically smaller value.  None for empty counts."""
-    total = int(counts.sum())
-    if total <= 0:
-        return None
-    best = int(counts.argmax())
-    return values[best], int(counts[best]) / total
+def by_target(test: Dataset, cells: np.ndarray) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
+    """``cells`` grouped by target feature, in feature order: the
+    feature name, its cells in table order, and their test rows."""
+    features = test.cell_feature[cells]
+    order = np.argsort(features, kind="stable")
+    cells, features = cells[order], features[order]
+    starts = np.flatnonzero(np.diff(features, prepend=-1))
+    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(cells)]):
+        yield test.feature_names[features[lo]], cells[lo:hi], test.cell_row[cells[lo:hi]]
+
+
+def _modes(values: list[str], counts: np.ndarray, source: str) -> list[Optional[Prediction]]:
+    """The most frequent value of each row of ``counts`` (rows x values),
+    with its share of the row; values are sorted, so the first maximum
+    breaks ties on the lexicographically smaller value.  None for a row
+    with no count."""
+    total = counts.sum(axis=1)
+    best = counts.argmax(axis=1)
+    share = counts[np.arange(len(counts)), best] / np.maximum(total, 1)
+    return [Prediction(values[b], s, source) if t > 0 else None
+            for b, s, t in zip(best.tolist(), share.tolist(), total.tolist())]
 
 
 def fill_dataset(imputer: Imputer, test: Dataset) -> dict[tuple[str, str], Prediction]:
-    """Predict every blanked and unknown cell of ``test``.
+    """Predict every blanked and unknown cell of ``test`` in one call.
 
-    Queries see only the language's observed cells.  Iteration order is
-    fixed (dataset order, then feature name), so results are
-    deterministic.  A cell the imputer cannot answer is left out of the
-    result; a ``first_success`` ensemble ending in a global-frequency
-    member answers every cell whose feature training observes.
+    The imputer sees only the observed cells of ``test``.  Results are
+    keyed by (code, feature) in cell-table order (dataset order, then
+    feature name), so they are deterministic.  A cell the imputer cannot
+    answer is left out of the result; a ``first_success`` ensemble
+    ending in a global-frequency member answers every cell whose feature
+    training observes.
     """
-    out: dict[tuple[str, str], Prediction] = {}
-    hidden = test.cell_state != OBSERVED_CODE
-    for row, lang in enumerate(test.languages):
-        span = slice(test.bounds[row], test.bounds[row + 1])
-        observed = test.observed_of(lang.code)
-        for feature in test.cell_feature[span][hidden[span]].tolist():
-            target = test.feature_names[feature]
-            query = ImputerQuery(language=lang, observed=observed, target=target)
-            try:
-                out[(lang.code, target)] = imputer.predict(query)
-            except NoPredictionError:
-                continue
-    return out
+    cells = np.flatnonzero(test.cell_state != OBSERVED_CODE)
+    answers = imputer.predict(test, cells)
+    codes = test.codes()
+    return {(codes[test.cell_row[c]], test.feature_names[test.cell_feature[c]]): answers[c]
+            for c in cells.tolist() if c in answers}

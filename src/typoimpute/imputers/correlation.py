@@ -8,18 +8,18 @@ target's values, weighted by how informative A is about the target
 (normalized mutual information over co-observing languages).  Pairs
 with too few co-observations are ignored.  Pair counts, marginals and
 co-observation counts are read from the training set's shared integer
-tables, ``Dataset.counts``.
+tables, ``Dataset.counts``.  The test languages needing one target are
+scored as one block; each voter's term is added in feature order, so a
+language's totals do not depend on which languages share its block.
 """
 
 from __future__ import annotations
-
-from typing import Mapping
 
 import numpy as np
 
 from ..coded import CodedCounts
 from ..kb import Dataset
-from .base import Imputer, ImputerQuery, NoPredictionError, Prediction
+from .base import Imputer, Prediction, by_target
 
 __all__ = ["CorrelationImputer"]
 
@@ -69,64 +69,47 @@ class CorrelationImputer(Imputer):
 
     def fit(self, train: Dataset, context: Dataset | None = None) -> "CorrelationImputer":
         self._counts = counts = train.counts
-        self._profiles: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         # A feature votes on a target it co-occurs with in enough languages.
         self._can_vote = counts.support >= max(1, self.min_support)
         self._weight = _normalized_mi(counts)
         self._sizes = np.bincount(counts.feature_of, minlength=len(counts.starts))
         return self
 
-    def _votes_of(self, observed: Mapping[str, str]) -> tuple[np.ndarray, np.ndarray]:
-        """Vote totals of an observed map for every (feature, value)
-        column, and whether any of its features votes on each feature;
-        cached per observed map."""
-        key = tuple(sorted(observed.items()))
-        votes = self._profiles.get(key)
-        if votes is None:
-            counts = self._counts
-            of = counts.feature_of
-            cells = [(counts.feature_index[f], counts.columns[f].get(a, -1))
-                     for f, a in key if f in counts.columns]
-            features, values = np.array(cells, dtype=np.intp).reshape(-1, 2).T
-            voting = self._can_vote[features]
-            # A value no training language has counts zero everywhere.
-            known = (values >= 0)[:, None]
-            denom = np.where(known, counts.marginal[values], 0) + self.alpha * self._sizes
-            use = (voting & (denom > 0))[:, of]
-            p = np.divide(np.where(known, counts.joint[values], 0) + self.alpha, denom[:, of],
-                          out=np.zeros(use.shape), where=use)
+    def predict(self, test: Dataset, cells: np.ndarray) -> dict[int, Prediction]:
+        counts = self._counts
+        onehot, seen = counts.encode(test)
+        # Each test row's column for each feature it observes; -1 for a
+        # value no training language has, which counts zero everywhere.
+        column = np.full(seen.shape, -1, dtype=np.intp)
+        rows, columns = np.nonzero(onehot)
+        column[rows, counts.feature_of[columns]] = columns
+        out: dict[int, Prediction] = {}
+        for target, block, rows in by_target(test, cells):
+            if target not in counts.columns:
+                continue
+            values = list(counts.columns[target])
+            t = counts.feature_index[target]
+            first = counts.starts[t]
+            voting = (seen[rows] > 0) & self._can_vote[:, t]  # rows x voters
+            col = column[rows]
+            known = col >= 0
+            denom = np.where(known, counts.marginal[col, t], 0) + self.alpha * self._sizes[t]
+            use = (voting & (denom > 0))[..., None]  # rows x voters x values
+            joint = np.where(known[..., None], counts.joint[col, first:first + len(values)], 0)
+            p = np.divide(joint + self.alpha, denom[..., None], out=np.zeros(joint.shape),
+                          where=use)
             # Each voter adds its weighted share in feature order, as a
             # running total; a voter that does not vote adds exactly 0.
-            terms = np.where(use, self._weight[features][:, of] * p, 0.0)
-            totals = np.cumsum(terms, axis=0)[-1] if len(cells) else np.zeros(len(of))
-            votes = (totals, voting.any(axis=0))
-            self._profiles[key] = votes
-        return votes
-
-    def scores(self, query: ImputerQuery) -> dict[str, float] | None:
-        """Per-value vote totals for the target, or None when no observed
-        feature has enough co-observation support."""
-        counts = self._counts
-        if query.target not in counts.columns:
-            return None
-        inventory = counts.columns[query.target]
-        target = counts.feature_index[query.target]
-        totals, supported = self._votes_of(query.observed)
-        if not supported[target]:
-            return None
-        first = counts.starts[target]
-        return dict(zip(inventory, totals[first:first + len(inventory)].tolist()))
-
-    def predict(self, query: ImputerQuery) -> Prediction:
-        totals = self.scores(query)
-        if totals is None:
-            raise NoPredictionError(
-                f"no observed feature supports predicting {query.target!r}"
-            )
-        value = min(totals, key=lambda b: (-totals[b], b))
-        total_mass = sum(totals.values())
-        if total_mass > 0:
-            confidence = totals[value] / total_mass
-        else:
-            confidence = 1.0 / len(totals)
-        return Prediction(value, confidence, source="correlation")
+            terms = np.where(use, self._weight[:, t, None] * p, 0.0)
+            totals = np.cumsum(terms, axis=1)[:, -1]
+            best = totals.argmax(axis=1)
+            top = totals[np.arange(len(rows)), best].tolist()
+            mass = np.cumsum(totals, axis=1)[:, -1].tolist()
+            for cell, b, score, total, ok in zip(block.tolist(), best.tolist(), top, mass,
+                                                voting.any(axis=1).tolist()):
+                if ok:
+                    # values are sorted, so the first maximum breaks ties
+                    # on the lexicographically smaller value
+                    confidence = score / total if total > 0 else 1.0 / len(values)
+                    out[cell] = Prediction(values[b], confidence, source="correlation")
+        return out

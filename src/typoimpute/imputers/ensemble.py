@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from ..kb import Dataset
-from .base import Imputer, ImputerQuery, NoPredictionError, Prediction
+from .base import Imputer, Prediction
 
 __all__ = ["EnsembleImputer", "POLICIES"]
 
@@ -13,11 +15,11 @@ POLICIES = ("max_confidence", "first_success")
 
 
 class EnsembleImputer(Imputer):
-    """Delegates each query to member imputers.
+    """Delegates the cells of a test set to member imputers.
 
-    ``max_confidence`` asks every member and keeps the most confident
-    answer (earlier member wins ties); ``first_success`` returns the
-    first member's answer, falling through on NoPredictionError only.
+    ``max_confidence`` asks every member and keeps, cell by cell, the
+    most confident answer (earlier member wins ties); ``first_success``
+    asks each member in turn about the cells no earlier member answered.
     Member predictions are returned unchanged, so an ensemble of one
     behaves exactly like its member.
     """
@@ -37,23 +39,16 @@ class EnsembleImputer(Imputer):
             member.fit(train, context)
         return self
 
-    def predict(self, query: ImputerQuery) -> Prediction:
-        if self.policy == "first_success":
-            for member in self.members:
-                try:
-                    return member.predict(query)
-                except NoPredictionError:
-                    continue
-            raise NoPredictionError("no member produced a prediction")
-
-        best: Prediction | None = None
+    def predict(self, test: Dataset, cells: np.ndarray) -> dict[int, Prediction]:
+        out: dict[int, Prediction] = {}
         for member in self.members:
-            try:
-                candidate = member.predict(query)
-            except NoPredictionError:
-                continue
-            if best is None or candidate.confidence > best.confidence:
-                best = candidate
-        if best is None:
-            raise NoPredictionError("no member produced a prediction")
-        return best
+            if self.policy == "first_success":
+                cells = np.array([c for c in cells.tolist() if c not in out], dtype=np.intp)
+                if not len(cells):
+                    break
+                out.update(member.predict(test, cells))
+            else:
+                for cell, candidate in member.predict(test, cells).items():
+                    if cell not in out or candidate.confidence > out[cell].confidence:
+                        out[cell] = candidate
+        return out

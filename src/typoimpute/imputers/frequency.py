@@ -20,21 +20,46 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..coded import CodedCounts
+from ..coded import CodedCounts, count_matmul
 from ..geo import haversine_km  # noqa: F401  (bench/trace_child.py counts calls through this name)
 from ..kb import Dataset
-from .base import Imputer, ImputerQuery, NoPredictionError, Prediction, _mode
+from .base import Imputer, Prediction, _modes, by_target
 
 __all__ = ["GlobalFrequencyImputer", "GenusFamilyBackoffImputer", "GeoBackoffImputer"]
 
 
-def _target_columns(counts: CodedCounts, target: str) -> tuple[list[str], slice]:
-    """The target's values (sorted) and their one-hot columns."""
+def _target_columns(counts: CodedCounts, target: str) -> tuple[list[str], slice] | None:
+    """The target's values (sorted) and their one-hot columns; None for
+    a feature training never observes."""
     values = counts.columns.get(target)
     if not values:
-        raise NoPredictionError(f"unknown feature {target!r}")
+        return None
     start = counts.starts[counts.feature_index[target]]
     return list(values), slice(start, start + len(values))
+
+
+def _backoff(counts: CodedCounts, levels: tuple[str, ...], test: Dataset,
+             cells: np.ndarray) -> dict[int, Prediction]:
+    """The mode of the first of ``levels`` (language groups, "genus" or
+    "family") where the test language's group observes the target, else
+    the global mode; one block of group rows per target."""
+    # later levels are overwritten by earlier ones
+    tables = [(level, getattr(counts, level).table,
+               getattr(counts, level).index(getattr(lang, level) for lang in test.languages))
+              for level in reversed(levels)]
+    out: dict[int, Prediction] = {}
+    for target, block, rows in by_target(test, cells):
+        found = _target_columns(counts, target)
+        if found is None:
+            continue
+        values, columns = found
+        [pred] = _modes(values, counts.totals[None, columns], "global")
+        preds = [pred] * len(rows)
+        for level, table, group in tables:
+            preds = [mode or pred for mode, pred in
+                     zip(_modes(values, table[group[rows], columns], level), preds)]
+        out.update(zip(block.tolist(), preds))
+    return out
 
 
 class GlobalFrequencyImputer(Imputer):
@@ -46,10 +71,8 @@ class GlobalFrequencyImputer(Imputer):
         self.counts = train.counts
         return self
 
-    def predict(self, query: ImputerQuery) -> Prediction:
-        values, columns = _target_columns(self.counts, query.target)
-        value, confidence = _mode(values, self.counts.totals[columns])
-        return Prediction(value, confidence, source="global")
+    def predict(self, test: Dataset, cells: np.ndarray) -> dict[int, Prediction]:
+        return _backoff(self.counts, (), test, cells)
 
 
 class GenusFamilyBackoffImputer(Imputer):
@@ -61,19 +84,8 @@ class GenusFamilyBackoffImputer(Imputer):
         self.counts = train.counts
         return self
 
-    def predict(self, query: ImputerQuery) -> Prediction:
-        counts = self.counts
-        values, columns = _target_columns(counts, query.target)
-        lang = query.language
-        for source, grouped in (
-            ("genus", counts.genus[lang.genus]),
-            ("family", counts.family[lang.family]),
-        ):
-            mode = _mode(values, grouped[columns])
-            if mode is not None:
-                return Prediction(mode[0], mode[1], source=source)
-        value, confidence = _mode(values, counts.totals[columns])
-        return Prediction(value, confidence, source="global")
+    def predict(self, test: Dataset, cells: np.ndarray) -> dict[int, Prediction]:
+        return _backoff(self.counts, ("genus", "family"), test, cells)
 
 
 class GeoBackoffImputer(Imputer):
@@ -83,8 +95,9 @@ class GeoBackoffImputer(Imputer):
     over training languages within ``near_km`` that have it.  Failing
     that, find the nearest training language with the target inside
     ``far_km`` (ties broken on the smaller code) and use its family's
-    mode.  Global frequency terminates the chain.  The query language's
-    own training row, if any, never counts.
+    mode.  Global frequency terminates the chain.  The test language's
+    own training row, if any, never counts.  Distance rows are read
+    only for the test languages that reach the geographic levels.
     """
 
     name = "geo_backoff"
@@ -94,37 +107,33 @@ class GeoBackoffImputer(Imputer):
             raise ValueError(f"need 0 <= near_km <= far_km, got {near_km} and {far_km}")
         self.near_km = near_km
         self.far_km = far_km
-        self._backoff = GenusFamilyBackoffImputer()
 
     def fit(self, train: Dataset, context: Dataset | None = None) -> "GeoBackoffImputer":
-        self._backoff.fit(train)
+        self.counts = train.counts
         return self
 
-    def predict(self, query: ImputerQuery) -> Prediction:
-        pred = self._backoff.predict(query)  # may raise NoPredictionError
-        if pred.source in ("genus", "family"):
-            return pred
+    def predict(self, test: Dataset, cells: np.ndarray) -> dict[int, Prediction]:
+        counts = self.counts
+        out = _backoff(counts, ("genus", "family"), test, cells)
+        reach = np.array([c for c, p in out.items() if p.source == "global"], dtype=np.intp)
+        for target, block, rows in by_target(test, reach):
+            values, columns = _target_columns(counts, target)
+            onehot = counts.onehot[:, columns]
+            languages = [test.languages[r] for r in rows.tolist()]
+            km = np.array([counts.distances(lang) for lang in languages])
+            own = np.array([counts.rows.get(lang.code, -1) for lang in languages])
+            holders = onehot.any(axis=1) & (np.arange(len(onehot)) != own[:, None])
 
-        counts = self._backoff.counts
-        values, columns = _target_columns(counts, query.target)
-        onehot = counts.onehot[:, columns]
-        holders = onehot.any(axis=1)
-        own = counts.rows.get(query.language.code)
-        if own is not None:
-            holders[own] = False
-        km = counts.distances(query.language)
-
-        mode = _mode(values, onehot[holders & (km <= self.near_km)].sum(axis=0))
-        if mode is not None:
-            return Prediction(mode[0], mode[1], source="neighborhood")
-
-        in_far = np.flatnonzero(holders & (km <= self.far_km))
-        if len(in_far):
-            tied = in_far[km[in_far] == km[in_far].min()]
-            nearest = min(tied.tolist(), key=lambda i: counts.languages[i].code)
+            preds = _modes(values, count_matmul(holders & (km <= self.near_km), onehot),
+                           "neighborhood")
+            in_far = holders & (km <= self.far_km)
+            # nearest holder inside far_km: least distance, then least code
+            nearest_km = np.where(in_far, km, np.inf).min(axis=1, keepdims=True)
+            tied = in_far & (km == nearest_km)
+            nearest = np.where(tied, counts.code_rank, len(counts.code_rank)).argmin(axis=1)
             family = counts.family.of
-            mode = _mode(values, onehot[holders & (family == family[nearest])].sum(axis=0))
-            if mode is not None:
-                return Prediction(mode[0], mode[1], source="nearest-family")
-
-        return pred  # global frequency from the underlying chain
+            same = holders & (family == family[nearest][:, None]) & tied.any(axis=1)[:, None]
+            far = _modes(values, count_matmul(same, onehot), "nearest-family")
+            for cell, near, family_mode in zip(block.tolist(), preds, far):
+                out[cell] = near or family_mode or out[cell]
+        return out

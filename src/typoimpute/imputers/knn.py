@@ -5,22 +5,24 @@ neighbors are ranked by cosine distance between vectors.  Without one,
 languages are compared by agreement over their shared observed features
 (1 - matching/shared); languages sharing no features rank last, and
 geographic distance breaks ties.  Agreement is counted from the
-training set's shared integer tables, ``Dataset.counts``, once per query
-language and observed map; geographic distance is read from the table's
-cached distance row of the query language, computed only when
-candidates tie at the k-th place.
+training set's shared integer tables, ``Dataset.counts``, as one test
+rows x training rows matrix per prediction call; geographic distance is
+read from the table's cached distance row of a test language, computed
+only when candidates tie at the k-th place.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
+from ..coded import count_matmul
 from ..geo import haversine_km  # noqa: F401  (bench/trace_child.py counts calls through this name)
 from ..kb import Dataset, DatasetError
-from .base import Imputer, ImputerQuery, NoPredictionError, Prediction, _mode
+from .base import Imputer, Prediction, _modes, by_target
 
 __all__ = ["NearestNeighborImputer", "load_language_vectors"]
 
@@ -29,7 +31,8 @@ def load_language_vectors(path: str | Path) -> dict[str, np.ndarray]:
     """Read a tab-separated language-vector file.
 
     Every line is a code followed by finite vector components; all
-    vectors in one file must share a dimension.
+    vectors in one file must share a dimension, and a file without any
+    vector is an error.
     """
     vectors: dict[str, np.ndarray] = {}
     dim = None
@@ -55,6 +58,8 @@ def load_language_vectors(path: str | Path) -> dict[str, np.ndarray]:
         if code in vectors:
             raise DatasetError(f"vector file line {lineno}: duplicate code {code!r}")
         vectors[code] = vec
+    if not vectors:
+        raise DatasetError(f"vector file {path} holds no language vectors")
     return vectors
 
 
@@ -64,6 +69,9 @@ def _cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 or nb == 0.0:
         return 2.0  # maximal cosine distance; degenerate vector
     return 1.0 - float(np.dot(a, b)) / (na * nb)
+
+
+_NO_VECTOR = 3.0  # beyond every cosine distance: a language without a vector ranks last
 
 
 class NearestNeighborImputer(Imputer):
@@ -79,77 +87,66 @@ class NearestNeighborImputer(Imputer):
 
     def fit(self, train: Dataset, context: Dataset | None = None) -> "NearestNeighborImputer":
         self._counts = train.counts
-        codes = [lang.code for lang in self._counts.languages]
-        self._code_rank = np.empty(len(codes), dtype=np.intp)
-        self._code_rank[sorted(range(len(codes)), key=codes.__getitem__)] = np.arange(len(codes))
-        self._distances: dict[tuple, np.ndarray] = {}
         return self
 
-    def _vector_key(self, query: ImputerQuery, candidate) -> tuple:
-        qvec = self.vectors[query.language.code]
-        cvec = self.vectors.get(candidate.code)
-        if cvec is None:
-            return (1, 0.0, candidate.code)  # no vector: after all ranked ones
-        return (0, _cosine_distance(qvec, cvec), candidate.code)
-
-    def _agreement(self, query: ImputerQuery) -> np.ndarray:
-        """Agreement distance 1 - matching/shared of every training
-        language, or 2.0 (after every shared distance) when it shares no
-        feature with the query; cached per language and observed map."""
-        key = (query.language, tuple(sorted(query.observed.items())))
-        distance = self._distances.get(key)
-        if distance is None:
-            counts = self._counts
-            features = [counts.feature_index[f] for f in query.observed if f in counts.columns]
-            values = [
-                counts.columns[f][v]
-                for f, v in query.observed.items()
-                if v in counts.columns.get(f, ())
-            ]
-            shared = counts.seen[:, features].sum(axis=1)
-            matching = counts.onehot[:, values].sum(axis=1)
-            distance = np.full(len(shared), 2.0)
-            np.divide(matching, shared, out=distance, where=shared > 0)
-            np.subtract(1.0, distance, out=distance, where=shared > 0)
-            self._distances[key] = distance
-        return distance
-
-    def _nearest(self, query: ImputerQuery, candidates: np.ndarray) -> np.ndarray:
-        """The k candidates ranked first by agreement distance; where the
-        k-th place is tied, geographic distance and then code decide."""
-        if len(candidates) <= self.k:
-            return candidates
-        distance = self._agreement(query)[candidates]
-        kth = np.partition(distance, self.k - 1)[self.k - 1]
-        ahead = candidates[distance < kth]
-        tied = candidates[distance == kth]
-        need = self.k - len(ahead)
-        if len(tied) > need:
-            km = self._counts.distances(query.language)[tied]
-            tied = tied[np.lexsort((self._code_rank[tied], km))[:need]]
-        return np.concatenate([ahead, tied])
-
-    def predict(self, query: ImputerQuery) -> Prediction:
+    def _distances(self, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        """Test rows x training rows: the cosine distance for a test
+        language with a vector, else the agreement distance
+        1 - matching/shared, or 2.0 (after every shared distance) where
+        the two share no feature; and whether each test row has a vector."""
         counts = self._counts
-        values = counts.columns.get(query.target, {})
-        observing = counts.onehot[:, list(values.values())]
-        has_target = observing.any(axis=1)
-        row = counts.rows.get(query.language.code)
-        if row is not None:
-            has_target[row] = False
-        candidates = np.flatnonzero(has_target)
-        if not len(candidates):
-            raise NoPredictionError(f"no training language observes {query.target!r}")
+        onehot, seen = counts.encode(test)
+        shared = count_matmul(seen, counts.seen.T)
+        distance = np.full(shared.shape, 2.0)
+        np.divide(count_matmul(onehot, counts.onehot.T), shared, out=distance, where=shared > 0)
+        np.subtract(1.0, distance, out=distance, where=shared > 0)
+        vectors = self.vectors or {}
+        by_vector = np.array([lang.code in vectors for lang in test.languages], dtype=bool)
+        train_vectors = [vectors.get(lang.code) for lang in counts.languages]
+        for row in np.flatnonzero(by_vector).tolist():
+            query = vectors[test.languages[row].code]
+            distance[row] = [_NO_VECTOR if v is None else _cosine_distance(query, v)
+                             for v in train_vectors]
+        return distance, by_vector
 
-        use_vectors = self.vectors is not None and query.language.code in self.vectors
-        if use_vectors:
-            ranked = sorted(candidates, key=lambda i: self._vector_key(query, counts.languages[i]))
-            taken = ranked[: self.k]
-            source = "knn-vector"
-        else:
-            taken = self._nearest(query, candidates)
-            source = "knn-agreement"
+    def _nearest(self, languages: list, candidates: np.ndarray, eligible: np.ndarray,
+                 distance: np.ndarray, by_vector: np.ndarray) -> np.ndarray:
+        """Mask of the k eligible candidates each row takes, ranked by
+        ``distance``; a tie at the k-th place goes to the geographically
+        nearer candidate (agreement rows only), then to the smaller code."""
+        taken = eligible.copy()
+        crowded = np.flatnonzero(eligible.sum(axis=1) > self.k)
+        if not len(crowded):
+            return taken
+        d = np.where(eligible[crowded], distance[crowded], np.inf)
+        kth = np.partition(d, self.k - 1, axis=1)[:, self.k - 1:self.k]
+        ahead, tied = d < kth, d == kth
+        need = self.k - ahead.sum(axis=1)
+        km = np.zeros(d.shape)
+        for i in np.flatnonzero((tied.sum(axis=1) > need) & ~by_vector[crowded]).tolist():
+            km[i] = self._counts.distances(languages[crowded[i]])[candidates]
+        code_rank = np.broadcast_to(self._counts.code_rank[candidates], d.shape)
+        place = np.lexsort((code_rank, np.where(tied, km, np.inf)), axis=1).argsort(axis=1)
+        taken[crowded] = ahead | (tied & (place < need[:, None]))
+        return taken
 
-        votes = np.bincount(observing[taken].argmax(axis=1), minlength=len(values))
-        value, share = _mode(list(values), votes)
-        return Prediction(value, share, source=source)
+    def predict(self, test: Dataset, cells: np.ndarray) -> dict[int, Prediction]:
+        counts = self._counts
+        distance, by_vector = self._distances(test)
+        own = np.array([counts.rows.get(lang.code, -1) for lang in test.languages], dtype=np.intp)
+        out: dict[int, Prediction] = {}
+        for target, block, rows in by_target(test, cells):
+            values = counts.columns.get(target)
+            if not values:
+                continue
+            observing = counts.onehot[:, list(values.values())]
+            candidates = np.flatnonzero(observing.any(axis=1))
+            taken = self._nearest([test.languages[r] for r in rows.tolist()], candidates,
+                                  candidates != own[rows][:, None],
+                                  distance[np.ix_(rows, candidates)], by_vector[rows])
+            votes = count_matmul(taken, observing[candidates])
+            preds = _modes(list(values), votes, "knn-agreement")
+            for cell, vector, pred in zip(block.tolist(), by_vector[rows].tolist(), preds):
+                if pred is not None:
+                    out[cell] = replace(pred, source="knn-vector") if vector else pred
+        return out

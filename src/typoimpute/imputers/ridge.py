@@ -20,9 +20,10 @@ on) and the list of the one-hot's (row, column) entries, built once per
 fit.  A target's training design matrix is gathered from these tables
 in blocks, its implicational and indicator entries taken from that list;
 leave-one-out subtracts the row's own one-hot from its counts.  Every
-value's regressor is then solved in one call.  A query copies its
+value's regressor is then solved in one call.  The test languages
+needing one target are scored as one block: their prior vectors copy
 genus, family and implicational shares from tables built once per
-target.
+target, and one product with the weights scores every value.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from ..coded import CodedCounts, count_matmul
 from ..geo import distance_matrix
 from ..geo import haversine_km  # noqa: F401  (bench/trace_child.py counts calls through this name)
 from ..kb import Dataset, Language
-from .base import Imputer, ImputerQuery, NoPredictionError, Prediction
+from .base import Imputer, Prediction, by_target
 
 __all__ = [
     "solve_ridge",
@@ -257,29 +258,32 @@ class PriorFeatureSpace:
         X[at[keys >= 0], self._obs_start + keys[keys >= 0]] = 1.0
         return X
 
-    def dense(self, language: Language, observed: Mapping[str, str]) -> np.ndarray:
-        """Prior vector of one query language; nothing is left out."""
+    def dense(self, languages: Sequence[Language], onehot: np.ndarray) -> np.ndarray:
+        """Prior vectors of test languages, one row each; ``onehot`` holds
+        their observed values in the statistics columns (rows x columns).
+        Nothing is left out."""
         stats = self.stats
         counts = stats.counts
         n_values = len(self.inventory)
-        vec = np.zeros(self._size)
+        X = np.zeros((len(languages), self._size))
         if "genetic" in self.blocks:
-            vec[:n_values] = self._genus_shares[counts.genus.rows.get(language.genus, -1)]
-            vec[n_values:2 * n_values] = \
-                self._family_shares[counts.family.rows.get(language.family, -1)]
+            X[:, :n_values] = self._genus_shares[
+                counts.genus.index(lang.genus for lang in languages)]
+            X[:, n_values:2 * n_values] = self._family_shares[
+                counts.family.index(lang.family for lang in languages)]
         if "areal" in self.blocks:
-            vec[self._areal_start:self._impl_start] = self._shares(
-                stats.areal_counts(language)[self._target_columns])
-        columns = np.array(
-            [counts.columns.get(f, {}).get(a, -1) for f, a in observed.items()], dtype=np.intp
-        )
+            tc = self._target_columns
+            areal = np.array([stats.areal_counts(lang)[tc] for lang in languages], dtype=np.int64)
+            X[:, self._areal_start:self._impl_start] = \
+                self._shares(areal.reshape(len(languages), len(tc)))
+        rows, columns = np.nonzero(onehot)
         keys = self._impl_key[columns]
-        keys = keys[keys >= 0]
-        vec[self._impl_start + keys[:, None] * n_values + np.arange(n_values)] = \
+        impl_rows, keys = rows[keys >= 0], keys[keys >= 0]
+        X[impl_rows[:, None], self._impl_start + keys[:, None] * n_values + np.arange(n_values)] = \
             self._impl_shares[keys]
         keys = self._obs_key[columns]
-        vec[self._obs_start + keys[keys >= 0]] = 1.0
-        return vec
+        X[rows[keys >= 0], self._obs_start + keys[keys >= 0]] = 1.0
+        return X
 
 
 @dataclass
@@ -288,10 +292,6 @@ class _FittedFeature:
     values: tuple[str, ...]
     weights: np.ndarray  # one row per value
     biases: np.ndarray
-
-    def raw_scores(self, query: ImputerQuery) -> np.ndarray:
-        """The score of every value for ``query``."""
-        return self.weights @ self.space.dense(query.language, query.observed) + self.biases
 
 
 class RidgePriorImputer(Imputer):
@@ -337,7 +337,7 @@ class RidgePriorImputer(Imputer):
         counts = train.counts
         if self.use_context and context is not None:
             counts = CodedCounts([train, context])
-        stats = _PriorStats(counts, self.areal_km if "areal" in self.blocks else None)
+        self._stats = stats = _PriorStats(counts, self.areal_km if "areal" in self.blocks else None)
         inventories = {f: tuple(values) for f, values in train.counts.columns.items()}
         # Training languages come first among the statistics rows.
         n_train = len(train.languages)
@@ -360,21 +360,21 @@ class RidgePriorImputer(Imputer):
             self._fitted[target] = _FittedFeature(space, values, np.ascontiguousarray(w.T), b)
         return self
 
-    def scores(self, query: ImputerQuery) -> dict[str, float] | None:
-        fitted = self._fitted.get(query.target)
-        if fitted is None:
-            return None
-        return dict(zip(fitted.values, fitted.raw_scores(query).tolist()))
-
-    def predict(self, query: ImputerQuery) -> Prediction:
-        fitted = self._fitted.get(query.target)
-        if fitted is None:
-            raise NoPredictionError(f"unknown feature {query.target!r}")
-        raw = fitted.raw_scores(query)
-        # values are sorted, so the first maximum breaks ties on the
-        # lexicographically smaller value
-        best = int(raw.argmax())
-        shifted = np.exp(raw - raw.max())
-        confidence = float(shifted[best] / shifted.sum())
-        source = "ridge" if len(raw) > 1 else "ridge-constant"
-        return Prediction(fitted.values[best], confidence, source=source)
+    def predict(self, test: Dataset, cells: np.ndarray) -> dict[int, Prediction]:
+        onehot, _ = self._stats.counts.encode(test)
+        out: dict[int, Prediction] = {}
+        for target, block, rows in by_target(test, cells):
+            fitted = self._fitted.get(target)
+            if fitted is None:
+                continue
+            X = fitted.space.dense([test.languages[r] for r in rows.tolist()], onehot[rows])
+            raw = X @ fitted.weights.T + fitted.biases
+            # values are sorted, so the first maximum breaks ties on the
+            # lexicographically smaller value
+            best = raw.argmax(axis=1)
+            shifted = np.exp(raw - raw.max(axis=1, keepdims=True))
+            confidence = shifted[np.arange(len(rows)), best] / shifted.sum(axis=1)
+            source = "ridge" if len(fitted.values) > 1 else "ridge-constant"
+            for cell, b, c in zip(block.tolist(), best.tolist(), confidence.tolist()):
+                out[cell] = Prediction(fitted.values[b], c, source=source)
+        return out

@@ -207,15 +207,6 @@ class Dataset:
     # ``bench/tests`` lists the feature names as ``catalog.features()``.
     catalog = property(lambda self: self)
 
-    def observed_of(self, code: str) -> dict[str, str]:
-        """Mapping feature -> value over the observed cells of a language."""
-        row = self.rows[code]
-        span = slice(self.bounds[row], self.bounds[row + 1])
-        cells = zip(self.cell_feature[span].tolist(), self.cell_value[span].tolist(),
-                    self.cell_state[span].tolist())
-        return {self.feature_names[f]: self.value_names[v]
-                for f, v, s in cells if s == OBSERVED_CODE}
-
     def _take(self, keep_rows: np.ndarray, keep_cells: np.ndarray) -> "Dataset":
         """The languages of ``keep_rows``, order kept, with those of their
         cells that ``keep_cells`` marks."""

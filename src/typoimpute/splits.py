@@ -14,7 +14,9 @@ produce identical splits.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -285,9 +287,12 @@ def build_controlled_split(d: Dataset, spec: SplitSpec) -> SplitResult:
 
 
 def provenance_csv(provenance: Sequence[LanguageProvenance]) -> str:
-    """Comma-separated provenance table: code, role, reason, ratio."""
-    lines = ["code,role,reason,blanking_ratio"]
+    """Comma-separated provenance table: code, role, reason, ratio; a
+    field holding a comma or a quote is quoted."""
+    out = io.StringIO()
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow(["code", "role", "reason", "blanking_ratio"])
     for p in provenance:
         ratio = "" if p.blanking_ratio is None else repr(p.blanking_ratio)
-        lines.append(f"{p.code},{p.role},{p.reason},{ratio}")
-    return "\n".join(lines) + "\n"
+        rows.writerow([p.code, p.role, p.reason, ratio])
+    return out.getvalue()

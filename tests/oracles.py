@@ -210,41 +210,6 @@ def global_mode_oracle(train, target: str) -> tuple[str, float] | None:
     return _mode(counts)
 
 
-def impute_loop_oracle(imputer, train, test, fallback: bool = True):
-    """The fill loop the ``impute`` command once wrote by hand.
-
-    ``imputer`` is fitted with the test set as context.  Every hidden
-    cell, in dataset order and then by feature name, asks ``imputer``;
-    where it has no answer, the fallback (a separately computed global
-    mode of ``train``) answers if ``fallback`` is set.  Returns the filled
-    values and the number of hidden cells left unfilled.
-    """
-    from typoimpute.imputers import ImputerQuery, NoPredictionError
-
-    imputer.fit(train, context=test)
-    fill: dict[tuple[str, str], str] = {}
-    n_unfilled = 0
-    cells_of: dict[str, dict] = {lang.code: {} for lang in test.languages}
-    for (code, feature), cell in test.cells.items():
-        cells_of[code][feature] = cell
-    for lang in test.languages:
-        observed = test.observed_of(lang.code)
-        for feature, cell in sorted(cells_of[lang.code].items()):
-            if cell.state == OBSERVED:
-                continue
-            query = ImputerQuery(language=lang, observed=observed, target=feature)
-            try:
-                value = imputer.predict(query).value
-            except NoPredictionError:
-                mode = global_mode_oracle(train, feature) if fallback else None
-                if mode is None:
-                    n_unfilled += 1
-                    continue
-                value = mode[0]
-            fill[(lang.code, feature)] = value
-    return fill, n_unfilled
-
-
 def genus_family_oracle(train, language, target: str) -> tuple[str, float, str] | None:
     """(value, confidence, level) per the genus -> family -> global chain."""
     by_code = {lang.code: lang for lang in train.languages}
@@ -306,7 +271,8 @@ def geo_backoff_oracle(
 
 
 def knn_oracle(train, query_language, observed, target, k, vectors=None):
-    """Exhaustive nearest-neighbor scan; returns the majority value."""
+    """Exhaustive nearest-neighbor scan: the majority value among the k
+    nearest and its share of the k votes, or None without candidates."""
     obs = observed_maps(train)
     candidates = [
         lang
@@ -343,7 +309,7 @@ def knn_oracle(train, query_language, observed, target, k, vectors=None):
     else:
         candidates.sort(key=agreement_key)
     votes = Counter(obs[c.code][target] for c in candidates[:k])
-    return _mode(votes)[0]
+    return _mode(votes)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +359,43 @@ def correlation_scores_oracle(train, observed, target, alpha=1.0, min_support=5)
             count_ab = sum(1 for m in co if m[feature] == a and m[target] == b)
             totals[b] += weight * (count_ab + alpha) / denom
     return totals if any_support else None
+
+
+def vote_prediction_oracle(scores) -> tuple[str, float]:
+    """Value and confidence of a vote-total dict: the best total, ties to
+    the smaller value, and its share of all totals summed in value order
+    (one over the values when they sum to zero)."""
+    value = min(scores, key=lambda b: (-scores[b], b))
+    mass = sum(scores[b] for b in sorted(scores))
+    return value, scores[value] / mass if mass > 0 else 1.0 / len(scores)
+
+
+def mapped_votes_oracle(imputer, observed, target):
+    """Vote totals of a fitted ``CorrelationImputer`` for ``target`` as
+    the imputer computed them before it scored blocks: from one observed
+    map at a time over its fitted tables, every voter's term added in
+    feature order as a running total.  The block totals must reproduce
+    these bit for bit.  None when no observed feature votes."""
+    counts = imputer._counts
+    of = counts.feature_of
+    cells = [(counts.feature_index[f], counts.columns[f].get(a, -1))
+             for f, a in sorted(observed.items()) if f in counts.columns]
+    if target not in counts.columns or not cells:
+        return None
+    features, values = np.array(cells, dtype=np.intp).T
+    voting = imputer._can_vote[features]
+    known = (values >= 0)[:, None]
+    denom = np.where(known, counts.marginal[values], 0) + imputer.alpha * imputer._sizes
+    use = (voting & (denom > 0))[:, of]
+    p = np.divide(np.where(known, counts.joint[values], 0) + imputer.alpha, denom[:, of],
+                  out=np.zeros(use.shape), where=use)
+    totals = np.cumsum(np.where(use, imputer._weight[features][:, of] * p, 0.0), axis=0)[-1]
+    t = counts.feature_index[target]
+    if not voting.any(axis=0)[t]:
+        return None
+    first = counts.starts[t]
+    values = counts.columns[target]
+    return dict(zip(values, totals[first:first + len(values)].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -513,11 +516,12 @@ class CountedPriorStats:
         self.languages = []
         self.observed = {}
         for d in sources:
+            observed = observed_maps(d)
             for lang in d.languages:
                 if lang.code in self.observed:
                     continue
                 self.languages.append(lang)
-                self.observed[lang.code] = d.observed_of(lang.code)
+                self.observed[lang.code] = observed[lang.code]
 
         self.genus = {}
         self.family = {}
@@ -804,8 +808,8 @@ class GatheredPriorSpace:
         vec = np.zeros((1, self.size))
         self._fill(
             vec,
-            counts.genus[language.genus][tc],
-            counts.family[language.family][tc],
+            counts.genus.table[counts.genus.rows.get(language.genus, -1)][tc],
+            counts.family.table[counts.family.rows.get(language.family, -1)][tc],
             stats.areal_counts(language)[tc] if "areal" in self.blocks else None,
             np.zeros(len(impl_keys), dtype=np.intp), impl_keys,
             counts.joint[np.ix_(self._impl_columns[impl_keys], tc)],
@@ -823,6 +827,96 @@ def ridge_prediction_oracle(scores):
     shifted = np.exp(raw - raw.max())
     confidence = float(shifted[sorted(scores).index(value)] / shifted.sum())
     return value, confidence, "ridge" if len(scores) > 1 else "ridge-constant"
+
+
+# ---------------------------------------------------------------------------
+# the impute fill loop, composed from the per-method oracles
+
+
+def method_oracle(method, config, train, test, vectors):
+    """``answer(language, observed, target) -> (value, confidence) | None``
+    of one configured method, from this module's oracles only.  Defaults
+    are the documented ones."""
+    get = config.get
+    min_support = int(get("min_support", "5"))
+    if method == "frequency":
+        return lambda lang, observed, target: global_mode_oracle(train, target)
+    if method == "genus_family":
+        def answer(lang, observed, target):
+            found = genus_family_oracle(train, lang, target)
+            return found and found[:2]
+        return answer
+    if method == "geo_backoff":
+        near, far = float(get("near_km", "1000")), float(get("far_km", "2000"))
+
+        def answer(lang, observed, target):
+            found = geo_backoff_oracle(train, lang, target, near, far)
+            return found and found[:2]
+        return answer
+    if method == "knn":
+        k = int(get("k", "1"))
+        return lambda lang, observed, target: knn_oracle(train, lang, observed, target, k, vectors)
+    if method == "correlation":
+        alpha = float(get("alpha", "1.0"))
+
+        def answer(lang, observed, target):
+            scores = correlation_scores_oracle(train, observed, target, alpha, min_support)
+            return scores and vote_prediction_oracle(scores)
+        return answer
+    if method == "ridge":
+        blocks = tuple(b.strip() for b in get("blocks", ",".join(RIDGE_BLOCKS)).split(","))
+        context = test if get("use_context", "false") == "true" else None
+        fitted = counted_ridge_fit(train, context, lam=float(get("lambda", "1.0")),
+                                   areal_km=float(get("areal_km", "2500")),
+                                   min_support=min_support, blocks=blocks)
+
+        def answer(lang, observed, target):
+            if target not in fitted:
+                return None
+            space, weights, biases = fitted[target]
+            raw = weights @ space.dense(lang, observed) + biases
+            return ridge_prediction_oracle(dict(zip(space.inventory, raw.tolist())))[:2]
+        return answer
+    raise ValueError(f"no oracle for method {method!r}")
+
+
+def impute_loop_oracle(config, train, test, fallback: bool = True, vectors=None):
+    """What ``impute`` writes for the imputer ``config`` (a key -> value
+    mapping), cell by cell from the per-method oracles: every hidden
+    cell, in dataset order and then by feature name, is answered from the
+    language's observed cells.  An ensemble keeps the first member's
+    answer (``first_success``) or the most confident one, earlier
+    members winning ties (``max_confidence``, the default).  Where
+    nothing answers, the global mode of ``train`` does if ``fallback`` is
+    set.  Returns the filled values and the number of hidden cells left
+    unfilled."""
+    method = config["method"]
+    members = [m.strip() for m in config["members"].split(",")] if method == "ensemble" \
+        else [method]
+    answers = [method_oracle(m, config, train, test, vectors) for m in members]
+    first = config.get("policy", "max_confidence") == "first_success"
+    observed = observed_maps(test)
+    fill: dict[tuple[str, str], str] = {}
+    n_unfilled = 0
+    for (code, feature), cell in sorted(test.cells.items(),
+                                        key=lambda item: (test.rows[item[0][0]], item[0][1])):
+        if cell.state == OBSERVED:
+            continue
+        lang = test.language(code)
+        best = None
+        for answer in answers:
+            found = answer(lang, observed[code], feature)
+            if found is not None and (best is None or found[1] > best[1]):
+                best = found
+            if best is not None and first:
+                break
+        if best is None and fallback:
+            best = global_mode_oracle(train, feature)
+        if best is None:
+            n_unfilled += 1
+        else:
+            fill[(code, feature)] = best[0]
+    return fill, n_unfilled
 
 
 # ---------------------------------------------------------------------------

@@ -100,3 +100,23 @@ def blank_some(dataset: Dataset, rng: random.Random, per_language: int = 1) -> D
 
 def as_text(dataset: Dataset, **kwargs) -> str:
     return serialize_dataset(dataset, **kwargs)
+
+
+def observed_of(dataset: Dataset, code: str) -> dict[str, str]:
+    """feature -> value over the observed cells of one language."""
+    return {feature: cell.value for (c, feature), cell in dataset.cells.items()
+            if c == code and cell.state == "observed"}
+
+
+def predict_one(imputer, language: Language, observed: dict[str, str], target: str):
+    """The fitted imputer's prediction for one cell, or None: a test set
+    of ``language`` alone, observing ``observed`` with ``target`` hidden,
+    filled through ``fill_dataset``."""
+    from typoimpute.imputers import fill_dataset
+
+    if target in observed:
+        raise ValueError(f"target {target!r} is already observed")
+    cells = {(language.code, feature): Cell.observed(value) for feature, value in observed.items()}
+    cells[(language.code, target)] = Cell.unknown()
+    test = Dataset.build([language], cells)
+    return fill_dataset(imputer, test).get((language.code, target))

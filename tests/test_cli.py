@@ -11,7 +11,6 @@ import pytest
 import typoimpute
 from typoimpute.cli import main
 from typoimpute.configio import parse_kv, read_kv
-from typoimpute.imputers import build_imputer
 from typoimpute.kb import BLANKED, OBSERVED, UNKNOWN, Cell, Dataset, parse_dataset, serialize_dataset
 
 from oracles import impute_loop_oracle
@@ -716,9 +715,7 @@ def test_impute_matches_fill_loop_oracle(tmp_path, impute_files, caplog, method,
 
     train = parse_dataset((impute_files / "train.tsv").read_text(encoding="utf-8"))
     test = parse_dataset((impute_files / "test.tsv").read_text(encoding="utf-8"))
-    fill, n_unfilled = impute_loop_oracle(
-        build_imputer(read_kv(cfg)), train, test, fallback=fallback
-    )
+    fill, n_unfilled = impute_loop_oracle(read_kv(cfg), train, test, fallback=fallback)
     assert out.read_text(encoding="utf-8") == serialize_dataset(test, fill=fill)
     assert f"filled {len(fill)} cells ({n_unfilled} left unfilled)" in caplog.text
     assert n_unfilled > 0  # the feature training never observes
@@ -730,8 +727,8 @@ def test_impute_fallback_answers_what_the_method_cannot(tmp_path, impute_files):
     train = parse_dataset((impute_files / "train.tsv").read_text(encoding="utf-8"))
     test = parse_dataset((impute_files / "test.tsv").read_text(encoding="utf-8"))
     config = parse_kv(IMPUTE_CONFIGS["correlation"])
-    _, alone = impute_loop_oracle(build_imputer(config), train, test, fallback=False)
-    _, backed = impute_loop_oracle(build_imputer(config), train, test, fallback=True)
+    _, alone = impute_loop_oracle(config, train, test, fallback=False)
+    _, backed = impute_loop_oracle(config, train, test, fallback=True)
     assert alone > backed > 0
 
 
@@ -851,6 +848,24 @@ def test_impute_vectors_checked_before_they_are_read(tmp_path, impute_files, cap
                  "--imputer-config", str(cfg), "--vectors", str(vectors)]) == code
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
+def test_impute_empty_vectors_file_is_data_error(tmp_path, impute_files, capsys, text):
+    """A vector file without a single vector is a data error naming the
+    file, not a silent fall back to agreement ranking."""
+    vectors = tmp_path / "empty.tsv"
+    vectors.write_text(text, encoding="utf-8")
+    cfg = tmp_path / "imputer.cfg"
+    cfg.write_text("method=knn\n", encoding="utf-8")
+    out = tmp_path / "f.tsv"
+    assert main(["impute", "--train", str(impute_files / "train.tsv"),
+                 "--test", str(impute_files / "test.tsv"), "--out", str(out),
+                 "--imputer-config", str(cfg), "--vectors", str(vectors)]) == 2
+    assert f"data error: vector file {vectors} holds no language vectors" in \
+        capsys.readouterr().err
+    assert not out.exists()
+    assert not Path(f"{out}.manifest").exists()
 
 
 @pytest.mark.parametrize("train_text", [

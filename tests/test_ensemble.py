@@ -13,39 +13,47 @@ from typoimpute.imputers import (
     GenusFamilyBackoffImputer,
     GeoBackoffImputer,
     GlobalFrequencyImputer,
-    ImputerQuery,
     NearestNeighborImputer,
-    NoPredictionError,
     Prediction,
     RidgePriorImputer,
     build_imputer,
+    fill_dataset,
 )
+from typoimpute.kb import Cell, Dataset
 from typoimpute.imputers.config import _METHODS as _METHOD_TABLE, METHODS
 
-from synth import make_language, random_dataset
+from synth import make_language, predict_one, random_dataset
 
 
 class _Canned:
-    """Test double that returns a fixed prediction or always fails."""
+    """Test double that answers every cell, or only the cells of
+    ``targets``, with a fixed prediction, or never (no value); it
+    records the cells it is asked about."""
 
-    def __init__(self, value=None, confidence=0.5, source="canned"):
+    def __init__(self, value=None, confidence=0.5, source="canned", targets=None):
         self.value = value
         self.confidence = confidence
         self.source = source
+        self.targets = targets
         self.fitted = False
+        self.asked = []
 
     def fit(self, train, context=None):
         self.fitted = True
         return self
 
-    def predict(self, query):
+    def predict(self, test, cells):
+        self.asked.append(cells.tolist())
         if self.value is None:
-            raise NoPredictionError("canned failure")
-        return Prediction(self.value, self.confidence, self.source)
+            return {}
+        targets = self.targets or test.feature_names
+        return {cell: Prediction(self.value, self.confidence, self.source)
+                for cell in cells.tolist()
+                if test.feature_names[test.cell_feature[cell]] in targets}
 
 
-def _query(target="f"):
-    return ImputerQuery(language=make_language("qqq"), observed={}, target=target)
+def _ask(imputer, target="f"):
+    return predict_one(imputer, make_language("qqq"), {}, target)
 
 
 def test_ensemble_of_one_is_identity():
@@ -54,19 +62,18 @@ def test_ensemble_of_one_is_identity():
     solo = GlobalFrequencyImputer().fit(train)
     combined = EnsembleImputer([GlobalFrequencyImputer()]).fit(train)
     for target in train.features():
-        query = _query(target)
-        assert combined.predict(query) == solo.predict(query)
+        assert _ask(combined, target) == _ask(solo, target)
 
 
 def test_max_confidence_picks_strongest():
     ens = EnsembleImputer([_Canned("a", 0.4), _Canned("b", 0.9)])
-    pred = ens.predict(_query())
+    pred = _ask(ens)
     assert (pred.value, pred.confidence) == ("b", 0.9)
 
 
 def test_max_confidence_tie_goes_to_earlier_member():
     ens = EnsembleImputer([_Canned("first", 0.7), _Canned("second", 0.7)])
-    assert ens.predict(_query()).value == "first"
+    assert _ask(ens).value == "first"
 
 
 def test_max_confidence_never_below_any_member():
@@ -74,36 +81,62 @@ def test_max_confidence_never_below_any_member():
     for _ in range(50):
         members = [_Canned(f"v{i}", round(rng.random(), 3)) for i in range(4)]
         ens = EnsembleImputer(members)
-        pred = ens.predict(_query())
+        pred = _ask(ens)
         assert pred.confidence >= max(m.confidence for m in members)
 
 
 def test_max_confidence_skips_failing_members():
     ens = EnsembleImputer([_Canned(None), _Canned("b", 0.2)])
-    assert ens.predict(_query()).value == "b"
+    assert _ask(ens).value == "b"
 
 
 def test_first_success_respects_order():
     ens = EnsembleImputer([_Canned("a", 0.1), _Canned("b", 0.9)], policy="first_success")
-    assert ens.predict(_query()).value == "a"
+    assert _ask(ens).value == "a"
 
 
 def test_first_success_falls_through_failures():
     ens = EnsembleImputer([_Canned(None), _Canned(None), _Canned("c", 0.3)],
                           policy="first_success")
-    assert ens.predict(_query()).value == "c"
+    assert _ask(ens).value == "c"
 
 
 @pytest.mark.parametrize("policy", ["max_confidence", "first_success"])
-def test_all_members_failing_raises(policy):
+def test_all_members_failing_leaves_cell_out(policy):
     ens = EnsembleImputer([_Canned(None), _Canned(None)], policy=policy)
-    with pytest.raises(NoPredictionError, match="no member"):
-        ens.predict(_query())
+    assert _ask(ens) is None
+
+
+def _three_cells():
+    """One test language hiding the features f, g and h."""
+    return Dataset.build([make_language("qqq")],
+                         {("qqq", f): Cell.unknown() for f in ("f", "g", "h")})
+
+
+def test_first_success_asks_later_members_only_about_unanswered_cells():
+    first = _Canned("a", 0.1, targets={"g"})
+    second = _Canned("b", 0.9, targets={"f"})
+    last = _Canned("c", 0.5)
+    predictions = fill_dataset(EnsembleImputer([first, second, last], "first_success"),
+                               _three_cells())
+    assert {f: p.value for (_, f), p in predictions.items()} == {"f": "b", "g": "a", "h": "c"}
+    assert (first.asked, second.asked, last.asked) == ([[0, 1, 2]], [[0, 2]], [[2]])
+    done = _Canned("d")
+    fill_dataset(EnsembleImputer([done, last], "first_success"), _three_cells())
+    assert last.asked == [[2]]  # nothing left for it
+
+
+def test_max_confidence_compares_cell_by_cell():
+    members = [_Canned("a", 0.6, targets={"f", "g"}), _Canned("b", 0.6, targets={"g", "h"}),
+               _Canned("c", 0.7, targets={"h"})]
+    predictions = fill_dataset(EnsembleImputer(members), _three_cells())
+    assert {f: p.value for (_, f), p in predictions.items()} == {"f": "a", "g": "a", "h": "c"}
+    assert [m.asked for m in members] == [[[0, 1, 2]]] * 3
 
 
 def test_member_prediction_passed_through_unchanged():
     ens = EnsembleImputer([_Canned("x", 0.42, source="special")])
-    assert ens.predict(_query()) == Prediction("x", 0.42, "special")
+    assert _ask(ens) == Prediction("x", 0.42, "special")
 
 
 def test_fit_reaches_every_member():
@@ -256,5 +289,4 @@ def test_built_ensemble_runs_end_to_end():
     })
     ens.fit(train)
     for target in train.features():
-        pred = ens.predict(_query(target))
-        assert pred.value in train.counts.columns[target]
+        assert _ask(ens, target).value in train.counts.columns[target]

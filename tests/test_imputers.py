@@ -16,14 +16,12 @@ from typoimpute.imputers import (
     GenusFamilyBackoffImputer,
     GeoBackoffImputer,
     GlobalFrequencyImputer,
-    ImputerQuery,
     NearestNeighborImputer,
-    NoPredictionError,
     Prediction,
     fill_dataset,
     load_language_vectors,
 )
-from typoimpute.imputers.base import _mode
+from typoimpute.imputers.base import _modes
 
 import oracles
 from oracles import (
@@ -34,26 +32,21 @@ from oracles import (
     knn_oracle,
     observed_maps,
 )
-from synth import make_language, random_dataset
+from synth import blank_some, make_language, observed_of, predict_one, random_dataset
 
 
-def _query(train, code, target):
-    lang = train.language(code) if code in set(train.codes()) else None
-    observed = dict(train.observed_of(code)) if lang is not None else {}
-    observed.pop(target, None)
-    return lang, observed
-
-
-def _fresh_query(language, observed, target):
-    return ImputerQuery(language=language, observed=observed, target=target)
+def _answer(pred):
+    """Value and confidence of a prediction, as the oracles give them."""
+    return None if pred is None else (pred.value, pred.confidence)
 
 
 def test_mode_majority_and_tie():
-    assert _mode(["SOV", "SVO"], np.array([5, 3])) == ("SOV", 0.625)
+    counts = np.array([[5, 3], [2, 2], [0, 0], [0, 4]])
     # values are sorted, so a tie goes to the lexicographically smaller one
-    assert _mode(["a", "b"], np.array([2, 2])) == ("a", 0.5)
-    assert _mode(["a", "b"], np.array([0, 0])) is None
-    assert _mode([], np.zeros(0, dtype=np.int64)) is None
+    assert _modes(["SOV", "SVO"], counts, "s") == [
+        Prediction("SOV", 0.625, "s"), Prediction("SOV", 0.5, "s"), None,
+        Prediction("SVO", 1.0, "s")]
+    assert _modes(["a"], np.zeros((0, 1), dtype=np.int64), "s") == []
 
 
 def test_global_frequency_spec_example():
@@ -65,8 +58,8 @@ def test_global_frequency_spec_example():
     train = Dataset.build(languages, cells)
     imp = GlobalFrequencyImputer()
     imp.fit(train)
-    query = _fresh_query(make_language("new"), {}, "81A Order")
-    pred = imp.predict(query)
+    query = (make_language("new"), {}, "81A Order")
+    pred = predict_one(imp, *query)
     assert pred == Prediction(value="SOV", confidence=0.625, source="global")
 
 
@@ -78,12 +71,11 @@ def test_global_frequency_matches_oracle():
         imp.fit(train)
         for target in train.features():
             want = global_mode_oracle(train, target)
-            query = _fresh_query(make_language("zzz"), {}, target)
+            query = (make_language("zzz"), {}, target)
             if want is None:
-                with pytest.raises(NoPredictionError):
-                    imp.predict(query)
+                assert predict_one(imp, *query) is None
                 continue
-            pred = imp.predict(query)
+            pred = predict_one(imp, *query)
             assert (pred.value, pred.confidence) == want
 
 
@@ -92,8 +84,7 @@ def test_global_frequency_unknown_feature():
     train = random_dataset(rng, n_languages=5)
     imp = GlobalFrequencyImputer()
     imp.fit(train)
-    with pytest.raises(NoPredictionError):
-        imp.predict(_fresh_query(make_language("zzz"), {}, "no such feature"))
+    assert predict_one(imp, make_language("zzz"), {}, "no such feature") is None
 
 
 def test_genus_family_levels():
@@ -113,15 +104,15 @@ def test_genus_family_levels():
     imp.fit(train)
 
     # genus level: GenA observes {x: 1}
-    pred = imp.predict(_fresh_query(make_language("q01", genus="GenA", family="FamX"), {}, "f"))
+    pred = predict_one(imp, make_language("q01", genus="GenA", family="FamX"), {}, "f")
     assert (pred.value, pred.confidence, pred.source) == ("x", 1.0, "genus")
 
     # family level: GenZ unseen, FamX observes {x: 1, y: 1} -> lexicographic
-    pred = imp.predict(_fresh_query(make_language("q02", genus="GenZ", family="FamX"), {}, "f"))
+    pred = predict_one(imp, make_language("q02", genus="GenZ", family="FamX"), {}, "f")
     assert (pred.value, pred.confidence, pred.source) == ("x", 0.5, "family")
 
     # global level
-    pred = imp.predict(_fresh_query(make_language("q03", genus="GenQ", family="FamQ"), {}, "f"))
+    pred = predict_one(imp, make_language("q03", genus="GenQ", family="FamQ"), {}, "f")
     assert pred.source == "global"
     assert pred.value == "x"
 
@@ -136,12 +127,11 @@ def test_genus_family_matches_oracle():
             lang = train.language(code)
             for target in train.features():
                 want = genus_family_oracle(train, lang, target)
-                query = _fresh_query(lang, {}, target)
+                query = (lang, {}, target)
                 if want is None:
-                    with pytest.raises(NoPredictionError):
-                        imp.predict(query)
+                    assert predict_one(imp, *query) is None
                     continue
-                pred = imp.predict(query)
+                pred = predict_one(imp, *query)
                 assert (pred.value, pred.confidence, pred.source) == want
 
 
@@ -172,7 +162,7 @@ def test_geo_backoff_neighborhood_mode():
     train = _geo_fixture()
     imp = GeoBackoffImputer(near_km=500.0, far_km=2000.0)
     imp.fit(train)
-    pred = imp.predict(_fresh_query(train.language("qqq"), {}, "f"))
+    pred = predict_one(imp, train.language("qqq"), {}, "f")
     # two holders within 500 km, tie broken lexicographically
     assert pred.value == "near1"
     assert pred.source == "neighborhood"
@@ -183,7 +173,7 @@ def test_geo_backoff_nearest_family():
     train = _geo_fixture()
     imp = GeoBackoffImputer(near_km=50.0, far_km=2000.0)
     imp.fit(train)
-    pred = imp.predict(_fresh_query(train.language("qqq"), {}, "f"))
+    pred = predict_one(imp, train.language("qqq"), {}, "f")
     # nobody within 50 km; nearest holder within 2000 km is nr1 (FamN1),
     # whose family holds only {near1}
     assert (pred.value, pred.source) == ("near1", "nearest-family")
@@ -205,7 +195,7 @@ def test_geo_backoff_family_mode_spans_family():
     train = Dataset.build(languages, cells)
     imp = GeoBackoffImputer(near_km=100.0, far_km=3000.0)
     imp.fit(train)
-    pred = imp.predict(_fresh_query(train.language("qqq"), {}, "f"))
+    pred = predict_one(imp, train.language("qqq"), {}, "f")
     # nearest holder fr1 belongs to FamF; mode over all FamF holders is b
     assert (pred.value, pred.source) == ("b", "nearest-family")
     assert pred.confidence == pytest.approx(2 / 3)
@@ -215,7 +205,7 @@ def test_geo_backoff_falls_back_to_global():
     train = _geo_fixture()
     imp = GeoBackoffImputer(near_km=10.0, far_km=20.0)
     imp.fit(train)
-    pred = imp.predict(_fresh_query(train.language("qqq"), {}, "f"))
+    pred = predict_one(imp, train.language("qqq"), {}, "f")
     assert pred.source == "global"
     assert pred.value == "far1"  # lexicographic among four singleton counts
 
@@ -233,7 +223,7 @@ def test_geo_backoff_prefers_genus_family():
     train = Dataset.build(languages, cells)
     imp = GeoBackoffImputer(near_km=1000.0, far_km=2000.0)
     imp.fit(train)
-    pred = imp.predict(_fresh_query(train.language("qqq"), {}, "f"))
+    pred = predict_one(imp, train.language("qqq"), {}, "f")
     # the genealogical levels outrank the neighborhood
     assert (pred.value, pred.source) == ("genusval", "genus")
 
@@ -249,14 +239,15 @@ def test_geo_backoff_radii_are_inclusive():
         return haversine_km(GeoPoint(here.latitude, here.longitude),
                             GeoPoint(lang.latitude, lang.longitude))
 
-    query = _fresh_query(here, {}, "f")
-    pred = GeoBackoffImputer(near_km=km("nr1"), far_km=km("nr1")).fit(train).predict(query)
+    def predict(near_km, far_km):
+        return predict_one(GeoBackoffImputer(near_km, far_km).fit(train), here, {}, "f")
+
+    pred = predict(km("nr1"), km("nr1"))
     assert (pred.value, pred.source, pred.confidence) == ("near1", "neighborhood", 1.0)
-    pred = GeoBackoffImputer(near_km=0.0, far_km=km("nr1")).fit(train).predict(query)
+    pred = predict(0.0, km("nr1"))
     assert (pred.value, pred.source) == ("near1", "nearest-family")
     just_short = float(np.nextafter(km("nr1"), 0))
-    pred = GeoBackoffImputer(near_km=0.0, far_km=just_short).fit(train).predict(query)
-    assert pred.source == "global"
+    assert predict(0.0, just_short).source == "global"
 
 
 def test_geo_backoff_matches_oracle():
@@ -277,12 +268,11 @@ def test_geo_backoff_matches_oracle():
             lang = train.language(code)
             for target in train.features():
                 want = geo_backoff_oracle(train, lang, target, near, far)
-                query = _fresh_query(lang, {}, target)
+                query = (lang, {}, target)
                 if want is None:
-                    with pytest.raises(NoPredictionError):
-                        imp.predict(query)
+                    assert predict_one(imp, *query) is None
                     continue
-                pred = imp.predict(query)
+                pred = predict_one(imp, *query)
                 assert (pred.value, pred.source) == (want[0], want[2])
                 assert pred.confidence == pytest.approx(want[1])
 
@@ -341,7 +331,7 @@ def test_genus_family_matches_oracle_at_benchmark_size():
     for lang in queries:
         for target in train.features():
             want = genus_family_oracle(train, lang, target)
-            pred = imp.predict(_fresh_query(lang, {}, target))
+            pred = predict_one(imp, lang, {}, target)
             assert (pred.value, pred.confidence, pred.source) == want
             sources[pred.source] += 1
     assert min(sources[s] for s in ("genus", "family", "global")) > 50
@@ -360,7 +350,7 @@ def test_geo_backoff_matches_oracle_at_benchmark_size(monkeypatch):
         for lang in queries:
             for target in train.features():
                 want = geo_backoff_oracle(train, lang, target, near, far)
-                pred = imp.predict(_fresh_query(lang, {}, target))
+                pred = predict_one(imp, lang, {}, target)
                 assert (pred.value, pred.confidence, pred.source) == want
                 sources[pred.source] += 1
                 if pred.source == "nearest-family":
@@ -399,7 +389,7 @@ def test_knn_vector_mode_exact_match():
     train = Dataset.build(languages, cells)
     imp = NearestNeighborImputer(k=1, vectors=vectors)
     imp.fit(train)
-    pred = imp.predict(_fresh_query(make_language("qqq"), {}, "f"))
+    pred = predict_one(imp, make_language("qqq"), {}, "f")
     assert (pred.value, pred.confidence, pred.source) == ("va", 1.0, "knn-vector")
 
 
@@ -419,7 +409,7 @@ def test_knn_majority_among_k():
     train = Dataset.build(languages, cells)
     imp = NearestNeighborImputer(k=3, vectors=vectors)
     imp.fit(train)
-    pred = imp.predict(_fresh_query(make_language("qqq"), {}, "f"))
+    pred = predict_one(imp, make_language("qqq"), {}, "f")
     assert pred.value == "A"
     assert pred.confidence == pytest.approx(2 / 3)
 
@@ -440,8 +430,8 @@ def test_knn_agreement_fallback_when_no_vectors():
     train = Dataset.build(languages, cells)
     imp = NearestNeighborImputer(k=1)
     imp.fit(train)
-    query = _fresh_query(make_language("qqq"), {"g": "1", "h": "2"}, "f")
-    pred = imp.predict(query)
+    query = (make_language("qqq"), {"g": "1", "h": "2"}, "f")
+    pred = predict_one(imp, *query)
     assert (pred.value, pred.source) == ("match", "knn-agreement")
 
 
@@ -461,7 +451,7 @@ def test_knn_agreement_fallback_when_query_has_no_vector():
     imp = NearestNeighborImputer(k=1, vectors=vectors)
     imp.fit(train)
     # query code absent from the vector table: agreement distance applies
-    pred = imp.predict(_fresh_query(make_language("qqq"), {"g": "1"}, "f"))
+    pred = predict_one(imp, make_language("qqq"), {"g": "1"}, "f")
     assert (pred.value, pred.source) == ("match", "knn-agreement")
 
 
@@ -480,12 +470,8 @@ def test_knn_matches_oracle():
         for target in train.features():
             observed = {}
             want = knn_oracle(train, qlang, observed, target, k, vectors=vectors)
-            query = _fresh_query(qlang, observed, target)
-            if want is None:
-                with pytest.raises(NoPredictionError):
-                    imp.predict(query)
-                continue
-            assert imp.predict(query).value == want
+            query = (qlang, observed, target)
+            assert _answer(predict_one(imp, *query)) == want
 
 
 def test_knn_agreement_matches_oracle():
@@ -497,16 +483,12 @@ def test_knn_agreement_matches_oracle():
         imp.fit(train)
         for code in train.codes():
             qlang = train.language(code)
-            full = dict(train.observed_of(code))
+            full = dict(observed_of(train, code))
             for target in train.features():
                 observed = {f: v for f, v in full.items() if f != target}
                 want = knn_oracle(train, qlang, observed, target, k)
-                query = _fresh_query(qlang, observed, target)
-                if want is None:
-                    with pytest.raises(NoPredictionError):
-                        imp.predict(query)
-                    continue
-                assert imp.predict(query).value == want
+                query = (qlang, observed, target)
+                assert _answer(predict_one(imp, *query)) == want
 
 
 def _tied_train(same_place):
@@ -540,10 +522,10 @@ def test_knn_agreement_ties_match_oracle(monkeypatch, same_place, k):
     imp = NearestNeighborImputer(k=k).fit(train)
     for lat, lon in [(10.0, 20.0), (25.0, 10.0), (-40.0, 100.0)]:
         qlang = make_language("q", lat=lat, lon=lon)
-        query = _fresh_query(qlang, {"g": "1"}, "f")
+        query = (qlang, {"g": "1"}, "f")
         want = knn_oracle(train, qlang, {"g": "1"}, "f", k)
-        assert imp.predict(query).value == want
-        assert imp.predict(query).value == want  # from the cache
+        assert _answer(predict_one(imp, *query)) == want
+        assert _answer(predict_one(imp, *query)) == want  # from the table's cache
     # every query language ties, and gets one distance row
     assert rows == [1, 1, 1]
 
@@ -557,8 +539,8 @@ def test_knn_calls_haversine_only_for_ties(monkeypatch):
         cells[(code, "h")] = Cell.observed(h)
         cells[(code, "f")] = Cell.observed(code)
     imp = NearestNeighborImputer(k=2).fit(Dataset.build(languages, cells))
-    query = _fresh_query(make_language("q"), {"g": "1", "h": "1"}, "f")
-    assert imp.predict(query).value == "a"  # distances 0, 0.5, 1: no tie at place 2
+    query = (make_language("q"), {"g": "1", "h": "1"}, "f")
+    assert predict_one(imp, *query).value == "a"  # distances 0, 0.5, 1: no tie at place 2
     assert rows == []
 
 
@@ -575,8 +557,8 @@ def test_knn_neighbourhood_follows_observed_map():
     qlang = make_language("q", lat=5.0, lon=5.0)
     got = []
     for observed in ({"g": "1"}, {"h": "1"}, {"g": "1"}):
-        got.append(imp.predict(_fresh_query(qlang, observed, "f")).value)
-        assert got[-1] == knn_oracle(train, qlang, observed, "f", 1)
+        got.append(predict_one(imp, qlang, observed, "f").value)
+        assert (got[-1], 1.0) == knn_oracle(train, qlang, observed, "f", 1)
     assert got == ["a", "b", "a"]
 
 
@@ -596,24 +578,19 @@ def test_knn_ties_match_oracle_on_random_data():
         imp = NearestNeighborImputer(k=k).fit(train)
         for code in train.codes():
             qlang = train.language(code)
-            full = train.observed_of(code)
+            full = observed_of(train, code)
             for target in train.features():
                 observed = {f: v for f, v in full.items() if f != target}
                 want = knn_oracle(train, qlang, observed, target, k)
-                query = _fresh_query(qlang, observed, target)
-                if want is None:
-                    with pytest.raises(NoPredictionError):
-                        imp.predict(query)
-                    continue
-                assert imp.predict(query).value == want
+                query = (qlang, observed, target)
+                assert _answer(predict_one(imp, *query)) == want
 
 
 def test_knn_no_candidates():
     train = Dataset.build([make_language("aaa")], {("aaa", "f"): Cell.observed("v")})
     imp = NearestNeighborImputer(k=2)
     imp.fit(train)
-    with pytest.raises(NoPredictionError):
-        imp.predict(_fresh_query(make_language("qqq"), {}, "missing feature"))
+    assert predict_one(imp, make_language("qqq"), {}, "missing feature") is None
 
 
 def test_knn_rejects_bad_k():
@@ -645,10 +622,22 @@ def test_load_language_vectors_rejects_non_finite(tmp_path, component):
         load_language_vectors(path)
 
 
-def test_query_validation():
-    lang = make_language("aaa")
-    with pytest.raises(ValueError):
-        ImputerQuery(language=lang, observed={"f": "v"}, target="f")
+def test_fill_dataset_asks_once_about_the_hidden_cells():
+    test = Dataset.build(
+        [make_language("ttt"), make_language("uuu")],
+        {("ttt", "f"): Cell.observed("x"), ("ttt", "g"): Cell.unknown(),
+         ("uuu", "f"): Cell.blanked("y"), ("uuu", "g"): Cell.observed("z")},
+    )
+    calls = []
+
+    class Recording(GlobalFrequencyImputer):
+        def predict(self, test, cells):
+            calls.append(cells.tolist())
+            return {cell: Prediction("v", 1.0, "canned") for cell in cells.tolist()}
+
+    predictions = fill_dataset(Recording(), test)
+    assert calls == [[1, 2]]
+    assert list(predictions) == [("ttt", "g"), ("uuu", "f")]
 
 
 def test_prediction_confidence_bounds():
@@ -687,8 +676,63 @@ def test_fill_dataset_leaves_out_unanswerable_cells():
         {("ttt", "f"): Cell.unknown(), ("ttt", "g"): Cell.unknown()},
     )
     imp = GlobalFrequencyImputer().fit(train)
-    with pytest.raises(NoPredictionError):
-        imp.predict(_fresh_query(test.language("ttt"), {}, "g"))
+    assert predict_one(imp, test.language("ttt"), {}, "g") is None
     predictions = fill_dataset(imp, test)
     assert sorted(predictions) == [("ttt", "f")]
     assert predictions[("ttt", "f")].value == "v"
+
+
+BLOCK_CONFIGS = {
+    "frequency": {"method": "frequency"},
+    "genus_family": {"method": "genus_family"},
+    "geo_backoff": {"method": "geo_backoff", "near_km": "1500", "far_km": "4000"},
+    "knn": {"method": "knn", "k": "3"},
+    "knn_vectors": {"method": "knn"},
+    "correlation": {"method": "correlation", "min_support": "3"},
+    "ridge": {"method": "ridge", "min_support": "2"},
+    "ridge_context": {"method": "ridge", "min_support": "2", "use_context": "true"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CONFIGS))
+def test_fill_dataset_blocks_match_per_cell_oracles(name):
+    """One ``fill_dataset`` call answers, target by target, the hidden
+    cells of many test languages, several per language; every answer
+    equals the per-cell oracle's for that language alone.  Some test
+    languages share a code with a training language, some have a genus
+    and family training never sees, and with vectors some rank by
+    vector and the rest by agreement."""
+    from typoimpute.imputers import build_imputer
+
+    rng = random.Random(67)
+    data = random_dataset(rng, n_languages=60, n_features=6, p_observed=0.7, min_observed=3)
+    codes = data.codes()
+    train = data.subset(codes[:40])
+    test = blank_some(data.subset(codes[35:]), rng, per_language=3)
+    languages = [replace(lang, genus=f"NewG{i}", family=f"NewF{i}") if i % 2 else lang
+                 for i, lang in enumerate(test.languages)]
+    test = Dataset.build(languages, test.cells)
+    vectors = None
+    if name == "knn_vectors":
+        vectors = {code: tuple(rng.uniform(-1, 1) for _ in range(3))
+                   for code in rng.sample(codes, 40)}
+    config = BLOCK_CONFIGS[name]
+    imp = build_imputer(config, vectors=vectors).fit(train, context=test)
+    predictions = fill_dataset(imp, test)
+    answer = oracles.method_oracle(config["method"], config, train, test, vectors)
+
+    observed = observed_maps(test)
+    hidden = [key for key, cell in test.cells.items() if cell.state != "observed"]
+    assert max(Counter(f for _, f in hidden).values()) >= 10
+    assert max(Counter(c for c, _ in hidden).values()) >= 3
+    answered = 0
+    for code, target in hidden:
+        want = answer(test.language(code), observed[code], target)
+        got = _answer(predictions.get((code, target)))
+        if want is not None and config["method"] in ("correlation", "ridge"):
+            # totals and scores are floats from another summation order
+            assert got == (want[0], pytest.approx(want[1], rel=1e-9))
+        else:
+            assert got == want
+        answered += want is not None
+    assert answered > len(hidden) // 2

@@ -212,7 +212,6 @@ def test_dataset_accessors():
         },
     )
     assert d.features() == ["f1", "f2", "f3"]
-    assert d.observed_of("aaa") == {"f1": "x"}
     assert d.feature_names == ["f1", "f2", "f3"] and d.value_names == ["x", "y"]
     assert d.cell_row.tolist() == [0, 0, 0]
     assert d.cell_feature.tolist() == [0, 1, 2]

@@ -11,8 +11,6 @@ from typoimpute.geo import GeoPoint, distance_matrix, haversine_km
 from typoimpute.kb import Cell, Dataset
 from typoimpute.imputers import (
     ALL_BLOCKS,
-    ImputerQuery,
-    NoPredictionError,
     Prediction,
     PriorFeatureSpace,
     RidgePriorImputer,
@@ -35,11 +33,15 @@ from oracles import (
     ridge_oracle,
     ridge_prediction_oracle,
 )
-from synth import make_language, random_dataset
+from synth import make_language, observed_of, predict_one, random_dataset
 
 
-def _query(lang, observed, target):
-    return ImputerQuery(language=lang, observed=observed, target=target)
+def _scores(imp, lang, observed, target):
+    """The fitted regressors' score of every value of ``target``, from
+    the prior vector of one language."""
+    fitted = imp._fitted[target]
+    raw = fitted.weights @ _dense(fitted.space, lang, observed) + fitted.biases
+    return dict(zip(fitted.values, raw.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +162,16 @@ def _space(stats, train, target, min_support=5, blocks=ALL_BLOCKS):
 def _training_design(space, train):
     """Codes of the training languages observing the target, with the
     design matrix of their rows."""
-    codes = [lang.code for lang in train.languages if space.target in train.observed_of(lang.code)]
+    codes = [code for code in train.codes() if space.target in observed_of(train, code)]
     rows = np.array([space.stats.counts.rows[code] for code in codes], dtype=np.intp)
     return codes, space.design(rows)
+
+
+def _dense(space, lang, observed):
+    """``space.dense`` of one language observing ``observed``."""
+    one = Dataset.build([lang], {(lang.code, f): Cell.observed(v) for f, v in observed.items()})
+    onehot, _ = space.stats.counts.encode(one)
+    return space.dense([lang], onehot)[0]
 
 
 def _as_sparse(space, vec):
@@ -171,7 +180,7 @@ def _as_sparse(space, vec):
 
 def _query_sparse(train, lang, observed, target, areal_km=2500.0, min_support=5):
     space = _space(_PriorStats(train.counts, areal_km), train, target, min_support)
-    return _as_sparse(space, space.dense(lang, observed))
+    return _as_sparse(space, _dense(space, lang, observed))
 
 
 def _random_sources(rng, with_context):
@@ -216,15 +225,15 @@ def test_prior_features_match_oracle():
             space = _space(stats, train, target, min_support)
             codes, X = _training_design(space, train)
             cases = [
-                (train.language(code), train.observed_of(code), _as_sparse(space, x))
+                (train.language(code), observed_of(train, code), _as_sparse(space, x))
                 for code, x in zip(codes, X)
             ]
-            queries = [(lang, train.observed_of(lang.code)) for lang in train.languages
+            queries = [(lang, observed_of(train, lang.code)) for lang in train.languages
                        if lang.code not in codes]
             if context:
-                queries += [(lang, context.observed_of(lang.code)) for lang in context.languages]
+                queries += [(lang, observed_of(context, lang.code)) for lang in context.languages]
             cases += [
-                (lang, full, _as_sparse(space, space.dense(lang, _others(full, target))))
+                (lang, full, _as_sparse(space, _dense(space, lang, _others(full, target))))
                 for lang, full in queries
             ]
             for lang, full, got in cases:
@@ -252,9 +261,9 @@ def test_design_matches_counted_oracle():
         stats = _PriorStats(CodedCounts(sources), areal)
         counted = CountedPriorStats(sources, areal)
         stranger = make_language("new", lat=rng.uniform(-60, 60), lon=rng.uniform(-170, 170))
-        queries = [(stranger, train.observed_of(train.languages[0].code))]
+        queries = [(stranger, observed_of(train, train.languages[0].code))]
         if context:
-            queries += [(lang, context.observed_of(lang.code)) for lang in context.languages]
+            queries += [(lang, observed_of(context, lang.code)) for lang in context.languages]
         inventories = _inventories(train)
         for blocks, min_support, target in itertools.product(
             subsets, (1, 5), train.features()
@@ -267,14 +276,14 @@ def test_design_matches_counted_oracle():
             codes, X = _training_design(space, train)
             want = np.zeros((len(codes), len(oracle.keys)))
             for i, code in enumerate(codes):
-                full = train.observed_of(code)
+                full = observed_of(train, code)
                 want[i] = oracle.dense(
                     train.language(code), _others(full, target), own_value=full[target]
                 )
             assert np.array_equal(X, want)
             for lang, full in queries:
                 observed = _others(full, target)
-                assert np.array_equal(space.dense(lang, observed), oracle.dense(lang, observed))
+                assert np.array_equal(_dense(space, lang, observed), oracle.dense(lang, observed))
 
 
 def _bench_shaped_sources(rng):
@@ -293,12 +302,12 @@ def _bench_shaped_queries(rng, train, context):
     """Query languages with their full observed maps: some training
     languages, every context language, and a stranger observing values
     and a feature that no statistics language observes."""
-    queries = [(lang, train.observed_of(lang.code)) for lang in rng.sample(train.languages, 12)]
-    queries += [(lang, context.observed_of(lang.code)) for lang in context.languages]
+    queries = [(lang, observed_of(train, lang.code)) for lang in rng.sample(train.languages, 12)]
+    queries += [(lang, observed_of(context, lang.code)) for lang in context.languages]
     stranger = make_language("new", lat=rng.uniform(-60, 60), lon=rng.uniform(-170, 170))
     unseen = {f: "zz" for f in train.features()[::3]}
     unseen["99Z Unseen feature"] = "v0"
-    queries.append((stranger, {**train.observed_of(train.languages[0].code), **unseen}))
+    queries.append((stranger, {**observed_of(train, train.languages[0].code), **unseen}))
     return queries
 
 
@@ -328,8 +337,15 @@ def test_dense_matches_gathered_oracle():
             assert len(space) == oracle.size
             for lang, full in queries:
                 observed = _others(full, target)
-                assert np.array_equal(space.dense(lang, observed), oracle.dense(lang, observed))
+                assert np.array_equal(_dense(space, lang, observed), oracle.dense(lang, observed))
                 compared += 1
+            # all queries as one block: the same rows
+            block = Dataset.build([lang for lang, _ in queries], {
+                (lang.code, f): Cell.observed(v)
+                for lang, full in queries for f, v in _others(full, target).items()})
+            onehot, _ = stats.counts.encode(block)
+            assert np.array_equal(space.dense(block.languages, onehot), np.array(
+                [oracle.dense(lang, _others(full, target)) for lang, full in queries]))
     assert compared == 2 * 15 * 2 * len(train.features()) * len(queries)
 
 
@@ -364,7 +380,7 @@ def test_leave_one_out_design_ignores_own_value():
                         inventories, 1,
                     )
                     lang = train.language(code)
-                    observed = _others(train.observed_of(code), target)
+                    observed = _others(observed_of(train, code), target)
                     assert np.array_equal(
                         changed_oracle.dense(lang, observed, own_value=other),
                         oracle.dense(lang, observed, own_value=own),
@@ -379,7 +395,7 @@ def test_prior_blocks_are_distributions():
         train = random_dataset(rng, n_languages=rng.randint(4, 12), min_observed=1)
         for code in train.codes():
             lang = train.language(code)
-            full = train.observed_of(code)
+            full = observed_of(train, code)
             for target in train.features():
                 sparse = _query_sparse(train, lang, _others(full, target), target)
                 for group, total in _block_sums(sparse).items():
@@ -414,9 +430,9 @@ def test_dense_agrees_with_sparse():
     target = train.features()[0]
     space = _space(_PriorStats(train.counts, 2500.0), train, target, min_support=1)
     for lang in train.languages:
-        observed = _others(train.observed_of(lang.code), target)
+        observed = _others(observed_of(train, lang.code), target)
         sparse = build_prior_features(train, lang, observed, target, min_support=1)
-        dense = space.dense(lang, observed)
+        dense = _dense(space, lang, observed)
         assert np.count_nonzero(dense) == len(sparse)
         for key, p in sparse.items():
             assert dense[space.keys.index(key)] == p
@@ -455,7 +471,7 @@ def test_leave_one_out_removes_own_observation():
     space = _space(_PriorStats(train.counts, 2500.0), train, "T")
 
     # query case keeps all three observations
-    plain = _as_sparse(space, space.dense(train.language("la1"), {}))
+    plain = _as_sparse(space, _dense(space, train.language("la1"), {}))
     assert plain[("genus", "x")] == pytest.approx(1 / 3)
     assert plain[("genus", "y")] == pytest.approx(2 / 3)
 
@@ -480,14 +496,14 @@ def test_query_neighbourhood_scanned_once_per_language(monkeypatch):
     monkeypatch.setattr(ridge, "distance_matrix", counted)
     monkeypatch.setattr(coded, "distance_matrix", counted)
     query = make_language("qqq", lat=10.0, lon=20.0)
-    observed = train.observed_of(train.languages[0].code)
+    observed = observed_of(train, train.languages[0].code)
     for _ in range(2):
         for target in train.features():
-            imp.predict(_query(query, _others(observed, target), target))
+            predict_one(imp, query, _others(observed, target), target)
     # one kernel row against every statistics language
     assert calls == [(1, len(train.languages))]
     for lang in train.languages:  # statistics languages read the fit-time table
-        imp.predict(_query(lang, {}, train.features()[0]))
+        predict_one(imp, lang, {}, train.features()[0])
     assert calls == [(1, len(train.languages))]
 
 
@@ -530,14 +546,14 @@ def test_query_at_statistics_coordinates_shares_its_neighbourhood():
         query = replace(langs[s], code="qqq")
         assert np.array_equal(stats.areal_counts(query),
                               stats.areal[row] + stats.counts.onehot[row])
-        observed = train.observed_of(langs[s].code)
+        observed = observed_of(train, langs[s].code)
         for target in train.features():
             if target in observed:
                 continue
             space = _space(stats, train, target, min_support=1)
             areal = [i for i, key in enumerate(space.keys) if key[0] == "areal"]
-            got = space.dense(query, observed)[areal]
-            want = space.dense(langs[s], observed)[areal]
+            got = _dense(space, query, observed)[areal]
+            want = _dense(space, langs[s], observed)[areal]
             assert got.tobytes() == want.tobytes()
             compared += 1
     assert compared > 20
@@ -571,7 +587,7 @@ def test_implication_learned_through_ridge():
     imp = RidgePriorImputer(min_support=5, areal_km=1.0)
     imp.fit(train)
     for a, b in mapping.items():
-        pred = imp.predict(_query(make_language("qqq", genus="GQ", family="FQ"), {"A": a}, "T"))
+        pred = predict_one(imp, make_language("qqq", genus="GQ", family="FQ"), {"A": a}, "T")
         assert pred.value == b
         assert pred.source == "ridge"
         assert 0.0 <= pred.confidence <= 1.0
@@ -582,7 +598,7 @@ def test_indicators_only_blocks():
     imp = RidgePriorImputer(blocks=("indicators",), areal_km=1.0)
     imp.fit(train)
     for a, b in mapping.items():
-        pred = imp.predict(_query(make_language("qqq", genus="GQ", family="FQ"), {"A": a}, "T"))
+        pred = predict_one(imp, make_language("qqq", genus="GQ", family="FQ"), {"A": a}, "T")
         assert pred.value == b
 
 
@@ -599,7 +615,7 @@ def test_single_value_inventory_constant_prediction():
     train = Dataset.build(languages, cells)
     imp = RidgePriorImputer()
     imp.fit(train)
-    pred = imp.predict(_query(make_language("qqq"), {}, "T"))
+    pred = predict_one(imp, make_language("qqq"), {}, "T")
     assert pred == (pred.__class__(value="only", confidence=1.0, source="ridge-constant"))
 
 
@@ -607,9 +623,7 @@ def test_unseen_feature_has_no_prediction():
     train, _ = _implication_fixture()
     imp = RidgePriorImputer()
     imp.fit(train)
-    assert imp.scores(_query(make_language("qqq"), {}, "Z")) is None
-    with pytest.raises(NoPredictionError):
-        imp.predict(_query(make_language("qqq"), {}, "Z"))
+    assert predict_one(imp, make_language("qqq"), {}, "Z") is None
 
 
 def test_context_counts_change_the_prior():
@@ -632,13 +646,12 @@ def test_context_counts_change_the_prior():
     context = Dataset.build(ctx_langs, {(l.code, "T"): Cell.observed("bb") for l in ctx_langs})
 
     qlang = make_language("qry", genus="GenQ", family="FamQ", lat=-61.0, lon=-169.0)
-    query = _query(qlang, {}, "T")
 
     plain = RidgePriorImputer(use_context=False).fit(train, context=context)
-    assert plain.predict(query).value == "aa"  # global majority wins
+    assert predict_one(plain, qlang, {}, "T").value == "aa"  # global majority wins
 
     folded = RidgePriorImputer(use_context=True).fit(train, context=context)
-    assert folded.predict(query).value == "bb"  # genus and areal context win
+    assert predict_one(folded, qlang, {}, "T").value == "bb"  # genus and areal context win
 
 
 def test_softmax_confidence_well_formed():
@@ -648,20 +661,21 @@ def test_softmax_confidence_well_formed():
     imp.fit(train)
     for code in train.codes():
         lang = train.language(code)
-        full = train.observed_of(code)
+        full = observed_of(train, code)
         for target in train.features():
             observed = {f: v for f, v in full.items() if f != target}
-            pred = imp.predict(_query(lang, observed, target))
+            pred = predict_one(imp, lang, observed, target)
             assert 0.0 < pred.confidence <= 1.0
-            scores = imp.scores(_query(lang, observed, target))
+            scores = _scores(imp, lang, observed, target)
             best = min(scores, key=lambda v: (-scores[v], v))
             assert pred.value == best
 
 
 def test_predict_matches_sorted_softmax_oracle():
     """Value, confidence and source of ``predict`` equal those of the
-    score dict, sorted for the softmax, also on exact ties and on a
-    one-value inventory."""
+    score dict, sorted for the softmax: the value wherever the top two
+    scores are more than 1e-9 apart and on exact ties, the confidence up
+    to rounding, also on a one-value inventory."""
     rng = random.Random(94)
     train, context = _bench_shaped_sources(rng)
     queries = _bench_shaped_queries(rng, train, context)
@@ -682,18 +696,22 @@ def test_predict_matches_sorted_softmax_oracle():
         imp._fitted["tie-all"] = replace(fitted, weights=zero, biases=np.full(n_values, 0.3))
         for target in imp._fitted:
             for lang, full in queries:
-                query = _query(lang, _others(full, target), target)
-                pred = imp.predict(query)
-                assert (pred.value, pred.confidence, pred.source) == \
-                    ridge_prediction_oracle(imp.scores(query))
-        assert imp.predict(_query(stranger, {}, "tie-pair")).value == fitted.values[1]
-        assert imp.predict(_query(stranger, {}, "tie-all")) == Prediction(
+                observed = _others(full, target)
+                pred = predict_one(imp, lang, observed, target)
+                scores = _scores(imp, lang, observed, target)
+                value, confidence, source = ridge_prediction_oracle(scores)
+                top = sorted(scores.values())[-2:]
+                if len(top) < 2 or top[1] - top[0] > 1e-9 or top[1] == top[0]:
+                    assert pred.value == value
+                assert (pred.confidence, pred.source) == (pytest.approx(confidence), source)
+        assert predict_one(imp, stranger, {}, "tie-pair").value == fitted.values[1]
+        assert predict_one(imp, stranger, {}, "tie-all") == Prediction(
             fitted.values[0], 1.0 / n_values, "ridge")
         constant = RidgePriorImputer(use_context=use_context).fit(only, context=context)
-        query = _query(stranger, {}, "T")
-        pred = constant.predict(query)
+        pred = predict_one(constant, stranger, {}, "T")
         assert (pred.value, pred.confidence, pred.source) == \
-            ridge_prediction_oracle(constant.scores(query)) == ("only", 1.0, "ridge-constant")
+            ridge_prediction_oracle(_scores(constant, stranger, {}, "T")) == \
+            ("only", 1.0, "ridge-constant")
 
 
 def test_fill_dataset_with_ridge():
@@ -725,9 +743,9 @@ def test_fit_matches_counted_oracle():
                                 use_context=context is not None)
         imp.fit(train, context=context)
         want = counted_ridge_fit(train, context, min_support=min_support, blocks=blocks)
-        queries = [(lang, train.observed_of(lang.code)) for lang in train.languages]
+        queries = [(lang, observed_of(train, lang.code)) for lang in train.languages]
         if context:
-            queries += [(lang, context.observed_of(lang.code)) for lang in context.languages]
+            queries += [(lang, observed_of(context, lang.code)) for lang in context.languages]
         for target, (space, weights, biases) in want.items():
             fitted = imp._fitted[target]
             assert fitted.weights.shape == weights.shape
@@ -736,13 +754,11 @@ def test_fit_matches_counted_oracle():
             for lang, full in queries:
                 observed = _others(full, target)
                 raw = weights @ space.dense(lang, observed) + biases
-                scores = imp.scores(_query(lang, observed, target))
-                assert list(scores) == list(fitted.values)
                 # the argmax is defined only where the top two scores are
                 # further apart than the weights may differ
                 top = np.sort(raw)[-2:]
                 if len(top) == 2 and top[1] - top[0] > 1e-6:
-                    assert imp.predict(_query(lang, observed, target)).value == \
+                    assert predict_one(imp, lang, observed, target).value == \
                         fitted.values[int(np.argmax(raw))]
                     compared += 1
     assert compared > 200

@@ -1,5 +1,7 @@
 """Controlled splits, random splits, and feature blanking."""
 
+import csv
+import io
 import math
 import random
 
@@ -9,6 +11,7 @@ from typoimpute.configio import ConfigError
 from typoimpute.kb import BLANKED, Cell, Dataset, OBSERVED
 from typoimpute.splits import (
     DEFAULT_HELD_OUT_GENERA,
+    LanguageProvenance,
     SplitError,
     SplitSpec,
     blank_features,
@@ -334,6 +337,23 @@ def test_provenance_csv_layout():
         parts = line.split(",")
         assert len(parts) == 4
         assert parts[1] in ("train", "test", "excluded")
+
+
+def test_provenance_csv_round_trips_through_csv_reader():
+    """A code with a comma or a quote, which the parser accepts, stays
+    one field; ordinary rows keep their plain layout."""
+    provenance = [
+        LanguageProvenance("ab,c", "train", "held-in genus"),
+        LanguageProvenance('q"x', "test", "held-out genus", 0.25),
+        LanguageProvenance("abc", "excluded", "within radius"),
+    ]
+    text = provenance_csv(provenance)
+    assert text.splitlines()[3] == "abc,excluded,within radius,"
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows == [["code", "role", "reason", "blanking_ratio"],
+                    ["ab,c", "train", "held-in genus", ""],
+                    ['q"x', "test", "held-out genus", "0.25"],
+                    ["abc", "excluded", "within radius", ""]]
 
 
 def test_spec_file_round_trip(tmp_path):
