@@ -93,7 +93,7 @@ def _write_manifest(path: Path, config: RunConfig, inputs: Mapping[str, str | Pa
 def _load_dataset(path: str | Path, gold: Optional[Dataset] = None) -> Dataset:
     from .kb import parse_dataset
 
-    return parse_dataset(Path(path).read_text(encoding="utf-8"), gold=gold)
+    return parse_dataset(Path(path).read_text(encoding="utf-8-sig"), gold=gold)
 
 
 def _fmt(value: object) -> str:
@@ -363,7 +363,6 @@ def _parse_system_args(specs: Sequence[str]) -> list[tuple[str, str]]:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from . import evaluate as ev
-    from .kb import parse_dataset
 
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
@@ -372,7 +371,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise UsageError("--seed is required when comparing two or more systems")
 
     gold_values = _load_dataset(args.gold)
-    gold = parse_dataset(Path(args.test).read_text(encoding="utf-8"), gold=gold_values)
+    gold = _load_dataset(args.test, gold=gold_values)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -33,7 +33,7 @@ def parse_kv(text: str) -> dict[str, str]:
 
 
 def read_kv(path: str | Path) -> dict[str, str]:
-    return parse_kv(Path(path).read_text(encoding="utf-8"))
+    return parse_kv(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def write_kv(path: str | Path, items: Mapping[str, object]) -> None:

@@ -36,7 +36,7 @@ def load_language_vectors(path: str | Path) -> dict[str, np.ndarray]:
     """
     vectors: dict[str, np.ndarray] = {}
     dim = None
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")

@@ -12,15 +12,25 @@ inside feature values, so everything after the seventh column is treated
 as one logical field: the extra tabs are normalized to single spaces
 instead of shifting columns.
 
+Lines are split with ``str.splitlines`` and numbered from 1, and only
+line 1 may be a header.  The parser works once per line and once per
+distinct feature segment, never once per cell: each file interns its raw
+segments in one table, each distinct segment is split into name and
+value and checked once, and the cell arrays are built by indexing that
+table.  Errors are still reported at the first faulty line in file order.
+
 Each dataset is one integer-coded cell table, which every pipeline stage
 reads; ``Dataset.cells`` is a (code, feature) -> ``Cell`` view of it.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
@@ -281,71 +291,102 @@ def parse_dataset(text: str, gold: Dataset | None = None) -> Dataset:
     value produces an unknown cell, or a blanked cell carrying the gold
     value when ``gold`` observes that same cell.
 
-    Raises ParseError with the offending line number for malformed
-    records, and DatasetError for duplicate language codes.
+    Raises ParseError with the line number of the first malformed record
+    or segment in file order, and DatasetError for duplicate language
+    codes.
     """
     languages: list[Language] = []
     rows: dict[str, int] = {}
+    linenos: list[int] = []
+    # Each distinct raw segment of the file is coded once; cells hold codes.
+    segments: defaultdict[str, int] = defaultdict(count().__next__)
+    cell_segments = array("q")
+    row_sizes = array("q")
+    fault: DatasetError | None = None
+    try:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            fields = line.split("\t", 7)
+            if lineno == 1 and _is_header(fields):
+                continue
+            if len(fields) < 8:
+                raise ParseError(lineno, f"expected >= 8 tab-separated fields, got {len(fields)}")
+            code = fields[0].strip()
+            try:
+                latitude = float(fields[2])
+                longitude = float(fields[3])
+            except ValueError:
+                raise ParseError(lineno, f"malformed coordinate: {fields[2]!r}, {fields[3]!r}") from None
+            try:
+                language = Language(
+                    code=code,
+                    name=fields[1].strip(),
+                    latitude=latitude,
+                    longitude=longitude,
+                    genus=fields[4].strip(),
+                    family=fields[5].strip(),
+                    country_codes=tuple(fields[6].split()),
+                )
+            except DatasetError as exc:
+                raise ParseError(lineno, str(exc)) from None
+            if code in rows:
+                raise DatasetError(f"duplicate language code {code!r} (line {lineno})")
+            rows[code] = len(languages)
+            languages.append(language)
+            linenos.append(lineno)
+            parts = fields[7].replace("\t", " ").split("|")
+            cell_segments.extend(map(segments.__getitem__, parts))
+            row_sizes.append(len(parts))
+    except DatasetError as exc:
+        # Raised once the segments of the lines before it are checked.
+        fault = exc
+
+    # Per distinct segment: feature and value codes; feature -1 marks a
+    # whitespace-only segment and -2 a malformed one.
     features: dict[str, int] = {}
     values: dict[str, int] = {}
-    cell_row: list[int] = []
-    cell_feature: list[int] = []
-    cell_value: list[int] = []
+    malformed: dict[int, str] = {}
+    segment_feature = np.empty(len(segments), dtype=np.intp)
+    segment_value = np.empty(len(segments), dtype=np.intp)
+    for i, raw in enumerate(segments):
+        segment = raw.strip()
+        name, eq, value = segment.partition("=")
+        name = name.strip()
+        value = value.strip()
+        if not segment:
+            segment_feature[i] = -1
+        elif not eq or not name:
+            segment_feature[i] = -2
+            malformed[i] = (f"feature segment without '=': {segment!r}" if not eq
+                            else f"feature segment with empty name: {segment!r}")
+        else:
+            segment_feature[i] = features.setdefault(name, len(features))
+            segment_value[i] = -1 if value == UNKNOWN_MARKER else values.setdefault(value, len(values))
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if lineno == 1 and _is_header(fields):
-            continue
-        if len(fields) < 8:
-            raise ParseError(lineno, f"expected >= 8 tab-separated fields, got {len(fields)}")
-        code = fields[0].strip()
-        try:
-            latitude = float(fields[2])
-            longitude = float(fields[3])
-        except ValueError:
-            raise ParseError(lineno, f"malformed coordinate: {fields[2]!r}, {fields[3]!r}") from None
-        try:
-            language = Language(
-                code=code,
-                name=fields[1].strip(),
-                latitude=latitude,
-                longitude=longitude,
-                genus=fields[4].strip(),
-                family=fields[5].strip(),
-                country_codes=tuple(fields[6].split()),
-            )
-        except DatasetError as exc:
-            raise ParseError(lineno, str(exc)) from None
-        if code in rows:
-            raise DatasetError(f"duplicate language code {code!r} (line {lineno})")
-        row = rows[code] = len(languages)
-        languages.append(language)
+    segment = np.frombuffer(cell_segments, dtype=np.int64)
+    row = np.repeat(np.arange(len(row_sizes)), np.frombuffer(row_sizes, dtype=np.int64))
+    feature = segment_feature[segment]
+    faulty = feature == -2
+    kept = np.flatnonzero(feature >= 0)
+    # A cell repeating an earlier cell's feature on its line is faulty.
+    key = row[kept] * len(features) + feature[kept]
+    order = np.argsort(key, kind="stable")
+    repeated = key[order[1:]] == key[order[:-1]]
+    faulty[kept[order[1:][repeated]]] = True
+    if faulty.any():
+        r = int(row[np.argmax(faulty)])
+        # On the first faulty line, a malformed segment is reported before
+        # a repeated feature.
+        cells = np.flatnonzero(faulty & (row == r))
+        first = int(cells[np.argmax(feature[cells] == -2)])
+        raise ParseError(linenos[r], malformed.get(int(segment[first])) or (
+            f"duplicate feature {list(features)[feature[first]]!r} "
+            f"for language {languages[r].code!r}"))
+    if fault is not None:
+        raise fault
 
-        names: set[str] = set()
-        for segment in " ".join(fields[7:]).split("|"):
-            segment = segment.strip()
-            if not segment:
-                continue
-            if "=" not in segment:
-                raise ParseError(lineno, f"feature segment without '=': {segment!r}")
-            name, value = segment.split("=", 1)
-            name = name.strip()
-            value = value.strip()
-            if not name:
-                raise ParseError(lineno, f"feature segment with empty name: {segment!r}")
-            if name in names:
-                raise ParseError(lineno, f"duplicate feature {name!r} for language {code!r}")
-            names.add(name)
-            cell_row.append(row)
-            cell_feature.append(features.setdefault(name, len(features)))
-            cell_value.append(-1 if value == UNKNOWN_MARKER
-                              else values.setdefault(value, len(values)))
-
-    row = np.array(cell_row, dtype=np.intp)
-    feature = np.array(cell_feature, dtype=np.intp)
-    value = np.array(cell_value, dtype=np.intp)
+    row, feature, value = row[kept], feature[kept], segment_value[segment[kept]]
     state = np.where(value < 0, UNKNOWN_CODE, OBSERVED_CODE)
     value_names = list(values)
     if gold is not None:

@@ -384,6 +384,47 @@ def test_evaluate_reruns_identically(tmp_path, split_dirs):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
 
+def _with_bom(path: Path, out: Path) -> Path:
+    out.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return out
+
+
+def test_dataset_readers_ignore_a_leading_bom(tmp_path, corpus, split_dirs):
+    """A UTF-8 byte order mark before the first record changes no output;
+    only the manifests' raw-byte input digests differ."""
+    bom_corpus = _with_bom(corpus, tmp_path / "bom.tsv")
+    for name, path in (("plain", corpus), ("bom", bom_corpus)):
+        assert main(["filter", "--input", str(path), "--out", str(tmp_path / f"{name}.out")]) == 0
+    assert (tmp_path / "plain.out").read_bytes() == (tmp_path / "bom.out").read_bytes()
+
+    freq = _impute(split_dirs, tmp_path / "freq.tsv")
+    inputs = {"test": split_dirs / "test.tsv", "gold": split_dirs / "test_gold.tsv",
+              "system": freq}
+    for name, paths in (("plain", inputs),
+                        ("bom", {key: _with_bom(path, tmp_path / f"bom_{key}.tsv")
+                                 for key, path in inputs.items()})):
+        assert main(["evaluate", "--test", str(paths["test"]), "--gold", str(paths["gold"]),
+                     "--system", f"freq={paths['system']}",
+                     "--out-dir", str(tmp_path / name)]) == 0
+    for name in ("systems.csv", "per_language.csv", "per_genus.csv", "per_feature.csv",
+                 "significance.csv", "summary.txt"):
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "bom" / name).read_bytes()
+    manifests = [{key: value for key, value in read_kv(tmp_path / name / "run_manifest.txt").items()
+                  if not key.startswith("input.")} for name in ("plain", "bom")]
+    assert manifests[0] == manifests[1]
+
+
+def test_impute_config_with_bom_is_read(tmp_path, split_dirs):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes("\ufeffmethod=genus_family\n".encode("utf-8"))
+    assert read_kv(cfg) == {"method": "genus_family"}
+    out = tmp_path / "gf.tsv"
+    assert main(["impute", "--train", str(split_dirs / "train.tsv"),
+                 "--test", str(split_dirs / "test.tsv"), "--out", str(out),
+                 "--imputer-config", str(cfg)]) == 0
+    assert read_kv(f"{out}.manifest")["param.method"] == "genus_family"
+
+
 def test_evaluate_flag_validation(tmp_path, split_dirs):
     filled = _impute(split_dirs, tmp_path / "freq.tsv")
     base = [

@@ -607,6 +607,14 @@ def test_load_language_vectors(tmp_path):
     assert np.allclose(vectors["bbb"], [-1.0, 0.5, 0.0])
 
 
+def test_load_language_vectors_ignores_a_leading_bom(tmp_path):
+    path = tmp_path / "vec.tsv"
+    path.write_text("\ufeffaaa\t1.0\t2.0\nbbb\t-1.0\t0.5\n", encoding="utf-8")
+    vectors = load_language_vectors(path)
+    assert sorted(vectors) == ["aaa", "bbb"]
+    assert np.allclose(vectors["aaa"], [1.0, 2.0])
+
+
 def test_load_language_vectors_rejects_ragged(tmp_path):
     path = tmp_path / "vec.tsv"
     path.write_text("aaa\t1.0\t2.0\nbbb\t1.0\n")

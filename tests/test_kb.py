@@ -493,3 +493,123 @@ def test_parse_matches_oracle_on_edge_cases(text):
         assert _as_oracle(d) == want
         _assert_coded_invariants(d)
         assert serialize_dataset(d) == _oracle_text(*want)
+
+
+# Random texts for the differential test: records from small pools, so
+# codes, features and values repeat, with faults injected on chosen lines.
+_CODES = ["abc", "xyz", "mhi", "jpn", "q1", "q 2", "z9", "aaa", "bbb", "ccc"]
+_NAMES = ["f1", "f2", "81A Order", "Case", "x"]
+_VALUES = ["a", "b", "?", "SOV", "x=y", "No case", "=", "a?", "??", ""]
+_FAULTS = ["fields", "coordinate", "range", "empty-code", "duplicate-code",
+           "header-late", "no-equals", "empty-name", "duplicate-feature",
+           "two-segments", "record-and-segment"]
+
+
+def _pad(rng) -> str:
+    return rng.choice(["", "", " ", "  ", "\t"])
+
+
+def _random_line(rng, code: str, fault: str | None = None, first_code: str = "") -> str:
+    names = rng.sample(_NAMES, rng.randint(1, len(_NAMES)))
+    segments = [f"{_pad(rng)}{name}{_pad(rng)}={_pad(rng)}{rng.choice(_VALUES)}{_pad(rng)}"
+                for name in names]
+    for _ in range(rng.randrange(3)):  # empty and whitespace-only segments
+        segments.insert(rng.randrange(len(segments) + 1), rng.choice(["", " ", "\t", " \t "]))
+    bad_segments = {
+        "no-equals": ["novalue"],
+        "empty-name": [f"{_pad(rng)}={_pad(rng)}v"],
+        "duplicate-feature": [f" {name}{_pad(rng)}= b"
+                              for name in rng.sample(names, min(len(names), rng.randint(1, 2)))],
+        "two-segments": ["no value", f" {rng.choice(names)}=dup"],
+        "record-and-segment": ["novalue"],
+    }.get(fault, [])
+    for segment in bad_segments:
+        segments.insert(rng.randrange(len(segments) + 1), segment)
+    fields = [code, f"Lang {code}", rng.choice(["0", "12.5", "-3.25", " 7 ", "90"]),
+              rng.choice(["0", "-180", "140.0", "2"]), rng.choice(["G1", "G2"]),
+              rng.choice(["F1", " F2 "]), rng.choice(["", "XX", "XX YY"]),
+              rng.choice(["|", " | "]).join(segments)]
+    if fault == "fields":
+        fields = fields[:rng.randint(1, 7)]
+    elif fault in ("coordinate", "record-and-segment"):
+        fields[rng.choice([2, 3])] = "north"
+    elif fault == "range":
+        fields[2], fields[3] = rng.choice([("91", "0"), ("0", "-181.5")])
+    elif fault == "empty-code":
+        fields[0] = rng.choice(["", "  "])
+    elif fault == "duplicate-code":
+        fields[0] = f" {first_code} "
+    elif fault == "header-late":
+        return HEADER
+    return "\t".join(fields)
+
+
+def _random_text(rng, faults: list[str]) -> str:
+    """Records over ``_CODES`` with ``faults`` on distinct records after the
+    first, in order; blank lines, a header and CRLF endings at random."""
+    codes = rng.sample(_CODES, rng.randint(len(faults) + 1, len(_CODES)))
+    at = sorted(rng.sample(range(1, len(codes)), len(faults))) if faults else []
+    kinds = dict(zip(at, faults))
+    lines = [HEADER] if rng.random() < 0.3 else []
+    for i, code in enumerate(codes):
+        if rng.random() < 0.2:
+            lines.append(rng.choice(["", "  ", "\t"]))
+        lines.append(_random_line(rng, code, kinds.get(i), codes[0]))
+    return "".join(line + rng.choice(["\n", "\n", "\r\n"]) for line in lines)
+
+
+def _differential_cases():
+    pairs = [(a, b) for a in _FAULTS for b in _FAULTS]
+    for i in range(300):
+        if i % 3 == 0:
+            yield i, []
+        elif i % 3 == 1:
+            yield i, [_FAULTS[i // 3 % len(_FAULTS)]]
+        else:
+            yield i, list(pairs[i // 3 % len(pairs)])
+
+
+def test_parse_matches_oracle_on_random_texts():
+    """Type and message of the first fault in file order, or the parsed
+    table, match the oracle's on seeded texts, with and without gold."""
+    raised = set()
+    for seed, faults in _differential_cases():
+        rng = random.Random(seed)
+        text = _random_text(rng, faults)
+        gold = parse_dataset(_random_text(rng, []))
+        gold_cells = {key: (cell.state, cell.value) for key, cell in gold.cells.items()}
+        for kwargs, oracle_kwargs in (({}, {}), ({"gold": gold}, {"gold": gold_cells})):
+            try:
+                want = parse_oracle(text, **oracle_kwargs)
+            except DatasetError as exc:
+                with pytest.raises(DatasetError) as got:
+                    parse_dataset(text, **kwargs)
+                assert (type(got.value), str(got.value)) == (type(exc), str(exc)), (seed, text)
+                raised.add(str(exc))
+                continue
+            assert not faults, (seed, text)
+            d = parse_dataset(text, **kwargs)
+            assert _as_oracle(d) == want, (seed, text)
+            _assert_coded_invariants(d)
+    # Every kind of fault was the first on some text.
+    for kind in ("expected >= 8 tab-separated fields", "malformed coordinate",
+                 "latitude 91.0 out of range", "longitude -181.5 out of range",
+                 "language code must be nonempty", "duplicate language code",
+                 "feature segment without '='", "feature segment with empty name",
+                 "duplicate feature"):
+        assert any(kind in message for message in raised), kind
+
+
+def test_parse_peak_memory_stays_within_six_times_the_text():
+    """Parsing holds no per-cell Python string: the ``tracemalloc`` peak of
+    one parse of the largest bench file stays under 6x its length."""
+    import tracemalloc
+
+    text = _bench_text("baselines-L")
+    tracemalloc.start()
+    try:
+        parse_dataset(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * len(text)
