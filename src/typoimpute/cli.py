@@ -309,7 +309,7 @@ def cmd_impute(args: argparse.Namespace) -> int:
 
     train = _load_dataset(args.train)
     test = _load_dataset(args.test)
-    if not train.counts.columns:
+    if not (train.cell_state == OBSERVED_CODE).any():
         raise DatasetError(f"{args.train} has no observed cells to train on")
     config = _imputer_config_from_args(args)
     imputer = build_imputer(config, vectors=args.vectors)

@@ -209,6 +209,10 @@ class PermutationResult:
     n_languages: int
 
 
+# Permutation samples whose signs are drawn at once.
+_SIGN_BLOCK = 256
+
+
 def paired_permutation_test(
     a: EvalReport,
     b: EvalReport,
@@ -222,7 +226,8 @@ def paired_permutation_test(
     the macro average is a fixed weighted sum of per-language
     accuracies, a swap is a sign flip of that language's accuracy
     difference.  The p-value uses the add-one estimate
-    (1 + hits) / (1 + samples), so it is never zero.
+    (1 + hits) / (1 + samples), so it is never zero.  Signs are drawn
+    in blocks of samples, so memory does not grow with ``samples``.
     """
     if samples < 1:
         raise EvaluationError("samples must be positive")
@@ -236,11 +241,14 @@ def paired_permutation_test(
     observed = abs(float(weighted.sum()))
 
     rng = np.random.default_rng(seed)
-    signs = rng.integers(0, 2, size=(samples, len(codes))) * 2 - 1
-    stats = np.abs(signs @ weighted)
-    # tolerance so sign flips that land exactly on the observed value
-    # count as extreme despite float noise
-    hits = int((stats >= observed - 1e-12).sum())
+    hits = 0
+    for start in range(0, samples, _SIGN_BLOCK):
+        # the generator's stream does not depend on how draws are split
+        signs = rng.integers(0, 2, size=(min(_SIGN_BLOCK, samples - start), len(codes))) * 2 - 1
+        stats = np.abs(signs @ weighted)
+        # tolerance so sign flips that land exactly on the observed value
+        # count as extreme despite float noise
+        hits += int((stats >= observed - 1e-12).sum())
     p = (1 + hits) / (1 + samples)
     return PermutationResult(a.system, b.system, observed, p, samples, seed, len(codes))
 

@@ -16,14 +16,15 @@ counts, per-feature co-observation counts, genus and family counts, and
 counts over each language's radius neighbours.  Without the evaluation
 set's cells these are the training set's shared tables,
 ``Dataset.counts``, plus the radius counts (when the areal block is
-on) and the list of the one-hot's (row, column) entries, built once per
-fit.  A target's training design matrix is gathered from these tables
-in blocks, its implicational and indicator entries taken from that list;
-leave-one-out subtracts the row's own one-hot from its counts.  Every
-value's regressor is then solved in one call.  The test languages
-needing one target are scored as one block: their prior vectors copy
-genus, family and implicational shares from tables built once per
-target, and one product with the weights scores every value.
+on, computed one block of distance-kernel rows at a time) and the list
+of the one-hot's (row, column) entries, built once per fit.  A target's
+training design matrix is gathered from these tables in blocks, its
+implicational and indicator entries taken from that list; leave-one-out
+subtracts the row's own one-hot from its counts.  Every value's
+regressor is then solved in one call.  The test languages
+needing one target are scored as one block: their prior vectors take
+the genus, family and implicational shares of the table rows they read,
+and one product with the weights scores every value.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ __all__ = [
 
 ALL_BLOCKS = ("genetic", "areal", "implicational", "indicators")
 
+# Kernel entries per block of radius-count rows.
+_KERNEL_BLOCK = 1 << 16
+
 
 def solve_ridge(
     X: np.ndarray,
@@ -59,9 +63,11 @@ def solve_ridge(
 
     Solved exactly via the centered normal equations; when the feature
     dimension exceeds the row count the equivalent dual system is used
-    instead.  ``y`` is one target of shape (n,) or k targets of shape
-    (n, k) sharing one factorization.  Returns (w, b): w of shape (d,)
-    with a float b, or (d, k) with b of shape (k,).
+    instead, its n x n Gram centred in place so that no centred copy of
+    ``X`` exists.  Neither ``X`` nor ``y`` is modified.  ``y`` is one
+    target of shape (n,) or k targets of shape (n, k) sharing one
+    factorization.  Returns (w, b): w of shape (d,) with a float b, or
+    (d, k) with b of shape (k,).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -77,17 +83,24 @@ def solve_ridge(
     n, d = X.shape
     x_mean = X.mean(axis=0)
     y_mean = y.mean(axis=0)
-    Xc = X - x_mean
     yc = y - y_mean
 
     if d <= n:
+        Xc = X - x_mean
         gram = Xc.T @ Xc
         gram[np.diag_indices_from(gram)] += lam
         w = np.linalg.solve(gram, Xc.T @ yc)
     else:
-        outer = Xc @ Xc.T
+        # With Xc = X - mean: Xc Xc^T is X X^T centred on both sides,
+        # and Xc^T a = X^T (a - mean a).
+        outer = X @ X.T
+        row_mean = outer.mean(axis=1)
+        outer -= row_mean[:, None]
+        outer -= row_mean[None, :]
+        outer += row_mean.mean()
         outer[np.diag_indices_from(outer)] += lam
-        w = Xc.T @ np.linalg.solve(outer, yc)
+        alpha = np.linalg.solve(outer, yc)
+        w = X.T @ (alpha - alpha.mean(axis=0))
 
     b = y_mean - x_mean @ w
     return w, (float(b) if y.ndim == 1 else b)
@@ -109,12 +122,25 @@ class _PriorStats:
         self.counts = counts
         self.areal_km = areal_km
         if areal_km is not None:
-            # languages x columns over radius neighbours, self excluded
-            within = distance_matrix(counts.coords, counts.coords) <= areal_km
-            np.fill_diagonal(within, False)
-            self.areal = count_matmul(within, counts.onehot)
+            self.areal = self._radius_counts()
         self.cell_rows, self.cell_columns = np.nonzero(counts.onehot)
         self._query_areal: dict[Language, np.ndarray] = {}
+
+    def _radius_counts(self) -> np.ndarray:
+        """languages x columns over radius neighbours, self excluded,
+        from one block of kernel rows at a time: a kernel row equals the
+        same row of the full matrix and the counts are exact integers,
+        so the blocks change no count."""
+        coords, onehot = self.counts.coords, self.counts.onehot.astype(float)
+        n = len(coords)
+        areal = np.empty(onehot.shape, dtype=np.int64)
+        step = max(1, _KERNEL_BLOCK // max(n, 1))
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            within = distance_matrix(coords[start:stop], coords) <= self.areal_km
+            within[np.arange(stop - start), np.arange(start, stop)] = False
+            areal[start:stop] = within.astype(float) @ onehot
+        return areal
 
     def areal_counts(self, language: Language) -> np.ndarray:
         """Counts over the radius neighbours of ``language``.
@@ -185,13 +211,8 @@ class PriorFeatureSpace:
         self._impl_start = self._areal_start + (n_values if "areal" in self.blocks else 0)
         self._obs_start = self._impl_start + len(impl_columns) * n_values
         self._size = self._obs_start + len(obs_columns)
-        # Target counts of every implicational key; the query shares of
-        # every implicational key, genus and family.
+        # Target counts of every implicational key.
         self._impl_counts = counts.joint[np.ix_(impl_columns, self._target_columns)]
-        self._impl_shares = self._shares(self._impl_counts)
-        if "genetic" in self.blocks:
-            self._genus_shares = self._shares(counts.genus.table[:, self._target_columns])
-            self._family_shares = self._shares(counts.family.table[:, self._target_columns])
 
     @cached_property
     def keys(self) -> tuple[tuple, ...]:
@@ -264,15 +285,15 @@ class PriorFeatureSpace:
         Nothing is left out."""
         stats = self.stats
         counts = stats.counts
+        tc = self._target_columns
         n_values = len(self.inventory)
         X = np.zeros((len(languages), self._size))
         if "genetic" in self.blocks:
-            X[:, :n_values] = self._genus_shares[
-                counts.genus.index(lang.genus for lang in languages)]
-            X[:, n_values:2 * n_values] = self._family_shares[
-                counts.family.index(lang.family for lang in languages)]
+            X[:, :n_values] = self._shares(counts.genus.table[np.ix_(
+                counts.genus.index(lang.genus for lang in languages), tc)])
+            X[:, n_values:2 * n_values] = self._shares(counts.family.table[np.ix_(
+                counts.family.index(lang.family for lang in languages), tc)])
         if "areal" in self.blocks:
-            tc = self._target_columns
             areal = np.array([stats.areal_counts(lang)[tc] for lang in languages], dtype=np.int64)
             X[:, self._areal_start:self._impl_start] = \
                 self._shares(areal.reshape(len(languages), len(tc)))
@@ -280,7 +301,7 @@ class PriorFeatureSpace:
         keys = self._impl_key[columns]
         impl_rows, keys = rows[keys >= 0], keys[keys >= 0]
         X[impl_rows[:, None], self._impl_start + keys[:, None] * n_values + np.arange(n_values)] = \
-            self._impl_shares[keys]
+            self._shares(self._impl_counts[keys])
         keys = self._obs_key[columns]
         X[rows[keys >= 0], self._obs_start + keys[keys >= 0]] = 1.0
         return X
@@ -334,13 +355,18 @@ class RidgePriorImputer(Imputer):
         self._fitted: dict[str, _FittedFeature] = {}
 
     def fit(self, train: Dataset, context: Dataset | None = None) -> "RidgePriorImputer":
-        counts = train.counts
         if self.use_context and context is not None:
             counts = CodedCounts([train, context])
+        else:
+            counts = train.counts
         self._stats = stats = _PriorStats(counts, self.areal_km if "areal" in self.blocks else None)
-        inventories = {f: tuple(values) for f, values in train.counts.columns.items()}
-        # Training languages come first among the statistics rows.
+        # Training languages come first among the statistics rows; the
+        # inventories are the values they observe.
         n_train = len(train.languages)
+        trained = counts.onehot[:n_train].any(axis=0)
+        inventories = {f: values for f, values in (
+            (f, tuple(v for v, c in columns.items() if trained[c]))
+            for f, columns in counts.columns.items()) if values}
 
         self._fitted = {}
         for target, inventory in inventories.items():

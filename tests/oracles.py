@@ -417,6 +417,25 @@ def ridge_oracle(X, y, lam):
     return z[:d], float(z[d])
 
 
+def centred_copy_ridge_oracle(X, y, lam):
+    """Ridge with an unpenalized bias from an explicit centred copy of
+    ``X``: the primal system when d <= n, else the dual n x n system of
+    the centred Gram Xc Xc^T.  Returns (w, b) as ``solve_ridge`` does."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, d = X.shape
+    x_mean = X.mean(axis=0)
+    y_mean = y.mean(axis=0)
+    Xc = X - x_mean
+    yc = y - y_mean
+    if d <= n:
+        w = np.linalg.solve(Xc.T @ Xc + lam * np.eye(d), Xc.T @ yc)
+    else:
+        w = Xc.T @ np.linalg.solve(Xc @ Xc.T + lam * np.eye(n), yc)
+    b = y_mean - x_mean @ w
+    return w, (float(b) if y.ndim == 1 else b)
+
+
 def normal_equation_residual(X, y, lam, w, b):
     """Relative residual of (w, b) in the normal equations."""
     X = np.asarray(X, dtype=float)
@@ -540,6 +559,17 @@ class CountedPriorStats:
                         self.support[(fa, fb)] += 1
         self.neighbors = _vectorized_neighbor_sets(self.languages, areal_km)
         self.areal_km = areal_km
+
+
+def one_shot_radius_counts(coords, onehot, radius_km):
+    """languages x columns counts of ``onehot`` over each language's
+    radius neighbours, self excluded, from one full languages x
+    languages kernel of ``geo.distance_matrix``."""
+    from typoimpute.geo import distance_matrix
+
+    within = distance_matrix(coords, coords) <= radius_km
+    np.fill_diagonal(within, False)
+    return (within.astype(float) @ onehot.astype(float)).astype(np.int64)
 
 
 def _vectorized_neighbor_sets(languages, radius_km):
@@ -929,6 +959,20 @@ def macro_oracle(per_language_accuracy, language_genus) -> float:
         by_genus.setdefault(language_genus[code], []).append(acc)
     genus_means = [sum(v) / len(v) for v in by_genus.values()]
     return sum(genus_means) / len(genus_means)
+
+
+def one_shot_permutation_oracle(per_language_a, per_language_b, language_genus, samples, seed):
+    """(observed |macro difference|, add-one p-value) of the paired sign
+    flip test, drawing every sample's signs at once as one samples x
+    languages matrix from ``numpy.random.default_rng(seed)``."""
+    codes = sorted(set(per_language_a) & set(per_language_b))
+    sizes = Counter(language_genus[code] for code in codes)
+    weights = np.array([1.0 / (len(sizes) * sizes[language_genus[code]]) for code in codes])
+    weighted = weights * np.array([per_language_a[c] - per_language_b[c] for c in codes])
+    observed = abs(float(weighted.sum()))
+    signs = np.random.default_rng(seed).integers(0, 2, size=(samples, len(codes))) * 2 - 1
+    hits = int((np.abs(signs @ weighted) >= observed - 1e-12).sum())
+    return observed, (1 + hits) / (1 + samples)
 
 
 def exhaustive_permutation_p(weighted_diffs, tolerance=1e-12) -> float:

@@ -27,7 +27,13 @@ from typoimpute.evaluate import (
 )
 from typoimpute.kb import Cell, Dataset
 
-from oracles import exhaustive_permutation_p, macro_oracle, pearson_oracle, t_tail_oracle
+from oracles import (
+    exhaustive_permutation_p,
+    macro_oracle,
+    one_shot_permutation_oracle,
+    pearson_oracle,
+    t_tail_oracle,
+)
 from synth import make_language
 
 
@@ -283,6 +289,48 @@ def test_permutation_p_in_unit_interval():
         a, b = _two_system_reports(rng)
         p = paired_permutation_test(a, b, samples=200, seed=seed).p_value
         assert 0.0 < p <= 1.0
+
+
+def _accuracy_reports(rng, n_languages):
+    """Two systems' reports with per-language accuracies in quarters (so
+    some sign patterns tie the observed difference) over ~n/3 genera."""
+    codes = [f"l{i:03d}" for i in range(n_languages)]
+    genus = {code: f"G{rng.randrange(max(1, n_languages // 3))}" for code in codes}
+
+    def report(system):
+        per_language = {code: rng.randrange(5) / 4 for code in codes}
+        return EvalReport(system, per_language, genus, {}, {}, 0.0, 0.0, {}, 0, 0, 0)
+
+    return report("A"), report("B")
+
+
+@pytest.mark.parametrize("n_languages", [1, 7, 300])
+def test_blocked_permutation_matches_one_shot_oracle(n_languages):
+    block = evaluate._SIGN_BLOCK
+    rng = random.Random(109 + n_languages)
+    a, b = _accuracy_reports(rng, n_languages)
+    for samples in (1, block - 1, block, block + 1, 5000):
+        seed = rng.randrange(1000)
+        result = paired_permutation_test(a, b, samples=samples, seed=seed)
+        observed, p = one_shot_permutation_oracle(
+            a.per_language, b.per_language, a.language_genus, samples, seed)
+        assert (result.observed_diff, result.p_value) == (observed, p)
+        assert (result.samples, result.n_languages) == (samples, n_languages)
+
+
+def test_permutation_peak_memory_does_not_grow_with_samples():
+    """Signs are drawn in blocks: 20,000 samples over 300 languages peak
+    well below the 48 MB of one samples x languages sign matrix."""
+    import tracemalloc
+
+    a, b = _accuracy_reports(random.Random(110), 300)
+    tracemalloc.start()
+    try:
+        paired_permutation_test(a, b, samples=20000, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_permutation_input_validation():

@@ -27,8 +27,10 @@ from oracles import (
     CountedPriorStats,
     GatheredPriorSpace,
     build_prior_features,
+    centred_copy_ridge_oracle,
     counted_ridge_fit,
     normal_equation_residual,
+    one_shot_radius_counts,
     prior_features_oracle,
     ridge_oracle,
     ridge_prediction_oracle,
@@ -121,6 +123,41 @@ def test_solver_multi_column_matches_single_columns():
             assert isinstance(bj, float)
             assert np.allclose(W[:, j], w, rtol=0.0, atol=1e-12)
             assert b[j] == pytest.approx(bj, rel=0.0, abs=1e-12)
+
+
+def test_solver_leaves_its_inputs_unmodified():
+    rng = np.random.default_rng(85)
+    for n, d in ((30, 8), (6, 25)):  # primal and dual branches
+        X = rng.random((n, d))
+        Y = np.where(rng.random((n, 3)) < 0.5, 1.0, -1.0)
+        before = X.copy(), Y.copy()
+        for array in (X, Y):
+            array.flags.writeable = False
+        solve_ridge(X, Y, 0.5)
+        solve_ridge(X, Y[:, 0], 0.5)
+        assert np.array_equal(X, before[0]) and np.array_equal(Y, before[1])
+
+
+def test_solver_dual_matches_centred_copy_oracle():
+    """Wide designs shaped like ridge's own: shares and indicators in
+    [0, 1], constant columns, duplicate rows, +/-1 targets."""
+    rng = np.random.default_rng(86)
+    for trial in range(40):
+        n = int(rng.integers(2, 60))
+        d = int(rng.integers(n + 1, 4 * n + 20))
+        X = rng.random((n, d))
+        X[:, rng.random(d) < 0.4] = rng.random((n, 1)) < 0.5
+        constant = rng.random(d) < 0.2
+        X[:, constant] = rng.choice([0.0, 1.0, 0.375], size=int(constant.sum()))
+        X[rng.integers(0, n, size=n // 3)] = X[rng.integers(0, n)]
+        Y = np.where(rng.random((n, int(rng.integers(1, 5)))) < 0.5, 1.0, -1.0)
+        for lam in (0.01, 1.0, 100.0):
+            for y in (Y, Y[:, 0]):
+                w, b = solve_ridge(X, y, lam)
+                ww, bb = centred_copy_ridge_oracle(X, y, lam)
+                atol = 1e-10 * max(1.0, np.abs(ww).max())  # for the zero weights
+                np.testing.assert_allclose(w, ww, rtol=1e-10, atol=atol)
+                np.testing.assert_allclose(b, bb, rtol=1e-10, atol=atol)
 
 
 def test_solver_input_validation():
@@ -507,13 +544,14 @@ def test_query_neighbourhood_scanned_once_per_language(monkeypatch):
     assert calls == [(1, len(train.languages))]
 
 
-@pytest.mark.parametrize("blocks,calls", [
+@pytest.mark.parametrize("blocks,passes", [
     (("genetic", "implicational"), 0),
     (("genetic", "areal"), 1),
 ], ids=["no-areal", "areal"])
-def test_fit_computes_radius_counts_only_for_the_areal_block(monkeypatch, blocks, calls):
+def test_fit_computes_radius_counts_only_for_the_areal_block(monkeypatch, blocks, passes):
     rng = random.Random(93)
     train = random_dataset(rng, n_languages=30, min_observed=2)
+    n = len(train.languages)
     made = []
 
     def counted(a, b):
@@ -522,8 +560,56 @@ def test_fit_computes_radius_counts_only_for_the_areal_block(monkeypatch, blocks
 
     monkeypatch.setattr(ridge, "distance_matrix", counted)
     monkeypatch.setattr(coded, "distance_matrix", counted)
+    monkeypatch.setattr(ridge, "_KERNEL_BLOCK", 7 * n)  # blocks of 7 rows
     RidgePriorImputer(min_support=1, blocks=blocks).fit(train)
-    assert made == [(len(train.languages), len(train.languages))] * calls
+    # each statistics language's kernel row once, against every language
+    assert sum(rows for rows, _ in made) == n * passes
+    assert all(width == n for _, width in made)
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 4, 22, 23, 100])
+def test_blocked_radius_counts_match_one_shot_oracle(monkeypatch, rows_per_block):
+    rng = random.Random(94)
+    counts = random_dataset(rng, n_languages=23, min_observed=2).counts
+    n = len(counts.languages)
+    # the first and the last language lie exactly on the radius of each
+    # other, in the first and the last (ragged) block
+    km = float(distance_matrix(counts.coords[:1], counts.coords[-1:])[0, 0])
+    assert not np.array_equal(one_shot_radius_counts(counts.coords, counts.onehot, km),
+                              one_shot_radius_counts(counts.coords, counts.onehot,
+                                                     np.nextafter(km, 0.0)))
+    made = []
+
+    def counted(a, b):
+        made.append(len(a))
+        return distance_matrix(a, b)
+
+    monkeypatch.setattr(ridge, "distance_matrix", counted)
+    monkeypatch.setattr(ridge, "_KERNEL_BLOCK", rows_per_block * n)
+    areal = _PriorStats(counts, km).areal
+    expected = one_shot_radius_counts(counts.coords, counts.onehot, km)
+    assert areal.dtype == expected.dtype == np.int64
+    assert np.array_equal(areal, expected)
+    step = min(rows_per_block, n)
+    assert made == [step] * (n // step) + ([n % step] if n % step else [])
+
+
+def test_radius_counts_peak_memory_is_linear_in_the_languages():
+    """No languages x languages kernel: the ``tracemalloc`` peak of the
+    radius counts over 1,500 languages stays within six copies of the
+    one-hot plus six float temporaries of one kernel block."""
+    import tracemalloc
+
+    rng = random.Random(95)
+    counts = random_dataset(rng, n_languages=1500, min_observed=2).counts
+    counts.coords
+    tracemalloc.start()
+    try:
+        _PriorStats(counts, 2500.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * counts.onehot.nbytes + 6 * 8 * ridge._KERNEL_BLOCK
 
 
 def test_query_at_statistics_coordinates_shares_its_neighbourhood():
@@ -652,6 +738,18 @@ def test_context_counts_change_the_prior():
 
     folded = RidgePriorImputer(use_context=True).fit(train, context=context)
     assert predict_one(folded, qlang, {}, "T").value == "bb"  # genus and areal context win
+
+
+def test_context_fit_builds_no_training_table():
+    """With ``use_context`` the training set's own table is never built:
+    the inventories are the values the folded table's training rows
+    observe, so context-only features and values get no regressor."""
+    rng = random.Random(97)
+    train, context = _bench_shaped_sources(rng)
+    imp = RidgePriorImputer(min_support=1, use_context=True).fit(train, context=context)
+    assert "counts" not in vars(train)
+    assert {target: fitted.values for target, fitted in imp._fitted.items()} == \
+        {f: tuple(values) for f, values in train.counts.columns.items()}
 
 
 def test_softmax_confidence_well_formed():
