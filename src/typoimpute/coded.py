@@ -11,6 +11,16 @@ training set are built once, as ``Dataset.counts``, and shared by every
 imputer fitted on it, together with one cached distance row per query
 language.  ``encode`` maps the observed cells of a test set into the
 same columns, once per prediction call.
+
+Each table is held at the width its values need:
+
+* ``onehot``, ``seen`` and both arrays ``encode`` returns are ``bool``;
+* ``GroupCounts.table`` is ``int32``;
+* ``joint``, ``support``, ``marginal`` and ``totals`` are ``int64``.
+
+A ``bool`` table meets arithmetic only through ``count_matmul`` or with
+an integer operand (``table - own`` is int32 minus bool, which is
+exact); ``bool - bool`` raises rather than wrapping.
 """
 
 from __future__ import annotations
@@ -26,10 +36,19 @@ from .kb import OBSERVED_CODE, Dataset, Language, intern_names
 __all__ = ["CodedCounts", "GroupCounts", "count_matmul"]
 
 
+# One-hot cells per block of the group-count build.
+_GROUP_BLOCK = 2**16
+
+
 def count_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of 0/1 count matrices; float sums of small integers are
-    exact in any order, so the result does not depend on BLAS threads."""
-    return (a.astype(float) @ b.astype(float)).astype(np.int64)
+    exact in any order, so the result does not depend on BLAS threads.
+    A table times its own transpose is cast once, and BLAS forms the
+    product as a symmetric rank-k update."""
+    fa = a.astype(float)
+    own_transpose = (a.shape == b.shape[::-1] and a.strides == b.strides[::-1]
+                     and a.ctypes.data == b.ctypes.data)
+    return (fa @ (fa.T if own_transpose else b.astype(float))).astype(np.int64)
 
 
 class CodedCounts:
@@ -71,10 +90,10 @@ class CodedCounts:
         self.feature_of = np.array([self.feature_index[f] for f, _ in pairs], dtype=np.intp)
         self.starts = np.array([min(values.values()) for values in self.columns.values()],
                                dtype=np.intp)
-        self.onehot = np.zeros((len(self.languages), len(pairs)), dtype=np.int64)
-        self.onehot[row, column] = 1
-        self.seen = np.zeros((len(self.languages), len(self.feature_index)), dtype=np.int64)
-        self.seen[row, self.feature_of[column]] = 1
+        self.onehot = np.zeros((len(self.languages), len(pairs)), dtype=bool)
+        self.onehot[row, column] = True
+        self.seen = np.zeros((len(self.languages), len(self.feature_index)), dtype=bool)
+        self.seen[row, self.feature_of[column]] = True
         self._km: dict[Language, np.ndarray] = {}
 
     @cached_property
@@ -138,10 +157,10 @@ class CodedCounts:
                           dtype=np.intp)[pair]
         feature = np.array([self.feature_index.get(f, -1) for f in d.feature_names] + [-1],
                            dtype=np.intp)[features]
-        onehot = np.zeros((len(d.languages), len(self.feature_of)), dtype=np.int64)
-        onehot[rows[column >= 0], column[column >= 0]] = 1
-        seen = np.zeros((len(d.languages), len(self.starts)), dtype=np.int64)
-        seen[rows[feature >= 0], feature[feature >= 0]] = 1
+        onehot = np.zeros((len(d.languages), len(self.feature_of)), dtype=bool)
+        onehot[rows[column >= 0], column[column >= 0]] = True
+        seen = np.zeros((len(d.languages), len(self.starts)), dtype=bool)
+        seen[rows[feature >= 0], feature[feature >= 0]] = True
         return onehot, seen
 
 
@@ -149,14 +168,23 @@ class GroupCounts:
     """One-hot counts summed per group name (genus or family).
 
     ``names`` gives each one-hot row's group; ``of`` holds each row's
-    group index.  The last table row stays zero for names no row has.
+    group index.  The int32 table has one row per group, sorted by name,
+    and a last row that stays zero for names no row has.
     """
 
     def __init__(self, names: list[str], onehot: np.ndarray):
         self.rows = {name: i for i, name in enumerate(sorted(set(names)))}
         self.of = np.array([self.rows[name] for name in names], dtype=np.intp)
-        self.table = np.zeros((len(self.rows) + 1, onehot.shape[1]), dtype=np.int64)
-        np.add.at(self.table, self.of, onehot)
+        self.table = np.zeros((len(self.rows) + 1, onehot.shape[1]), dtype=np.int32)
+        # Rows sorted by group; every group has a row, so the group starts
+        # reduce straight into the table.  A block of columns at a time
+        # is cast to int32, never the whole one-hot.
+        order = np.argsort(self.of, kind="stable")
+        starts = np.flatnonzero(np.diff(self.of[order], prepend=-1))
+        step = max(1, _GROUP_BLOCK // max(len(order), 1))
+        for lo in range(0, onehot.shape[1], step):
+            np.add.reduceat(onehot[order, lo:lo + step], starts, axis=0, dtype=np.int32,
+                            out=self.table[:-1, lo:lo + step])
 
     def index(self, names: Iterable[str]) -> np.ndarray:
         """The table row of each name; a name no row has gets the zero

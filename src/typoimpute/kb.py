@@ -60,6 +60,9 @@ UNKNOWN = "unknown"
 STATES = (OBSERVED, BLANKED, UNKNOWN)
 OBSERVED_CODE, BLANKED_CODE, UNKNOWN_CODE = range(len(STATES))
 
+# Languages per block of ``serialize_dataset``.
+_SERIALIZE_BLOCK = 256
+
 # Recognized header spellings for the latitude/longitude columns; a first
 # line whose 3rd/4th fields match is treated as a header and skipped.
 _LAT_HEADERS = {"lat", "latitude"}
@@ -387,7 +390,7 @@ def parse_dataset(text: str, gold: Dataset | None = None) -> Dataset:
         raise fault
 
     row, feature, value = row[kept], feature[kept], segment_value[segment[kept]]
-    state = np.where(value < 0, UNKNOWN_CODE, OBSERVED_CODE)
+    state = np.where(value < 0, UNKNOWN_CODE, OBSERVED_CODE).astype(np.int8)
     value_names = list(values)
     if gold is not None:
         at = locate_cells(gold, list(rows), list(features), row, feature)
@@ -415,9 +418,10 @@ def serialize_dataset(
     shown = d.cell_state == OBSERVED_CODE
     if reveal_blanked:
         shown |= d.cell_state == BLANKED_CODE
-    # A hidden cell reads code -1, the marker after the value names.
+    # A hidden cell reads the marker after the value names, a filled cell
+    # its fill text after the marker.
     names = d.value_names + [UNKNOWN_MARKER]
-    texts = [names[v] for v in np.where(shown, d.cell_value, -1).tolist()]
+    value = np.where(shown, d.cell_value, len(d.value_names))
     if fill:
         keys = list(fill)
         at = locate_cells(d, [code for code, _ in keys], [feature for _, feature in keys],
@@ -427,18 +431,27 @@ def serialize_dataset(
                 raise DatasetError(f"fill references nonexistent cell {key!r}")
             if d.cell_state[i] == OBSERVED_CODE:
                 raise DatasetError(f"fill references observed cell {key!r}")
-            texts[i] = fill[key]
+        value[at] = len(names) + np.arange(len(keys))
+        names += fill.values()
 
     prefixes = [f"{feature}=" for feature in d.feature_names]
-    parts = [prefixes[f] + text for f, text in zip(d.cell_feature.tolist(), texts)]
     bounds = d.bounds.tolist()
-    # str() round-trips floats exactly.
-    lines = [
-        "\t".join([lang.code, lang.name, str(lang.latitude), str(lang.longitude), lang.genus,
-                   lang.family, " ".join(lang.country_codes), " | ".join(parts[start:end])])
-        for lang, start, end in zip(d.languages, bounds, bounds[1:])
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    # The per-cell strings of one block of languages at a time.
+    blocks = []
+    for lo in range(0, len(d.languages), _SERIALIZE_BLOCK):
+        hi = min(lo + _SERIALIZE_BLOCK, len(d.languages))
+        first, last = bounds[lo], bounds[hi]
+        parts = [prefixes[f] + names[v] for f, v in
+                 zip(d.cell_feature[first:last].tolist(), value[first:last].tolist())]
+        # str() round-trips floats exactly.
+        lines = [
+            "\t".join([lang.code, lang.name, str(lang.latitude), str(lang.longitude), lang.genus,
+                       lang.family, " ".join(lang.country_codes),
+                       " | ".join(parts[start - first:end - first])])
+            for lang, start, end in zip(d.languages[lo:hi], bounds[lo:hi], bounds[lo + 1:hi + 1])
+        ]
+        blocks.append("\n".join(lines + [""]))
+    return "".join(blocks)
 
 
 def filter_dataset(

@@ -165,6 +165,92 @@ def parse_oracle(text: str, gold: dict | None = None):
     return languages, cells
 
 
+def serialize_oracle(dataset, fill=None, reveal_blanked=False) -> str:
+    """The 8-column text of ``dataset``, one language and one cell at a
+    time: features in name order, a fill text before a revealed gold
+    value before ``?`` on every cell that is not observed."""
+    cells: dict[str, dict] = {}
+    for (code, feature), cell in dataset.cells.items():
+        cells.setdefault(code, {})[feature] = cell
+    fill = fill or {}
+    lines = []
+    for lang in dataset.languages:
+        parts = []
+        for feature, cell in sorted(cells.get(lang.code, {}).items()):
+            if cell.state == OBSERVED:
+                text = cell.value
+            elif (lang.code, feature) in fill:
+                text = fill[(lang.code, feature)]
+            elif reveal_blanked and cell.state == "blanked":
+                text = cell.value
+            else:
+                text = "?"
+            parts.append(f"{feature}={text}")
+        lines.append("\t".join([lang.code, lang.name, repr(lang.latitude), repr(lang.longitude),
+                                lang.genus, lang.family, " ".join(lang.country_codes),
+                                " | ".join(parts)]) + "\n")
+    return "".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# coded count tables, all int64
+
+
+def add_at_group_table(names, onehot) -> np.ndarray:
+    """One-hot rows summed per group name, sorted, as int64 by one
+    ``np.add.at`` over every row; a last row of zeros."""
+    rows = {name: i for i, name in enumerate(sorted(set(names)))}
+    table = np.zeros((len(rows) + 1, onehot.shape[1]), dtype=np.int64)
+    np.add.at(table, np.array([rows[name] for name in names], dtype=np.intp),
+              np.asarray(onehot, dtype=np.int64))
+    return table
+
+
+def coded_tables_oracle(sources) -> dict:
+    """Every table of ``CodedCounts(sources)`` as int64, from the cells:
+    a language counts once, from the first source that has its code;
+    columns are the sorted (feature, value) pairs those rows observe.
+    Also returns the ``pairs`` and ``features`` that label the axes."""
+    languages, observed = [], {}
+    for d in sources:
+        maps = observed_maps(d)
+        for lang in d.languages:
+            if lang.code not in observed:
+                languages.append(lang)
+                observed[lang.code] = maps[lang.code]
+    pairs = sorted({pair for obs in observed.values() for pair in obs.items()})
+    features = sorted({feature for feature, _ in pairs})
+    onehot = encode_oracle(pairs, languages, observed)
+    seen = np.zeros((len(languages), len(features)), dtype=np.int64)
+    for r, lang in enumerate(languages):
+        for feature in observed[lang.code]:
+            seen[r, features.index(feature)] = 1
+    return {
+        "pairs": pairs,
+        "features": features,
+        "onehot": onehot,
+        "seen": seen,
+        "joint": onehot.T @ onehot,
+        "support": seen.T @ seen,
+        "marginal": onehot.T @ seen,
+        "totals": onehot.sum(axis=0),
+        "genus": add_at_group_table([lang.genus for lang in languages], onehot),
+        "family": add_at_group_table([lang.family for lang in languages], onehot),
+    }
+
+
+def encode_oracle(pairs, languages, observed) -> np.ndarray:
+    """languages x ``pairs`` int64 one-hot of the ``observed`` maps (code
+    -> feature -> value); a value outside ``pairs`` sets no column."""
+    column = {pair: i for i, pair in enumerate(pairs)}
+    onehot = np.zeros((len(languages), len(pairs)), dtype=np.int64)
+    for r, lang in enumerate(languages):
+        for pair in observed[lang.code].items():
+            if pair in column:
+                onehot[r, column[pair]] = 1
+    return onehot
+
+
 # ---------------------------------------------------------------------------
 # blanking
 

@@ -26,7 +26,7 @@ from typoimpute.kb import (
     serialize_dataset,
 )
 
-from oracles import parse_oracle
+from oracles import parse_oracle, serialize_oracle
 from synth import make_language, random_dataset
 
 HEADER = "wals code\tname\tlatitude\tlongitude\tgenus\tfamily\tcountrycodes\tfeatures"
@@ -186,6 +186,45 @@ def test_serialize_reveal_blanked_writes_gold():
     d = Dataset.build([make_language("aaa")], {("aaa", "f1"): Cell.blanked("gold")})
     assert "f1=?" in serialize_dataset(d)
     assert "f1=gold" in serialize_dataset(d, reveal_blanked=True)
+
+
+def _hidden_cells_dataset(rng: random.Random, n_languages: int) -> Dataset:
+    """Random cells, some blanked and some unknown, and a language with
+    no cell at all."""
+    d = random_dataset(rng, n_languages=n_languages, n_features=6, min_observed=1)
+    cells = dict(d.cells)
+    for key in rng.sample(sorted(cells), len(cells) // 3):
+        cells[key] = Cell.blanked(cells[key].value) if rng.random() < 0.5 else Cell.unknown()
+    return Dataset.build(d.languages + [make_language("zzz")], cells)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 256])
+def test_serialize_matches_oracle_across_blocks(block, monkeypatch):
+    """Blocks of languages, fills and revealed gold values give the text
+    of the one-cell-at-a-time oracle."""
+    from typoimpute import kb
+
+    monkeypatch.setattr(kb, "_SERIALIZE_BLOCK", block)
+    rng = random.Random(block)
+    for n_languages in (1, 2, 3, 7, 8, 20):
+        d = _hidden_cells_dataset(rng, n_languages)
+        hidden = [key for key, cell in d.cells.items() if cell.state != OBSERVED]
+        fill = {key: f"p{i}" for i, key in enumerate(rng.sample(hidden, len(hidden) // 2))}
+        for reveal in (False, True):
+            for f in (None, fill):
+                assert serialize_dataset(d, f, reveal) == serialize_oracle(d, f, reveal)
+
+
+def test_parsed_and_built_datasets_agree_on_cell_dtypes():
+    rng = random.Random(13)
+    built = _hidden_cells_dataset(rng, 12)
+    gold = Dataset.build(built.languages, {key: Cell.observed(cell.value) if cell.value else cell
+                                           for key, cell in built.cells.items()})
+    parsed = parse_dataset(serialize_dataset(built), gold=gold)
+    assert parsed == built
+    for name in ("cell_row", "cell_feature", "cell_value", "cell_state"):
+        assert getattr(parsed, name).dtype == getattr(built, name).dtype, name
+    assert built.cell_state.dtype == np.int8
 
 
 def test_catalog_inventories_sorted_with_counts():
@@ -613,3 +652,19 @@ def test_parse_peak_memory_stays_within_six_times_the_text():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * len(text)
+
+
+def test_serialize_peak_memory_stays_within_four_times_the_output():
+    """Serializing builds its per-cell strings one block of languages at
+    a time: the ``tracemalloc`` peak of one serialize of the largest
+    bench file stays under 4x the length of the text it returns."""
+    import tracemalloc
+
+    d = parse_dataset(_bench_text("baselines-L"))
+    tracemalloc.start()
+    try:
+        text = serialize_dataset(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)

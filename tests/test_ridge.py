@@ -596,7 +596,7 @@ def test_blocked_radius_counts_match_one_shot_oracle(monkeypatch, rows_per_block
 
 def test_radius_counts_peak_memory_is_linear_in_the_languages():
     """No languages x languages kernel: the ``tracemalloc`` peak of the
-    radius counts over 1,500 languages stays within six copies of the
+    radius counts over 1,500 languages stays within six int64 copies of the
     one-hot plus six float temporaries of one kernel block."""
     import tracemalloc
 
@@ -609,7 +609,7 @@ def test_radius_counts_peak_memory_is_linear_in_the_languages():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * counts.onehot.nbytes + 6 * 8 * ridge._KERNEL_BLOCK
+    assert peak <= 6 * 8 * counts.onehot.size + 6 * 8 * ridge._KERNEL_BLOCK
 
 
 def test_query_at_statistics_coordinates_shares_its_neighbourhood():
