@@ -48,13 +48,24 @@ def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     squared, so the sign never mattered) and the cosine product
     commutes.
     """
-    dlat = np.radians(np.abs(a[:, None, 0] - b[None, :, 0]))
-    dlon = np.radians(np.abs(a[:, None, 1] - b[None, :, 1]))
-    cos_a = np.cos(np.radians(a[:, 0]))[:, None]
-    cos_b = np.cos(np.radians(b[:, 0]))[None, :]
-    h = np.sin(dlat / 2.0) ** 2 + cos_a * cos_b * np.sin(dlon / 2.0) ** 2
+    # h = sin(dlat/2)^2 + cos_a cos_b sin(dlon/2)^2, evaluated step by
+    # step into two buffers; each step is the same ufunc on the same
+    # operands as the one-expression form, so every entry is bitwise equal.
+    h = np.multiply(np.cos(np.radians(a[:, 0]))[:, None], np.cos(np.radians(b[:, 0]))[None, :])
+    half = np.empty_like(h)
+    for axis, combine in ((1, np.multiply), (0, np.add)):
+        np.subtract(a[:, None, axis], b[None, :, axis], out=half)
+        np.abs(half, out=half)
+        np.radians(half, out=half)
+        np.divide(half, 2.0, out=half)
+        np.sin(half, out=half)
+        np.square(half, out=half)
+        combine(h, half, out=h)
     # Guard against rounding pushing h a hair above 1 near antipodes.
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(1.0, h)))
+    np.minimum(h, 1.0, out=h)
+    np.sqrt(h, out=h)
+    np.arcsin(h, out=h)
+    return np.multiply(h, 2.0 * EARTH_RADIUS_KM, out=h)
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:

@@ -1,45 +1,38 @@
 """Imputation systems for filling unknown feature values."""
 
-from .base import (
-    Imputer,
-    NoPredictionError,
-    Prediction,
-    fill_dataset,
-)
-from .config import KNOWN_KEYS, METHODS, build_imputer
-from .correlation import CorrelationImputer
-from .ensemble import POLICIES, EnsembleImputer
-from .frequency import (
-    GenusFamilyBackoffImputer,
-    GeoBackoffImputer,
-    GlobalFrequencyImputer,
-)
-from .knn import NearestNeighborImputer, load_language_vectors
-from .ridge import (
-    ALL_BLOCKS,
-    PriorFeatureSpace,
-    RidgePriorImputer,
-    solve_ridge,
-)
+from importlib import import_module
 
-__all__ = [
-    "Imputer",
-    "NoPredictionError",
-    "Prediction",
-    "fill_dataset",
-    "KNOWN_KEYS",
-    "METHODS",
-    "build_imputer",
-    "CorrelationImputer",
-    "POLICIES",
-    "EnsembleImputer",
-    "GenusFamilyBackoffImputer",
-    "GeoBackoffImputer",
-    "GlobalFrequencyImputer",
-    "NearestNeighborImputer",
-    "load_language_vectors",
-    "ALL_BLOCKS",
-    "PriorFeatureSpace",
-    "RidgePriorImputer",
-    "solve_ridge",
-]
+# public name -> the submodule that defines it; __getattr__ imports a
+# submodule on first use, so a run imports only the imputers it builds
+_EXPORTS = {
+    "Imputer": "base",
+    "NoPredictionError": "base",
+    "Prediction": "base",
+    "fill_dataset": "base",
+    "KNOWN_KEYS": "config",
+    "METHODS": "config",
+    "build_imputer": "config",
+    "CorrelationImputer": "correlation",
+    "POLICIES": "ensemble",
+    "EnsembleImputer": "ensemble",
+    "GenusFamilyBackoffImputer": "frequency",
+    "GeoBackoffImputer": "frequency",
+    "GlobalFrequencyImputer": "frequency",
+    "NearestNeighborImputer": "knn",
+    "load_language_vectors": "knn",
+    "ALL_BLOCKS": "ridge",
+    "PriorFeatureSpace": "ridge",
+    "RidgePriorImputer": "ridge",
+    "solve_ridge": "ridge",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

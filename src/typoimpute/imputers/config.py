@@ -1,14 +1,16 @@
 """Building imputers from key=value configuration.
 
-Two tables drive the builder: each method's class and the config keys
-it reads, and each key's constructor argument and text parser.  A key
-the config leaves out is not passed, so every default and range check
-lives in the imputer's constructor alone.
+Two tables drive the builder: each method's module, class and the
+config keys it reads, and each key's constructor argument and text
+parser.  A key the config leaves out is not passed, so every default
+and range check lives in the imputer's constructor alone.  A method's
+module is imported only when a config builds it.
 """
 
 from __future__ import annotations
 
 import math
+from importlib import import_module
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -16,11 +18,7 @@ import numpy as np
 
 from ..configio import ConfigError
 from .base import Imputer
-from .correlation import CorrelationImputer
 from .ensemble import EnsembleImputer
-from .frequency import GenusFamilyBackoffImputer, GeoBackoffImputer, GlobalFrequencyImputer
-from .knn import NearestNeighborImputer, load_language_vectors
-from .ridge import RidgePriorImputer
 
 __all__ = ["METHODS", "KNOWN_KEYS", "build_imputer"]
 
@@ -70,19 +68,20 @@ _SETTINGS: dict[str, tuple[str, Callable[[str, str], object]]] = {
     "policy": ("policy", lambda key, text: text),
 }
 
-# method -> (class, the config keys it reads)
-_METHODS: dict[str, tuple[type[Imputer], tuple[str, ...]]] = {
-    "frequency": (GlobalFrequencyImputer, ()),
-    "genus_family": (GenusFamilyBackoffImputer, ()),
-    "geo_backoff": (GeoBackoffImputer, ("near_km", "far_km")),
-    "knn": (NearestNeighborImputer, ("k",)),
-    "correlation": (CorrelationImputer, ("alpha", "min_support")),
-    "ridge": (RidgePriorImputer, ("lambda", "areal_km", "min_support", "blocks", "use_context")),
-    "ensemble": (EnsembleImputer, ("members", "policy")),
+# method -> (module, class, the config keys it reads)
+_METHODS: dict[str, tuple[str, str, tuple[str, ...]]] = {
+    "frequency": ("frequency", "GlobalFrequencyImputer", ()),
+    "genus_family": ("frequency", "GenusFamilyBackoffImputer", ()),
+    "geo_backoff": ("frequency", "GeoBackoffImputer", ("near_km", "far_km")),
+    "knn": ("knn", "NearestNeighborImputer", ("k",)),
+    "correlation": ("correlation", "CorrelationImputer", ("alpha", "min_support")),
+    "ridge": ("ridge", "RidgePriorImputer",
+              ("lambda", "areal_km", "min_support", "blocks", "use_context")),
+    "ensemble": ("ensemble", "EnsembleImputer", ("members", "policy")),
 }
 
 METHODS = tuple(_METHODS)
-KNOWN_KEYS = frozenset({"method"}.union(*(keys for _, keys in _METHODS.values())))
+KNOWN_KEYS = frozenset({"method"}.union(*(keys for _, _, keys in _METHODS.values())))
 
 
 def build_imputer(
@@ -117,6 +116,8 @@ def build_imputer(
             f"method {method} does not read config keys: {', '.join(sorted(unread))}"
         )
     if vectors is not None:
+        from .knn import NearestNeighborImputer, load_language_vectors
+
         built = imputer.members if isinstance(imputer, EnsembleImputer) else [imputer]
         knn = [m for m in built if isinstance(m, NearestNeighborImputer)]
         if not knn:
@@ -136,13 +137,14 @@ def _build(
     """Build ``method`` from the keys it reads, adding them to ``read``."""
     if method not in _METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
-    cls, keys = _METHODS[method]
+    module, name, keys = _METHODS[method]
     read.update(keys)
     settings = {}
     for key in keys:
         if key in config:
             argument, parse = _SETTINGS[key]
             settings[argument] = parse(key, config[key])
+    cls = getattr(import_module(f".{module}", __package__), name)
     if cls is EnsembleImputer:
         if "members" not in settings:
             raise ConfigError("ensemble config is missing the members key")

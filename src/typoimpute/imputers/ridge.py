@@ -15,16 +15,21 @@ statistics languages: a language x (feature, value) one-hot, its joint
 counts, per-feature co-observation counts, genus and family counts, and
 counts over each language's radius neighbours.  Without the evaluation
 set's cells these are the training set's shared tables,
-``Dataset.counts``, plus the radius counts (when the areal block is
-on, computed one block of distance-kernel rows at a time) and the list
-of the one-hot's (row, column) entries, built once per fit.  A target's
-training design matrix is gathered from these tables in blocks, its
-implicational and indicator entries taken from that list; leave-one-out
-subtracts the row's own one-hot from its counts.  Every value's
-regressor is then solved in one call.  The test languages
-needing one target are scored as one block: their prior vectors take
-the genus, family and implicational shares of the table rows they read,
-and one product with the weights scores every value.
+``Dataset.counts``, plus the int32 radius counts (when the areal block
+is on, computed one block of distance-kernel rows and one block of
+one-hot columns at a time).  Leave-one-out subtracts the row's own
+one-hot from its counts.  A target with more predictors than training
+rows, as most have, is solved in the dual: its rows x rows Gram matrix
+and then its weights are formed from the count tables, from the rows'
+dense genus, family and areal shares and their one-hot over the keyed
+columns, so the mostly-zero design matrix is never built.  A narrower
+target gathers its design matrix from the tables, its implicational
+and indicator entries taken from the list of the one-hot's (row,
+column) entries, built on first use, and solves the primal system.
+Either way every value's regressor is solved in one call.  The test
+languages needing one target are scored as one block: their prior
+vectors take the genus, family and implicational shares of the table
+rows they read, and one product with the weights scores every value.
 """
 
 from __future__ import annotations
@@ -63,11 +68,11 @@ def solve_ridge(
 
     Solved exactly via the centered normal equations; when the feature
     dimension exceeds the row count the equivalent dual system is used
-    instead, its n x n Gram centred in place so that no centred copy of
-    ``X`` exists.  Neither ``X`` nor ``y`` is modified.  ``y`` is one
-    target of shape (n,) or k targets of shape (n, k) sharing one
-    factorization.  Returns (w, b): w of shape (d,) with a float b, or
-    (d, k) with b of shape (k,).
+    instead (``_solve_dual``), so that no centred copy of ``X`` exists.
+    Neither ``X`` nor ``y`` is modified.  ``y`` is one target of shape
+    (n,) or k targets of shape (n, k) sharing one factorization.
+    Returns (w, b): w of shape (d,) with a float b, or (d, k) with b of
+    shape (k,).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -81,41 +86,53 @@ def solve_ridge(
         raise ValueError("non-finite values in ridge inputs")
 
     n, d = X.shape
-    x_mean = X.mean(axis=0)
-    y_mean = y.mean(axis=0)
-    yc = y - y_mean
-
-    if d <= n:
+    if d > n:
+        alpha, b = _solve_dual(X @ X.T, y, lam)
+        w = X.T @ alpha
+    else:
+        x_mean = X.mean(axis=0)
+        y_mean = y.mean(axis=0)
         Xc = X - x_mean
         gram = Xc.T @ Xc
         gram[np.diag_indices_from(gram)] += lam
-        w = np.linalg.solve(gram, Xc.T @ yc)
-    else:
-        # With Xc = X - mean: Xc Xc^T is X X^T centred on both sides,
-        # and Xc^T a = X^T (a - mean a).
-        outer = X @ X.T
-        row_mean = outer.mean(axis=1)
-        outer -= row_mean[:, None]
-        outer -= row_mean[None, :]
-        outer += row_mean.mean()
-        outer[np.diag_indices_from(outer)] += lam
-        alpha = np.linalg.solve(outer, yc)
-        w = X.T @ (alpha - alpha.mean(axis=0))
-
-    b = y_mean - x_mean @ w
+        w = np.linalg.solve(gram, Xc.T @ (y - y_mean))
+        b = y_mean - x_mean @ w
     return w, (float(b) if y.ndim == 1 else b)
+
+
+def _solve_dual(
+    gram: np.ndarray,
+    y: np.ndarray,
+    lam: float,
+) -> tuple[np.ndarray, float | np.ndarray]:
+    """Dual ridge from the Gram matrix X X^T of an uncentred design X,
+    which is overwritten.  Returns (a, b): the weights are X^T a and
+    ``b`` the unpenalized bias.
+
+    With Xc = X - mean, Xc Xc^T is X X^T centred on both sides and
+    Xc^T a = X^T (a - mean a); the bias is mean(y) - mean(X) w, and
+    mean(X) X^T is the row mean of the Gram matrix.
+    """
+    row_mean = gram.mean(axis=1)
+    gram -= row_mean[:, None]
+    gram -= row_mean[None, :]
+    gram += row_mean.mean()
+    gram[np.diag_indices_from(gram)] += lam
+    y_mean = y.mean(axis=0)
+    alpha = np.linalg.solve(gram, y - y_mean)
+    alpha -= alpha.mean(axis=0)
+    return alpha, y_mean - row_mean @ alpha
 
 
 class _PriorStats:
     """The coded counts of the statistics languages (train, optionally
-    plus the observed cells of an evaluation set) and their counts over
-    each language's radius neighbours; ``areal_km=None`` (no areal
+    plus the observed cells of an evaluation set) and their int32 counts
+    over each language's radius neighbours; ``areal_km=None`` (no areal
     block) computes no radius counts.
 
     Columns of the one-hot are (feature, value) pairs over every value
     any statistics language observes, so totals include values outside
-    the training inventory.  ``cell_rows`` and ``cell_columns`` list the
-    one-hot's (row, column) entries, row by row.
+    the training inventory.
     """
 
     def __init__(self, counts: CodedCounts, areal_km: float | None):
@@ -123,23 +140,32 @@ class _PriorStats:
         self.areal_km = areal_km
         if areal_km is not None:
             self.areal = self._radius_counts()
-        self.cell_rows, self.cell_columns = np.nonzero(counts.onehot)
         self._query_areal: dict[Language, np.ndarray] = {}
+
+    @cached_property
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The one-hot's (row, column) entries, row by row; built only
+        for a target fitted from its dense design."""
+        return np.nonzero(self.counts.onehot)
 
     def _radius_counts(self) -> np.ndarray:
         """languages x columns over radius neighbours, self excluded,
-        from one block of kernel rows at a time: a kernel row equals the
-        same row of the full matrix and the counts are exact integers,
-        so the blocks change no count."""
-        coords, onehot = self.counts.coords, self.counts.onehot.astype(float)
+        from one block of kernel rows at a time, each multiplied by one
+        block of one-hot columns at a time: a kernel row equals the same
+        row of the full matrix and the counts are exact integers, so the
+        blocks change no count.  A count never exceeds the number of
+        languages, so int32 holds it."""
+        coords, onehot = self.counts.coords, self.counts.onehot
         n = len(coords)
-        areal = np.empty(onehot.shape, dtype=np.int64)
+        areal = np.empty(onehot.shape, dtype=np.int32)
         step = max(1, _KERNEL_BLOCK // max(n, 1))
         for start in range(0, n, step):
             stop = min(start + step, n)
             within = distance_matrix(coords[start:stop], coords) <= self.areal_km
             within[np.arange(stop - start), np.arange(start, stop)] = False
-            areal[start:stop] = within.astype(float) @ onehot
+            within = within.astype(float)
+            for lo in range(0, onehot.shape[1], step):
+                areal[start:stop, lo:lo + step] = within @ onehot[:, lo:lo + step].astype(float)
         return areal
 
     def areal_counts(self, language: Language) -> np.ndarray:
@@ -193,13 +219,16 @@ class PriorFeatureSpace:
         # them, columns exist only for the inventory.
         target_columns = counts.columns.get(target, {})
         self._target_columns = np.array(list(target_columns.values()), dtype=np.intp)
-        order = list(target_columns)
-        self._value_positions = np.array([order.index(v) for v in self.inventory], dtype=np.intp)
+        position = {v: i for i, v in enumerate(target_columns)}
+        self._value_positions = np.array([position[v] for v in self.inventory], dtype=np.intp)
 
         others = sorted(f for f in inventories if f != target)
         self._inventories = inventories
-        self._impl_features = [f for f in others if self._support(f) >= min_support] \
-            if "implicational" in self.blocks else []
+        self._impl_features = []
+        if "implicational" in self.blocks:
+            index = counts.feature_index
+            support = counts.support[index[target]] if target in index else np.zeros(len(index))
+            self._impl_features = [f for f in others if support[index[f]] >= min_support]
         self._obs_features = others if "indicators" in self.blocks else []
         impl_columns = [counts.columns[f][a] for f in self._impl_features for a in inventories[f]]
         obs_columns = [counts.columns[f][a] for f in self._obs_features for a in inventories[f]]
@@ -233,12 +262,6 @@ class PriorFeatureSpace:
     def __len__(self) -> int:
         return self._size
 
-    def _support(self, feat: str) -> int:
-        index = self.stats.counts.feature_index
-        if feat not in index or self.target not in index:
-            return 0
-        return int(self.stats.counts.support[index[feat], index[self.target]])
-
     def _shares(self, counts: np.ndarray) -> np.ndarray:
         """Inventory shares of each row of target counts; rows with no
         count left are all zero."""
@@ -247,30 +270,41 @@ class PriorFeatureSpace:
         np.divide(counts[..., self._value_positions], total, out=out, where=total > 0)
         return out
 
-    def design(self, rows: np.ndarray) -> np.ndarray:
-        """Training design matrix of the statistics rows ``rows``, each
-        observing the target; its own observation is left out of every
-        distribution."""
+    def _leading(self, rows: np.ndarray, own: np.ndarray) -> np.ndarray:
+        """The genus, family and areal columns of the statistics rows
+        ``rows``, whose own target one-hot ``own`` is left out of the
+        genus and family counts."""
         stats = self.stats
         counts = stats.counts
         tc = self._target_columns
         n_values = len(self.inventory)
-        own = counts.onehot[np.ix_(rows, tc)]
-        X = np.zeros((len(rows), self._size))
+        X = np.zeros((len(rows), self._impl_start))
         if "genetic" in self.blocks:
             X[:, :n_values] = self._shares(
                 counts.genus.table[np.ix_(counts.genus.of[rows], tc)] - own)
             X[:, n_values:2 * n_values] = self._shares(
                 counts.family.table[np.ix_(counts.family.of[rows], tc)] - own)
         if "areal" in self.blocks:
-            X[:, self._areal_start:self._impl_start] = self._shares(
-                stats.areal[np.ix_(rows, tc)])
+            X[:, self._areal_start:] = self._shares(stats.areal[np.ix_(rows, tc)])
+        return X
+
+    def design(self, rows: np.ndarray) -> np.ndarray:
+        """Training design matrix of the statistics rows ``rows``, each
+        observing the target; its own observation is left out of every
+        distribution."""
+        stats = self.stats
+        counts = stats.counts
+        n_values = len(self.inventory)
+        own = counts.onehot[np.ix_(rows, self._target_columns)]
+        X = np.zeros((len(rows), self._size))
+        X[:, :self._impl_start] = self._leading(rows, own)
         # the rows' one-hot entries, as (design row, column)
+        cell_rows, cell_columns = stats.entries
         at = np.full(len(counts.languages), -1, dtype=np.intp)
         at[rows] = np.arange(len(rows))
-        at = at[stats.cell_rows]
+        at = at[cell_rows]
         held = at >= 0
-        at, columns = at[held], stats.cell_columns[held]
+        at, columns = at[held], cell_columns[held]
         keys = self._impl_key[columns]
         impl_rows, keys = at[keys >= 0], keys[keys >= 0]
         X[impl_rows[:, None], self._impl_start + keys[:, None] * n_values + np.arange(n_values)] = \
@@ -278,6 +312,72 @@ class PriorFeatureSpace:
         keys = self._obs_key[columns]
         X[at[keys >= 0], self._obs_start + keys[keys >= 0]] = 1.0
         return X
+
+    def solve_dual(
+        self,
+        rows: np.ndarray,
+        y: np.ndarray,
+        lam: float,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Weights (one row per value) and biases of every value's +/-1
+        regressor over the statistics rows ``rows``, sorted by ``y``,
+        the inventory position of their own target value: the solution
+        of ``solve_ridge(self.design(rows), ...)``, from the design's
+        Gram matrix built out of the count tables, never the design.
+
+        Let O be the rows x keys one-hot of the columns holding an
+        implicational or indicator key, C_u the target counts of key u
+        (inventory values), s_u = 1/(N_u - 1) for its N_u target
+        observations (0 when N_u <= 1) and q_u = sum_v C_uv^2.  A row of
+        value c sharing key u with a row of value c' adds
+        s_u^2 (q_u - C_uc - C_uc' + [c = c']) to their product through
+        the key's implicational columns, and 1 through its indicator, so
+        the Gram matrix is the leading columns' product plus one product
+        of class blocks of O per pair of values.  The weights come back
+        the same way: the implicational weight of (u, v) is
+        s_u (C_uv (O^T a)_u - (O_v^T a_v)_u) with O_v the rows of value v.
+        """
+        counts = self.stats.counts
+        n_values = len(self.inventory)
+        own = counts.onehot[np.ix_(rows, self._target_columns)]
+        lead = self._leading(rows, own)
+        keys = np.flatnonzero((self._impl_key[:-1] >= 0) | (self._obs_key[:-1] >= 0))
+        impl, obs = self._impl_key[keys], self._obs_key[keys]
+        has_impl, has_obs = impl >= 0, obs >= 0
+        # target counts of each key; a key without an implicational
+        # block reads the zero last row
+        spare = np.zeros((1, len(self._target_columns)), dtype=self._impl_counts.dtype)
+        target_counts = np.vstack([self._impl_counts, spare])[impl]
+        C = target_counts[:, self._value_positions]
+        N = target_counts.sum(axis=1)
+        s = np.divide(1.0, N - 1, out=np.zeros(len(keys)), where=N > 1)
+        q = (C * C).sum(axis=1)
+        O = counts.onehot[np.ix_(rows, keys)]
+        bounds = np.searchsorted(y, np.arange(n_values + 1))
+        classes = [slice(lo, hi) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+
+        gram = lead @ lead.T
+        for c, rows_c in enumerate(classes):
+            for c2 in range(c, n_values):
+                weight = s * s * (q - C[:, c] - C[:, c2] + (c == c2)) + has_obs
+                block = (O[rows_c] * weight) @ O[classes[c2]].T
+                gram[rows_c, classes[c2]] += block
+                if c2 != c:
+                    gram[classes[c2], rows_c] += block.T
+        Y = np.where(y[:, None] == np.arange(n_values), 1.0, -1.0)
+        alpha, biases = _solve_dual(gram, Y, lam)
+        del gram
+
+        weights = np.zeros((n_values, self._size))
+        weights[:, :self._impl_start] = alpha.T @ lead
+        by_class = np.stack([O[rows_c].T @ alpha[rows_c] for rows_c in classes])
+        total = by_class.sum(axis=0)
+        impl_weights = s[:, None, None] * (C[:, :, None] * total[:, None, :]
+                                           - by_class.transpose(1, 0, 2))
+        weights[:, self._impl_start + impl[has_impl][:, None] * n_values + np.arange(n_values)] = \
+            impl_weights[has_impl].transpose(2, 0, 1)
+        weights[:, self._obs_start + obs[has_obs]] = total[has_obs].T
+        return weights, biases
 
     def dense(self, languages: Sequence[Language], onehot: np.ndarray) -> np.ndarray:
         """Prior vectors of test languages, one row each; ``onehot`` holds
@@ -381,9 +481,15 @@ class RidgePriorImputer(Imputer):
                 continue
             own = counts.onehot[:n_train, [counts.columns[target][v] for v in values]]
             rows = np.flatnonzero(own.any(axis=1))
-            Y = np.where(own[rows] > 0, 1.0, -1.0)
-            w, b = solve_ridge(space.design(rows), Y, self.lam)
-            self._fitted[target] = _FittedFeature(space, values, np.ascontiguousarray(w.T), b)
+            if len(space) > len(rows):
+                y = own[rows].argmax(axis=1)
+                order = np.argsort(y, kind="stable")
+                weights, biases = space.solve_dual(rows[order], y[order], self.lam)
+            else:
+                Y = np.where(own[rows], 1.0, -1.0)
+                w, biases = solve_ridge(space.design(rows), Y, self.lam)
+                weights = np.ascontiguousarray(w.T)
+            self._fitted[target] = _FittedFeature(space, values, weights, biases)
         return self
 
     def predict(self, test: Dataset, cells: np.ndarray) -> dict[int, Prediction]:

@@ -42,6 +42,19 @@ def great_circle_km(lat1: float, lon1: float, lat2: float, lon2: float, dps: int
         mp.dps = old
 
 
+def distance_matrix_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``geo.distance_matrix`` as one expression with a fresh temporary
+    per step: the kernel evaluated into buffers must match it bit for
+    bit."""
+    radius = 6371.0088
+    dlat = np.radians(np.abs(a[:, None, 0] - b[None, :, 0]))
+    dlon = np.radians(np.abs(a[:, None, 1] - b[None, :, 1]))
+    cos_a = np.cos(np.radians(a[:, 0]))[:, None]
+    cos_b = np.cos(np.radians(b[:, 0]))[None, :]
+    h = np.sin(dlat / 2.0) ** 2 + cos_a * cos_b * np.sin(dlon / 2.0) ** 2
+    return 2.0 * radius * np.arcsin(np.sqrt(np.minimum(1.0, h)))
+
+
 # ---------------------------------------------------------------------------
 # dataset access without package helpers
 

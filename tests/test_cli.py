@@ -700,6 +700,20 @@ def test_each_command_loads_only_what_it_runs(stage_modules):
     assert not _within(loaded["evaluate"], "typoimpute.imputers")
 
 
+
+def test_impute_imports_only_the_imputers_it_builds(stage_modules):
+    """A method's module is imported only when a config builds it: a
+    frequency or genus_family impute compiles none of the model
+    imputers, a knn impute only knn."""
+    loaded, _ = stage_modules
+    models = {f"typoimpute.imputers.{name}" for name in ("ridge", "knn", "correlation")}
+    for method in ("frequency", "genus_family"):
+        modules = loaded[f"impute:{method}"]
+        assert "typoimpute.imputers.frequency" in modules
+        assert not models & modules, method
+    assert models & loaded["impute:knn"] == {"typoimpute.imputers.knn"}
+
+
 # ---------------------------------------------------------------------------
 # impute: one fill loop, one table, bad settings
 

@@ -1,5 +1,6 @@
 """Ensemble combination policies and config-driven imputer construction."""
 
+import importlib
 import random
 import re
 from pathlib import Path
@@ -259,7 +260,8 @@ def _settings(imputer):
 def test_built_defaults_are_the_constructors(method):
     """The builder sets no default of its own: a config naming only the
     method builds what the constructor builds."""
-    cls, _ = _METHOD_TABLE[method]
+    module, name, _ = _METHOD_TABLE[method]
+    cls = getattr(importlib.import_module(f"typoimpute.imputers.{module}"), name)
     if method == "ensemble":
         built = build_imputer({"method": method, "members": "frequency,ridge"})
         expected = cls([GlobalFrequencyImputer(), RidgePriorImputer()])
@@ -276,7 +278,7 @@ def test_readme_imputer_keys_match_the_builder():
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
         if line.startswith("| `") and len(cells) == 3:
             table[cells[0].strip("`")] = tuple(re.findall(r"`([a-z_]+)`", cells[2]))
-    assert table == {method: keys for method, (_, keys) in _METHOD_TABLE.items()}
+    assert table == {method: keys for method, (_, _, keys) in _METHOD_TABLE.items()}
 
 
 def test_built_ensemble_runs_end_to_end():

@@ -17,7 +17,7 @@ from typoimpute.geo import (
     haversine_km,
 )
 
-from oracles import great_circle_km
+from oracles import distance_matrix_oracle, great_circle_km
 
 # frozen against a 50-digit mpmath evaluation of the haversine formula
 # with R = 6371.0088
@@ -97,6 +97,25 @@ def test_kernel_is_exactly_symmetric():
     square = distance_matrix(a, a)
     assert np.array_equal(square, square.T)
     assert not np.diagonal(square).any()
+
+
+def test_kernel_matches_one_expression_oracle_bit_for_bit():
+    """Random points with poles, the antimeridian, duplicates and
+    antipodes, a block of one repeated point, and the near-antipodal
+    pairs whose haversine term rounds above 1."""
+    rng = random.Random(39)
+    a, b = _random_points(rng, 300), _random_points(rng, 123)
+    same = np.repeat([[12.5, -40.25]], 5, axis=0)
+    poles = np.array([[90.0, 0.0], [90.0, 180.0], [-90.0, 0.0], [-90.0, -180.0]])
+    antimeridian = np.array([[10.0, 180.0], [10.0, -180.0], [-33.0, 179.9999], [-33.0, -179.9999]])
+    antipodes = np.array([[-87.5, -180.0], [87.5, 0.0], [-64.03974011776948, -115.62141842715934],
+                          [64.03974011643476, 64.37858157284066], [0.0, 0.0], [0.0, 180.0]])
+    for x, y in [(a, b), (b, a), (a, a), (same, same), (same, a), (poles, a), (poles, poles),
+                 (antimeridian, antimeridian), (antimeridian, a), (antipodes, antipodes),
+                 (antipodes, b), (a[:1], b[:1])]:
+        got = distance_matrix(x, y)
+        assert np.array_equal(got, distance_matrix_oracle(x, y))
+        assert np.array_equal(got, distance_matrix(y, x).T)
 
 
 def test_kernel_row_alone_equals_row_of_large_matrix():

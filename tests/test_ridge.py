@@ -588,7 +588,7 @@ def test_blocked_radius_counts_match_one_shot_oracle(monkeypatch, rows_per_block
     monkeypatch.setattr(ridge, "_KERNEL_BLOCK", rows_per_block * n)
     areal = _PriorStats(counts, km).areal
     expected = one_shot_radius_counts(counts.coords, counts.onehot, km)
-    assert areal.dtype == expected.dtype == np.int64
+    assert areal.dtype == np.int32
     assert np.array_equal(areal, expected)
     step = min(rows_per_block, n)
     assert made == [step] * (n // step) + ([n % step] if n % step else [])
@@ -596,8 +596,8 @@ def test_blocked_radius_counts_match_one_shot_oracle(monkeypatch, rows_per_block
 
 def test_radius_counts_peak_memory_is_linear_in_the_languages():
     """No languages x languages kernel: the ``tracemalloc`` peak of the
-    radius counts over 1,500 languages stays within six int64 copies of the
-    one-hot plus six float temporaries of one kernel block."""
+    radius counts over 1,500 languages stays within four int32 copies of
+    the one-hot plus four float temporaries of one kernel block."""
     import tracemalloc
 
     rng = random.Random(95)
@@ -609,7 +609,29 @@ def test_radius_counts_peak_memory_is_linear_in_the_languages():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 8 * counts.onehot.size + 6 * 8 * ridge._KERNEL_BLOCK
+    assert peak <= 4 * 4 * counts.onehot.size + 4 * 8 * ridge._KERNEL_BLOCK
+
+
+def test_radius_counts_cast_one_block_of_columns_at_a_time():
+    """On a one-hot wider than a kernel block, the counts are int32 and
+    no float copy of the whole one-hot exists: the ``tracemalloc`` peak
+    stays within one int32 copy plus four float kernel blocks, below a
+    float copy plus the int32 counts."""
+    import tracemalloc
+
+    rng = random.Random(96)
+    counts = random_dataset(rng, n_languages=600, n_features=120, n_values=4,
+                            p_observed=0.3).counts
+    counts.coords
+    assert 8 * counts.onehot.size > 4 * 8 * ridge._KERNEL_BLOCK
+    tracemalloc.start()
+    try:
+        areal = _PriorStats(counts, 2500.0).areal
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert areal.dtype == np.int32
+    assert peak <= 4 * counts.onehot.size + 4 * 8 * ridge._KERNEL_BLOCK
 
 
 def test_query_at_statistics_coordinates_shares_its_neighbourhood():
@@ -750,6 +772,165 @@ def test_context_fit_builds_no_training_table():
     assert "counts" not in vars(train)
     assert {target: fitted.values for target, fitted in imp._fitted.items()} == \
         {f: tuple(values) for f, values in train.counts.columns.items()}
+
+
+# ---------------------------------------------------------------------------
+# the dual solve from the count tables
+
+
+def _design_fit(space, rows, lam):
+    """``solve_ridge`` over the dense design of ``rows``: weights (one row
+    per value) and biases."""
+    counts = space.stats.counts
+    own = counts.onehot[np.ix_(rows, [counts.columns[space.target][v] for v in space.inventory])]
+    w, b = solve_ridge(space.design(rows), np.where(own, 1.0, -1.0), lam)
+    return w.T, b
+
+
+def _dual_fit(space, rows, lam):
+    """``space.solve_dual`` over ``rows`` sorted by their target value."""
+    counts = space.stats.counts
+    own = counts.onehot[np.ix_(rows, [counts.columns[space.target][v] for v in space.inventory])]
+    y = own.argmax(axis=1)
+    order = np.argsort(y, kind="stable")
+    return space.solve_dual(rows[order], y[order], lam)
+
+
+def _assert_close_fit(got, want):
+    # rtol on every entry; the targets are +/-1, and the atol absorbs
+    # only entries that are zero up to rounding (the weight of a column
+    # constant over the rows, the bias of balanced values)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-12)
+
+
+def _target_rows(space, n_train):
+    counts = space.stats.counts
+    columns = list(counts.columns[space.target].values())
+    return np.flatnonzero(counts.onehot[:n_train, columns].any(axis=1))
+
+
+def test_dual_fit_matches_design_solve():
+    """Every subset of blocks, with and without context-only features
+    and values, keys that only the row itself sees with the target,
+    and ``min_support`` leaving no implicational key:
+    the weights and biases from the count tables equal the dense
+    design's ``solve_ridge`` at rtol 1e-9, also where a value has one
+    row or none."""
+    rng = random.Random(98)
+    subsets = [blocks for r in range(1, len(ALL_BLOCKS) + 1)
+               for blocks in itertools.combinations(ALL_BLOCKS, r)]
+    lonely_keys = no_impl = one_row_classes = 0
+    for trial in range(8):
+        train, context = _random_sources(rng, with_context=trial % 2 == 1)
+        sources = [train] + ([context] if context else [])
+        stats = _PriorStats(CodedCounts(sources), rng.choice([800.0, 2500.0]))
+        inventories = _inventories(train)
+        n_train = len(train.languages)
+        for blocks, min_support, target in itertools.product(
+            subsets, (1, 5, 10**6), train.features()
+        ):
+            if len(inventories[target]) < 2:
+                continue
+            space = PriorFeatureSpace(stats, target, inventories[target], inventories,
+                                      min_support, blocks)
+            if len(space) == 0:
+                continue
+            lam = rng.choice([0.1, 1.0, 100.0])
+            rows = _target_rows(space, n_train)
+            _assert_close_fit(_dual_fit(space, rows, lam), _design_fit(space, rows, lam))
+            # the rows of the first value alone: every other class is empty
+            column = stats.counts.columns[target][space.inventory[0]]
+            first = rows[stats.counts.onehot[rows, column]]
+            _assert_close_fit(_dual_fit(space, first, lam), _design_fit(space, first, lam))
+            observed = space._impl_counts.sum(axis=1)
+            lonely_keys += int((observed == 1).sum())
+            no_impl += "implicational" in blocks and not space._impl_features
+            own = stats.counts.onehot[np.ix_(rows, space._target_columns)].sum(axis=0)
+            one_row_classes += int((own == 1).sum())
+    assert lonely_keys and no_impl and one_row_classes
+
+
+def test_dual_fit_predicts_as_the_design_solve():
+    """The imputer's predictions with its dual weights equal those with
+    the dense design's weights, with and without context."""
+    rng = random.Random(99)
+    train, context = _bench_shaped_sources(rng)
+    queries = Dataset.build(
+        [*train.languages, *context.languages],
+        {(lang.code, f): Cell.observed(v) for source in (train, context)
+         for lang in source.languages for f, v in observed_of(source, lang.code).items()},
+    )
+    cells = np.arange(len(queries.cell_row))
+    compared = 0
+    for use_context in (False, True):
+        imp = RidgePriorImputer(min_support=1, use_context=use_context).fit(train, context=context)
+        dense = RidgePriorImputer(min_support=1, use_context=use_context)
+        dense._stats = imp._stats
+        dense._fitted = {}
+        n_train = len(train.languages)
+        for target, fitted in imp._fitted.items():
+            if len(fitted.values) > 1:
+                rows = _target_rows(fitted.space, n_train)
+                assert len(fitted.space) > len(rows)  # every target takes the dual path
+                weights, biases = _design_fit(fitted.space, rows, imp.lam)
+                _assert_close_fit((fitted.weights, fitted.biases), (weights, biases))
+                fitted = replace(fitted, weights=weights, biases=biases)
+            dense._fitted[target] = fitted
+        got, want = imp.predict(queries, cells), dense.predict(queries, cells)
+        assert got.keys() == want.keys()
+        assert [p.value for p in got.values()] == [p.value for p in want.values()]
+        compared += len(got)
+    assert compared > 700
+
+
+def test_fit_builds_the_design_only_for_narrow_targets(monkeypatch):
+    """A target with more columns than training rows is fitted from the
+    count tables, never its design; the one-hot entry list the design
+    gathers from is built only when a narrow target needs it."""
+    rng = random.Random(100)
+    train = random_dataset(rng, n_languages=60, n_features=6, min_observed=2)
+    built = []
+    design = PriorFeatureSpace.design
+
+    def recorded(space, rows):
+        X = design(space, rows)
+        built.append(X.shape)
+        return X
+
+    monkeypatch.setattr(PriorFeatureSpace, "design", recorded)
+    imp = RidgePriorImputer(min_support=1).fit(train)
+    assert built == [] and "entries" not in vars(imp._stats)
+    imp = RidgePriorImputer(min_support=1, blocks=("genetic", "areal")).fit(train)
+    assert len(built) == len(train.features())
+    assert all(d <= n for n, d in built) and "entries" in vars(imp._stats)
+
+
+def test_dual_fit_peak_memory_is_below_the_dense_design():
+    """The ``tracemalloc`` peak of fitting one wide target from the count
+    tables stays below the size of its dense float design."""
+    import tracemalloc
+
+    rng = random.Random(101)
+    train = random_dataset(rng, n_languages=150, n_features=100, n_values=4, p_observed=0.5)
+    stats = _PriorStats(train.counts, 2500.0)
+    inventories = _inventories(train)
+    target = train.features()[0]
+    space = PriorFeatureSpace(stats, target, inventories[target], inventories, 1, ALL_BLOCKS)
+    rows = _target_rows(space, len(train.languages))
+    y = train.counts.onehot[np.ix_(rows, space._target_columns)].argmax(axis=1)
+    order = np.argsort(y, kind="stable")
+    rows, y = rows[order], y[order]
+    design_bytes = 8 * len(rows) * len(space)
+    assert len(space) > 4 * len(rows)
+    train.counts.joint, train.counts.genus, train.counts.family  # noqa: B018  (cached tables)
+    tracemalloc.start()
+    try:
+        space.solve_dual(rows, y, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < design_bytes
 
 
 def test_softmax_confidence_well_formed():
