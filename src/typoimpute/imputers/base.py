@@ -1,10 +1,15 @@
 """Common imputer interface: fit on a training dataset, then answer the
-hidden cells of a test dataset, each with a value and a confidence."""
+hidden cells of a test dataset, each with a value and a confidence.
+
+Every imputer scores the cells of one target at a time and answers
+them through ``decide``, the one decision rule for value, confidence
+and source.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -14,6 +19,7 @@ __all__ = [
     "NoPredictionError",
     "Prediction",
     "Imputer",
+    "decide",
     "fill_dataset",
 ]
 
@@ -59,16 +65,22 @@ def by_target(test: Dataset, cells: np.ndarray) -> Iterator[tuple[str, np.ndarra
         yield test.feature_names[features[lo]], cells[lo:hi], test.cell_row[cells[lo:hi]]
 
 
-def _modes(values: list[str], counts: np.ndarray, source: str) -> list[Optional[Prediction]]:
-    """The most frequent value of each row of ``counts`` (rows x values),
-    with its share of the row; values are sorted, so the first maximum
-    breaks ties on the lexicographically smaller value.  None for a row
-    with no count."""
-    total = counts.sum(axis=1)
-    best = counts.argmax(axis=1)
-    share = counts[np.arange(len(counts)), best] / np.maximum(total, 1)
-    return [Prediction(values[b], s, source) if t > 0 else None
-            for b, s, t in zip(best.tolist(), share.tolist(), total.tolist())]
+def decide(cells: np.ndarray, values: Sequence[str], scores: np.ndarray,
+           source: str | np.ndarray, mass: np.ndarray | None = None) -> dict[int, Prediction]:
+    """Answer each of ``cells`` from its row of ``scores`` (cells x
+    ``values``, which are sorted): the value of the row's first maximum,
+    so a tie goes to the lexicographically smaller value, with its
+    share of the row of ``mass`` (``scores`` by default) summed in value
+    order.  A row whose mass sums to zero gets no answer.  ``source`` is
+    one label for every cell or one per cell."""
+    mass = scores if mass is None else mass
+    total = np.cumsum(mass, axis=1)[:, -1]
+    best = scores.argmax(axis=1)
+    share = mass[np.arange(len(best)), best] / np.where(total > 0, total, 1)
+    sources = np.broadcast_to(np.asarray(source, dtype=object), best.shape)
+    return {cell: Prediction(values[b], s, label) for cell, b, s, label, answered in
+            zip(cells.tolist(), best.tolist(), share.tolist(), sources.tolist(),
+                (total > 0).tolist()) if answered}
 
 
 def fill_dataset(imputer: Imputer, test: Dataset) -> dict[tuple[str, str], Prediction]:

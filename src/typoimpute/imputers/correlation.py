@@ -19,7 +19,7 @@ import numpy as np
 
 from ..coded import CodedCounts
 from ..kb import Dataset
-from .base import Imputer, Prediction, by_target
+from .base import Imputer, Prediction, by_target, decide
 
 __all__ = ["CorrelationImputer"]
 
@@ -102,14 +102,8 @@ class CorrelationImputer(Imputer):
             # running total; a voter that does not vote adds exactly 0.
             terms = np.where(use, self._weight[:, t, None] * p, 0.0)
             totals = np.cumsum(terms, axis=1)[:, -1]
-            best = totals.argmax(axis=1)
-            top = totals[np.arange(len(rows)), best].tolist()
-            mass = np.cumsum(totals, axis=1)[:, -1].tolist()
-            for cell, b, score, total, ok in zip(block.tolist(), best.tolist(), top, mass,
-                                                voting.any(axis=1).tolist()):
-                if ok:
-                    # values are sorted, so the first maximum breaks ties
-                    # on the lexicographically smaller value
-                    confidence = score / total if total > 0 else 1.0 / len(values)
-                    out[cell] = Prediction(values[b], confidence, source="correlation")
+            # a row whose voters all weigh 0 still answers: the first
+            # value, with confidence 1/len(values)
+            totals[voting.any(axis=1) & ~totals.any(axis=1)] = 1.0
+            out.update(decide(block, values, totals, "correlation"))
         return out

@@ -8,8 +8,10 @@ Three related predictors, each a strict extension of the previous:
   within a near radius, then the family of the nearest language that
   has the target within a far radius, then global.
 
-Confidence is the winning value's share of the counts at the deciding
-level.  All counts come from the training set's shared integer tables,
+Each cell scores the target's values by the counts of its deciding
+level, chosen level by level as arrays, and one ``decide`` per target
+answers with the winner's share of those counts as the confidence.  All
+counts come from the training set's shared integer tables,
 ``Dataset.counts``: global counts are its column totals, genus and
 family counts its grouped tables, and the geographic levels sum the
 one-hot rows of the target's holders selected by the table's cached
@@ -18,47 +20,53 @@ distance row of the query language.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..coded import CodedCounts, count_matmul
 from ..geo import haversine_km  # noqa: F401  (bench/trace_child.py counts calls through this name)
 from ..kb import Dataset
-from .base import Imputer, Prediction, _modes, by_target
+from .base import Imputer, Prediction, by_target, decide
 
 __all__ = ["GlobalFrequencyImputer", "GenusFamilyBackoffImputer", "GeoBackoffImputer"]
 
 
-def _target_columns(counts: CodedCounts, target: str) -> tuple[list[str], slice] | None:
-    """The target's values (sorted) and their one-hot columns; None for
-    a feature training never observes."""
-    values = counts.columns.get(target)
-    if not values:
-        return None
-    start = counts.starts[counts.feature_index[target]]
-    return list(values), slice(start, start + len(values))
+def _prefer(scores: np.ndarray, source: np.ndarray, counts: np.ndarray, level: str) -> None:
+    """Let the rows of ``counts`` (cells x values) that count anything
+    replace their rows of ``scores`` and name ``level`` as their source."""
+    found = counts.any(axis=1)
+    scores[found] = counts[found]
+    source[found] = level
 
 
-def _backoff(counts: CodedCounts, levels: tuple[str, ...], test: Dataset,
-             cells: np.ndarray) -> dict[int, Prediction]:
+def _backoff(counts: CodedCounts, levels: tuple[str, ...], test: Dataset, cells: np.ndarray,
+             geographic: Callable | None = None) -> dict[int, Prediction]:
     """The mode of the first of ``levels`` (language groups, "genus" or
-    "family") where the test language's group observes the target, else
-    the global mode; one block of group rows per target."""
-    # later levels are overwritten by earlier ones
-    tables = [(level, getattr(counts, level).table,
+    "family") where the test language's group observes the target, then
+    of the levels ``geographic(test, rows, reach, columns)`` counts for
+    the rows ``reach`` that no group level answers, else the global
+    mode; one block of rows per target."""
+    # applied last level first, so the first level that counts anything wins
+    groups = [(level, getattr(counts, level).table,
                getattr(counts, level).index(getattr(lang, level) for lang in test.languages))
               for level in reversed(levels)]
     out: dict[int, Prediction] = {}
     for target, block, rows in by_target(test, cells):
-        found = _target_columns(counts, target)
-        if found is None:
+        values = counts.columns.get(target)
+        if not values:
             continue
-        values, columns = found
-        [pred] = _modes(values, counts.totals[None, columns], "global")
-        preds = [pred] * len(rows)
-        for level, table, group in tables:
-            preds = [mode or pred for mode, pred in
-                     zip(_modes(values, table[group[rows], columns], level), preds)]
-        out.update(zip(block.tolist(), preds))
+        start = counts.starts[counts.feature_index[target]]
+        columns = slice(start, start + len(values))
+        scores = np.repeat(counts.totals[None, columns], len(rows), axis=0)
+        source = np.full(len(rows), "global", dtype=object)
+        for level, table, group in groups:
+            _prefer(scores, source, table[group[rows], columns], level)
+        reach = source == "global"
+        if geographic is not None and reach.any():
+            for level, level_counts in geographic(test, rows, reach, columns):
+                _prefer(scores, source, level_counts, level)
+        out.update(decide(block, list(values), scores, source))
     return out
 
 
@@ -113,27 +121,28 @@ class GeoBackoffImputer(Imputer):
         return self
 
     def predict(self, test: Dataset, cells: np.ndarray) -> dict[int, Prediction]:
-        counts = self.counts
-        out = _backoff(counts, ("genus", "family"), test, cells)
-        reach = np.array([c for c, p in out.items() if p.source == "global"], dtype=np.intp)
-        for target, block, rows in by_target(test, reach):
-            values, columns = _target_columns(counts, target)
-            onehot = counts.onehot[:, columns]
-            languages = [test.languages[r] for r in rows.tolist()]
-            km = np.array([counts.distances(lang) for lang in languages])
-            own = np.array([counts.rows.get(lang.code, -1) for lang in languages])
-            holders = onehot.any(axis=1) & (np.arange(len(onehot)) != own[:, None])
+        return _backoff(self.counts, ("genus", "family"), test, cells, self._geographic)
 
-            preds = _modes(values, count_matmul(holders & (km <= self.near_km), onehot),
-                           "neighborhood")
-            in_far = holders & (km <= self.far_km)
-            # nearest holder inside far_km: least distance, then least code
-            nearest_km = np.where(in_far, km, np.inf).min(axis=1, keepdims=True)
-            tied = in_far & (km == nearest_km)
-            nearest = np.where(tied, counts.code_rank, len(counts.code_rank)).argmin(axis=1)
-            family = counts.family.of
-            same = holders & (family == family[nearest][:, None]) & tied.any(axis=1)[:, None]
-            far = _modes(values, count_matmul(same, onehot), "nearest-family")
-            for cell, near, family_mode in zip(block.tolist(), preds, far):
-                out[cell] = near or family_mode or out[cell]
-        return out
+    def _geographic(self, test: Dataset, rows: np.ndarray, reach: np.ndarray,
+                    columns: slice) -> list[tuple[str, np.ndarray]]:
+        """The far and then the near level's counts (test rows ``rows`` x
+        values), zero outside the rows ``reach`` selects: the family of
+        the nearest holder of the target within ``far_km``, and the
+        holders within ``near_km``."""
+        counts = self.counts
+        onehot = counts.onehot[:, columns]
+        languages = [test.languages[r] for r in rows[reach].tolist()]
+        km = np.array([counts.distances(lang) for lang in languages])
+        own = np.array([counts.rows.get(lang.code, -1) for lang in languages])
+        holders = onehot.any(axis=1) & (np.arange(len(onehot)) != own[:, None])
+        in_far = holders & (km <= self.far_km)
+        # nearest holder inside far_km: least distance, then least code
+        nearest_km = np.where(in_far, km, np.inf).min(axis=1, keepdims=True)
+        tied = in_far & (km == nearest_km)
+        nearest = np.where(tied, counts.code_rank, len(counts.code_rank)).argmin(axis=1)
+        family = counts.family.of
+        same = holders & (family == family[nearest][:, None]) & tied.any(axis=1)[:, None]
+        near, far = np.zeros((2, len(rows), onehot.shape[1]), dtype=np.int64)
+        near[reach] = count_matmul(holders & (km <= self.near_km), onehot)
+        far[reach] = count_matmul(same, onehot)
+        return [("nearest-family", far), ("neighborhood", near)]

@@ -13,7 +13,6 @@ only when candidates tie at the k-th place.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 from typing import Mapping
 
@@ -22,7 +21,7 @@ import numpy as np
 from ..coded import count_matmul
 from ..geo import haversine_km  # noqa: F401  (bench/trace_child.py counts calls through this name)
 from ..kb import Dataset, DatasetError
-from .base import Imputer, Prediction, _modes, by_target
+from .base import Imputer, Prediction, by_target, decide
 
 __all__ = ["NearestNeighborImputer", "load_language_vectors"]
 
@@ -145,8 +144,6 @@ class NearestNeighborImputer(Imputer):
                                   candidates != own[rows][:, None],
                                   distance[np.ix_(rows, candidates)], by_vector[rows])
             votes = count_matmul(taken, observing[candidates])
-            preds = _modes(list(values), votes, "knn-agreement")
-            for cell, vector, pred in zip(block.tolist(), by_vector[rows].tolist(), preds):
-                if pred is not None:
-                    out[cell] = replace(pred, source="knn-vector") if vector else pred
+            out.update(decide(block, list(values), votes,
+                              np.where(by_vector[rows], "knn-vector", "knn-agreement")))
         return out

@@ -19,17 +19,22 @@ set's cells these are the training set's shared tables,
 is on, computed one block of distance-kernel rows and one block of
 one-hot columns at a time).  Leave-one-out subtracts the row's own
 one-hot from its counts.  A target with more predictors than training
-rows, as most have, is solved in the dual: its rows x rows Gram matrix
-and then its weights are formed from the count tables, from the rows'
-dense genus, family and areal shares and their one-hot over the keyed
+rows, as most have, is solved in the dual by
+``PriorFeatureSpace.solve_dual``: its rows x rows Gram matrix and then
+its weights are formed from the count tables, from the rows' dense
+genus, family and areal shares and their one-hot over the keyed
 columns, so the mostly-zero design matrix is never built.  A narrower
 target gathers its design matrix from the tables, its implicational
 and indicator entries taken from the list of the one-hot's (row,
-column) entries, built on first use, and solves the primal system.
-Either way every value's regressor is solved in one call.  The test
-languages needing one target are scored as one block: their prior
-vectors take the genus, family and implicational shares of the table
-rows they read, and one product with the weights scores every value.
+column) entries, built on first use, and ``solve_ridge`` solves its
+primal system, the only system that function solves.  Either way
+every value's regressor is solved in one call.  The test languages
+needing one target are scored as one block: their prior vectors, from
+the same writer as the training design minus the leave-one-out, take
+the genus, family and implicational shares of the table rows they
+read, and one product with the weights scores every value; ``decide``
+answers the first maximum of the raw scores, with its softmax share
+as the confidence.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from ..coded import CodedCounts, count_matmul
 from ..geo import distance_matrix
 from ..geo import haversine_km  # noqa: F401  (bench/trace_child.py counts calls through this name)
 from ..kb import Dataset, Language
-from .base import Imputer, Prediction, by_target
+from .base import Imputer, Prediction, by_target, decide
 
 __all__ = [
     "solve_ridge",
@@ -66,10 +71,8 @@ def solve_ridge(
 ) -> tuple[np.ndarray, float | np.ndarray]:
     """Minimize ||Xw + b - y||^2 + lam*||w||^2 with an unpenalized bias.
 
-    Solved exactly via the centered normal equations; when the feature
-    dimension exceeds the row count the equivalent dual system is used
-    instead (``_solve_dual``), so that no centred copy of ``X`` exists.
-    Neither ``X`` nor ``y`` is modified.  ``y`` is one target of shape
+    Solved exactly via the centered normal equations, a d x d system
+    whatever the row count.  Neither ``X`` nor ``y`` is modified.  ``y`` is one target of shape
     (n,) or k targets of shape (n, k) sharing one factorization.
     Returns (w, b): w of shape (d,) with a float b, or (d, k) with b of
     shape (k,).
@@ -85,43 +88,14 @@ def solve_ridge(
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("non-finite values in ridge inputs")
 
-    n, d = X.shape
-    if d > n:
-        alpha, b = _solve_dual(X @ X.T, y, lam)
-        w = X.T @ alpha
-    else:
-        x_mean = X.mean(axis=0)
-        y_mean = y.mean(axis=0)
-        Xc = X - x_mean
-        gram = Xc.T @ Xc
-        gram[np.diag_indices_from(gram)] += lam
-        w = np.linalg.solve(gram, Xc.T @ (y - y_mean))
-        b = y_mean - x_mean @ w
-    return w, (float(b) if y.ndim == 1 else b)
-
-
-def _solve_dual(
-    gram: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-) -> tuple[np.ndarray, float | np.ndarray]:
-    """Dual ridge from the Gram matrix X X^T of an uncentred design X,
-    which is overwritten.  Returns (a, b): the weights are X^T a and
-    ``b`` the unpenalized bias.
-
-    With Xc = X - mean, Xc Xc^T is X X^T centred on both sides and
-    Xc^T a = X^T (a - mean a); the bias is mean(y) - mean(X) w, and
-    mean(X) X^T is the row mean of the Gram matrix.
-    """
-    row_mean = gram.mean(axis=1)
-    gram -= row_mean[:, None]
-    gram -= row_mean[None, :]
-    gram += row_mean.mean()
-    gram[np.diag_indices_from(gram)] += lam
+    x_mean = X.mean(axis=0)
     y_mean = y.mean(axis=0)
-    alpha = np.linalg.solve(gram, y - y_mean)
-    alpha -= alpha.mean(axis=0)
-    return alpha, y_mean - row_mean @ alpha
+    Xc = X - x_mean
+    gram = Xc.T @ Xc
+    gram[np.diag_indices_from(gram)] += lam
+    w = np.linalg.solve(gram, Xc.T @ (y - y_mean))
+    b = y_mean - x_mean @ w
+    return w, (float(b) if y.ndim == 1 else b)
 
 
 class _PriorStats:
@@ -270,22 +244,47 @@ class PriorFeatureSpace:
         np.divide(counts[..., self._value_positions], total, out=out, where=total > 0)
         return out
 
-    def _leading(self, rows: np.ndarray, own: np.ndarray) -> np.ndarray:
-        """The genus, family and areal columns of the statistics rows
-        ``rows``, whose own target one-hot ``own`` is left out of the
+    def _leading(self, genus: np.ndarray, family: np.ndarray, areal: np.ndarray | None,
+                 own: np.ndarray) -> np.ndarray:
+        """The genus, family and areal columns of languages in the rows
+        ``genus`` and ``family`` of the group tables, with target counts
+        ``areal`` over their radius neighbours (None without the areal
+        block); their own target one-hot ``own`` is left out of the
         genus and family counts."""
-        stats = self.stats
-        counts = stats.counts
+        counts = self.stats.counts
         tc = self._target_columns
         n_values = len(self.inventory)
-        X = np.zeros((len(rows), self._impl_start))
+        X = np.zeros((len(own), self._impl_start))
         if "genetic" in self.blocks:
-            X[:, :n_values] = self._shares(
-                counts.genus.table[np.ix_(counts.genus.of[rows], tc)] - own)
-            X[:, n_values:2 * n_values] = self._shares(
-                counts.family.table[np.ix_(counts.family.of[rows], tc)] - own)
+            X[:, :n_values] = self._shares(counts.genus.table[np.ix_(genus, tc)] - own)
+            X[:, n_values:2 * n_values] = self._shares(counts.family.table[np.ix_(family, tc)] - own)
         if "areal" in self.blocks:
-            X[:, self._areal_start:] = self._shares(stats.areal[np.ix_(rows, tc)])
+            X[:, self._areal_start:] = self._shares(areal)
+        return X
+
+    def _groups(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The group rows and radius target counts of the statistics
+        rows ``rows``, as ``_leading`` takes them."""
+        stats = self.stats
+        areal = stats.areal[np.ix_(rows, self._target_columns)] if "areal" in self.blocks else None
+        return stats.counts.genus.of[rows], stats.counts.family.of[rows], areal
+
+    def _vectors(self, groups: tuple, own: np.ndarray,
+                 entries: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Prior vectors, one row per language: ``groups`` as ``_leading``
+        takes them, ``own`` the languages' own target one-hot, left out
+        of the genus, family and implicational counts, and ``entries``
+        their one-hot entries as (row, statistics column)."""
+        n_values = len(self.inventory)
+        X = np.zeros((len(own), self._size))
+        X[:, :self._impl_start] = self._leading(*groups, own)
+        rows, columns = entries
+        keys = self._impl_key[columns]
+        impl_rows, keys = rows[keys >= 0], keys[keys >= 0]
+        X[impl_rows[:, None], self._impl_start + keys[:, None] * n_values + np.arange(n_values)] = \
+            self._shares(self._impl_counts[keys] - own[impl_rows])
+        keys = self._obs_key[columns]
+        X[rows[keys >= 0], self._obs_start + keys[keys >= 0]] = 1.0
         return X
 
     def design(self, rows: np.ndarray) -> np.ndarray:
@@ -293,25 +292,14 @@ class PriorFeatureSpace:
         observing the target; its own observation is left out of every
         distribution."""
         stats = self.stats
-        counts = stats.counts
-        n_values = len(self.inventory)
-        own = counts.onehot[np.ix_(rows, self._target_columns)]
-        X = np.zeros((len(rows), self._size))
-        X[:, :self._impl_start] = self._leading(rows, own)
+        own = stats.counts.onehot[np.ix_(rows, self._target_columns)]
         # the rows' one-hot entries, as (design row, column)
         cell_rows, cell_columns = stats.entries
-        at = np.full(len(counts.languages), -1, dtype=np.intp)
+        at = np.full(len(stats.counts.languages), -1, dtype=np.intp)
         at[rows] = np.arange(len(rows))
         at = at[cell_rows]
         held = at >= 0
-        at, columns = at[held], cell_columns[held]
-        keys = self._impl_key[columns]
-        impl_rows, keys = at[keys >= 0], keys[keys >= 0]
-        X[impl_rows[:, None], self._impl_start + keys[:, None] * n_values + np.arange(n_values)] = \
-            self._shares(self._impl_counts[keys] - own[impl_rows])
-        keys = self._obs_key[columns]
-        X[at[keys >= 0], self._obs_start + keys[keys >= 0]] = 1.0
-        return X
+        return self._vectors(self._groups(rows), own, (at[held], cell_columns[held]))
 
     def solve_dual(
         self,
@@ -340,7 +328,7 @@ class PriorFeatureSpace:
         counts = self.stats.counts
         n_values = len(self.inventory)
         own = counts.onehot[np.ix_(rows, self._target_columns)]
-        lead = self._leading(rows, own)
+        lead = self._leading(*self._groups(rows), own)
         keys = np.flatnonzero((self._impl_key[:-1] >= 0) | (self._obs_key[:-1] >= 0))
         impl, obs = self._impl_key[keys], self._obs_key[keys]
         has_impl, has_obs = impl >= 0, obs >= 0
@@ -364,9 +352,21 @@ class PriorFeatureSpace:
                 gram[rows_c, classes[c2]] += block
                 if c2 != c:
                     gram[classes[c2], rows_c] += block.T
+        # Dual ridge, centred in place: with Xc = X - mean, Xc Xc^T is
+        # X X^T centred on both sides and Xc^T a = X^T (a - mean a); the
+        # bias is mean(Y) - mean(X) w, and mean(X) X^T is the row mean of
+        # the Gram matrix.
+        row_mean = gram.mean(axis=1)
+        gram -= row_mean[:, None]
+        gram -= row_mean[None, :]
+        gram += row_mean.mean()
+        gram[np.diag_indices_from(gram)] += lam
         Y = np.where(y[:, None] == np.arange(n_values), 1.0, -1.0)
-        alpha, biases = _solve_dual(gram, Y, lam)
+        y_mean = Y.mean(axis=0)
+        alpha = np.linalg.solve(gram, Y - y_mean)
         del gram
+        alpha -= alpha.mean(axis=0)
+        biases = y_mean - row_mean @ alpha
 
         weights = np.zeros((n_values, self._size))
         weights[:, :self._impl_start] = alpha.T @ lead
@@ -383,28 +383,16 @@ class PriorFeatureSpace:
         """Prior vectors of test languages, one row each; ``onehot`` holds
         their observed values in the statistics columns (rows x columns).
         Nothing is left out."""
-        stats = self.stats
-        counts = stats.counts
+        counts = self.stats.counts
         tc = self._target_columns
-        n_values = len(self.inventory)
-        X = np.zeros((len(languages), self._size))
-        if "genetic" in self.blocks:
-            X[:, :n_values] = self._shares(counts.genus.table[np.ix_(
-                counts.genus.index(lang.genus for lang in languages), tc)])
-            X[:, n_values:2 * n_values] = self._shares(counts.family.table[np.ix_(
-                counts.family.index(lang.family for lang in languages), tc)])
+        areal = None
         if "areal" in self.blocks:
-            areal = np.array([stats.areal_counts(lang)[tc] for lang in languages], dtype=np.int64)
-            X[:, self._areal_start:self._impl_start] = \
-                self._shares(areal.reshape(len(languages), len(tc)))
-        rows, columns = np.nonzero(onehot)
-        keys = self._impl_key[columns]
-        impl_rows, keys = rows[keys >= 0], keys[keys >= 0]
-        X[impl_rows[:, None], self._impl_start + keys[:, None] * n_values + np.arange(n_values)] = \
-            self._shares(self._impl_counts[keys])
-        keys = self._obs_key[columns]
-        X[rows[keys >= 0], self._obs_start + keys[keys >= 0]] = 1.0
-        return X
+            areal = np.array([self.stats.areal_counts(lang)[tc] for lang in languages],
+                             dtype=np.int64).reshape(len(languages), len(tc))
+        groups = (counts.genus.index(lang.genus for lang in languages),
+                  counts.family.index(lang.family for lang in languages), areal)
+        own = np.zeros((len(languages), len(tc)), dtype=bool)
+        return self._vectors(groups, own, np.nonzero(onehot))
 
 
 @dataclass
@@ -474,14 +462,11 @@ class RidgePriorImputer(Imputer):
                 stats, target, inventory, inventories, self.min_support, self.blocks
             )
             values = tuple(inventory)
-            if len(values) == 1 or len(space) == 0:
-                weights = np.zeros((len(values), len(space)))
-                biases = np.zeros(len(values))
-                self._fitted[target] = _FittedFeature(space, values, weights, biases)
-                continue
             own = counts.onehot[:n_train, [counts.columns[target][v] for v in values]]
             rows = np.flatnonzero(own.any(axis=1))
-            if len(space) > len(rows):
+            if len(values) == 1 or len(space) == 0:
+                weights, biases = np.zeros((len(values), len(space))), np.zeros(len(values))
+            elif len(space) > len(rows):
                 y = own[rows].argmax(axis=1)
                 order = np.argsort(y, kind="stable")
                 weights, biases = space.solve_dual(rows[order], y[order], self.lam)
@@ -501,12 +486,7 @@ class RidgePriorImputer(Imputer):
                 continue
             X = fitted.space.dense([test.languages[r] for r in rows.tolist()], onehot[rows])
             raw = X @ fitted.weights.T + fitted.biases
-            # values are sorted, so the first maximum breaks ties on the
-            # lexicographically smaller value
-            best = raw.argmax(axis=1)
-            shifted = np.exp(raw - raw.max(axis=1, keepdims=True))
-            confidence = shifted[np.arange(len(rows)), best] / shifted.sum(axis=1)
             source = "ridge" if len(fitted.values) > 1 else "ridge-constant"
-            for cell, b, c in zip(block.tolist(), best.tolist(), confidence.tolist()):
-                out[cell] = Prediction(fitted.values[b], c, source=source)
+            out.update(decide(block, fitted.values, raw, source,
+                              mass=np.exp(raw - raw.max(axis=1, keepdims=True))))
         return out

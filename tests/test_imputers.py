@@ -21,7 +21,7 @@ from typoimpute.imputers import (
     fill_dataset,
     load_language_vectors,
 )
-from typoimpute.imputers.base import _modes
+from typoimpute.imputers.base import decide
 
 import oracles
 from oracles import (
@@ -40,13 +40,27 @@ def _answer(pred):
     return None if pred is None else (pred.value, pred.confidence)
 
 
-def test_mode_majority_and_tie():
+def test_decide_contract():
+    values = ["SOV", "SVO"]
     counts = np.array([[5, 3], [2, 2], [0, 0], [0, 4]])
-    # values are sorted, so a tie goes to the lexicographically smaller one
-    assert _modes(["SOV", "SVO"], counts, "s") == [
-        Prediction("SOV", 0.625, "s"), Prediction("SOV", 0.5, "s"), None,
-        Prediction("SVO", 1.0, "s")]
-    assert _modes(["a"], np.zeros((0, 1), dtype=np.int64), "s") == []
+    # values are sorted, so a tie goes to the lexicographically smaller
+    # one; a row without mass gets no answer
+    assert decide(np.array([10, 11, 12, 13]), values, counts, "s") == {
+        10: Prediction("SOV", 0.625, "s"), 11: Prediction("SOV", 0.5, "s"),
+        13: Prediction("SVO", 1.0, "s")}
+    assert decide(np.array([], dtype=np.intp), ["a"], np.zeros((0, 1)), "s") == {}
+    # one source per row is kept, as plain strings
+    got = decide(np.array([3, 4]), values, np.array([[1, 0], [0, 1]]),
+                 np.where([True, False], "knn-vector", "knn-agreement"))
+    assert got == {3: Prediction("SOV", 1.0, "knn-vector"),
+                   4: Prediction("SVO", 1.0, "knn-agreement")}
+    assert all(type(p.source) is str and type(p.confidence) is float for p in got.values())
+    # the argmax reads the scores even where the mass rounds them level
+    raw = np.array([[1e-20, 2e-20]])
+    mass = np.exp(raw - raw.max(axis=1, keepdims=True))
+    assert mass.tolist() == [[1.0, 1.0]]
+    assert decide(np.array([7]), values, raw, "ridge", mass=mass) == {
+        7: Prediction("SVO", 0.5, "ridge")}
 
 
 def test_global_frequency_spec_example():

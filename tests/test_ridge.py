@@ -65,12 +65,18 @@ def test_solver_matches_dense_oracle():
         assert normal_equation_residual(X, y, lam, w, b) <= 1e-8
 
 
-def test_solver_dual_path_when_wide():
+def test_solver_primal_system_when_wide():
+    """A design wider than its rows is solved by the same d x d centred
+    normal equations; wide targets of the imputer go through
+    ``PriorFeatureSpace.solve_dual`` instead."""
     rng = np.random.default_rng(81)
-    X = rng.normal(size=(5, 40))  # d > n exercises the dual system
+    X = rng.normal(size=(5, 40))
     y = rng.normal(size=5)
     for lam in (0.01, 1.0, 100.0):
         w, b = solve_ridge(X, y, lam)
+        ww, bb = ridge_oracle(X, y, lam)
+        assert np.allclose(w, ww, rtol=1e-6, atol=1e-8)
+        assert b == pytest.approx(bb, rel=1e-6, abs=1e-8)
         assert normal_equation_residual(X, y, lam, w, b) <= 1e-8
 
 
@@ -113,7 +119,7 @@ def test_solver_column_permutation_equivariance():
 
 def test_solver_multi_column_matches_single_columns():
     rng = np.random.default_rng(84)
-    for n, d in ((30, 8), (6, 25)):  # primal (d <= n) and dual (d > n) branches
+    for n, d in ((30, 8), (6, 25)):  # narrow (d <= n) and wide (d > n) designs
         X = rng.normal(size=(n, d))
         Y = rng.normal(size=(n, 4))
         W, b = solve_ridge(X, Y, 0.5)
@@ -127,7 +133,7 @@ def test_solver_multi_column_matches_single_columns():
 
 def test_solver_leaves_its_inputs_unmodified():
     rng = np.random.default_rng(85)
-    for n, d in ((30, 8), (6, 25)):  # primal and dual branches
+    for n, d in ((30, 8), (6, 25)):  # narrow and wide designs
         X = rng.random((n, d))
         Y = np.where(rng.random((n, 3)) < 0.5, 1.0, -1.0)
         before = X.copy(), Y.copy()
@@ -140,7 +146,8 @@ def test_solver_leaves_its_inputs_unmodified():
 
 def test_solver_dual_matches_centred_copy_oracle():
     """Wide designs shaped like ridge's own: shares and indicators in
-    [0, 1], constant columns, duplicate rows, +/-1 targets."""
+    [0, 1], constant columns, duplicate rows, +/-1 targets; the primal
+    solve agrees with the oracle's dual system of the centred copy."""
     rng = np.random.default_rng(86)
     for trial in range(40):
         n = int(rng.integers(2, 60))
@@ -815,7 +822,7 @@ def test_dual_fit_matches_design_solve():
     and values, keys that only the row itself sees with the target,
     and ``min_support`` leaving no implicational key:
     the weights and biases from the count tables equal the dense
-    design's ``solve_ridge`` at rtol 1e-9, also where a value has one
+    design's primal ``solve_ridge`` at rtol 1e-9, also where a value has one
     row or none."""
     rng = random.Random(98)
     subsets = [blocks for r in range(1, len(ALL_BLOCKS) + 1)

@@ -42,7 +42,8 @@ def test_haversine_callers_resolve(trace_child):
         assert importlib.import_module(module_name).haversine_km is haversine_km, module_name
 
 
-@pytest.mark.parametrize("method", ["knn", "ridge"])
+@pytest.mark.parametrize(
+    "method", ["frequency", "genus_family", "geo_backoff", "knn", "correlation", "ridge"])
 def test_traced_impute_records_method_and_fallback_spans(trace_child, tmp_path, method):
     """A traced ``impute`` stage keeps the method's spans apart from the
     global-mode fallback's, as the per-layer metrics need, and the
@@ -64,7 +65,7 @@ def test_traced_impute_records_method_and_fallback_spans(trace_child, tmp_path, 
             "--test", str(tmp_path / "test.tsv"), "--out", str(tmp_path / "filled.tsv"),
             "--imputer-config", str(tmp_path / "method.cfg")]
 
-    cls = {"knn": imputers.NearestNeighborImputer, "ridge": imputers.RidgePriorImputer}[method]
+    cls = type(imputers.build_imputer({"method": method}))
     tracer, patches = trace_child.Tracer(), trace_child.Patches()
     predict = cls.predict
     trace_child.install(tracer, patches)
