@@ -20,7 +20,6 @@ import csv
 import itertools
 import logging
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
@@ -32,7 +31,7 @@ if TYPE_CHECKING:
     from .kb import Dataset
     from .splits import SplitSpec
 
-__all__ = ["main", "build_parser", "RunConfig", "UsageError"]
+__all__ = ["main", "build_parser", "UsageError"]
 
 log = logging.getLogger(__name__)
 
@@ -64,30 +63,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Effective settings of one command invocation, for the manifest."""
-
-    subcommand: str
-    params: dict[str, str]
-    seed: Optional[int] = None
-
-    def manifest(self, inputs: Mapping[str, str | Path]) -> dict[str, str]:
-        items: dict[str, str] = {
-            "command": self.subcommand,
-            "config_hash": config_hash(self.params),
-        }
-        if self.seed is not None:
-            items["seed"] = str(self.seed)
-        for key in sorted(self.params):
-            items[f"param.{key}"] = self.params[key]
-        for name in sorted(inputs):
-            items[f"input.{name}"] = file_digest(inputs[name])
-        return items
-
-
-def _write_manifest(path: Path, config: RunConfig, inputs: Mapping[str, str | Path]) -> None:
-    write_kv(path, config.manifest(inputs))
+def _write_manifest(path: Path, command: str, params: Mapping[str, str],
+                    inputs: Mapping[str, str | Path], seed: Optional[int] = None) -> None:
+    """The run-manifest of one command invocation: its effective
+    settings ``params``, their hash, the seed and each input's digest."""
+    items = {"command": command, "config_hash": config_hash(params)}
+    if seed is not None:
+        items["seed"] = str(seed)
+    items.update((f"param.{key}", params[key]) for key in sorted(params))
+    items.update((f"input.{name}", file_digest(inputs[name])) for name in sorted(inputs))
+    write_kv(path, items)
 
 
 def _load_dataset(path: str | Path, gold: Optional[Dataset] = None) -> Dataset:
@@ -152,14 +137,8 @@ def cmd_filter(args: argparse.Namespace) -> int:
     log.info("kept %d of %d languages (%d removed), %d of %d features (%d removed)",
              len(filtered.languages), len(dataset.languages), removed_langs,
              len(filtered.feature_names), len(dataset.feature_names), removed_feats)
-    config = RunConfig(
-        "filter",
-        {
-            "min_features": str(args.min_features),
-            "min_languages": str(args.min_languages),
-        },
-    )
-    _write_manifest(Path(f"{args.out}.manifest"), config, {"input": args.input})
+    params = {"min_features": str(args.min_features), "min_languages": str(args.min_languages)}
+    _write_manifest(Path(f"{args.out}.manifest"), "filter", params, {"input": args.input})
     return EXIT_OK
 
 
@@ -168,6 +147,8 @@ def cmd_filter(args: argparse.Namespace) -> int:
 
 
 def _split_spec_from_args(args: argparse.Namespace) -> SplitSpec:
+    from dataclasses import replace
+
     from .splits import SplitSpec
 
     spec = SplitSpec.from_file(args.spec) if args.spec else SplitSpec()
@@ -207,12 +188,9 @@ def cmd_split(args: argparse.Namespace) -> int:
             len(dev.languages),
             len(test.languages),
         )
-        config = RunConfig(
-            "split",
-            {"mode": "random", "fractions": args.random_fractions},
-            seed=args.seed,
-        )
-        _write_manifest(out_dir / "run_manifest.txt", config, {"input": args.input})
+        _write_manifest(out_dir / "run_manifest.txt", "split",
+                        {"mode": "random", "fractions": args.random_fractions},
+                        {"input": args.input}, seed=args.seed)
         return EXIT_OK
 
     spec = _split_spec_from_args(args)
@@ -240,11 +218,10 @@ def cmd_split(args: argparse.Namespace) -> int:
 
     params = {"mode": "controlled", **spec.settings()}
     del params["seed"]  # recorded as the run's seed
-    config = RunConfig("split", params, seed=spec.seed)
     inputs: dict[str, str | Path] = {"input": args.input}
     if args.spec:
         inputs["spec"] = args.spec
-    _write_manifest(out_dir / "run_manifest.txt", config, inputs)
+    _write_manifest(out_dir / "run_manifest.txt", "split", params, inputs, seed=spec.seed)
     return EXIT_OK
 
 
@@ -281,10 +258,8 @@ def cmd_blank(args: argparse.Namespace) -> int:
     )
     n_blanked = int((blanked.cell_state == BLANKED_CODE).sum())
     log.info("blanked %d cells across %d languages", n_blanked, len(blanked.languages))
-    config = RunConfig(
-        "blank", {"low": str(low), "high": str(high)}, seed=args.seed
-    )
-    _write_manifest(out_dir / "run_manifest.txt", config, {"input": args.input})
+    _write_manifest(out_dir / "run_manifest.txt", "blank", {"low": str(low), "high": str(high)},
+                    {"input": args.input}, seed=args.seed)
     return EXIT_OK
 
 
@@ -330,13 +305,12 @@ def cmd_impute(args: argparse.Namespace) -> int:
 
     manifest_config = dict(config)
     manifest_config["fallback"] = str(not args.no_fallback)
-    run = RunConfig("impute", manifest_config)
     inputs: dict[str, str | Path] = {"train": args.train, "test": args.test}
     if args.imputer_config:
         inputs["imputer_config"] = args.imputer_config
     if args.vectors:
         inputs["vectors"] = args.vectors
-    _write_manifest(Path(f"{args.out}.manifest"), run, inputs)
+    _write_manifest(Path(f"{args.out}.manifest"), "impute", manifest_config, inputs)
     return EXIT_OK
 
 
@@ -394,7 +368,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     }
     if held_genera:
         params["genera"] = ",".join(held_genera)
-    run = RunConfig("evaluate", params, seed=args.seed)
     comments = [
         f"config_hash={config_hash(params)}",
         f"seed={args.seed if args.seed is not None else 'none'}",
@@ -518,7 +491,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         inputs[f"system.{name}"] = path
     if args.spec:
         inputs["spec"] = args.spec
-    _write_manifest(out_dir / "run_manifest.txt", run, inputs)
+    _write_manifest(out_dir / "run_manifest.txt", "evaluate", params, inputs, seed=args.seed)
     log.info("evaluated %d systems over %d gold cells", len(reports), reports[0].n_blanked)
     return EXIT_OK
 
@@ -651,8 +624,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             inputs["breakdown"] = breakdown_path
 
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    run = RunConfig("report", {"top": str(args.top)})
-    _write_manifest(Path(f"{args.out}.manifest"), run, inputs)
+    _write_manifest(Path(f"{args.out}.manifest"), "report", {"top": str(args.top)}, inputs)
     return EXIT_OK
 
 

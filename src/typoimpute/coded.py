@@ -9,8 +9,9 @@ are contiguous and its values sorted.  Counts stay integers, so no
 result depends on how a BLAS library orders its sums.  The tables of one
 training set are built once, as ``Dataset.counts``, and shared by every
 imputer fitted on it, together with one cached distance row per query
-language.  ``encode`` maps the observed cells of a test set into the
-same columns, once per prediction call.
+language for the geographic back-off and knn.  ``encode`` maps the
+observed cells of a test set into the same columns, once per prediction
+call.
 
 Each table is held at the width its values need:
 
@@ -138,7 +139,8 @@ class CodedCounts:
 
     def distances(self, language: Language) -> np.ndarray:
         """Kilometres from ``language`` to every row language: one kernel
-        row per query language, cached and shared by every reader."""
+        row per query language, cached and shared by ``geo_backoff`` and
+        ``knn``.  Ridge computes its radius counts in blocks instead."""
         km = self._km.get(language)
         if km is None:
             km = self._km[language] = distance_matrix(coordinates([language]), self.coords)[0]

@@ -34,10 +34,6 @@ class Prediction:
     confidence: float  # in [0, 1]
     source: str  # label of the deciding rule or back-off level
 
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
-
 
 class Imputer:
     """Base class; fitted models are immutable and predict is pure."""
@@ -72,11 +68,15 @@ def decide(cells: np.ndarray, values: Sequence[str], scores: np.ndarray,
     so a tie goes to the lexicographically smaller value, with its
     share of the row of ``mass`` (``scores`` by default) summed in value
     order.  A row whose mass sums to zero gets no answer.  ``source`` is
-    one label for every cell or one per cell."""
+    one label for every cell or one per cell.  A share outside [0, 1]
+    raises ``ValueError``."""
     mass = scores if mass is None else mass
     total = np.cumsum(mass, axis=1)[:, -1]
     best = scores.argmax(axis=1)
     share = mass[np.arange(len(best)), best] / np.where(total > 0, total, 1)
+    outside = (total > 0) & ~((share >= 0) & (share <= 1))
+    if outside.any():
+        raise ValueError(f"confidence {share[outside][0]} outside [0, 1]")
     sources = np.broadcast_to(np.asarray(source, dtype=object), best.shape)
     return {cell: Prediction(values[b], s, label) for cell, b, s, label, answered in
             zip(cells.tolist(), best.tolist(), share.tolist(), sources.tolist(),

@@ -10,31 +10,27 @@ Training rows exclude the row language's own target observation from
 every distribution (leave-one-out), so a language never predicts itself
 from itself.
 
-All distributions are read from integer count tables over the
-statistics languages: a language x (feature, value) one-hot, its joint
-counts, per-feature co-observation counts, genus and family counts, and
-counts over each language's radius neighbours.  Without the evaluation
-set's cells these are the training set's shared tables,
-``Dataset.counts``, plus the int32 radius counts (when the areal block
-is on, computed one block of distance-kernel rows and one block of
-one-hot columns at a time).  Leave-one-out subtracts the row's own
+All distributions are read from one table of integer counts over the
+statistics languages: the training set's shared ``Dataset.counts`` or,
+with the evaluation set's cells, a ``CodedCounts`` over both.  Its
+one-hot, joint, support, genus and family counts serve as they are;
+the radius counts come from ``_radius_counts``, one block of
+distance-kernel rows and one block of one-hot columns at a time, int32.
+``fit`` counts every statistics language's neighbours once (itself
+left out); ``predict`` counts, once per call, those of the test
+languages that are not statistics languages, and a test language that
+is one reads its fit-time row.  Leave-one-out subtracts the row's own
 one-hot from its counts.  A target with more predictors than training
 rows, as most have, is solved in the dual by
 ``PriorFeatureSpace.solve_dual``: its rows x rows Gram matrix and then
-its weights are formed from the count tables, from the rows' dense
-genus, family and areal shares and their one-hot over the keyed
-columns, so the mostly-zero design matrix is never built.  A narrower
-target gathers its design matrix from the tables, its implicational
-and indicator entries taken from the list of the one-hot's (row,
-column) entries, built on first use, and ``solve_ridge`` solves its
-primal system, the only system that function solves.  Either way
-every value's regressor is solved in one call.  The test languages
+its weights are formed from the count tables, so the mostly-zero design
+matrix is never built.  A narrower target gathers its design matrix,
+and ``solve_ridge`` solves its primal system.  The test languages
 needing one target are scored as one block: their prior vectors, from
-the same writer as the training design minus the leave-one-out, take
-the genus, family and implicational shares of the table rows they
-read, and one product with the weights scores every value; ``decide``
-answers the first maximum of the raw scores, with its softmax share
-as the confidence.
+the same writer as the training design minus the leave-one-out, and one
+product with the weights scores every value; ``decide`` answers the
+first maximum of the raw scores, with its softmax share as the
+confidence.
 """
 
 from __future__ import annotations
@@ -45,10 +41,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..coded import CodedCounts, count_matmul
-from ..geo import distance_matrix
+from ..coded import CodedCounts
+from ..geo import coordinates, distance_matrix
 from ..geo import haversine_km  # noqa: F401  (bench/trace_child.py counts calls through this name)
-from ..kb import Dataset, Language
+from ..kb import Dataset
 from .base import Imputer, Prediction, by_target, decide
 
 __all__ = [
@@ -98,70 +94,41 @@ def solve_ridge(
     return w, (float(b) if y.ndim == 1 else b)
 
 
-class _PriorStats:
-    """The coded counts of the statistics languages (train, optionally
-    plus the observed cells of an evaluation set) and their int32 counts
-    over each language's radius neighbours; ``areal_km=None`` (no areal
-    block) computes no radius counts.
+def _radius_counts(counts: CodedCounts, points: np.ndarray, areal_km: float,
+                   own: np.ndarray) -> np.ndarray:
+    """points x columns counts of the one-hot of ``counts`` over the
+    statistics languages within ``areal_km`` of each of ``points`` (as
+    ``geo.coordinates`` returns), leaving out statistics row ``own[i]``
+    for point i, or nothing where it is -1.
 
-    Columns of the one-hot are (feature, value) pairs over every value
-    any statistics language observes, so totals include values outside
-    the training inventory.
+    One block of kernel rows at a time is multiplied by one block of
+    one-hot columns at a time, at most ``_KERNEL_BLOCK`` entries each: a
+    kernel row equals the same row of the full matrix and the counts
+    are exact integers, so the blocks change no count.  A count never
+    exceeds the number of languages, so int32 holds it.
     """
-
-    def __init__(self, counts: CodedCounts, areal_km: float | None):
-        self.counts = counts
-        self.areal_km = areal_km
-        if areal_km is not None:
-            self.areal = self._radius_counts()
-        self._query_areal: dict[Language, np.ndarray] = {}
-
-    @cached_property
-    def entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """The one-hot's (row, column) entries, row by row; built only
-        for a target fitted from its dense design."""
-        return np.nonzero(self.counts.onehot)
-
-    def _radius_counts(self) -> np.ndarray:
-        """languages x columns over radius neighbours, self excluded,
-        from one block of kernel rows at a time, each multiplied by one
-        block of one-hot columns at a time: a kernel row equals the same
-        row of the full matrix and the counts are exact integers, so the
-        blocks change no count.  A count never exceeds the number of
-        languages, so int32 holds it."""
-        coords, onehot = self.counts.coords, self.counts.onehot
-        n = len(coords)
-        areal = np.empty(onehot.shape, dtype=np.int32)
-        step = max(1, _KERNEL_BLOCK // max(n, 1))
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            within = distance_matrix(coords[start:stop], coords) <= self.areal_km
-            within[np.arange(stop - start), np.arange(start, stop)] = False
-            within = within.astype(float)
-            for lo in range(0, onehot.shape[1], step):
-                areal[start:stop, lo:lo + step] = within @ onehot[:, lo:lo + step].astype(float)
-        return areal
-
-    def areal_counts(self, language: Language) -> np.ndarray:
-        """Counts over the radius neighbours of ``language``.
-
-        A statistics language reads its fit-time row; any other language
-        reads the counts' cached distance row.  Both come from the same
-        kernel, so a query at a statistics language's coordinates has
-        that language's neighbours (plus the language itself).
-        """
-        row = self.counts.rows.get(language.code)
-        if row is not None:
-            return self.areal[row]
-        counts = self._query_areal.get(language)
-        if counts is None:
-            near = self.counts.distances(language)[None] <= self.areal_km
-            counts = self._query_areal[language] = count_matmul(near, self.counts.onehot)[0]
-        return counts
+    onehot = counts.onehot
+    step = max(1, _KERNEL_BLOCK // max(len(onehot), 1))
+    areal = np.empty((len(points), onehot.shape[1]), dtype=np.int32)
+    for start in range(0, len(points), step):
+        stop = min(start + step, len(points))
+        within = distance_matrix(points[start:stop], counts.coords) <= areal_km
+        held = np.flatnonzero(own[start:stop] >= 0)
+        within[held, own[start:stop][held]] = False
+        within = within.astype(float)
+        for lo in range(0, onehot.shape[1], step):
+            areal[start:stop, lo:lo + step] = within @ onehot[:, lo:lo + step].astype(float)
+    return areal
 
 
 class PriorFeatureSpace:
     """Deterministic index space of the prior blocks for one target.
+
+    ``counts`` are the statistics languages' coded counts and ``areal``
+    their radius counts (None without the areal block).  Columns of the
+    one-hot are (feature, value) pairs over every value any statistics
+    language observes, so totals include values outside the training
+    inventory.
 
     Keys are tuples: ("genus", v), ("family", v), ("areal", v),
     ("impl", A, a, v), and ("obs", A, a); their order fixes the column
@@ -174,19 +141,19 @@ class PriorFeatureSpace:
 
     def __init__(
         self,
-        stats: _PriorStats,
+        counts: CodedCounts,
+        areal: np.ndarray | None,
         target: str,
         inventory: Sequence[str],
         inventories: Mapping[str, Sequence[str]],
         min_support: int,
         blocks: Sequence[str],
     ):
-        self.stats = stats
+        self.counts = counts
+        self.areal = areal
         self.target = target
         self.inventory = tuple(inventory)
-        self.min_support = min_support
         self.blocks = tuple(blocks)
-        counts = stats.counts
         n_values = len(self.inventory)
 
         # Every statistics value of the target: shares divide by all of
@@ -251,7 +218,7 @@ class PriorFeatureSpace:
         ``areal`` over their radius neighbours (None without the areal
         block); their own target one-hot ``own`` is left out of the
         genus and family counts."""
-        counts = self.stats.counts
+        counts = self.counts
         tc = self._target_columns
         n_values = len(self.inventory)
         X = np.zeros((len(own), self._impl_start))
@@ -265,9 +232,9 @@ class PriorFeatureSpace:
     def _groups(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """The group rows and radius target counts of the statistics
         rows ``rows``, as ``_leading`` takes them."""
-        stats = self.stats
-        areal = stats.areal[np.ix_(rows, self._target_columns)] if "areal" in self.blocks else None
-        return stats.counts.genus.of[rows], stats.counts.family.of[rows], areal
+        counts = self.counts
+        areal = None if self.areal is None else self.areal[np.ix_(rows, self._target_columns)]
+        return counts.genus.of[rows], counts.family.of[rows], areal
 
     def _vectors(self, groups: tuple, own: np.ndarray,
                  entries: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -291,15 +258,9 @@ class PriorFeatureSpace:
         """Training design matrix of the statistics rows ``rows``, each
         observing the target; its own observation is left out of every
         distribution."""
-        stats = self.stats
-        own = stats.counts.onehot[np.ix_(rows, self._target_columns)]
-        # the rows' one-hot entries, as (design row, column)
-        cell_rows, cell_columns = stats.entries
-        at = np.full(len(stats.counts.languages), -1, dtype=np.intp)
-        at[rows] = np.arange(len(rows))
-        at = at[cell_rows]
-        held = at >= 0
-        return self._vectors(self._groups(rows), own, (at[held], cell_columns[held]))
+        onehot = self.counts.onehot
+        own = onehot[np.ix_(rows, self._target_columns)]
+        return self._vectors(self._groups(rows), own, np.nonzero(onehot[rows]))
 
     def solve_dual(
         self,
@@ -325,7 +286,7 @@ class PriorFeatureSpace:
         the same way: the implicational weight of (u, v) is
         s_u (C_uv (O^T a)_u - (O_v^T a_v)_u) with O_v the rows of value v.
         """
-        counts = self.stats.counts
+        counts = self.counts
         n_values = len(self.inventory)
         own = counts.onehot[np.ix_(rows, self._target_columns)]
         lead = self._leading(*self._groups(rows), own)
@@ -379,19 +340,16 @@ class PriorFeatureSpace:
         weights[:, self._obs_start + obs[has_obs]] = total[has_obs].T
         return weights, biases
 
-    def dense(self, languages: Sequence[Language], onehot: np.ndarray) -> np.ndarray:
-        """Prior vectors of test languages, one row each; ``onehot`` holds
-        their observed values in the statistics columns (rows x columns).
-        Nothing is left out."""
-        counts = self.stats.counts
+    def dense(self, genus: np.ndarray, family: np.ndarray, areal: np.ndarray | None,
+              onehot: np.ndarray) -> np.ndarray:
+        """Prior vectors of test languages, one row each, from their rows
+        ``genus`` and ``family`` of the group tables, their radius counts
+        ``areal`` (None without the areal block) and their observed
+        values ``onehot``, both in the statistics columns.  Nothing is
+        left out."""
         tc = self._target_columns
-        areal = None
-        if "areal" in self.blocks:
-            areal = np.array([self.stats.areal_counts(lang)[tc] for lang in languages],
-                             dtype=np.int64).reshape(len(languages), len(tc))
-        groups = (counts.genus.index(lang.genus for lang in languages),
-                  counts.family.index(lang.family for lang in languages), areal)
-        own = np.zeros((len(languages), len(tc)), dtype=bool)
+        own = np.zeros((len(genus), len(tc)), dtype=bool)
+        groups = (genus, family, None if areal is None else areal[:, tc])
         return self._vectors(groups, own, np.nonzero(onehot))
 
 
@@ -447,7 +405,11 @@ class RidgePriorImputer(Imputer):
             counts = CodedCounts([train, context])
         else:
             counts = train.counts
-        self._stats = stats = _PriorStats(counts, self.areal_km if "areal" in self.blocks else None)
+        self._counts = counts
+        self._areal = None
+        if "areal" in self.blocks:
+            self._areal = _radius_counts(counts, counts.coords, self.areal_km,
+                                         np.arange(len(counts.languages)))
         # Training languages come first among the statistics rows; the
         # inventories are the values they observe.
         n_train = len(train.languages)
@@ -458,9 +420,8 @@ class RidgePriorImputer(Imputer):
 
         self._fitted = {}
         for target, inventory in inventories.items():
-            space = PriorFeatureSpace(
-                stats, target, inventory, inventories, self.min_support, self.blocks
-            )
+            space = PriorFeatureSpace(counts, self._areal, target, inventory, inventories,
+                                      self.min_support, self.blocks)
             values = tuple(inventory)
             own = counts.onehot[:n_train, [counts.columns[target][v] for v in values]]
             rows = np.flatnonzero(own.any(axis=1))
@@ -478,13 +439,28 @@ class RidgePriorImputer(Imputer):
         return self
 
     def predict(self, test: Dataset, cells: np.ndarray) -> dict[int, Prediction]:
-        onehot, _ = self._stats.counts.encode(test)
+        counts = self._counts
+        onehot, _ = counts.encode(test)
+        genus = counts.genus.index(lang.genus for lang in test.languages)
+        family = counts.family.index(lang.family for lang in test.languages)
+        areal = None
+        if self._areal is not None:
+            # a statistics language reads its fit-time row; any other
+            # counts its neighbours here, leaving none out (row -1)
+            row = np.array([counts.rows.get(code, -1) for code in test.codes()], dtype=np.intp)
+            new = row < 0
+            areal = np.empty((len(row), onehot.shape[1]), dtype=np.int32)
+            areal[~new] = self._areal[row[~new]]
+            areal[new] = _radius_counts(
+                counts, coordinates(lang for lang, n in zip(test.languages, new.tolist()) if n),
+                self.areal_km, row[new])
         out: dict[int, Prediction] = {}
         for target, block, rows in by_target(test, cells):
             fitted = self._fitted.get(target)
             if fitted is None:
                 continue
-            X = fitted.space.dense([test.languages[r] for r in rows.tolist()], onehot[rows])
+            X = fitted.space.dense(genus[rows], family[rows],
+                                   None if areal is None else areal[rows], onehot[rows])
             raw = X @ fitted.weights.T + fitted.biases
             source = "ridge" if len(fitted.values) > 1 else "ridge-constant"
             out.update(decide(block, fitted.values, raw, source,

@@ -660,15 +660,21 @@ class CountedPriorStats:
         self.areal_km = areal_km
 
 
-def one_shot_radius_counts(coords, onehot, radius_km):
-    """languages x columns counts of ``onehot`` over each language's
-    radius neighbours, self excluded, from one full languages x
-    languages kernel of ``geo.distance_matrix``."""
+def one_shot_radius_counts(coords, onehot, radius_km, points=None, own=None):
+    """points x columns counts of ``onehot`` over the languages at
+    ``coords`` within the radius of each of ``points``, language
+    ``own[i]`` left out for point i (none where it is -1), from one full
+    points x languages kernel of ``geo.distance_matrix``.  By default the
+    points are the languages themselves, each leaving itself out."""
     from typoimpute.geo import distance_matrix
 
-    within = distance_matrix(coords, coords) <= radius_km
-    np.fill_diagonal(within, False)
-    return (within.astype(float) @ onehot.astype(float)).astype(np.int64)
+    if points is None:
+        points, own = coords, np.arange(len(coords))
+    within = distance_matrix(points, coords) <= radius_km
+    for i, j in enumerate(own):
+        if j >= 0:
+            within[i, j] = False
+    return within.astype(np.int64) @ onehot.astype(np.int64)
 
 
 def _vectorized_neighbor_sets(languages, radius_km):
@@ -858,15 +864,16 @@ def counted_ridge_fit(train, context=None, lam=1.0, areal_km=2500.0, min_support
 
 
 class GatheredPriorSpace:
-    """Key dicts of one target over the coded statistics of the imputer
-    (``stats`` is its ``_PriorStats``)."""
+    """Key dicts of one target over the coded counts of the imputer's
+    statistics languages, ``counts``, with neighbours within
+    ``areal_km``."""
 
-    def __init__(self, stats, target, inventory, inventories, min_support, blocks):
-        self.stats = stats
+    def __init__(self, counts, areal_km, target, inventory, inventories, min_support, blocks):
+        self.counts = counts
+        self.areal_km = areal_km
         self.target = target
         self.inventory = tuple(inventory)
         self.blocks = tuple(blocks)
-        counts = stats.counts
         target_columns = counts.columns.get(target, {})
         self._target_columns = np.array(list(target_columns.values()), dtype=np.intp)
         order = list(target_columns)
@@ -924,9 +931,19 @@ class GatheredPriorSpace:
         if len(obs_keys):
             out[obs_rows, self._obs_start + obs_keys] = 1.0
 
+    def _areal(self, language):
+        """Target counts over the radius neighbours of ``language``, from
+        its one distance row; a statistics language leaves itself out."""
+        from typoimpute.geo import coordinates, distance_matrix
+
+        counts = self.counts
+        within = distance_matrix(coordinates([language]), counts.coords)[0] <= self.areal_km
+        if language.code in counts.rows:
+            within[counts.rows[language.code]] = False
+        return within.astype(np.int64) @ counts.onehot[:, self._target_columns].astype(np.int64)
+
     def dense(self, language, observed):
-        stats = self.stats
-        counts = stats.counts
+        counts = self.counts
         tc = self._target_columns
         impl_keys = np.array(
             [self._impl[item] for item in observed.items() if item in self._impl], dtype=np.intp
@@ -939,7 +956,7 @@ class GatheredPriorSpace:
             vec,
             counts.genus.table[counts.genus.rows.get(language.genus, -1)][tc],
             counts.family.table[counts.family.rows.get(language.family, -1)][tc],
-            stats.areal_counts(language)[tc] if "areal" in self.blocks else None,
+            self._areal(language) if "areal" in self.blocks else None,
             np.zeros(len(impl_keys), dtype=np.intp), impl_keys,
             counts.joint[np.ix_(self._impl_columns[impl_keys], tc)],
             np.zeros(len(obs_keys), dtype=np.intp), obs_keys,

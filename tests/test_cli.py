@@ -686,6 +686,8 @@ def test_each_command_loads_only_what_it_runs(stage_modules):
                     "typoimpute.splits"):
         assert not _within(loaded["import"], package), package
     assert not _within(loaded["report"], "numpy")
+    for command in ("import", "report"):
+        assert "dataclasses" not in loaded[command], command
     assert "typoimpute.kb" not in loaded["report"]
     for command in ("filter", "split", "blank"):
         assert "typoimpute.kb" in loaded[command]

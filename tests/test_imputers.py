@@ -663,10 +663,15 @@ def test_fill_dataset_asks_once_about_the_hidden_cells():
 
 
 def test_prediction_confidence_bounds():
-    with pytest.raises(ValueError):
-        Prediction(value="v", confidence=1.5, source="x")
-    with pytest.raises(ValueError):
-        Prediction(value="v", confidence=-0.1, source="x")
+    """``decide`` refuses a winner's share outside [0, 1], from negative
+    scores or a negative mass, whatever the other rows hold; a row it
+    does not answer is not checked."""
+    cells = np.array([0, 1])
+    with pytest.raises(ValueError, match="outside"):
+        decide(cells, ["a", "b"], np.array([[1, 1], [2, -1]]), "s")
+    with pytest.raises(ValueError, match="outside"):
+        decide(cells[:1], ["a", "b"], np.array([[5, 0]]), "s", mass=np.array([[-1.0, 3.0]]))
+    assert decide(cells[:1], ["a", "b"], np.array([[1, -3]]), "s") == {}
 
 
 def test_fill_dataset_fills_every_gap():

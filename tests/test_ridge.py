@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from typoimpute.geo import GeoPoint, distance_matrix, haversine_km
-from typoimpute.kb import Cell, Dataset
+from typoimpute.geo import GeoPoint, coordinates, distance_matrix, haversine_km
+from typoimpute.kb import OBSERVED_CODE, Cell, Dataset
 from typoimpute.imputers import (
     ALL_BLOCKS,
     Prediction,
@@ -20,7 +20,7 @@ from typoimpute.imputers import (
 from typoimpute import coded
 from typoimpute.coded import CodedCounts
 from typoimpute.imputers import ridge
-from typoimpute.imputers.ridge import _PriorStats
+from typoimpute.imputers.ridge import _radius_counts
 
 from oracles import (
     CountedPriorSpace,
@@ -42,7 +42,7 @@ def _scores(imp, lang, observed, target):
     """The fitted regressors' score of every value of ``target``, from
     the prior vector of one language."""
     fitted = imp._fitted[target]
-    raw = fitted.weights @ _dense(fitted.space, lang, observed) + fitted.biases
+    raw = fitted.weights @ _dense(fitted.space, lang, observed, imp.areal_km) + fitted.biases
     return dict(zip(fitted.values, raw.tolist()))
 
 
@@ -196,10 +196,16 @@ def _inventories(train):
     return {f: tuple(values) for f, values in train.counts.columns.items()}
 
 
+def _stats(counts, areal_km):
+    """``counts`` with the radius counts of its languages, as ``fit``
+    computes them."""
+    return counts, _radius_counts(counts, counts.coords, areal_km, np.arange(len(counts.languages)))
+
+
 def _space(stats, train, target, min_support=5, blocks=ALL_BLOCKS):
     inventories = _inventories(train)
     return PriorFeatureSpace(
-        stats, target, inventories.get(target, ()), inventories, min_support, blocks
+        *stats, target, inventories.get(target, ()), inventories, min_support, blocks
     )
 
 
@@ -207,15 +213,29 @@ def _training_design(space, train):
     """Codes of the training languages observing the target, with the
     design matrix of their rows."""
     codes = [code for code in train.codes() if space.target in observed_of(train, code)]
-    rows = np.array([space.stats.counts.rows[code] for code in codes], dtype=np.intp)
+    rows = np.array([space.counts.rows[code] for code in codes], dtype=np.intp)
     return codes, space.design(rows)
 
 
-def _dense(space, lang, observed):
+def _dense_block(space, block, areal_km=2500.0):
+    """``space.dense`` of every language of ``block``, as ``predict``
+    feeds it: a statistics language reads its fit-time radius counts,
+    any other counts its neighbours within ``areal_km``."""
+    counts = space.counts
+    onehot, _ = counts.encode(block)
+    areal = np.array([
+        space.areal[counts.rows[lang.code]] if lang.code in counts.rows else
+        _radius_counts(counts, coordinates([lang]), areal_km, np.array([-1]))[0]
+        for lang in block.languages]).reshape(len(block.languages), -1)
+    return space.dense(counts.genus.index(lang.genus for lang in block.languages),
+                       counts.family.index(lang.family for lang in block.languages),
+                       None if space.areal is None else areal, onehot)
+
+
+def _dense(space, lang, observed, areal_km=2500.0):
     """``space.dense`` of one language observing ``observed``."""
     one = Dataset.build([lang], {(lang.code, f): Cell.observed(v) for f, v in observed.items()})
-    onehot, _ = space.stats.counts.encode(one)
-    return space.dense([lang], onehot)[0]
+    return _dense_block(space, one, areal_km)[0]
 
 
 def _as_sparse(space, vec):
@@ -223,8 +243,8 @@ def _as_sparse(space, vec):
 
 
 def _query_sparse(train, lang, observed, target, areal_km=2500.0, min_support=5):
-    space = _space(_PriorStats(train.counts, areal_km), train, target, min_support)
-    return _as_sparse(space, _dense(space, lang, observed))
+    space = _space(_stats(train.counts, areal_km), train, target, min_support)
+    return _as_sparse(space, _dense(space, lang, observed, areal_km))
 
 
 def _random_sources(rng, with_context):
@@ -264,7 +284,7 @@ def test_prior_features_match_oracle():
         sources = [train] + ([context] if context else [])
         areal = rng.choice([800.0, 2500.0])
         min_support = rng.choice([1, 3])
-        stats = _PriorStats(CodedCounts(sources), areal)
+        stats = _stats(CodedCounts(sources), areal)
         for target in train.features():
             space = _space(stats, train, target, min_support)
             codes, X = _training_design(space, train)
@@ -277,7 +297,7 @@ def test_prior_features_match_oracle():
             if context:
                 queries += [(lang, observed_of(context, lang.code)) for lang in context.languages]
             cases += [
-                (lang, full, _as_sparse(space, _dense(space, lang, _others(full, target))))
+                (lang, full, _as_sparse(space, _dense(space, lang, _others(full, target), areal)))
                 for lang, full in queries
             ]
             for lang, full, got in cases:
@@ -302,7 +322,7 @@ def test_design_matches_counted_oracle():
         train, context = _random_sources(rng, with_context=trial % 2 == 1)
         sources = [train] + ([context] if context else [])
         areal = rng.choice([800.0, 2500.0])
-        stats = _PriorStats(CodedCounts(sources), areal)
+        stats = _stats(CodedCounts(sources), areal)
         counted = CountedPriorStats(sources, areal)
         stranger = make_language("new", lat=rng.uniform(-60, 60), lon=rng.uniform(-170, 170))
         queries = [(stranger, observed_of(train, train.languages[0].code))]
@@ -327,7 +347,8 @@ def test_design_matches_counted_oracle():
             assert np.array_equal(X, want)
             for lang, full in queries:
                 observed = _others(full, target)
-                assert np.array_equal(_dense(space, lang, observed), oracle.dense(lang, observed))
+                assert np.array_equal(_dense(space, lang, observed, areal),
+                                      oracle.dense(lang, observed))
 
 
 def _bench_shaped_sources(rng):
@@ -370,13 +391,14 @@ def test_dense_matches_gathered_oracle():
     ]
     compared = 0
     for sources in ([train], [train, context]):
-        stats = _PriorStats(CodedCounts(sources), 2500.0)
+        counts = CodedCounts(sources)
+        stats = _stats(counts, 2500.0)
         for blocks, min_support, target in itertools.product(
             subsets, (1, 5), train.features()
         ):
             space = _space(stats, train, target, min_support, blocks)
             oracle = GatheredPriorSpace(
-                stats, target, inventories[target], inventories, min_support, blocks
+                counts, 2500.0, target, inventories[target], inventories, min_support, blocks
             )
             assert len(space) == oracle.size
             for lang, full in queries:
@@ -387,8 +409,7 @@ def test_dense_matches_gathered_oracle():
             block = Dataset.build([lang for lang, _ in queries], {
                 (lang.code, f): Cell.observed(v)
                 for lang, full in queries for f, v in _others(full, target).items()})
-            onehot, _ = stats.counts.encode(block)
-            assert np.array_equal(space.dense(block.languages, onehot), np.array(
+            assert np.array_equal(_dense_block(space, block), np.array(
                 [oracle.dense(lang, _others(full, target)) for lang, full in queries]))
     assert compared == 2 * 15 * 2 * len(train.features()) * len(queries)
 
@@ -401,7 +422,7 @@ def test_leave_one_out_design_ignores_own_value():
     checked = 0
     for trial in range(8):
         train = random_dataset(rng, n_languages=12, n_features=3, p_observed=0.9, min_observed=2)
-        stats = _PriorStats(train.counts, 2500.0)
+        stats = _stats(train.counts, 2500.0)
         counted = CountedPriorStats([train], 2500.0)
         inventories = _inventories(train)
         for target in train.features():
@@ -415,7 +436,7 @@ def test_leave_one_out_design_ignores_own_value():
                     changed = Dataset.build(train.languages, cells)
                     if other == own or _inventories(changed)[target] != inventories[target]:
                         continue
-                    space = _space(_PriorStats(changed.counts, 2500.0), changed, target, 1)
+                    space = _space(_stats(changed.counts, 2500.0), changed, target, 1)
                     codes, X = _training_design(space, changed)
                     assert codes == base_codes
                     assert np.array_equal(X[i], base_X[i])
@@ -461,9 +482,9 @@ def test_prior_space_key_order_deterministic():
     train = random_dataset(rng, n_languages=8)
     target = train.features()[0]
     inventories = _inventories(train)
-    stats = _PriorStats(train.counts, 2500.0)
-    a = PriorFeatureSpace(stats, target, inventories[target], inventories, 5, ALL_BLOCKS)
-    b = PriorFeatureSpace(stats, target, inventories[target], inventories, 5, ALL_BLOCKS)
+    stats = _stats(train.counts, 2500.0)
+    a = PriorFeatureSpace(*stats, target, inventories[target], inventories, 5, ALL_BLOCKS)
+    b = PriorFeatureSpace(*stats, target, inventories[target], inventories, 5, ALL_BLOCKS)
     assert a.keys == b.keys
     assert len(a) == len(a.keys)
 
@@ -472,7 +493,7 @@ def test_dense_agrees_with_sparse():
     rng = random.Random(87)
     train = random_dataset(rng, n_languages=8, min_observed=1)
     target = train.features()[0]
-    space = _space(_PriorStats(train.counts, 2500.0), train, target, min_support=1)
+    space = _space(_stats(train.counts, 2500.0), train, target, min_support=1)
     for lang in train.languages:
         observed = _others(observed_of(train, lang.code), target)
         sparse = build_prior_features(train, lang, observed, target, min_support=1)
@@ -512,7 +533,7 @@ def test_leave_one_out_removes_own_observation():
         ("la3", "T"): Cell.observed("y"),
     }
     train = Dataset.build(languages, cells)
-    space = _space(_PriorStats(train.counts, 2500.0), train, "T")
+    space = _space(_stats(train.counts, 2500.0), train, "T")
 
     # query case keeps all three observations
     plain = _as_sparse(space, _dense(space, train.language("la1"), {}))
@@ -526,9 +547,25 @@ def test_leave_one_out_removes_own_observation():
     assert loo[("genus", "y")] == pytest.approx(1.0)
 
 
+def _hiding_test_set(train, languages):
+    """``languages`` observing the first feature's first training value
+    and hiding every other feature; with the cells ``predict`` answers."""
+    features = train.features()
+    first = train.counts.columns[features[0]]
+    test = Dataset.build(languages, {
+        (lang.code, f): Cell.observed(next(iter(first))) if f == features[0] else Cell.blanked("x")
+        for lang in languages for f in features})
+    return test, np.flatnonzero(test.cell_state != OBSERVED_CODE)
+
+
 def test_query_neighbourhood_scanned_once_per_language(monkeypatch):
+    """Each ``predict`` call computes one kernel row per test language
+    that is not a statistics language, against every statistics
+    language, and none for a statistics language, which reads its
+    fit-time row."""
     rng = random.Random(91)
     train = random_dataset(rng, n_languages=10, min_observed=2)
+    n = len(train.languages)
     imp = RidgePriorImputer(min_support=1).fit(train)
     calls = []
 
@@ -536,19 +573,20 @@ def test_query_neighbourhood_scanned_once_per_language(monkeypatch):
         calls.append((len(a), len(b)))
         return distance_matrix(a, b)
 
-    # the query row comes from the shared tables; ridge itself computes none
     monkeypatch.setattr(ridge, "distance_matrix", counted)
     monkeypatch.setattr(coded, "distance_matrix", counted)
-    query = make_language("qqq", lat=10.0, lon=20.0)
-    observed = observed_of(train, train.languages[0].code)
+    strangers = [make_language(f"q{i}", lat=10.0 * i, lon=20.0) for i in range(3)]
+    test, cells = _hiding_test_set(train, [*strangers, *train.languages[:2]])
     for _ in range(2):
-        for target in train.features():
-            predict_one(imp, query, _others(observed, target), target)
-    # one kernel row against every statistics language
-    assert calls == [(1, len(train.languages))]
-    for lang in train.languages:  # statistics languages read the fit-time table
-        predict_one(imp, lang, {}, train.features()[0])
-    assert calls == [(1, len(train.languages))]
+        calls.clear()
+        answers = imp.predict(test, cells)
+        assert len(answers) == len(cells)
+        assert sum(rows for rows, _ in calls) == len(strangers)
+        assert all(width == n for _, width in calls)
+    calls.clear()
+    test, cells = _hiding_test_set(train, train.languages)
+    imp.predict(test, cells)
+    assert calls == []
 
 
 @pytest.mark.parametrize("blocks,passes", [
@@ -574,8 +612,14 @@ def test_fit_computes_radius_counts_only_for_the_areal_block(monkeypatch, blocks
     assert all(width == n for _, width in made)
 
 
-@pytest.mark.parametrize("rows_per_block", [1, 4, 22, 23, 100])
+@pytest.mark.parametrize("rows_per_block", [1, 4, 7, 22, 23, 100])
 def test_blocked_radius_counts_match_one_shot_oracle(monkeypatch, rows_per_block):
+    """The int32 radius counts equal, bit for bit, those of one full
+    kernel: over every statistics language, each leaving itself out,
+    and over query points: strangers, statistics languages leaving
+    themselves out in any order, and points at a statistics language's
+    coordinates under a new code, one of them exactly on the radius of
+    another language."""
     rng = random.Random(94)
     counts = random_dataset(rng, n_languages=23, min_observed=2).counts
     n = len(counts.languages)
@@ -585,6 +629,10 @@ def test_blocked_radius_counts_match_one_shot_oracle(monkeypatch, rows_per_block
     assert not np.array_equal(one_shot_radius_counts(counts.coords, counts.onehot, km),
                               one_shot_radius_counts(counts.coords, counts.onehot,
                                                      np.nextafter(km, 0.0)))
+    strangers = np.array([[rng.uniform(-60, 60), rng.uniform(-170, 170)] for _ in range(5)])
+    own = np.array([-1, 5, -1, -1, n - 1, 3, -1, 0, -1, -1, -1], dtype=np.intp)
+    points = np.vstack([counts.coords[[0, 5]], strangers[:2], counts.coords[[n - 1, 3, 3, 0]],
+                        strangers[2:]])
     made = []
 
     def counted(a, b):
@@ -593,12 +641,20 @@ def test_blocked_radius_counts_match_one_shot_oracle(monkeypatch, rows_per_block
 
     monkeypatch.setattr(ridge, "distance_matrix", counted)
     monkeypatch.setattr(ridge, "_KERNEL_BLOCK", rows_per_block * n)
-    areal = _PriorStats(counts, km).areal
-    expected = one_shot_radius_counts(counts.coords, counts.onehot, km)
-    assert areal.dtype == np.int32
-    assert np.array_equal(areal, expected)
     step = min(rows_per_block, n)
-    assert made == [step] * (n // step) + ([n % step] if n % step else [])
+    for points, own in ((counts.coords, np.arange(n)), (points, own)):
+        made.clear()
+        areal = _radius_counts(counts, points, km, own)
+        assert areal.dtype == np.int32
+        assert np.array_equal(areal, one_shot_radius_counts(counts.coords, counts.onehot, km,
+                                                             points, own))
+        m = len(points)
+        assert made == [step] * (m // step) + ([m % step] if m % step else [])
+    # a new code at the first language's coordinates counts the last,
+    # exactly on the radius, and the first language itself
+    assert np.array_equal(areal[0], areal[7] + counts.onehot[0])
+    assert not np.array_equal(areal[0], _radius_counts(counts, points[:1],
+                                                       np.nextafter(km, 0.0), own[:1])[0])
 
 
 def test_radius_counts_peak_memory_is_linear_in_the_languages():
@@ -609,10 +665,10 @@ def test_radius_counts_peak_memory_is_linear_in_the_languages():
 
     rng = random.Random(95)
     counts = random_dataset(rng, n_languages=1500, min_observed=2).counts
-    counts.coords
+    own = np.arange(len(counts.languages))
     tracemalloc.start()
     try:
-        _PriorStats(counts, 2500.0)
+        _radius_counts(counts, counts.coords, 2500.0, own)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -629,16 +685,42 @@ def test_radius_counts_cast_one_block_of_columns_at_a_time():
     rng = random.Random(96)
     counts = random_dataset(rng, n_languages=600, n_features=120, n_values=4,
                             p_observed=0.3).counts
-    counts.coords
+    own = np.arange(len(counts.languages))
     assert 8 * counts.onehot.size > 4 * 8 * ridge._KERNEL_BLOCK
     tracemalloc.start()
     try:
-        areal = _PriorStats(counts, 2500.0).areal
+        areal = _radius_counts(counts, counts.coords, 2500.0, own)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert areal.dtype == np.int32
     assert peak <= 4 * counts.onehot.size + 4 * 8 * ridge._KERNEL_BLOCK
+
+
+def test_predict_peak_memory_is_below_a_float_copy_of_the_one_hot():
+    """A no-context ``predict`` counts the neighbours of test languages
+    that are not statistics languages one block of one-hot columns at a
+    time: over 1,500 statistics languages its ``tracemalloc`` peak stays
+    below one float64 copy of the one-hot."""
+    import tracemalloc
+
+    rng = random.Random(102)
+    train = random_dataset(rng, n_languages=1500, n_features=60, n_values=4, p_observed=0.3,
+                           min_observed=2)
+    imp = RidgePriorImputer(blocks=("genetic", "areal")).fit(train)
+    strangers = [make_language(f"q{i}", lat=rng.uniform(-60, 60), lon=rng.uniform(-170, 170))
+                 for i in range(5)]
+    test, cells = _hiding_test_set(train, strangers)
+    onehot_bytes = 8 * train.counts.onehot.size
+    assert onehot_bytes > 4 * 8 * ridge._KERNEL_BLOCK
+    tracemalloc.start()
+    try:
+        answers = imp.predict(test, cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(answers) == len(cells)
+    assert peak < onehot_bytes
 
 
 def test_query_at_statistics_coordinates_shares_its_neighbourhood():
@@ -649,6 +731,7 @@ def test_query_at_statistics_coordinates_shares_its_neighbourhood():
     are byte-equal."""
     rng = random.Random(92)
     train = random_dataset(rng, n_languages=40, p_observed=0.5, min_observed=2)
+    counts = train.counts
     langs = train.languages
     compared = 0
     for _ in range(30):
@@ -656,19 +739,19 @@ def test_query_at_statistics_coordinates_shares_its_neighbourhood():
         # t sits exactly on the radius around s
         radius = haversine_km(GeoPoint(langs[s].latitude, langs[s].longitude),
                               GeoPoint(langs[t].latitude, langs[t].longitude))
-        stats = _PriorStats(train.counts, radius)
-        row = stats.counts.rows[langs[s].code]
+        stats = _stats(counts, radius)
+        row = counts.rows[langs[s].code]
         query = replace(langs[s], code="qqq")
-        assert np.array_equal(stats.areal_counts(query),
-                              stats.areal[row] + stats.counts.onehot[row])
+        assert np.array_equal(_radius_counts(counts, coordinates([query]), radius, np.array([-1])),
+                              stats[1][row:row + 1] + counts.onehot[row])
         observed = observed_of(train, langs[s].code)
         for target in train.features():
             if target in observed:
                 continue
             space = _space(stats, train, target, min_support=1)
             areal = [i for i, key in enumerate(space.keys) if key[0] == "areal"]
-            got = _dense(space, query, observed)[areal]
-            want = _dense(space, langs[s], observed)[areal]
+            got = _dense(space, query, observed, radius)[areal]
+            want = _dense(space, langs[s], observed, radius)[areal]
             assert got.tobytes() == want.tobytes()
             compared += 1
     assert compared > 20
@@ -788,7 +871,7 @@ def test_context_fit_builds_no_training_table():
 def _design_fit(space, rows, lam):
     """``solve_ridge`` over the dense design of ``rows``: weights (one row
     per value) and biases."""
-    counts = space.stats.counts
+    counts = space.counts
     own = counts.onehot[np.ix_(rows, [counts.columns[space.target][v] for v in space.inventory])]
     w, b = solve_ridge(space.design(rows), np.where(own, 1.0, -1.0), lam)
     return w.T, b
@@ -796,7 +879,7 @@ def _design_fit(space, rows, lam):
 
 def _dual_fit(space, rows, lam):
     """``space.solve_dual`` over ``rows`` sorted by their target value."""
-    counts = space.stats.counts
+    counts = space.counts
     own = counts.onehot[np.ix_(rows, [counts.columns[space.target][v] for v in space.inventory])]
     y = own.argmax(axis=1)
     order = np.argsort(y, kind="stable")
@@ -812,7 +895,7 @@ def _assert_close_fit(got, want):
 
 
 def _target_rows(space, n_train):
-    counts = space.stats.counts
+    counts = space.counts
     columns = list(counts.columns[space.target].values())
     return np.flatnonzero(counts.onehot[:n_train, columns].any(axis=1))
 
@@ -831,7 +914,8 @@ def test_dual_fit_matches_design_solve():
     for trial in range(8):
         train, context = _random_sources(rng, with_context=trial % 2 == 1)
         sources = [train] + ([context] if context else [])
-        stats = _PriorStats(CodedCounts(sources), rng.choice([800.0, 2500.0]))
+        counts = CodedCounts(sources)
+        stats = _stats(counts, rng.choice([800.0, 2500.0]))
         inventories = _inventories(train)
         n_train = len(train.languages)
         for blocks, min_support, target in itertools.product(
@@ -839,7 +923,7 @@ def test_dual_fit_matches_design_solve():
         ):
             if len(inventories[target]) < 2:
                 continue
-            space = PriorFeatureSpace(stats, target, inventories[target], inventories,
+            space = PriorFeatureSpace(*stats, target, inventories[target], inventories,
                                       min_support, blocks)
             if len(space) == 0:
                 continue
@@ -847,13 +931,13 @@ def test_dual_fit_matches_design_solve():
             rows = _target_rows(space, n_train)
             _assert_close_fit(_dual_fit(space, rows, lam), _design_fit(space, rows, lam))
             # the rows of the first value alone: every other class is empty
-            column = stats.counts.columns[target][space.inventory[0]]
-            first = rows[stats.counts.onehot[rows, column]]
+            column = counts.columns[target][space.inventory[0]]
+            first = rows[counts.onehot[rows, column]]
             _assert_close_fit(_dual_fit(space, first, lam), _design_fit(space, first, lam))
             observed = space._impl_counts.sum(axis=1)
             lonely_keys += int((observed == 1).sum())
             no_impl += "implicational" in blocks and not space._impl_features
-            own = stats.counts.onehot[np.ix_(rows, space._target_columns)].sum(axis=0)
+            own = counts.onehot[np.ix_(rows, space._target_columns)].sum(axis=0)
             one_row_classes += int((own == 1).sum())
     assert lonely_keys and no_impl and one_row_classes
 
@@ -873,7 +957,7 @@ def test_dual_fit_predicts_as_the_design_solve():
     for use_context in (False, True):
         imp = RidgePriorImputer(min_support=1, use_context=use_context).fit(train, context=context)
         dense = RidgePriorImputer(min_support=1, use_context=use_context)
-        dense._stats = imp._stats
+        dense._counts, dense._areal = imp._counts, imp._areal
         dense._fitted = {}
         n_train = len(train.languages)
         for target, fitted in imp._fitted.items():
@@ -893,8 +977,7 @@ def test_dual_fit_predicts_as_the_design_solve():
 
 def test_fit_builds_the_design_only_for_narrow_targets(monkeypatch):
     """A target with more columns than training rows is fitted from the
-    count tables, never its design; the one-hot entry list the design
-    gathers from is built only when a narrow target needs it."""
+    count tables, never its design."""
     rng = random.Random(100)
     train = random_dataset(rng, n_languages=60, n_features=6, min_observed=2)
     built = []
@@ -907,10 +990,10 @@ def test_fit_builds_the_design_only_for_narrow_targets(monkeypatch):
 
     monkeypatch.setattr(PriorFeatureSpace, "design", recorded)
     imp = RidgePriorImputer(min_support=1).fit(train)
-    assert built == [] and "entries" not in vars(imp._stats)
-    imp = RidgePriorImputer(min_support=1, blocks=("genetic", "areal")).fit(train)
+    assert built == []
+    RidgePriorImputer(min_support=1, blocks=("genetic", "areal")).fit(train)
     assert len(built) == len(train.features())
-    assert all(d <= n for n, d in built) and "entries" in vars(imp._stats)
+    assert all(d <= n for n, d in built)
 
 
 def test_dual_fit_peak_memory_is_below_the_dense_design():
@@ -920,10 +1003,10 @@ def test_dual_fit_peak_memory_is_below_the_dense_design():
 
     rng = random.Random(101)
     train = random_dataset(rng, n_languages=150, n_features=100, n_values=4, p_observed=0.5)
-    stats = _PriorStats(train.counts, 2500.0)
+    stats = _stats(train.counts, 2500.0)
     inventories = _inventories(train)
     target = train.features()[0]
-    space = PriorFeatureSpace(stats, target, inventories[target], inventories, 1, ALL_BLOCKS)
+    space = PriorFeatureSpace(*stats, target, inventories[target], inventories, 1, ALL_BLOCKS)
     rows = _target_rows(space, len(train.languages))
     y = train.counts.onehot[np.ix_(rows, space._target_columns)].argmax(axis=1)
     order = np.argsort(y, kind="stable")
