@@ -24,7 +24,6 @@ _EXPORTS = {
     "UndefinedCorrelationError": "evaluate",
     "score": "evaluate",
     "EARTH_RADIUS_KM": "geo",
-    "GeoPoint": "geo",
     "haversine_km": "geo",
     "Imputer": "imputers",
     "NoPredictionError": "imputers",

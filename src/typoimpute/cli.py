@@ -21,7 +21,7 @@ import itertools
 import logging
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .configio import ConfigError, config_hash, file_digest, read_kv, write_kv
 from .errors import DatasetError, EvaluationError
@@ -152,8 +152,6 @@ def _split_spec_from_args(args: argparse.Namespace) -> SplitSpec:
     from .splits import SplitSpec
 
     spec = SplitSpec.from_file(args.spec) if args.spec else SplitSpec()
-    if args.radius_km is not None:
-        spec = replace(spec, exclusion_radius_km=args.radius_km)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     return spec
@@ -167,8 +165,8 @@ def cmd_split(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
 
     if args.random_fractions is not None:
-        if args.spec or args.radius_km is not None:
-            raise UsageError("--random-fractions excludes --spec and --radius-km")
+        if args.spec:
+            raise UsageError("--random-fractions excludes --spec")
         if args.seed is None:
             raise UsageError("--seed is required with --random-fractions")
         parts = [p for p in args.random_fractions.split(",") if p.strip()]
@@ -267,17 +265,6 @@ def cmd_blank(args: argparse.Namespace) -> int:
 # impute
 
 
-def _imputer_config_from_args(args: argparse.Namespace) -> dict[str, str]:
-    config = read_kv(args.imputer_config) if args.imputer_config else {"method": "frequency"}
-    if args.k is not None:
-        config["k"] = str(args.k)
-    if args.lam is not None:
-        config["lambda"] = str(args.lam)
-    if args.areal_km is not None:
-        config["areal_km"] = str(args.areal_km)
-    return config
-
-
 def cmd_impute(args: argparse.Namespace) -> int:
     from .imputers import EnsembleImputer, GlobalFrequencyImputer, build_imputer, fill_dataset
     from .kb import OBSERVED_CODE, serialize_dataset
@@ -286,7 +273,7 @@ def cmd_impute(args: argparse.Namespace) -> int:
     test = _load_dataset(args.test)
     if not (train.cell_state == OBSERVED_CODE).any():
         raise DatasetError(f"{args.train} has no observed cells to train on")
-    config = _imputer_config_from_args(args)
+    config = read_kv(args.imputer_config) if args.imputer_config else {"method": "frequency"}
     imputer = build_imputer(config, vectors=args.vectors)
     if not args.no_fallback:
         imputer = EnsembleImputer([imputer, GlobalFrequencyImputer()], "first_success")
@@ -303,14 +290,13 @@ def cmd_impute(args: argparse.Namespace) -> int:
             n_unfilled,
         )
 
-    manifest_config = dict(config)
-    manifest_config["fallback"] = str(not args.no_fallback)
     inputs: dict[str, str | Path] = {"train": args.train, "test": args.test}
     if args.imputer_config:
         inputs["imputer_config"] = args.imputer_config
     if args.vectors:
         inputs["vectors"] = args.vectors
-    _write_manifest(Path(f"{args.out}.manifest"), "impute", manifest_config, inputs)
+    _write_manifest(Path(f"{args.out}.manifest"), "impute",
+                    {**config, "fallback": str(not args.no_fallback)}, inputs)
     return EXIT_OK
 
 
@@ -472,7 +458,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         except ev.UndefinedCorrelationError as exc:
             log.warning("meta correlation undefined: %s", exc)
 
-    if held_genera:
+    breakdown = {r.system: ev.genus_breakdown(r, held_genera) for r in reports} if held_genera else {}
+    if breakdown:
         _write_table(
             out_dir / "breakdown.csv",
             comments,
@@ -480,11 +467,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             [
                 (r.system, row.group, row.accuracy, row.n_languages)
                 for r in reports
-                for row in ev.genus_breakdown(r, held_genera)
+                for row in breakdown[r.system]
             ],
         )
 
-    _write_summary(out_dir / "summary.txt", comments, reports, correlations, significance, meta, held_genera)
+    _write_summary(out_dir / "summary.txt", comments, reports, correlations, significance, meta, breakdown)
 
     inputs: dict[str, str | Path] = {"test": args.test, "gold": args.gold}
     for name, path in systems:
@@ -503,20 +490,15 @@ def _write_summary(
     correlations: Mapping[str, Optional[ev.CorrelationResult]],
     significance: Sequence[ev.PermutationResult],
     meta: Optional[ev.CorrelationResult],
-    held_genera: Sequence[str],
+    breakdown: Mapping[str, Sequence[ev.GenusRow]],
 ) -> None:
-    from . import evaluate as ev
-
     lines = [f"# {comment}" for comment in comments]
     lines.append("")
     lines.append("system ranking (macro accuracy, genus-weighted):")
+    lines.extend(_ranking_lines(
+        (r.system, r.macro_accuracy, r.micro_accuracy, r.n_blanked, r.n_missing) for r in reports
+    ))
     ranked = sorted(reports, key=lambda r: (-r.macro_accuracy, r.system))
-    for i, report in enumerate(ranked, start=1):
-        lines.append(
-            f"  {i}. {report.system}: macro={report.macro_accuracy:.4f} "
-            f"micro={report.micro_accuracy:.4f} "
-            f"missing={report.n_missing}/{report.n_blanked}"
-        )
     if significance:
         lines.append("")
         lines.append("pairwise paired permutation tests:")
@@ -541,16 +523,38 @@ def _write_summary(
             f"across systems, macro accuracy vs blanking correlation: "
             f"r={meta.r:.4f} p={meta.p_value:.4f} (n={meta.n})"
         )
-    if held_genera:
+    if breakdown:
         lines.append("")
         lines.append("held-out genus breakdown:")
-        for report in ranked:
-            lines.append(f"  {report.system}:")
-            for row in ev.genus_breakdown(report, held_genera):
-                lines.append(
-                    f"    {row.group}: {row.accuracy:.4f} ({row.n_languages} languages)"
-                )
+        lines.extend(_breakdown_lines(
+            (r.system, row.group, row.accuracy, row.n_languages)
+            for r in ranked
+            for row in breakdown[r.system]
+        ))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _ranking_lines(systems: Iterable[tuple[str, float, float, object, object]]) -> list[str]:
+    """The ranking section of ``summary.txt`` and ``report.txt``: one
+    line per (name, macro, micro, n_blanked, n_missing), best macro
+    accuracy first, ties by name."""
+    ranked = sorted(systems, key=lambda s: (-s[1], s[0]))
+    return [
+        f"  {i}. {name}: macro={macro:.4f} micro={micro:.4f} missing={n_missing}/{n_blanked}"
+        for i, (name, macro, micro, n_blanked, n_missing) in enumerate(ranked, start=1)
+    ]
+
+
+def _breakdown_lines(rows: Iterable[tuple[str, str, float, object]]) -> list[str]:
+    """The held-out genus breakdown of ``summary.txt`` and ``report.txt``:
+    (system, group, accuracy, n_languages) rows in the order given, under
+    one heading per run of rows of a system."""
+    lines = []
+    for system, group_rows in itertools.groupby(rows, key=lambda row: row[0]):
+        lines.append(f"  {system}:")
+        lines.extend(f"    {group}: {accuracy:.4f} ({n} languages)"
+                     for _, group, accuracy, n in group_rows)
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -568,13 +572,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     lines = ["imputation evaluation report", ""]
     lines.append("systems by macro accuracy:")
-    ranked = sorted(system_rows, key=lambda row: (-float(row[1]), row[0]))
-    for i, row in enumerate(ranked, start=1):
-        name, macro, micro, n_blanked, n_missing = row[0], row[1], row[2], row[3], row[4]
-        lines.append(
-            f"  {i}. {name}: macro={float(macro):.4f} micro={float(micro):.4f} "
-            f"missing={n_missing}/{n_blanked}"
-        )
+    lines.extend(_ranking_lines(
+        (row[0], float(row[1]), float(row[2]), row[3], row[4]) for row in system_rows
+    ))
 
     inputs: dict[str, str | Path] = {"systems": systems_path}
 
@@ -615,12 +615,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if rows:
             lines.append("")
             lines.append("held-out genus breakdown:")
-            current = None
-            for row in rows:
-                if row[0] != current:
-                    current = row[0]
-                    lines.append(f"  {current}:")
-                lines.append(f"    {row[1]}: {float(row[2]):.4f} ({row[3]} languages)")
+            lines.extend(_breakdown_lines((row[0], row[1], float(row[2]), row[3]) for row in rows))
             inputs["breakdown"] = breakdown_path
 
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -651,7 +646,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True, help="directory for split artifacts")
     p.add_argument("--spec", help="split spec file (key=value)")
     p.add_argument("--seed", type=int, help="overrides the split spec seed")
-    p.add_argument("--radius-km", type=float, help="overrides the exclusion radius")
     p.add_argument(
         "--random-fractions",
         help="three comma-separated fractions for a plain random split (no blanking)",
@@ -673,9 +667,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="filled dataset path")
     p.add_argument("--imputer-config", help="imputer config file (key=value); default method=frequency")
     p.add_argument("--vectors", help="language vector file for the knn imputer")
-    p.add_argument("--k", type=int, help="overrides the neighbor count")
-    p.add_argument("--lambda", dest="lam", type=float, help="overrides the ridge penalty")
-    p.add_argument("--areal-km", type=float, help="overrides the areal radius")
     p.add_argument(
         "--no-fallback",
         action="store_true",

@@ -11,14 +11,12 @@ computed it, or alongside which other languages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "EARTH_RADIUS_KM",
-    "GeoPoint",
     "coordinates",
     "distance_matrix",
     "haversine_km",
@@ -27,15 +25,9 @@ __all__ = [
 EARTH_RADIUS_KM = 6371.0088
 
 
-@dataclass(frozen=True)
-class GeoPoint:
-    latitude: float
-    longitude: float
-
-
 def coordinates(points: Iterable) -> np.ndarray:
     """(n, 2) array of the (latitude, longitude) degrees of ``points``,
-    anything with those two attributes (GeoPoint, kb.Language)."""
+    anything with those two attributes, such as ``kb.Language``."""
     return np.array([(p.latitude, p.longitude) for p in points], dtype=float).reshape(-1, 2)
 
 
@@ -68,7 +60,8 @@ def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.multiply(h, 2.0 * EARTH_RADIUS_KM, out=h)
 
 
-def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance between two points in kilometres: the
-    1 x 1 case of ``distance_matrix``, so d(a, b) == d(b, a) exactly."""
+def haversine_km(a, b) -> float:
+    """Great-circle distance in kilometres between two objects with
+    ``latitude`` and ``longitude``: the 1 x 1 case of
+    ``distance_matrix``, so d(a, b) == d(b, a) exactly."""
     return float(distance_matrix(coordinates([a]), coordinates([b]))[0, 0])

@@ -151,7 +151,6 @@ class PriorFeatureSpace:
     ):
         self.counts = counts
         self.areal = areal
-        self.target = target
         self.inventory = tuple(inventory)
         self.blocks = tuple(blocks)
         n_values = len(self.inventory)

@@ -60,6 +60,9 @@ UNKNOWN = "unknown"
 STATES = (OBSERVED, BLANKED, UNKNOWN)
 OBSERVED_CODE, BLANKED_CODE, UNKNOWN_CODE = range(len(STATES))
 
+# ``Dataset``'s parallel per-cell arrays.
+_CELL_ARRAYS = ("cell_row", "cell_feature", "cell_value", "cell_state")
+
 # Languages per block of ``serialize_dataset``.
 _SERIALIZE_BLOCK = 256
 
@@ -162,7 +165,7 @@ class Dataset:
         key = self.cell_row * len(self.feature_names) + self.cell_feature
         if (key[1:] <= key[:-1]).any():
             order = np.argsort(key, kind="stable")
-            for name in ("cell_row", "cell_feature", "cell_value", "cell_state"):
+            for name in _CELL_ARRAYS:
                 setattr(self, name, getattr(self, name)[order])
 
     @classmethod
@@ -238,7 +241,10 @@ class Dataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return self.languages == other.languages and self.cells == other.cells
+        return (self.languages == other.languages and self.feature_names == other.feature_names
+                and self.value_names == other.value_names
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in _CELL_ARRAYS))
 
 
 @dataclass(eq=False)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 from typoimpute.kb import Cell, Dataset, Language, serialize_dataset
 
@@ -33,6 +34,11 @@ def make_language(
         family=family,
         country_codes=countries,
     )
+
+
+def point(lat: float, lon: float) -> SimpleNamespace:
+    """A place: ``typoimpute.geo`` reads any object's ``latitude`` and ``longitude``."""
+    return SimpleNamespace(latitude=lat, longitude=lon)
 
 
 def feature_names(n: int) -> list[str]:

@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, output files, and determinism."""
 
+import argparse
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import typoimpute
-from typoimpute.cli import main
+from typoimpute.cli import build_parser, main
 from typoimpute.configio import parse_kv, read_kv
 from typoimpute.kb import BLANKED, OBSERVED, UNKNOWN, Cell, Dataset, parse_dataset, serialize_dataset
 
@@ -153,10 +155,6 @@ def test_random_split_flag_validation(tmp_path, corpus, spec_file):
     assert main(
         base + ["--random-fractions", "0.5,0.3,0.2", "--seed", "1", "--spec", str(spec_file)]
     ) == 1
-    for radius in ("500", "-5"):
-        assert main(
-            base + ["--random-fractions", "0.5,0.3,0.2", "--seed", "1", "--radius-km", radius]
-        ) == 1
     assert not list((tmp_path / "x").glob("*"))
 
 
@@ -174,11 +172,9 @@ def test_rejected_split_or_blank_makes_no_out_dir(tmp_path, corpus, argv):
     (["--random-fractions=-0.1,0.6,0.5", "--seed", "1"], None),
     (["--random-fractions", "nan,0.5,0.5", "--seed", "1"], None),
     (["--random-fractions", "0.5,0.5,inf", "--seed", "1"], None),
-    (["--radius-km", "nan"], "genera=GenA\n"),
-    (["--radius-km", "inf"], "genera=GenA\n"),
+    ([], "genera=GenA\nradius_km=inf\n"),
     ([], "genera=GenA\nradius_km=nan\n"),
-], ids=["fraction-neg", "fraction-nan", "fraction-inf", "radius-nan", "radius-inf",
-        "spec-radius-nan"])
+], ids=["fraction-neg", "fraction-nan", "fraction-inf", "radius-inf", "spec-radius-nan"])
 def test_split_non_finite_or_negative_setting_is_config_error(tmp_path, corpus, capsys,
                                                                flags, spec):
     argv = ["split", "--input", str(corpus), "--out-dir", str(tmp_path / "x"), *flags]
@@ -283,20 +279,42 @@ def test_impute_no_fallback_leaves_unknowns(tmp_path, split_dirs):
     assert items["param.fallback"] == "False"
 
 
-def test_impute_with_config_and_overrides(tmp_path, split_dirs):
+def test_impute_manifest_params_are_the_config_keys(tmp_path, split_dirs):
     cfg = tmp_path / "ridge.cfg"
-    cfg.write_text("method=ridge\nlambda=5\n", encoding="utf-8")
+    cfg.write_text("method=ridge\nlambda=5\nareal_km=800\n", encoding="utf-8")
     out = tmp_path / "ridge_filled.tsv"
     code = main([
         "impute", "--train", str(split_dirs / "train.tsv"),
         "--test", str(split_dirs / "test.tsv"), "--out", str(out),
-        "--imputer-config", str(cfg), "--lambda", "2.5", "--areal-km", "800",
+        "--imputer-config", str(cfg),
     ])
     assert code == 0
-    items = read_kv(f"{out}.manifest")
-    assert items["param.method"] == "ridge"
-    assert items["param.lambda"] == "2.5"  # flag overrides the file
-    assert items["param.areal_km"] == "800.0"
+    params = {key[len("param."):]: value for key, value in read_kv(f"{out}.manifest").items()
+              if key.startswith("param.")}
+    assert params == {**read_kv(cfg), "fallback": "True"}
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("impute", ["--k", "3"]),
+    ("impute", ["--lambda", "2.5"]),
+    ("impute", ["--areal-km", "800"]),
+    ("split", ["--radius-km", "500"]),
+], ids=["k", "lambda", "areal-km", "radius-km"])
+def test_setting_flags_are_usage_errors(tmp_path, corpus, impute_files, capsys, command, flag):
+    """Imputer settings come only from ``--imputer-config`` and split
+    settings only from ``--spec``; a flag for one is rejected before
+    anything is written."""
+    (tmp_path / "imputer.cfg").write_text("method=ridge\n", encoding="utf-8")
+    before = set(tmp_path.rglob("*"))
+    if command == "impute":
+        argv = ["impute", "--train", str(impute_files / "train.tsv"),
+                "--test", str(impute_files / "test.tsv"), "--out", str(tmp_path / "f.tsv"),
+                "--imputer-config", str(tmp_path / "imputer.cfg")]
+    else:
+        argv = ["split", "--input", str(corpus), "--out-dir", str(tmp_path / "x")]
+    assert main([*argv, *flag]) == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert set(tmp_path.rglob("*")) == before
 
 
 def test_impute_bad_config_is_usage_error(tmp_path, split_dirs):
@@ -485,6 +503,61 @@ def test_report_renders_evaluation(tmp_path, split_dirs, spec_file):
     _manifest_is_timestamp_free(tmp_path / "report.txt.manifest")
 
 
+def _section(lines, heading):
+    """The indented lines under ``heading``."""
+    start = lines.index(heading) + 1
+    end = next((i for i in range(start, len(lines)) if not lines[i].startswith("  ")), len(lines))
+    return lines[start:end]
+
+
+def test_summary_and_report_render_ranking_and_breakdown_alike(tmp_path):
+    """Three languages, two hidden cells each.  ``a`` and ``c`` tie on
+    macro accuracy and are ranked by name; ``c`` left one wrong cell
+    unanswered.  Both files rank the systems alike; the summary orders
+    its breakdown by rank, the report by ``breakdown.csv``."""
+    languages = [make_language("l1", genus="GenA", family="FamX"),
+                 make_language("l2", genus="GenB", family="FamY"),
+                 make_language("l3", genus="GenB", family="FamY")]
+    gold = {(code, f): Cell.observed("x") for code in ("l1", "l2", "l3") for f in ("f0", "f1", "f2")}
+    test = {**gold, **{(code, f): Cell.unknown() for code in ("l1", "l2", "l3") for f in ("f1", "f2")}}
+    wrong = {("l2", "f2"): Cell.observed("y"), ("l3", "f1"): Cell.observed("y")}
+    filled = {"b": gold, "a": {**gold, **wrong, ("l3", "f2"): Cell.observed("y")},
+              "c": {**gold, **wrong, ("l3", "f2"): Cell.unknown()}}
+    for name, cells in [("gold", gold), ("test", test), *filled.items()]:
+        (tmp_path / f"{name}.tsv").write_text(serialize_dataset(Dataset.build(languages, cells)),
+                                              encoding="utf-8")
+    (tmp_path / "spec.cfg").write_text("genera=GenB\n", encoding="utf-8")
+    assert main(["evaluate", "--test", str(tmp_path / "test.tsv"),
+                 "--gold", str(tmp_path / "gold.tsv"),
+                 *[f"--system={name}={tmp_path / name}.tsv" for name in ("c", "a", "b")],
+                 "--out-dir", str(tmp_path / "eval"), "--seed", "1", "--samples", "10",
+                 "--spec", str(tmp_path / "spec.cfg")]) == 0
+    assert main(["report", "--input", str(tmp_path / "eval"),
+                 "--out", str(tmp_path / "report.txt")]) == 0
+    summary = (tmp_path / "eval" / "summary.txt").read_text(encoding="utf-8").splitlines()
+    report = (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines()
+
+    ranking = [
+        "  1. b: macro=1.0000 micro=1.0000 missing=0/6",
+        "  2. a: macro=0.6250 micro=0.5000 missing=0/6",
+        "  3. c: macro=0.6250 micro=0.5000 missing=1/6",
+    ]
+    assert _section(summary, "system ranking (macro accuracy, genus-weighted):") == ranking
+    assert _section(report, "systems by macro accuracy:") == ranking
+
+    def breakdown(name, held, other, overall):
+        return [f"  {name}:", f"    GenB: {held} (2 languages)",
+                f"    other (pooled): {other} (1 languages)",
+                f"    other (macro): {other} (1 languages)",
+                f"    all (macro): {overall} (3 languages)"]
+
+    a = breakdown("a", "0.2500", "1.0000", "0.6250")
+    b = breakdown("b", "1.0000", "1.0000", "1.0000")
+    c = breakdown("c", "0.2500", "1.0000", "0.6250")
+    assert _section(summary, "held-out genus breakdown:") == b + a + c
+    assert _section(report, "held-out genus breakdown:") == c + a + b
+
+
 @pytest.fixture
 def eval_dir(tmp_path, split_dirs):
     filled = _impute(split_dirs, tmp_path / "freq.tsv")
@@ -566,6 +639,20 @@ def test_usage_errors_from_argparse(tmp_path):
     assert main(["frobnicate"]) == 1  # unknown subcommand
     assert main(["filter", "--input"]) == 1  # flag without value
     assert main(["filter"]) == 1  # required flags missing
+
+
+def test_readme_names_every_flag_and_no_other():
+    """Every option of every subcommand appears in README.md, and every
+    ``--flag`` README.md names is one of them or pip's."""
+    parser = build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {flag for command in commands.values() for action in command._actions
+               for flag in action.option_strings} - {"-h", "--help"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme))
+    assert sorted(options - named) == []
+    assert sorted(named - options - {"--no-build-isolation"}) == []
 
 
 def _child_env(**extra):
@@ -818,37 +905,36 @@ def test_impute_builds_one_table_per_training_set(tmp_path, impute_files, monkey
     assert built.count(1) == 1  # the training set's own table
 
 
-@pytest.mark.parametrize("config,flags", [
-    ("method=knn\n", ["--k", "0"]),
-    ("method=ridge\n", ["--lambda", "-1"]),
-    ("method=ridge\n", ["--lambda", "0"]),
-    ("method=ridge\n", ["--lambda", "nan"]),
-    ("method=ridge\n", ["--lambda", "inf"]),
-    ("method=geo_backoff\nnear_km=nan\n", []),
-    ("method=correlation\nalpha=nan\n", []),
-    ("method=correlation\nalpha=-1\n", []),
-    ("method=ensemble\nmembers=ridge,frequency\nlambda=-inf\n", []),
-    ("method=geo_backoff\nnear_km=-5\nfar_km=-9\n", []),
-    ("method=geo_backoff\nnear_km=5\nfar_km=-9\n", []),
-    ("method=geo_backoff\nnear_km=5000\nfar_km=10\n", []),
-    ("method=ridge\n", ["--areal-km", "-1"]),
-    ("method=ridge\nmin_support=-1\n", []),
-    ("method=correlation\nmin_support=-3\n", []),
-    ("method=ridge\n", ["--k", "3"]),
-    ("method=frequency\nk=0\nlambda=-3\n", []),
-    ("method=ensemble\nmembers=knn,frequency\n", ["--lambda", "2"]),
+@pytest.mark.parametrize("config", [
+    "method=knn\nk=0\n",
+    "method=ridge\nlambda=-1\n",
+    "method=ridge\nlambda=0\n",
+    "method=ridge\nlambda=nan\n",
+    "method=ridge\nlambda=inf\n",
+    "method=geo_backoff\nnear_km=nan\n",
+    "method=correlation\nalpha=nan\n",
+    "method=correlation\nalpha=-1\n",
+    "method=ensemble\nmembers=ridge,frequency\nlambda=-inf\n",
+    "method=geo_backoff\nnear_km=-5\nfar_km=-9\n",
+    "method=geo_backoff\nnear_km=5\nfar_km=-9\n",
+    "method=geo_backoff\nnear_km=5000\nfar_km=10\n",
+    "method=ridge\nareal_km=-1\n",
+    "method=ridge\nmin_support=-1\n",
+    "method=correlation\nmin_support=-3\n",
+    "method=ridge\nk=3\n",
+    "method=frequency\nk=0\nlambda=-3\n",
+    "method=ensemble\nmembers=knn,frequency\nlambda=2\n",
 ], ids=["k0", "lambda-neg", "lambda-zero", "lambda-nan", "lambda-inf", "near-nan",
         "alpha-nan", "alpha-neg", "ensemble-lambda", "near-neg", "far-neg", "far-below-near",
         "areal-neg", "ridge-support-neg", "correlation-support-neg", "ridge-unread-k",
         "frequency-unread", "ensemble-unread-lambda"])
-def test_impute_bad_numeric_setting_is_config_error(tmp_path, impute_files, capsys,
-                                                    config, flags):
+def test_impute_bad_numeric_setting_is_config_error(tmp_path, impute_files, capsys, config):
     cfg = tmp_path / "imputer.cfg"
     cfg.write_text(config, encoding="utf-8")
     out = tmp_path / "f.tsv"
     code = main(["impute", "--train", str(impute_files / "train.tsv"),
                  "--test", str(impute_files / "test.tsv"), "--out", str(out),
-                 "--imputer-config", str(cfg), *flags])
+                 "--imputer-config", str(cfg)])
     assert code == 1
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()

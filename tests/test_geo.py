@@ -11,13 +11,13 @@ import pytest
 
 from typoimpute.geo import (
     EARTH_RADIUS_KM,
-    GeoPoint,
     coordinates,
     distance_matrix,
     haversine_km,
 )
 
 from oracles import distance_matrix_oracle, great_circle_km
+from synth import point
 
 # frozen against a 50-digit mpmath evaluation of the haversine formula
 # with R = 6371.0088
@@ -27,30 +27,30 @@ ONE_DEGREE_EQUATOR_KM = 111.19508023353291285
 
 
 def test_known_city_pair_distance():
-    got = haversine_km(GeoPoint(19.0, 76.0), GeoPoint(37.0, 140.0))
+    got = haversine_km(point(19.0, 76.0), point(37.0, 140.0))
     assert got == pytest.approx(DIST_19_76_TO_37_140, rel=1e-9)
 
 
 def test_antipodal_distance_is_half_circumference():
-    got = haversine_km(GeoPoint(0.0, 0.0), GeoPoint(0.0, 180.0))
+    got = haversine_km(point(0.0, 0.0), point(0.0, 180.0))
     assert got == pytest.approx(ANTIPODAL_KM, rel=1e-9)
     assert got == pytest.approx(math.pi * EARTH_RADIUS_KM, rel=1e-12)
 
 
 def test_one_degree_at_equator():
-    got = haversine_km(GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0))
+    got = haversine_km(point(0.0, 0.0), point(0.0, 1.0))
     assert got == pytest.approx(ONE_DEGREE_EQUATOR_KM, rel=1e-9)
 
 
 def test_zero_distance_same_point():
-    assert haversine_km(GeoPoint(12.5, -33.25), GeoPoint(12.5, -33.25)) == 0.0
+    assert haversine_km(point(12.5, -33.25), point(12.5, -33.25)) == 0.0
 
 
 def test_symmetry_is_exact_in_floating_point():
     rng = random.Random(31)
     for _ in range(200):
-        a = GeoPoint(rng.uniform(-90, 90), rng.uniform(-180, 180))
-        b = GeoPoint(rng.uniform(-90, 90), rng.uniform(-180, 180))
+        a = point(rng.uniform(-90, 90), rng.uniform(-180, 180))
+        b = point(rng.uniform(-90, 90), rng.uniform(-180, 180))
         assert haversine_km(a, b) == haversine_km(b, a)
 
 
@@ -59,14 +59,14 @@ def test_random_pairs_match_high_precision_oracle():
     for _ in range(25):
         lat1, lon1 = rng.uniform(-90, 90), rng.uniform(-180, 180)
         lat2, lon2 = rng.uniform(-90, 90), rng.uniform(-180, 180)
-        got = haversine_km(GeoPoint(lat1, lon1), GeoPoint(lat2, lon2))
+        got = haversine_km(point(lat1, lon1), point(lat2, lon2))
         want = great_circle_km(lat1, lon1, lat2, lon2)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 def test_near_antipodal_never_nan():
     # rounding can push the haversine term past 1; the clamp must hold
-    got = haversine_km(GeoPoint(10.0, 20.0), GeoPoint(-10.0, -160.0))
+    got = haversine_km(point(10.0, 20.0), point(-10.0, -160.0))
     assert math.isfinite(got)
     assert got <= math.pi * EARTH_RADIUS_KM + 1e-9
 
@@ -74,7 +74,7 @@ def test_near_antipodal_never_nan():
 def test_triangle_inequality_sampled():
     rng = random.Random(33)
     for _ in range(50):
-        pts = [GeoPoint(rng.uniform(-90, 90), rng.uniform(-180, 180)) for _ in range(3)]
+        pts = [point(rng.uniform(-90, 90), rng.uniform(-180, 180)) for _ in range(3)]
         ab = haversine_km(pts[0], pts[1])
         bc = haversine_km(pts[1], pts[2])
         ac = haversine_km(pts[0], pts[2])
@@ -136,7 +136,7 @@ def test_kernel_one_by_one_equals_haversine():
     pts = _random_points(rng, 200)
     full = distance_matrix(pts, pts)
     for i, j in [(rng.randrange(200), rng.randrange(200)) for _ in range(300)]:
-        a, b = GeoPoint(*pts[i]), GeoPoint(*pts[j])
+        a, b = point(*pts[i]), point(*pts[j])
         assert haversine_km(a, b) == full[i, j]
         assert distance_matrix(coordinates([a]), coordinates([b]))[0, 0] == full[i, j]
 
@@ -162,7 +162,7 @@ def test_kernel_antipodal_clamp(a, b):
     got = distance_matrix(np.array([a]), np.array([b]))[0, 0]
     assert got == 2.0 * EARTH_RADIUS_KM * math.asin(1.0)
     assert got == pytest.approx(great_circle_km(*a, *b), rel=1e-9)
-    assert haversine_km(GeoPoint(*a), GeoPoint(*b)) == got
+    assert haversine_km(point(*a), point(*b)) == got
 
 
 def test_kernel_empty_sides():
@@ -172,8 +172,8 @@ def test_kernel_empty_sides():
 
 
 CODES = ["aaa", "bbb", "ccc", "ddd"]
-PLACES = coordinates([GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0), GeoPoint(0.0, 2.0),
-                      GeoPoint(50.0, 100.0)])
+PLACES = coordinates([point(0.0, 0.0), point(0.0, 1.0), point(0.0, 2.0),
+                      point(50.0, 100.0)])
 
 
 def _within(radius_km, center=0, exclude_self=False):
@@ -185,7 +185,7 @@ def _within(radius_km, center=0, exclude_self=False):
 
 
 def test_within_radius_inclusive_boundary():
-    boundary = haversine_km(GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0))
+    boundary = haversine_km(point(0.0, 0.0), point(0.0, 1.0))
     # radius exactly equal to a point's distance includes that point
     assert _within(boundary) == {"aaa", "bbb"}
     assert _within(boundary - 1e-6) == {"aaa"}
@@ -202,8 +202,8 @@ def test_within_radius_excludes_self_by_row():
 
 def test_nearest_ties_break_on_code():
     codes = ["zzz", "mmm", "qqq"]
-    places = coordinates([GeoPoint(0.0, 1.0), GeoPoint(0.0, 1.0), GeoPoint(0.0, -1.0)])
-    row = distance_matrix(coordinates([GeoPoint(0.0, 0.0)]), places)[0]
+    places = coordinates([point(0.0, 1.0), point(0.0, 1.0), point(0.0, -1.0)])
+    row = distance_matrix(coordinates([point(0.0, 0.0)]), places)[0]
     # identical coordinates give bitwise-equal distances, so the code decides
     assert row[0] == row[1] == row[2]
     assert min(range(3), key=lambda i: (row[i], codes[i])) == 1

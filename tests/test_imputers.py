@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from typoimpute.geo import GeoPoint, haversine_km
+from typoimpute.geo import haversine_km
 from typoimpute.kb import DatasetError
 
 from typoimpute.kb import Cell, Dataset
@@ -249,9 +249,7 @@ def test_geo_backoff_radii_are_inclusive():
     here = train.language("qqq")
 
     def km(code):
-        lang = train.language(code)
-        return haversine_km(GeoPoint(here.latitude, here.longitude),
-                            GeoPoint(lang.latitude, lang.longitude))
+        return haversine_km(here, train.language(code))
 
     def predict(near_km, far_km):
         return predict_one(GeoBackoffImputer(near_km, far_km).fit(train), here, {}, "f")

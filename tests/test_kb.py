@@ -161,6 +161,43 @@ def test_round_trip_with_gold_companion():
         assert restored == d
 
 
+def _pair_dataset(**changed):
+    """Two languages with one observed, one blanked and one unknown cell;
+    ``changed`` replaces cells by key."""
+    languages = [make_language("aaa"), make_language("bbb")]
+    cells = {("aaa", "f1"): Cell.observed("x"), ("aaa", "f2"): Cell.blanked("y"),
+             ("bbb", "f1"): Cell.observed("y"), ("bbb", "f2"): Cell.unknown()}
+    cells.update({tuple(key.split(".")): cell for key, cell in changed.items()})
+    return Dataset.build(languages, cells)
+
+
+@pytest.mark.parametrize("other", [
+    lambda: _pair_dataset(**{"aaa.f2": Cell.blanked("x")}),
+    lambda: _pair_dataset(**{"aaa.f2": Cell.unknown()}),
+    lambda: _pair_dataset(**{"bbb.f2": Cell.blanked("y")}),
+    lambda: Dataset.build(reversed(_pair_dataset().languages), _pair_dataset().cells),
+], ids=["blanked-gold", "blanked-vs-unknown", "unknown-vs-blanked", "language-order"])
+def test_datasets_differing_in_one_cell_or_order_are_unequal(other):
+    d, e = _pair_dataset(), other()
+    assert d != e and e != d
+    assert d == _pair_dataset()
+
+
+def test_parsed_dataset_equals_its_coded_twin():
+    """Equality reads the coded table: a dataset built from unsorted,
+    repeated names and unordered cells equals the parsed file, and the
+    comparison builds no ``Cell`` view."""
+    gold = parse_dataset(serialize_dataset(_pair_dataset(), reveal_blanked=True))
+    parsed = parse_dataset(serialize_dataset(_pair_dataset()), gold=gold)
+    twin = Dataset(
+        _pair_dataset().languages, ["f2", "f1", "f2", "f1"], ["y", "y", "x", "y"],
+        np.array([1, 0, 0, 1]), np.array([0, 1, 2, 3]), np.array([-1, 2, 1, 3]),
+        np.array([UNKNOWN_CODE, OBSERVED_CODE, BLANKED_CODE, OBSERVED_CODE], dtype=np.int8),
+    )
+    assert parsed == twin
+    assert "_cells" not in vars(parsed) and "_cells" not in vars(twin)
+
+
 def test_serialize_fill_replaces_hidden_cells():
     d = Dataset.build(
         [make_language("aaa")],

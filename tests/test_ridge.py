@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from typoimpute.geo import GeoPoint, coordinates, distance_matrix, haversine_km
+from typoimpute.geo import coordinates, distance_matrix, haversine_km
 from typoimpute.kb import OBSERVED_CODE, Cell, Dataset
 from typoimpute.imputers import (
     ALL_BLOCKS,
@@ -209,10 +209,10 @@ def _space(stats, train, target, min_support=5, blocks=ALL_BLOCKS):
     )
 
 
-def _training_design(space, train):
-    """Codes of the training languages observing the target, with the
+def _training_design(space, train, target):
+    """Codes of the training languages observing ``target``, with the
     design matrix of their rows."""
-    codes = [code for code in train.codes() if space.target in observed_of(train, code)]
+    codes = [code for code in train.codes() if target in observed_of(train, code)]
     rows = np.array([space.counts.rows[code] for code in codes], dtype=np.intp)
     return codes, space.design(rows)
 
@@ -287,7 +287,7 @@ def test_prior_features_match_oracle():
         stats = _stats(CodedCounts(sources), areal)
         for target in train.features():
             space = _space(stats, train, target, min_support)
-            codes, X = _training_design(space, train)
+            codes, X = _training_design(space, train, target)
             cases = [
                 (train.language(code), observed_of(train, code), _as_sparse(space, x))
                 for code, x in zip(codes, X)
@@ -337,7 +337,7 @@ def test_design_matches_counted_oracle():
                 counted, target, inventories[target], inventories, min_support, blocks
             )
             assert space.keys == oracle.keys
-            codes, X = _training_design(space, train)
+            codes, X = _training_design(space, train, target)
             want = np.zeros((len(codes), len(oracle.keys)))
             for i, code in enumerate(codes):
                 full = observed_of(train, code)
@@ -426,7 +426,7 @@ def test_leave_one_out_design_ignores_own_value():
         counted = CountedPriorStats([train], 2500.0)
         inventories = _inventories(train)
         for target in train.features():
-            base_codes, base_X = _training_design(_space(stats, train, target, 1), train)
+            base_codes, base_X = _training_design(_space(stats, train, target, 1), train, target)
             oracle = CountedPriorSpace(counted, target, inventories[target], inventories, 1)
             for i, code in enumerate(base_codes):
                 own = train.cells[(code, target)].value
@@ -437,7 +437,7 @@ def test_leave_one_out_design_ignores_own_value():
                     if other == own or _inventories(changed)[target] != inventories[target]:
                         continue
                     space = _space(_stats(changed.counts, 2500.0), changed, target, 1)
-                    codes, X = _training_design(space, changed)
+                    codes, X = _training_design(space, changed, target)
                     assert codes == base_codes
                     assert np.array_equal(X[i], base_X[i])
                     changed_oracle = CountedPriorSpace(
@@ -541,7 +541,7 @@ def test_leave_one_out_removes_own_observation():
     assert plain[("genus", "y")] == pytest.approx(2 / 3)
 
     # training row for la1 drops its own x
-    codes, X = _training_design(space, train)
+    codes, X = _training_design(space, train, "T")
     loo = _as_sparse(space, X[codes.index("la1")])
     assert ("genus", "x") not in loo
     assert loo[("genus", "y")] == pytest.approx(1.0)
@@ -737,8 +737,7 @@ def test_query_at_statistics_coordinates_shares_its_neighbourhood():
     for _ in range(30):
         s, t = rng.sample(range(len(langs)), 2)
         # t sits exactly on the radius around s
-        radius = haversine_km(GeoPoint(langs[s].latitude, langs[s].longitude),
-                              GeoPoint(langs[t].latitude, langs[t].longitude))
+        radius = haversine_km(langs[s], langs[t])
         stats = _stats(counts, radius)
         row = counts.rows[langs[s].code]
         query = replace(langs[s], code="qqq")
@@ -868,19 +867,19 @@ def test_context_fit_builds_no_training_table():
 # the dual solve from the count tables
 
 
-def _design_fit(space, rows, lam):
+def _design_fit(space, target, rows, lam):
     """``solve_ridge`` over the dense design of ``rows``: weights (one row
-    per value) and biases."""
+    per value of ``target``) and biases."""
     counts = space.counts
-    own = counts.onehot[np.ix_(rows, [counts.columns[space.target][v] for v in space.inventory])]
+    own = counts.onehot[np.ix_(rows, [counts.columns[target][v] for v in space.inventory])]
     w, b = solve_ridge(space.design(rows), np.where(own, 1.0, -1.0), lam)
     return w.T, b
 
 
-def _dual_fit(space, rows, lam):
-    """``space.solve_dual`` over ``rows`` sorted by their target value."""
+def _dual_fit(space, target, rows, lam):
+    """``space.solve_dual`` over ``rows`` sorted by their ``target`` value."""
     counts = space.counts
-    own = counts.onehot[np.ix_(rows, [counts.columns[space.target][v] for v in space.inventory])]
+    own = counts.onehot[np.ix_(rows, [counts.columns[target][v] for v in space.inventory])]
     y = own.argmax(axis=1)
     order = np.argsort(y, kind="stable")
     return space.solve_dual(rows[order], y[order], lam)
@@ -894,9 +893,9 @@ def _assert_close_fit(got, want):
         np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-12)
 
 
-def _target_rows(space, n_train):
+def _target_rows(space, target, n_train):
     counts = space.counts
-    columns = list(counts.columns[space.target].values())
+    columns = list(counts.columns[target].values())
     return np.flatnonzero(counts.onehot[:n_train, columns].any(axis=1))
 
 
@@ -928,12 +927,14 @@ def test_dual_fit_matches_design_solve():
             if len(space) == 0:
                 continue
             lam = rng.choice([0.1, 1.0, 100.0])
-            rows = _target_rows(space, n_train)
-            _assert_close_fit(_dual_fit(space, rows, lam), _design_fit(space, rows, lam))
+            rows = _target_rows(space, target, n_train)
+            _assert_close_fit(_dual_fit(space, target, rows, lam),
+                              _design_fit(space, target, rows, lam))
             # the rows of the first value alone: every other class is empty
             column = counts.columns[target][space.inventory[0]]
             first = rows[counts.onehot[rows, column]]
-            _assert_close_fit(_dual_fit(space, first, lam), _design_fit(space, first, lam))
+            _assert_close_fit(_dual_fit(space, target, first, lam),
+                              _design_fit(space, target, first, lam))
             observed = space._impl_counts.sum(axis=1)
             lonely_keys += int((observed == 1).sum())
             no_impl += "implicational" in blocks and not space._impl_features
@@ -962,9 +963,9 @@ def test_dual_fit_predicts_as_the_design_solve():
         n_train = len(train.languages)
         for target, fitted in imp._fitted.items():
             if len(fitted.values) > 1:
-                rows = _target_rows(fitted.space, n_train)
+                rows = _target_rows(fitted.space, target, n_train)
                 assert len(fitted.space) > len(rows)  # every target takes the dual path
-                weights, biases = _design_fit(fitted.space, rows, imp.lam)
+                weights, biases = _design_fit(fitted.space, target, rows, imp.lam)
                 _assert_close_fit((fitted.weights, fitted.biases), (weights, biases))
                 fitted = replace(fitted, weights=weights, biases=biases)
             dense._fitted[target] = fitted
@@ -1007,7 +1008,7 @@ def test_dual_fit_peak_memory_is_below_the_dense_design():
     inventories = _inventories(train)
     target = train.features()[0]
     space = PriorFeatureSpace(*stats, target, inventories[target], inventories, 1, ALL_BLOCKS)
-    rows = _target_rows(space, len(train.languages))
+    rows = _target_rows(space, target, len(train.languages))
     y = train.counts.onehot[np.ix_(rows, space._target_columns)].argmax(axis=1)
     order = np.argsort(y, kind="stable")
     rows, y = rows[order], y[order]
