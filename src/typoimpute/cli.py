@@ -57,6 +57,11 @@ class _BlankHelpFormatter(argparse.HelpFormatter):
 
 
 class _Parser(argparse.ArgumentParser):
+    # every flag has one spelling: no unique-prefix abbreviations, also in
+    # the subparsers, which argparse builds from this class
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with status 2 on usage errors; route them through
     # UsageError so main() can return 1 instead
     def error(self, message):

@@ -10,10 +10,8 @@ test on per-language accuracies weighted the same way.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -108,10 +106,9 @@ def score(gold: Dataset, output: SystemOutput, exclude_missing: bool = False) ->
     if not blanked.any():
         raise EvaluationError("gold dataset has no blanked cells to score")
     codes = gold.codes()
-    cells = zip(gold.cell_row[blanked].tolist(), gold.cell_feature[blanked].tolist(),
-                gold.cell_value[blanked].tolist())
-    cells = [(r, gold.feature_names[f], gold.value_names[v]) for r, f, v in cells]
-    extra = sorted(set(output.predictions) - {(codes[r], feature) for r, feature, _ in cells})
+    row, feature = gold.cell_row[blanked], gold.cell_feature[blanked]
+    keys = [(codes[r], gold.feature_names[f]) for r, f in zip(row.tolist(), feature.tolist())]
+    extra = sorted(set(output.predictions) - set(keys))
     if extra:
         shown = ", ".join(f"{code}:{feature}" for code, feature in extra[:3])
         more = ", ..." if len(extra) > 3 else ""
@@ -122,42 +119,33 @@ def score(gold: Dataset, output: SystemOutput, exclude_missing: bool = False) ->
             shown,
             more,
         )
-    n_observed = np.bincount(gold.cell_row[gold.cell_state == OBSERVED_CODE],
-                             minlength=len(codes))
+    # each prediction as a value code: -1 when missing, -2 when no gold
+    # cell holds that value
+    value_code = {name: i for i, name in enumerate(gold.value_names)}
+    value_code[None] = -1
+    predicted = np.array([value_code.get(output.predictions.get(key), -2) for key in keys],
+                         dtype=np.intp)
+    missing = predicted == -1
+    correct = predicted == gold.cell_value[blanked]
+    scored = ~missing if exclude_missing else np.ones_like(missing)
 
-    per_language: dict[str, float] = {}
-    language_genus: dict[str, str] = {}
-    language_ratio: dict[str, float] = {}
-    per_feature_counts: dict[str, list[int]] = {}
-    n_blanked = n_missing = n_correct = 0
-
-    for row, group in itertools.groupby(cells, key=operator.itemgetter(0)):
-        lang = gold.languages[row]
-        hidden = correct = missing = 0
-        for _, feature, answer in group:
-            hidden += 1
-            n_blanked += 1
-            predicted = output.predictions.get((lang.code, feature))
-            if predicted is None:
-                missing += 1
-                n_missing += 1
-                if exclude_missing:
-                    continue
-            counts = per_feature_counts.setdefault(feature, [0, 0])
-            counts[1] += 1
-            if predicted == answer:
-                counts[0] += 1
-                correct += 1
-                n_correct += 1
-        scored = hidden - missing if exclude_missing else hidden
-        if scored == 0:
-            continue
-        per_language[lang.code] = correct / scored
-        language_genus[lang.code] = lang.genus
-        language_ratio[lang.code] = hidden / (hidden + int(n_observed[row]))
-
-    if not per_language:
+    n_rows, n_features = len(codes), len(gold.feature_names)
+    hidden = np.bincount(row, minlength=n_rows).tolist()
+    observed = np.bincount(gold.cell_row[gold.cell_state == OBSERVED_CODE],
+                           minlength=n_rows).tolist()
+    row_scored = np.bincount(row[scored], minlength=n_rows).tolist()
+    row_correct = np.bincount(row[correct], minlength=n_rows).tolist()
+    feature_scored = np.bincount(feature[scored], minlength=n_features).tolist()
+    feature_correct = np.bincount(feature[correct], minlength=n_features).tolist()
+    rows = [r for r, n in enumerate(row_scored) if n]
+    if not rows:
         raise EvaluationError("no language has a scored cell")
+    per_language = {codes[r]: row_correct[r] / row_scored[r] for r in rows}
+    language_genus = {codes[r]: gold.languages[r].genus for r in rows}
+    language_ratio = {codes[r]: hidden[r] / (hidden[r] + observed[r]) for r in rows}
+    per_feature = {name: (c, t) for name, c, t in zip(gold.feature_names, feature_correct,
+                                                      feature_scored) if t}
+    n_correct = int(correct.sum())
 
     genus_values: dict[str, list[float]] = {}
     for code in sorted(per_language):
@@ -166,8 +154,6 @@ def score(gold: Dataset, output: SystemOutput, exclude_missing: bool = False) ->
         genus: sum(values) / len(values) for genus, values in sorted(genus_values.items())
     }
     macro = sum(per_genus.values()) / len(per_genus)
-    total_scored = sum(total for _, total in per_feature_counts.values())
-    micro = n_correct / total_scored
 
     return EvalReport(
         system=output.name,
@@ -176,10 +162,10 @@ def score(gold: Dataset, output: SystemOutput, exclude_missing: bool = False) ->
         language_ratio=language_ratio,
         per_genus=per_genus,
         macro_accuracy=macro,
-        micro_accuracy=micro,
-        per_feature={f: (c, t) for f, (c, t) in sorted(per_feature_counts.items())},
-        n_blanked=n_blanked,
-        n_missing=n_missing,
+        micro_accuracy=n_correct / int(scored.sum()),
+        per_feature=per_feature,
+        n_blanked=len(keys),
+        n_missing=int(missing.sum()),
         n_correct=n_correct,
         exclude_missing=exclude_missing,
     )

@@ -38,8 +38,6 @@ class Prediction:
 class Imputer:
     """Base class; fitted models are immutable and predict is pure."""
 
-    name = "imputer"
-
     def fit(self, train: Dataset, context: Dataset | None = None) -> "Imputer":
         raise NotImplementedError
 

@@ -57,8 +57,6 @@ def _normalized_mi(counts: CodedCounts) -> np.ndarray:
 class CorrelationImputer(Imputer):
     """Weighted conditional-probability vote over observed features."""
 
-    name = "correlation"
-
     def __init__(self, alpha: float = 1.0, min_support: int = 5):
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")

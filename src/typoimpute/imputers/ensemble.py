@@ -24,8 +24,6 @@ class EnsembleImputer(Imputer):
     behaves exactly like its member.
     """
 
-    name = "ensemble"
-
     def __init__(self, members: Sequence[Imputer], policy: str = "max_confidence"):
         if not members:
             raise ValueError("ensemble needs at least one member")

@@ -73,8 +73,6 @@ def _backoff(counts: CodedCounts, levels: tuple[str, ...], test: Dataset, cells:
 class GlobalFrequencyImputer(Imputer):
     """Predict the most frequent training value of the target feature."""
 
-    name = "frequency"
-
     def fit(self, train: Dataset, context: Dataset | None = None) -> "GlobalFrequencyImputer":
         self.counts = train.counts
         return self
@@ -85,8 +83,6 @@ class GlobalFrequencyImputer(Imputer):
 
 class GenusFamilyBackoffImputer(Imputer):
     """Genus-level mode, backing off to family, then global frequency."""
-
-    name = "genus_family"
 
     def fit(self, train: Dataset, context: Dataset | None = None) -> "GenusFamilyBackoffImputer":
         self.counts = train.counts
@@ -107,8 +103,6 @@ class GeoBackoffImputer(Imputer):
     own training row, if any, never counts.  Distance rows are read
     only for the test languages that reach the geographic levels.
     """
-
-    name = "geo_backoff"
 
     def __init__(self, near_km: float = 1000.0, far_km: float = 2000.0):
         if not 0.0 <= near_km <= far_km:

@@ -76,8 +76,6 @@ _NO_VECTOR = 3.0  # beyond every cosine distance: a language without a vector ra
 class NearestNeighborImputer(Imputer):
     """k-nearest-neighbor vote among training languages with the target."""
 
-    name = "knn"
-
     def __init__(self, k: int = 1, vectors: Mapping[str, np.ndarray] | None = None):
         if k < 1:
             raise ValueError("k must be >= 1")

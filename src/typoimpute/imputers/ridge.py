@@ -370,8 +370,6 @@ class RidgePriorImputer(Imputer):
     per-feature linear classifier over observed values.
     """
 
-    name = "ridge"
-
     def __init__(
         self,
         lam: float = 1.0,

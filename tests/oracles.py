@@ -1069,6 +1069,71 @@ def impute_loop_oracle(config, train, test, fallback: bool = True, vectors=None)
 # evaluation
 
 
+def score_oracle(gold, system: str, predictions, exclude_missing: bool = False) -> dict:
+    """``evaluate.score`` as a per-cell loop over the cell mapping: the
+    ``EvalReport`` fields as a dict.  Walks each language's blanked cells
+    in order, keeping running counts; per-genus means and the macro
+    average are taken over sorted codes and genera.  Raises ValueError
+    with ``score``'s message where it must fail."""
+    blanked: dict[str, list[tuple[str, str]]] = {}
+    for (code, feature), cell in gold.cells.items():
+        if cell.state == "blanked":
+            blanked.setdefault(code, []).append((feature, cell.value))
+    if not blanked:
+        raise ValueError("gold dataset has no blanked cells to score")
+    observed = Counter(code for (code, _), cell in gold.cells.items() if cell.state == OBSERVED)
+
+    per_language: dict[str, float] = {}
+    language_genus: dict[str, str] = {}
+    language_ratio: dict[str, float] = {}
+    per_feature: dict[str, list[int]] = {}
+    n_blanked = n_missing = n_correct = 0
+    for lang in gold.languages:
+        hidden = correct = missing = 0
+        for feature, answer in blanked.get(lang.code, []):
+            hidden += 1
+            n_blanked += 1
+            predicted = predictions.get((lang.code, feature))
+            if predicted is None:
+                missing += 1
+                n_missing += 1
+                if exclude_missing:
+                    continue
+            counts = per_feature.setdefault(feature, [0, 0])
+            counts[1] += 1
+            if predicted == answer:
+                counts[0] += 1
+                correct += 1
+                n_correct += 1
+        scored = hidden - missing if exclude_missing else hidden
+        if scored == 0:
+            continue
+        per_language[lang.code] = correct / scored
+        language_genus[lang.code] = lang.genus
+        language_ratio[lang.code] = hidden / (hidden + observed[lang.code])
+    if not per_language:
+        raise ValueError("no language has a scored cell")
+
+    by_genus: dict[str, list[float]] = {}
+    for code in sorted(per_language):
+        by_genus.setdefault(language_genus[code], []).append(per_language[code])
+    per_genus = {genus: sum(accs) / len(accs) for genus, accs in sorted(by_genus.items())}
+    return {
+        "system": system,
+        "per_language": per_language,
+        "language_genus": language_genus,
+        "language_ratio": language_ratio,
+        "per_genus": per_genus,
+        "macro_accuracy": sum(per_genus.values()) / len(per_genus),
+        "micro_accuracy": n_correct / sum(total for _, total in per_feature.values()),
+        "per_feature": {feature: tuple(counts) for feature, counts in sorted(per_feature.items())},
+        "n_blanked": n_blanked,
+        "n_missing": n_missing,
+        "n_correct": n_correct,
+        "exclude_missing": exclude_missing,
+    }
+
+
 def macro_oracle(per_language_accuracy, language_genus) -> float:
     by_genus: dict[str, list[float]] = {}
     for code, acc in per_language_accuracy.items():

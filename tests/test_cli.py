@@ -317,6 +317,30 @@ def test_setting_flags_are_usage_errors(tmp_path, corpus, impute_files, capsys, 
     assert set(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("evaluate", ["--sam", "10"]),
+    ("evaluate", ["--excl"]),
+    ("impute", ["--imputer-conf", "{cfg}"]),
+    ("impute", ["--imputer-config", "{cfg}", "--no-fall"]),
+], ids=["samples", "exclude-missing", "imputer-config", "no-fallback"])
+def test_flag_prefixes_are_usage_errors(tmp_path, split_dirs, capsys, command, flags):
+    """A flag has one spelling: a unique prefix of it is rejected before
+    anything is written."""
+    filled = _impute(split_dirs, tmp_path / "freq.tsv")
+    cfg = tmp_path / "freq.cfg"
+    if command == "impute":
+        argv = ["impute", "--train", str(split_dirs / "train.tsv"),
+                "--test", str(split_dirs / "test.tsv"), "--out", str(tmp_path / "f.tsv")]
+    else:
+        argv = ["evaluate", "--test", str(split_dirs / "test.tsv"),
+                "--gold", str(split_dirs / "test_gold.tsv"), "--out-dir", str(tmp_path / "ev"),
+                "--system", f"a={filled}", "--system", f"b={filled}", "--seed", "1"]
+    before = set(tmp_path.rglob("*"))
+    assert main([*argv, *(flag.format(cfg=cfg) for flag in flags)]) == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert set(tmp_path.rglob("*")) == before
+
+
 def test_impute_bad_config_is_usage_error(tmp_path, split_dirs):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("method=telepathy\n", encoding="utf-8")

@@ -3,7 +3,9 @@
 import logging
 import math
 import random
+import re
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,9 +34,10 @@ from oracles import (
     macro_oracle,
     one_shot_permutation_oracle,
     pearson_oracle,
+    score_oracle,
     t_tail_oracle,
 )
-from synth import make_language
+from synth import blank_some, make_language, random_dataset
 
 
 def make_gold(rows, n_observed=2):
@@ -221,6 +224,65 @@ def test_removing_a_correct_prediction_never_helps():
         worse = score(gold, SystemOutput("sys", dropped))
         assert worse.macro_accuracy <= base.macro_accuracy
         assert worse.micro_accuracy <= base.micro_accuracy
+
+
+def _scoring_case(rng):
+    """A gold table of observed, blanked and unknown cells, and a system's
+    predictions for it: each blanked cell right, wrong (another gold
+    value or one no cell holds) or missing, every blanked cell of one
+    language missing, and some predictions for unknown or observed cells
+    and for a language or feature the gold table lacks."""
+    data = random_dataset(rng, n_languages=rng.randint(1, 8), n_features=rng.randint(1, 5),
+                          n_values=rng.randint(1, 3), p_observed=0.7)
+    gold = blank_some(data, rng, per_language=rng.randint(0, 3))
+    cells = dict(gold.cells)
+    for code in gold.codes():
+        for feature in gold.features():
+            if (code, feature) not in cells and rng.random() < 0.5:
+                cells[(code, feature)] = Cell.unknown()
+    gold = Dataset.build(gold.languages, cells)
+    predictions = {}
+    for key, cell in sorted(gold.cells.items()):
+        kind = rng.choice(["right", "wrong", "unheard", "missing"] if cell.state == "blanked"
+                          else ["stray", "none", "none"])
+        if kind == "right":
+            predictions[key] = cell.value
+        elif kind == "wrong":
+            predictions[key] = rng.choice([v for v in gold.value_names if v != cell.value] or ["zz"])
+        elif kind in ("unheard", "stray"):
+            predictions[key] = "zz"
+    hidden = sorted({code for (code, _), cell in gold.cells.items() if cell.state == "blanked"})
+    if hidden:
+        dropped = rng.choice(hidden)
+        predictions = {key: v for key, v in predictions.items()
+                       if key[0] != dropped or gold.cells[key].state != "blanked"}
+    predictions[("zzz", gold.features()[0])] = "v0"
+    predictions[(gold.codes()[0], "no such feature")] = "v0"
+    return gold, predictions
+
+
+def test_score_matches_per_cell_oracle():
+    """Every report field equals the per-cell loop's, floats bit for bit,
+    with and without ``exclude_missing``, and both error paths raise
+    the oracle's message."""
+    rng = random.Random(20)
+    outcomes = Counter()
+    for _ in range(200):
+        gold, predictions = _scoring_case(rng)
+        for exclude_missing in (False, True):
+            try:
+                want = score_oracle(gold, "sys", predictions, exclude_missing)
+            except ValueError as err:
+                with pytest.raises(EvaluationError, match=f"^{re.escape(str(err))}$"):
+                    score(gold, SystemOutput("sys", predictions), exclude_missing)
+                outcomes[str(err)] += 1
+                continue
+            report = score(gold, SystemOutput("sys", predictions), exclude_missing)
+            assert vars(report) == want
+            outcomes["missing" if report.n_missing else "complete", exclude_missing] += 1
+    assert outcomes["gold dataset has no blanked cells to score"] > 0
+    assert outcomes["no language has a scored cell"] > 0
+    assert outcomes["missing", True] > 50
 
 
 # ---------------------------------------------------------------------------

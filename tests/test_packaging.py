@@ -37,3 +37,35 @@ def _declared_dependencies() -> set[str]:
 
 def test_runtime_dependencies_are_what_the_package_imports():
     assert _third_party_imports() == _declared_dependencies() == {"numpy"}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """``line: name`` for each name a module imports and never reads,
+    leaving out names listed in its ``__all__`` and import lines marked
+    ``# noqa: F401``."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            used.update(const.value for const in ast.walk(node.value)
+                        if isinstance(const, ast.Constant))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(f"{alias.lineno}: {bound}")
+    return unused
+
+
+def test_every_imported_name_is_used():
+    unused = {str(path.relative_to(PACKAGE)): names for path in sorted(PACKAGE.rglob("*.py"))
+              if (names := _unused_imports(path))}
+    assert unused == {}
