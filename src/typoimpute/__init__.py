@@ -30,7 +30,6 @@ _EXPORTS = {
     "Prediction": "imputers",
     "build_imputer": "imputers",
     "fill_dataset": "imputers",
-    "Cell": "kb",
     "Dataset": "kb",
     "DatasetError": "errors",
     "Language": "kb",

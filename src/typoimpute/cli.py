@@ -162,6 +162,17 @@ def _split_spec_from_args(args: argparse.Namespace) -> SplitSpec:
     return spec
 
 
+def _require_split(train: Dataset, test: Dataset, settings: str) -> None:
+    """Reject a split whose training set ``impute`` or whose test set
+    ``blank`` and ``evaluate`` would reject, before anything is written."""
+    from .kb import OBSERVED_CODE
+
+    if not (train.cell_state == OBSERVED_CODE).any():
+        raise DatasetError(f"split leaves no observed cell to train on ({settings})")
+    if not test.languages:
+        raise DatasetError(f"split leaves the test set empty ({settings})")
+
+
 def cmd_split(args: argparse.Namespace) -> int:
     from .kb import serialize_dataset
     from .splits import build_controlled_split, provenance_csv, random_split
@@ -182,6 +193,7 @@ def cmd_split(args: argparse.Namespace) -> int:
         except ValueError:
             raise UsageError(f"bad fraction in {args.random_fractions!r}") from None
         train, dev, test = random_split(dataset, fractions, seed=args.seed)
+        _require_split(train, test, f"--random-fractions {args.random_fractions}")
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, part in (("train", train), ("dev", dev), ("test", test)):
             (out_dir / f"{name}.tsv").write_text(serialize_dataset(part), encoding="utf-8")
@@ -198,6 +210,9 @@ def cmd_split(args: argparse.Namespace) -> int:
 
     spec = _split_spec_from_args(args)
     result = build_controlled_split(dataset, spec)
+    settings = spec.settings()
+    _require_split(result.train, result.test, ", ".join(
+        f"{key}={settings[key]}" for key in ("genera", "radius_km", "holdout_fraction")))
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "train.tsv").write_text(serialize_dataset(result.train), encoding="utf-8")
     (out_dir / "test.tsv").write_text(serialize_dataset(result.test), encoding="utf-8")
@@ -216,10 +231,7 @@ def cmd_split(args: argparse.Namespace) -> int:
         len(result.test.languages),
         n_excluded,
     )
-    if not result.test.languages:
-        log.warning("test set is empty; check the genus list and holdout fraction")
-
-    params = {"mode": "controlled", **spec.settings()}
+    params = {"mode": "controlled", **settings}
     del params["seed"]  # recorded as the run's seed
     inputs: dict[str, str | Path] = {"input": args.input}
     if args.spec:
@@ -241,6 +253,8 @@ def cmd_blank(args: argparse.Namespace) -> int:
     from .splits import SplitSpec, blank_features, blanking_ratios
 
     dataset = _load_dataset(args.input)
+    if not dataset.languages:
+        raise DatasetError(f"{args.input} has no language to blank")
     bounds = {name: getattr(args, dest) for dest, name in _BLANK_BOUNDS.items()
               if getattr(args, dest) is not None}
     spec = SplitSpec(seed=args.seed, **bounds)
@@ -281,7 +295,7 @@ def cmd_impute(args: argparse.Namespace) -> int:
     config = read_kv(args.imputer_config) if args.imputer_config else {"method": "frequency"}
     imputer = build_imputer(config, vectors=args.vectors)
     if not args.no_fallback:
-        imputer = EnsembleImputer([imputer, GlobalFrequencyImputer()], "first_success")
+        imputer = EnsembleImputer([imputer, GlobalFrequencyImputer()])
     imputer.fit(train, context=test)
 
     fill = {key: p.value for key, p in fill_dataset(imputer, test).items()}

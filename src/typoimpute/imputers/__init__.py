@@ -13,7 +13,6 @@ _EXPORTS = {
     "METHODS": "config",
     "build_imputer": "config",
     "CorrelationImputer": "correlation",
-    "POLICIES": "ensemble",
     "EnsembleImputer": "ensemble",
     "GenusFamilyBackoffImputer": "frequency",
     "GeoBackoffImputer": "frequency",

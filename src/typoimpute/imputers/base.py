@@ -87,9 +87,9 @@ def fill_dataset(imputer: Imputer, test: Dataset) -> dict[tuple[str, str], Predi
     The imputer sees only the observed cells of ``test``.  Results are
     keyed by (code, feature) in cell-table order (dataset order, then
     feature name), so they are deterministic.  A cell the imputer cannot
-    answer is left out of the result; a ``first_success`` ensemble
-    ending in a global-frequency member answers every cell whose feature
-    training observes.
+    answer is left out of the result; an ensemble ending in a
+    global-frequency member answers every cell whose feature training
+    observes.
     """
     cells = np.flatnonzero(test.cell_state != OBSERVED_CODE)
     answers = imputer.predict(test, cells)

@@ -65,7 +65,6 @@ _SETTINGS: dict[str, tuple[str, Callable[[str, str], object]]] = {
     "blocks": ("blocks", _names),
     "use_context": ("use_context", _flag),
     "members": ("members", _names),
-    "policy": ("policy", lambda key, text: text),
 }
 
 # method -> (module, class, the config keys it reads)
@@ -77,7 +76,7 @@ _METHODS: dict[str, tuple[str, str, tuple[str, ...]]] = {
     "correlation": ("correlation", "CorrelationImputer", ("alpha", "min_support")),
     "ridge": ("ridge", "RidgePriorImputer",
               ("lambda", "areal_km", "min_support", "blocks", "use_context")),
-    "ensemble": ("ensemble", "EnsembleImputer", ("members", "policy")),
+    "ensemble": ("ensemble", "EnsembleImputer", ("members",)),
 }
 
 METHODS = tuple(_METHODS)

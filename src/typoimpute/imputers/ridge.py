@@ -36,7 +36,6 @@ confidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -135,8 +134,7 @@ class PriorFeatureSpace:
     order of the design matrix.  The space stores only the offsets of
     its blocks and, for every one-hot column, its implicational and
     indicator key (-1 for none, also in a spare last slot that stands
-    for values the statistics never observe); ``keys`` is spelled out
-    only when read.
+    for values the statistics never observe).
     """
 
     def __init__(
@@ -163,15 +161,14 @@ class PriorFeatureSpace:
         self._value_positions = np.array([position[v] for v in self.inventory], dtype=np.intp)
 
         others = sorted(f for f in inventories if f != target)
-        self._inventories = inventories
-        self._impl_features = []
+        impl_features = []
         if "implicational" in self.blocks:
             index = counts.feature_index
             support = counts.support[index[target]] if target in index else np.zeros(len(index))
-            self._impl_features = [f for f in others if support[index[f]] >= min_support]
-        self._obs_features = others if "indicators" in self.blocks else []
-        impl_columns = [counts.columns[f][a] for f in self._impl_features for a in inventories[f]]
-        obs_columns = [counts.columns[f][a] for f in self._obs_features for a in inventories[f]]
+            impl_features = [f for f in others if support[index[f]] >= min_support]
+        obs_features = others if "indicators" in self.blocks else []
+        impl_columns = [counts.columns[f][a] for f in impl_features for a in inventories[f]]
+        obs_columns = [counts.columns[f][a] for f in obs_features for a in inventories[f]]
         self._impl_key = np.full(counts.onehot.shape[1] + 1, -1, dtype=np.intp)
         self._impl_key[impl_columns] = np.arange(len(impl_columns))
         self._obs_key = np.full(counts.onehot.shape[1] + 1, -1, dtype=np.intp)
@@ -182,22 +179,6 @@ class PriorFeatureSpace:
         self._size = self._obs_start + len(obs_columns)
         # Target counts of every implicational key.
         self._impl_counts = counts.joint[np.ix_(impl_columns, self._target_columns)]
-
-    @cached_property
-    def keys(self) -> tuple[tuple, ...]:
-        """The key of every column, in column order."""
-        keys: list[tuple] = []
-        if "genetic" in self.blocks:
-            keys += [("genus", v) for v in self.inventory]
-            keys += [("family", v) for v in self.inventory]
-        if "areal" in self.blocks:
-            keys += [("areal", v) for v in self.inventory]
-        for feat in self._impl_features:
-            for a in self._inventories[feat]:
-                keys += [("impl", feat, a, v) for v in self.inventory]
-        for feat in self._obs_features:
-            keys += [("obs", feat, a) for a in self._inventories[feat]]
-        return tuple(keys)
 
     def __len__(self) -> int:
         return self._size

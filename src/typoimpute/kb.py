@@ -19,8 +19,9 @@ segments in one table, each distinct segment is split into name and
 value and checked once, and the cell arrays are built by indexing that
 table.  Errors are still reported at the first faulty line in file order.
 
-Each dataset is one integer-coded cell table, which every pipeline stage
-reads; ``Dataset.cells`` is a (code, feature) -> ``Cell`` view of it.
+Each dataset is one integer-coded cell table, the only data model every
+pipeline stage and every imputer reads: a cell is an index into its
+parallel arrays, never an object of its own.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -44,7 +45,6 @@ __all__ = [
     "DatasetError",
     "ParseError",
     "Language",
-    "Cell",
     "Dataset",
     "parse_dataset",
     "serialize_dataset",
@@ -91,31 +91,6 @@ class Language:
             raise DatasetError(f"{self.code}: latitude {self.latitude} out of range")
         if not -180.0 <= self.longitude <= 180.0:
             raise DatasetError(f"{self.code}: longitude {self.longitude} out of range")
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One (language, feature) cell.
-
-    ``state`` is one of ``observed`` (value known), ``blanked`` (value
-    hidden for evaluation; ``value`` holds the gold answer), or
-    ``unknown`` (no value available; ``value`` is None).
-    """
-
-    state: str
-    value: Optional[str] = None
-
-    @classmethod
-    def observed(cls, value: str) -> "Cell":
-        return cls(OBSERVED, value)
-
-    @classmethod
-    def blanked(cls, gold: str) -> "Cell":
-        return cls(BLANKED, gold)
-
-    @classmethod
-    def unknown(cls) -> "Cell":
-        return cls(UNKNOWN, None)
 
 
 def intern_names(names: list[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -168,50 +143,16 @@ class Dataset:
             for name in _CELL_ARRAYS:
                 setattr(self, name, getattr(self, name)[order])
 
-    @classmethod
-    def build(cls, languages: Iterable[Language], cells: Mapping[tuple[str, str], Cell]) -> "Dataset":
-        """Construct a dataset from a (code, feature) -> Cell mapping."""
-        languages = list(languages)
-        rows = {lang.code: i for i, lang in enumerate(languages)}
-        for code, _ in cells:
-            if code not in rows:
-                raise DatasetError(f"cell references unknown language {code!r}")
-        # Each cell names its own feature and value; construction interns them.
-        values = [cell.value for cell in cells.values()]
-        index = np.arange(len(values))
-        return cls(languages, [feature for _, feature in cells], values,
-                   np.array([rows[code] for code, _ in cells], dtype=np.intp), index,
-                   np.where([value is None for value in values], -1, index),
-                   np.array([STATES.index(cell.state) for cell in cells.values()], dtype=np.int8))
-
     @cached_property
     def counts(self) -> CodedCounts:
         """Integer tables of the observed cells."""
         from .coded import CodedCounts  # coded reads this module's state codes
         return CodedCounts([self])
 
-    @property
-    def cells(self) -> Mapping[tuple[str, str], Cell]:
-        """The cells as a read-only (code, feature) -> Cell mapping; its
-        entries are built on first lookup."""
-        return _CellView(self)
-
-    @cached_property
-    def _cells(self) -> dict[tuple[str, str], Cell]:
-        codes = self.codes()
-        values = self.value_names + [None]  # an unknown cell's -1 reads None
-        cells = zip(self.cell_row.tolist(), self.cell_feature.tolist(),
-                    self.cell_value.tolist(), self.cell_state.tolist())
-        return {(codes[r], self.feature_names[f]): Cell(STATES[s], values[v])
-                for r, f, v, s in cells}
-
     @cached_property
     def bounds(self) -> np.ndarray:
         """Row i's cells are ``cell_*[bounds[i]:bounds[i + 1]]``."""
         return np.searchsorted(self.cell_row, np.arange(len(self.languages) + 1))
-
-    def language(self, code: str) -> Language:
-        return self.languages[self.rows[code]]
 
     def codes(self) -> list[str]:
         return [lang.code for lang in self.languages]
@@ -222,6 +163,8 @@ class Dataset:
 
     # ``bench/tests`` lists the feature names as ``catalog.features()``.
     catalog = property(lambda self: self)
+    # ``bench/trace_child.py`` counts parsed cells as ``len(result.cells)``.
+    cells = property(lambda self: self.cell_row)
 
     def _take(self, keep_rows: np.ndarray, keep_cells: np.ndarray) -> "Dataset":
         """The languages of ``keep_rows``, order kept, with those of their
@@ -245,22 +188,6 @@ class Dataset:
                 and self.value_names == other.value_names
                 and all(np.array_equal(getattr(self, name), getattr(other, name))
                         for name in _CELL_ARRAYS))
-
-
-@dataclass(eq=False)
-class _CellView(Mapping):
-    """(code, feature) -> Cell over a dataset's cell table."""
-
-    d: Dataset
-
-    def __getitem__(self, key: tuple[str, str]) -> Cell:
-        return self.d._cells[key]
-
-    def __iter__(self):
-        return iter(self.d._cells)
-
-    def __len__(self) -> int:
-        return len(self.d.cell_row)
 
 
 def locate_cells(d: Dataset, codes: list[str], features: list[str],

@@ -17,6 +17,8 @@ from collections import Counter
 import numpy as np
 from mpmath import mp, mpf
 
+from synth import cells_of, language_of
+
 OBSERVED = "observed"
 
 
@@ -62,7 +64,7 @@ def distance_matrix_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def observed_maps(dataset) -> dict[str, dict[str, str]]:
     """code -> feature -> value over observed cells, read raw."""
     out: dict[str, dict[str, str]] = {lang.code: {} for lang in dataset.languages}
-    for (code, feature), cell in dataset.cells.items():
+    for (code, feature), cell in cells_of(dataset).items():
         if cell.state == OBSERVED:
             out[code][feature] = cell.value
     return out
@@ -71,7 +73,7 @@ def observed_maps(dataset) -> dict[str, dict[str, str]]:
 def inventory(dataset, target: str) -> list[str]:
     values = {
         cell.value
-        for (_, feature), cell in dataset.cells.items()
+        for (_, feature), cell in cells_of(dataset).items()
         if feature == target and cell.state == OBSERVED
     }
     return sorted(values)
@@ -183,7 +185,7 @@ def serialize_oracle(dataset, fill=None, reveal_blanked=False) -> str:
     time: features in name order, a fill text before a revealed gold
     value before ``?`` on every cell that is not observed."""
     cells: dict[str, dict] = {}
-    for (code, feature), cell in dataset.cells.items():
+    for (code, feature), cell in cells_of(dataset).items():
         cells.setdefault(code, {})[feature] = cell
     fill = fill or {}
     lines = []
@@ -287,7 +289,7 @@ def blank_oracle(dataset, low: float, high: float, seed: int) -> dict:
         ratios = [low + i * step for i in range(len(codes))]
     random.Random(_stage_seed(seed, "ratios")).shuffle(ratios)
     rng = random.Random(_stage_seed(seed, "cells"))
-    cells = {key: (cell.state, cell.value) for key, cell in dataset.cells.items()}
+    cells = {key: (cell.state, cell.value) for key, cell in cells_of(dataset).items()}
     for code, ratio in zip(codes, ratios):
         observed = sorted(f for (c, f), (state, _) in cells.items()
                           if c == code and state == OBSERVED)
@@ -303,7 +305,7 @@ def blank_oracle(dataset, low: float, high: float, seed: int) -> dict:
 
 def global_mode_oracle(train, target: str) -> tuple[str, float] | None:
     counts = Counter()
-    for (_, feature), cell in train.cells.items():
+    for (_, feature), cell in cells_of(train).items():
         if feature == target and cell.state == OBSERVED:
             counts[cell.value] += 1
     return _mode(counts)
@@ -314,7 +316,7 @@ def genus_family_oracle(train, language, target: str) -> tuple[str, float, str] 
     by_code = {lang.code: lang for lang in train.languages}
     genus_counts = Counter()
     family_counts = Counter()
-    for (code, feature), cell in train.cells.items():
+    for (code, feature), cell in cells_of(train).items():
         if feature != target or cell.state != OBSERVED:
             continue
         if by_code[code].genus == language.genus:
@@ -817,7 +819,7 @@ def build_prior_features(train, language, observed, target, areal_km=2500.0,
                          min_support=5, blocks=RIDGE_BLOCKS, own_value=None):
     """Sparse prior vector of one language against a training dataset."""
     stats = CountedPriorStats([train], areal_km)
-    inventories = {f: tuple(inventory(train, f)) for f in sorted({f for _, f in train.cells})}
+    inventories = {f: tuple(inventory(train, f)) for f in sorted({f for _, f in cells_of(train)})}
     space = CountedPriorSpace(
         stats, target, inventories.get(target, ()), inventories, min_support, blocks
     )
@@ -831,7 +833,7 @@ def counted_ridge_fit(train, context=None, lam=1.0, areal_km=2500.0, min_support
     ``context`` joins the counting tables."""
     sources = [train] + ([context] if context is not None else [])
     stats = CountedPriorStats(sources, areal_km)
-    inventories = {f: tuple(inventory(train, f)) for f in sorted({f for _, f in train.cells})}
+    inventories = {f: tuple(inventory(train, f)) for f in sorted({f for _, f in cells_of(train)})}
     fitted = {}
     for target, values in inventories.items():
         if not values:
@@ -842,7 +844,7 @@ def counted_ridge_fit(train, context=None, lam=1.0, areal_km=2500.0, min_support
         for code in codes:
             obs = stats.observed[code]
             others = {f: v for f, v in obs.items() if f != target}
-            rows.append(space.dense(train.language(code), others, own_value=obs[target]))
+            rows.append(space.dense(language_of(train, code), others, own_value=obs[target]))
         X = np.array(rows).reshape(len(codes), len(space.keys))
         weights = np.zeros((len(values), len(space.keys)))
         biases = np.zeros(len(values))
@@ -1031,30 +1033,25 @@ def impute_loop_oracle(config, train, test, fallback: bool = True, vectors=None)
     mapping), cell by cell from the per-method oracles: every hidden
     cell, in dataset order and then by feature name, is answered from the
     language's observed cells.  An ensemble keeps the first member's
-    answer (``first_success``) or the most confident one, earlier
-    members winning ties (``max_confidence``, the default).  Where
-    nothing answers, the global mode of ``train`` does if ``fallback`` is
-    set.  Returns the filled values and the number of hidden cells left
-    unfilled."""
+    answer.  Where nothing answers, the global mode of ``train`` does if
+    ``fallback`` is set.  Returns the filled values and the number of
+    hidden cells left unfilled."""
     method = config["method"]
     members = [m.strip() for m in config["members"].split(",")] if method == "ensemble" \
         else [method]
     answers = [method_oracle(m, config, train, test, vectors) for m in members]
-    first = config.get("policy", "max_confidence") == "first_success"
     observed = observed_maps(test)
     fill: dict[tuple[str, str], str] = {}
     n_unfilled = 0
-    for (code, feature), cell in sorted(test.cells.items(),
+    for (code, feature), cell in sorted(cells_of(test).items(),
                                         key=lambda item: (test.rows[item[0][0]], item[0][1])):
         if cell.state == OBSERVED:
             continue
-        lang = test.language(code)
+        lang = language_of(test, code)
         best = None
         for answer in answers:
-            found = answer(lang, observed[code], feature)
-            if found is not None and (best is None or found[1] > best[1]):
-                best = found
-            if best is not None and first:
+            best = answer(lang, observed[code], feature)
+            if best is not None:
                 break
         if best is None and fallback:
             best = global_mode_oracle(train, feature)
@@ -1076,12 +1073,12 @@ def score_oracle(gold, system: str, predictions, exclude_missing: bool = False) 
     average are taken over sorted codes and genera.  Raises ValueError
     with ``score``'s message where it must fail."""
     blanked: dict[str, list[tuple[str, str]]] = {}
-    for (code, feature), cell in gold.cells.items():
+    for (code, feature), cell in cells_of(gold).items():
         if cell.state == "blanked":
             blanked.setdefault(code, []).append((feature, cell.value))
     if not blanked:
         raise ValueError("gold dataset has no blanked cells to score")
-    observed = Counter(code for (code, _), cell in gold.cells.items() if cell.state == OBSERVED)
+    observed = Counter(code for (code, _), cell in cells_of(gold).items() if cell.state == OBSERVED)
 
     per_language: dict[str, float] = {}
     language_genus: dict[str, str] = {}

@@ -1,11 +1,17 @@
-"""Seeded generators for synthetic language datasets used across tests."""
+"""Seeded generators for synthetic language datasets used across tests,
+and a per-cell view of the coded cell table for writing them by hand."""
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import Optional
 
-from typoimpute.kb import Cell, Dataset, Language, serialize_dataset
+import numpy as np
+
+from typoimpute.kb import OBSERVED_CODE, STATES, Dataset, DatasetError, Language, serialize_dataset
 
 GENERA = [
     ("GenA", "FamX"),
@@ -14,6 +20,62 @@ GENERA = [
     ("GenD", "FamY"),
     ("GenE", "FamZ"),
 ]
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One (language, feature) cell.
+
+    ``state`` is one of ``observed`` (value known), ``blanked`` (value
+    hidden for evaluation; ``value`` holds the gold answer), or
+    ``unknown`` (no value available; ``value`` is None).
+    """
+
+    state: str
+    value: Optional[str] = None
+
+    @classmethod
+    def observed(cls, value: str) -> "Cell":
+        return cls("observed", value)
+
+    @classmethod
+    def blanked(cls, gold: str) -> "Cell":
+        return cls("blanked", gold)
+
+    @classmethod
+    def unknown(cls) -> "Cell":
+        return cls("unknown", None)
+
+
+def build_dataset(languages: Iterable[Language], cells: Mapping[tuple[str, str], Cell]) -> Dataset:
+    """The dataset of ``languages`` with a (code, feature) -> Cell mapping
+    as its cell table."""
+    languages = list(languages)
+    rows = {lang.code: i for i, lang in enumerate(languages)}
+    for code, _ in cells:
+        if code not in rows:
+            raise DatasetError(f"cell references unknown language {code!r}")
+    # Each cell names its own feature and value; construction interns them.
+    values = [cell.value for cell in cells.values()]
+    index = np.arange(len(values))
+    return Dataset(languages, [feature for _, feature in cells], values,
+                   np.array([rows[code] for code, _ in cells], dtype=np.intp), index,
+                   np.where([value is None for value in values], -1, index),
+                   np.array([STATES.index(cell.state) for cell in cells.values()], dtype=np.int8))
+
+
+def cells_of(d: Dataset) -> dict[tuple[str, str], Cell]:
+    """The cell table of ``d`` as a (code, feature) -> Cell mapping, in
+    table order."""
+    codes = d.codes()
+    values = d.value_names + [None]  # an unknown cell's -1 reads None
+    cells = zip(d.cell_row.tolist(), d.cell_feature.tolist(),
+                d.cell_value.tolist(), d.cell_state.tolist())
+    return {(codes[r], d.feature_names[f]): Cell(STATES[s], values[v]) for r, f, v, s in cells}
+
+
+def language_of(d: Dataset, code: str) -> Language:
+    return d.languages[d.rows[code]]
 
 
 def make_language(
@@ -83,17 +145,18 @@ def random_dataset(
             chosen.append(missing.pop(rng.randrange(len(missing))))
         for feature in chosen:
             cells[(code, feature)] = Cell.observed(f"v{rng.randrange(n_values)}")
-    return Dataset.build(languages, cells)
+    return build_dataset(languages, cells)
 
 
 def blank_some(dataset: Dataset, rng: random.Random, per_language: int = 1) -> Dataset:
     """Turn up to ``per_language`` observed cells per language into
     blanked cells carrying their gold value; languages keep at least one
     observed cell."""
-    cells = dict(dataset.cells)
+    table = cells_of(dataset)
+    cells = dict(table)
     for lang in dataset.languages:
         observed = sorted(
-            f for (c, f), cell in dataset.cells.items()
+            f for (c, f), cell in table.items()
             if c == lang.code and cell.state == "observed"
         )
         if len(observed) < 2:
@@ -101,7 +164,7 @@ def blank_some(dataset: Dataset, rng: random.Random, per_language: int = 1) -> D
         n = min(per_language, len(observed) - 1)
         for feature in rng.sample(observed, n):
             cells[(lang.code, feature)] = Cell.blanked(cells[(lang.code, feature)].value)
-    return Dataset.build(dataset.languages, cells)
+    return build_dataset(dataset.languages, cells)
 
 
 def as_text(dataset: Dataset, **kwargs) -> str:
@@ -110,8 +173,11 @@ def as_text(dataset: Dataset, **kwargs) -> str:
 
 def observed_of(dataset: Dataset, code: str) -> dict[str, str]:
     """feature -> value over the observed cells of one language."""
-    return {feature: cell.value for (c, feature), cell in dataset.cells.items()
-            if c == code and cell.state == "observed"}
+    row = dataset.rows[code]
+    lo, hi = dataset.bounds[row], dataset.bounds[row + 1]
+    return {dataset.feature_names[f]: dataset.value_names[v] for f, v, s in zip(
+        dataset.cell_feature[lo:hi].tolist(), dataset.cell_value[lo:hi].tolist(),
+        dataset.cell_state[lo:hi].tolist()) if s == OBSERVED_CODE}
 
 
 def predict_one(imputer, language: Language, observed: dict[str, str], target: str):
@@ -124,5 +190,5 @@ def predict_one(imputer, language: Language, observed: dict[str, str], target: s
         raise ValueError(f"target {target!r} is already observed")
     cells = {(language.code, feature): Cell.observed(value) for feature, value in observed.items()}
     cells[(language.code, target)] = Cell.unknown()
-    test = Dataset.build([language], cells)
+    test = build_dataset([language], cells)
     return fill_dataset(imputer, test).get((language.code, target))

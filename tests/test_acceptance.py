@@ -26,7 +26,7 @@ from typoimpute.imputers import (
     fill_dataset,
     solve_ridge,
 )
-from typoimpute.kb import BLANKED, OBSERVED, Cell, Dataset, parse_dataset, serialize_dataset
+from typoimpute.kb import BLANKED, OBSERVED, parse_dataset, serialize_dataset
 from typoimpute.splits import SplitSpec, blank_features, blanking_ratios, build_controlled_split, even_spacing
 
 from oracles import (
@@ -38,7 +38,7 @@ from oracles import (
     normal_equation_residual,
     vote_prediction_oracle,
 )
-from synth import make_language, predict_one, random_dataset
+from synth import Cell, build_dataset, cells_of, language_of, make_language, predict_one, random_dataset
 
 
 def _verdict(number, label, ok):
@@ -55,12 +55,12 @@ def make_gold(rows, n_observed=2):
             cells[(code, feature)] = Cell.blanked(value)
         for i in range(n_observed):
             cells[(code, f"obs{i}")] = Cell.observed("o")
-    return Dataset.build(languages, cells)
+    return build_dataset(languages, cells)
 
 
 def predictions_for(gold, correct_keys, wrong_value="WRONG"):
     out = {}
-    for (code, feature), cell in gold.cells.items():
+    for (code, feature), cell in cells_of(gold).items():
         if cell.state == BLANKED:
             key = (code, feature)
             out[key] = cell.value if key in correct_keys else wrong_value
@@ -88,12 +88,12 @@ def _split_fixture(rng):
         languages.append(make_language(code, genus=genus, family=family, lat=lat, lon=lon))
         for j in range(4):
             cells[(code, f"f{j}")] = Cell.observed(f"v{rng.randrange(3)}")
-    return Dataset.build(languages, cells)
+    return build_dataset(languages, cells)
 
 
 def _membership_violations(d, spec, result):
     held = {lang.code for lang in d.languages if lang.genus in spec.held_out_genera}
-    held_langs = [d.language(code) for code in sorted(held)]
+    held_langs = [language_of(d, code) for code in sorted(held)]
     remainder = [lang for lang in d.languages if lang.code not in held]
     test_codes = set(result.test.codes())
     train_codes = set(result.train.codes())
@@ -165,12 +165,12 @@ def test_acceptance_2_counting_oracles():
 
         for target in train.features():
             # every language at once, each observing all but the target
-            cells = {key: cell for key, cell in train.cells.items() if key[1] != target}
-            test = Dataset.build(train.languages,
+            cells = {key: cell for key, cell in cells_of(train).items() if key[1] != target}
+            test = build_dataset(train.languages,
                                  {**cells, **{(c, target): Cell.unknown() for c in train.codes()}})
             got = [fill_dataset(imp, test) for imp in (freq, backoff, corr)]
             for code in train.codes():
-                lang = train.language(code)
+                lang = language_of(train, code)
                 observed = {f: cell.value for (c, f), cell in cells.items() if c == code}
                 pred_freq, pred_backoff, pred = (g.get((code, target)) for g in got)
 
@@ -299,7 +299,7 @@ def test_acceptance_5_metric_identities():
         # permutation invariance under record order
         shuffled_langs = list(gold.languages)
         rng.shuffle(shuffled_langs)
-        shuffled = Dataset.build(shuffled_langs, gold.cells)
+        shuffled = build_dataset(shuffled_langs, cells_of(gold))
         again = score(shuffled, SystemOutput("sys", predictions_for(shuffled, correct)))
         if (again.macro_accuracy != base.macro_accuracy
                 or again.micro_accuracy != base.micro_accuracy):
@@ -345,7 +345,7 @@ def test_acceptance_6_blanking():
         ):
             ok = False
         for code in blanked.codes():
-            states = [c.state for (c2, _), c in blanked.cells.items() if c2 == code]
+            states = [c.state for (c2, _), c in cells_of(blanked).items() if c2 == code]
             if OBSERVED not in states or BLANKED not in states:
                 ok = False
 
@@ -401,7 +401,7 @@ def test_acceptance_7_deterministic_implication():
                 if rng.random() < 0.5:
                     cells[(code, "C")] = Cell.observed("const")
                 i += 1
-        train = Dataset.build(languages, cells)
+        train = build_dataset(languages, cells)
         imp = CorrelationImputer(min_support=5).fit(train)
         for a in a_values:
             if predict_one(imp, make_language("qry"), {"A": a}, "B").value != mapping[a]:
@@ -458,7 +458,7 @@ def test_acceptance_8_parser_fuzz():
         if " ".join(lang.country_codes) != countries:
             ok = False
         parsed_features = {
-            f: c.value for (_, f), c in d.cells.items() if c.state == OBSERVED
+            f: c.value for (_, f), c in cells_of(d).items() if c.state == OBSERVED
         }
         if parsed_features != features:
             ok = False

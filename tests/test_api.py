@@ -15,6 +15,30 @@ from typoimpute.splits import SplitSpec
 
 SUBMODULES = (configio, errors, evaluate, geo, imputers, kb, splits)
 
+PUBLIC = (
+    "ConfigError", "DEFAULT_HELD_OUT_GENERA", "Dataset", "DatasetError", "EARTH_RADIUS_KM",
+    "EvalReport", "EvaluationError", "Imputer", "Language", "NoPredictionError", "ParseError",
+    "Prediction", "SplitError", "SplitResult", "SplitSpec", "SystemOutput",
+    "UndefinedCorrelationError", "build_controlled_split", "build_imputer", "fill_dataset",
+    "filter_dataset", "haversine_km", "parse_dataset", "random_split", "score",
+    "serialize_dataset",
+)
+IMPUTERS = (
+    "ALL_BLOCKS", "CorrelationImputer", "EnsembleImputer", "GenusFamilyBackoffImputer",
+    "GeoBackoffImputer", "GlobalFrequencyImputer", "Imputer", "KNOWN_KEYS", "METHODS",
+    "NearestNeighborImputer", "NoPredictionError", "Prediction", "PriorFeatureSpace",
+    "RidgePriorImputer", "build_imputer", "fill_dataset", "load_language_vectors", "solve_ridge",
+)
+
+
+def test_public_names_are_the_listed_ones():
+    """The cell table is the only data model (no ``Cell``) and an
+    ensemble has one way to combine its members (no ``POLICIES``)."""
+    assert sorted(typoimpute.__all__) == sorted([*PUBLIC, "__version__"])
+    assert sorted(imputers.__all__) == sorted(IMPUTERS)
+    for module in SUBMODULES:
+        assert not hasattr(module, "Cell") and not hasattr(module, "POLICIES"), module
+
 
 @pytest.mark.parametrize("name", [n for n in typoimpute.__all__ if n != "__version__"])
 def test_public_name_is_its_defining_modules_object(name):

@@ -13,10 +13,10 @@ import pytest
 import typoimpute
 from typoimpute.cli import build_parser, main
 from typoimpute.configio import parse_kv, read_kv
-from typoimpute.kb import BLANKED, OBSERVED, UNKNOWN, Cell, Dataset, parse_dataset, serialize_dataset
+from typoimpute.kb import BLANKED, OBSERVED, UNKNOWN, parse_dataset, serialize_dataset
 
 from oracles import impute_loop_oracle
-from synth import blank_some, make_language, random_dataset
+from synth import Cell, blank_some, build_dataset, cells_of, make_language, random_dataset
 
 
 def _corpus_dataset():
@@ -35,7 +35,7 @@ def _corpus_dataset():
             for f in range(6):
                 cells[(code, f"f{f} Feature {f}")] = Cell.observed(f"v{(i + f) % 3}")
             i += 1
-    return Dataset.build(languages, cells)
+    return build_dataset(languages, cells)
 
 
 @pytest.fixture
@@ -110,7 +110,7 @@ def test_controlled_split_outputs(tmp_path, corpus, spec_file):
     )
     assert test.languages  # GenA held out
     assert all(lang.genus != "GenA" for lang in train.languages)
-    blanked = [c for c in test.cells.values() if c.state == BLANKED]
+    blanked = [c for c in cells_of(test).values() if c.state == BLANKED]
     assert blanked and all(c.value is not None for c in blanked)
     _manifest_is_timestamp_free(out_dir / "run_manifest.txt")
 
@@ -186,6 +186,40 @@ def test_split_non_finite_or_negative_setting_is_config_error(tmp_path, corpus, 
     assert not list((tmp_path / "x").glob("*.tsv"))
 
 
+@pytest.mark.parametrize("flags,spec,message", [
+    ([], "genera=\nholdout_fraction=0\n",
+     "split leaves the test set empty (genera=, radius_km=1000.0, holdout_fraction=0.0)"),
+    ([], "genera=GenA\nholdout_fraction=1.0\n",
+     "split leaves no observed cell to train on "
+     "(genera=GenA, radius_km=1000.0, holdout_fraction=1.0)"),
+    (["--random-fractions", "1,0,0", "--seed", "1"], None,
+     "split leaves the test set empty (--random-fractions 1,0,0)"),
+    (["--random-fractions", "0,0.5,0.5", "--seed", "1"], None,
+     "split leaves no observed cell to train on (--random-fractions 0,0.5,0.5)"),
+], ids=["empty-test", "all-held-out", "random-empty-test", "random-empty-train"])
+def test_split_that_the_next_stage_rejects_is_a_data_error(tmp_path, corpus, capsys,
+                                                           flags, spec, message):
+    """``split`` writes nothing, not even its directory, when ``impute``
+    or ``evaluate`` would reject what it wrote."""
+    out_dir = tmp_path / "out"
+    argv = ["split", "--input", str(corpus), "--out-dir", str(out_dir), *flags]
+    if spec is not None:
+        (tmp_path / "spec.cfg").write_text(spec, encoding="utf-8")
+        argv += ["--spec", str(tmp_path / "spec.cfg")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_blank_with_nothing_to_hide_is_a_data_error(tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["blank", "--input", str(empty), "--out-dir", str(out_dir), "--seed", "1"]) == 2
+    assert capsys.readouterr().err == f"data error: {empty} has no language to blank\n"
+    assert not out_dir.exists()
+
+
 def test_blank_command(tmp_path, corpus):
     out_dir = tmp_path / "blanked"
     assert main([
@@ -195,7 +229,7 @@ def test_blank_command(tmp_path, corpus):
     blanked = parse_dataset(
         (out_dir / "blanked.tsv").read_text(encoding="utf-8"), gold=gold
     )
-    states = [c.state for c in blanked.cells.values()]
+    states = [c.state for c in cells_of(blanked).values()]
     assert BLANKED in states and OBSERVED in states
     ratios_text = (out_dir / "ratios.csv").read_text(encoding="utf-8")
     lines = ratios_text.splitlines()
@@ -210,7 +244,7 @@ def test_blank_requires_seed(tmp_path, corpus):
 
 
 def test_blank_too_sparse_is_data_error(tmp_path):
-    d = Dataset.build([make_language("aaa")], {("aaa", "f0"): Cell.observed("x")})
+    d = build_dataset([make_language("aaa")], {("aaa", "f0"): Cell.observed("x")})
     path = tmp_path / "tiny.tsv"
     path.write_text(serialize_dataset(d), encoding="utf-8")
     code = main(["blank", "--input", str(path), "--out-dir", str(tmp_path / "b"),
@@ -236,7 +270,7 @@ def test_impute_fallback_fills_everything(tmp_path, split_dirs):
     ])
     assert code == 0
     filled = parse_dataset(out.read_text(encoding="utf-8"))
-    assert all(cell.state == OBSERVED for cell in filled.cells.values())
+    assert all(cell.state == OBSERVED for cell in cells_of(filled).values())
     items = _manifest_is_timestamp_free(tmp_path / "filled.tsv.manifest")
     assert items["param.fallback"] == "True"
     assert items["param.method"] == "frequency"
@@ -245,8 +279,8 @@ def test_impute_fallback_fills_everything(tmp_path, split_dirs):
 def test_impute_no_fallback_leaves_unknowns(tmp_path, split_dirs):
     # target feature unseen in training: strip f5 rows from train
     train = parse_dataset((split_dirs / "train.tsv").read_text(encoding="utf-8"))
-    kept = {k: c for k, c in train.cells.items() if not k[1].startswith("f5")}
-    reduced = Dataset.build(train.languages, kept)
+    kept = {k: c for k, c in cells_of(train).items() if not k[1].startswith("f5")}
+    reduced = build_dataset(train.languages, kept)
     reduced_path = tmp_path / "train_nof5.tsv"
     reduced_path.write_text(serialize_dataset(reduced), encoding="utf-8")
 
@@ -254,14 +288,14 @@ def test_impute_no_fallback_leaves_unknowns(tmp_path, split_dirs):
     test_plain = parse_dataset(test_path.read_text(encoding="utf-8"))
     target_feature = next(f for f in test_plain.features() if f.startswith("f5"))
     hidden_f5 = [
-        k for k, c in test_plain.cells.items()
+        k for k, c in cells_of(test_plain).items()
         if k[1] == target_feature and c.state != OBSERVED
     ]
     if not hidden_f5:  # ensure at least one hidden f5 cell
         code0 = test_plain.codes()[0]
-        cells = dict(test_plain.cells)
+        cells = dict(cells_of(test_plain))
         cells[(code0, target_feature)] = Cell.unknown()
-        test_plain = Dataset.build(test_plain.languages, cells)
+        test_plain = build_dataset(test_plain.languages, cells)
         test_path = tmp_path / "test_forced.tsv"
         test_path.write_text(serialize_dataset(test_plain), encoding="utf-8")
         hidden_f5 = [(code0, target_feature)]
@@ -274,7 +308,7 @@ def test_impute_no_fallback_leaves_unknowns(tmp_path, split_dirs):
     assert code == 0
     filled = parse_dataset(out.read_text(encoding="utf-8"))
     for key in hidden_f5:
-        assert filled.cells[key].state == UNKNOWN
+        assert cells_of(filled)[key].state == UNKNOWN
     items = read_kv(f"{out}.manifest")
     assert items["param.fallback"] == "False"
 
@@ -548,7 +582,7 @@ def test_summary_and_report_render_ranking_and_breakdown_alike(tmp_path):
     filled = {"b": gold, "a": {**gold, **wrong, ("l3", "f2"): Cell.observed("y")},
               "c": {**gold, **wrong, ("l3", "f2"): Cell.unknown()}}
     for name, cells in [("gold", gold), ("test", test), *filled.items()]:
-        (tmp_path / f"{name}.tsv").write_text(serialize_dataset(Dataset.build(languages, cells)),
+        (tmp_path / f"{name}.tsv").write_text(serialize_dataset(build_dataset(languages, cells)),
                                               encoding="utf-8")
     (tmp_path / "spec.cfg").write_text("genera=GenB\n", encoding="utf-8")
     assert main(["evaluate", "--test", str(tmp_path / "test.tsv"),
@@ -840,10 +874,10 @@ IMPUTE_CONFIGS = {
     "correlation": "method=correlation\nmin_support=25\n",
     "ridge": "method=ridge\nmin_support=2\n",
     "ridge_context": "method=ridge\nmin_support=2\nuse_context=true\n",
+    # Both ensembles ask their members in turn; the ids name the policies
+    # ensembles had before max_confidence was removed.
     "ensemble_max": "method=ensemble\nmembers=correlation,genus_family\nmin_support=25\n",
-    "ensemble_first": (
-        "method=ensemble\nmembers=correlation,knn\npolicy=first_success\nmin_support=25\n"
-    ),
+    "ensemble_first": "method=ensemble\nmembers=correlation,knn\nmin_support=25\n",
 }
 
 
@@ -857,13 +891,13 @@ def impute_files(tmp_path_factory):
     codes = data.codes()
     unseen = data.features()[-1]
     train = data.subset(codes[:50])
-    train = Dataset.build(train.languages,
-                          {k: c for k, c in train.cells.items() if k[1] != unseen})
+    train = build_dataset(train.languages,
+                          {k: c for k, c in cells_of(train).items() if k[1] != unseen})
     test = blank_some(data.subset(codes[50:]), rng, per_language=2)
-    cells = dict(test.cells)
+    cells = dict(cells_of(test))
     for code in test.codes()[::3]:
         cells[(code, unseen)] = Cell.unknown()
-    test = Dataset.build(test.languages, cells)
+    test = build_dataset(test.languages, cells)
     (tmp / "train.tsv").write_text(serialize_dataset(train), encoding="utf-8")
     (tmp / "test.tsv").write_text(serialize_dataset(test), encoding="utf-8")
     return tmp
@@ -948,10 +982,11 @@ def test_impute_builds_one_table_per_training_set(tmp_path, impute_files, monkey
     "method=ridge\nk=3\n",
     "method=frequency\nk=0\nlambda=-3\n",
     "method=ensemble\nmembers=knn,frequency\nlambda=2\n",
+    "method=ensemble\nmembers=knn,frequency\npolicy=first_success\n",
 ], ids=["k0", "lambda-neg", "lambda-zero", "lambda-nan", "lambda-inf", "near-nan",
         "alpha-nan", "alpha-neg", "ensemble-lambda", "near-neg", "far-neg", "far-below-near",
         "areal-neg", "ridge-support-neg", "correlation-support-neg", "ridge-unread-k",
-        "frequency-unread", "ensemble-unread-lambda"])
+        "frequency-unread", "ensemble-unread-lambda", "ensemble-policy"])
 def test_impute_bad_numeric_setting_is_config_error(tmp_path, impute_files, capsys, config):
     cfg = tmp_path / "imputer.cfg"
     cfg.write_text(config, encoding="utf-8")

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from typoimpute.coded import CodedCounts, GroupCounts, count_matmul
-from typoimpute.kb import Cell, Dataset
+from typoimpute.kb import Dataset
 
 from oracles import add_at_group_table, coded_tables_oracle, encode_oracle, observed_maps
-from synth import make_language, random_dataset
+from synth import Cell, build_dataset, make_language, random_dataset
 
 DTYPES = {"onehot": np.bool_, "seen": np.bool_, "joint": np.int64, "support": np.int64,
           "marginal": np.int64, "totals": np.int64}
@@ -66,17 +66,17 @@ def test_tables_match_int64_oracle_for_single_language_groups():
 
 
 def test_tables_match_int64_oracle_on_zero_languages():
-    empty = Dataset.build([], {})
-    one = Dataset.build([make_language("aaa")], {("aaa", "f1"): Cell.observed("x")})
+    empty = build_dataset([], {})
+    one = build_dataset([make_language("aaa")], {("aaa", "f1"): Cell.observed("x")})
     for sources in ([empty], [empty, empty], [empty, one], [one, empty]):
         _check_tables(CodedCounts(sources), sources)
     assert GroupCounts([], np.zeros((0, 4), dtype=bool)).table.tolist() == [[0, 0, 0, 0]]
 
 
 def test_context_only_values_get_columns_and_repeated_codes_count_once():
-    train = Dataset.build([make_language("aaa"), make_language("bbb")],
+    train = build_dataset([make_language("aaa"), make_language("bbb")],
                           {("aaa", "f1"): Cell.observed("x"), ("bbb", "f1"): Cell.observed("y")})
-    context = Dataset.build([make_language("bbb"), make_language("ccc")],
+    context = build_dataset([make_language("bbb"), make_language("ccc")],
                             {("bbb", "f1"): Cell.observed("z"), ("ccc", "f1"): Cell.observed("z")})
     counts = CodedCounts([train, context])
     assert counts.columns == {"f1": {"x": 0, "y": 1, "z": 2}}

@@ -4,14 +4,13 @@ import random
 
 import pytest
 
-from typoimpute.kb import Cell, Dataset
 from typoimpute.imputers import (
     CorrelationImputer,
     fill_dataset,
 )
 
 from oracles import correlation_scores_oracle, mapped_votes_oracle, nmi_oracle
-from synth import blank_some, make_language, observed_of, predict_one, random_dataset
+from synth import Cell, blank_some, build_dataset, cells_of, language_of, make_language, observed_of, predict_one, random_dataset
 
 
 def _oracle_prediction(scores):
@@ -35,7 +34,7 @@ def _implication_dataset(n=9, mapping=None):
         cells[(code, "A")] = Cell.observed(a)
         cells[(code, "B")] = Cell.observed(mapping[a])
         cells[(code, "C")] = Cell.observed("const")
-    return Dataset.build(languages, cells), mapping
+    return build_dataset(languages, cells), mapping
 
 
 def test_deterministic_implication_is_recovered():
@@ -79,7 +78,7 @@ def test_hand_computed_vote():
         languages.append(make_language(code))
         cells[(code, "A")] = Cell.observed(a)
         cells[(code, "T")] = Cell.observed(t)
-    train = Dataset.build(languages, cells)
+    train = build_dataset(languages, cells)
     imp = CorrelationImputer(alpha=1.0, min_support=5)
     imp.fit(train)
 
@@ -108,7 +107,7 @@ def test_informative_feature_outvotes_weak_one():
         cells[(code, "A")] = Cell.observed(a)
         cells[(code, "B")] = Cell.observed(b)
         cells[(code, "T")] = Cell.observed(t)
-    train = Dataset.build(languages, cells)
+    train = build_dataset(languages, cells)
     imp = CorrelationImputer()
     imp.fit(train)
     pred = predict_one(imp, make_language("qqq"), {"A": "a1", "B": "b1"}, "T")
@@ -149,7 +148,7 @@ def test_scores_match_oracle_on_random_data():
         imp = CorrelationImputer(alpha=alpha, min_support=min_support)
         imp.fit(train)
         for code in train.codes():
-            lang = train.language(code)
+            lang = language_of(train, code)
             full = observed_of(train, code)
             for target in train.features():
                 observed = {f: v for f, v in full.items() if f != target}
@@ -178,14 +177,14 @@ def test_fill_blanked_cells_end_to_end():
         languages.append(make_language(code))
         cells[(code, "A")] = Cell.observed(a)
         cells[(code, "B")] = Cell.blanked(mapping[a])
-    test = Dataset.build(languages, cells)
+    test = build_dataset(languages, cells)
     imp = CorrelationImputer()
     imp.fit(train)
     predictions = fill_dataset(imp, test)
     assert len(predictions) == 6
     for (code, feature), pred in predictions.items():
         assert feature == "B"
-        assert pred.value == test.cells[(code, "B")].value
+        assert pred.value == cells_of(test)[(code, "B")].value
 
 
 def test_predictions_match_oracle_at_benchmark_size():
@@ -200,7 +199,7 @@ def test_predictions_match_oracle_at_benchmark_size():
     features = train.features()
     decided = ties = 0
     for code in rng.sample(train.codes(), 25):
-        lang = train.language(code)
+        lang = language_of(train, code)
         full = observed_of(train, code)
         observed = {f: v for f, v in full.items() if rng.random() < 0.7}
         # a value no training language has votes evenly: an exact tie
@@ -239,7 +238,7 @@ def test_block_predictions_equal_per_map_totals_bit_for_bit():
     imp = CorrelationImputer(min_support=3).fit(train)
     predictions = fill_dataset(imp, test)
     compared = 0
-    for (code, target), cell in test.cells.items():
+    for (code, target), cell in cells_of(test).items():
         if cell.state == "observed":
             continue
         totals = mapped_votes_oracle(imp, observed_of(test, code), target)

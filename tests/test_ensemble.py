@@ -1,4 +1,4 @@
-"""Ensemble combination policies and config-driven imputer construction."""
+"""Ensemble combination and config-driven imputer construction."""
 
 import importlib
 import random
@@ -20,10 +20,9 @@ from typoimpute.imputers import (
     build_imputer,
     fill_dataset,
 )
-from typoimpute.kb import Cell, Dataset
 from typoimpute.imputers.config import _METHODS as _METHOD_TABLE, METHODS
 
-from synth import make_language, predict_one, random_dataset
+from synth import Cell, build_dataset, make_language, predict_one, random_dataset
 
 
 class _Canned:
@@ -66,51 +65,24 @@ def test_ensemble_of_one_is_identity():
         assert _ask(combined, target) == _ask(solo, target)
 
 
-def test_max_confidence_picks_strongest():
-    ens = EnsembleImputer([_Canned("a", 0.4), _Canned("b", 0.9)])
-    pred = _ask(ens)
-    assert (pred.value, pred.confidence) == ("b", 0.9)
-
-
-def test_max_confidence_tie_goes_to_earlier_member():
-    ens = EnsembleImputer([_Canned("first", 0.7), _Canned("second", 0.7)])
-    assert _ask(ens).value == "first"
-
-
-def test_max_confidence_never_below_any_member():
-    rng = random.Random(91)
-    for _ in range(50):
-        members = [_Canned(f"v{i}", round(rng.random(), 3)) for i in range(4)]
-        ens = EnsembleImputer(members)
-        pred = _ask(ens)
-        assert pred.confidence >= max(m.confidence for m in members)
-
-
-def test_max_confidence_skips_failing_members():
-    ens = EnsembleImputer([_Canned(None), _Canned("b", 0.2)])
-    assert _ask(ens).value == "b"
-
-
 def test_first_success_respects_order():
-    ens = EnsembleImputer([_Canned("a", 0.1), _Canned("b", 0.9)], policy="first_success")
+    ens = EnsembleImputer([_Canned("a", 0.1), _Canned("b", 0.9)])
     assert _ask(ens).value == "a"
 
 
 def test_first_success_falls_through_failures():
-    ens = EnsembleImputer([_Canned(None), _Canned(None), _Canned("c", 0.3)],
-                          policy="first_success")
+    ens = EnsembleImputer([_Canned(None), _Canned(None), _Canned("c", 0.3)])
     assert _ask(ens).value == "c"
 
 
-@pytest.mark.parametrize("policy", ["max_confidence", "first_success"])
-def test_all_members_failing_leaves_cell_out(policy):
-    ens = EnsembleImputer([_Canned(None), _Canned(None)], policy=policy)
+def test_all_members_failing_leaves_cell_out():
+    ens = EnsembleImputer([_Canned(None), _Canned(None)])
     assert _ask(ens) is None
 
 
 def _three_cells():
     """One test language hiding the features f, g and h."""
-    return Dataset.build([make_language("qqq")],
+    return build_dataset([make_language("qqq")],
                          {("qqq", f): Cell.unknown() for f in ("f", "g", "h")})
 
 
@@ -118,21 +90,12 @@ def test_first_success_asks_later_members_only_about_unanswered_cells():
     first = _Canned("a", 0.1, targets={"g"})
     second = _Canned("b", 0.9, targets={"f"})
     last = _Canned("c", 0.5)
-    predictions = fill_dataset(EnsembleImputer([first, second, last], "first_success"),
-                               _three_cells())
+    predictions = fill_dataset(EnsembleImputer([first, second, last]), _three_cells())
     assert {f: p.value for (_, f), p in predictions.items()} == {"f": "b", "g": "a", "h": "c"}
     assert (first.asked, second.asked, last.asked) == ([[0, 1, 2]], [[0, 2]], [[2]])
     done = _Canned("d")
-    fill_dataset(EnsembleImputer([done, last], "first_success"), _three_cells())
+    fill_dataset(EnsembleImputer([done, last]), _three_cells())
     assert last.asked == [[2]]  # nothing left for it
-
-
-def test_max_confidence_compares_cell_by_cell():
-    members = [_Canned("a", 0.6, targets={"f", "g"}), _Canned("b", 0.6, targets={"g", "h"}),
-               _Canned("c", 0.7, targets={"h"})]
-    predictions = fill_dataset(EnsembleImputer(members), _three_cells())
-    assert {f: p.value for (_, f), p in predictions.items()} == {"f": "a", "g": "a", "h": "c"}
-    assert [m.asked for m in members] == [[[0, 1, 2]]] * 3
 
 
 def test_member_prediction_passed_through_unchanged():
@@ -151,8 +114,6 @@ def test_fit_reaches_every_member():
 def test_constructor_validation():
     with pytest.raises(ValueError, match="at least one member"):
         EnsembleImputer([])
-    with pytest.raises(ValueError, match="unknown policy"):
-        EnsembleImputer([_Canned("a")], policy="vote")
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +163,8 @@ def test_build_ensemble_with_members():
     ens = build_imputer({
         "method": "ensemble",
         "members": "frequency, correlation",
-        "policy": "first_success",
     })
     assert isinstance(ens, EnsembleImputer)
-    assert ens.policy == "first_success"
     assert isinstance(ens.members[0], GlobalFrequencyImputer)
     assert isinstance(ens.members[1], CorrelationImputer)
 
@@ -233,11 +192,13 @@ def test_build_ensemble_members_share_overrides():
         ({"method": "ensemble"}, "missing the members"),
         ({"method": "ensemble", "members": " , "}, "members list is empty"),
         ({"method": "ensemble", "members": "frequency,ensemble"}, "cannot nest"),
-        ({"method": "ensemble", "members": "frequency", "policy": "vote"}, "unknown policy"),
+        ({"method": "ensemble", "members": "frequency", "policy": "vote"},
+         "unknown config keys: policy$"),
         ({"method": "frequency", "k": "0"}, "does not read config keys: k$"),
         ({"method": "frequency", "lambda": "-3"}, "does not read config keys: lambda$"),
         ({"method": "ridge", "k": "3"}, "does not read config keys: k$"),
-        ({"method": "knn", "policy": "first_success"}, "does not read config keys: policy$"),
+        ({"method": "ensemble", "members": "frequency,knn", "policy": "first_success"},
+         "unknown config keys: policy$"),
         ({"method": "correlation", "members": "frequency"}, "does not read config keys: members$"),
         ({"method": "ensemble", "members": "frequency,knn", "areal_km": "10"},
          "does not read config keys: areal_km$"),

@@ -27,7 +27,6 @@ from typoimpute.evaluate import (
     pearson,
     score,
 )
-from typoimpute.kb import Cell, Dataset
 
 from oracles import (
     exhaustive_permutation_p,
@@ -37,7 +36,7 @@ from oracles import (
     score_oracle,
     t_tail_oracle,
 )
-from synth import blank_some, make_language, random_dataset
+from synth import Cell, blank_some, build_dataset, cells_of, make_language, random_dataset
 
 
 def make_gold(rows, n_observed=2):
@@ -51,13 +50,13 @@ def make_gold(rows, n_observed=2):
             cells[(code, feature)] = Cell.blanked(value)
         for i in range(n_observed):
             cells[(code, f"obs{i}")] = Cell.observed("o")
-    return Dataset.build(languages, cells)
+    return build_dataset(languages, cells)
 
 
 def predictions_for(gold, correct_keys, wrong_value="WRONG"):
     """Predict every blanked cell; keys in correct_keys get the gold value."""
     out = {}
-    for (code, feature), cell in gold.cells.items():
+    for (code, feature), cell in cells_of(gold).items():
         if cell.state != "blanked":
             continue
         if (code, feature) in correct_keys:
@@ -145,7 +144,7 @@ def test_non_blanked_predictions_warn_and_are_ignored(caplog):
 
 def test_score_requires_blanked_cells():
     languages = [make_language("la1")]
-    gold = Dataset.build(languages, {("la1", "f1"): Cell.observed("x")})
+    gold = build_dataset(languages, {("la1", "f1"): Cell.observed("x")})
     with pytest.raises(EvaluationError, match="no blanked cells"):
         score(gold, SystemOutput("sys", {}))
 
@@ -176,7 +175,7 @@ def test_score_invariant_under_language_order():
         ("lc1", "C", {"f2": "w"}),
     ]
     gold = make_gold(rows)
-    shuffled = Dataset.build(list(reversed(gold.languages)), gold.cells)
+    shuffled = build_dataset(list(reversed(gold.languages)), cells_of(gold))
     correct = {("la1", "f1"), ("lb1", "f2")}
     a = score(gold, SystemOutput("sys", predictions_for(gold, correct)))
     b = score(shuffled, SystemOutput("sys", predictions_for(shuffled, correct)))
@@ -235,14 +234,14 @@ def _scoring_case(rng):
     data = random_dataset(rng, n_languages=rng.randint(1, 8), n_features=rng.randint(1, 5),
                           n_values=rng.randint(1, 3), p_observed=0.7)
     gold = blank_some(data, rng, per_language=rng.randint(0, 3))
-    cells = dict(gold.cells)
+    cells = dict(cells_of(gold))
     for code in gold.codes():
         for feature in gold.features():
             if (code, feature) not in cells and rng.random() < 0.5:
                 cells[(code, feature)] = Cell.unknown()
-    gold = Dataset.build(gold.languages, cells)
+    gold = build_dataset(gold.languages, cells)
     predictions = {}
-    for key, cell in sorted(gold.cells.items()):
+    for key, cell in sorted(cells_of(gold).items()):
         kind = rng.choice(["right", "wrong", "unheard", "missing"] if cell.state == "blanked"
                           else ["stray", "none", "none"])
         if kind == "right":
@@ -251,11 +250,11 @@ def _scoring_case(rng):
             predictions[key] = rng.choice([v for v in gold.value_names if v != cell.value] or ["zz"])
         elif kind in ("unheard", "stray"):
             predictions[key] = "zz"
-    hidden = sorted({code for (code, _), cell in gold.cells.items() if cell.state == "blanked"})
+    hidden = sorted({code for (code, _), cell in cells_of(gold).items() if cell.state == "blanked"})
     if hidden:
         dropped = rng.choice(hidden)
         predictions = {key: v for key, v in predictions.items()
-                       if key[0] != dropped or gold.cells[key].state != "blanked"}
+                       if key[0] != dropped or cells_of(gold)[key].state != "blanked"}
     predictions[("zzz", gold.features()[0])] = "v0"
     predictions[(gold.codes()[0], "no such feature")] = "v0"
     return gold, predictions
@@ -612,12 +611,12 @@ def test_genus_breakdown_rows():
 
 def test_output_from_dataset_collects_filled_hidden_cells():
     languages = [make_language("la1")]
-    reference = Dataset.build(languages, {
+    reference = build_dataset(languages, {
         ("la1", "f1"): Cell.blanked("x"),
         ("la1", "f2"): Cell.unknown(),
         ("la1", "f3"): Cell.observed("kept"),
     })
-    filled = Dataset.build(languages, {
+    filled = build_dataset(languages, {
         ("la1", "f1"): Cell.observed("px"),
         ("la1", "f2"): Cell.observed("py"),
         ("la1", "f3"): Cell.observed("kept"),
@@ -628,7 +627,7 @@ def test_output_from_dataset_collects_filled_hidden_cells():
 
 def test_output_from_dataset_skips_still_unknown():
     languages = [make_language("la1")]
-    reference = Dataset.build(languages, {("la1", "f1"): Cell.blanked("x")})
-    filled = Dataset.build(languages, {("la1", "f1"): Cell.unknown()})
+    reference = build_dataset(languages, {("la1", "f1"): Cell.blanked("x")})
+    filled = build_dataset(languages, {("la1", "f1"): Cell.unknown()})
     out = output_from_dataset("sys", filled, reference)
     assert out.predictions == {}

@@ -11,7 +11,6 @@ import pytest
 from typoimpute.geo import haversine_km
 from typoimpute.kb import DatasetError
 
-from typoimpute.kb import Cell, Dataset
 from typoimpute.imputers import (
     GenusFamilyBackoffImputer,
     GeoBackoffImputer,
@@ -32,7 +31,7 @@ from oracles import (
     knn_oracle,
     observed_maps,
 )
-from synth import blank_some, make_language, observed_of, predict_one, random_dataset
+from synth import Cell, blank_some, build_dataset, cells_of, language_of, make_language, observed_of, predict_one, random_dataset
 
 
 def _answer(pred):
@@ -69,7 +68,7 @@ def test_global_frequency_spec_example():
     for i, lang in enumerate(languages):
         value = "SOV" if i < 5 else "SVO"
         cells[(lang.code, "81A Order")] = Cell.observed(value)
-    train = Dataset.build(languages, cells)
+    train = build_dataset(languages, cells)
     imp = GlobalFrequencyImputer()
     imp.fit(train)
     query = (make_language("new"), {}, "81A Order")
@@ -113,7 +112,7 @@ def test_genus_family_levels():
         ("ab1", "f"): Cell.observed("y"),
         ("ac1", "f"): Cell.observed("z"),
     }
-    train = Dataset.build(languages, cells)
+    train = build_dataset(languages, cells)
     imp = GenusFamilyBackoffImputer()
     imp.fit(train)
 
@@ -138,7 +137,7 @@ def test_genus_family_matches_oracle():
         imp = GenusFamilyBackoffImputer()
         imp.fit(train)
         for code in train.codes():
-            lang = train.language(code)
+            lang = language_of(train, code)
             for target in train.features():
                 want = genus_family_oracle(train, lang, target)
                 query = (lang, {}, target)
@@ -169,14 +168,14 @@ def _geo_fixture():
         ("qqq", "g"): Cell.observed("other"),
         ("nr1", "g"): Cell.observed("other"),
     }
-    return Dataset.build(languages, cells)
+    return build_dataset(languages, cells)
 
 
 def test_geo_backoff_neighborhood_mode():
     train = _geo_fixture()
     imp = GeoBackoffImputer(near_km=500.0, far_km=2000.0)
     imp.fit(train)
-    pred = predict_one(imp, train.language("qqq"), {}, "f")
+    pred = predict_one(imp, language_of(train, "qqq"), {}, "f")
     # two holders within 500 km, tie broken lexicographically
     assert pred.value == "near1"
     assert pred.source == "neighborhood"
@@ -187,7 +186,7 @@ def test_geo_backoff_nearest_family():
     train = _geo_fixture()
     imp = GeoBackoffImputer(near_km=50.0, far_km=2000.0)
     imp.fit(train)
-    pred = predict_one(imp, train.language("qqq"), {}, "f")
+    pred = predict_one(imp, language_of(train, "qqq"), {}, "f")
     # nobody within 50 km; nearest holder within 2000 km is nr1 (FamN1),
     # whose family holds only {near1}
     assert (pred.value, pred.source) == ("near1", "nearest-family")
@@ -206,10 +205,10 @@ def test_geo_backoff_family_mode_spans_family():
         ("fr3", "f"): Cell.observed("b"),
         ("qqq", "g"): Cell.observed("x"),
     }
-    train = Dataset.build(languages, cells)
+    train = build_dataset(languages, cells)
     imp = GeoBackoffImputer(near_km=100.0, far_km=3000.0)
     imp.fit(train)
-    pred = predict_one(imp, train.language("qqq"), {}, "f")
+    pred = predict_one(imp, language_of(train, "qqq"), {}, "f")
     # nearest holder fr1 belongs to FamF; mode over all FamF holders is b
     assert (pred.value, pred.source) == ("b", "nearest-family")
     assert pred.confidence == pytest.approx(2 / 3)
@@ -219,7 +218,7 @@ def test_geo_backoff_falls_back_to_global():
     train = _geo_fixture()
     imp = GeoBackoffImputer(near_km=10.0, far_km=20.0)
     imp.fit(train)
-    pred = predict_one(imp, train.language("qqq"), {}, "f")
+    pred = predict_one(imp, language_of(train, "qqq"), {}, "f")
     assert pred.source == "global"
     assert pred.value == "far1"  # lexicographic among four singleton counts
 
@@ -234,10 +233,10 @@ def test_geo_backoff_prefers_genus_family():
         ("sib", "f"): Cell.observed("genusval"),
         ("nbr", "f"): Cell.observed("nearval"),
     }
-    train = Dataset.build(languages, cells)
+    train = build_dataset(languages, cells)
     imp = GeoBackoffImputer(near_km=1000.0, far_km=2000.0)
     imp.fit(train)
-    pred = predict_one(imp, train.language("qqq"), {}, "f")
+    pred = predict_one(imp, language_of(train, "qqq"), {}, "f")
     # the genealogical levels outrank the neighborhood
     assert (pred.value, pred.source) == ("genusval", "genus")
 
@@ -246,10 +245,10 @@ def test_geo_backoff_radii_are_inclusive():
     """A holder exactly at ``near_km`` (or ``far_km``) counts, with the
     distance from the same kernel as ``haversine_km``."""
     train = _geo_fixture()
-    here = train.language("qqq")
+    here = language_of(train, "qqq")
 
     def km(code):
-        return haversine_km(here, train.language(code))
+        return haversine_km(here, language_of(train, code))
 
     def predict(near_km, far_km):
         return predict_one(GeoBackoffImputer(near_km, far_km).fit(train), here, {}, "f")
@@ -277,7 +276,7 @@ def test_geo_backoff_matches_oracle():
         imp = GeoBackoffImputer(near_km=near, far_km=far)
         imp.fit(train)
         for code in train.codes():
-            lang = train.language(code)
+            lang = language_of(train, code)
             for target in train.features():
                 want = geo_backoff_oracle(train, lang, target, near, far)
                 query = (lang, {}, target)
@@ -320,7 +319,7 @@ def _backoff_benchmark_data(rng, n_languages=300, n_features=10, n_queries=40):
         for j in range(n_features):
             if rng.random() < 0.3:
                 cells[(code, f"f{j}")] = Cell.observed(f"v{min(rng.randrange(5), 3)}")
-    train = Dataset.build(languages, cells)
+    train = build_dataset(languages, cells)
 
     queries = rng.sample(languages, n_queries // 4)
     # a training code under other metadata: its own row must not count
@@ -398,7 +397,7 @@ def test_knn_vector_mode_exact_match():
         ("aaa", "f"): Cell.observed("va"),
         ("bbb", "f"): Cell.observed("vb"),
     }
-    train = Dataset.build(languages, cells)
+    train = build_dataset(languages, cells)
     imp = NearestNeighborImputer(k=1, vectors=vectors)
     imp.fit(train)
     pred = predict_one(imp, make_language("qqq"), {}, "f")
@@ -418,7 +417,7 @@ def test_knn_majority_among_k():
         ("aa2", "f"): Cell.observed("A"),
         ("bb1", "f"): Cell.observed("B"),
     }
-    train = Dataset.build(languages, cells)
+    train = build_dataset(languages, cells)
     imp = NearestNeighborImputer(k=3, vectors=vectors)
     imp.fit(train)
     pred = predict_one(imp, make_language("qqq"), {}, "f")
@@ -439,7 +438,7 @@ def test_knn_agreement_fallback_when_no_vectors():
         ("dif", "g"): Cell.observed("9"),
         ("dif", "h"): Cell.observed("9"),
     }
-    train = Dataset.build(languages, cells)
+    train = build_dataset(languages, cells)
     imp = NearestNeighborImputer(k=1)
     imp.fit(train)
     query = (make_language("qqq"), {"g": "1", "h": "2"}, "f")
@@ -459,7 +458,7 @@ def test_knn_agreement_fallback_when_query_has_no_vector():
         ("dif", "f"): Cell.observed("clash"),
         ("dif", "g"): Cell.observed("9"),
     }
-    train = Dataset.build(languages, cells)
+    train = build_dataset(languages, cells)
     imp = NearestNeighborImputer(k=1, vectors=vectors)
     imp.fit(train)
     # query code absent from the vector table: agreement distance applies
@@ -494,7 +493,7 @@ def test_knn_agreement_matches_oracle():
         imp = NearestNeighborImputer(k=k)
         imp.fit(train)
         for code in train.codes():
-            qlang = train.language(code)
+            qlang = language_of(train, code)
             full = dict(observed_of(train, code))
             for target in train.features():
                 observed = {f: v for f, v in full.items() if f != target}
@@ -513,7 +512,7 @@ def _tied_train(same_place):
         languages.append(make_language(code, lat=lat, lon=lon))
         cells[(code, "g")] = Cell.observed("1")
         cells[(code, "f")] = Cell.observed(f"v{i % 3}")
-    return Dataset.build(languages, cells)
+    return build_dataset(languages, cells)
 
 
 def _count_distance_rows(monkeypatch):
@@ -550,7 +549,7 @@ def test_knn_calls_haversine_only_for_ties(monkeypatch):
         cells[(code, "g")] = Cell.observed(g)
         cells[(code, "h")] = Cell.observed(h)
         cells[(code, "f")] = Cell.observed(code)
-    imp = NearestNeighborImputer(k=2).fit(Dataset.build(languages, cells))
+    imp = NearestNeighborImputer(k=2).fit(build_dataset(languages, cells))
     query = (make_language("q"), {"g": "1", "h": "1"}, "f")
     assert predict_one(imp, *query).value == "a"  # distances 0, 0.5, 1: no tie at place 2
     assert rows == []
@@ -564,7 +563,7 @@ def test_knn_neighbourhood_follows_observed_map():
         ("near_h", "g"): Cell.observed("0"), ("near_h", "h"): Cell.observed("1"),
         ("near_h", "f"): Cell.observed("b"),
     }
-    train = Dataset.build(languages, cells)
+    train = build_dataset(languages, cells)
     imp = NearestNeighborImputer(k=1).fit(train)
     qlang = make_language("q", lat=5.0, lon=5.0)
     got = []
@@ -585,11 +584,11 @@ def test_knn_ties_match_oracle_on_random_data():
             make_language(lang.code, lat=places[i % 4][0], lon=places[i % 4][1])
             for i, lang in enumerate(train.languages)
         ]
-        train = Dataset.build(languages, train.cells)
+        train = build_dataset(languages, cells_of(train))
         k = rng.choice([1, 3])
         imp = NearestNeighborImputer(k=k).fit(train)
         for code in train.codes():
-            qlang = train.language(code)
+            qlang = language_of(train, code)
             full = observed_of(train, code)
             for target in train.features():
                 observed = {f: v for f, v in full.items() if f != target}
@@ -599,7 +598,7 @@ def test_knn_ties_match_oracle_on_random_data():
 
 
 def test_knn_no_candidates():
-    train = Dataset.build([make_language("aaa")], {("aaa", "f"): Cell.observed("v")})
+    train = build_dataset([make_language("aaa")], {("aaa", "f"): Cell.observed("v")})
     imp = NearestNeighborImputer(k=2)
     imp.fit(train)
     assert predict_one(imp, make_language("qqq"), {}, "missing feature") is None
@@ -643,7 +642,7 @@ def test_load_language_vectors_rejects_non_finite(tmp_path, component):
 
 
 def test_fill_dataset_asks_once_about_the_hidden_cells():
-    test = Dataset.build(
+    test = build_dataset(
         [make_language("ttt"), make_language("uuu")],
         {("ttt", "f"): Cell.observed("x"), ("ttt", "g"): Cell.unknown(),
          ("uuu", "f"): Cell.blanked("y"), ("uuu", "g"): Cell.observed("z")},
@@ -685,7 +684,7 @@ def test_fill_dataset_fills_every_gap():
         ("t01", feats[1]): Cell.observed("v0"),
         ("t02", feats[0]): Cell.blanked("v1"),
     }
-    test = Dataset.build(test_langs, cells)
+    test = build_dataset(test_langs, cells)
     imp = GlobalFrequencyImputer()
     imp.fit(train)
     predictions = fill_dataset(imp, test)
@@ -695,13 +694,13 @@ def test_fill_dataset_fills_every_gap():
 
 
 def test_fill_dataset_leaves_out_unanswerable_cells():
-    train = Dataset.build([make_language("aaa")], {("aaa", "f"): Cell.observed("v")})
-    test = Dataset.build(
+    train = build_dataset([make_language("aaa")], {("aaa", "f"): Cell.observed("v")})
+    test = build_dataset(
         [make_language("ttt")],
         {("ttt", "f"): Cell.unknown(), ("ttt", "g"): Cell.unknown()},
     )
     imp = GlobalFrequencyImputer().fit(train)
-    assert predict_one(imp, test.language("ttt"), {}, "g") is None
+    assert predict_one(imp, language_of(test, "ttt"), {}, "g") is None
     predictions = fill_dataset(imp, test)
     assert sorted(predictions) == [("ttt", "f")]
     assert predictions[("ttt", "f")].value == "v"
@@ -736,7 +735,7 @@ def test_fill_dataset_blocks_match_per_cell_oracles(name):
     test = blank_some(data.subset(codes[35:]), rng, per_language=3)
     languages = [replace(lang, genus=f"NewG{i}", family=f"NewF{i}") if i % 2 else lang
                  for i, lang in enumerate(test.languages)]
-    test = Dataset.build(languages, test.cells)
+    test = build_dataset(languages, cells_of(test))
     vectors = None
     if name == "knn_vectors":
         vectors = {code: tuple(rng.uniform(-1, 1) for _ in range(3))
@@ -747,12 +746,12 @@ def test_fill_dataset_blocks_match_per_cell_oracles(name):
     answer = oracles.method_oracle(config["method"], config, train, test, vectors)
 
     observed = observed_maps(test)
-    hidden = [key for key, cell in test.cells.items() if cell.state != "observed"]
+    hidden = [key for key, cell in cells_of(test).items() if cell.state != "observed"]
     assert max(Counter(f for _, f in hidden).values()) >= 10
     assert max(Counter(c for c, _ in hidden).values()) >= 3
     answered = 0
     for code, target in hidden:
-        want = answer(test.language(code), observed[code], target)
+        want = answer(language_of(test, code), observed[code], target)
         got = _answer(predictions.get((code, target)))
         if want is not None and config["method"] in ("correlation", "ridge"):
             # totals and scores are floats from another summation order

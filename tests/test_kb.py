@@ -16,7 +16,6 @@ from typoimpute.kb import (
     OBSERVED_CODE,
     UNKNOWN,
     UNKNOWN_CODE,
-    Cell,
     Dataset,
     DatasetError,
     Language,
@@ -27,7 +26,7 @@ from typoimpute.kb import (
 )
 
 from oracles import parse_oracle, serialize_oracle
-from synth import make_language, random_dataset
+from synth import Cell, build_dataset, cells_of, language_of, make_language, random_dataset
 
 HEADER = "wals code\tname\tlatitude\tlongitude\tgenus\tfamily\tcountrycodes\tfeatures"
 
@@ -44,16 +43,16 @@ ROW_JPN = (
 def test_parse_basic_record():
     d = parse_dataset(HEADER + "\n" + ROW_MHI + "\n")
     assert d.codes() == ["mhi"]
-    lang = d.language("mhi")
+    lang = language_of(d, "mhi")
     assert lang.name == "Marathi"
     assert lang.latitude == 19.0
     assert lang.longitude == 76.0
     assert lang.genus == "Indic"
     assert lang.family == "Indo-European"
     assert lang.country_codes == ("IN",)
-    cell = d.cells[("mhi", "81A Order of Subject, Object and Verb")]
+    cell = cells_of(d)[("mhi", "81A Order of Subject, Object and Verb")]
     assert cell.state == OBSERVED and cell.value == "SOV"
-    unknown = d.cells[("mhi", "51A Position of Case Affixes")]
+    unknown = cells_of(d)[("mhi", "51A Position of Case Affixes")]
     assert unknown.state == UNKNOWN and unknown.value is None
 
 
@@ -76,40 +75,40 @@ def test_parse_skips_blank_lines():
 def test_stray_tabs_inside_feature_field_do_not_shift_columns():
     line = "abc\tAbc\t1.0\t2.0\tGen\tFam\tXX\tf1=left\tright | f2=ok"
     d = parse_dataset(line + "\n")
-    lang = d.language("abc")
+    lang = language_of(d, "abc")
     assert (lang.genus, lang.family) == ("Gen", "Fam")
-    assert d.cells[("abc", "f1")].value == "left right"
-    assert d.cells[("abc", "f2")].value == "ok"
+    assert cells_of(d)[("abc", "f1")].value == "left right"
+    assert cells_of(d)[("abc", "f2")].value == "ok"
 
 
 def test_stray_tabs_multiple_normalized_to_single_spaces():
     line = "abc\tAbc\t1.0\t2.0\tGen\tFam\tXX\tf1=a\tb\tc | f2=x\ty"
     d = parse_dataset(line + "\n")
-    assert d.cells[("abc", "f1")].value == "a b c"
-    assert d.cells[("abc", "f2")].value == "x y"
+    assert cells_of(d)[("abc", "f1")].value == "a b c"
+    assert cells_of(d)[("abc", "f2")].value == "x y"
 
 
 def test_value_may_contain_equals_sign():
     line = "abc\tAbc\t1.0\t2.0\tGen\tFam\tXX\tf1=a=b"
     d = parse_dataset(line + "\n")
-    assert d.cells[("abc", "f1")].value == "a=b"
+    assert cells_of(d)[("abc", "f1")].value == "a=b"
 
 
 def test_parse_with_gold_marks_blanked():
     gold = parse_dataset("abc\tAbc\t1.0\t2.0\tGen\tFam\tXX\tf1=answer | f2=x\n")
     hidden = "abc\tAbc\t1.0\t2.0\tGen\tFam\tXX\tf1=? | f2=x | f3=?\n"
     d = parse_dataset(hidden, gold=gold)
-    blanked = d.cells[("abc", "f1")]
+    blanked = cells_of(d)[("abc", "f1")]
     assert blanked.state == BLANKED and blanked.value == "answer"
-    assert d.cells[("abc", "f2")].state == OBSERVED
+    assert cells_of(d)[("abc", "f2")].state == OBSERVED
     # f3 has no gold observation, so it stays unknown
-    assert d.cells[("abc", "f3")].state == UNKNOWN
+    assert cells_of(d)[("abc", "f3")].state == UNKNOWN
 
 
 def test_parse_gold_with_unknown_cell_stays_unknown():
     gold = parse_dataset("abc\tAbc\t1.0\t2.0\tGen\tFam\tXX\tf1=?\n")
     d = parse_dataset("abc\tAbc\t1.0\t2.0\tGen\tFam\tXX\tf1=?\n", gold=gold)
-    assert d.cells[("abc", "f1")].state == UNKNOWN
+    assert cells_of(d)[("abc", "f1")].state == UNKNOWN
 
 
 @pytest.mark.parametrize(
@@ -137,7 +136,7 @@ def test_parse_duplicate_code_rejected():
 
 def test_empty_text_gives_empty_dataset():
     d = parse_dataset("")
-    assert d.languages == [] and d.cells == {}
+    assert d.languages == [] and cells_of(d) == {}
     assert serialize_dataset(d) == ""
 
 
@@ -168,14 +167,14 @@ def _pair_dataset(**changed):
     cells = {("aaa", "f1"): Cell.observed("x"), ("aaa", "f2"): Cell.blanked("y"),
              ("bbb", "f1"): Cell.observed("y"), ("bbb", "f2"): Cell.unknown()}
     cells.update({tuple(key.split(".")): cell for key, cell in changed.items()})
-    return Dataset.build(languages, cells)
+    return build_dataset(languages, cells)
 
 
 @pytest.mark.parametrize("other", [
     lambda: _pair_dataset(**{"aaa.f2": Cell.blanked("x")}),
     lambda: _pair_dataset(**{"aaa.f2": Cell.unknown()}),
     lambda: _pair_dataset(**{"bbb.f2": Cell.blanked("y")}),
-    lambda: Dataset.build(reversed(_pair_dataset().languages), _pair_dataset().cells),
+    lambda: build_dataset(reversed(_pair_dataset().languages), cells_of(_pair_dataset())),
 ], ids=["blanked-gold", "blanked-vs-unknown", "unknown-vs-blanked", "language-order"])
 def test_datasets_differing_in_one_cell_or_order_are_unequal(other):
     d, e = _pair_dataset(), other()
@@ -199,7 +198,7 @@ def test_parsed_dataset_equals_its_coded_twin():
 
 
 def test_serialize_fill_replaces_hidden_cells():
-    d = Dataset.build(
+    d = build_dataset(
         [make_language("aaa")],
         {
             ("aaa", "f1"): Cell.blanked("gold"),
@@ -212,7 +211,7 @@ def test_serialize_fill_replaces_hidden_cells():
 
 
 def test_serialize_fill_rejects_observed_and_missing_cells():
-    d = Dataset.build([make_language("aaa")], {("aaa", "f1"): Cell.observed("x")})
+    d = build_dataset([make_language("aaa")], {("aaa", "f1"): Cell.observed("x")})
     with pytest.raises(DatasetError, match="observed cell"):
         serialize_dataset(d, fill={("aaa", "f1"): "y"})
     with pytest.raises(DatasetError, match="nonexistent cell"):
@@ -220,7 +219,7 @@ def test_serialize_fill_rejects_observed_and_missing_cells():
 
 
 def test_serialize_reveal_blanked_writes_gold():
-    d = Dataset.build([make_language("aaa")], {("aaa", "f1"): Cell.blanked("gold")})
+    d = build_dataset([make_language("aaa")], {("aaa", "f1"): Cell.blanked("gold")})
     assert "f1=?" in serialize_dataset(d)
     assert "f1=gold" in serialize_dataset(d, reveal_blanked=True)
 
@@ -229,10 +228,10 @@ def _hidden_cells_dataset(rng: random.Random, n_languages: int) -> Dataset:
     """Random cells, some blanked and some unknown, and a language with
     no cell at all."""
     d = random_dataset(rng, n_languages=n_languages, n_features=6, min_observed=1)
-    cells = dict(d.cells)
+    cells = dict(cells_of(d))
     for key in rng.sample(sorted(cells), len(cells) // 3):
         cells[key] = Cell.blanked(cells[key].value) if rng.random() < 0.5 else Cell.unknown()
-    return Dataset.build(d.languages + [make_language("zzz")], cells)
+    return build_dataset(d.languages + [make_language("zzz")], cells)
 
 
 @pytest.mark.parametrize("block", [1, 3, 7, 256])
@@ -245,7 +244,7 @@ def test_serialize_matches_oracle_across_blocks(block, monkeypatch):
     rng = random.Random(block)
     for n_languages in (1, 2, 3, 7, 8, 20):
         d = _hidden_cells_dataset(rng, n_languages)
-        hidden = [key for key, cell in d.cells.items() if cell.state != OBSERVED]
+        hidden = [key for key, cell in cells_of(d).items() if cell.state != OBSERVED]
         fill = {key: f"p{i}" for i, key in enumerate(rng.sample(hidden, len(hidden) // 2))}
         for reveal in (False, True):
             for f in (None, fill):
@@ -255,8 +254,8 @@ def test_serialize_matches_oracle_across_blocks(block, monkeypatch):
 def test_parsed_and_built_datasets_agree_on_cell_dtypes():
     rng = random.Random(13)
     built = _hidden_cells_dataset(rng, 12)
-    gold = Dataset.build(built.languages, {key: Cell.observed(cell.value) if cell.value else cell
-                                           for key, cell in built.cells.items()})
+    gold = build_dataset(built.languages, {key: Cell.observed(cell.value) if cell.value else cell
+                                           for key, cell in cells_of(built).items()})
     parsed = parse_dataset(serialize_dataset(built), gold=gold)
     assert parsed == built
     for name in ("cell_row", "cell_feature", "cell_value", "cell_state"):
@@ -265,7 +264,7 @@ def test_parsed_and_built_datasets_agree_on_cell_dtypes():
 
 
 def test_catalog_inventories_sorted_with_counts():
-    d = Dataset.build(
+    d = build_dataset(
         [make_language("aaa"), make_language("bbb")],
         {
             ("aaa", "f1"): Cell.observed("zz"),
@@ -279,7 +278,7 @@ def test_catalog_inventories_sorted_with_counts():
 
 
 def test_dataset_accessors():
-    d = Dataset.build(
+    d = build_dataset(
         [make_language("aaa", genus="G1")],
         {
             ("aaa", "f1"): Cell.observed("x"),
@@ -293,17 +292,17 @@ def test_dataset_accessors():
     assert d.cell_feature.tolist() == [0, 1, 2]
     assert d.cell_value.tolist() == [0, 1, -1]
     assert d.cell_state.tolist() == [OBSERVED_CODE, BLANKED_CODE, UNKNOWN_CODE]
-    assert len(d.cells) == 3 and d.cells[("aaa", "f2")] == Cell.blanked("y")
-    assert d.language("aaa").genus == "G1"
+    assert len(cells_of(d)) == 3 and cells_of(d)[("aaa", "f2")] == Cell.blanked("y")
+    assert language_of(d, "aaa").genus == "G1"
     with pytest.raises(KeyError):
-        d.language("zzz")
+        language_of(d, "zzz")
 
 
 def test_counts_cover_observed_values_only():
     """Blanked gold values, and values that only dropped languages held,
     are no count columns; a language repeated in a later source keeps
     its first source's row."""
-    d = Dataset.build(
+    d = build_dataset(
         [make_language("aaa"), make_language("bbb"), make_language("ccc")],
         {
             ("aaa", "f1"): Cell.observed("x"),
@@ -317,7 +316,7 @@ def test_counts_cover_observed_values_only():
     assert filter_dataset(d, 1, 2).counts.columns == {"f1": {"x": 0, "y": 1}}
     sub = d.subset(["aaa", "ccc"])
     assert sub.counts.columns == {"f1": {"x": 0}}
-    other = Dataset.build(
+    other = build_dataset(
         [make_language("bbb"), make_language("aaa"), make_language("ddd")],
         {
             ("bbb", "f1"): Cell.observed("w"),
@@ -334,12 +333,12 @@ def test_counts_cover_observed_values_only():
 
 def test_dataset_build_rejects_unknown_language_cells():
     with pytest.raises(DatasetError, match="unknown language"):
-        Dataset.build([make_language("aaa")], {("bbb", "f1"): Cell.observed("x")})
+        build_dataset([make_language("aaa")], {("bbb", "f1"): Cell.observed("x")})
 
 
 def test_dataset_rejects_duplicate_codes():
     with pytest.raises(DatasetError, match="duplicate"):
-        Dataset.build([make_language("aaa"), make_language("aaa")], {})
+        build_dataset([make_language("aaa"), make_language("aaa")], {})
 
 
 def test_subset_keeps_order_and_cells():
@@ -348,18 +347,18 @@ def test_subset_keeps_order_and_cells():
     keep = d.codes()[::2]
     sub = d.subset(keep)
     assert sub.codes() == keep
-    assert all(key[0] in set(keep) for key in sub.cells)
+    assert all(key[0] in set(keep) for key in cells_of(sub))
 
 
 def _filter_oracle(d, min_feats, min_langs):
     """Independent fixed-point filter over plain sets."""
     langs = set(d.codes())
-    feats = {f for (_, f) in d.cells}
+    feats = {f for (_, f) in cells_of(d)}
     while True:
         obs_count = {
             c: sum(
                 1
-                for (code, f), cell in d.cells.items()
+                for (code, f), cell in cells_of(d).items()
                 if code == c and f in feats and cell.state == OBSERVED
             )
             for c in langs
@@ -368,7 +367,7 @@ def _filter_oracle(d, min_feats, min_langs):
         lang_count = {
             f: sum(
                 1
-                for (code, ff), cell in d.cells.items()
+                for (code, ff), cell in cells_of(d).items()
                 if ff == f and code in langs_next and cell.state == OBSERVED
             )
             for f in feats
@@ -391,23 +390,23 @@ def test_filter_matches_fixed_point_oracle():
         )
         # Unknown and blanked cells count for nothing; one feature has
         # only unknown cells, which min_languages=0 keeps.
-        cells = dict(d.cells)
+        cells = dict(cells_of(d))
         for code in d.codes()[::2]:
             cells[(code, "zz only unknown")] = Cell.unknown()
         for key in sorted(cells)[::5]:
             if cells[key].state == OBSERVED:
                 cells[key] = Cell.blanked(cells[key].value)
-        d = Dataset.build(d.languages, cells)
+        d = build_dataset(d.languages, cells)
         min_feats = rng.randint(0, 4)
         min_langs = rng.randint(0, 6) if trial % 3 else 0
         got = filter_dataset(d, min_feats, min_langs)
         want_langs, want_feats = _filter_oracle(d, min_feats, min_langs)
         assert got.codes() == [code for code in d.codes() if code in want_langs]
-        assert dict(got.cells) == {
-            (code, f): cell for (code, f), cell in d.cells.items()
+        assert dict(cells_of(got)) == {
+            (code, f): cell for (code, f), cell in cells_of(d).items()
             if code in want_langs and f in want_feats
         }
-        assert got.features() == sorted({f for _, f in got.cells})
+        assert got.features() == sorted({f for _, f in cells_of(got)})
         if min_langs == 0 and want_langs & set(d.codes()[::2]):
             assert "zz only unknown" in got.features()
 
@@ -421,7 +420,7 @@ def test_filter_cascade_removal():
         ("l2", "f2"): Cell.observed("a"),
         ("l3", "f2"): Cell.observed("a"),
     }
-    d = Dataset.build(languages, cells)
+    d = build_dataset(languages, cells)
     out = filter_dataset(d, min_feats_per_lang=2, min_langs_per_feat=3)
     assert out.codes() == []
 
@@ -434,7 +433,7 @@ def test_filter_defaults_keep_dense_data():
         for lang in languages
         for j in range(4)
     }
-    d = Dataset.build(languages, cells)
+    d = build_dataset(languages, cells)
     out = filter_dataset(d)
     assert len(out.languages) == 10
     assert len(out.features()) == 4
@@ -479,7 +478,7 @@ def _hide(text: str, every: int) -> str:
 
 
 def _as_oracle(d: Dataset):
-    return d.languages, {key: (cell.state, cell.value) for key, cell in d.cells.items()}
+    return d.languages, {key: (cell.state, cell.value) for key, cell in cells_of(d).items()}
 
 
 def _oracle_text(languages, cells, reveal_blanked=False) -> str:
@@ -556,7 +555,7 @@ EDGE_TEXTS = {
 def test_parse_matches_oracle_on_edge_cases(text):
     gold = parse_dataset("aaa\tA\t0\t0\tG\tF\tXX\tf3=x\n"
                          "abc\tAbc\t1.0\t2.0\tGen\tFam\tXX\tf1=g | f3=h | c=i\n")
-    gold_cells = {key: (cell.state, cell.value) for key, cell in gold.cells.items()}
+    gold_cells = {key: (cell.state, cell.value) for key, cell in cells_of(gold).items()}
     for kwargs, oracle_kwargs in (({}, {}), ({"gold": gold}, {"gold": gold_cells})):
         try:
             want = parse_oracle(text, **oracle_kwargs)
@@ -653,7 +652,7 @@ def test_parse_matches_oracle_on_random_texts():
         rng = random.Random(seed)
         text = _random_text(rng, faults)
         gold = parse_dataset(_random_text(rng, []))
-        gold_cells = {key: (cell.state, cell.value) for key, cell in gold.cells.items()}
+        gold_cells = {key: (cell.state, cell.value) for key, cell in cells_of(gold).items()}
         for kwargs, oracle_kwargs in (({}, {}), ({"gold": gold}, {"gold": gold_cells})):
             try:
                 want = parse_oracle(text, **oracle_kwargs)

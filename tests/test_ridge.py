@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from typoimpute.geo import coordinates, distance_matrix, haversine_km
-from typoimpute.kb import OBSERVED_CODE, Cell, Dataset
+from typoimpute.kb import OBSERVED_CODE
 from typoimpute.imputers import (
     ALL_BLOCKS,
     Prediction,
@@ -35,7 +35,7 @@ from oracles import (
     ridge_oracle,
     ridge_prediction_oracle,
 )
-from synth import make_language, observed_of, predict_one, random_dataset
+from synth import Cell, build_dataset, cells_of, language_of, make_language, observed_of, predict_one, random_dataset
 
 
 def _scores(imp, lang, observed, target):
@@ -234,17 +234,28 @@ def _dense_block(space, block, areal_km=2500.0):
 
 def _dense(space, lang, observed, areal_km=2500.0):
     """``space.dense`` of one language observing ``observed``."""
-    one = Dataset.build([lang], {(lang.code, f): Cell.observed(v) for f, v in observed.items()})
+    one = build_dataset([lang], {(lang.code, f): Cell.observed(v) for f, v in observed.items()})
     return _dense_block(space, one, areal_km)[0]
 
 
-def _as_sparse(space, vec):
-    return {key: p for key, p in zip(space.keys, vec.tolist()) if p != 0.0}
+def _oracle_keys(counted, train, target, min_support=5, blocks=ALL_BLOCKS):
+    """The key of every column of ``_space``'s design, in column order,
+    as the counting oracle over the statistics ``counted`` spells them
+    out."""
+    inventories = _inventories(train)
+    return CountedPriorSpace(counted, target, inventories.get(target, ()), inventories,
+                             min_support, blocks).keys
+
+
+def _as_sparse(keys, vec):
+    assert len(keys) == len(vec)
+    return {key: p for key, p in zip(keys, vec.tolist()) if p != 0.0}
 
 
 def _query_sparse(train, lang, observed, target, areal_km=2500.0, min_support=5):
     space = _space(_stats(train.counts, areal_km), train, target, min_support)
-    return _as_sparse(space, _dense(space, lang, observed, areal_km))
+    keys = _oracle_keys(CountedPriorStats([train], areal_km), train, target, min_support)
+    return _as_sparse(keys, _dense(space, lang, observed, areal_km))
 
 
 def _random_sources(rng, with_context):
@@ -267,9 +278,9 @@ def _random_sources(rng, with_context):
 
 def _recoded(extra):
     """``extra`` with its language codes prefixed, to serve as context."""
-    return Dataset.build(
+    return build_dataset(
         [replace(lang, code="c" + lang.code) for lang in extra.languages],
-        {("c" + code, f): cell for (code, f), cell in extra.cells.items()},
+        {("c" + code, f): cell for (code, f), cell in cells_of(extra).items()},
     )
 
 
@@ -285,11 +296,13 @@ def test_prior_features_match_oracle():
         areal = rng.choice([800.0, 2500.0])
         min_support = rng.choice([1, 3])
         stats = _stats(CodedCounts(sources), areal)
+        counted = CountedPriorStats(sources, areal)
         for target in train.features():
             space = _space(stats, train, target, min_support)
+            keys = _oracle_keys(counted, train, target, min_support)
             codes, X = _training_design(space, train, target)
             cases = [
-                (train.language(code), observed_of(train, code), _as_sparse(space, x))
+                (language_of(train, code), observed_of(train, code), _as_sparse(keys, x))
                 for code, x in zip(codes, X)
             ]
             queries = [(lang, observed_of(train, lang.code)) for lang in train.languages
@@ -297,7 +310,7 @@ def test_prior_features_match_oracle():
             if context:
                 queries += [(lang, observed_of(context, lang.code)) for lang in context.languages]
             cases += [
-                (lang, full, _as_sparse(space, _dense(space, lang, _others(full, target), areal)))
+                (lang, full, _as_sparse(keys, _dense(space, lang, _others(full, target), areal)))
                 for lang, full in queries
             ]
             for lang, full, got in cases:
@@ -336,13 +349,13 @@ def test_design_matches_counted_oracle():
             oracle = CountedPriorSpace(
                 counted, target, inventories[target], inventories, min_support, blocks
             )
-            assert space.keys == oracle.keys
+            assert len(space) == len(oracle.keys)
             codes, X = _training_design(space, train, target)
             want = np.zeros((len(codes), len(oracle.keys)))
             for i, code in enumerate(codes):
                 full = observed_of(train, code)
                 want[i] = oracle.dense(
-                    train.language(code), _others(full, target), own_value=full[target]
+                    language_of(train, code), _others(full, target), own_value=full[target]
                 )
             assert np.array_equal(X, want)
             for lang, full in queries:
@@ -406,7 +419,7 @@ def test_dense_matches_gathered_oracle():
                 assert np.array_equal(_dense(space, lang, observed), oracle.dense(lang, observed))
                 compared += 1
             # all queries as one block: the same rows
-            block = Dataset.build([lang for lang, _ in queries], {
+            block = build_dataset([lang for lang, _ in queries], {
                 (lang.code, f): Cell.observed(v)
                 for lang, full in queries for f, v in _others(full, target).items()})
             assert np.array_equal(_dense_block(space, block), np.array(
@@ -429,11 +442,11 @@ def test_leave_one_out_design_ignores_own_value():
             base_codes, base_X = _training_design(_space(stats, train, target, 1), train, target)
             oracle = CountedPriorSpace(counted, target, inventories[target], inventories, 1)
             for i, code in enumerate(base_codes):
-                own = train.cells[(code, target)].value
+                own = cells_of(train)[(code, target)].value
                 for other in inventories[target]:
-                    cells = dict(train.cells)
+                    cells = dict(cells_of(train))
                     cells[(code, target)] = Cell.observed(other)
-                    changed = Dataset.build(train.languages, cells)
+                    changed = build_dataset(train.languages, cells)
                     if other == own or _inventories(changed)[target] != inventories[target]:
                         continue
                     space = _space(_stats(changed.counts, 2500.0), changed, target, 1)
@@ -444,7 +457,7 @@ def test_leave_one_out_design_ignores_own_value():
                         CountedPriorStats([changed], 2500.0), target, inventories[target],
                         inventories, 1,
                     )
-                    lang = train.language(code)
+                    lang = language_of(train, code)
                     observed = _others(observed_of(train, code), target)
                     assert np.array_equal(
                         changed_oracle.dense(lang, observed, own_value=other),
@@ -459,7 +472,7 @@ def test_prior_blocks_are_distributions():
     for trial in range(10):
         train = random_dataset(rng, n_languages=rng.randint(4, 12), min_observed=1)
         for code in train.codes():
-            lang = train.language(code)
+            lang = language_of(train, code)
             full = observed_of(train, code)
             for target in train.features():
                 sparse = _query_sparse(train, lang, _others(full, target), target)
@@ -485,8 +498,10 @@ def test_prior_space_key_order_deterministic():
     stats = _stats(train.counts, 2500.0)
     a = PriorFeatureSpace(*stats, target, inventories[target], inventories, 5, ALL_BLOCKS)
     b = PriorFeatureSpace(*stats, target, inventories[target], inventories, 5, ALL_BLOCKS)
-    assert a.keys == b.keys
-    assert len(a) == len(a.keys)
+    keys = _oracle_keys(CountedPriorStats([train], 2500.0), train, target)
+    assert len(a) == len(b) == len(keys)
+    assert np.array_equal(_training_design(a, train, target)[1],
+                          _training_design(b, train, target)[1])
 
 
 def test_dense_agrees_with_sparse():
@@ -494,13 +509,14 @@ def test_dense_agrees_with_sparse():
     train = random_dataset(rng, n_languages=8, min_observed=1)
     target = train.features()[0]
     space = _space(_stats(train.counts, 2500.0), train, target, min_support=1)
+    keys = _oracle_keys(CountedPriorStats([train], 2500.0), train, target, min_support=1)
     for lang in train.languages:
         observed = _others(observed_of(train, lang.code), target)
         sparse = build_prior_features(train, lang, observed, target, min_support=1)
         dense = _dense(space, lang, observed)
         assert np.count_nonzero(dense) == len(sparse)
         for key, p in sparse.items():
-            assert dense[space.keys.index(key)] == p
+            assert dense[keys.index(key)] == p
 
 
 def test_isolated_language_has_no_areal_block():
@@ -514,10 +530,10 @@ def test_isolated_language_has_no_areal_block():
         ("bbb", "T"): Cell.observed("y"),
         ("far", "T"): Cell.observed("x"),
     }
-    train = Dataset.build(languages, cells)
-    sparse = _query_sparse(train, train.language("far"), {}, "T", areal_km=1000.0)
+    train = build_dataset(languages, cells)
+    sparse = _query_sparse(train, language_of(train, "far"), {}, "T", areal_km=1000.0)
     assert not any(key[0] == "areal" for key in sparse)
-    near = _query_sparse(train, train.language("aaa"), {}, "T", areal_km=1000.0)
+    near = _query_sparse(train, language_of(train, "aaa"), {}, "T", areal_km=1000.0)
     assert near[("areal", "y")] == 1.0  # bbb only; self excluded
 
 
@@ -532,17 +548,18 @@ def test_leave_one_out_removes_own_observation():
         ("la2", "T"): Cell.observed("y"),
         ("la3", "T"): Cell.observed("y"),
     }
-    train = Dataset.build(languages, cells)
+    train = build_dataset(languages, cells)
     space = _space(_stats(train.counts, 2500.0), train, "T")
+    keys = _oracle_keys(CountedPriorStats([train], 2500.0), train, "T")
 
     # query case keeps all three observations
-    plain = _as_sparse(space, _dense(space, train.language("la1"), {}))
+    plain = _as_sparse(keys, _dense(space, language_of(train, "la1"), {}))
     assert plain[("genus", "x")] == pytest.approx(1 / 3)
     assert plain[("genus", "y")] == pytest.approx(2 / 3)
 
     # training row for la1 drops its own x
     codes, X = _training_design(space, train, "T")
-    loo = _as_sparse(space, X[codes.index("la1")])
+    loo = _as_sparse(keys, X[codes.index("la1")])
     assert ("genus", "x") not in loo
     assert loo[("genus", "y")] == pytest.approx(1.0)
 
@@ -552,7 +569,7 @@ def _hiding_test_set(train, languages):
     and hiding every other feature; with the cells ``predict`` answers."""
     features = train.features()
     first = train.counts.columns[features[0]]
-    test = Dataset.build(languages, {
+    test = build_dataset(languages, {
         (lang.code, f): Cell.observed(next(iter(first))) if f == features[0] else Cell.blanked("x")
         for lang in languages for f in features})
     return test, np.flatnonzero(test.cell_state != OBSERVED_CODE)
@@ -739,6 +756,7 @@ def test_query_at_statistics_coordinates_shares_its_neighbourhood():
         # t sits exactly on the radius around s
         radius = haversine_km(langs[s], langs[t])
         stats = _stats(counts, radius)
+        counted = CountedPriorStats([train], radius)
         row = counts.rows[langs[s].code]
         query = replace(langs[s], code="qqq")
         assert np.array_equal(_radius_counts(counts, coordinates([query]), radius, np.array([-1])),
@@ -748,7 +766,8 @@ def test_query_at_statistics_coordinates_shares_its_neighbourhood():
             if target in observed:
                 continue
             space = _space(stats, train, target, min_support=1)
-            areal = [i for i, key in enumerate(space.keys) if key[0] == "areal"]
+            keys = _oracle_keys(counted, train, target, 1)
+            areal = [i for i, key in enumerate(keys) if key[0] == "areal"]
             got = _dense(space, query, observed, radius)[areal]
             want = _dense(space, langs[s], observed, radius)[areal]
             assert got.tobytes() == want.tobytes()
@@ -776,7 +795,7 @@ def _implication_fixture(n_per=3):
             cells[(code, "A")] = Cell.observed(a)
             cells[(code, "T")] = Cell.observed(b)
             i += 1
-    return Dataset.build(languages, cells), mapping
+    return build_dataset(languages, cells), mapping
 
 
 def test_implication_learned_through_ridge():
@@ -809,7 +828,7 @@ def test_single_value_inventory_constant_prediction():
     cells = {(lang.code, "T"): Cell.observed("only") for lang in languages}
     cells[("l00", "U")] = Cell.observed("u1")
     cells[("l01", "U")] = Cell.observed("u2")
-    train = Dataset.build(languages, cells)
+    train = build_dataset(languages, cells)
     imp = RidgePriorImputer()
     imp.fit(train)
     pred = predict_one(imp, make_language("qqq"), {}, "T")
@@ -834,13 +853,13 @@ def test_context_counts_change_the_prior():
         code = f"g2{i}"
         train_langs.append(make_language(code, genus="G2", family="F2", lat=float(i), lon=5.0))
         cells[(code, "T")] = Cell.observed("bb")
-    train = Dataset.build(train_langs, cells)
+    train = build_dataset(train_langs, cells)
 
     ctx_langs = [
         make_language(f"cq{i}", genus="GenQ", family="FamQ", lat=-60.0 - i, lon=-170.0)
         for i in range(3)
     ]
-    context = Dataset.build(ctx_langs, {(l.code, "T"): Cell.observed("bb") for l in ctx_langs})
+    context = build_dataset(ctx_langs, {(l.code, "T"): Cell.observed("bb") for l in ctx_langs})
 
     qlang = make_language("qry", genus="GenQ", family="FamQ", lat=-61.0, lon=-169.0)
 
@@ -937,7 +956,7 @@ def test_dual_fit_matches_design_solve():
                               _design_fit(space, target, first, lam))
             observed = space._impl_counts.sum(axis=1)
             lonely_keys += int((observed == 1).sum())
-            no_impl += "implicational" in blocks and not space._impl_features
+            no_impl += "implicational" in blocks and not len(space._impl_counts)
             own = counts.onehot[np.ix_(rows, space._target_columns)].sum(axis=0)
             one_row_classes += int((own == 1).sum())
     assert lonely_keys and no_impl and one_row_classes
@@ -948,7 +967,7 @@ def test_dual_fit_predicts_as_the_design_solve():
     the dense design's weights, with and without context."""
     rng = random.Random(99)
     train, context = _bench_shaped_sources(rng)
-    queries = Dataset.build(
+    queries = build_dataset(
         [*train.languages, *context.languages],
         {(lang.code, f): Cell.observed(v) for source in (train, context)
          for lang in source.languages for f, v in observed_of(source, lang.code).items()},
@@ -1030,7 +1049,7 @@ def test_softmax_confidence_well_formed():
     imp = RidgePriorImputer(min_support=1)
     imp.fit(train)
     for code in train.codes():
-        lang = train.language(code)
+        lang = language_of(train, code)
         full = observed_of(train, code)
         for target in train.features():
             observed = {f: v for f, v in full.items() if f != target}
@@ -1051,7 +1070,7 @@ def test_predict_matches_sorted_softmax_oracle():
     queries = _bench_shaped_queries(rng, train, context)
     stranger = queries[-1][0]
     languages = [make_language(f"o{i:02d}") for i in range(4)]
-    only = Dataset.build(languages, {(lang.code, "T"): Cell.observed("only") for lang in languages})
+    only = build_dataset(languages, {(lang.code, "T"): Cell.observed("only") for lang in languages})
     for use_context in (False, True):
         imp = RidgePriorImputer(min_support=1, use_context=use_context)
         imp.fit(train, context=context)
@@ -1093,13 +1112,13 @@ def test_fill_dataset_with_ridge():
         languages.append(make_language(code, genus=f"TG{i}", family=f"TF{i}"))
         cells[(code, "A")] = Cell.observed(a)
         cells[(code, "T")] = Cell.blanked(b)
-    test = Dataset.build(languages, cells)
+    test = build_dataset(languages, cells)
     imp = RidgePriorImputer(areal_km=1.0)
     imp.fit(train)
     predictions = fill_dataset(imp, test)
     assert len(predictions) == len(mapping)
     for (code, _), pred in predictions.items():
-        assert pred.value == test.cells[(code, "T")].value
+        assert pred.value == cells_of(test)[(code, "T")].value
 
 
 def test_fit_matches_counted_oracle():

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from typoimpute.configio import ConfigError
-from typoimpute.kb import BLANKED, Cell, Dataset, OBSERVED
+from typoimpute.kb import BLANKED, OBSERVED
 from typoimpute.splits import (
     DEFAULT_HELD_OUT_GENERA,
     LanguageProvenance,
@@ -23,7 +23,7 @@ from typoimpute.splits import (
 )
 
 from oracles import blank_oracle, great_circle_km
-from synth import make_language, random_dataset
+from synth import Cell, build_dataset, cells_of, language_of, make_language, random_dataset
 
 
 def test_default_genus_list():
@@ -67,13 +67,13 @@ def test_blanking_ratios_cover_range_and_permute():
 
 def _observed_features(d, code):
     return sorted(
-        f for (c, f), cell in d.cells.items() if c == code and cell.state == OBSERVED
+        f for (c, f), cell in cells_of(d).items() if c == code and cell.state == OBSERVED
     )
 
 
 def _blanked_features(d, code):
     return sorted(
-        f for (c, f), cell in d.cells.items() if c == code and cell.state == BLANKED
+        f for (c, f), cell in cells_of(d).items() if c == code and cell.state == BLANKED
     )
 
 
@@ -97,7 +97,7 @@ def test_blank_features_counts_and_gold():
             assert len(after_blank) == want
             assert sorted(after_obs + after_blank) == before
             for feature in after_blank:
-                assert blanked.cells[(code, feature)].value == d.cells[(code, feature)].value
+                assert cells_of(blanked)[(code, feature)].value == cells_of(d)[(code, feature)].value
 
 
 def test_blank_features_matches_seeded_oracle():
@@ -107,13 +107,13 @@ def test_blank_features_matches_seeded_oracle():
     rng = random.Random(43)
     for trial in range(20):
         d = random_dataset(rng, n_languages=rng.randint(1, 12), n_features=8, min_observed=2)
-        cells = dict(d.cells)
+        cells = dict(cells_of(d))
         for code in d.codes()[::2]:
             cells[(code, "04G unknown")] = Cell.unknown()
-        d = Dataset.build(d.languages, cells)
+        d = build_dataset(d.languages, cells)
         spec = SplitSpec(blanking_low=0.2, blanking_high=0.8, seed=trial)
         got = blank_features(d, spec)
-        assert {key: (cell.state, cell.value) for key, cell in got.cells.items()} == (
+        assert {key: (cell.state, cell.value) for key, cell in cells_of(got).items()} == (
             blank_oracle(d, 0.2, 0.8, trial)
         )
 
@@ -121,7 +121,7 @@ def test_blank_features_matches_seeded_oracle():
 def test_blank_features_exact_half():
     languages = [make_language("aaa")]
     cells = {("aaa", f"f{i:02d}"): Cell.observed("v") for i in range(20)}
-    d = Dataset.build(languages, cells)
+    d = build_dataset(languages, cells)
     spec = SplitSpec(blanking_low=0.5, blanking_high=0.5, seed=0)
     blanked = blank_features(d, spec)
     assert len(_blanked_features(blanked, "aaa")) == 10
@@ -131,14 +131,14 @@ def test_blank_features_exact_half():
 def test_blank_features_clamps_to_leave_one_each():
     languages = [make_language("aaa")]
     cells = {("aaa", "f1"): Cell.observed("v"), ("aaa", "f2"): Cell.observed("w")}
-    d = Dataset.build(languages, cells)
+    d = build_dataset(languages, cells)
     blanked = blank_features(d, SplitSpec(blanking_low=0.95, blanking_high=0.95, seed=1))
     assert len(_blanked_features(blanked, "aaa")) == 1
     assert len(_observed_features(blanked, "aaa")) == 1
 
 
 def test_blank_features_requires_two_observed():
-    d = Dataset.build([make_language("aaa")], {("aaa", "f1"): Cell.observed("v")})
+    d = build_dataset([make_language("aaa")], {("aaa", "f1"): Cell.observed("v")})
     with pytest.raises(SplitError, match="at least 2"):
         blank_features(d, SplitSpec(seed=0))
 
@@ -204,7 +204,7 @@ def _controlled_fixture(rng, n=30, held_genus="HeldG"):
         languages.append(make_language(code, genus=genus, family=family, lat=lat, lon=lon))
         for j in range(4):
             cells[(code, f"f{j}")] = Cell.observed(f"v{rng.randrange(3)}")
-    return Dataset.build(languages, cells)
+    return build_dataset(languages, cells)
 
 
 def check_against_rule_oracle(d, spec, result):
@@ -239,7 +239,7 @@ def check_against_rule_oracle(d, spec, result):
 
     # leakage guarantee, checked with the high-precision oracle
     for code in train_codes:
-        t = d.language(code)
+        t = language_of(d, code)
         assert t.genus not in spec.held_out_genera
         for h in held_langs:
             assert (
@@ -304,7 +304,7 @@ def test_controlled_split_blanks_test_languages():
         assert len(_observed_features(result.test, code)) >= 1
         assert len(_blanked_features(result.test, code)) >= 1
         for feature in _blanked_features(result.test, code):
-            assert result.test.cells[(code, feature)].value == d.cells[(code, feature)].value
+            assert cells_of(result.test)[(code, feature)].value == cells_of(d)[(code, feature)].value
 
 
 def test_provenance_covers_every_language_once():

@@ -57,7 +57,8 @@ def test_traced_impute_records_method_and_fallback_spans(trace_child, tmp_path, 
     rng = random.Random(5)
     data = random_dataset(rng, n_languages=30, n_features=5, min_observed=3)
     codes = data.codes()
-    (tmp_path / "train.tsv").write_text(serialize_dataset(data.subset(codes[:20])))
+    train = data.subset(codes[:20])
+    (tmp_path / "train.tsv").write_text(serialize_dataset(train))
     test = blank_some(data.subset(codes[20:]), rng, per_language=2)
     (tmp_path / "test.tsv").write_text(serialize_dataset(test))
     (tmp_path / "method.cfg").write_text(f"method={method}\n")
@@ -80,3 +81,5 @@ def test_traced_impute_records_method_and_fallback_spans(trace_child, tmp_path, 
             "imputers.fallback.fit"} <= set(names)
     assert int((test.cell_state != OBSERVED_CODE).sum()) > 1
     assert names.count(f"imputers.{method}.predict") == 1
+    # the parse hook counts the cells of both files it parsed
+    assert tracer.counts["kb.cells_parsed"] == len(train.cell_row) + len(test.cell_row)
