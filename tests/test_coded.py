@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from typoimpute.coded import CodedCounts, GroupCounts, count_matmul
-from typoimpute.kb import Dataset
 
 from oracles import add_at_group_table, coded_tables_oracle, encode_oracle, observed_maps
 from synth import Cell, build_dataset, make_language, random_dataset
