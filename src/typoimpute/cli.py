@@ -175,7 +175,8 @@ def _require_split(train: Dataset, test: Dataset, settings: str) -> None:
 
 def cmd_split(args: argparse.Namespace) -> int:
     from .kb import serialize_dataset
-    from .splits import build_controlled_split, provenance_csv, random_split
+    from .splits import (SplitError, build_controlled_split, provenance_csv, random_split,
+                         require_blankable)
 
     dataset = _load_dataset(args.input)
     out_dir = Path(args.out_dir)
@@ -193,7 +194,12 @@ def cmd_split(args: argparse.Namespace) -> int:
         except ValueError:
             raise UsageError(f"bad fraction in {args.random_fractions!r}") from None
         train, dev, test = random_split(dataset, fractions, seed=args.seed)
-        _require_split(train, test, f"--random-fractions {args.random_fractions}")
+        settings = f"--random-fractions {args.random_fractions}"
+        _require_split(train, test, settings)
+        try:
+            require_blankable(test)
+        except SplitError as exc:
+            raise DatasetError(f"split leaves a test set blank rejects: {exc} ({settings})") from None
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, part in (("train", train), ("dev", dev), ("test", test)):
             (out_dir / f"{name}.tsv").write_text(serialize_dataset(part), encoding="utf-8")
@@ -298,10 +304,11 @@ def cmd_impute(args: argparse.Namespace) -> int:
         imputer = EnsembleImputer([imputer, GlobalFrequencyImputer()])
     imputer.fit(train, context=test)
 
-    fill = {key: p.value for key, p in fill_dataset(imputer, test).items()}
-    n_unfilled = int((test.cell_state != OBSERVED_CODE).sum()) - len(fill)
-    Path(args.out).write_text(serialize_dataset(test, fill=fill), encoding="utf-8")
-    log.info("filled %d cells (%d left unfilled)", len(fill), n_unfilled)
+    filled = fill_dataset(imputer, test)
+    n_unfilled = int((filled.cell_state != OBSERVED_CODE).sum())
+    Path(args.out).write_text(serialize_dataset(filled), encoding="utf-8")
+    log.info("filled %d cells (%d left unfilled)",
+             int((test.cell_state != OBSERVED_CODE).sum()) - n_unfilled, n_unfilled)
     if n_unfilled and not args.no_fallback:
         log.warning(
             "%d cells unfillable even by the frequency fallback "
@@ -348,6 +355,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     systems = _parse_system_args(args.system)
     if len(systems) > 1 and args.seed is None:
         raise UsageError("--seed is required when comparing two or more systems")
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
 
     gold_values = _load_dataset(args.gold)
     gold = _load_dataset(args.test, gold=gold_values)
@@ -446,15 +455,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         ],
     )
 
-    significance: list[ev.PermutationResult] = []
-    if len(reports) > 1:
-        by_name = {r.system: r for r in reports}
-        for name_a, name_b in itertools.combinations(sorted(by_name), 2):
-            significance.append(
-                ev.paired_permutation_test(
-                    by_name[name_a], by_name[name_b], samples=args.samples, seed=args.seed
-                )
-            )
+    # one system makes no pair
+    by_name = {r.system: r for r in reports}
+    significance = [ev.paired_permutation_test(by_name[a], by_name[b], samples=args.samples,
+                                               seed=args.seed)
+                    for a, b in itertools.combinations(sorted(by_name), 2)]
     _write_table(
         out_dir / "significance.csv",
         comments,

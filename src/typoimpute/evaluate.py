@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -174,14 +175,9 @@ def score(gold: Dataset, output: SystemOutput, exclude_missing: bool = False) ->
 def genus_weights(language_genus: Mapping[str, str]) -> dict[str, float]:
     """Per-language weights that make the weighted sum of language
     accuracies equal the genus-macro average."""
-    sizes: dict[str, int] = {}
-    for genus in language_genus.values():
-        sizes[genus] = sizes.get(genus, 0) + 1
-    n_genera = len(sizes)
-    return {
-        code: 1.0 / (n_genera * sizes[genus])
-        for code, genus in sorted(language_genus.items())
-    }
+    sizes = Counter(language_genus.values())
+    return {code: 1.0 / (len(sizes) * sizes[genus])
+            for code, genus in sorted(language_genus.items())}
 
 
 @dataclass(frozen=True)
@@ -217,6 +213,8 @@ def paired_permutation_test(
     """
     if samples < 1:
         raise EvaluationError("samples must be positive")
+    if seed < 0:
+        raise EvaluationError(f"seed must be nonnegative, got {seed}")
     codes = sorted(set(a.per_language) & set(b.per_language))
     if not codes:
         raise EvaluationError("no common languages to compare")
@@ -409,10 +407,8 @@ def genus_breakdown(
     held = [g for g in held_out_genera if g in report.per_genus]
     rows = []
     for genus in held:
-        members = [
-            code for code, g in report.language_genus.items() if g == genus
-        ]
-        rows.append(GenusRow(genus, report.per_genus[genus], len(members)))
+        n_members = sum(g == genus for g in report.language_genus.values())
+        rows.append(GenusRow(genus, report.per_genus[genus], n_members))
     held_set = set(held)
     other_codes = sorted(
         code for code, g in report.language_genus.items() if g not in held_set

@@ -8,12 +8,12 @@ and source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..kb import OBSERVED_CODE, Dataset
+from ..kb import OBSERVED_CODE, Dataset, DatasetError
 
 __all__ = [
     "NoPredictionError",
@@ -81,18 +81,25 @@ def decide(cells: np.ndarray, values: Sequence[str], scores: np.ndarray,
                 (total > 0).tolist()) if answered}
 
 
-def fill_dataset(imputer: Imputer, test: Dataset) -> dict[tuple[str, str], Prediction]:
-    """Predict every blanked and unknown cell of ``test`` in one call.
+def fill_dataset(imputer: Imputer, test: Dataset) -> Dataset:
+    """``test`` filled from one ``predict`` call over its blanked and
+    unknown cells: each answered cell becomes observed at its predicted
+    value, and a cell without an answer keeps its state (a blanked one
+    its gold value).
 
-    The imputer sees only the observed cells of ``test``.  Results are
-    keyed by (code, feature) in cell-table order (dataset order, then
-    feature name), so they are deterministic.  A cell the imputer cannot
-    answer is left out of the result; an ensemble ending in a
-    global-frequency member answers every cell whose feature training
-    observes.
+    The imputer sees only the observed cells of ``test``; an ensemble
+    ending in a global-frequency member answers every cell whose feature
+    training observes.  ``predict`` gives each answer's confidence and
+    source.  An answer for a cell that is not hidden is a DatasetError.
     """
     cells = np.flatnonzero(test.cell_state != OBSERVED_CODE)
     answers = imputer.predict(test, cells)
-    codes = test.codes()
-    return {(codes[test.cell_row[c]], test.feature_names[test.cell_feature[c]]): answers[c]
-            for c in cells.tolist() if c in answers}
+    answered = np.fromiter(answers, dtype=np.intp, count=len(answers))
+    if not np.isin(answered, cells).all():
+        raise DatasetError(f"{type(imputer).__name__} answered a cell the test set does not hide")
+    # An answer reads the value name after the test set's own.
+    value, state = test.cell_value.copy(), test.cell_state.copy()
+    value[answered] = len(test.value_names) + np.arange(len(answered))
+    state[answered] = OBSERVED_CODE
+    return replace(test, value_names=test.value_names + [p.value for p in answers.values()],
+                   cell_value=value, cell_state=state)

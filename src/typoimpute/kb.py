@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
@@ -336,36 +335,21 @@ def parse_dataset(text: str, gold: Dataset | None = None) -> Dataset:
     return Dataset(languages, list(features), value_names, row, feature, value, state)
 
 
-def serialize_dataset(
-    d: Dataset,
-    fill: Mapping[tuple[str, str], str] | None = None,
-    reveal_blanked: bool = False,
-) -> str:
+def serialize_dataset(d: Dataset, reveal_blanked: bool = False) -> str:
     """Serialize a dataset back to the 8-column tab-separated format.
 
     Features are emitted in lexicographic order.  Observed cells carry
-    their value; blanked and unknown cells carry ``?`` unless they are
-    covered by ``fill`` (predictions) or, for blanked cells,
-    ``reveal_blanked`` is set (used to write gold companion files).
+    their value; blanked and unknown cells carry ``?`` unless, for
+    blanked cells, ``reveal_blanked`` is set (used to write gold
+    companion files).  A filled dataset (``fill_dataset``) holds its
+    answers as observed cells.
     """
     shown = d.cell_state == OBSERVED_CODE
     if reveal_blanked:
         shown |= d.cell_state == BLANKED_CODE
-    # A hidden cell reads the marker after the value names, a filled cell
-    # its fill text after the marker.
+    # A hidden cell reads the marker after the value names.
     names = d.value_names + [UNKNOWN_MARKER]
     value = np.where(shown, d.cell_value, len(d.value_names))
-    if fill:
-        keys = list(fill)
-        at = locate_cells(d, [code for code, _ in keys], [feature for _, feature in keys],
-                          np.arange(len(keys)), np.arange(len(keys)))
-        for key, i in zip(keys, at.tolist()):
-            if i < 0:
-                raise DatasetError(f"fill references nonexistent cell {key!r}")
-            if d.cell_state[i] == OBSERVED_CODE:
-                raise DatasetError(f"fill references observed cell {key!r}")
-        value[at] = len(names) + np.arange(len(keys))
-        names += fill.values()
 
     prefixes = [f"{feature}=" for feature in d.feature_names]
     bounds = d.bounds.tolist()

@@ -19,6 +19,7 @@ import hashlib
 import io
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -168,6 +169,16 @@ def blanking_ratios(codes: Sequence[str], spec: SplitSpec) -> dict[str, float]:
     return dict(zip(ordered, ratios))
 
 
+def require_blankable(d: Dataset) -> None:
+    """Raise SplitError, naming the first language by code, unless every
+    language of ``d`` observes at least 2 features."""
+    observed = Counter(d.cell_row[d.cell_state == OBSERVED_CODE].tolist())
+    for code in sorted(d.codes()):
+        if observed[d.rows[code]] < 2:
+            raise SplitError(f"language {code!r} has {observed[d.rows[code]]} observed "
+                             "features; need at least 2 to blank")
+
+
 def blank_features(test: Dataset, spec: SplitSpec) -> Dataset:
     """Hide a per-language fraction of observed cells, keeping gold values.
 
@@ -176,6 +187,7 @@ def blank_features(test: Dataset, spec: SplitSpec) -> Dataset:
     count, clamped to [1, n-1].  Languages with fewer than two observed
     features cannot satisfy that and raise SplitError.
     """
+    require_blankable(test)
     ratios = blanking_ratios(test.codes(), spec)
     rng = random.Random(_stage_seed(spec.seed, "cells"))
     state = test.cell_state.copy()
@@ -184,11 +196,6 @@ def blank_features(test: Dataset, spec: SplitSpec) -> Dataset:
         # The observed cells of the language, in feature-name order.
         observed = [i for i in range(test.bounds[row], test.bounds[row + 1])
                     if state[i] == OBSERVED_CODE]
-        if len(observed) < 2:
-            raise SplitError(
-                f"language {code!r} has {len(observed)} observed features; "
-                "need at least 2 to blank"
-            )
         n_blank = _round_half_up(ratios[code] * len(observed))
         n_blank = max(1, min(len(observed) - 1, n_blank))
         state[rng.sample(observed, n_blank)] = BLANKED_CODE

@@ -180,15 +180,23 @@ def observed_of(dataset: Dataset, code: str) -> dict[str, str]:
         dataset.cell_state[lo:hi].tolist()) if s == OBSERVED_CODE}
 
 
+def predictions_of(imputer, test: Dataset) -> dict:
+    """The fitted imputer's answers for the hidden cells of ``test``,
+    from one ``predict`` call, keyed by (code, feature) in table order."""
+    answers = imputer.predict(test, np.flatnonzero(test.cell_state != OBSERVED_CODE))
+    codes = test.codes()
+    return {(codes[test.cell_row[c]], test.feature_names[test.cell_feature[c]]): p
+            for c, p in sorted(answers.items())}
+
+
 def predict_one(imputer, language: Language, observed: dict[str, str], target: str):
     """The fitted imputer's prediction for one cell, or None: a test set
     of ``language`` alone, observing ``observed`` with ``target`` hidden,
-    filled through ``fill_dataset``."""
-    from typoimpute.imputers import fill_dataset
-
+    asked about its one hidden cell."""
     if target in observed:
         raise ValueError(f"target {target!r} is already observed")
     cells = {(language.code, feature): Cell.observed(value) for feature, value in observed.items()}
     cells[(language.code, target)] = Cell.unknown()
     test = build_dataset([language], cells)
-    return fill_dataset(imputer, test).get((language.code, target))
+    hidden = np.flatnonzero(test.cell_state != OBSERVED_CODE)
+    return imputer.predict(test, hidden).get(int(hidden[0]))

@@ -23,7 +23,6 @@ from typoimpute.imputers import (
     CorrelationImputer,
     GenusFamilyBackoffImputer,
     GlobalFrequencyImputer,
-    fill_dataset,
     solve_ridge,
 )
 from typoimpute.kb import BLANKED, OBSERVED, parse_dataset, serialize_dataset
@@ -38,7 +37,8 @@ from oracles import (
     normal_equation_residual,
     vote_prediction_oracle,
 )
-from synth import Cell, build_dataset, cells_of, language_of, make_language, predict_one, random_dataset
+from synth import (Cell, build_dataset, cells_of, language_of, make_language, predict_one,
+                   predictions_of, random_dataset)
 
 
 def _verdict(number, label, ok):
@@ -168,7 +168,7 @@ def test_acceptance_2_counting_oracles():
             cells = {key: cell for key, cell in cells_of(train).items() if key[1] != target}
             test = build_dataset(train.languages,
                                  {**cells, **{(c, target): Cell.unknown() for c in train.codes()}})
-            got = [fill_dataset(imp, test) for imp in (freq, backoff, corr)]
+            got = [predictions_of(imp, test) for imp in (freq, backoff, corr)]
             for code in train.codes():
                 lang = language_of(train, code)
                 observed = {f: cell.value for (c, f), cell in cells.items() if c == code}

@@ -15,7 +15,7 @@ from typoimpute.cli import build_parser, main
 from typoimpute.configio import parse_kv, read_kv
 from typoimpute.kb import BLANKED, OBSERVED, UNKNOWN, parse_dataset, serialize_dataset
 
-from oracles import impute_loop_oracle
+from oracles import impute_loop_oracle, serialize_oracle
 from synth import Cell, blank_some, build_dataset, cells_of, make_language, random_dataset
 
 
@@ -209,6 +209,35 @@ def test_split_that_the_next_stage_rejects_is_a_data_error(tmp_path, corpus, cap
     assert main(argv) == 2
     assert capsys.readouterr().err == f"data error: {message}\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("seed,test_codes", [(0, ["bbb", "ddd"]), (1, ["ccc", "ddd"])])
+def test_random_split_with_a_test_language_blank_rejects_is_a_data_error(tmp_path, capsys,
+                                                                         seed, test_codes):
+    """``bbb`` observes one feature; a random split that puts it in the
+    test set writes nothing, one that does not succeeds."""
+    cells = {(code, f): Cell.observed("y" if f == "f2" else "x")
+             for code in ("aaa", "ccc", "ddd") for f in ("f1", "f2", "f3")}
+    cells[("bbb", "f1")] = Cell.observed("x")
+    cells[("bbb", "f2")] = Cell.unknown()
+    data = build_dataset([make_language(code) for code in ("aaa", "bbb", "ccc", "ddd")], cells)
+    path = tmp_path / "data.tsv"
+    path.write_text(serialize_dataset(data), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code = main(["split", "--input", str(path), "--out-dir", str(out_dir),
+                 "--random-fractions", "0.5,0,0.5", "--seed", str(seed)])
+    if "bbb" in test_codes:
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: split leaves a test set blank rejects: language 'bbb' has 1 observed "
+            "features; need at least 2 to blank (--random-fractions 0.5,0,0.5)\n")
+        assert not out_dir.exists()
+    else:
+        assert code == 0
+        assert parse_dataset((out_dir / "test.tsv").read_text(encoding="utf-8")).codes() == \
+            test_codes
+        assert main(["blank", "--input", str(out_dir / "test.tsv"),
+                     "--out-dir", str(tmp_path / "blanked"), "--seed", "1"]) == 0
 
 
 def test_blank_with_nothing_to_hide_is_a_data_error(tmp_path, capsys):
@@ -530,6 +559,20 @@ def test_evaluate_samples_below_one_is_usage_error(tmp_path, split_dirs, capsys,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("systems", [1, 2])
+def test_evaluate_negative_seed_is_usage_error(tmp_path, split_dirs, capsys, systems):
+    filled = _impute(split_dirs, tmp_path / "freq.tsv")
+    out_dir = tmp_path / "ev"
+    argv = ["evaluate", "--test", str(split_dirs / "test.tsv"),
+            "--gold", str(split_dirs / "test_gold.tsv"), "--out-dir", str(out_dir),
+            "--seed", "-1"]
+    for i in range(systems):
+        argv += ["--system", f"s{i}={filled}"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "usage error: --seed must be nonnegative, got -1\n"
+    assert not out_dir.exists()
+
+
 def test_evaluate_without_blanked_cells_is_data_error(tmp_path, corpus, split_dirs):
     filled = _impute(split_dirs, tmp_path / "freq.tsv")
     code = main([
@@ -711,6 +754,35 @@ def test_readme_names_every_flag_and_no_other():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme))
     assert sorted(options - named) == []
     assert sorted(named - options - {"--no-build-isolation"}) == []
+
+
+def test_readme_library_example_matches_the_cli(tmp_path, split_dirs, monkeypatch, capsys):
+    """README's library example, run beside a split, writes the file
+    ``impute --no-fallback`` writes for its method, and its accuracies
+    are the ones ``evaluate`` writes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"The same machinery is importable[^`]*```python\n(.*?)```", readme,
+                        re.S).group(1)
+    cfg = tmp_path / "gf.cfg"
+    cfg.write_text("method=genus_family\n", encoding="utf-8")
+    assert main(["impute", "--train", str(split_dirs / "train.tsv"),
+                 "--test", str(split_dirs / "test.tsv"), "--out", str(tmp_path / "cli.tsv"),
+                 "--imputer-config", str(cfg), "--no-fallback"]) == 0
+    assert main(["evaluate", "--test", str(split_dirs / "test.tsv"),
+                 "--gold", str(split_dirs / "test_gold.tsv"),
+                 "--system", f"genus_family={tmp_path / 'cli.tsv'}",
+                 "--out-dir", str(tmp_path / "eval")]) == 0
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    assert (tmp_path / "filled.tsv").read_bytes() == (tmp_path / "cli.tsv").read_bytes()
+    report = namespace["report"]
+    [row] = [line.split(",") for line in (tmp_path / "eval" / "systems.csv").read_text(
+        encoding="utf-8").splitlines() if line.startswith("genus_family,")]
+    assert (repr(report.macro_accuracy), repr(report.micro_accuracy)) == (row[1], row[2])
+    assert 0 < report.macro_accuracy < 1
+    assert capsys.readouterr().out == \
+        f"macro={report.macro_accuracy:.4f} micro={report.micro_accuracy:.4f}\n"
 
 
 def _child_env(**extra):
@@ -918,7 +990,7 @@ def test_impute_matches_fill_loop_oracle(tmp_path, impute_files, caplog, method,
     train = parse_dataset((impute_files / "train.tsv").read_text(encoding="utf-8"))
     test = parse_dataset((impute_files / "test.tsv").read_text(encoding="utf-8"))
     fill, n_unfilled = impute_loop_oracle(read_kv(cfg), train, test, fallback=fallback)
-    assert out.read_text(encoding="utf-8") == serialize_dataset(test, fill=fill)
+    assert out.read_text(encoding="utf-8") == serialize_oracle(test, fill=fill)
     assert f"filled {len(fill)} cells ({n_unfilled} left unfilled)" in caplog.text
     assert n_unfilled > 0  # the feature training never observes
 

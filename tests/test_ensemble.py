@@ -22,7 +22,7 @@ from typoimpute.imputers import (
 )
 from typoimpute.imputers.config import _METHODS as _METHOD_TABLE, METHODS
 
-from synth import Cell, build_dataset, make_language, predict_one, random_dataset
+from synth import Cell, build_dataset, cells_of, make_language, predict_one, random_dataset
 
 
 class _Canned:
@@ -90,8 +90,9 @@ def test_first_success_asks_later_members_only_about_unanswered_cells():
     first = _Canned("a", 0.1, targets={"g"})
     second = _Canned("b", 0.9, targets={"f"})
     last = _Canned("c", 0.5)
-    predictions = fill_dataset(EnsembleImputer([first, second, last]), _three_cells())
-    assert {f: p.value for (_, f), p in predictions.items()} == {"f": "b", "g": "a", "h": "c"}
+    filled = fill_dataset(EnsembleImputer([first, second, last]), _three_cells())
+    assert {f: cell.value for (_, f), cell in cells_of(filled).items()} == \
+        {"f": "b", "g": "a", "h": "c"}
     assert (first.asked, second.asked, last.asked) == ([[0, 1, 2]], [[0, 2]], [[2]])
     done = _Canned("d")
     fill_dataset(EnsembleImputer([done, last]), _three_cells())

@@ -309,6 +309,12 @@ def test_identical_systems_give_p_exactly_one():
     assert result.observed_diff == 0.0
 
 
+def test_permutation_rejects_a_negative_seed():
+    a, b = _two_system_reports(random.Random(104))
+    with pytest.raises(EvaluationError, match="seed must be nonnegative, got -1"):
+        paired_permutation_test(a, b, samples=10, seed=-1)
+
+
 def test_permutation_symmetric_in_argument_order():
     rng = random.Random(104)
     a, b = _two_system_reports(rng)

@@ -9,7 +9,8 @@ A change that alters outputs on purpose rewrites the digests with::
 
     PYTHONPATH=src python tests/test_golden.py
 
-and names the files that changed, and why, in CHANGES.md.
+which prints each (workload, seed, stage, file) whose digest changed,
+appeared or disappeared; CHANGES.md names those files, and why.
 """
 
 from __future__ import annotations
@@ -70,6 +71,37 @@ def run_workload(name: str, seed: int, work: Path) -> dict[str, dict[str, str]]:
     return digests
 
 
+def diff_digests(old: dict, new: dict) -> list[str]:
+    """One line per (workload, seed, stage, file) whose digest changed,
+    appeared or disappeared from the golden table ``old`` to ``new``,
+    both laid out as workload -> seed -> stage -> {file: digest}."""
+    def flat(golden: dict) -> dict[tuple[str, str, str, str], str]:
+        return {(name, seed, stage, path): digest for name, seeds in golden.items()
+                for seed, stages in seeds.items() for stage, files in stages.items()
+                for path, digest in files.items()}
+
+    before, after = flat(old), flat(new)
+    lines = []
+    for key in sorted(before.keys() | after.keys()):
+        if before.get(key) != after.get(key):
+            what = ("appeared" if key not in before else "disappeared" if key not in after
+                    else "changed")
+            lines.append("{} seed {} stage {}: {}: ".format(*key) + what)
+    return lines
+
+
+def test_diff_digests_names_each_changed_new_and_gone_file():
+    old = {"w": {"1": {"split": {"a": "x", "b": "y"}, "blank": {"c": "z"}}}}
+    new = {"w": {"1": {"split": {"a": "x", "b": "Y", "d": "q"}}}, "v": {"2": {"s": {"e": "r"}}}}
+    assert diff_digests(old, old) == []
+    assert diff_digests(old, new) == [
+        "v seed 2 stage s: e: appeared",
+        "w seed 1 stage blank: c: disappeared",
+        "w seed 1 stage split: b: changed",
+        "w seed 1 stage split: d: appeared",
+    ]
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -81,18 +113,13 @@ def test_workload_outputs_match_golden_digests(golden, tmp_path, name, seed):
     want = golden[name][str(seed)]
     got = run_workload(name, seed, tmp_path)
     assert list(got) == list(want), f"{name} seed {seed}: stages differ"
-    problems = []
-    for stage, files in want.items():
-        for path in sorted(set(files) | set(got[stage])):
-            if got[stage].get(path) != files.get(path):
-                what = ("not written" if path not in got[stage] else "new file"
-                        if path not in files else "digest differs")
-                problems.append(f"{name} seed {seed} stage {stage}: {path}: {what}")
+    problems = diff_digests({name: {str(seed): want}}, {name: {str(seed): got}})
     assert not problems, "\n".join(problems)
 
 
 def main() -> int:
-    """Rewrite ``tests/golden.json`` from a fresh run of every workload."""
+    """Rewrite ``tests/golden.json`` from a fresh run of every workload,
+    and print each file whose digest changed, appeared or disappeared."""
     import tempfile
 
     golden: dict[str, dict[str, dict]] = {}
@@ -103,6 +130,9 @@ def main() -> int:
                 work = Path(scratch) / f"{name}-{seed}"
                 work.mkdir()
                 golden[name][str(seed)] = run_workload(name, seed, work)
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    for line in diff_digests(old, golden):
+        print(line)
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=False) + "\n", encoding="utf-8")
     n = sum(len(files) for seeds in golden.values() for stages in seeds.values()
             for files in stages.values())

@@ -31,7 +31,8 @@ from oracles import (
     knn_oracle,
     observed_maps,
 )
-from synth import Cell, blank_some, build_dataset, cells_of, language_of, make_language, observed_of, predict_one, random_dataset
+from synth import (Cell, blank_some, build_dataset, cells_of, language_of, make_language,
+                   observed_of, predict_one, predictions_of, random_dataset)
 
 
 def _answer(pred):
@@ -654,9 +655,10 @@ def test_fill_dataset_asks_once_about_the_hidden_cells():
             calls.append(cells.tolist())
             return {cell: Prediction("v", 1.0, "canned") for cell in cells.tolist()}
 
-    predictions = fill_dataset(Recording(), test)
+    filled = fill_dataset(Recording(), test)
     assert calls == [[1, 2]]
-    assert list(predictions) == [("ttt", "g"), ("uuu", "f")]
+    assert cells_of(filled) == {("ttt", "f"): Cell.observed("x"), ("ttt", "g"): Cell.observed("v"),
+                                ("uuu", "f"): Cell.observed("v"), ("uuu", "g"): Cell.observed("z")}
 
 
 def test_prediction_confidence_bounds():
@@ -687,10 +689,12 @@ def test_fill_dataset_fills_every_gap():
     test = build_dataset(test_langs, cells)
     imp = GlobalFrequencyImputer()
     imp.fit(train)
-    predictions = fill_dataset(imp, test)
-    assert sorted(predictions) == [("t01", feats[0]), ("t02", feats[0])]
-    for pred in predictions.values():
-        assert pred.value is not None
+    filled = fill_dataset(imp, test)
+    assert filled.languages == test.languages
+    assert set(cells_of(filled)) == set(cells)
+    assert all(cell.state == "observed" and cell.value is not None
+               for cell in cells_of(filled).values())
+    assert cells_of(filled)[("t01", feats[1])] == Cell.observed("v0")
 
 
 def test_fill_dataset_leaves_out_unanswerable_cells():
@@ -701,9 +705,8 @@ def test_fill_dataset_leaves_out_unanswerable_cells():
     )
     imp = GlobalFrequencyImputer().fit(train)
     assert predict_one(imp, language_of(test, "ttt"), {}, "g") is None
-    predictions = fill_dataset(imp, test)
-    assert sorted(predictions) == [("ttt", "f")]
-    assert predictions[("ttt", "f")].value == "v"
+    filled = fill_dataset(imp, test)
+    assert cells_of(filled) == {("ttt", "f"): Cell.observed("v"), ("ttt", "g"): Cell.unknown()}
 
 
 BLOCK_CONFIGS = {
@@ -720,9 +723,10 @@ BLOCK_CONFIGS = {
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CONFIGS))
 def test_fill_dataset_blocks_match_per_cell_oracles(name):
-    """One ``fill_dataset`` call answers, target by target, the hidden
-    cells of many test languages, several per language; every answer
-    equals the per-cell oracle's for that language alone.  Some test
+    """One ``predict`` call answers, target by target, the hidden cells
+    of many test languages, several per language, and ``fill_dataset``
+    writes those answers; every answer equals the per-cell oracle's for
+    that language alone.  Some test
     languages share a code with a training language, some have a genus
     and family training never sees, and with vectors some rank by
     vector and the rest by agreement."""
@@ -742,7 +746,11 @@ def test_fill_dataset_blocks_match_per_cell_oracles(name):
                    for code in rng.sample(codes, 40)}
     config = BLOCK_CONFIGS[name]
     imp = build_imputer(config, vectors=vectors).fit(train, context=test)
-    predictions = fill_dataset(imp, test)
+    predictions = predictions_of(imp, test)
+    # the filled test set observes every answer and keeps every other cell
+    assert cells_of(fill_dataset(imp, test)) == {
+        key: Cell.observed(predictions[key].value) if key in predictions else cell
+        for key, cell in cells_of(test).items()}
     answer = oracles.method_oracle(config["method"], config, train, test, vectors)
 
     observed = observed_maps(test)

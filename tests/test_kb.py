@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from typoimpute.coded import CodedCounts
+from typoimpute.imputers import Imputer, Prediction, fill_dataset
 from typoimpute.kb import (
     BLANKED,
     BLANKED_CODE,
@@ -195,7 +196,18 @@ def test_parsed_dataset_equals_its_coded_twin():
     assert parsed == twin
 
 
-def test_serialize_fill_replaces_hidden_cells():
+class _Canned(Imputer):
+    """Answers the cells of a fixed {cell index: value} table, whatever
+    it is asked about."""
+
+    def __init__(self, answers):
+        self.answers = answers
+
+    def predict(self, test, cells):
+        return {cell: Prediction(value, 1.0, "canned") for cell, value in self.answers.items()}
+
+
+def test_filled_dataset_serializes_answers_and_keeps_unanswered_gold():
     d = build_dataset(
         [make_language("aaa")],
         {
@@ -204,16 +216,21 @@ def test_serialize_fill_replaces_hidden_cells():
             ("aaa", "f3"): Cell.observed("x"),
         },
     )
-    text = serialize_dataset(d, fill={("aaa", "f1"): "p1", ("aaa", "f2"): "p2"})
-    assert "f1=p1" in text and "f2=p2" in text and "f3=x" in text
+    text = serialize_dataset(fill_dataset(_Canned({0: "p1", 1: "p2"}), d))
+    assert text.endswith("\tf1=p1 | f2=p2 | f3=x\n")
+    # an unanswered blanked cell keeps its gold value, shown only on reveal
+    filled = fill_dataset(_Canned({1: "p2"}), d)
+    assert serialize_dataset(filled).endswith("\tf1=? | f2=p2 | f3=x\n")
+    assert serialize_dataset(filled, reveal_blanked=True).endswith("\tf1=gold | f2=p2 | f3=x\n")
+    assert cells_of(filled)[("aaa", "f1")] == Cell.blanked("gold")
 
 
-def test_serialize_fill_rejects_observed_and_missing_cells():
-    d = build_dataset([make_language("aaa")], {("aaa", "f1"): Cell.observed("x")})
-    with pytest.raises(DatasetError, match="observed cell"):
-        serialize_dataset(d, fill={("aaa", "f1"): "y"})
-    with pytest.raises(DatasetError, match="nonexistent cell"):
-        serialize_dataset(d, fill={("aaa", "zz"): "y"})
+@pytest.mark.parametrize("cell", [1, 2, -1], ids=["observed", "nonexistent", "negative"])
+def test_fill_rejects_an_answer_for_a_cell_it_did_not_ask_about(cell):
+    d = build_dataset([make_language("aaa")],
+                      {("aaa", "f1"): Cell.unknown(), ("aaa", "f2"): Cell.observed("x")})
+    with pytest.raises(DatasetError, match="_Canned answered a cell the test set does not hide"):
+        fill_dataset(_Canned({0: "y", cell: "y"}), d)
 
 
 def test_serialize_reveal_blanked_writes_gold():
@@ -234,19 +251,22 @@ def _hidden_cells_dataset(rng: random.Random, n_languages: int) -> Dataset:
 
 @pytest.mark.parametrize("block", [1, 3, 7, 256])
 def test_serialize_matches_oracle_across_blocks(block, monkeypatch):
-    """Blocks of languages, fills and revealed gold values give the text
-    of the one-cell-at-a-time oracle."""
+    """Blocks of languages, filled cells and revealed gold values give
+    the text of the one-cell-at-a-time oracle."""
     from typoimpute import kb
 
     monkeypatch.setattr(kb, "_SERIALIZE_BLOCK", block)
     rng = random.Random(block)
     for n_languages in (1, 2, 3, 7, 8, 20):
         d = _hidden_cells_dataset(rng, n_languages)
-        hidden = [key for key, cell in cells_of(d).items() if cell.state != OBSERVED]
-        fill = {key: f"p{i}" for i, key in enumerate(rng.sample(hidden, len(hidden) // 2))}
+        keys = list(cells_of(d))
+        hidden = [i for i, cell in enumerate(cells_of(d).values()) if cell.state != OBSERVED]
+        answers = {i: f"p{n}" for n, i in enumerate(rng.sample(hidden, len(hidden) // 2))}
+        fill = {keys[i]: value for i, value in answers.items()}
+        filled = fill_dataset(_Canned(answers), d)
         for reveal in (False, True):
-            for f in (None, fill):
-                assert serialize_dataset(d, f, reveal) == serialize_oracle(d, f, reveal)
+            assert serialize_dataset(d, reveal) == serialize_oracle(d, None, reveal)
+            assert serialize_dataset(filled, reveal) == serialize_oracle(d, fill, reveal)
 
 
 def test_parsed_and_built_datasets_agree_on_cell_dtypes():

@@ -3,15 +3,17 @@
 Each trial writes a dataset of 1 to 10 languages and 1 to 5 features,
 with poles, the antimeridian, one-value features and languages that
 observe nothing, and a split spec that may hold out no genus, an
-absent genus, nothing at random or everything.  It then runs
-``split``, ``impute`` with every method and ``evaluate`` in process
-through ``cli.main``.  A stage either exits 0 with output the next
-stage accepts, or exits nonzero with one line that names the cause.
+absent genus, nothing at random or everything, or random fractions.
+It then runs ``split`` (and ``blank`` after a random split),
+``impute`` with every method and ``evaluate`` in process through
+``cli.main``.  A stage either exits 0 with output the next stage
+accepts, or exits nonzero with one line that names the cause.
 """
 
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -94,10 +96,31 @@ def stage(capsys):
     return run
 
 
-def test_every_stage_succeeds_usably_or_fails_with_one_line(tmp_path, stage):
-    rng = random.Random(20261019)
+def impute_and_evaluate(stage, trial: int, configs: Path, work: Path, train: Path, test: Path,
+                        gold: Path, *extra: str) -> None:
+    """Impute ``test`` with every method, then score the filled files
+    against ``gold``; each stage must accept what the one before wrote."""
+    systems = []
+    for method in CONFIGS:
+        out = work / f"filled_{method}.tsv"
+        code = stage(trial, ["impute", "--train", str(train), "--test", str(test),
+                             "--out", str(out), "--imputer-config", str(configs / f"{method}.cfg")])
+        assert code == 0, f"trial {trial}: impute {method} rejects the split's output"
+        systems += ["--system", f"{method}={out}"]
+    code = stage(trial, ["evaluate", "--test", str(test), "--gold", str(gold), "--out-dir",
+                         str(work / "eval"), "--seed", "1", "--samples", "20", *extra, *systems])
+    assert code == 0, f"trial {trial}: evaluate rejects the filled files"
+
+
+@pytest.fixture
+def configs(tmp_path) -> Path:
     for method, text in CONFIGS.items():
         (tmp_path / f"{method}.cfg").write_text(text, encoding="utf-8")
+    return tmp_path
+
+
+def test_every_stage_succeeds_usably_or_fails_with_one_line(tmp_path, configs, stage):
+    rng = random.Random(20261019)
     outcomes = {"split failed": 0, "evaluated": 0}
     for trial in range(N_TRIALS):
         work = tmp_path / f"t{trial}"
@@ -111,19 +134,38 @@ def test_every_stage_succeeds_usably_or_fails_with_one_line(tmp_path, stage):
             assert not split.exists(), trial
             outcomes["split failed"] += 1
             continue
-        systems = []
-        for method in CONFIGS:
-            out = work / f"filled_{method}.tsv"
-            code = stage(trial, ["impute", "--train", str(split / "train.tsv"),
-                                 "--test", str(split / "test.tsv"), "--out", str(out),
-                                 "--imputer-config", str(tmp_path / f"{method}.cfg")])
-            assert code == 0, f"trial {trial}: impute {method} rejects the split's output"
-            systems += ["--system", f"{method}={out}"]
-        code = stage(trial, ["evaluate", "--test", str(split / "test.tsv"),
-                             "--gold", str(split / "test_gold.tsv"), "--out-dir",
-                             str(work / "eval"), "--seed", "1", "--samples", "20",
-                             "--spec", str(split / "split_spec.cfg"), *systems])
-        assert code == 0, f"trial {trial}: evaluate rejects the filled files"
+        impute_and_evaluate(stage, trial, configs, work, split / "train.tsv", split / "test.tsv",
+                            split / "test_gold.tsv", "--spec", str(split / "split_spec.cfg"))
+        outcomes["evaluated"] += 1
+    # both paths are exercised
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+FRACTIONS = ("0.5,0,0.5", "0.5,0.25,0.25", "0.8,0.1,0.1", "0.3,0,0.7", "1,0,0", "0,0,1")
+
+
+def test_random_split_then_blank_succeed_usably_or_fail_with_one_line(tmp_path, configs, stage):
+    """``split --random-fractions`` then ``blank`` on its test set, then
+    ``impute`` and ``evaluate`` as above."""
+    rng = random.Random(20261020)
+    outcomes = {"split failed": 0, "evaluated": 0}
+    for trial in range(N_TRIALS):
+        work = tmp_path / f"t{trial}"
+        work.mkdir()
+        text, _ = tiny_dataset(rng)
+        (work / "data.tsv").write_text(text, encoding="utf-8")
+        split, blanked = work / "split", work / "blanked"
+        if stage(trial, ["split", "--input", str(work / "data.tsv"), "--out-dir", str(split),
+                         "--random-fractions", rng.choice(FRACTIONS),
+                         "--seed", str(rng.randrange(1000))]):
+            assert not split.exists(), trial
+            outcomes["split failed"] += 1
+            continue
+        code = stage(trial, ["blank", "--input", str(split / "test.tsv"), "--out-dir",
+                             str(blanked), "--seed", str(rng.randrange(1000))])
+        assert code == 0, f"trial {trial}: blank rejects the split's test set"
+        impute_and_evaluate(stage, trial, configs, work, split / "train.tsv",
+                            blanked / "blanked.tsv", blanked / "gold.tsv")
         outcomes["evaluated"] += 1
     # both paths are exercised
     assert min(outcomes.values()) >= 10, outcomes
