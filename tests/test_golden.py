@@ -2,8 +2,10 @@
 
 Each workload of ``bench/workloads.py`` runs stage by stage through
 ``typoimpute.cli.main``, in process, on ``bench/gen.py`` data at seeds 1
-and 2.  The SHA-256 of every file a stage writes must match the digest
-committed in ``tests/golden.json``.
+and 2, and then runs its ``evaluate`` stage once more with
+``--exclude-missing``, a branch no workload takes.  The SHA-256 of every
+file a stage writes must match the digest committed in
+``tests/golden.json``.
 
 A change that alters outputs on purpose rewrites the digests with::
 
@@ -38,6 +40,16 @@ def _files(directory: Path) -> set[Path]:
     return {path for path in directory.rglob("*") if path.is_file()}
 
 
+def stages(workload) -> list[tuple[str, list[str]]]:
+    """(name, argv) of each stage of ``workload``, then of its
+    ``evaluate`` stage again with ``--exclude-missing``, writing to a
+    directory of its own."""
+    argv = list(next(stage.argv for stage in workload.stages if stage.name == "evaluate"))
+    argv[argv.index("--out-dir") + 1] = "eval_exclude_missing"
+    return ([(stage.name, list(stage.argv)) for stage in workload.stages]
+            + [("evaluate --exclude-missing", argv + ["--exclude-missing"])])
+
+
 def run_workload(name: str, seed: int, work: Path) -> dict[str, dict[str, str]]:
     """Run every stage of workload ``name`` at ``seed`` under ``work``:
     stage name -> {path written, relative to the stage directory: SHA-256}.
@@ -58,11 +70,11 @@ def run_workload(name: str, seed: int, work: Path) -> dict[str, dict[str, str]]:
     here = Path.cwd()
     os.chdir(run)
     try:
-        for stage in workload.stages:
+        for stage, argv in stages(workload):
             before = _files(run)
-            code = cli.main(list(stage.argv))
-            assert code == 0, f"{name} seed {seed}: stage {stage.name} exited {code}"
-            digests[stage.name] = {
+            code = cli.main(argv)
+            assert code == 0, f"{name} seed {seed}: stage {stage} exited {code}"
+            digests[stage] = {
                 path.relative_to(run).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
                 for path in sorted(_files(run) - before)
             }
