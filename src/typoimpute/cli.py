@@ -360,8 +360,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     gold_values = _load_dataset(args.gold)
     gold = _load_dataset(args.test, gold=gold_values)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     reports: list[ev.EvalReport] = []
     for name, path in systems:
@@ -387,6 +385,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         f"seed={args.seed if args.seed is not None else 'none'}",
     ]
 
+    # Every figure is computed before --out-dir exists: a data error leaves no directory.
     correlations: dict[str, Optional[ev.CorrelationResult]] = {}
     for report in reports:
         try:
@@ -395,6 +394,25 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             log.warning("blanking correlation undefined for %s: %s", report.system, exc)
             correlations[report.system] = None
 
+    feature_rows = ev.feature_accuracy_table(reports)
+    # one system makes no pair
+    by_name = {r.system: r for r in reports}
+    significance = [ev.paired_permutation_test(by_name[a], by_name[b], samples=args.samples,
+                                               seed=args.seed)
+                    for a, b in itertools.combinations(sorted(by_name), 2)]
+    meta: Optional[ev.CorrelationResult] = None
+    defined = [(r.macro_accuracy, correlations[r.system].r) for r in reports
+               if correlations[r.system] is not None]
+    if len(defined) >= 2:
+        try:
+            meta = ev.meta_correlation(defined)
+        except ev.UndefinedCorrelationError as exc:
+            log.warning("meta correlation undefined: %s", exc)
+
+    breakdown = {r.system: ev.genus_breakdown(r, held_genera) for r in reports} if held_genera else {}
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_table(
         out_dir / "systems.csv",
         comments,
@@ -451,15 +469,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         ["feature", "mean_accuracy", "std_accuracy", "n_scored"],
         [
             (row.feature, row.mean_accuracy, row.std_accuracy, row.n_scored)
-            for row in ev.feature_accuracy_table(reports)
+            for row in feature_rows
         ],
     )
-
-    # one system makes no pair
-    by_name = {r.system: r for r in reports}
-    significance = [ev.paired_permutation_test(by_name[a], by_name[b], samples=args.samples,
-                                               seed=args.seed)
-                    for a, b in itertools.combinations(sorted(by_name), 2)]
     _write_table(
         out_dir / "significance.csv",
         comments,
@@ -469,20 +481,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             for s in significance
         ],
     )
-
-    meta: Optional[ev.CorrelationResult] = None
-    defined = [
-        (r.macro_accuracy, correlations[r.system].r)
-        for r in reports
-        if correlations[r.system] is not None
-    ]
-    if len(defined) >= 2:
-        try:
-            meta = ev.meta_correlation(defined)
-        except ev.UndefinedCorrelationError as exc:
-            log.warning("meta correlation undefined: %s", exc)
-
-    breakdown = {r.system: ev.genus_breakdown(r, held_genera) for r in reports} if held_genera else {}
     if breakdown:
         _write_table(
             out_dir / "breakdown.csv",

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import EvaluationError
-from .kb import BLANKED_CODE, OBSERVED_CODE, Dataset, locate_cells
+from .kb import BLANKED_CODE, OBSERVED_CODE, UNKNOWN_CODE, Dataset, locate_cells
 
 __all__ = [
     "EvaluationError",
@@ -47,29 +47,31 @@ class UndefinedCorrelationError(EvaluationError):
     too few points)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemOutput:
-    """A named set of predicted values keyed by (language code, feature)."""
+    """A system's answers to one gold cell table: per gold cell, the gold
+    value code of the answer, -1 for none, -2 for a value no gold cell holds."""
 
     name: str
-    predictions: Mapping[tuple[str, str], str]
+    predicted: np.ndarray
 
 
 def output_from_dataset(name: str, filled: Dataset, reference: Dataset) -> SystemOutput:
-    """Read predictions out of a filled copy of ``reference``.
+    """Read the answers of a filled copy of ``reference``.
 
-    A prediction is any cell observed in ``filled`` whose counterpart in
+    An answer is any cell observed in ``filled`` whose counterpart in
     ``reference`` is hidden (blanked or unknown).  Cells the filled copy
-    left unknown stay missing.
+    left unknown, and cells ``reference`` lacks, stay unanswered.
     """
     codes = filled.codes()
     at = locate_cells(reference, codes, filled.feature_names, filled.cell_row, filled.cell_feature)
     hit = (filled.cell_state == OBSERVED_CODE) & (at >= 0)
     hit[hit] = reference.cell_state[at[hit]] != OBSERVED_CODE
-    cells = zip(filled.cell_row[hit].tolist(), filled.cell_feature[hit].tolist(),
-                filled.cell_value[hit].tolist())
-    predictions = {(codes[r], filled.feature_names[f]): filled.value_names[v] for r, f, v in cells}
-    return SystemOutput(name, predictions)
+    index = {value: i for i, value in enumerate(reference.value_names)}
+    value_code = np.array([index.get(value, -2) for value in filled.value_names], dtype=np.intp)
+    predicted = np.full(len(reference.cell_row), -1, dtype=np.intp)
+    predicted[at[hit]] = value_code[filled.cell_value[hit]]
+    return SystemOutput(name, predicted)
 
 
 @dataclass
@@ -95,37 +97,35 @@ class EvalReport:
 
 
 def score(gold: Dataset, output: SystemOutput, exclude_missing: bool = False) -> EvalReport:
-    """Score one system against the blanked cells of ``gold``.
+    """Score one system against the blanked cells of ``gold``, the table
+    ``output`` answers cell for cell (``output_from_dataset(name, filled,
+    gold)``).
 
     Hidden cells without a prediction count as wrong; with
     ``exclude_missing`` they are dropped from every denominator instead
     (a language whose hidden cells are all missing is then dropped
-    entirely).  Predictions for cells that are not blanked are ignored
-    with a warning.
+    entirely).  Predictions for hidden cells that are not blanked are
+    ignored with a warning.
     """
+    if len(output.predicted) != len(gold.cell_row):
+        raise EvaluationError(f"system {output.name} answers a table of {len(output.predicted)} "
+                              f"cells, not the gold table of {len(gold.cell_row)}")
     blanked = gold.cell_state == BLANKED_CODE
     if not blanked.any():
         raise EvaluationError("gold dataset has no blanked cells to score")
     codes = gold.codes()
+    extra = np.flatnonzero((output.predicted != -1) & (gold.cell_state == UNKNOWN_CODE))
+    if len(extra):
+        # the first three by (code, feature)
+        code_rank = np.empty(len(codes), dtype=np.intp)
+        code_rank[sorted(range(len(codes)), key=codes.__getitem__)] = np.arange(len(codes))
+        first = extra[np.lexsort((gold.cell_feature[extra], code_rank[gold.cell_row[extra]]))[:3]]
+        shown = ", ".join(f"{codes[r]}:{gold.feature_names[f]}" for r, f in
+                          zip(gold.cell_row[first].tolist(), gold.cell_feature[first].tolist()))
+        log.warning("system %s predicts %d non-blanked cells (%s%s); ignored", output.name,
+                    len(extra), shown, ", ..." if len(extra) > 3 else "")
     row, feature = gold.cell_row[blanked], gold.cell_feature[blanked]
-    keys = [(codes[r], gold.feature_names[f]) for r, f in zip(row.tolist(), feature.tolist())]
-    extra = sorted(set(output.predictions) - set(keys))
-    if extra:
-        shown = ", ".join(f"{code}:{feature}" for code, feature in extra[:3])
-        more = ", ..." if len(extra) > 3 else ""
-        log.warning(
-            "system %s predicts %d non-blanked cells (%s%s); ignored",
-            output.name,
-            len(extra),
-            shown,
-            more,
-        )
-    # each prediction as a value code: -1 when missing, -2 when no gold
-    # cell holds that value
-    value_code = {name: i for i, name in enumerate(gold.value_names)}
-    value_code[None] = -1
-    predicted = np.array([value_code.get(output.predictions.get(key), -2) for key in keys],
-                         dtype=np.intp)
+    predicted = output.predicted[blanked]
     missing = predicted == -1
     correct = predicted == gold.cell_value[blanked]
     scored = ~missing if exclude_missing else np.ones_like(missing)
@@ -165,7 +165,7 @@ def score(gold: Dataset, output: SystemOutput, exclude_missing: bool = False) ->
         macro_accuracy=macro,
         micro_accuracy=n_correct / int(scored.sum()),
         per_feature=per_feature,
-        n_blanked=len(keys),
+        n_blanked=len(row),
         n_missing=int(missing.sum()),
         n_correct=n_correct,
         exclude_missing=exclude_missing,

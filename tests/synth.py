@@ -1,5 +1,6 @@
 """Seeded generators for synthetic language datasets used across tests,
-and a per-cell view of the coded cell table for writing them by hand."""
+a per-cell view of the coded cell table for writing them by hand, and
+filled copies of a gold table for scoring."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from typoimpute.evaluate import SystemOutput, output_from_dataset
 from typoimpute.kb import OBSERVED_CODE, STATES, Dataset, DatasetError, Language, serialize_dataset
 
 GENERA = [
@@ -165,6 +167,36 @@ def blank_some(dataset: Dataset, rng: random.Random, per_language: int = 1) -> D
         for feature in rng.sample(observed, n):
             cells[(lang.code, feature)] = Cell.blanked(cells[(lang.code, feature)].value)
     return build_dataset(dataset.languages, cells)
+
+
+def fill(gold: Dataset, answers: Mapping[tuple[str, str], str]) -> Dataset:
+    """``gold`` as a system fills it: the value of each (code, feature) of
+    ``answers`` observed, and every other hidden cell unknown.  An answer
+    may name an observed cell, or a language or a feature ``gold`` lacks."""
+    cells = {key: cell if cell.state == "observed" else Cell.unknown()
+             for key, cell in cells_of(gold).items()}
+    cells.update((key, Cell.observed(value)) for key, value in answers.items())
+    extra = sorted({code for code, _ in answers} - set(gold.rows))
+    return build_dataset(gold.languages + [make_language(code) for code in extra], cells)
+
+
+def blanked_keys(gold: Dataset) -> list[tuple[str, str]]:
+    """The (code, feature) of each blanked cell of ``gold``, sorted."""
+    return sorted(key for key, cell in cells_of(gold).items() if cell.state == "blanked")
+
+
+def fill_blanked(gold: Dataset, correct_keys, wrong_value: str = "WRONG") -> Dataset:
+    """``gold`` with every blanked cell answered: with its gold value at
+    the keys in ``correct_keys`` and ``wrong_value`` elsewhere."""
+    return fill(gold, {key: cell.value if key in correct_keys else wrong_value
+                       for key, cell in cells_of(gold).items() if cell.state == "blanked"})
+
+
+def output_for(gold: Dataset, correct_keys, name: str = "sys",
+               wrong_value: str = "WRONG") -> SystemOutput:
+    """The answers of ``fill_blanked(gold, correct_keys, wrong_value)``,
+    read against ``gold`` as ``evaluate`` reads a system file."""
+    return output_from_dataset(name, fill_blanked(gold, correct_keys, wrong_value), gold)
 
 
 def as_text(dataset: Dataset, **kwargs) -> str:

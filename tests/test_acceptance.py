@@ -13,9 +13,9 @@ import numpy as np
 
 from typoimpute.evaluate import (
     EvalReport,
-    SystemOutput,
     blanking_ratio_correlation,
     genus_weights,
+    output_from_dataset,
     paired_permutation_test,
     score,
 )
@@ -37,8 +37,8 @@ from oracles import (
     normal_equation_residual,
     vote_prediction_oracle,
 )
-from synth import (Cell, build_dataset, cells_of, language_of, make_language, predict_one,
-                   predictions_of, random_dataset)
+from synth import (Cell, blanked_keys, build_dataset, cells_of, fill_blanked, language_of,
+                   make_language, output_for, predict_one, predictions_of, random_dataset)
 
 
 def _verdict(number, label, ok):
@@ -56,15 +56,6 @@ def make_gold(rows, n_observed=2):
         for i in range(n_observed):
             cells[(code, f"obs{i}")] = Cell.observed("o")
     return build_dataset(languages, cells)
-
-
-def predictions_for(gold, correct_keys, wrong_value="WRONG"):
-    out = {}
-    for (code, feature), cell in cells_of(gold).items():
-        if cell.state == BLANKED:
-            key = (code, feature)
-            out[key] = cell.value if key in correct_keys else wrong_value
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +228,9 @@ def test_acceptance_4_permutation_calibration():
             (f"l{i:02d}", f"G{i}", {"f1": "x", "f2": "y"}) for i in range(5)
         ]
         gold = make_gold(rows)
-        all_keys = sorted(predictions_for(gold, set()))
-        a = score(gold, SystemOutput("A", predictions_for(
-            gold, {k for k in all_keys if rng.random() < 0.6})))
-        b = score(gold, SystemOutput("B", predictions_for(
-            gold, {k for k in all_keys if rng.random() < 0.4})))
+        all_keys = blanked_keys(gold)
+        a = score(gold, output_for(gold, {k for k in all_keys if rng.random() < 0.6}, "A"))
+        b = score(gold, output_for(gold, {k for k in all_keys if rng.random() < 0.4}, "B"))
 
         codes = sorted(a.per_language)
         weights = genus_weights({c: a.language_genus[c] for c in codes})
@@ -269,7 +258,7 @@ def test_acceptance_5_metric_identities():
     rows = [(f"l{i:02d}", f"G{i}", {"f1": "x"}) for i in range(7)]
     gold = make_gold(rows)
     correct = {(f"l{i:02d}", "f1") for i in (0, 2, 5)}
-    report = score(gold, SystemOutput("sys", predictions_for(gold, correct)))
+    report = score(gold, output_for(gold, correct))
     if report.macro_accuracy != report.micro_accuracy:
         ok = False
 
@@ -280,7 +269,7 @@ def test_acceptance_5_metric_identities():
         ("lb2", "B", {"f1": "x", "f2": "x"}),
     ])
     hand = {("la1", "f1"), ("la1", "f2"), ("lb1", "f1")}
-    report = score(gold, SystemOutput("sys", predictions_for(gold, hand)))
+    report = score(gold, output_for(gold, hand))
     if abs(report.macro_accuracy - 0.625) > 1e-15:
         ok = False
 
@@ -292,15 +281,15 @@ def test_acceptance_5_metric_identities():
             blanked = {f"f{j}": "x" for j in range(rng.randint(1, 3))}
             rows.append((f"l{i:02d}", f"G{rng.randint(0, 2)}", blanked))
         gold = make_gold(rows)
-        all_keys = sorted(predictions_for(gold, set()))
+        all_keys = blanked_keys(gold)
         correct = {k for k in all_keys if rng.random() < 0.5}
-        base = score(gold, SystemOutput("sys", predictions_for(gold, correct)))
+        base = score(gold, output_for(gold, correct))
 
         # permutation invariance under record order
         shuffled_langs = list(gold.languages)
         rng.shuffle(shuffled_langs)
         shuffled = build_dataset(shuffled_langs, cells_of(gold))
-        again = score(shuffled, SystemOutput("sys", predictions_for(shuffled, correct)))
+        again = score(shuffled, output_for(shuffled, correct))
         if (again.macro_accuracy != base.macro_accuracy
                 or again.micro_accuracy != base.micro_accuracy):
             ok = False
@@ -308,15 +297,15 @@ def test_acceptance_5_metric_identities():
         # monotonicity under prediction edits
         wrong = [k for k in all_keys if k not in correct]
         if wrong:
-            improved = score(gold, SystemOutput(
-                "sys", predictions_for(gold, correct | {rng.choice(wrong)})))
+            improved = score(gold, output_for(gold, correct | {rng.choice(wrong)}))
             if (improved.macro_accuracy < base.macro_accuracy
                     or improved.micro_accuracy < base.micro_accuracy):
                 ok = False
         if correct:
-            preds = predictions_for(gold, correct)
-            del preds[rng.choice(sorted(correct))]
-            worse = score(gold, SystemOutput("sys", preds))
+            cells = cells_of(fill_blanked(gold, correct))
+            cells[rng.choice(sorted(correct))] = Cell.unknown()
+            dropped = build_dataset(gold.languages, cells)
+            worse = score(gold, output_from_dataset("sys", dropped, gold))
             if (worse.macro_accuracy > base.macro_accuracy
                     or worse.micro_accuracy > base.micro_accuracy):
                 ok = False

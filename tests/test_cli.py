@@ -582,6 +582,38 @@ def test_evaluate_without_blanked_cells_is_data_error(tmp_path, corpus, split_di
     assert code == 2
 
 
+def _evaluate_argv(split_dirs, out_dir, *systems):
+    argv = ["evaluate", "--test", str(split_dirs / "test.tsv"),
+            "--gold", str(split_dirs / "test_gold.tsv"), "--out-dir", str(out_dir)]
+    for system in systems:
+        argv += ["--system", system]
+    return argv
+
+
+def test_evaluate_scoring_nothing_makes_no_out_dir(tmp_path, split_dirs, capsys):
+    out_dir = tmp_path / "eval"
+    argv = _evaluate_argv(split_dirs, out_dir, f"none={split_dirs / 'test.tsv'}")
+    assert main([*argv, "--exclude-missing"]) == 2
+    assert capsys.readouterr().err == "data error: no language has a scored cell\n"
+    assert not out_dir.exists()
+
+
+def test_evaluate_systems_without_a_common_language_make_no_out_dir(tmp_path, split_dirs,
+                                                                    capsys):
+    # each system answers every other language of the test set
+    filled = _impute(split_dirs, tmp_path / "freq.tsv").read_text(encoding="utf-8").splitlines()
+    test = (split_dirs / "test.tsv").read_text(encoding="utf-8").splitlines()
+    for name, parity in (("even", 0), ("odd", 1)):
+        lines = [f if i % 2 == parity else t for i, (f, t) in enumerate(zip(filled, test))]
+        (tmp_path / f"{name}.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out_dir = tmp_path / "eval"
+    argv = _evaluate_argv(split_dirs, out_dir, f"even={tmp_path / 'even.tsv'}",
+                          f"odd={tmp_path / 'odd.tsv'}")
+    assert main([*argv, "--exclude-missing", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "data error: no common languages to compare\n"
+    assert not out_dir.exists()
+
+
 def test_report_renders_evaluation(tmp_path, split_dirs, spec_file):
     freq = _impute(split_dirs, tmp_path / "freq.tsv")
     gf = _impute(split_dirs, tmp_path / "gf.tsv", method="genus_family")

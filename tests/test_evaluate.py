@@ -15,7 +15,6 @@ from typoimpute.evaluate import (
     CorrelationResult,
     EvalReport,
     EvaluationError,
-    SystemOutput,
     UndefinedCorrelationError,
     blanking_ratio_correlation,
     feature_accuracy_table,
@@ -36,7 +35,8 @@ from oracles import (
     score_oracle,
     t_tail_oracle,
 )
-from synth import Cell, blank_some, build_dataset, cells_of, make_language, random_dataset
+from synth import (Cell, blank_some, blanked_keys, build_dataset, cells_of, fill, fill_blanked,
+                   make_language, output_for, random_dataset)
 
 
 def make_gold(rows, n_observed=2):
@@ -53,19 +53,6 @@ def make_gold(rows, n_observed=2):
     return build_dataset(languages, cells)
 
 
-def predictions_for(gold, correct_keys, wrong_value="WRONG"):
-    """Predict every blanked cell; keys in correct_keys get the gold value."""
-    out = {}
-    for (code, feature), cell in cells_of(gold).items():
-        if cell.state != "blanked":
-            continue
-        if (code, feature) in correct_keys:
-            out[(code, feature)] = cell.value
-        else:
-            out[(code, feature)] = wrong_value
-    return out
-
-
 def test_hand_worked_macro():
     # genus A: one language at 1.0; genus B: two languages at 0.5 and 0.0
     gold = make_gold([
@@ -74,7 +61,7 @@ def test_hand_worked_macro():
         ("lb2", "B", {"f1": "x", "f2": "x"}),
     ])
     correct = {("la1", "f1"), ("la1", "f2"), ("lb1", "f1")}
-    report = score(gold, SystemOutput("sys", predictions_for(gold, correct)))
+    report = score(gold, output_for(gold, correct))
     assert report.macro_accuracy == pytest.approx(0.625)
     assert report.micro_accuracy == pytest.approx(0.5)
     assert report.per_genus == {"A": 1.0, "B": 0.25}
@@ -88,8 +75,8 @@ def test_all_correct_is_exactly_one():
         ("la1", "A", {"f1": "x"}),
         ("lb1", "B", {"f1": "y", "f2": "z"}),
     ])
-    keys = set(predictions_for(gold, set()))
-    report = score(gold, SystemOutput("sys", predictions_for(gold, keys)))
+    keys = set(blanked_keys(gold))
+    report = score(gold, output_for(gold, keys))
     assert report.macro_accuracy == 1.0
     assert report.micro_accuracy == 1.0
 
@@ -97,17 +84,18 @@ def test_all_correct_is_exactly_one():
 def test_macro_equals_micro_when_degenerate():
     gold = make_gold([("la1", "A", {"f1": "x", "f2": "y", "f3": "z"})])
     correct = {("la1", "f1"), ("la1", "f3")}
-    report = score(gold, SystemOutput("sys", predictions_for(gold, correct)))
+    report = score(gold, output_for(gold, correct))
     assert report.macro_accuracy == report.micro_accuracy == pytest.approx(2 / 3)
 
 
 def test_missing_predictions_count_as_wrong():
     rows = [(f"l{i:02d}", f"G{i}", {"f1": "x", "f2": "x"}) for i in range(10)]
     gold = make_gold(rows)
-    full = predictions_for(gold, set(predictions_for(gold, set())))
+    cells = cells_of(fill_blanked(gold, blanked_keys(gold)))
     # drop every prediction for one language
-    partial = {k: v for k, v in full.items() if k[0] != "l00"}
-    report = score(gold, SystemOutput("sys", partial))
+    cells.update({key: Cell.unknown() for key in blanked_keys(gold) if key[0] == "l00"})
+    partial = build_dataset(gold.languages, cells)
+    report = score(gold, output_from_dataset("sys", partial, gold))
     assert report.macro_accuracy == pytest.approx(0.9)
     assert report.n_missing == 2
     assert report.per_language["l00"] == 0.0
@@ -116,10 +104,11 @@ def test_missing_predictions_count_as_wrong():
 def test_exclude_missing_drops_cells_and_languages():
     rows = [(f"l{i:02d}", f"G{i}", {"f1": "x", "f2": "x"}) for i in range(10)]
     gold = make_gold(rows)
-    full = predictions_for(gold, set(predictions_for(gold, set())))
-    partial = {k: v for k, v in full.items() if k[0] != "l00"}
-    del partial[("l01", "f1")]  # l01 keeps one correct prediction
-    report = score(gold, SystemOutput("sys", partial), exclude_missing=True)
+    cells = cells_of(fill_blanked(gold, blanked_keys(gold)))
+    cells.update({key: Cell.unknown() for key in blanked_keys(gold) if key[0] == "l00"})
+    cells[("l01", "f1")] = Cell.unknown()  # l01 keeps one correct prediction
+    partial = build_dataset(gold.languages, cells)
+    report = score(gold, output_from_dataset("sys", partial, gold), exclude_missing=True)
     assert "l00" not in report.per_language  # fully missing language dropped
     assert report.per_language["l01"] == 1.0  # scored on the remaining cell
     assert report.macro_accuracy == pytest.approx(1.0)
@@ -129,24 +118,44 @@ def test_exclude_missing_drops_cells_and_languages():
 
 def test_non_blanked_predictions_warn_and_are_ignored(caplog):
     gold = make_gold([("la1", "A", {"f1": "x"})])
-    preds = predictions_for(gold, {("la1", "f1")})
-    noisy = dict(preds)
-    noisy[("la1", "obs0")] = "whatever"  # observed cell
-    noisy[("zzz", "f1")] = "whatever"  # unknown language
+    gold = build_dataset(gold.languages, {**cells_of(gold), ("la1", "f2"): Cell.unknown()})
+    clean = fill_blanked(gold, {("la1", "f1")})
+    cells = cells_of(clean)
+    cells[("la1", "f2")] = Cell.observed("x")  # unknown, not blanked
+    cells[("la1", "obs0")] = Cell.observed("whatever")  # observed cell
+    cells[("zzz", "f1")] = Cell.observed("whatever")  # unknown language
+    noisy = build_dataset(clean.languages + [make_language("zzz")], cells)
     with caplog.at_level(logging.WARNING, logger="typoimpute.evaluate"):
-        report = score(gold, SystemOutput("noisy", noisy))
-    assert "non-blanked" in caplog.text
-    assert "noisy" in caplog.text
-    clean = score(gold, SystemOutput("clean", preds))
-    assert report.macro_accuracy == clean.macro_accuracy
-    assert report.n_blanked == clean.n_blanked
+        report = score(gold, output_from_dataset("noisy", noisy, gold))
+    assert caplog.messages == ["system noisy predicts 1 non-blanked cells (la1:f2); ignored"]
+    clean = score(gold, output_from_dataset("clean", clean, gold))
+    assert vars(report) == {**vars(clean), "system": "noisy"}
+
+
+def test_non_blanked_warning_lists_the_first_three_by_code_and_feature(caplog):
+    languages = [make_language(code) for code in ("lc", "la", "lb")]
+    cells = {(code, feature): Cell.unknown() for code in ("lc", "la", "lb") for feature in ("f2", "f1")}
+    cells[("la", "f0")] = Cell.blanked("x")
+    gold = build_dataset(languages, cells)
+    answers = {key: "x" for key in cells}
+    with caplog.at_level(logging.WARNING, logger="typoimpute.evaluate"):
+        score(gold, output_from_dataset("sys", fill(gold, answers), gold))
+    assert caplog.messages == [
+        "system sys predicts 6 non-blanked cells (la:f1, la:f2, lb:f1, ...); ignored"]
 
 
 def test_score_requires_blanked_cells():
     languages = [make_language("la1")]
     gold = build_dataset(languages, {("la1", "f1"): Cell.observed("x")})
     with pytest.raises(EvaluationError, match="no blanked cells"):
-        score(gold, SystemOutput("sys", {}))
+        score(gold, output_from_dataset("sys", gold, gold))
+
+
+def test_score_rejects_an_output_of_another_table():
+    gold = make_gold([("la1", "A", {"f1": "x"})])
+    other = make_gold([("la1", "A", {"f1": "x", "f2": "y"})])
+    with pytest.raises(EvaluationError, match="answers a table of 4 cells, not the gold table of 3"):
+        score(gold, output_for(other, set()))
 
 
 def test_macro_matches_oracle_on_random_fixtures():
@@ -158,9 +167,9 @@ def test_macro_matches_oracle_on_random_fixtures():
             blanked = {f"f{j}": "x" for j in range(rng.randint(1, 4))}
             rows.append((f"l{i:02d}", genus, blanked))
         gold = make_gold(rows)
-        all_keys = set(predictions_for(gold, set()))
+        all_keys = set(blanked_keys(gold))
         correct = {k for k in all_keys if rng.random() < 0.6}
-        report = score(gold, SystemOutput("sys", predictions_for(gold, correct)))
+        report = score(gold, output_for(gold, correct))
         want = macro_oracle(report.per_language, report.language_genus)
         assert report.macro_accuracy == pytest.approx(want)
         weights = genus_weights(report.language_genus)
@@ -177,8 +186,8 @@ def test_score_invariant_under_language_order():
     gold = make_gold(rows)
     shuffled = build_dataset(list(reversed(gold.languages)), cells_of(gold))
     correct = {("la1", "f1"), ("lb1", "f2")}
-    a = score(gold, SystemOutput("sys", predictions_for(gold, correct)))
-    b = score(shuffled, SystemOutput("sys", predictions_for(shuffled, correct)))
+    a = score(gold, output_for(gold, correct))
+    b = score(shuffled, output_for(shuffled, correct))
     assert a.macro_accuracy == b.macro_accuracy
     assert a.micro_accuracy == b.micro_accuracy
     assert a.per_language == b.per_language
@@ -192,14 +201,14 @@ def test_fixing_a_wrong_prediction_never_hurts():
             blanked = {f"f{j}": "x" for j in range(rng.randint(1, 3))}
             rows.append((f"l{i:02d}", f"G{rng.randint(0, 2)}", blanked))
         gold = make_gold(rows)
-        all_keys = sorted(predictions_for(gold, set()))
+        all_keys = blanked_keys(gold)
         correct = {k for k in all_keys if rng.random() < 0.5}
         wrong = [k for k in all_keys if k not in correct]
         if not wrong:
             continue
-        base = score(gold, SystemOutput("sys", predictions_for(gold, correct)))
+        base = score(gold, output_for(gold, correct))
         improved_keys = correct | {rng.choice(wrong)}
-        improved = score(gold, SystemOutput("sys", predictions_for(gold, improved_keys)))
+        improved = score(gold, output_for(gold, improved_keys))
         assert improved.macro_accuracy >= base.macro_accuracy
         assert improved.micro_accuracy >= base.micro_accuracy
 
@@ -212,15 +221,16 @@ def test_removing_a_correct_prediction_never_helps():
             blanked = {f"f{j}": "x" for j in range(rng.randint(1, 3))}
             rows.append((f"l{i:02d}", f"G{rng.randint(0, 2)}", blanked))
         gold = make_gold(rows)
-        all_keys = sorted(predictions_for(gold, set()))
+        all_keys = blanked_keys(gold)
         correct = {k for k in all_keys if rng.random() < 0.7}
         if not correct:
             continue
-        preds = predictions_for(gold, correct)
-        base = score(gold, SystemOutput("sys", preds))
-        dropped = dict(preds)
-        del dropped[rng.choice(sorted(correct))]
-        worse = score(gold, SystemOutput("sys", dropped))
+        filled = fill_blanked(gold, correct)
+        base = score(gold, output_from_dataset("sys", filled, gold))
+        cells = cells_of(filled)
+        cells[rng.choice(sorted(correct))] = Cell.unknown()
+        dropped = build_dataset(gold.languages, cells)
+        worse = score(gold, output_from_dataset("sys", dropped, gold))
         assert worse.macro_accuracy <= base.macro_accuracy
         assert worse.micro_accuracy <= base.micro_accuracy
 
@@ -261,22 +271,25 @@ def _scoring_case(rng):
 
 
 def test_score_matches_per_cell_oracle():
-    """Every report field equals the per-cell loop's, floats bit for bit,
-    with and without ``exclude_missing``, and both error paths raise
-    the oracle's message."""
+    """Every report field equals the per-cell loop's over the predictions
+    dict, floats bit for bit, with and without ``exclude_missing``, when
+    the predictions reach ``score`` as a filled dataset read by
+    ``output_from_dataset``; both error paths raise the oracle's
+    message."""
     rng = random.Random(20)
     outcomes = Counter()
     for _ in range(200):
         gold, predictions = _scoring_case(rng)
+        output = output_from_dataset("sys", fill(gold, predictions), gold)
         for exclude_missing in (False, True):
             try:
                 want = score_oracle(gold, "sys", predictions, exclude_missing)
             except ValueError as err:
                 with pytest.raises(EvaluationError, match=f"^{re.escape(str(err))}$"):
-                    score(gold, SystemOutput("sys", predictions), exclude_missing)
+                    score(gold, output, exclude_missing)
                 outcomes[str(err)] += 1
                 continue
-            report = score(gold, SystemOutput("sys", predictions), exclude_missing)
+            report = score(gold, output, exclude_missing)
             assert vars(report) == want
             outcomes["missing" if report.n_missing else "complete", exclude_missing] += 1
     assert outcomes["gold dataset has no blanked cells to score"] > 0
@@ -293,11 +306,11 @@ def _two_system_reports(rng, n_languages=5):
         (f"l{i:02d}", f"G{i}", {"f1": "x", "f2": "y"}) for i in range(n_languages)
     ]
     gold = make_gold(rows)
-    all_keys = sorted(predictions_for(gold, set()))
+    all_keys = blanked_keys(gold)
     correct_a = {k for k in all_keys if rng.random() < 0.6}
     correct_b = {k for k in all_keys if rng.random() < 0.4}
-    a = score(gold, SystemOutput("A", predictions_for(gold, correct_a)))
-    b = score(gold, SystemOutput("B", predictions_for(gold, correct_b)))
+    a = score(gold, output_for(gold, correct_a, "A"))
+    b = score(gold, output_for(gold, correct_b, "B"))
     return a, b
 
 
@@ -406,9 +419,8 @@ def test_permutation_input_validation():
     with pytest.raises(EvaluationError, match="positive"):
         paired_permutation_test(a, b, samples=0)
     rows = [("zz1", "Z", {"f1": "x"})]
-    other = score(
-        make_gold(rows), SystemOutput("C", predictions_for(make_gold(rows), set()))
-    )
+    other = make_gold(rows)
+    other = score(other, output_for(other, set(), "C"))
     with pytest.raises(EvaluationError, match="common"):
         paired_permutation_test(a, other)
 
@@ -534,7 +546,7 @@ def test_blanking_ratio_uses_hidden_share():
     gold = make_gold(
         [("la1", "A", {"f1": "x", "f2": "y"})], n_observed=6
     )
-    report = score(gold, SystemOutput("sys", predictions_for(gold, set())))
+    report = score(gold, output_for(gold, set()))
     assert report.language_ratio["la1"] == pytest.approx(2 / 8)
 
 
@@ -570,8 +582,8 @@ def test_feature_accuracy_table_mean_and_spread():
     # system A: 3/5 on f1; system B: 7/10 -> use f2 to differ
     correct_a = {(f"l{c}1", "f1") for c in "abc"} | {(f"l{c}1", "f2") for c in "abcd"}
     correct_b = {(f"l{c}1", "f1") for c in "abcd"} | {(f"l{c}1", "f2") for c in "ab"}
-    ra = score(gold, SystemOutput("A", predictions_for(gold, correct_a)))
-    rb = score(gold, SystemOutput("B", predictions_for(gold, correct_b)))
+    ra = score(gold, output_for(gold, correct_a, "A"))
+    rb = score(gold, output_for(gold, correct_b, "B"))
     table = {row.feature: row for row in feature_accuracy_table([ra, rb])}
     assert table["f1"].mean_accuracy == pytest.approx((0.6 + 0.8) / 2)
     assert table["f1"].std_accuracy == pytest.approx(0.1)
@@ -597,7 +609,7 @@ def test_genus_breakdown_rows():
         ("lh1", "f1"), ("lh1", "f2"), ("li1", "f1"),
         ("lo1", "f1"), ("lo2", "f1"),
     }
-    report = score(gold, SystemOutput("sys", predictions_for(gold, correct)))
+    report = score(gold, output_for(gold, correct))
     rows = genus_breakdown(report, ["Held1", "Held2", "HeldAbsent"])
     labels = [row.group for row in rows]
     assert labels == ["Held1", "Held2", "other (pooled)", "other (macro)", "all (macro)"]
@@ -623,12 +635,15 @@ def test_output_from_dataset_collects_filled_hidden_cells():
         ("la1", "f3"): Cell.observed("kept"),
     })
     filled = build_dataset(languages, {
-        ("la1", "f1"): Cell.observed("px"),
+        ("la1", "f1"): Cell.observed("x"),
         ("la1", "f2"): Cell.observed("py"),
         ("la1", "f3"): Cell.observed("kept"),
+        ("la1", "f4"): Cell.observed("x"),  # no reference cell
     })
     out = output_from_dataset("sys", filled, reference)
-    assert out.predictions == {("la1", "f1"): "px", ("la1", "f2"): "py"}
+    # reference values: kept = 0, x = 1; "py" is no reference value
+    assert out.name == "sys"
+    assert out.predicted.tolist() == [1, -2, -1]
 
 
 def test_output_from_dataset_skips_still_unknown():
@@ -636,4 +651,4 @@ def test_output_from_dataset_skips_still_unknown():
     reference = build_dataset(languages, {("la1", "f1"): Cell.blanked("x")})
     filled = build_dataset(languages, {("la1", "f1"): Cell.unknown()})
     out = output_from_dataset("sys", filled, reference)
-    assert out.predictions == {}
+    assert out.predicted.tolist() == [-1]
