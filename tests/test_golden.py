@@ -7,6 +7,12 @@ and 2, and then runs its ``evaluate`` stage once more with
 file a stage writes must match the digest committed in
 ``tests/golden.json``.
 
+The ``routes`` run, at the same seeds on models-M data, takes the routes
+no workload takes: ``impute`` with ``method=ensemble``, knn at k = 3
+with ``--vectors``, and ``impute --no-fallback`` with a training set that
+never observes one feature, whose output ``evaluate --exclude-missing``
+scores with some answers missing.
+
 A change that alters outputs on purpose rewrites the digests with::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -17,9 +23,12 @@ appeared or disappeared; CHANGES.md names those files, and why.
 
 from __future__ import annotations
 
+import csv
+import functools
 import hashlib
 import json
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -33,7 +42,11 @@ SEEDS = (1, 2)
 sys.path.insert(0, str(BENCH))
 
 from gen import generate  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import WORKLOADS, models_m  # noqa: E402
+
+ROUTES = "routes"
+# Vector components: few distinct values, so exact distance ties occur.
+COMPONENTS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
 
 def _files(directory: Path) -> set[Path]:
@@ -50,6 +63,44 @@ def stages(workload) -> list[tuple[str, list[str]]]:
             + [("evaluate --exclude-missing", argv + ["--exclude-missing"])])
 
 
+def run_stages(label: str, work: Path, steps) -> dict[str, dict[str, str]]:
+    """Run each (name, step) of run ``label``'s ``steps`` in ``work/run``:
+    a step is the argv of a ``typoimpute`` subcommand or a callable that
+    writes files.  Stage name -> {path written, relative to ``work/run``:
+    SHA-256}."""
+    from typoimpute import cli
+
+    run = work / "run"
+    run.mkdir()
+    digests: dict[str, dict[str, str]] = {}
+    here = Path.cwd()
+    os.chdir(run)
+    try:
+        for stage, step in steps:
+            before = _files(run)
+            if callable(step):
+                step()
+            else:
+                code = cli.main(step)
+                assert code == 0, f"{label}: stage {stage} exited {code}"
+            digests[stage] = {
+                path.relative_to(run).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(_files(run) - before)
+            }
+    finally:
+        os.chdir(here)
+    return digests
+
+
+def write_inputs(work: Path, workload, seed: int, configs: dict[str, str]) -> None:
+    """The dataset of ``workload`` at ``seed``, and ``configs`` (method ->
+    imputer config text) under ``cfg``, in ``work``."""
+    (work / "data.tsv").write_text(generate(workload.shape, workload.name, seed), encoding="utf-8")
+    (work / "cfg").mkdir()
+    for method, text in configs.items():
+        (work / "cfg" / f"{method}.cfg").write_text(text, encoding="utf-8")
+
+
 def run_workload(name: str, seed: int, work: Path) -> dict[str, dict[str, str]]:
     """Run every stage of workload ``name`` at ``seed`` under ``work``:
     stage name -> {path written, relative to the stage directory: SHA-256}.
@@ -57,29 +108,87 @@ def run_workload(name: str, seed: int, work: Path) -> dict[str, dict[str, str]]:
     The dataset and the imputer configs sit in ``work``, and the stages
     run in ``work/run``, as ``bench/run.py`` lays them out.
     """
-    from typoimpute import cli
-
     workload = WORKLOADS[name](seed)
-    (work / "data.tsv").write_text(generate(workload.shape, workload.name, seed), encoding="utf-8")
-    (work / "cfg").mkdir()
-    for method, text in workload.configs.items():
-        (work / "cfg" / f"{method}.cfg").write_text(text, encoding="utf-8")
-    run = work / "run"
-    run.mkdir()
-    digests: dict[str, dict[str, str]] = {}
-    here = Path.cwd()
-    os.chdir(run)
-    try:
-        for stage, argv in stages(workload):
-            before = _files(run)
-            code = cli.main(argv)
-            assert code == 0, f"{name} seed {seed}: stage {stage} exited {code}"
-            digests[stage] = {
-                path.relative_to(run).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-                for path in sorted(_files(run) - before)
-            }
-    finally:
-        os.chdir(here)
+    write_inputs(work, workload, seed, workload.configs)
+    return run_stages(f"{name} seed {seed}", work, stages(workload))
+
+
+def write_vectors(path: Path, train: Path, test: Path, seed: int) -> None:
+    """A vector file for about 80% of the languages of ``train`` and
+    ``test``, drawn from ``seed``: 8 components from ``COMPONENTS``, and
+    a zero vector for one training and one test language."""
+    from typoimpute.kb import parse_dataset
+
+    rng = random.Random(f"{ROUTES}-{seed}")
+    vectors: dict[str, list[float]] = {}
+    zeros = []
+    for source in (train, test):
+        codes = [code for code in parse_dataset(source.read_text(encoding="utf-8")).codes()
+                 if rng.random() < 0.8]
+        for code in codes:
+            vectors[code] = [rng.choice(COMPONENTS) for _ in range(8)]
+        zeros.append(rng.choice(codes))
+    for code in zeros:
+        vectors[code] = [0.0] * 8
+    path.write_text("".join(f"{code}\t" + "\t".join(map(str, vector)) + "\n"
+                            for code, vector in sorted(vectors.items())), encoding="utf-8")
+
+
+def drop_feature(path: Path, out: Path, test: Path) -> None:
+    """``path``, a dataset file, written to ``out`` without any cell of
+    the feature of the first hidden cell of ``test``."""
+    from typoimpute.kb import OBSERVED_CODE, parse_dataset
+
+    hidden = parse_dataset(test.read_text(encoding="utf-8"))
+    feature = hidden.feature_names[hidden.cell_feature[hidden.cell_state != OBSERVED_CODE][0]]
+    lines = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        *columns, cells = line.split("\t")
+        kept = [cell for cell in cells.split(" | ") if not cell.startswith(f"{feature}=")]
+        lines.append("\t".join(columns + [" | ".join(kept)]) + "\n")
+    out.write_text("".join(lines), encoding="utf-8")
+
+
+def run_routes(seed: int, work: Path) -> dict[str, dict[str, str]]:
+    """The ``routes`` run at ``seed`` under ``work``, laid out as
+    ``run_workload``'s: models-M's split, then ``impute`` with
+    ``method=ensemble``, knn with ``--vectors``, and ``--no-fallback``
+    on a training set without one feature, all scored by
+    ``evaluate --exclude-missing``.  The no-fallback system must leave
+    some gold cell missing, or the run checks nothing of that branch."""
+    workload = models_m(seed)
+    write_inputs(work, workload, seed,
+                 {"ensemble": "method=ensemble\nmembers=correlation,ridge,genus_family\n",
+                  "knn": "method=knn\nk=3\n", "genus_family": "method=genus_family\n"})
+    train, test, gold = "split/train.tsv", "split/test.tsv", "split/test_gold.tsv"
+
+    def impute(method: str, out: str, *extra: str, train: str = train) -> list[str]:
+        return ["impute", "--train", train, "--test", test, "--out", out,
+                "--imputer-config", f"../cfg/{method}.cfg", *extra]
+
+    split = next(stage.argv for stage in workload.stages if stage.name == "split")
+    steps = [
+        ("split", list(split)),
+        ("vectors", lambda: write_vectors(Path("vectors.tsv"), Path(train), Path(test), seed)),
+        ("impute:ensemble", impute("ensemble", "filled_ensemble.tsv")),
+        ("impute:knn --vectors", impute("knn", "filled_knn_vectors.tsv",
+                                        "--vectors", "vectors.tsv")),
+        ("drop feature", lambda: drop_feature(Path(train), Path("train_dropped.tsv"), Path(test))),
+        ("impute:genus_family --no-fallback",
+         impute("genus_family", "filled_no_fallback.tsv", "--no-fallback",
+                train="train_dropped.tsv")),
+        ("evaluate --exclude-missing",
+         ["evaluate", "--test", test, "--gold", gold, "--out-dir", "eval", "--seed", str(seed),
+          "--system", "ensemble=filled_ensemble.tsv",
+          "--system", "knn_vectors=filled_knn_vectors.tsv",
+          "--system", "no_fallback=filled_no_fallback.tsv",
+          "--spec", "split/split_spec.cfg", "--exclude-missing"]),
+    ]
+    digests = run_stages(f"{ROUTES} seed {seed}", work, steps)
+    table = (work / "run" / "eval" / "systems.csv").read_text(encoding="utf-8").splitlines()
+    rows = {row["system"]: row for row in
+            csv.DictReader(line for line in table if not line.startswith("#"))}
+    assert int(rows["no_fallback"]["n_missing"]) > 0, f"seed {seed}: no answer is missing"
     return digests
 
 
@@ -129,19 +238,31 @@ def test_workload_outputs_match_golden_digests(golden, tmp_path, name, seed):
     assert not problems, "\n".join(problems)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_routes_outputs_match_golden_digests(golden, tmp_path, seed):
+    want = golden[ROUTES][str(seed)]
+    got = run_routes(seed, tmp_path)
+    assert list(got) == list(want), f"{ROUTES} seed {seed}: stages differ"
+    problems = diff_digests({ROUTES: {str(seed): want}}, {ROUTES: {str(seed): got}})
+    assert not problems, "\n".join(problems)
+
+
 def main() -> int:
-    """Rewrite ``tests/golden.json`` from a fresh run of every workload,
-    and print each file whose digest changed, appeared or disappeared."""
+    """Rewrite ``tests/golden.json`` from a fresh run of every workload
+    and of the ``routes`` run, and print each file whose digest changed,
+    appeared or disappeared."""
     import tempfile
 
     golden: dict[str, dict[str, dict]] = {}
+    runs = {name: functools.partial(run_workload, name) for name in WORKLOADS}
+    runs[ROUTES] = run_routes
     with tempfile.TemporaryDirectory() as scratch:
-        for name in sorted(WORKLOADS):
+        for name in sorted(runs):
             golden[name] = {}
             for seed in SEEDS:
                 work = Path(scratch) / f"{name}-{seed}"
                 work.mkdir()
-                golden[name][str(seed)] = run_workload(name, seed, work)
+                golden[name][str(seed)] = runs[name](seed, work)
     old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     for line in diff_digests(old, golden):
         print(line)
