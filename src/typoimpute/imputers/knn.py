@@ -1,8 +1,13 @@
 """Nearest-neighbor imputation over language representations.
 
-With a vector file (one language per line, ``code<TAB>v1<TAB>...``),
-neighbors are ranked by cosine distance between vectors.  Without one,
-languages are compared by agreement over their shared observed features
+With a vector file, neighbors are ranked by cosine distance
+``1 - (T @ q) / (|q| |t|)``: ``fit`` stacks the training vectors T and
+their norms once, and each query vector q takes one ``np.einsum``
+product of its own, not a BLAS one (whose threads move the last bit of
+``T @ q``), so no row depends on its batch or on the thread count.  A
+zero vector is at distance 2.0, and a training language without one at
+``_NO_VECTOR``, after all others.  A test language without one is
+compared by agreement over shared observed features
 (1 - matching/shared); languages sharing no features rank last, and
 geographic distance breaks ties.  Agreement is counted from the
 training set's shared integer tables, ``Dataset.counts``, as one test
@@ -48,26 +53,15 @@ def load_language_vectors(path: str | Path) -> dict[str, np.ndarray]:
             raise DatasetError(f"vector file line {lineno}: non-numeric component") from None
         if not np.isfinite(vec).all():
             raise DatasetError(f"vector file line {lineno}: non-finite component")
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise DatasetError(
-                f"vector file line {lineno}: dimension {vec.size} != {dim}"
-            )
+        dim = vec.size if dim is None else dim
+        if vec.size != dim:
+            raise DatasetError(f"vector file line {lineno}: dimension {vec.size} != {dim}")
         if code in vectors:
             raise DatasetError(f"vector file line {lineno}: duplicate code {code!r}")
         vectors[code] = vec
     if not vectors:
         raise DatasetError(f"vector file {path} holds no language vectors")
     return vectors
-
-
-def _cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 2.0  # maximal cosine distance; degenerate vector
-    return 1.0 - float(np.dot(a, b)) / (na * nb)
 
 
 _NO_VECTOR = 3.0  # beyond every cosine distance: a language without a vector ranks last
@@ -84,6 +78,11 @@ class NearestNeighborImputer(Imputer):
 
     def fit(self, train: Dataset, context: Dataset | None = None) -> "NearestNeighborImputer":
         self._counts = train.counts
+        vectors, languages = self.vectors or {}, self._counts.languages
+        self._has_vector = np.array([lang.code in vectors for lang in languages], dtype=bool)
+        zero = np.zeros(len(next(iter(vectors.values()), ())))
+        self._vectors = np.array([vectors.get(lang.code, zero) for lang in languages], dtype=float)
+        self._norms = np.sqrt(np.einsum("ij,ij->i", self._vectors, self._vectors))
         return self
 
     def _distances(self, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -99,11 +98,12 @@ class NearestNeighborImputer(Imputer):
         np.subtract(1.0, distance, out=distance, where=shared > 0)
         vectors = self.vectors or {}
         by_vector = np.array([lang.code in vectors for lang in test.languages], dtype=bool)
-        train_vectors = [vectors.get(lang.code) for lang in counts.languages]
         for row in np.flatnonzero(by_vector).tolist():
             query = vectors[test.languages[row].code]
-            distance[row] = [_NO_VECTOR if v is None else _cosine_distance(query, v)
-                             for v in train_vectors]
+            scale = np.sqrt(np.einsum("i,i", query, query)) * self._norms
+            cosine = np.divide(np.einsum("ij,j->i", self._vectors, query), scale,
+                               out=np.full(len(scale), -1.0), where=scale > 0)  # zero vector: 2.0
+            distance[row] = np.where(self._has_vector, 1.0 - cosine, _NO_VECTOR)
         return distance, by_vector
 
     def _nearest(self, languages: list, candidates: np.ndarray, eligible: np.ndarray,

@@ -823,16 +823,18 @@ def _child_env(**extra):
                 **extra)
 
 
-@pytest.mark.parametrize("config", [
-    "method=ridge\nmin_support=1\nuse_context=true\n",
-    "method=ridge\nmin_support=1\nuse_context=false\n",
-    "method=knn\nk=3\n",
-    "method=correlation\nmin_support=1\n",
-    "method=frequency\n",
-    "method=genus_family\n",
-    "method=geo_backoff\n",
-], ids=["true", "false", "knn", "correlation", "frequency", "genus_family", "geo_backoff"])
-def test_ridge_impute_ignores_blas_thread_count(tmp_path, config):
+@pytest.mark.parametrize("config,vectors", [
+    ("method=ridge\nmin_support=1\nuse_context=true\n", False),
+    ("method=ridge\nmin_support=1\nuse_context=false\n", False),
+    ("method=knn\nk=3\n", False),
+    ("method=knn\nk=3\n", True),
+    ("method=correlation\nmin_support=1\n", False),
+    ("method=frequency\n", False),
+    ("method=genus_family\n", False),
+    ("method=geo_backoff\n", False),
+], ids=["true", "false", "knn", "knn-vectors", "correlation", "frequency", "genus_family",
+        "geo_backoff"])
+def test_ridge_impute_ignores_blas_thread_count(tmp_path, config, vectors):
     rng = random.Random(31)
     data = random_dataset(rng, n_languages=160, n_features=10, p_observed=0.6, min_observed=3)
     codes = data.codes()
@@ -842,6 +844,12 @@ def test_ridge_impute_ignores_blas_thread_count(tmp_path, config):
     (tmp_path / "test.tsv").write_text(serialize_dataset(test), encoding="utf-8")
     cfg = tmp_path / "imputer.cfg"
     cfg.write_text(config, encoding="utf-8")
+    extra = []
+    if vectors:
+        (tmp_path / "vectors.tsv").write_text("".join(
+            f"{code}\t" + "\t".join(str(rng.gauss(0.0, 1.0)) for _ in range(64)) + "\n"
+            for code in codes if rng.random() < 0.8), encoding="utf-8")
+        extra = ["--vectors", str(tmp_path / "vectors.tsv")]
     filled = []
     for threads in ("1", "2"):
         env = _child_env(**{var: threads for var in
@@ -850,12 +858,37 @@ def test_ridge_impute_ignores_blas_thread_count(tmp_path, config):
         subprocess.run(
             [sys.executable, "-m", "typoimpute.cli", "impute",
              "--train", str(tmp_path / "train.tsv"), "--test", str(tmp_path / "test.tsv"),
-             "--out", str(out), "--imputer-config", str(cfg), "--no-fallback"],
+             "--out", str(out), "--imputer-config", str(cfg), "--no-fallback", *extra],
             env=env, check=True, capture_output=True, timeout=300,
         )
         filled.append(out.read_bytes())
     assert b"?" not in filled[0]
     assert filled[0] == filled[1]
+
+
+def test_knn_vector_distances_ignore_blas_thread_count():
+    """A threaded BLAS splits ``T @ q`` between its threads, and at some
+    shapes, such as 500 training vectors of 1000 components, that moves
+    the last bit of some rows; knn's cosine rows must not move."""
+    probe = "\n".join([
+        "import hashlib, random",
+        "import numpy as np",
+        "from synth import random_dataset",
+        "from typoimpute.imputers import NearestNeighborImputer",
+        "data = random_dataset(random.Random(7), n_languages=510, n_features=2, min_observed=1)",
+        "codes, gauss = data.codes(), np.random.default_rng(7)",
+        "imp = NearestNeighborImputer(vectors={c: gauss.standard_normal(1000) for c in codes})",
+        "distance, _ = imp.fit(data.subset(codes[:500]))._distances(data.subset(codes[500:]))",
+        "print(hashlib.sha256(distance.tobytes()).hexdigest())",
+    ])
+    digests = []
+    for threads in ("1", "2"):
+        env = _child_env(**{var: threads for var in
+                            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+        done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=Path(__file__).parent,
+                              check=True, capture_output=True, text=True, timeout=300)
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
 
 
 def _loaded_modules(code: str, *argv: str) -> set[str]:

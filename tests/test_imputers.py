@@ -468,13 +468,27 @@ def test_knn_agreement_fallback_when_query_has_no_vector():
 
 
 def test_knn_matches_oracle():
+    """Vector-route answers equal the exhaustive oracle's.  After ten
+    trials of uniform components, the components are discrete, so that
+    distances tie exactly at the k-th place, and the training rows run
+    against code order, so that only the code breaks those ties; about a
+    quarter of the training languages have no vector, one has a zero
+    vector, and every third query has a zero vector too."""
     rng = random.Random(64)
-    for trial in range(10):
+    zero = (0.0, 0.0, 0.0)
+    for trial in range(40):
         train = random_dataset(rng, n_languages=rng.randint(3, 12))
-        vectors = {}
-        for code in train.codes():
-            vectors[code] = tuple(rng.uniform(-1, 1) for _ in range(4))
-        vectors["qry"] = tuple(rng.uniform(-1, 1) for _ in range(4))
+        codes = train.codes()
+        if trial < 10:
+            vectors = {code: tuple(rng.uniform(-1, 1) for _ in range(4))
+                       for code in codes + ["qry"]}
+        else:
+            train = build_dataset(train.languages[::-1], cells_of(train))
+            vectors = {code: tuple(rng.choice((-1.0, 0.0, 1.0)) for _ in range(3))
+                       for code in codes + ["qry"] if code == "qry" or rng.random() < 0.75}
+            vectors[rng.choice(codes)] = zero
+            if trial % 3 == 0:
+                vectors["qry"] = zero
         k = rng.choice([1, 3, 5])
         imp = NearestNeighborImputer(k=k, vectors=vectors)
         imp.fit(train)
@@ -484,6 +498,27 @@ def test_knn_matches_oracle():
             want = knn_oracle(train, qlang, observed, target, k, vectors=vectors)
             query = (qlang, observed, target)
             assert _answer(predict_one(imp, *query)) == want
+
+
+def test_knn_answers_do_not_depend_on_the_batch():
+    """A test language's knn answers are the same when it is filled alone
+    as when it is filled with the whole test set, by vector (Gaussian
+    components, a zero vector on each side, a fifth without one) and by
+    agreement."""
+    rng = random.Random(68)
+    data = random_dataset(rng, n_languages=80, n_features=6, p_observed=0.7, min_observed=3)
+    codes = data.codes()
+    train, test = data.subset(codes[:50]), blank_some(data.subset(codes[50:]), rng, 3)
+    vectors = {code: np.array([rng.gauss(0.0, 1.0) for _ in range(16)])
+               for code in codes if rng.random() < 0.8}
+    vectors[codes[0]] = vectors[codes[60]] = np.zeros(16)
+    imp = NearestNeighborImputer(k=3, vectors=vectors).fit(train)
+    assert {p.source for p in predictions_of(imp, test).values()} == \
+        {"knn-vector", "knn-agreement"}
+    together = cells_of(fill_dataset(imp, test))
+    for code in test.codes():
+        alone = cells_of(fill_dataset(imp, test.subset([code])))
+        assert alone == {key: cell for key, cell in together.items() if key[0] == code}
 
 
 def test_knn_agreement_matches_oracle():
