@@ -175,8 +175,7 @@ def _require_split(train: Dataset, test: Dataset, settings: str) -> None:
 
 def cmd_split(args: argparse.Namespace) -> int:
     from .kb import serialize_dataset
-    from .splits import (SplitError, build_controlled_split, provenance_csv, random_split,
-                         require_blankable)
+    from .splits import SplitError, build_controlled_split, random_split, require_blankable
 
     dataset = _load_dataset(args.input)
     out_dir = Path(args.out_dir)
@@ -225,9 +224,9 @@ def cmd_split(args: argparse.Namespace) -> int:
     (out_dir / "test_gold.tsv").write_text(
         serialize_dataset(result.test, reveal_blanked=True), encoding="utf-8"
     )
-    (out_dir / "provenance.csv").write_text(
-        provenance_csv(result.provenance), encoding="utf-8"
-    )
+    _write_table(out_dir / "provenance.csv", [], ["code", "role", "reason", "blanking_ratio"],
+                 [(p.code, p.role, p.reason, "" if p.blanking_ratio is None else p.blanking_ratio)
+                  for p in result.provenance])
     spec.to_file(out_dir / "split_spec.cfg")
 
     n_excluded = sum(1 for p in result.provenance if p.role == "excluded")

@@ -10,6 +10,7 @@ test on per-language accuracies weighted the same way.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 from collections import Counter
@@ -116,12 +117,10 @@ def score(gold: Dataset, output: SystemOutput, exclude_missing: bool = False) ->
     codes = gold.codes()
     extra = np.flatnonzero((output.predicted != -1) & (gold.cell_state == UNKNOWN_CODE))
     if len(extra):
-        # the first three by (code, feature)
-        code_rank = np.empty(len(codes), dtype=np.intp)
-        code_rank[sorted(range(len(codes)), key=codes.__getitem__)] = np.arange(len(codes))
-        first = extra[np.lexsort((gold.cell_feature[extra], code_rank[gold.cell_row[extra]]))[:3]]
-        shown = ", ".join(f"{codes[r]}:{gold.feature_names[f]}" for r, f in
-                          zip(gold.cell_row[first].tolist(), gold.cell_feature[first].tolist()))
+        first = heapq.nsmallest(3, ((codes[r], gold.feature_names[f]) for r, f in
+                                    zip(gold.cell_row[extra].tolist(),
+                                        gold.cell_feature[extra].tolist())))
+        shown = ", ".join(f"{code}:{feature}" for code, feature in first)
         log.warning("system %s predicts %d non-blanked cells (%s%s); ignored", output.name,
                     len(extra), shown, ", ..." if len(extra) > 3 else "")
     row, feature = gold.cell_row[blanked], gold.cell_feature[blanked]

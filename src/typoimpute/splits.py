@@ -2,11 +2,12 @@
 
 The controlled split holds out whole language genera plus a random
 sample of the rest, then removes from the training side every language
-that shares a genus with a held-out-genus language or lies within a
-fixed great-circle radius of one.  Held-out languages get a per-language
-blanking ratio, evenly spaced over a configured range and assigned by a
-seeded shuffle, and that fraction of their observed feature cells is
-hidden (keeping the gold value) for scoring.
+that lies within a fixed great-circle radius of a held-out-genus
+language (every language of a held-out genus is already held out).
+Held-out languages get a per-language blanking ratio, evenly spaced
+over a configured range and assigned by a seeded shuffle, and that
+fraction of their observed feature cells is hidden (keeping the gold
+value) for scoring.
 
 All randomness flows from the single seed in the split spec; identical inputs
 produce identical splits.
@@ -14,9 +15,7 @@ produce identical splits.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import math
 import random
 from collections import Counter
@@ -54,7 +53,6 @@ DEFAULT_HELD_OUT_GENERA = (
 # Provenance labels
 REASON_HELD_GENUS = "held-out-genus"
 REASON_RANDOM = "random-sample"
-REASON_SAME_GENUS = "same-genus"
 REASON_WITHIN_RADIUS = "within-radius"
 REASON_NONE = "none"
 
@@ -241,65 +239,39 @@ def build_controlled_split(d: Dataset, spec: SplitSpec) -> SplitResult:
     """Hold out whole genera plus a random sample, with leakage control.
 
     The test set is every language of the held-out genera, plus a seeded
-    random sample of the remaining languages.  Training keeps the rest,
-    minus any language sharing a genus with a held-out-genus language
-    and minus any language within the exclusion radius of one.  Only the
-    held-out genera trigger exclusion; the random sample does not.
+    random sample of the remaining languages; each test language's
+    provenance carries its blanking ratio.  Training keeps the rest,
+    minus any language within the exclusion radius of a held-out-genus
+    language.  Only the held-out genera trigger exclusion; the random
+    sample does not.
     """
     genera_present = {lang.genus for lang in d.languages}
     for genus in spec.held_out_genera:
         if genus not in genera_present:
             raise SplitError(f"held-out genus {genus!r} not present in dataset")
 
-    held = [lang for lang in d.languages if lang.genus in set(spec.held_out_genera)]
+    held = [lang for lang in d.languages if lang.genus in spec.held_out_genera]
     held_codes = {lang.code for lang in held}
-    remainder = [lang for lang in d.languages if lang.code not in held_codes]
+    remainder = sorted(lang.code for lang in d.languages if lang.code not in held_codes)
 
     rng = random.Random(_stage_seed(spec.seed, "sample"))
     n_sample = _round_half_up(spec.random_holdout_fraction * len(remainder))
-    sampled = set(rng.sample(sorted(lang.code for lang in remainder), n_sample))
+    ratios = blanking_ratios([*held_codes, *rng.sample(remainder, n_sample)], spec)
 
-    held_genera = {lang.genus for lang in held}
     near_held = (
         distance_matrix(coordinates(d.languages), coordinates(held)) <= spec.exclusion_radius_km
     ).any(axis=1)
 
     provenance: list[LanguageProvenance] = []
-    train_codes: list[str] = []
-    test_codes: list[str] = []
     for lang, near in zip(d.languages, near_held.tolist()):
-        if lang.code in held_codes:
-            test_codes.append(lang.code)
-            provenance.append(LanguageProvenance(lang.code, "test", REASON_HELD_GENUS))
-        elif lang.code in sampled:
-            test_codes.append(lang.code)
-            provenance.append(LanguageProvenance(lang.code, "test", REASON_RANDOM))
-        elif lang.genus in held_genera:
-            provenance.append(LanguageProvenance(lang.code, "excluded", REASON_SAME_GENUS))
+        if lang.code in ratios:
+            reason = REASON_HELD_GENUS if lang.code in held_codes else REASON_RANDOM
+            provenance.append(LanguageProvenance(lang.code, "test", reason, ratios[lang.code]))
         elif near:
             provenance.append(LanguageProvenance(lang.code, "excluded", REASON_WITHIN_RADIUS))
         else:
-            train_codes.append(lang.code)
             provenance.append(LanguageProvenance(lang.code, "train", REASON_NONE))
 
-    train = d.subset(train_codes)
-    test = blank_features(d.subset(test_codes), spec)
-
-    ratios = blanking_ratios(test_codes, spec)
-    provenance = [
-        replace(p, blanking_ratio=ratios[p.code]) if p.role == "test" else p
-        for p in provenance
-    ]
+    train = d.subset(p.code for p in provenance if p.role == "train")
+    test = blank_features(d.subset(ratios), spec)
     return SplitResult(train=train, test=test, provenance=provenance)
-
-
-def provenance_csv(provenance: Sequence[LanguageProvenance]) -> str:
-    """Comma-separated provenance table: code, role, reason, ratio; a
-    field holding a comma or a quote is quoted."""
-    out = io.StringIO()
-    rows = csv.writer(out, lineterminator="\n")
-    rows.writerow(["code", "role", "reason", "blanking_ratio"])
-    for p in provenance:
-        ratio = "" if p.blanking_ratio is None else repr(p.blanking_ratio)
-        rows.writerow([p.code, p.role, p.reason, ratio])
-    return out.getvalue()

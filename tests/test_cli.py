@@ -1,12 +1,15 @@
 """Command-line interface: exit codes, output files, and determinism."""
 
 import argparse
+import csv
+import io
+import json
 import os
 import random
 import re
 import subprocess
 import sys
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 
@@ -125,6 +128,49 @@ def test_controlled_split_reruns_identically(tmp_path, corpus, spec_file):
     for name in ("train.tsv", "test.tsv", "test_gold.tsv", "provenance.csv",
                  "split_spec.cfg", "run_manifest.txt"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
+def test_split_provenance_csv_layout(tmp_path, corpus, spec_file):
+    out_dir = tmp_path / "splits"
+    assert main(["split", "--input", str(corpus), "--out-dir", str(out_dir),
+                 "--spec", str(spec_file)]) == 0
+    lines = (out_dir / "provenance.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "code,role,reason,blanking_ratio"
+    assert len(lines) == 12 + 1
+    for line in lines[1:]:
+        parts = line.split(",")
+        assert len(parts) == 4
+        assert parts[1] in ("train", "test", "excluded")
+
+
+def test_split_provenance_csv_round_trips_through_csv_reader(tmp_path):
+    """A code with a comma or a quote, which the parser accepts, stays
+    one field; a train or excluded row ends with an empty ratio, and a
+    test row's ratio is the repr of its float."""
+    plan = [('q"x', "GenA", 0.0, 0.0), ("l01", "GenA", 0.0, 1.0), ("abc", "GenB", 1.0, 0.0),
+            ("ab,c", "GenC", 50.0, 100.0), ("l04", "GenC", 50.0, 101.0)]
+    languages = [make_language(code, genus=genus, family="FamX", lat=lat, lon=lon)
+                 for code, genus, lat, lon in plan]
+    cells = {(code, f"f{f}"): Cell.observed(f"v{f % 2}") for code, *_ in plan for f in range(4)}
+    dataset = tmp_path / "raw.tsv"
+    dataset.write_text(serialize_dataset(build_dataset(languages, cells)), encoding="utf-8")
+    spec = tmp_path / "split.cfg"
+    spec.write_text("genera=GenA\nradius_km=500\nholdout_fraction=0\nseed=7\n", encoding="utf-8")
+    out_dir = tmp_path / "splits"
+    assert main(["split", "--input", str(dataset), "--out-dir", str(out_dir),
+                 "--spec", str(spec)]) == 0
+    text = (out_dir / "provenance.csv").read_text(encoding="utf-8")
+    rows = list(csv.reader(io.StringIO(text)))
+    assert [row[:3] for row in rows] == [["code", "role", "reason"],
+                                         ['q"x', "test", "held-out-genus"],
+                                         ["l01", "test", "held-out-genus"],
+                                         ["abc", "excluded", "within-radius"],
+                                         ["ab,c", "train", "none"],
+                                         ["l04", "train", "none"]]
+    assert text.splitlines()[3] == "abc,excluded,within-radius,"
+    assert [row[3] for row in rows[3:]] == ["", "", ""]
+    assert [row[3] for row in rows[1:3]] == [repr(float(row[3])) for row in rows[1:3]]
+    assert {row[3] for row in rows[1:3]} == {"0.05", "0.95"}
 
 
 def test_split_missing_genus_is_data_error(tmp_path, corpus):
@@ -786,6 +832,19 @@ def test_readme_names_every_flag_and_no_other():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme))
     assert sorted(options - named) == []
     assert sorted(named - options - {"--no-build-isolation"}) == []
+
+
+def test_readme_names_every_file_split_blank_and_evaluate_write():
+    """Every file name a ``split``, ``blank`` or ``evaluate`` stage of
+    tests/golden.json writes appears in README.md."""
+    root = Path(__file__).resolve().parents[1]
+    golden = json.loads((root / "tests" / "golden.json").read_text(encoding="utf-8"))
+    written = {PurePosixPath(path).name for seeds in golden.values() for stages in seeds.values()
+               for stage, files in stages.items()
+               if stage.split()[0] in ("split", "blank", "evaluate") for path in files}
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    assert "provenance.csv" in written
+    assert sorted(name for name in written if f"`{name}`" not in readme) == []
 
 
 def test_readme_library_example_matches_the_cli(tmp_path, split_dirs, monkeypatch, capsys):

@@ -1,24 +1,20 @@
 """Controlled splits, random splits, and feature blanking."""
 
-import csv
-import io
 import math
 import random
 
 import pytest
 
 from typoimpute.configio import ConfigError
-from typoimpute.kb import BLANKED, OBSERVED
+from typoimpute.kb import BLANKED, OBSERVED, parse_dataset, serialize_dataset
 from typoimpute.splits import (
     DEFAULT_HELD_OUT_GENERA,
-    LanguageProvenance,
     SplitError,
     SplitSpec,
     blank_features,
     blanking_ratios,
     build_controlled_split,
     even_spacing,
-    provenance_csv,
     random_split,
 )
 
@@ -220,8 +216,8 @@ def check_against_rule_oracle(d, spec, result):
     assert len(extras) == math.floor(spec.random_holdout_fraction * len(remainder) + 0.5)
     assert extras <= {lang.code for lang in remainder}
 
-    # train = remainder minus sample minus radius rule (same-genus rule is
-    # vacuous: every held-genus language is already in test)
+    # train = remainder minus sample minus radius rule (no held-genus
+    # language is left in the remainder)
     held_langs = [lang for lang in d.languages if lang.code in held]
     expected_train = set()
     for lang in remainder:
@@ -325,35 +321,25 @@ def test_provenance_covers_every_language_once():
             assert p.blanking_ratio is None
 
 
-def test_provenance_csv_layout():
-    rng = random.Random(57)
-    d = _controlled_fixture(rng)
-    result = build_controlled_split(d, SplitSpec(held_out_genera=("HeldG",), seed=6))
-    text = provenance_csv(result.provenance)
-    lines = text.strip().splitlines()
-    assert lines[0] == "code,role,reason,blanking_ratio"
-    assert len(lines) == len(d.languages) + 1
-    for line in lines[1:]:
-        parts = line.split(",")
-        assert len(parts) == 4
-        assert parts[1] in ("train", "test", "excluded")
+def test_controlled_split_ignores_the_order_of_the_input_rows():
+    """Shuffling the language rows of the input file changes no
+    provenance row, neither code set and no blanked cell."""
+    def outcome(text):
+        result = build_controlled_split(parse_dataset(text), spec)
+        return ({p.code: (p.role, p.reason, p.blanking_ratio) for p in result.provenance},
+                set(result.train.codes()), set(result.test.codes()),
+                {key for key, cell in cells_of(result.test).items() if cell.state == BLANKED})
 
-
-def test_provenance_csv_round_trips_through_csv_reader():
-    """A code with a comma or a quote, which the parser accepts, stays
-    one field; ordinary rows keep their plain layout."""
-    provenance = [
-        LanguageProvenance("ab,c", "train", "held-in genus"),
-        LanguageProvenance('q"x', "test", "held-out genus", 0.25),
-        LanguageProvenance("abc", "excluded", "within radius"),
-    ]
-    text = provenance_csv(provenance)
-    assert text.splitlines()[3] == "abc,excluded,within radius,"
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows == [["code", "role", "reason", "blanking_ratio"],
-                    ["ab,c", "train", "held-in genus", ""],
-                    ['q"x', "test", "held-out genus", "0.25"],
-                    ["abc", "excluded", "within radius", ""]]
+    rng = random.Random(60)
+    spec = SplitSpec(held_out_genera=("HeldG",), exclusion_radius_km=2000.0,
+                     random_holdout_fraction=0.3, seed=11)
+    lines = serialize_dataset(_controlled_fixture(rng, n=40)).splitlines(keepends=True)
+    want = outcome("".join(lines))
+    assert {reason for _, reason, _ in want[0].values()} == {
+        "held-out-genus", "random-sample", "within-radius", "none"}
+    for _ in range(3):
+        rng.shuffle(lines)
+        assert outcome("".join(lines)) == want
 
 
 def test_spec_file_round_trip(tmp_path):
