@@ -24,13 +24,17 @@ one-hot from its counts.  A target with more predictors than training
 rows, as most have, is solved in the dual by
 ``PriorFeatureSpace.solve_dual``: its rows x rows Gram matrix and then
 its weights are formed from the count tables, so the mostly-zero design
-matrix is never built.  A narrower target gathers its design matrix,
-and ``solve_ridge`` solves its primal system.  The test languages
-needing one target are scored as one block: their prior vectors, from
-the same writer as the training design minus the leave-one-out, and one
-product with the weights scores every value; ``decide`` answers the
-first maximum of the raw scores, with its softmax share as the
-confidence.
+matrix is never built.  The Gram matrix's key products are added in
+tiles of bounded size, from weights rounded so that their sums are
+exact, so no entry depends on the tiling; ``fit`` solves the targets
+with the most training rows first, so that the largest Gram matrix, and
+LAPACK's copy of it, exist before the weights of the other targets do.
+A narrower target gathers its design matrix, and ``solve_ridge`` solves
+its primal system.  The test languages needing one target are scored
+as one block: their prior vectors, from the same writer as the training
+design minus the leave-one-out, and one product with the weights scores
+every value; ``decide`` answers the first maximum of the raw scores,
+with its softmax share as the confidence.
 """
 
 from __future__ import annotations
@@ -118,6 +122,46 @@ def _radius_counts(counts: CodedCounts, points: np.ndarray, areal_km: float,
         for lo in range(0, onehot.shape[1], step):
             areal[start:stop, lo:lo + step] = within @ onehot[:, lo:lo + step].astype(float)
     return areal
+
+
+def _summable(weight: np.ndarray, terms: int) -> np.ndarray:
+    """``weight`` rounded to the multiples of 2^(e + bits(terms) - 53),
+    with 2^e above its largest entry: float64 then adds any ``terms`` of
+    them exactly, in whatever order.  No entry moves by more than
+    2^(bits(terms) - 53) of the largest."""
+    top = np.frexp(np.abs(weight).max(initial=0.0))[1]
+    grid = np.ldexp(1.0, int(top) + terms.bit_length() - 53)
+    return np.round(weight / grid) * grid
+
+
+def _add_key_products(gram: np.ndarray, onehot: np.ndarray, bounds: list[int],
+                      weight: np.ndarray) -> None:
+    """Add to ``gram`` the weighted key products of the rows of
+    ``onehot`` (rows x keys), sorted by value so that value c holds rows
+    ``bounds[c]`` to ``bounds[c + 1]``: two rows of values c and c2
+    sharing key u add ``weight[c, c2, u]``.
+
+    Tiles of at most ``_KERNEL_BLOCK // keys`` rows a side, each within
+    one value, are multiplied on and above the diagonal, and a tile off
+    it is added with its transpose; a tile and its float operands are
+    the only temporaries.  The weights are first made ``_summable``, so
+    no entry depends on the order of a sum: not on the tiles, nor on the
+    kernel that BLAS picks for a shape.
+    """
+    n, keys = onehot.shape
+    step = max(1, _KERNEL_BLOCK // max(keys, 1))
+    tiles = [(c, slice(max(lo, start), min(lo + step, stop)))
+             for lo in range(0, n, step)
+             for c, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+             if max(lo, start) < min(lo + step, stop)]
+    weight = _summable(weight, keys)
+    for j, (c2, b) in enumerate(tiles):
+        right = onehot[b].astype(float).T
+        for c, a in tiles[:j + 1]:
+            block = (onehot[a] * weight[c, c2]) @ right
+            gram[a, b] += block
+            if a != b:
+                gram[b, a] += block.T
 
 
 class PriorFeatureSpace:
@@ -261,10 +305,14 @@ class PriorFeatureSpace:
         value c sharing key u with a row of value c' adds
         s_u^2 (q_u - C_uc - C_uc' + [c = c']) to their product through
         the key's implicational columns, and 1 through its indicator, so
-        the Gram matrix is the leading columns' product plus one product
-        of class blocks of O per pair of values.  The weights come back
-        the same way: the implicational weight of (u, v) is
-        s_u (C_uv (O^T a)_u - (O_v^T a_v)_u) with O_v the rows of value v.
+        the Gram matrix is the leading columns' product plus the products
+        of the rows of O under these weights, which ``_add_key_products``
+        adds in tiles of at most ``_KERNEL_BLOCK`` entries of O a side.
+        Beyond the count tables, the rows x rows Gram matrix is then the
+        largest array, and twice it while ``np.linalg.solve`` holds its
+        copy.  The weights come back the same way: the implicational
+        weight of (u, v) is s_u (C_uv (O^T a)_u - (O_v^T a_v)_u) with O_v
+        the rows of value v.
         """
         counts = self.counts
         n_values = len(self.inventory)
@@ -282,17 +330,12 @@ class PriorFeatureSpace:
         s = np.divide(1.0, N - 1, out=np.zeros(len(keys)), where=N > 1)
         q = (C * C).sum(axis=1)
         O = counts.onehot[np.ix_(rows, keys)]
-        bounds = np.searchsorted(y, np.arange(n_values + 1))
-        classes = [slice(lo, hi) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+        bounds = np.searchsorted(y, np.arange(n_values + 1)).tolist()
+        classes = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
         gram = lead @ lead.T
-        for c, rows_c in enumerate(classes):
-            for c2 in range(c, n_values):
-                weight = s * s * (q - C[:, c] - C[:, c2] + (c == c2)) + has_obs
-                block = (O[rows_c] * weight) @ O[classes[c2]].T
-                gram[rows_c, classes[c2]] += block
-                if c2 != c:
-                    gram[classes[c2], rows_c] += block.T
+        weight = s * s * (q - C.T[:, None] - C.T[None] + np.eye(n_values)[:, :, None]) + has_obs
+        _add_key_products(gram, O, bounds, weight)
         # Dual ridge, centred in place: with Xc = X - mean, Xc Xc^T is
         # X X^T centred on both sides and Xc^T a = X^T (a - mean a); the
         # bias is mean(Y) - mean(X) w, and mean(X) X^T is the row mean of
@@ -391,13 +434,19 @@ class RidgePriorImputer(Imputer):
         # Training languages come first among the statistics rows; the
         # inventories are the values they observe.
         n_train = len(train.languages)
-        trained = counts.onehot[:n_train].any(axis=0)
+        trained = counts.onehot[:n_train].sum(axis=0)
         inventories = {f: values for f, values in (
             (f, tuple(v for v, c in columns.items() if trained[c]))
             for f, columns in counts.columns.items()) if values}
-
+        # The targets with the most training rows first (a row observes
+        # one value of a feature at most): the largest Gram matrix, and
+        # LAPACK's copy of it, exist before the weights of the other
+        # targets do.
+        observing = {f: sum(int(trained[counts.columns[f][v]]) for v in values)
+                     for f, values in inventories.items()}
         self._fitted = {}
-        for target, inventory in inventories.items():
+        for target in sorted(inventories, key=lambda f: (-observing[f], f)):
+            inventory = inventories[target]
             space = PriorFeatureSpace(counts, self._areal, target, inventory, inventories,
                                       self.min_support, self.blocks)
             values = tuple(inventory)

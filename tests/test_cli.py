@@ -4,11 +4,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path, PurePosixPath
 
 import pytest
@@ -171,6 +173,35 @@ def test_split_provenance_csv_round_trips_through_csv_reader(tmp_path):
     assert [row[3] for row in rows[3:]] == ["", "", ""]
     assert [row[3] for row in rows[1:3]] == [repr(float(row[3])) for row in rows[1:3]]
     assert {row[3] for row in rows[1:3]} == {"0.05", "0.95"}
+
+
+def test_split_hides_the_share_of_cells_provenance_states(tmp_path):
+    """Each test row's ``provenance.csv`` ratio is the share of that
+    language's cells that ``test.tsv`` hides: its observed count in
+    ``test_gold.tsv`` times the ratio, rounded half up and clamped to
+    [1, observed - 1]."""
+    rng = random.Random(41)
+    dataset = tmp_path / "raw.tsv"
+    dataset.write_text(serialize_dataset(random_dataset(
+        rng, n_languages=60, n_features=12, p_observed=0.6, min_observed=2)), encoding="utf-8")
+    spec = tmp_path / "split.cfg"
+    spec.write_text("genera=GenA\nradius_km=0\nholdout_fraction=0.3\nblank_low=0.05\n"
+                    "blank_high=0.95\nseed=7\n", encoding="utf-8")
+    out_dir = tmp_path / "splits"
+    assert main(["split", "--input", str(dataset), "--out-dir", str(out_dir),
+                 "--spec", str(spec)]) == 0
+    with open(out_dir / "provenance.csv", encoding="utf-8", newline="") as f:
+        ratios = {row["code"]: float(row["blanking_ratio"])
+                  for row in csv.DictReader(f) if row["role"] == "test"}
+    gold = parse_dataset((out_dir / "test_gold.tsv").read_text(encoding="utf-8"))
+    test = parse_dataset((out_dir / "test.tsv").read_text(encoding="utf-8"), gold=gold)
+    assert sorted(ratios) == sorted(test.codes()) and len(ratios) > 15
+    observed = Counter(c for (c, _), cell in cells_of(gold).items() if cell.state == OBSERVED)
+    hidden = Counter(c for (c, _), cell in cells_of(test).items() if cell.state == BLANKED)
+    for code, ratio in ratios.items():
+        want = math.floor(observed[code] * ratio + 0.5)
+        assert hidden[code] == max(1, min(observed[code] - 1, want)), code
+    assert len(set(hidden.values())) > 3
 
 
 def test_split_missing_genus_is_data_error(tmp_path, corpus):

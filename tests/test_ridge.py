@@ -1043,6 +1043,71 @@ def test_dual_fit_peak_memory_is_below_the_dense_design():
     assert peak < design_bytes
 
 
+def _dominant_target(seed, n_languages, n_features):
+    """The space and training rows of a target that every language
+    observes: one row of value v1, three in four of the others v0 and
+    the rest v2."""
+    rng = random.Random(seed)
+    train = random_dataset(rng, n_languages=n_languages, n_features=n_features, n_values=4,
+                           p_observed=0.5)
+    target = train.features()[0]
+    cells = cells_of(train)
+    for i, code in enumerate(train.codes()):
+        cells[(code, target)] = Cell.observed("v1" if i == 0 else "v0" if i % 4 else "v2")
+    train = build_dataset(train.languages, cells)
+    inventories = _inventories(train)
+    space = PriorFeatureSpace(*_stats(train.counts, 2500.0), target, inventories[target],
+                              inventories, 1, ALL_BLOCKS)
+    return space, target, _target_rows(space, target, len(train.languages))
+
+
+def _key_count(space):
+    """The number of one-hot columns holding an implicational or
+    indicator key: the width of the Gram's key products."""
+    return int(((space._impl_key[:-1] >= 0) | (space._obs_key[:-1] >= 0)).sum())
+
+
+@pytest.mark.parametrize("tile_rows", [1, 7, 20, 80])
+def test_dual_fit_tiles_are_bit_exact(monkeypatch, tile_rows):
+    """Tiles of 1 row, 7 rows, fewer rows than the dominant class and
+    more rows than a whole class give the very weights and biases of the
+    default budget, whose one tile holds every row, and match the dense
+    design's solve at rtol 1e-9."""
+    space, target, rows = _dominant_target(103, n_languages=90, n_features=8)
+    sizes = np.bincount(space.counts.onehot[np.ix_(rows, space._target_columns)].argmax(axis=1))
+    assert sorted(sizes.tolist()) == [1, 22, 67] and len(space) > len(rows)
+    assert ridge._KERNEL_BLOCK // _key_count(space) >= len(rows)
+    want = _dual_fit(space, target, rows, 1.0)
+    monkeypatch.setattr(ridge, "_KERNEL_BLOCK", tile_rows * _key_count(space))
+    weights, biases = _dual_fit(space, target, rows, 1.0)
+    assert np.array_equal(weights, want[0]) and np.array_equal(biases, want[1])
+    _assert_close_fit((weights, biases), _design_fit(space, target, rows, 1.0))
+
+
+def test_dual_fit_peak_memory_is_the_gram_and_kernel_blocks():
+    """On a wide target of 400 rows with a dominant value, the
+    ``tracemalloc`` peak of ``solve_dual`` stays within the rows x rows
+    Gram matrix plus four float kernel blocks: no class x class block, no
+    weighted float copy of a class and no float cast of one."""
+    import tracemalloc
+
+    space, target, rows = _dominant_target(104, n_languages=400, n_features=100)
+    own = space.counts.onehot[np.ix_(rows, space._target_columns)]
+    y = own.argmax(axis=1)
+    order = np.argsort(y, kind="stable")
+    rows, y = rows[order], y[order]
+    n = len(rows)
+    assert len(space) > n > ridge._KERNEL_BLOCK // _key_count(space)
+    space.counts.joint, space.counts.genus, space.counts.family  # noqa: B018  (cached tables)
+    tracemalloc.start()
+    try:
+        space.solve_dual(rows, y, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * n + 4 * 8 * ridge._KERNEL_BLOCK
+
+
 def test_softmax_confidence_well_formed():
     rng = random.Random(88)
     train = random_dataset(rng, n_languages=10, min_observed=1)
