@@ -264,14 +264,14 @@ def cmd_blank(args: argparse.Namespace) -> int:
               if getattr(args, dest) is not None}
     spec = SplitSpec(seed=args.seed, **bounds)
     low, high = spec.blanking_low, spec.blanking_high
-    blanked = blank_features(dataset, spec)
+    ratios = blanking_ratios(dataset.codes(), spec)
+    blanked = blank_features(dataset, ratios, args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "blanked.tsv").write_text(serialize_dataset(blanked), encoding="utf-8")
     (out_dir / "gold.tsv").write_text(
         serialize_dataset(blanked, reveal_blanked=True), encoding="utf-8"
     )
-    ratios = blanking_ratios(dataset.codes(), spec)
     _write_table(
         out_dir / "ratios.csv",
         [f"config_hash={config_hash({'low': low, 'high': high})}", f"seed={args.seed}"],

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
 from typing import Mapping
+
+# The interpreter's own SHA-256, as random.py takes its SHA-512: hashlib
+# maps OpenSSL's libcrypto, about 3.5 MB of every stage's peak RSS.
+try:
+    from _sha256 import sha256  # Python 3.10-3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = ["ConfigError", "parse_kv", "read_kv", "write_kv", "config_hash", "file_digest"]
 
@@ -44,8 +53,8 @@ def write_kv(path: str | Path, items: Mapping[str, object]) -> None:
 def config_hash(items: Mapping[str, object]) -> str:
     """Short stable hash of a configuration mapping (sorted key=value)."""
     canon = "\n".join(f"{k}={items[k]}" for k in sorted(items))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
+    return sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
 def file_digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return sha256(Path(path).read_bytes()).hexdigest()

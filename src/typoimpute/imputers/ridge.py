@@ -488,7 +488,9 @@ class RidgePriorImputer(Imputer):
                 continue
             X = fitted.space.dense(genus[rows], family[rows],
                                    None if areal is None else areal[rows], onehot[rows])
-            raw = X @ fitted.weights.T + fitted.biases
+            # einsum, not BLAS, whose kernel follows the block's shape: a
+            # language scores the same whatever else shares its target
+            raw = np.einsum("ij,kj->ik", X, fitted.weights) + fitted.biases
             source = "ridge" if len(fitted.values) > 1 else "ridge-constant"
             out.update(decide(block, fitted.values, raw, source,
                               mass=np.exp(raw - raw.max(axis=1, keepdims=True))))

@@ -15,15 +15,14 @@ produce identical splits.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .configio import ConfigError, read_kv, write_kv
+from .configio import ConfigError, read_kv, sha256, write_kv
 from .geo import coordinates, distance_matrix
 from .geo import haversine_km  # noqa: F401  (bench/trace_child.py counts calls through this name)
 from .kb import BLANKED_CODE, OBSERVED_CODE, Dataset, DatasetError
@@ -135,7 +134,7 @@ class SplitResult:
 
 def _stage_seed(seed: int, label: str) -> int:
     """Deterministic per-stage sub-seed; independent of hash randomization."""
-    digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
+    digest = sha256(f"{seed}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -177,8 +176,9 @@ def require_blankable(d: Dataset) -> None:
                              "features; need at least 2 to blank")
 
 
-def blank_features(test: Dataset, spec: SplitSpec) -> Dataset:
-    """Hide a per-language fraction of observed cells, keeping gold values.
+def blank_features(test: Dataset, ratios: Mapping[str, float], seed: int) -> Dataset:
+    """Hide the fraction ``ratios[code]`` of each language's observed
+    cells, keeping gold values, in a sample drawn from ``seed``.
 
     Every language keeps at least one observed and at least one blanked
     cell; the blank count is round-half-up of ratio times the observed
@@ -186,8 +186,7 @@ def blank_features(test: Dataset, spec: SplitSpec) -> Dataset:
     features cannot satisfy that and raise SplitError.
     """
     require_blankable(test)
-    ratios = blanking_ratios(test.codes(), spec)
-    rng = random.Random(_stage_seed(spec.seed, "cells"))
+    rng = random.Random(_stage_seed(seed, "cells"))
     state = test.cell_state.copy()
     for code in sorted(test.codes()):
         row = test.rows[code]
@@ -273,5 +272,5 @@ def build_controlled_split(d: Dataset, spec: SplitSpec) -> SplitResult:
             provenance.append(LanguageProvenance(lang.code, "train", REASON_NONE))
 
     train = d.subset(p.code for p in provenance if p.role == "train")
-    test = blank_features(d.subset(ratios), spec)
+    test = blank_features(d.subset(ratios), ratios, spec.seed)
     return SplitResult(train=train, test=test, provenance=provenance)

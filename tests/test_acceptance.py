@@ -327,8 +327,8 @@ def test_acceptance_6_blanking():
             min_observed=2,
         )
         spec = SplitSpec(seed=trial)
-        blanked = blank_features(d, spec)
         ratios = blanking_ratios(d.codes(), spec)
+        blanked = blank_features(d, ratios, spec.seed)
         if sorted(ratios.values()) != even_spacing(
             spec.blanking_low, spec.blanking_high, len(d.codes())
         ):

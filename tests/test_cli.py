@@ -1023,7 +1023,7 @@ def stage_modules(tmp_path_factory):
     loaded["blank"] = _loaded_modules(run, "blank", "--input", str(tmp_path / "rest.tsv"),
                                       "--out-dir", str(blanked), "--seed", "3")
     systems = []
-    for method in ("frequency", "genus_family", "knn"):
+    for method in ("frequency", "genus_family", "knn", "ridge"):
         cfg = tmp_path / f"{method}.cfg"
         cfg.write_text(f"method={method}\n", encoding="utf-8")
         out = tmp_path / f"{method}.tsv"
@@ -1073,6 +1073,17 @@ def test_each_command_loads_only_what_it_runs(stage_modules):
     assert "typoimpute.evaluate" in loaded["evaluate"]
     assert not _within(loaded["evaluate"], "typoimpute.imputers")
 
+
+
+def test_no_stage_but_evaluate_loads_openssl(stage_modules):
+    """The manifest digests and split seeds take SHA-256 from the
+    interpreter's own module: ``hashlib`` would map OpenSSL's libcrypto,
+    some 3.5 MB of each stage's peak RSS.  ``evaluate`` still loads it,
+    through ``numpy.random``'s import of ``secrets``."""
+    loaded, _ = stage_modules
+    for command, modules in loaded.items():
+        if command != "evaluate":
+            assert "_hashlib" not in modules, command
 
 
 def test_impute_imports_only_the_imputers_it_builds(stage_modules):

@@ -13,18 +13,27 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "typoimpute"
 
 
-def _third_party_imports() -> set[str]:
-    """Top-level names of absolute imports anywhere in the package, also
-    inside functions, that are neither the standard library nor the
-    package itself."""
-    names = set()
+def _imports() -> dict[str, set[str]]:
+    """Module path -> top-level names of its absolute imports, also
+    inside functions."""
+    imports = {}
     for path in sorted(PACKAGE.rglob("*.py")):
+        names = imports[str(path.relative_to(PACKAGE))] = set()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
-    return names - set(sys.stdlib_module_names) - {"typoimpute"}
+    return imports
+
+
+def _third_party_imports() -> set[str]:
+    """Top-level names imported anywhere in the package that are neither
+    the standard library nor the package itself."""
+    names = set().union(*_imports().values())
+    # the interpreter's SHA-256 module is _sha256 up to Python 3.11 and
+    # _sha2 from 3.12, and stdlib_module_names names only its own
+    return names - set(sys.stdlib_module_names) - {"_sha256", "_sha2", "typoimpute"}
 
 
 def _declared_dependencies() -> set[str]:
@@ -69,3 +78,10 @@ def test_every_imported_name_is_used():
     unused = {str(path.relative_to(PACKAGE)): names for path in sorted(PACKAGE.rglob("*.py"))
               if (names := _unused_imports(path))}
     assert unused == {}
+
+
+def test_only_configio_imports_hashlib():
+    """Importing ``hashlib`` maps OpenSSL's libcrypto, some 3.5 MB of a
+    stage's peak RSS; ``configio`` imports it only where the interpreter
+    has no SHA-256 module of its own."""
+    assert [path for path, names in _imports().items() if "hashlib" in names] == ["configio.py"]

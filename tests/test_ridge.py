@@ -35,7 +35,8 @@ from oracles import (
     ridge_oracle,
     ridge_prediction_oracle,
 )
-from synth import Cell, build_dataset, cells_of, language_of, make_language, observed_of, predict_one, random_dataset
+from synth import (Cell, blank_some, build_dataset, cells_of, language_of, make_language,
+                   observed_of, predict_one, predictions_of, random_dataset)
 
 
 def _scores(imp, lang, observed, target):
@@ -993,6 +994,25 @@ def test_dual_fit_predicts_as_the_design_solve():
         assert [p.value for p in got.values()] == [p.value for p in want.values()]
         compared += len(got)
     assert compared > 700
+
+
+@pytest.mark.parametrize("use_context", [False, True], ids=["train", "context"])
+def test_ridge_answers_do_not_depend_on_the_batch(use_context):
+    """A language filled alone gets the answers, confidences included,
+    that it gets among all the test languages.  A BLAS product of a
+    target's whole block picks its kernel by the block's shape, which
+    moves the last bits of some scores with the number of languages
+    that share the target."""
+    rng = random.Random(101)
+    train, context = _bench_shaped_sources(rng)
+    test = blank_some(context, rng, per_language=3)
+    imp = RidgePriorImputer(min_support=1, use_context=use_context).fit(train, context=test)
+    full = predictions_of(imp, test)
+    alone = {}
+    for code in test.codes():
+        alone.update(predictions_of(imp, test.subset([code])))
+    assert len(full) > 50
+    assert alone == full
 
 
 def test_fit_builds_the_design_only_for_narrow_targets(monkeypatch):

@@ -81,7 +81,7 @@ def test_blank_features_counts_and_gold():
         )
         spec = SplitSpec(seed=trial)
         ratios = blanking_ratios(d.codes(), spec)
-        blanked = blank_features(d, spec)
+        blanked = blank_features(d, ratios, spec.seed)
         for code in d.codes():
             before = _observed_features(d, code)
             after_obs = _observed_features(blanked, code)
@@ -108,7 +108,7 @@ def test_blank_features_matches_seeded_oracle():
             cells[(code, "04G unknown")] = Cell.unknown()
         d = build_dataset(d.languages, cells)
         spec = SplitSpec(blanking_low=0.2, blanking_high=0.8, seed=trial)
-        got = blank_features(d, spec)
+        got = blank_features(d, blanking_ratios(d.codes(), spec), spec.seed)
         assert {key: (cell.state, cell.value) for key, cell in cells_of(got).items()} == (
             blank_oracle(d, 0.2, 0.8, trial)
         )
@@ -118,8 +118,7 @@ def test_blank_features_exact_half():
     languages = [make_language("aaa")]
     cells = {("aaa", f"f{i:02d}"): Cell.observed("v") for i in range(20)}
     d = build_dataset(languages, cells)
-    spec = SplitSpec(blanking_low=0.5, blanking_high=0.5, seed=0)
-    blanked = blank_features(d, spec)
+    blanked = blank_features(d, {"aaa": 0.5}, 0)
     assert len(_blanked_features(blanked, "aaa")) == 10
     assert len(_observed_features(blanked, "aaa")) == 10
 
@@ -128,7 +127,7 @@ def test_blank_features_clamps_to_leave_one_each():
     languages = [make_language("aaa")]
     cells = {("aaa", "f1"): Cell.observed("v"), ("aaa", "f2"): Cell.observed("w")}
     d = build_dataset(languages, cells)
-    blanked = blank_features(d, SplitSpec(blanking_low=0.95, blanking_high=0.95, seed=1))
+    blanked = blank_features(d, {"aaa": 0.95}, 1)
     assert len(_blanked_features(blanked, "aaa")) == 1
     assert len(_observed_features(blanked, "aaa")) == 1
 
@@ -136,7 +135,7 @@ def test_blank_features_clamps_to_leave_one_each():
 def test_blank_features_requires_two_observed():
     d = build_dataset([make_language("aaa")], {("aaa", "f1"): Cell.observed("v")})
     with pytest.raises(SplitError, match="at least 2"):
-        blank_features(d, SplitSpec(seed=0))
+        blank_features(d, {"aaa": 0.5}, 0)
 
 
 def test_random_split_exact_fractions():
