@@ -10,7 +10,8 @@ Diagnostics go to stderr; data goes to files only.  Exit codes: 0 on
 success, 1 for usage or configuration problems, 2 for data problems.
 Every command writes a run-manifest (plain key=value, no timestamps)
 beside its outputs recording the configuration hash, the seed, and the
-sha256 digest of each input, so identical runs are byte-identical.
+sha256 digest of each input, taken before the first output is written,
+so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -68,16 +69,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_manifest(path: Path, command: str, params: Mapping[str, str],
-                    inputs: Mapping[str, str | Path], seed: Optional[int] = None) -> None:
+def _manifest(command: str, params: Mapping[str, str], inputs: Mapping[str, str | Path],
+              seed: Optional[int] = None) -> dict[str, str]:
     """The run-manifest of one command invocation: its effective
-    settings ``params``, their hash, the seed and each input's digest."""
+    settings ``params``, their hash, the seed and each input's digest.
+    Taken before the command writes its first output, which may
+    overwrite an input, and written with ``write_kv`` after its last."""
     items = {"command": command, "config_hash": config_hash(params)}
     if seed is not None:
         items["seed"] = str(seed)
     items.update((f"param.{key}", params[key]) for key in sorted(params))
     items.update((f"input.{name}", file_digest(inputs[name])) for name in sorted(inputs))
-    write_kv(path, items)
+    return items
 
 
 def _load_dataset(path: str | Path, gold: Optional[Dataset] = None) -> Dataset:
@@ -132,18 +135,19 @@ def _read_table(path: Path, numeric: Sequence[int]) -> list[list[str]]:
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
-    from .kb import filter_dataset, serialize_dataset
+    from .kb import filter_dataset, write_dataset
 
     dataset = _load_dataset(args.input)
     filtered = filter_dataset(dataset, args.min_features, args.min_languages)
     removed_langs = len(dataset.languages) - len(filtered.languages)
     removed_feats = len(dataset.feature_names) - len(filtered.feature_names)
-    Path(args.out).write_text(serialize_dataset(filtered), encoding="utf-8")
+    params = {"min_features": str(args.min_features), "min_languages": str(args.min_languages)}
+    manifest = _manifest("filter", params, {"input": args.input})
+    write_dataset(args.out, filtered)
     log.info("kept %d of %d languages (%d removed), %d of %d features (%d removed)",
              len(filtered.languages), len(dataset.languages), removed_langs,
              len(filtered.feature_names), len(dataset.feature_names), removed_feats)
-    params = {"min_features": str(args.min_features), "min_languages": str(args.min_languages)}
-    _write_manifest(Path(f"{args.out}.manifest"), "filter", params, {"input": args.input})
+    write_kv(Path(f"{args.out}.manifest"), manifest)
     return EXIT_OK
 
 
@@ -174,7 +178,7 @@ def _require_split(train: Dataset, test: Dataset, settings: str) -> None:
 
 
 def cmd_split(args: argparse.Namespace) -> int:
-    from .kb import serialize_dataset
+    from .kb import write_dataset
     from .splits import SplitError, build_controlled_split, random_split, require_blankable
 
     dataset = _load_dataset(args.input)
@@ -199,18 +203,18 @@ def cmd_split(args: argparse.Namespace) -> int:
             require_blankable(test)
         except SplitError as exc:
             raise DatasetError(f"split leaves a test set blank rejects: {exc} ({settings})") from None
+        manifest = _manifest("split", {"mode": "random", "fractions": args.random_fractions},
+                             {"input": args.input}, seed=args.seed)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, part in (("train", train), ("dev", dev), ("test", test)):
-            (out_dir / f"{name}.tsv").write_text(serialize_dataset(part), encoding="utf-8")
+            write_dataset(out_dir / f"{name}.tsv", part)
         log.info(
             "random split: %d train, %d dev, %d test languages",
             len(train.languages),
             len(dev.languages),
             len(test.languages),
         )
-        _write_manifest(out_dir / "run_manifest.txt", "split",
-                        {"mode": "random", "fractions": args.random_fractions},
-                        {"input": args.input}, seed=args.seed)
+        write_kv(out_dir / "run_manifest.txt", manifest)
         return EXIT_OK
 
     spec = _split_spec_from_args(args)
@@ -218,12 +222,16 @@ def cmd_split(args: argparse.Namespace) -> int:
     settings = spec.settings()
     _require_split(result.train, result.test, ", ".join(
         f"{key}={settings[key]}" for key in ("genera", "radius_km", "holdout_fraction")))
+    params = {"mode": "controlled", **settings}
+    del params["seed"]  # recorded as the run's seed
+    inputs: dict[str, str | Path] = {"input": args.input}
+    if args.spec:
+        inputs["spec"] = args.spec
+    manifest = _manifest("split", params, inputs, seed=spec.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "train.tsv").write_text(serialize_dataset(result.train), encoding="utf-8")
-    (out_dir / "test.tsv").write_text(serialize_dataset(result.test), encoding="utf-8")
-    (out_dir / "test_gold.tsv").write_text(
-        serialize_dataset(result.test, reveal_blanked=True), encoding="utf-8"
-    )
+    write_dataset(out_dir / "train.tsv", result.train)
+    write_dataset(out_dir / "test.tsv", result.test)
+    write_dataset(out_dir / "test_gold.tsv", result.test, reveal_blanked=True)
     _write_table(out_dir / "provenance.csv", [], ["code", "role", "reason", "blanking_ratio"],
                  [(p.code, p.role, p.reason, "" if p.blanking_ratio is None else p.blanking_ratio)
                   for p in result.provenance])
@@ -236,12 +244,7 @@ def cmd_split(args: argparse.Namespace) -> int:
         len(result.test.languages),
         n_excluded,
     )
-    params = {"mode": "controlled", **settings}
-    del params["seed"]  # recorded as the run's seed
-    inputs: dict[str, str | Path] = {"input": args.input}
-    if args.spec:
-        inputs["spec"] = args.spec
-    _write_manifest(out_dir / "run_manifest.txt", "split", params, inputs, seed=spec.seed)
+    write_kv(out_dir / "run_manifest.txt", manifest)
     return EXIT_OK
 
 
@@ -254,7 +257,7 @@ _BLANK_BOUNDS = {"low": "blanking_low", "high": "blanking_high"}
 
 
 def cmd_blank(args: argparse.Namespace) -> int:
-    from .kb import BLANKED_CODE, serialize_dataset
+    from .kb import BLANKED_CODE, write_dataset
     from .splits import SplitSpec, blank_features, blanking_ratios
 
     dataset = _load_dataset(args.input)
@@ -266,12 +269,12 @@ def cmd_blank(args: argparse.Namespace) -> int:
     low, high = spec.blanking_low, spec.blanking_high
     ratios = blanking_ratios(dataset.codes(), spec)
     blanked = blank_features(dataset, ratios, args.seed)
+    manifest = _manifest("blank", {"low": str(low), "high": str(high)}, {"input": args.input},
+                         seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "blanked.tsv").write_text(serialize_dataset(blanked), encoding="utf-8")
-    (out_dir / "gold.tsv").write_text(
-        serialize_dataset(blanked, reveal_blanked=True), encoding="utf-8"
-    )
+    write_dataset(out_dir / "blanked.tsv", blanked)
+    write_dataset(out_dir / "gold.tsv", blanked, reveal_blanked=True)
     _write_table(
         out_dir / "ratios.csv",
         [f"config_hash={config_hash({'low': low, 'high': high})}", f"seed={args.seed}"],
@@ -280,8 +283,7 @@ def cmd_blank(args: argparse.Namespace) -> int:
     )
     n_blanked = int((blanked.cell_state == BLANKED_CODE).sum())
     log.info("blanked %d cells across %d languages", n_blanked, len(blanked.languages))
-    _write_manifest(out_dir / "run_manifest.txt", "blank", {"low": str(low), "high": str(high)},
-                    {"input": args.input}, seed=args.seed)
+    write_kv(out_dir / "run_manifest.txt", manifest)
     return EXIT_OK
 
 
@@ -291,7 +293,7 @@ def cmd_blank(args: argparse.Namespace) -> int:
 
 def cmd_impute(args: argparse.Namespace) -> int:
     from .imputers import EnsembleImputer, GlobalFrequencyImputer, build_imputer, fill_dataset
-    from .kb import OBSERVED_CODE, serialize_dataset
+    from .kb import OBSERVED_CODE, write_dataset
 
     train = _load_dataset(args.train)
     test = _load_dataset(args.test)
@@ -302,10 +304,18 @@ def cmd_impute(args: argparse.Namespace) -> int:
     if not args.no_fallback:
         imputer = EnsembleImputer([imputer, GlobalFrequencyImputer()])
     imputer.fit(train, context=test)
+    # A fitted imputer keeps the count tables, not the training cell table.
+    del train
 
     filled = fill_dataset(imputer, test)
     n_unfilled = int((filled.cell_state != OBSERVED_CODE).sum())
-    Path(args.out).write_text(serialize_dataset(filled), encoding="utf-8")
+    inputs: dict[str, str | Path] = {"train": args.train, "test": args.test}
+    if args.imputer_config:
+        inputs["imputer_config"] = args.imputer_config
+    if args.vectors:
+        inputs["vectors"] = args.vectors
+    manifest = _manifest("impute", {**config, "fallback": str(not args.no_fallback)}, inputs)
+    write_dataset(args.out, filled)
     log.info("filled %d cells (%d left unfilled)",
              int((test.cell_state != OBSERVED_CODE).sum()) - n_unfilled, n_unfilled)
     if n_unfilled and not args.no_fallback:
@@ -314,14 +324,7 @@ def cmd_impute(args: argparse.Namespace) -> int:
             "(features unseen in training)",
             n_unfilled,
         )
-
-    inputs: dict[str, str | Path] = {"train": args.train, "test": args.test}
-    if args.imputer_config:
-        inputs["imputer_config"] = args.imputer_config
-    if args.vectors:
-        inputs["vectors"] = args.vectors
-    _write_manifest(Path(f"{args.out}.manifest"), "impute",
-                    {**config, "fallback": str(not args.no_fallback)}, inputs)
+    write_kv(Path(f"{args.out}.manifest"), manifest)
     return EXIT_OK
 
 
@@ -410,6 +413,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     breakdown = {r.system: ev.genus_breakdown(r, held_genera) for r in reports} if held_genera else {}
 
+    inputs: dict[str, str | Path] = {"test": args.test, "gold": args.gold}
+    for name, path in systems:
+        inputs[f"system.{name}"] = path
+    if args.spec:
+        inputs["spec"] = args.spec
+    manifest = _manifest("evaluate", params, inputs, seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_table(
@@ -493,13 +502,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
 
     _write_summary(out_dir / "summary.txt", comments, reports, correlations, significance, meta, breakdown)
-
-    inputs: dict[str, str | Path] = {"test": args.test, "gold": args.gold}
-    for name, path in systems:
-        inputs[f"system.{name}"] = path
-    if args.spec:
-        inputs["spec"] = args.spec
-    _write_manifest(out_dir / "run_manifest.txt", "evaluate", params, inputs, seed=args.seed)
+    write_kv(out_dir / "run_manifest.txt", manifest)
     log.info("evaluated %d systems over %d gold cells", len(reports), reports[0].n_blanked)
     return EXIT_OK
 
@@ -639,8 +642,9 @@ def cmd_report(args: argparse.Namespace) -> int:
             lines.extend(_breakdown_lines((row[0], row[1], float(row[2]), row[3]) for row in rows))
             inputs["breakdown"] = breakdown_path
 
+    manifest = _manifest("report", {"top": str(args.top)}, inputs)
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(Path(f"{args.out}.manifest"), "report", {"top": str(args.top)}, inputs)
+    write_kv(Path(f"{args.out}.manifest"), manifest)
     return EXIT_OK
 
 

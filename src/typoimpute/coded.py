@@ -9,7 +9,7 @@ are contiguous and its values sorted.  Counts stay integers, so no
 result depends on how a BLAS library orders its sums.  The tables of one
 training set are built once, as ``Dataset.counts``, and shared by every
 imputer fitted on it, together with one cached distance row per query
-language for the geographic back-off and knn.  ``encode`` maps the
+language for knn's tie-breaks.  ``encode`` maps the
 observed cells of a test set into the same columns, once per prediction
 call.
 
@@ -139,8 +139,9 @@ class CodedCounts:
 
     def distances(self, language: Language) -> np.ndarray:
         """Kilometres from ``language`` to every row language: one kernel
-        row per query language, cached and shared by ``geo_backoff`` and
-        ``knn``.  Ridge computes its radius counts in blocks instead."""
+        row per query language, cached for ``knn``'s tie-breaks.
+        ``geo_backoff`` keeps only each language's rows within its far
+        radius, and ridge computes its radius counts in blocks."""
         km = self._km.get(language)
         if km is None:
             km = self._km[language] = distance_matrix(coordinates([language]), self.coords)[0]

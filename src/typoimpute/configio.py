@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 from typing import Mapping
 
@@ -57,4 +58,10 @@ def config_hash(items: Mapping[str, object]) -> str:
 
 
 def file_digest(path: str | Path) -> str:
-    return sha256(Path(path).read_bytes()).hexdigest()
+    """SHA-256 of a file's bytes, read 64 KiB at a time, so memory stays
+    the same whatever the file's size."""
+    digest = sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(partial(handle.read, 1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()

@@ -13,9 +13,9 @@ level, chosen level by level as arrays, and one ``decide`` per target
 answers with the winner's share of those counts as the confidence.  All
 counts come from the training set's shared integer tables,
 ``Dataset.counts``: global counts are its column totals, genus and
-family counts its grouped tables, and the geographic levels sum the
-one-hot rows of the target's holders selected by the table's cached
-distance row of the query language.
+family counts its grouped tables, and the geographic levels read the
+one-hot rows of the target's holders in the query language's cached
+ring: its training rows within the far radius, nearest first.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from typing import Callable
 
 import numpy as np
 
-from ..coded import CodedCounts, count_matmul
+from ..coded import CodedCounts
+from ..geo import coordinates, distance_matrix
 from ..geo import haversine_km  # noqa: F401  (bench/trace_child.py counts calls through this name)
-from ..kb import Dataset
+from ..kb import Dataset, Language
 from .base import Imputer, Prediction, by_target, decide
 
 __all__ = ["GlobalFrequencyImputer", "GenusFamilyBackoffImputer", "GeoBackoffImputer"]
@@ -100,8 +101,14 @@ class GeoBackoffImputer(Imputer):
     that, find the nearest training language with the target inside
     ``far_km`` (ties broken on the smaller code) and use its family's
     mode.  Global frequency terminates the chain.  The test language's
-    own training row, if any, never counts.  Distance rows are read
-    only for the test languages that reach the geographic levels.
+    own training row, if any, never counts.
+
+    Each test language that reaches the geographic levels gets a cached
+    ring: the training rows within ``far_km`` but its own, sorted by
+    distance and then code, and how many of them lie within ``near_km``
+    (a prefix, as the ring is sorted).  The nearest holder is the
+    ring's first holder of the target; the near level counts the
+    holders in the prefix.
     """
 
     def __init__(self, near_km: float = 1000.0, far_km: float = 2000.0):
@@ -112,10 +119,24 @@ class GeoBackoffImputer(Imputer):
 
     def fit(self, train: Dataset, context: Dataset | None = None) -> "GeoBackoffImputer":
         self.counts = train.counts
+        self._rings: dict[Language, tuple[np.ndarray, int]] = {}
         return self
 
     def predict(self, test: Dataset, cells: np.ndarray) -> dict[int, Prediction]:
         return _backoff(self.counts, ("genus", "family"), test, cells, self._geographic)
+
+    def _ring(self, language: Language) -> tuple[np.ndarray, int]:
+        """``language``'s training rows within ``far_km``, its own row
+        left out, by (km, code rank), and how many lie within ``near_km``."""
+        ring = self._rings.get(language)
+        if ring is None:
+            counts = self.counts
+            km = distance_matrix(coordinates([language]), counts.coords)[0]
+            rows = np.flatnonzero(km <= self.far_km)
+            rows = rows[rows != counts.rows.get(language.code, -1)]
+            rows = rows[np.lexsort((counts.code_rank[rows], km[rows]))]
+            ring = self._rings[language] = (rows, int(np.count_nonzero(km[rows] <= self.near_km)))
+        return ring
 
     def _geographic(self, test: Dataset, rows: np.ndarray, reach: np.ndarray,
                     columns: slice) -> list[tuple[str, np.ndarray]]:
@@ -125,18 +146,27 @@ class GeoBackoffImputer(Imputer):
         holders within ``near_km``."""
         counts = self.counts
         onehot = counts.onehot[:, columns]
+        width = onehot.shape[1]
         languages = [test.languages[r] for r in rows[reach].tolist()]
-        km = np.array([counts.distances(lang) for lang in languages])
-        own = np.array([counts.rows.get(lang.code, -1) for lang in languages])
-        holders = onehot.any(axis=1) & (np.arange(len(onehot)) != own[:, None])
-        in_far = holders & (km <= self.far_km)
-        # nearest holder inside far_km: least distance, then least code
-        nearest_km = np.where(in_far, km, np.inf).min(axis=1, keepdims=True)
-        tied = in_far & (km == nearest_km)
-        nearest = np.where(tied, counts.code_rank, len(counts.code_rank)).argmin(axis=1)
-        family = counts.family.of
-        same = holders & (family == family[nearest][:, None]) & tied.any(axis=1)[:, None]
-        near, far = np.zeros((2, len(rows), onehot.shape[1]), dtype=np.int64)
-        near[reach] = count_matmul(holders & (km <= self.near_km), onehot)
-        far[reach] = count_matmul(same, onehot)
+        rings = [self._ring(lang) for lang in languages]
+        sizes = np.array([len(ring) for ring, _ in rings], dtype=np.intp)
+        starts = np.cumsum(sizes) - sizes
+        ring = np.concatenate([ring for ring, _ in rings])
+        # the holders' positions in the joined rings, in order, and their values
+        hit, value = np.nonzero(onehot[ring])
+        which = np.repeat(np.arange(len(rings)), sizes)[hit]
+        in_near = hit < (starts + np.array([n for _, n in rings], dtype=np.intp))[which]
+        near, far = np.zeros((2, len(rows), width), dtype=np.int64)
+        near[reach] = np.bincount(which[in_near] * width + value[in_near],
+                                  minlength=len(rings) * width).reshape(len(rings), width)
+        # each ring's first holder, if it has one, is its nearest
+        first = np.append(hit, len(ring))[np.searchsorted(hit, starts)]
+        found = first < starts + sizes
+        nearest = ring[first[found]]
+        own = np.array([counts.rows.get(lang.code, -1) for lang in languages])[found]
+        family = counts.family
+        group = family.of[nearest]
+        # the family's counts, less the test language's own row
+        same = (own >= 0) & (family.of[own] == group)
+        far[np.flatnonzero(reach)[found]] = family.table[group, columns] - onehot[own] * same[:, None]
         return [("nearest-family", far), ("neighborhood", near)]

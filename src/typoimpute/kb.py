@@ -31,7 +31,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from typing import TYPE_CHECKING, Iterable
+from pathlib import Path
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -47,6 +48,7 @@ __all__ = [
     "Dataset",
     "parse_dataset",
     "serialize_dataset",
+    "write_dataset",
     "filter_dataset",
 ]
 
@@ -62,7 +64,7 @@ OBSERVED_CODE, BLANKED_CODE, UNKNOWN_CODE = range(len(STATES))
 # ``Dataset``'s parallel per-cell arrays.
 _CELL_ARRAYS = ("cell_row", "cell_feature", "cell_value", "cell_state")
 
-# Languages per block of ``serialize_dataset``.
+# Languages per block of ``serialize_dataset`` and ``write_dataset``.
 _SERIALIZE_BLOCK = 256
 
 # Recognized header spellings for the latitude/longitude columns; a first
@@ -276,6 +278,9 @@ def parse_dataset(text: str, gold: Dataset | None = None) -> Dataset:
     except DatasetError as exc:
         # Raised once the segments of the lines before it are checked.
         fault = exc
+    # The caller's text is passed on, not kept: each intermediate is
+    # dropped as soon as the next step no longer reads it.
+    del text
 
     # Per distinct segment: feature and value codes; feature -1 marks a
     # whitespace-only segment and -2 a malformed one.
@@ -298,6 +303,7 @@ def parse_dataset(text: str, gold: Dataset | None = None) -> Dataset:
         else:
             segment_feature[i] = features.setdefault(name, len(features))
             segment_value[i] = -1 if value == UNKNOWN_MARKER else values.setdefault(value, len(values))
+    del segments
 
     segment = np.frombuffer(cell_segments, dtype=np.int64)
     row = np.repeat(np.arange(len(row_sizes)), np.frombuffer(row_sizes, dtype=np.int64))
@@ -321,7 +327,9 @@ def parse_dataset(text: str, gold: Dataset | None = None) -> Dataset:
     if fault is not None:
         raise fault
 
+    del faulty, key, order, repeated, row_sizes
     row, feature, value = row[kept], feature[kept], segment_value[segment[kept]]
+    del segment, cell_segments, kept, segment_feature, segment_value
     state = np.where(value < 0, UNKNOWN_CODE, OBSERVED_CODE).astype(np.int8)
     value_names = list(values)
     if gold is not None:
@@ -335,6 +343,38 @@ def parse_dataset(text: str, gold: Dataset | None = None) -> Dataset:
     return Dataset(languages, list(features), value_names, row, feature, value, state)
 
 
+def _serialized_blocks(d: Dataset, reveal_blanked: bool) -> Iterator[str]:
+    """The text of ``d`` as ``serialize_dataset`` writes it, one block of
+    ``_SERIALIZE_BLOCK`` languages at a time."""
+    # A hidden cell reads the marker after the value names.
+    names = d.value_names + [UNKNOWN_MARKER]
+    prefixes = [f"{feature}=" for feature in d.feature_names]
+    bounds = d.bounds.tolist()
+    for lo in range(0, len(d.languages), _SERIALIZE_BLOCK):
+        hi = min(lo + _SERIALIZE_BLOCK, len(d.languages))
+        first, last = bounds[lo], bounds[hi]
+        state = d.cell_state[first:last]
+        shown = state == OBSERVED_CODE
+        if reveal_blanked:
+            shown |= state == BLANKED_CODE
+        value = np.where(shown, d.cell_value[first:last], len(d.value_names))
+        parts = [prefixes[f] + names[v] for f, v in
+                 zip(d.cell_feature[first:last].tolist(), value.tolist())]
+        # str() round-trips floats exactly.
+        lines = [
+            "\t".join([lang.code, lang.name, str(lang.latitude), str(lang.longitude), lang.genus,
+                       lang.family, " ".join(lang.country_codes),
+                       " | ".join(parts[start - first:end - first])])
+            for lang, start, end in zip(d.languages[lo:hi], bounds[lo:hi], bounds[lo + 1:hi + 1])
+        ]
+        block = "\n".join(lines + [""])
+        # Only the block itself lives across the yield, and only until
+        # the caller has written it.
+        del parts, lines
+        yield block
+        del block
+
+
 def serialize_dataset(d: Dataset, reveal_blanked: bool = False) -> str:
     """Serialize a dataset back to the 8-column tab-separated format.
 
@@ -344,31 +384,15 @@ def serialize_dataset(d: Dataset, reveal_blanked: bool = False) -> str:
     companion files).  A filled dataset (``fill_dataset``) holds its
     answers as observed cells.
     """
-    shown = d.cell_state == OBSERVED_CODE
-    if reveal_blanked:
-        shown |= d.cell_state == BLANKED_CODE
-    # A hidden cell reads the marker after the value names.
-    names = d.value_names + [UNKNOWN_MARKER]
-    value = np.where(shown, d.cell_value, len(d.value_names))
+    return "".join(_serialized_blocks(d, reveal_blanked))
 
-    prefixes = [f"{feature}=" for feature in d.feature_names]
-    bounds = d.bounds.tolist()
-    # The per-cell strings of one block of languages at a time.
-    blocks = []
-    for lo in range(0, len(d.languages), _SERIALIZE_BLOCK):
-        hi = min(lo + _SERIALIZE_BLOCK, len(d.languages))
-        first, last = bounds[lo], bounds[hi]
-        parts = [prefixes[f] + names[v] for f, v in
-                 zip(d.cell_feature[first:last].tolist(), value[first:last].tolist())]
-        # str() round-trips floats exactly.
-        lines = [
-            "\t".join([lang.code, lang.name, str(lang.latitude), str(lang.longitude), lang.genus,
-                       lang.family, " ".join(lang.country_codes),
-                       " | ".join(parts[start - first:end - first])])
-            for lang, start, end in zip(d.languages[lo:hi], bounds[lo:hi], bounds[lo + 1:hi + 1])
-        ]
-        blocks.append("\n".join(lines + [""]))
-    return "".join(blocks)
+
+def write_dataset(path: str | Path, d: Dataset, reveal_blanked: bool = False) -> None:
+    """Write ``serialize_dataset(d, reveal_blanked)`` to ``path`` as UTF-8,
+    one block of languages at a time, never the whole text."""
+    with open(path, "w", encoding="utf-8") as handle:
+        # writelines drops each block before it asks for the next
+        handle.writelines(_serialized_blocks(d, reveal_blanked))
 
 
 def filter_dataset(

@@ -97,6 +97,34 @@ def test_filter_thresholds_drop_everything(tmp_path, corpus):
     assert parse_dataset(out.read_text(encoding="utf-8")).languages == []
 
 
+def _sha256(path) -> str:
+    import hashlib
+
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_filter_over_its_input_records_the_input_digest(tmp_path, corpus):
+    """Input digests are taken before the first output byte is written,
+    so an output that overwrites its input does not stand in for it."""
+    before = _sha256(corpus)
+    assert main(["filter", "--input", str(corpus), "--out", str(corpus),
+                 "--min-features", "30"]) == 0
+    assert _sha256(corpus) != before
+    assert read_kv(f"{corpus}.manifest")["input.input"] == before
+
+
+def test_impute_over_its_test_file_records_the_test_digest(tmp_path, split_dirs):
+    test = tmp_path / "test.tsv"
+    test.write_bytes((split_dirs / "test.tsv").read_bytes())
+    before = _sha256(test)
+    assert main(["impute", "--train", str(split_dirs / "train.tsv"), "--test", str(test),
+                 "--out", str(test)]) == 0
+    assert _sha256(test) != before
+    items = read_kv(f"{test}.manifest")
+    assert items["input.test"] == before
+    assert items["input.train"] == _sha256(split_dirs / "train.tsv")
+
+
 def test_controlled_split_outputs(tmp_path, corpus, spec_file):
     out_dir = tmp_path / "splits"
     code = main([

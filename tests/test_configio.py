@@ -14,9 +14,9 @@ import typoimpute
 from typoimpute.configio import config_hash, file_digest
 from typoimpute.splits import _stage_seed
 
-# empty, one byte, one past a 64 KiB block, and larger than any
-# benchmark input file
-SIZES = (0, 1, 64 * 1024 + 1, 2 * 1024 * 1024)
+# empty, one byte, one short of, at and one past the 64 KiB chunk
+# ``file_digest`` reads, and larger than any benchmark input file
+SIZES = (0, 1, 64 * 1024 - 1, 64 * 1024, 64 * 1024 + 1, 2 * 1024 * 1024)
 
 
 def _payloads():
@@ -75,3 +75,29 @@ def test_digests_unchanged_without_the_builtin_module(tmp_path):
                           cwd=Path(__file__).parent, check=True, capture_output=True, text=True,
                           timeout=120)
     assert json.loads(done.stdout) == _oracle()
+
+
+def test_digest_hashes_a_byte_order_mark_as_bytes(tmp_path):
+    """``file_digest`` hashes the bytes on disk: a leading UTF-8 BOM,
+    which the dataset reader skips, still counts."""
+    data = "\ufeffaaa\tA\t1.0\t2.0\tG\tF\t\tf=v\n".encode("utf-8")
+    path = tmp_path / "bom.tsv"
+    path.write_bytes(data)
+    assert data.startswith(b"\xef\xbb\xbf")
+    assert file_digest(path) == hashlib.sha256(data).hexdigest()
+
+
+def test_digest_peak_memory_stays_below_256_kib(tmp_path):
+    """A file is hashed in chunks, never read whole: the ``tracemalloc``
+    peak of the digest of a 2 MB file stays below 256 KiB."""
+    import tracemalloc
+
+    path = tmp_path / "payload"
+    path.write_bytes(_payloads()[-1])
+    tracemalloc.start()
+    try:
+        file_digest(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024

@@ -289,6 +289,71 @@ def test_geo_backoff_matches_oracle():
                 assert pred.confidence == pytest.approx(want[1])
 
 
+def _ring_edge_fixture():
+    """Training languages around a query point at (10, 20), each alone
+    in its genus: for ``f``, two holders at exactly the same distance,
+    the later code first in row order, and the earlier code's family
+    holding another value twice far away; for ``g`` and ``h``, holders
+    at distances the float kernel and the oracle compute alike; and a
+    training language ``sss`` with a holder of ``f`` nearby in its own
+    family."""
+    place = [
+        ("bbb", "FamB", 10.0, 25.0, {"f": "x"}),
+        ("aaa", "FamA", 10.0, 15.0, {"f": "y"}),
+        ("aa2", "FamA", -40.0, 100.0, {"f": "z"}),
+        ("aa3", "FamA", -45.0, 110.0, {"f": "z"}),
+        ("ccc", "FamC", 14.0, 20.0, {"g": "u"}),
+        ("ddd", "FamD", 18.0, 20.0, {"g": "w", "h": "d"}),
+        ("dd2", "FamD", -60.0, -100.0, {"h": "e"}),
+        ("sss", "FamT", 40.0, -60.0, {"f": "own"}),
+        ("ttt", "FamT", 40.0, -58.0, {"f": "t"}),
+    ]
+    languages = [make_language(code, genus=f"Gen-{code}", family=family, lat=lat, lon=lon)
+                 for code, family, lat, lon, _ in place]
+    cells = {(code, feature): Cell.observed(value)
+             for code, _, _, _, observed in place for feature, value in observed.items()}
+    return build_dataset(languages, cells)
+
+
+def test_geo_backoff_matches_oracle_at_ring_edges():
+    """Exact distance ties, holders exactly at ``near_km`` and at
+    ``far_km``, a query that is a training language under other genus
+    and family names, and a query with no holder within ``far_km``."""
+    train = _ring_edge_fixture()
+    here = make_language("qqq", genus="GenQ", family="FamQ", lat=10.0, lon=20.0)
+    own = replace(language_of(train, "sss"), genus="GenR", family="FamR")
+
+    def km(code):
+        """The kernel's and the oracle's distance from ``here``."""
+        other = language_of(train, code)
+        return (haversine_km(here, other),
+                great_circle_km(here.latitude, here.longitude, other.latitude, other.longitude))
+
+    assert km("aaa") == km("bbb")
+    # the oracle compares the same radius
+    (at_c, exact_c), (at_d, exact_d) = km("ccc"), km("ddd")
+    assert (at_c, at_d) == (exact_c, exact_d)
+    below = functools.partial(np.nextafter, 0.0)
+    cases = [
+        (here, 100.0, 1000.0, {"f": ("z", "nearest-family")}),
+        (here, at_c, at_c, {"g": ("u", "neighborhood")}),
+        (here, float(below(at_c)), at_c, {"g": ("u", "nearest-family")}),
+        (here, 0.0, at_d, {"h": ("d", "nearest-family")}),
+        (here, 0.0, float(below(at_d)), {"h": ("d", "global")}),
+        (own, 500.0, 500.0, {"f": ("t", "neighborhood")}),
+        (own, 0.0, 500.0, {"f": ("t", "nearest-family")}),
+        (here, 10.0, 100.0, {"f": ("z", "global"), "g": ("u", "global")}),
+    ]
+    for query, near, far, expected in cases:
+        imp = GeoBackoffImputer(near_km=near, far_km=far).fit(train)
+        for target in train.features():
+            want = geo_backoff_oracle(train, query, target, near, far)
+            pred = predict_one(imp, query, {}, target)
+            assert (pred.value, pred.confidence, pred.source) == want, (query.code, near, far)
+            if target in expected:
+                assert (pred.value, pred.source) == expected[target], (query.code, near, far)
+
+
 def _backoff_benchmark_data(rng, n_languages=300, n_features=10, n_queries=40):
     """A few hundred training languages: a third in 25 shared genera
     (five families), a third alone in their genus but in 30 shared

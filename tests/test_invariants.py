@@ -1,14 +1,23 @@
 """Metamorphic invariants of every imputer config: the answers a
-language gets do not depend on the order of the training rows, on an
-earlier ``fit`` of the same imputer, or (for all but ridge with
-``use_context``) on which other languages are filled with it."""
+language gets do not depend on the order of the training rows or of the
+test rows, on the order of the cells within a line of either file, on
+an earlier ``fit`` of the same imputer, on the number of BLAS threads,
+or (for all but ridge with ``use_context``) on which other languages
+are filled with it."""
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import typoimpute
+from typoimpute.configio import write_kv
 from typoimpute.imputers import build_imputer, fill_dataset
+from typoimpute.kb import parse_dataset, write_dataset
 
 from synth import Cell, blank_some, build_dataset, cells_of, random_dataset
 
@@ -109,6 +118,76 @@ def _check_alone(config, seed):
     for code in test.codes():
         alone = _filled(imputer, test.subset([code]))
         assert alone == {key: value for key, value in full.items() if key[0] == code}
+
+
+def _check_test_order(config, seed):
+    train, test = _sources(seed)
+    want = _filled(build_imputer(CONFIGS[config]).fit(train, context=test), test)
+    shuffled = _shuffled(test, random.Random(seed + 1))
+    assert shuffled.codes() != test.codes()
+    assert _filled(build_imputer(CONFIGS[config]).fit(train, context=shuffled), shuffled) == want
+
+
+def _reread_with_cells_permuted(d, path, rng, gold=None, reveal_blanked=False):
+    """``d`` written to ``path``, the ``|``-separated cells of each line
+    shuffled, and parsed again, with ``gold`` as its gold companion."""
+    write_dataset(path, d, reveal_blanked=reveal_blanked)
+    lines = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        *columns, cells = line.split("\t")
+        parts = cells.split(" | ")
+        rng.shuffle(parts)
+        lines.append("\t".join([*columns, " | ".join(parts)]) + "\n")
+    permuted = "".join(lines)
+    assert permuted != path.read_text(encoding="utf-8")
+    return parse_dataset(permuted, gold=gold)
+
+
+def _check_cell_order(config, seed, tmp_path):
+    train, test = _sources(seed)
+    want = _filled(build_imputer(CONFIGS[config]).fit(train, context=test), test)
+    rng = random.Random(seed + 1)
+    path = tmp_path / "data.tsv"
+    train = _reread_with_cells_permuted(train, path, rng)
+    gold = _reread_with_cells_permuted(test, path, rng, reveal_blanked=True)
+    test = _reread_with_cells_permuted(test, path, rng, gold=gold)
+    assert _filled(build_imputer(CONFIGS[config]).fit(train, context=test), test) == want
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_answers_ignore_the_order_of_the_test_rows(config):
+    _check_test_order(config, 79)
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_answers_ignore_the_order_of_the_cells_in_a_line(config, tmp_path):
+    _check_cell_order(config, 81, tmp_path)
+
+
+def test_ensemble_impute_ignores_blas_thread_count(tmp_path):
+    """``impute`` with ``method=ensemble`` writes the same bytes with one
+    and with two BLAS threads."""
+    train, test = _sources(83)
+    write_dataset(tmp_path / "train.tsv", train)
+    write_dataset(tmp_path / "test.tsv", test)
+    write_kv(tmp_path / "imputer.cfg", CONFIGS["ensemble"])
+    src = str(Path(typoimpute.__file__).resolve().parents[1])
+    filled = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   **{var: threads for var in
+                      ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+        out = tmp_path / f"filled{threads}.tsv"
+        subprocess.run(
+            [sys.executable, "-m", "typoimpute.cli", "impute",
+             "--train", str(tmp_path / "train.tsv"), "--test", str(tmp_path / "test.tsv"),
+             "--out", str(out), "--imputer-config", str(tmp_path / "imputer.cfg"),
+             "--no-fallback"],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        filled.append(out.read_bytes())
+    assert filled[0] != (tmp_path / "test.tsv").read_bytes()
+    assert filled[0] == filled[1]
 
 
 @pytest.mark.parametrize("config", RIDGE)

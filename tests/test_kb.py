@@ -24,6 +24,7 @@ from typoimpute.kb import (
     filter_dataset,
     parse_dataset,
     serialize_dataset,
+    write_dataset,
 )
 
 from oracles import parse_oracle, serialize_oracle
@@ -722,3 +723,52 @@ def test_serialize_peak_memory_stays_within_four_times_the_output():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * len(text)
+
+
+def _assert_written_as_serialized(d: Dataset, path: Path) -> None:
+    for reveal in (False, True):
+        write_dataset(path, d, reveal_blanked=reveal)
+        assert path.read_bytes() == serialize_dataset(d, reveal).encode("utf-8")
+
+
+@pytest.mark.parametrize("workload", ["models-M", "baselines-L", "context-random"])
+def test_write_dataset_writes_the_serialized_bytes_of_bench_datasets(workload, tmp_path):
+    """The workload's data, filtered, and its controlled split, whose
+    test set has blanked cells."""
+    from typoimpute.splits import SplitSpec, build_controlled_split
+
+    d = parse_dataset(_bench_text(workload))
+    dense = filter_dataset(d)
+    split = build_controlled_split(dense, SplitSpec(seed=1))
+    assert (split.test.cell_state == BLANKED_CODE).any()
+    for part in (d, dense, split.train, split.test):
+        _assert_written_as_serialized(part, tmp_path / "out.tsv")
+
+
+@pytest.mark.parametrize("n_languages", [0, 255, 256, 257])
+def test_write_dataset_writes_the_serialized_bytes_at_block_edges(n_languages, tmp_path):
+    """No language, and one language short of, at and past one block."""
+    d = (parse_dataset("") if n_languages == 0
+         else _hidden_cells_dataset(random.Random(n_languages), n_languages - 1))
+    assert len(d.languages) == n_languages
+    _assert_written_as_serialized(d, tmp_path / "out.tsv")
+
+
+def test_write_dataset_peak_memory_is_two_thirds_of_serialize_and_write(tmp_path):
+    """Writing one block at a time holds no whole text: the
+    ``tracemalloc`` peak of ``write_dataset`` on the largest bench file
+    (2000 languages x 150 features) is at most two thirds of that of
+    ``serialize_dataset`` and ``write_text``."""
+    import tracemalloc
+
+    d = parse_dataset(_bench_text("baselines-L"))
+    peaks = []
+    for write in (lambda path: path.write_text(serialize_dataset(d), encoding="utf-8"),
+                  lambda path: write_dataset(path, d)):
+        tracemalloc.start()
+        try:
+            write(tmp_path / "out.tsv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 / 3 * peaks[0]

@@ -85,3 +85,20 @@ def test_only_configio_imports_hashlib():
     stage's peak RSS; ``configio`` imports it only where the interpreter
     has no SHA-256 module of its own."""
     assert [path for path, names in _imports().items() if "hashlib" in names] == ["configio.py"]
+
+
+def _calls(path: Path) -> set[str]:
+    """Names of the functions and methods a module calls or names as
+    an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_no_module_holds_a_whole_file_copy():
+    """Inputs are hashed in chunks, and the CLI writes datasets one block
+    of languages at a time: no module reads a file's bytes whole, and
+    ``cli`` never builds a dataset's whole text."""
+    modules = {str(path.relative_to(PACKAGE)): _calls(path) for path in sorted(PACKAGE.rglob("*.py"))}
+    assert [path for path, names in modules.items() if "read_bytes" in names] == []
+    assert "serialize_dataset" not in modules["cli.py"]
