@@ -11,7 +11,11 @@ The ``routes`` run, at the same seeds on models-M data, takes the routes
 no workload takes: ``impute`` with ``method=ensemble``, knn at k = 3
 with ``--vectors``, and ``impute --no-fallback`` with a training set that
 never observes one feature, whose output ``evaluate --exclude-missing``
-scores with some answers missing.
+scores with some answers missing.  On baselines-L data, filtered and
+split as that workload does, it then runs ridge at WALS scale: with its
+default blocks, whose widest target is solved in the dual over more
+than a thousand rows, and with ``blocks=indicators``, whose widest
+targets take the primal ``solve_ridge``.
 
 A change that alters outputs on purpose rewrites the digests with::
 
@@ -42,7 +46,7 @@ SEEDS = (1, 2)
 sys.path.insert(0, str(BENCH))
 
 from gen import generate  # noqa: E402
-from workloads import WORKLOADS, models_m  # noqa: E402
+from workloads import WORKLOADS, baselines_l, models_m  # noqa: E402
 
 ROUTES = "routes"
 # Vector components: few distinct values, so exact distance ties occur.
@@ -155,14 +159,22 @@ def run_routes(seed: int, work: Path) -> dict[str, dict[str, str]]:
     ``method=ensemble``, knn with ``--vectors``, and ``--no-fallback``
     on a training set without one feature, all scored by
     ``evaluate --exclude-missing``.  The no-fallback system must leave
-    some gold cell missing, or the run checks nothing of that branch."""
+    some gold cell missing, or the run checks nothing of that branch.
+    Then baselines-L's filter and split, and ridge with default blocks
+    and with ``blocks=indicators`` on that split."""
     workload = models_m(seed)
     write_inputs(work, workload, seed,
                  {"ensemble": "method=ensemble\nmembers=correlation,ridge,genus_family\n",
-                  "knn": "method=knn\nk=3\n", "genus_family": "method=genus_family\n"})
+                  "knn": "method=knn\nk=3\n", "genus_family": "method=genus_family\n",
+                  "ridge": "method=ridge\n",
+                  "ridge_indicators": "method=ridge\nblocks=indicators\n"})
+    wals = baselines_l(seed)
+    (work / "baselines-L.tsv").write_text(generate(wals.shape, wals.name, seed), encoding="utf-8")
     train, test, gold = "split/train.tsv", "split/test.tsv", "split/test_gold.tsv"
+    wals_train, wals_test = "wals_split/train.tsv", "wals_split/test.tsv"
 
-    def impute(method: str, out: str, *extra: str, train: str = train) -> list[str]:
+    def impute(method: str, out: str, *extra: str, train: str = train,
+               test: str = test) -> list[str]:
         return ["impute", "--train", train, "--test", test, "--out", out,
                 "--imputer-config", f"../cfg/{method}.cfg", *extra]
 
@@ -183,6 +195,15 @@ def run_routes(seed: int, work: Path) -> dict[str, dict[str, str]]:
           "--system", "knn_vectors=filled_knn_vectors.tsv",
           "--system", "no_fallback=filled_no_fallback.tsv",
           "--spec", "split/split_spec.cfg", "--exclude-missing"]),
+        ("filter baselines-L", ["filter", "--input", "../baselines-L.tsv",
+                                "--out", "wals_dense.tsv"]),
+        ("split baselines-L", ["split", "--input", "wals_dense.tsv", "--out-dir", "wals_split",
+                               "--seed", str(seed)]),
+        ("impute:ridge baselines-L", impute("ridge", "filled_ridge_wals.tsv",
+                                            train=wals_train, test=wals_test)),
+        ("impute:ridge blocks=indicators baselines-L",
+         impute("ridge_indicators", "filled_ridge_indicators_wals.tsv",
+                train=wals_train, test=wals_test)),
     ]
     digests = run_stages(f"{ROUTES} seed {seed}", work, steps)
     table = (work / "run" / "eval" / "systems.csv").read_text(encoding="utf-8").splitlines()

@@ -1036,6 +1036,28 @@ def test_fit_builds_the_design_only_for_narrow_targets(monkeypatch):
     assert all(d <= n for n, d in built)
 
 
+def test_indicators_fit_takes_both_the_primal_and_the_dual_route(monkeypatch):
+    """With ``blocks=indicators`` a target observed by more languages
+    than the other features have values is solved by ``solve_ridge``, and
+    a rarely observed one by ``solve_dual``: neither route can vanish."""
+    rng = random.Random(102)
+    train = random_dataset(rng, n_languages=40, n_features=8, p_observed=0.7)
+    cells = cells_of(train)
+    rare = train.features()[0]
+    for code in train.codes()[8:]:
+        cells.pop((code, rare), None)
+    train = build_dataset(train.languages, cells)
+    routes = []
+    primal, dual = ridge.solve_ridge, PriorFeatureSpace.solve_dual
+    monkeypatch.setattr(ridge, "solve_ridge",
+                        lambda X, y, lam: routes.append("primal") or primal(X, y, lam))
+    monkeypatch.setattr(PriorFeatureSpace, "solve_dual",
+                        lambda space, rows, y, lam: routes.append("dual") or dual(space, rows, y, lam))
+    RidgePriorImputer(min_support=1, blocks=("indicators",)).fit(train)
+    assert routes.count("dual") == 1
+    assert routes.count("primal") == len(train.features()) - 1
+
+
 def test_dual_fit_peak_memory_is_below_the_dense_design():
     """The ``tracemalloc`` peak of fitting one wide target from the count
     tables stays below the size of its dense float design."""
