@@ -26,9 +26,9 @@ rows, as most have, is solved in the dual by
 its weights are formed from the count tables, so the mostly-zero design
 matrix is never built.  The Gram matrix's key products are added in
 tiles of bounded size, from weights rounded so that their sums are
-exact, so no entry depends on the tiling; ``fit`` solves the targets
-with the most training rows first, so that the largest Gram matrix, and
-LAPACK's copy of it, exist before the weights of the other targets do.
+exact, so no entry depends on the tiling, and solved in place; ``fit``
+solves the targets with the most training rows first, so that the
+largest Gram matrix exists before the weights of the other targets do.
 A narrower target gathers its design matrix, and ``solve_ridge`` solves
 its primal system.  The test languages needing one target are scored
 as one block: their prior vectors, from the same writer as the training
@@ -61,6 +61,7 @@ ALL_BLOCKS = ("genetic", "areal", "implicational", "indicators")
 
 # Kernel entries per block of radius-count rows.
 _KERNEL_BLOCK = 1 << 16
+_SOLVE_BLOCK = 64  # rows per block of the dual solve, columns per tile of its Gram
 
 
 def solve_ridge(
@@ -82,8 +83,8 @@ def solve_ridge(
         raise ValueError(f"shape mismatch: X {X.shape}, y {y.shape}")
     if X.shape[0] < 1 or X.shape[1] < 1 or (y.ndim == 2 and y.shape[1] < 1):
         raise ValueError("need at least one row and one column")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < float("inf"):
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("non-finite values in ridge inputs")
 
@@ -95,6 +96,33 @@ def solve_ridge(
     w = np.linalg.solve(gram, Xc.T @ (y - y_mean))
     b = y_mean - x_mean @ w
     return w, (float(b) if y.ndim == 1 else b)
+
+
+def _solve_in_place(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve A X = B into ``B`` for a symmetric positive-definite ``A``
+    (n x n), which is overwritten: block Gaussian elimination, stable
+    without pivoting between blocks for such an ``A``, with one
+    ``np.linalg.solve`` per diagonal block of ``_SOLVE_BLOCK`` rows, the
+    Schur update of the upper triangle in tiles of as many columns, and
+    back-substitution.  No temporary exceeds n x ``_SOLVE_BLOCK``.  Up to
+    one block the bits are those of one ``np.linalg.solve``; beyond, unlike
+    its LU, which OpenBLAS threads, they ignore the BLAS thread count.
+    """
+    n = len(A)
+    for k0 in range(0, n, _SOLVE_BLOCK):
+        k1 = min(k0 + _SOLVE_BLOCK, n)
+        upper = np.hstack([A[k0:k1, k1:], B[k0:k1]])
+        solved = np.linalg.solve(A[k0:k1, k0:k1], upper)
+        A[k0:k1, k1:], B[k0:k1] = solved[:, :n - k1], solved[:, n - k1:]
+        lower = upper[:, :n - k1].T  # the lower block column, by symmetry
+        B[k1:] -= lower @ B[k0:k1]
+        for c0 in range(k1, n, _SOLVE_BLOCK):
+            c1 = min(c0 + _SOLVE_BLOCK, n)
+            A[k1:c1, c0:c1] -= lower[:c1 - k1] @ A[k0:k1, c0:c1]
+    for k0 in reversed(range(0, n, _SOLVE_BLOCK)):
+        k1 = min(k0 + _SOLVE_BLOCK, n)
+        B[k0:k1] -= A[k0:k1, k1:] @ B[k1:]
+    return B
 
 
 def _radius_counts(counts: CodedCounts, points: np.ndarray, areal_km: float,
@@ -309,8 +337,8 @@ class PriorFeatureSpace:
         of the rows of O under these weights, which ``_add_key_products``
         adds in tiles of at most ``_KERNEL_BLOCK`` entries of O a side.
         Beyond the count tables, the rows x rows Gram matrix is then the
-        largest array, and twice it while ``np.linalg.solve`` holds its
-        copy.  The weights come back the same way: the implicational
+        largest array, and ``_solve_in_place`` solves it without a copy.
+        The weights come back the same way: the implicational
         weight of (u, v) is s_u (C_uv (O^T a)_u - (O_v^T a_v)_u) with O_v
         the rows of value v.
         """
@@ -333,7 +361,10 @@ class PriorFeatureSpace:
         bounds = np.searchsorted(y, np.arange(n_values + 1)).tolist()
         classes = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-        gram = lead @ lead.T
+        # in column tiles: one threaded lead @ lead.T varies with the thread count
+        gram = np.empty((len(rows), len(rows)))
+        for c0 in range(0, len(rows), _SOLVE_BLOCK):
+            gram[:, c0:c0 + _SOLVE_BLOCK] = lead @ lead[c0:c0 + _SOLVE_BLOCK].T
         weight = s * s * (q - C.T[:, None] - C.T[None] + np.eye(n_values)[:, :, None]) + has_obs
         _add_key_products(gram, O, bounds, weight)
         # Dual ridge, centred in place: with Xc = X - mean, Xc Xc^T is
@@ -347,7 +378,7 @@ class PriorFeatureSpace:
         gram[np.diag_indices_from(gram)] += lam
         Y = np.where(y[:, None] == np.arange(n_values), 1.0, -1.0)
         y_mean = Y.mean(axis=0)
-        alpha = np.linalg.solve(gram, Y - y_mean)
+        alpha = _solve_in_place(gram, Y - y_mean)
         del gram
         alpha -= alpha.mean(axis=0)
         biases = y_mean - row_mean @ alpha
@@ -439,9 +470,8 @@ class RidgePriorImputer(Imputer):
             (f, tuple(v for v, c in columns.items() if trained[c]))
             for f, columns in counts.columns.items()) if values}
         # The targets with the most training rows first (a row observes
-        # one value of a feature at most): the largest Gram matrix, and
-        # LAPACK's copy of it, exist before the weights of the other
-        # targets do.
+        # one value of a feature at most): the largest Gram matrix exists
+        # before the weights of the other targets do.
         observing = {f: sum(int(trained[counts.columns[f][v]]) for v in values)
                      for f, values in inventories.items()}
         self._fitted = {}

@@ -18,6 +18,7 @@ import pytest
 import typoimpute
 from typoimpute.cli import build_parser, main
 from typoimpute.configio import parse_kv, read_kv
+from typoimpute.imputers import ridge
 from typoimpute.kb import BLANKED, OBSERVED, UNKNOWN, parse_dataset, serialize_dataset
 
 from oracles import impute_loop_oracle, serialize_oracle
@@ -941,24 +942,34 @@ def _child_env(**extra):
                 **extra)
 
 
-@pytest.mark.parametrize("config,vectors", [
-    ("method=ridge\nmin_support=1\nuse_context=true\n", False),
-    ("method=ridge\nmin_support=1\nuse_context=false\n", False),
-    ("method=knn\nk=3\n", False),
-    ("method=knn\nk=3\n", True),
-    ("method=correlation\nmin_support=1\n", False),
-    ("method=frequency\n", False),
-    ("method=genus_family\n", False),
-    ("method=geo_backoff\n", False),
-], ids=["true", "false", "knn", "knn-vectors", "correlation", "frequency", "genus_family",
-        "geo_backoff"])
-def test_ridge_impute_ignores_blas_thread_count(tmp_path, config, vectors):
+@pytest.mark.parametrize("config,vectors,wide", [
+    ("method=ridge\nmin_support=1\nuse_context=true\n", False, False),
+    ("method=ridge\nmin_support=1\nuse_context=false\n", False, False),
+    ("method=ridge\nmin_support=1\nuse_context=false\n", False, True),
+    ("method=knn\nk=3\n", False, False),
+    ("method=knn\nk=3\n", True, False),
+    ("method=correlation\nmin_support=1\n", False, False),
+    ("method=frequency\n", False, False),
+    ("method=genus_family\n", False, False),
+    ("method=geo_backoff\n", False, False),
+], ids=["true", "false", "false-wide", "knn", "knn-vectors", "correlation", "frequency",
+        "genus_family", "geo_backoff"])
+def test_ridge_impute_ignores_blas_thread_count(tmp_path, config, vectors, wide):
+    """The ``wide`` case trains on 240 languages and 20 features, so that
+    ridge solves targets of more than two blocks of rows in the dual."""
     rng = random.Random(31)
-    data = random_dataset(rng, n_languages=160, n_features=10, p_observed=0.6, min_observed=3)
+    n_train, n_features = (240, 20) if wide else (120, 10)
+    data = random_dataset(rng, n_languages=n_train + 40, n_features=n_features, p_observed=0.6,
+                          min_observed=3)
     codes = data.codes()
-    (tmp_path / "train.tsv").write_text(serialize_dataset(data.subset(codes[:120])),
-                                        encoding="utf-8")
-    test = blank_some(data.subset(codes[120:]), rng, per_language=2)
+    train = data.subset(codes[:n_train])
+    if wide:
+        counts = train.counts
+        widest = max(int(counts.onehot[:, list(columns.values())].sum())
+                     for columns in counts.columns.values())
+        assert widest > 2 * ridge._SOLVE_BLOCK
+    (tmp_path / "train.tsv").write_text(serialize_dataset(train), encoding="utf-8")
+    test = blank_some(data.subset(codes[n_train:]), rng, per_language=2)
     (tmp_path / "test.tsv").write_text(serialize_dataset(test), encoding="utf-8")
     cfg = tmp_path / "imputer.cfg"
     cfg.write_text(config, encoding="utf-8")

@@ -1,8 +1,12 @@
 """Ridge solver and the prior-distribution feature space built on it."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,6 +191,80 @@ def test_solver_input_validation():
         solve_ridge(X, np.ones((3, 0)), 1.0)
     with pytest.raises(ValueError):
         solve_ridge(X, np.ones((3, 2, 1)), 1.0)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+def test_solver_rejects_a_non_finite_lambda(lam):
+    """A NaN lambda used to give NaN weights and an infinite one zero
+    weights, where a non-finite X or y is an error."""
+    with pytest.raises(ValueError, match="finite"):
+        solve_ridge(np.eye(3), np.array([1.0, 2.0, 3.0]), lam)
+
+
+def _spd_system(seed, n, k):
+    """An n x n symmetric positive-definite matrix and n x k right-hand
+    sides, integer-valued, so that no rounding precedes the solve."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-3, 4, size=(n, n + 5)).astype(float)
+    return X @ X.T + np.eye(n), rng.integers(-5, 6, size=(n, k)).astype(float)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129, 501])
+def test_blocked_solve_matches_lapack(n):
+    """The in-place block elimination agrees with one ``np.linalg.solve``
+    to rtol 1e-10, for 1 to 5 right-hand sides, and gives its very bytes
+    up to one block."""
+    for k in range(1, 6):
+        A, B = _spd_system(10 * n + k, n, k)
+        want = np.linalg.solve(A, B)
+        got = ridge._solve_in_place(A.copy(), B.copy())
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+        if n <= ridge._SOLVE_BLOCK:
+            assert got.tobytes() == want.tobytes()
+
+
+def test_blocked_solve_of_duplicated_rows_at_a_tiny_lambda():
+    """A centred Gram matrix of 200 rows with every row twice is singular
+    but for lambda = 1e-10; the solve stays finite and backward stable."""
+    rng = np.random.default_rng(87)
+    X = np.repeat(rng.random((100, 150)), 2, axis=0)
+    X -= X.mean(axis=0)
+    A = X @ X.T + 1e-10 * np.eye(200)
+    B = np.where(rng.random((200, 3)) < 0.5, 1.0, -1.0)
+    x = ridge._solve_in_place(A.copy(), B.copy())
+    assert np.isfinite(x).all()
+    assert np.abs(A @ x - B).max() <= 1e-12 * np.abs(A).max() * np.abs(x).max() * 200
+
+
+def _child_env(threads="1"):
+    """The environment of a child interpreter that imports this
+    checkout's ``typoimpute`` and runs BLAS on ``threads`` threads."""
+    src = str(Path(ridge.__file__).resolve().parents[2])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                **{var: threads for var in
+                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+
+
+def test_blocked_solve_ignores_blas_thread_count():
+    """One ``np.linalg.solve`` of 100 rows or more is threaded by
+    OpenBLAS and its bytes follow the thread count; the blocked solve's
+    do not, at 1 and 2 threads, up to WALS scale."""
+    probe = "\n".join([
+        "import hashlib",
+        "from test_ridge import _spd_system",
+        "from typoimpute.imputers import ridge",
+        "for n in (65, 300, 501, 1344):",
+        "    for k in (1, 3):",
+        "        A, B = _spd_system(n + k, n, k)",
+        "        print(n, k, hashlib.sha256(ridge._solve_in_place(A, B).tobytes()).hexdigest())",
+    ])
+    digests = []
+    for threads in ("1", "2"):
+        done = subprocess.run([sys.executable, "-c", probe], env=_child_env(threads),
+                              cwd=Path(__file__).parent, check=True, capture_output=True,
+                              text=True, timeout=300)
+        digests.append(done.stdout)
+    assert digests[0].count("\n") == 8 and digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1148,6 +1226,68 @@ def test_dual_fit_peak_memory_is_the_gram_and_kernel_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * n * n + 4 * 8 * ridge._KERNEL_BLOCK
+
+
+def test_dual_coefficients_ignore_blas_thread_count():
+    """The Gram matrix that ``solve_dual`` builds for a target of 500
+    rows, and the dual coefficients it solves for, have the same bytes
+    at 1 and 2 BLAS threads.  A threaded ``lead @ lead.T`` moved the last
+    bit of some Gram entries at this shape."""
+    probe = "\n".join([
+        "import hashlib",
+        "import numpy as np",
+        "from test_ridge import _dominant_target",
+        "from typoimpute.imputers import ridge",
+        "space, target, rows = _dominant_target(104, n_languages=500, n_features=40)",
+        "y = space.counts.onehot[np.ix_(rows, space._target_columns)].argmax(axis=1)",
+        "order = np.argsort(y, kind='stable')",
+        "assert len(space) > len(rows) == 500",
+        "solve = ridge._solve_in_place",
+        "def solved(A, B):",
+        "    print(hashlib.sha256(A.tobytes()).hexdigest())",
+        "    x = solve(A, B)",
+        "    print(hashlib.sha256(x.tobytes()).hexdigest())",
+        "    return x",
+        "ridge._solve_in_place = solved",
+        "space.solve_dual(rows[order], y[order], 1.0)",
+    ])
+    digests = []
+    for threads in ("1", "2"):
+        done = subprocess.run([sys.executable, "-c", probe], env=_child_env(threads),
+                              cwd=Path(__file__).parent, check=True, capture_output=True,
+                              text=True, timeout=300)
+        digests.append(done.stdout)
+    assert digests[0].count("\n") == 2 and digests[0] == digests[1]
+
+
+def test_dual_fit_holds_one_gram_matrix_at_wals_scale():
+    """``tracemalloc`` does not see the buffers that LAPACK's callers
+    take from ``malloc``, such as a copy of the whole Gram matrix; the
+    process's ``VmHWM`` does.  In a child, on a wide target of 1,400
+    rows, ``solve_dual`` raises it by less than 1.25 Gram matrices plus
+    4 MB, once the count tables and the BLAS buffers are in place."""
+    probe = "\n".join([
+        "import numpy as np",
+        "from test_ridge import _dominant_target",
+        "def status(key):",
+        "    with open('/proc/self/status') as f:",
+        "        return next(int(line.split()[1]) for line in f if line.startswith(key + ':'))",
+        "space, target, rows = _dominant_target(105, n_languages=1400, n_features=100)",
+        "y = space.counts.onehot[np.ix_(rows, space._target_columns)].argmax(axis=1)",
+        "order = np.argsort(y, kind='stable')",
+        "space.counts.joint, space.counts.genus, space.counts.family",
+        "np.linalg.solve(np.eye(100) + 1.0, np.ones((100, 3)))",
+        "np.ones((600, 600)) @ np.ones((600, 600))",
+        "rss = status('VmRSS')",
+        "space.solve_dual(rows[order], y[order], 1.0)",
+        "print(len(rows), len(space), 1024 * (status('VmHWM') - rss))",
+    ])
+    done = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                          cwd=Path(__file__).parent, check=True, capture_output=True,
+                          text=True, timeout=300)
+    n, width, rise = map(int, done.stdout.split())
+    assert width > n == 1400
+    assert rise < 1.25 * 8 * n * n + (4 << 20)
 
 
 def test_softmax_confidence_well_formed():
