@@ -26,9 +26,9 @@ rows, as most have, is solved in the dual by
 its weights are formed from the count tables, so the mostly-zero design
 matrix is never built.  The Gram matrix's key products are added in
 tiles of bounded size, from weights rounded so that their sums are
-exact, so no entry depends on the tiling, and solved in place; ``fit``
-solves the targets with the most training rows first, so that the
-largest Gram matrix exists before the weights of the other targets do.
+exact, so no entry depends on the tiling; it is solved in place.
+``fit`` solves the targets with the most training rows first, so that
+the largest Gram matrix exists before the other targets' weights do.
 A narrower target gathers its design matrix, and ``solve_ridge`` solves
 its primal system.  The test languages needing one target are scored
 as one block: their prior vectors, from the same writer as the training

@@ -1,17 +1,21 @@
 """Seeded generators for synthetic language datasets used across tests,
-a per-cell view of the coded cell table for writing them by hand, and
-filled copies of a gold table for scoring."""
+a per-cell view of the coded cell table for writing them by hand,
+filled copies of a gold table for scoring, and the environment of a
+child interpreter."""
 
 from __future__ import annotations
 
+import os
 import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
+import typoimpute
 from typoimpute.evaluate import SystemOutput, output_from_dataset
 from typoimpute.kb import OBSERVED_CODE, STATES, Dataset, DatasetError, Language, serialize_dataset
 
@@ -232,3 +236,14 @@ def predict_one(imputer, language: Language, observed: dict[str, str], target: s
     test = build_dataset([language], cells)
     hidden = np.flatnonzero(test.cell_state != OBSERVED_CODE)
     return imputer.predict(test, hidden).get(int(hidden[0]))
+
+
+def child_env(threads: Optional[str] = None) -> dict[str, str]:
+    """The environment of a child interpreter that imports this
+    checkout's ``typoimpute``, with BLAS on ``threads`` threads if given."""
+    src = str(Path(typoimpute.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    if threads is not None:
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                                 threads))
+    return env

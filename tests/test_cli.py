@@ -5,7 +5,6 @@ import csv
 import io
 import json
 import math
-import os
 import random
 import re
 import subprocess
@@ -15,14 +14,14 @@ from pathlib import Path, PurePosixPath
 
 import pytest
 
-import typoimpute
 from typoimpute.cli import build_parser, main
 from typoimpute.configio import parse_kv, read_kv
 from typoimpute.imputers import ridge
 from typoimpute.kb import BLANKED, OBSERVED, UNKNOWN, parse_dataset, serialize_dataset
 
 from oracles import impute_loop_oracle, serialize_oracle
-from synth import Cell, blank_some, build_dataset, cells_of, make_language, random_dataset
+from synth import (Cell, blank_some, build_dataset, cells_of, child_env, make_language,
+                   random_dataset)
 
 
 def _corpus_dataset():
@@ -936,12 +935,6 @@ def test_readme_library_example_matches_the_cli(tmp_path, split_dirs, monkeypatc
         f"macro={report.macro_accuracy:.4f} micro={report.micro_accuracy:.4f}\n"
 
 
-def _child_env(**extra):
-    src = str(Path(typoimpute.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-                **extra)
-
-
 @pytest.mark.parametrize("config,vectors,wide", [
     ("method=ridge\nmin_support=1\nuse_context=true\n", False, False),
     ("method=ridge\nmin_support=1\nuse_context=false\n", False, False),
@@ -981,8 +974,7 @@ def test_ridge_impute_ignores_blas_thread_count(tmp_path, config, vectors, wide)
         extra = ["--vectors", str(tmp_path / "vectors.tsv")]
     filled = []
     for threads in ("1", "2"):
-        env = _child_env(**{var: threads for var in
-                            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+        env = child_env(threads)
         out = tmp_path / f"filled{threads}.tsv"
         subprocess.run(
             [sys.executable, "-m", "typoimpute.cli", "impute",
@@ -1012,8 +1004,7 @@ def test_knn_vector_distances_ignore_blas_thread_count():
     ])
     digests = []
     for threads in ("1", "2"):
-        env = _child_env(**{var: threads for var in
-                            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+        env = child_env(threads)
         done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=Path(__file__).parent,
                               check=True, capture_output=True, text=True, timeout=300)
         digests.append(done.stdout)
@@ -1023,7 +1014,7 @@ def test_knn_vector_distances_ignore_blas_thread_count():
 def _loaded_modules(code: str, *argv: str) -> set[str]:
     """Run ``code`` in a fresh interpreter; the names of the modules it loaded."""
     probe = f"import sys\n{code}\nprint(' '.join(sys.modules))"
-    done = subprocess.run([sys.executable, "-c", probe, *argv], env=_child_env(),
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=child_env(),
                           check=True, capture_output=True, text=True, timeout=120)
     return set(done.stdout.splitlines()[-1].split())
 

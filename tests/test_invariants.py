@@ -5,21 +5,18 @@ an earlier ``fit`` of the same imputer, on the number of BLAS threads,
 or (for all but ridge with ``use_context``) on which other languages
 are filled with it."""
 
-import os
 import random
 import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
-import typoimpute
 from typoimpute.configio import write_kv
 from typoimpute.imputers import build_imputer, fill_dataset
 from typoimpute.kb import parse_dataset, write_dataset
 
-from synth import Cell, blank_some, build_dataset, cells_of, random_dataset
+from synth import Cell, blank_some, build_dataset, cells_of, child_env, random_dataset
 
 CONFIGS = {
     "frequency": {"method": "frequency"},
@@ -171,12 +168,9 @@ def test_ensemble_impute_ignores_blas_thread_count(tmp_path):
     write_dataset(tmp_path / "train.tsv", train)
     write_dataset(tmp_path / "test.tsv", test)
     write_kv(tmp_path / "imputer.cfg", CONFIGS["ensemble"])
-    src = str(Path(typoimpute.__file__).resolve().parents[1])
     filled = []
     for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-                   **{var: threads for var in
-                      ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+        env = child_env(threads)
         out = tmp_path / f"filled{threads}.tsv"
         subprocess.run(
             [sys.executable, "-m", "typoimpute.cli", "impute",

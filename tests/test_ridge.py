@@ -1,7 +1,6 @@
 """Ridge solver and the prior-distribution feature space built on it."""
 
 import itertools
-import os
 import random
 import subprocess
 import sys
@@ -39,8 +38,8 @@ from oracles import (
     ridge_oracle,
     ridge_prediction_oracle,
 )
-from synth import (Cell, blank_some, build_dataset, cells_of, language_of, make_language,
-                   observed_of, predict_one, predictions_of, random_dataset)
+from synth import (Cell, blank_some, build_dataset, cells_of, child_env, language_of,
+                   make_language, observed_of, predict_one, predictions_of, random_dataset)
 
 
 def _scores(imp, lang, observed, target):
@@ -236,13 +235,12 @@ def test_blocked_solve_of_duplicated_rows_at_a_tiny_lambda():
     assert np.abs(A @ x - B).max() <= 1e-12 * np.abs(A).max() * np.abs(x).max() * 200
 
 
-def _child_env(threads="1"):
-    """The environment of a child interpreter that imports this
-    checkout's ``typoimpute`` and runs BLAS on ``threads`` threads."""
-    src = str(Path(ridge.__file__).resolve().parents[2])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-                **{var: threads for var in
-                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+def _run_child(probe, threads):
+    """The standard output of the Python code ``probe`` run in a child
+    interpreter from this directory, with BLAS on ``threads`` threads."""
+    return subprocess.run([sys.executable, "-c", probe], env=child_env(threads),
+                          cwd=Path(__file__).parent, check=True, capture_output=True, text=True,
+                          timeout=300).stdout
 
 
 def test_blocked_solve_ignores_blas_thread_count():
@@ -258,12 +256,7 @@ def test_blocked_solve_ignores_blas_thread_count():
         "        A, B = _spd_system(n + k, n, k)",
         "        print(n, k, hashlib.sha256(ridge._solve_in_place(A, B).tobytes()).hexdigest())",
     ])
-    digests = []
-    for threads in ("1", "2"):
-        done = subprocess.run([sys.executable, "-c", probe], env=_child_env(threads),
-                              cwd=Path(__file__).parent, check=True, capture_output=True,
-                              text=True, timeout=300)
-        digests.append(done.stdout)
+    digests = [_run_child(probe, threads) for threads in ("1", "2")]
     assert digests[0].count("\n") == 8 and digests[0] == digests[1]
 
 
@@ -1251,12 +1244,7 @@ def test_dual_coefficients_ignore_blas_thread_count():
         "ridge._solve_in_place = solved",
         "space.solve_dual(rows[order], y[order], 1.0)",
     ])
-    digests = []
-    for threads in ("1", "2"):
-        done = subprocess.run([sys.executable, "-c", probe], env=_child_env(threads),
-                              cwd=Path(__file__).parent, check=True, capture_output=True,
-                              text=True, timeout=300)
-        digests.append(done.stdout)
+    digests = [_run_child(probe, threads) for threads in ("1", "2")]
     assert digests[0].count("\n") == 2 and digests[0] == digests[1]
 
 
@@ -1282,10 +1270,7 @@ def test_dual_fit_holds_one_gram_matrix_at_wals_scale():
         "space.solve_dual(rows[order], y[order], 1.0)",
         "print(len(rows), len(space), 1024 * (status('VmHWM') - rss))",
     ])
-    done = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
-                          cwd=Path(__file__).parent, check=True, capture_output=True,
-                          text=True, timeout=300)
-    n, width, rise = map(int, done.stdout.split())
+    n, width, rise = map(int, _run_child(probe, "1").split())
     assert width > n == 1400
     assert rise < 1.25 * 8 * n * n + (4 << 20)
 
