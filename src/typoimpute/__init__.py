@@ -25,9 +25,9 @@ _EXPORTS = {
     "score": "evaluate",
     "EARTH_RADIUS_KM": "geo",
     "haversine_km": "geo",
+    "Answers": "imputers",
     "Imputer": "imputers",
     "NoPredictionError": "imputers",
-    "Prediction": "imputers",
     "build_imputer": "imputers",
     "fill_dataset": "imputers",
     "Dataset": "kb",

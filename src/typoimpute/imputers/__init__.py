@@ -5,9 +5,9 @@ from importlib import import_module
 # public name -> the submodule that defines it; __getattr__ imports a
 # submodule on first use, so a run imports only the imputers it builds
 _EXPORTS = {
+    "Answers": "base",
     "Imputer": "base",
     "NoPredictionError": "base",
-    "Prediction": "base",
     "fill_dataset": "base",
     "KNOWN_KEYS": "config",
     "METHODS": "config",

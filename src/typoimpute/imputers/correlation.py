@@ -19,7 +19,7 @@ import numpy as np
 
 from ..coded import CodedCounts
 from ..kb import Dataset
-from .base import Imputer, Prediction, by_target, decide
+from .base import Answers, Imputer, by_target, decide
 
 __all__ = ["CorrelationImputer"]
 
@@ -73,7 +73,7 @@ class CorrelationImputer(Imputer):
         self._sizes = np.bincount(counts.feature_of, minlength=len(counts.starts))
         return self
 
-    def predict(self, test: Dataset, cells: np.ndarray) -> dict[int, Prediction]:
+    def predict(self, test: Dataset, cells: np.ndarray) -> Answers:
         counts = self._counts
         onehot, seen = counts.encode(test)
         # Each test row's column for each feature it observes; -1 for a
@@ -81,7 +81,7 @@ class CorrelationImputer(Imputer):
         column = np.full(seen.shape, -1, dtype=np.intp)
         rows, columns = np.nonzero(onehot)
         column[rows, counts.feature_of[columns]] = columns
-        out: dict[int, Prediction] = {}
+        parts = []
         for target, block, rows in by_target(test, cells):
             if target not in counts.columns:
                 continue
@@ -103,5 +103,5 @@ class CorrelationImputer(Imputer):
             # a row whose voters all weigh 0 still answers: the first
             # value, with confidence 1/len(values)
             totals[voting.any(axis=1) & ~totals.any(axis=1)] = 1.0
-            out.update(decide(block, values, totals, "correlation"))
-        return out
+            parts.append(decide(block, values, totals, ("correlation",)))
+        return Answers.join(parts)

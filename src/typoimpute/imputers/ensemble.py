@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from ..kb import Dataset
-from .base import Imputer, Prediction
+from .base import Answers, Imputer
 
 __all__ = ["EnsembleImputer"]
 
@@ -16,8 +16,8 @@ class EnsembleImputer(Imputer):
     """Delegates the cells of a test set to member imputers.
 
     Each member in turn is asked about the cells no earlier member
-    answered.  Member predictions are returned unchanged, so an ensemble
-    of one behaves exactly like its member.
+    answered, in the order given.  Member answers are returned
+    unchanged, so an ensemble of one behaves exactly like its member.
     """
 
     def __init__(self, members: Sequence[Imputer]):
@@ -30,11 +30,12 @@ class EnsembleImputer(Imputer):
             member.fit(train, context)
         return self
 
-    def predict(self, test: Dataset, cells: np.ndarray) -> dict[int, Prediction]:
-        out: dict[int, Prediction] = {}
+    def predict(self, test: Dataset, cells: np.ndarray) -> Answers:
+        parts = []
+        answered = np.zeros(len(cells), dtype=bool)
         for member in self.members:
-            cells = np.array([c for c in cells.tolist() if c not in out], dtype=np.intp)
-            if not len(cells):
+            if answered.all():
                 break
-            out.update(member.predict(test, cells))
-        return out
+            parts.append(member.predict(test, cells[~answered]))
+            answered |= np.isin(cells, parts[-1].cell)
+        return Answers.join(parts)

@@ -28,9 +28,13 @@ from ..coded import CodedCounts
 from ..geo import coordinates, distance_matrix
 from ..geo import haversine_km  # noqa: F401  (bench/trace_child.py counts calls through this name)
 from ..kb import Dataset, Language
-from .base import Imputer, Prediction, by_target, decide
+from .base import Answers, Imputer, by_target, decide
 
 __all__ = ["GlobalFrequencyImputer", "GenusFamilyBackoffImputer", "GeoBackoffImputer"]
+
+
+# Every back-off level, by its source code in ``Answers``.
+_LEVELS = ("global", "genus", "family", "nearest-family", "neighborhood")
 
 
 def _prefer(scores: np.ndarray, source: np.ndarray, counts: np.ndarray, level: str) -> None:
@@ -38,11 +42,11 @@ def _prefer(scores: np.ndarray, source: np.ndarray, counts: np.ndarray, level: s
     replace their rows of ``scores`` and name ``level`` as their source."""
     found = counts.any(axis=1)
     scores[found] = counts[found]
-    source[found] = level
+    source[found] = _LEVELS.index(level)
 
 
 def _backoff(counts: CodedCounts, levels: tuple[str, ...], test: Dataset, cells: np.ndarray,
-             geographic: Callable | None = None) -> dict[int, Prediction]:
+             geographic: Callable | None = None) -> Answers:
     """The mode of the first of ``levels`` (language groups, "genus" or
     "family") where the test language's group observes the target, then
     of the levels ``geographic(test, rows, reach, columns)`` counts for
@@ -52,7 +56,7 @@ def _backoff(counts: CodedCounts, levels: tuple[str, ...], test: Dataset, cells:
     groups = [(level, getattr(counts, level).table,
                getattr(counts, level).index(getattr(lang, level) for lang in test.languages))
               for level in reversed(levels)]
-    out: dict[int, Prediction] = {}
+    parts = []
     for target, block, rows in by_target(test, cells):
         values = counts.columns.get(target)
         if not values:
@@ -60,15 +64,15 @@ def _backoff(counts: CodedCounts, levels: tuple[str, ...], test: Dataset, cells:
         start = counts.starts[counts.feature_index[target]]
         columns = slice(start, start + len(values))
         scores = np.repeat(counts.totals[None, columns], len(rows), axis=0)
-        source = np.full(len(rows), "global", dtype=object)
+        source = np.zeros(len(rows), dtype=np.intp)  # global
         for level, table, group in groups:
             _prefer(scores, source, table[group[rows], columns], level)
-        reach = source == "global"
+        reach = source == 0
         if geographic is not None and reach.any():
             for level, level_counts in geographic(test, rows, reach, columns):
                 _prefer(scores, source, level_counts, level)
-        out.update(decide(block, list(values), scores, source))
-    return out
+        parts.append(decide(block, list(values), scores, _LEVELS, source))
+    return Answers.join(parts)
 
 
 class GlobalFrequencyImputer(Imputer):
@@ -78,7 +82,7 @@ class GlobalFrequencyImputer(Imputer):
         self.counts = train.counts
         return self
 
-    def predict(self, test: Dataset, cells: np.ndarray) -> dict[int, Prediction]:
+    def predict(self, test: Dataset, cells: np.ndarray) -> Answers:
         return _backoff(self.counts, (), test, cells)
 
 
@@ -89,7 +93,7 @@ class GenusFamilyBackoffImputer(Imputer):
         self.counts = train.counts
         return self
 
-    def predict(self, test: Dataset, cells: np.ndarray) -> dict[int, Prediction]:
+    def predict(self, test: Dataset, cells: np.ndarray) -> Answers:
         return _backoff(self.counts, ("genus", "family"), test, cells)
 
 
@@ -122,7 +126,7 @@ class GeoBackoffImputer(Imputer):
         self._rings: dict[Language, tuple[np.ndarray, int]] = {}
         return self
 
-    def predict(self, test: Dataset, cells: np.ndarray) -> dict[int, Prediction]:
+    def predict(self, test: Dataset, cells: np.ndarray) -> Answers:
         return _backoff(self.counts, ("genus", "family"), test, cells, self._geographic)
 
     def _ring(self, language: Language) -> tuple[np.ndarray, int]:

@@ -26,7 +26,7 @@ import numpy as np
 from ..coded import count_matmul
 from ..geo import haversine_km  # noqa: F401  (bench/trace_child.py counts calls through this name)
 from ..kb import Dataset, DatasetError
-from .base import Imputer, Prediction, by_target, decide
+from .base import Answers, Imputer, by_target, decide
 
 __all__ = ["NearestNeighborImputer", "load_language_vectors"]
 
@@ -127,11 +127,11 @@ class NearestNeighborImputer(Imputer):
         taken[crowded] = ahead | (tied & (place < need[:, None]))
         return taken
 
-    def predict(self, test: Dataset, cells: np.ndarray) -> dict[int, Prediction]:
+    def predict(self, test: Dataset, cells: np.ndarray) -> Answers:
         counts = self._counts
         distance, by_vector = self._distances(test)
         own = np.array([counts.rows.get(lang.code, -1) for lang in test.languages], dtype=np.intp)
-        out: dict[int, Prediction] = {}
+        parts = []
         for target, block, rows in by_target(test, cells):
             values = counts.columns.get(target)
             if not values:
@@ -142,6 +142,6 @@ class NearestNeighborImputer(Imputer):
                                   candidates != own[rows][:, None],
                                   distance[np.ix_(rows, candidates)], by_vector[rows])
             votes = count_matmul(taken, observing[candidates])
-            out.update(decide(block, list(values), votes,
-                              np.where(by_vector[rows], "knn-vector", "knn-agreement")))
-        return out
+            parts.append(decide(block, list(values), votes, ("knn-agreement", "knn-vector"),
+                                by_vector[rows]))
+        return Answers.join(parts)

@@ -25,16 +25,22 @@ rows, as most have, is solved in the dual by
 ``PriorFeatureSpace.solve_dual``: its rows x rows Gram matrix and then
 its weights are formed from the count tables, so the mostly-zero design
 matrix is never built.  The Gram matrix's key products are added in
-tiles of bounded size, from weights rounded so that their sums are
-exact, so no entry depends on the tiling; it is solved in place.
-``fit`` solves the targets with the most training rows first, so that
-the largest Gram matrix exists before the other targets' weights do.
-A narrower target gathers its design matrix, and ``solve_ridge`` solves
-its primal system.  The test languages needing one target are scored
-as one block: their prior vectors, from the same writer as the training
-design minus the leave-one-out, and one product with the weights scores
-every value; ``decide`` answers the first maximum of the raw scores,
-with its softmax share as the confidence.
+tiles of at most ``_TILE_BLOCK`` one-hot entries a side, from weights
+rounded so that their sums are exact, so no entry depends on the
+tiling; it is solved in place.  ``fit`` solves the targets with the
+most training rows first, so that the largest Gram matrix exists before
+the other targets' weights do.  A narrower target gathers its design
+matrix, and ``solve_ridge`` solves its primal system.
+
+A fitted target keeps its weights, its biases and its
+``PriorFeatureSpace``: block offsets and int32 key maps over the shared
+count tables, whose pair counts it reads when it needs a key's target
+counts.  The test languages needing one target are scored a block of
+rows at a time, at most ``_PREDICT_BLOCK`` prior-vector entries each:
+their prior vectors, from the same writer as the training design minus
+the leave-one-out, and one ``einsum`` with the weights, which scores each
+row on its own, scores every value; ``decide`` answers the first maximum
+of the raw scores, with its softmax share as the confidence.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from ..coded import CodedCounts
 from ..geo import coordinates, distance_matrix
 from ..geo import haversine_km  # noqa: F401  (bench/trace_child.py counts calls through this name)
 from ..kb import Dataset
-from .base import Imputer, Prediction, by_target, decide
+from .base import Answers, Imputer, by_target, decide
 
 __all__ = [
     "solve_ridge",
@@ -61,6 +67,8 @@ ALL_BLOCKS = ("genetic", "areal", "implicational", "indicators")
 
 # Kernel entries per block of radius-count rows.
 _KERNEL_BLOCK = 1 << 16
+_TILE_BLOCK = 1 << 14  # one-hot entries per tile side of the dual Gram's key products
+_PREDICT_BLOCK = 1 << 14  # prior-vector entries per block of test rows in predict
 _SOLVE_BLOCK = 64  # rows per block of the dual solve, columns per tile of its Gram
 
 
@@ -169,7 +177,7 @@ def _add_key_products(gram: np.ndarray, onehot: np.ndarray, bounds: list[int],
     ``bounds[c]`` to ``bounds[c + 1]``: two rows of values c and c2
     sharing key u add ``weight[c, c2, u]``.
 
-    Tiles of at most ``_KERNEL_BLOCK // keys`` rows a side, each within
+    Tiles of at most ``_TILE_BLOCK // keys`` rows a side, each within
     one value, are multiplied on and above the diagonal, and a tile off
     it is added with its transpose; a tile and its float operands are
     the only temporaries.  The weights are first made ``_summable``, so
@@ -177,7 +185,7 @@ def _add_key_products(gram: np.ndarray, onehot: np.ndarray, bounds: list[int],
     kernel that BLAS picks for a shape.
     """
     n, keys = onehot.shape
-    step = max(1, _KERNEL_BLOCK // max(keys, 1))
+    step = max(1, _TILE_BLOCK // max(keys, 1))
     tiles = [(c, slice(max(lo, start), min(lo + step, stop)))
              for lo in range(0, n, step)
              for c, (start, stop) in enumerate(zip(bounds, bounds[1:]))
@@ -205,8 +213,9 @@ class PriorFeatureSpace:
     ("impl", A, a, v), and ("obs", A, a); their order fixes the column
     order of the design matrix.  The space stores only the offsets of
     its blocks and, for every one-hot column, its implicational and
-    indicator key (-1 for none, also in a spare last slot that stands
-    for values the statistics never observe).
+    indicator key as int32 (-1 for none, also in a spare last slot that
+    stands for values the statistics never observe).  A key's target
+    counts are read from ``counts.joint`` where they are needed.
     """
 
     def __init__(
@@ -241,16 +250,14 @@ class PriorFeatureSpace:
         obs_features = others if "indicators" in self.blocks else []
         impl_columns = [counts.columns[f][a] for f in impl_features for a in inventories[f]]
         obs_columns = [counts.columns[f][a] for f in obs_features for a in inventories[f]]
-        self._impl_key = np.full(counts.onehot.shape[1] + 1, -1, dtype=np.intp)
+        self._impl_key = np.full(counts.onehot.shape[1] + 1, -1, dtype=np.int32)
         self._impl_key[impl_columns] = np.arange(len(impl_columns))
-        self._obs_key = np.full(counts.onehot.shape[1] + 1, -1, dtype=np.intp)
+        self._obs_key = np.full(counts.onehot.shape[1] + 1, -1, dtype=np.int32)
         self._obs_key[obs_columns] = np.arange(len(obs_columns))
         self._areal_start = 2 * n_values if "genetic" in self.blocks else 0
         self._impl_start = self._areal_start + (n_values if "areal" in self.blocks else 0)
         self._obs_start = self._impl_start + len(impl_columns) * n_values
         self._size = self._obs_start + len(obs_columns)
-        # Target counts of every implicational key.
-        self._impl_counts = counts.joint[np.ix_(impl_columns, self._target_columns)]
 
     def __len__(self) -> int:
         return self._size
@@ -299,9 +306,11 @@ class PriorFeatureSpace:
         X[:, :self._impl_start] = self._leading(*groups, own)
         rows, columns = entries
         keys = self._impl_key[columns]
-        impl_rows, keys = rows[keys >= 0], keys[keys >= 0]
+        impl = keys >= 0
+        impl_rows, keys = rows[impl], keys[impl]
         X[impl_rows[:, None], self._impl_start + keys[:, None] * n_values + np.arange(n_values)] = \
-            self._shares(self._impl_counts[keys] - own[impl_rows])
+            self._shares(self.counts.joint[np.ix_(columns[impl], self._target_columns)]
+                         - own[impl_rows])
         keys = self._obs_key[columns]
         X[rows[keys >= 0], self._obs_start + keys[keys >= 0]] = 1.0
         return X
@@ -335,7 +344,7 @@ class PriorFeatureSpace:
         the key's implicational columns, and 1 through its indicator, so
         the Gram matrix is the leading columns' product plus the products
         of the rows of O under these weights, which ``_add_key_products``
-        adds in tiles of at most ``_KERNEL_BLOCK`` entries of O a side.
+        adds in tiles of at most ``_TILE_BLOCK`` entries of O a side.
         Beyond the count tables, the rows x rows Gram matrix is then the
         largest array, and ``_solve_in_place`` solves it without a copy.
         The weights come back the same way: the implicational
@@ -350,9 +359,9 @@ class PriorFeatureSpace:
         impl, obs = self._impl_key[keys], self._obs_key[keys]
         has_impl, has_obs = impl >= 0, obs >= 0
         # target counts of each key; a key without an implicational
-        # block reads the zero last row
-        spare = np.zeros((1, len(self._target_columns)), dtype=self._impl_counts.dtype)
-        target_counts = np.vstack([self._impl_counts, spare])[impl]
+        # block counts none
+        target_counts = counts.joint[np.ix_(keys, self._target_columns)]
+        target_counts[~has_impl] = 0
         C = target_counts[:, self._value_positions]
         N = target_counts.sum(axis=1)
         s = np.divide(1.0, N - 1, out=np.zeros(len(keys)), where=N > 1)
@@ -495,7 +504,7 @@ class RidgePriorImputer(Imputer):
             self._fitted[target] = _FittedFeature(space, values, weights, biases)
         return self
 
-    def predict(self, test: Dataset, cells: np.ndarray) -> dict[int, Prediction]:
+    def predict(self, test: Dataset, cells: np.ndarray) -> Answers:
         counts = self._counts
         onehot, _ = counts.encode(test)
         genus = counts.genus.index(lang.genus for lang in test.languages)
@@ -506,22 +515,26 @@ class RidgePriorImputer(Imputer):
             # counts its neighbours here, leaving none out (row -1)
             row = np.array([counts.rows.get(code, -1) for code in test.codes()], dtype=np.intp)
             new = row < 0
-            areal = np.empty((len(row), onehot.shape[1]), dtype=np.int32)
-            areal[~new] = self._areal[row[~new]]
+            areal = self._areal[np.maximum(row, 0)]
             areal[new] = _radius_counts(
                 counts, coordinates(lang for lang, n in zip(test.languages, new.tolist()) if n),
                 self.areal_km, row[new])
-        out: dict[int, Prediction] = {}
+        parts = []
         for target, block, rows in by_target(test, cells):
             fitted = self._fitted.get(target)
             if fitted is None:
                 continue
-            X = fitted.space.dense(genus[rows], family[rows],
-                                   None if areal is None else areal[rows], onehot[rows])
-            # einsum, not BLAS, whose kernel follows the block's shape: a
-            # language scores the same whatever else shares its target
-            raw = np.einsum("ij,kj->ik", X, fitted.weights) + fitted.biases
-            source = "ridge" if len(fitted.values) > 1 else "ridge-constant"
-            out.update(decide(block, fitted.values, raw, source,
-                              mass=np.exp(raw - raw.max(axis=1, keepdims=True))))
-        return out
+            raw = np.empty((len(rows), len(fitted.values)))
+            step = max(1, _PREDICT_BLOCK // max(len(fitted.space), 1))
+            for lo in range(0, len(rows), step):
+                at = rows[lo:lo + step]
+                X = fitted.space.dense(genus[at], family[at],
+                                       None if areal is None else areal[at], onehot[at])
+                # einsum, not BLAS, whose kernel follows the block's shape: a
+                # language scores the same whatever else shares its target
+                raw[lo:lo + step] = np.einsum("ij,kj->ik", X, fitted.weights)
+            raw += fitted.biases
+            label = "ridge" if len(fitted.values) > 1 else "ridge-constant"
+            parts.append(decide(block, fitted.values, raw, (label,),
+                                mass=np.exp(raw - raw.max(axis=1, keepdims=True))))
+        return Answers.join(parts)

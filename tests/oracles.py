@@ -9,6 +9,7 @@ Student-t tail use mpmath.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -17,9 +18,10 @@ from collections import Counter
 import numpy as np
 from mpmath import mp, mpf
 
-from synth import cells_of, language_of
+from synth import Answer, cells_of, language_of
 
 OBSERVED = "observed"
+OBSERVED_CODE = 0  # its code in a Dataset's cell_state
 
 
 # ---------------------------------------------------------------------------
@@ -1026,6 +1028,49 @@ def method_oracle(method, config, train, test, vectors):
             return ridge_prediction_oracle(dict(zip(space.inventory, raw.tolist())))[:2]
         return answer
     raise ValueError(f"no oracle for method {method!r}")
+
+
+def decide_oracle(cells, values, scores, labels, source=0, mass=None) -> dict:
+    """``decide`` as it answered before it returned arrays: one Answer
+    per answered cell, keyed by cell index, in the order of ``cells``."""
+    mass = scores if mass is None else mass
+    total = np.cumsum(mass, axis=1)[:, -1]
+    best = scores.argmax(axis=1)
+    share = mass[np.arange(len(best)), best] / np.where(total > 0, total, 1)
+    outside = (total > 0) & ~((share >= 0) & (share <= 1))
+    if outside.any():
+        raise ValueError(f"confidence {share[outside][0]} outside [0, 1]")
+    sources = np.broadcast_to(np.asarray(source), best.shape)
+    return {cell: Answer(values[b], s, labels[code]) for cell, b, s, code, answered in
+            zip(cells.tolist(), best.tolist(), share.tolist(), sources.tolist(),
+                (total > 0).tolist()) if answered}
+
+
+def ensemble_oracle(predicts, test, cells) -> dict:
+    """An ensemble's answers as dicts: each of ``predicts`` (``predict``
+    functions returning cell -> Answer) in turn answers the cells no
+    earlier one answered, asked in table order."""
+    out: dict = {}
+    for predict in predicts:
+        cells = np.array([c for c in cells.tolist() if c not in out], dtype=np.intp)
+        if not len(cells):
+            break
+        out.update(predict(test, cells))
+    return out
+
+
+def fill_oracle(answers, test):
+    """``fill_dataset`` from a cell -> Answer dict: one appended value
+    name per answered cell, each answered cell observed."""
+    hidden = np.flatnonzero(test.cell_state != OBSERVED_CODE)
+    answered = np.fromiter(answers, dtype=np.intp, count=len(answers))
+    if not np.isin(answered, hidden).all():
+        raise ValueError("an answer for a cell the test set does not hide")
+    value, state = test.cell_value.copy(), test.cell_state.copy()
+    value[answered] = len(test.value_names) + np.arange(len(answered))
+    state[answered] = OBSERVED_CODE
+    names = test.value_names + [a.value for a in answers.values()]
+    return dataclasses.replace(test, value_names=names, cell_value=value, cell_state=state)
 
 
 def impute_loop_oracle(config, train, test, fallback: bool = True, vectors=None):

@@ -1,7 +1,7 @@
 """Seeded generators for synthetic language datasets used across tests,
 a per-cell view of the coded cell table for writing them by hand,
-filled copies of a gold table for scoring, and the environment of a
-child interpreter."""
+filled copies of a gold table for scoring, a per-cell view of an
+imputer's ``Answers``, and the environment of a child interpreter."""
 
 from __future__ import annotations
 
@@ -11,12 +11,13 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 import typoimpute
 from typoimpute.evaluate import SystemOutput, output_from_dataset
+from typoimpute.imputers import Answers
 from typoimpute.kb import OBSERVED_CODE, STATES, Dataset, DatasetError, Language, serialize_dataset
 
 GENERA = [
@@ -216,18 +217,43 @@ def observed_of(dataset: Dataset, code: str) -> dict[str, str]:
         dataset.cell_state[lo:hi].tolist()) if s == OBSERVED_CODE}
 
 
+class Answer(NamedTuple):
+    """One answered cell, as ``answer_map`` reads it from an ``Answers``."""
+
+    value: str
+    confidence: float
+    source: str
+
+
+def answer_map(answers: Answers) -> dict[int, Answer]:
+    """Cell index -> Answer of every answer of ``answers``, in its order;
+    a cell answered twice keeps its last answer."""
+    return {cell: Answer(answers.names[v], c, answers.labels[s]) for cell, v, c, s in zip(
+        answers.cell.tolist(), answers.value.tolist(), answers.confidence.tolist(),
+        answers.source.tolist())}
+
+
+def answers_of(mapping: Mapping[int, tuple[str, float, str]]) -> Answers:
+    """The ``Answers`` of cell index -> (value, confidence, source), in
+    the mapping's order: what a hand-written imputer returns."""
+    cells = np.array(list(mapping), dtype=np.intp)
+    index = np.arange(len(cells))
+    return Answers(cells, index, np.array([a[1] for a in mapping.values()], dtype=float), index,
+                   tuple(a[0] for a in mapping.values()), tuple(a[2] for a in mapping.values()))
+
+
 def predictions_of(imputer, test: Dataset) -> dict:
     """The fitted imputer's answers for the hidden cells of ``test``,
     from one ``predict`` call, keyed by (code, feature) in table order."""
-    answers = imputer.predict(test, np.flatnonzero(test.cell_state != OBSERVED_CODE))
+    answers = answer_map(imputer.predict(test, np.flatnonzero(test.cell_state != OBSERVED_CODE)))
     codes = test.codes()
     return {(codes[test.cell_row[c]], test.feature_names[test.cell_feature[c]]): p
             for c, p in sorted(answers.items())}
 
 
 def predict_one(imputer, language: Language, observed: dict[str, str], target: str):
-    """The fitted imputer's prediction for one cell, or None: a test set
-    of ``language`` alone, observing ``observed`` with ``target`` hidden,
+    """The fitted imputer's Answer for one cell, or None: a test set of
+    ``language`` alone, observing ``observed`` with ``target`` hidden,
     asked about its one hidden cell."""
     if target in observed:
         raise ValueError(f"target {target!r} is already observed")
@@ -235,7 +261,7 @@ def predict_one(imputer, language: Language, observed: dict[str, str], target: s
     cells[(language.code, target)] = Cell.unknown()
     test = build_dataset([language], cells)
     hidden = np.flatnonzero(test.cell_state != OBSERVED_CODE)
-    return imputer.predict(test, hidden).get(int(hidden[0]))
+    return answer_map(imputer.predict(test, hidden)).get(int(hidden[0]))
 
 
 def child_env(threads: Optional[str] = None) -> dict[str, str]:

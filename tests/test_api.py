@@ -16,17 +16,17 @@ from typoimpute.splits import SplitSpec
 SUBMODULES = (configio, errors, evaluate, geo, imputers, kb, splits)
 
 PUBLIC = (
-    "ConfigError", "DEFAULT_HELD_OUT_GENERA", "Dataset", "DatasetError", "EARTH_RADIUS_KM",
-    "EvalReport", "EvaluationError", "Imputer", "Language", "NoPredictionError", "ParseError",
-    "Prediction", "SplitError", "SplitResult", "SplitSpec", "SystemOutput",
+    "Answers", "ConfigError", "DEFAULT_HELD_OUT_GENERA", "Dataset", "DatasetError",
+    "EARTH_RADIUS_KM", "EvalReport", "EvaluationError", "Imputer", "Language", "NoPredictionError",
+    "ParseError", "SplitError", "SplitResult", "SplitSpec", "SystemOutput",
     "UndefinedCorrelationError", "build_controlled_split", "build_imputer", "fill_dataset",
     "filter_dataset", "haversine_km", "parse_dataset", "random_split", "score",
     "serialize_dataset",
 )
 IMPUTERS = (
-    "ALL_BLOCKS", "CorrelationImputer", "EnsembleImputer", "GenusFamilyBackoffImputer",
+    "ALL_BLOCKS", "Answers", "CorrelationImputer", "EnsembleImputer", "GenusFamilyBackoffImputer",
     "GeoBackoffImputer", "GlobalFrequencyImputer", "Imputer", "KNOWN_KEYS", "METHODS",
-    "NearestNeighborImputer", "NoPredictionError", "Prediction", "PriorFeatureSpace",
+    "NearestNeighborImputer", "NoPredictionError", "PriorFeatureSpace",
     "RidgePriorImputer", "build_imputer", "fill_dataset", "load_language_vectors", "solve_ridge",
 )
 

@@ -5,6 +5,7 @@ import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from typoimpute.configio import ConfigError
@@ -15,14 +16,14 @@ from typoimpute.imputers import (
     GeoBackoffImputer,
     GlobalFrequencyImputer,
     NearestNeighborImputer,
-    Prediction,
     RidgePriorImputer,
     build_imputer,
     fill_dataset,
 )
 from typoimpute.imputers.config import _METHODS as _METHOD_TABLE, METHODS
 
-from synth import Cell, build_dataset, cells_of, make_language, predict_one, random_dataset
+from synth import (Answer, Cell, answer_map, answers_of, build_dataset, cells_of, make_language,
+                   predict_one, random_dataset)
 
 
 class _Canned:
@@ -44,12 +45,10 @@ class _Canned:
 
     def predict(self, test, cells):
         self.asked.append(cells.tolist())
-        if self.value is None:
-            return {}
         targets = self.targets or test.feature_names
-        return {cell: Prediction(self.value, self.confidence, self.source)
-                for cell in cells.tolist()
-                if test.feature_names[test.cell_feature[cell]] in targets}
+        return answers_of({cell: (self.value, self.confidence, self.source)
+                           for cell in cells.tolist() if self.value is not None
+                           and test.feature_names[test.cell_feature[cell]] in targets})
 
 
 def _ask(imputer, target="f"):
@@ -99,9 +98,40 @@ def test_first_success_asks_later_members_only_about_unanswered_cells():
     assert last.asked == [[2]]  # nothing left for it
 
 
+def test_members_see_exactly_the_unanswered_cells_in_table_order():
+    """Over many cells and members that each answer a seeded share of
+    what they are asked, every member is asked about exactly the cells
+    no earlier member answered, in table order, and the ensemble's
+    answers are the members' answers, each cell once."""
+    rng = random.Random(93)
+    languages = [make_language(f"q{i:02d}") for i in range(12)]
+    test = build_dataset(languages, {(lang.code, f"f{j}"): Cell.unknown()
+                                     for lang in languages for j in range(8)})
+
+    class Sometimes:
+        def __init__(self, name):
+            self.name, self.asked = name, []
+
+        def predict(self, test, cells):
+            self.asked.append(cells.tolist())
+            return answers_of({c: (self.name, 0.5, self.name) for c in cells.tolist()[::-1]
+                               if rng.random() < 0.4})
+
+    members = [Sometimes(name) for name in "abcd"]
+    cells = np.arange(len(test.cell_row))
+    answers = EnsembleImputer(members).predict(test, cells)
+    got = answer_map(answers)
+    left = cells.tolist()
+    for member in members:
+        assert member.asked == [left]
+        left = [c for c in left if c not in got or got[c].value > member.name]
+    assert len(answers) == len(got) and 0 < len(got) < len(cells)
+    assert left == [c for c in cells.tolist() if c not in got]
+
+
 def test_member_prediction_passed_through_unchanged():
     ens = EnsembleImputer([_Canned("x", 0.42, source="special")])
-    assert _ask(ens) == Prediction("x", 0.42, "special")
+    assert _ask(ens) == Answer("x", 0.42, "special")
 
 
 def test_fit_reaches_every_member():

@@ -9,15 +9,17 @@ import numpy as np
 import pytest
 
 from typoimpute.geo import haversine_km
-from typoimpute.kb import DatasetError
+from typoimpute.kb import OBSERVED_CODE, DatasetError, serialize_dataset
 
 from typoimpute.imputers import (
+    EnsembleImputer,
     GenusFamilyBackoffImputer,
     GeoBackoffImputer,
     GlobalFrequencyImputer,
+    Answers,
     NearestNeighborImputer,
-    Prediction,
     fill_dataset,
+    build_imputer,
     load_language_vectors,
 )
 from typoimpute.imputers.base import decide
@@ -31,8 +33,9 @@ from oracles import (
     knn_oracle,
     observed_maps,
 )
-from synth import (Cell, blank_some, build_dataset, cells_of, language_of, make_language,
-                   observed_of, predict_one, predictions_of, random_dataset)
+from synth import (Answer, Cell, answer_map, answers_of, blank_some, build_dataset, cells_of,
+                   language_of, make_language, observed_of, predict_one, predictions_of,
+                   random_dataset)
 
 
 def _answer(pred):
@@ -45,22 +48,40 @@ def test_decide_contract():
     counts = np.array([[5, 3], [2, 2], [0, 0], [0, 4]])
     # values are sorted, so a tie goes to the lexicographically smaller
     # one; a row without mass gets no answer
-    assert decide(np.array([10, 11, 12, 13]), values, counts, "s") == {
-        10: Prediction("SOV", 0.625, "s"), 11: Prediction("SOV", 0.5, "s"),
-        13: Prediction("SVO", 1.0, "s")}
-    assert decide(np.array([], dtype=np.intp), ["a"], np.zeros((0, 1)), "s") == {}
-    # one source per row is kept, as plain strings
+    got = decide(np.array([10, 11, 12, 13]), values, counts, ("s",))
+    assert answer_map(got) == {
+        10: Answer("SOV", 0.625, "s"), 11: Answer("SOV", 0.5, "s"), 13: Answer("SVO", 1.0, "s")}
+    assert (got.names, got.labels) == (("SOV", "SVO"), ("s",))
+    assert [a.dtype for a in (got.cell, got.value, got.confidence, got.source)] == \
+        [np.intp, np.intp, np.float64, np.intp]
+    assert len(decide(np.array([], dtype=np.intp), ["a"], np.zeros((0, 1)), ("s",))) == 0
+    # one source code per row
     got = decide(np.array([3, 4]), values, np.array([[1, 0], [0, 1]]),
-                 np.where([True, False], "knn-vector", "knn-agreement"))
-    assert got == {3: Prediction("SOV", 1.0, "knn-vector"),
-                   4: Prediction("SVO", 1.0, "knn-agreement")}
-    assert all(type(p.source) is str and type(p.confidence) is float for p in got.values())
+                 ("knn-agreement", "knn-vector"), np.array([True, False]))
+    assert answer_map(got) == {3: Answer("SOV", 1.0, "knn-vector"),
+                               4: Answer("SVO", 1.0, "knn-agreement")}
     # the argmax reads the scores even where the mass rounds them level
     raw = np.array([[1e-20, 2e-20]])
     mass = np.exp(raw - raw.max(axis=1, keepdims=True))
     assert mass.tolist() == [[1.0, 1.0]]
-    assert decide(np.array([7]), values, raw, "ridge", mass=mass) == {
-        7: Prediction("SVO", 0.5, "ridge")}
+    assert answer_map(decide(np.array([7]), values, raw, ("ridge",), mass=mass)) == {
+        7: Answer("SVO", 0.5, "ridge")}
+
+
+def test_answers_join_offsets_names_and_labels():
+    """Each part's value and source codes move past the names and labels
+    of the parts before it; no part, or only empty ones, join to none."""
+    first = decide(np.array([5, 2]), ["a", "b"], np.array([[0, 1], [1, 0]]), ("x", "y"),
+                   np.array([1, 0]))
+    second = decide(np.array([9]), ["c", "d", "e"], np.array([[0, 0, 4]]), ("z",))
+    joined = Answers.join([first, second])
+    assert joined.cell.tolist() == [5, 2, 9]
+    assert (joined.names, joined.labels) == (("a", "b", "c", "d", "e"), ("x", "y", "z"))
+    assert answer_map(joined) == {5: Answer("b", 1.0, "y"), 2: Answer("a", 1.0, "x"),
+                                  9: Answer("e", 1.0, "z")}
+    for parts in ([], [decide(np.array([1]), ["a"], np.zeros((1, 1)), ("x",))]):
+        none = Answers.join(parts)
+        assert len(none) == 0 and none.cell.dtype == np.intp and none.confidence.dtype == float
 
 
 def test_global_frequency_spec_example():
@@ -74,7 +95,7 @@ def test_global_frequency_spec_example():
     imp.fit(train)
     query = (make_language("new"), {}, "81A Order")
     pred = predict_one(imp, *query)
-    assert pred == Prediction(value="SOV", confidence=0.625, source="global")
+    assert pred == Answer(value="SOV", confidence=0.625, source="global")
 
 
 def test_global_frequency_matches_oracle():
@@ -753,7 +774,7 @@ def test_fill_dataset_asks_once_about_the_hidden_cells():
     class Recording(GlobalFrequencyImputer):
         def predict(self, test, cells):
             calls.append(cells.tolist())
-            return {cell: Prediction("v", 1.0, "canned") for cell in cells.tolist()}
+            return answers_of({cell: ("v", 1.0, "canned") for cell in cells.tolist()})
 
     filled = fill_dataset(Recording(), test)
     assert calls == [[1, 2]]
@@ -767,10 +788,10 @@ def test_prediction_confidence_bounds():
     does not answer is not checked."""
     cells = np.array([0, 1])
     with pytest.raises(ValueError, match="outside"):
-        decide(cells, ["a", "b"], np.array([[1, 1], [2, -1]]), "s")
+        decide(cells, ["a", "b"], np.array([[1, 1], [2, -1]]), ("s",))
     with pytest.raises(ValueError, match="outside"):
-        decide(cells[:1], ["a", "b"], np.array([[5, 0]]), "s", mass=np.array([[-1.0, 3.0]]))
-    assert decide(cells[:1], ["a", "b"], np.array([[1, -3]]), "s") == {}
+        decide(cells[:1], ["a", "b"], np.array([[5, 0]]), ("s",), mass=np.array([[-1.0, 3.0]]))
+    assert len(decide(cells[:1], ["a", "b"], np.array([[1, -3]]), ("s",))) == 0
 
 
 def test_fill_dataset_fills_every_gap():
@@ -821,17 +842,11 @@ BLOCK_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BLOCK_CONFIGS))
-def test_fill_dataset_blocks_match_per_cell_oracles(name):
-    """One ``predict`` call answers, target by target, the hidden cells
-    of many test languages, several per language, and ``fill_dataset``
-    writes those answers; every answer equals the per-cell oracle's for
-    that language alone.  Some test
-    languages share a code with a training language, some have a genus
-    and family training never sees, and with vectors some rank by
-    vector and the rest by agreement."""
-    from typoimpute.imputers import build_imputer
-
+def _block_sources(name):
+    """A training set and a test set of many languages hiding several
+    cells each; half the test languages have a genus and family training
+    never sees, and for ``knn_vectors`` two thirds of the languages have
+    vectors.  Returns (train, test, vectors)."""
     rng = random.Random(67)
     data = random_dataset(rng, n_languages=60, n_features=6, p_observed=0.7, min_observed=3)
     codes = data.codes()
@@ -844,6 +859,19 @@ def test_fill_dataset_blocks_match_per_cell_oracles(name):
     if name == "knn_vectors":
         vectors = {code: tuple(rng.uniform(-1, 1) for _ in range(3))
                    for code in rng.sample(codes, 40)}
+    return train, test, vectors
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CONFIGS))
+def test_fill_dataset_blocks_match_per_cell_oracles(name):
+    """One ``predict`` call answers, target by target, the hidden cells
+    of many test languages, several per language, and ``fill_dataset``
+    writes those answers; every answer equals the per-cell oracle's for
+    that language alone.  Some test
+    languages share a code with a training language, some have a genus
+    and family training never sees, and with vectors some rank by
+    vector and the rest by agreement."""
+    train, test, vectors = _block_sources(name)
     config = BLOCK_CONFIGS[name]
     imp = build_imputer(config, vectors=vectors).fit(train, context=test)
     predictions = predictions_of(imp, test)
@@ -868,3 +896,66 @@ def test_fill_dataset_blocks_match_per_cell_oracles(name):
             assert got == want
         answered += want is not None
     assert answered > len(hidden) // 2
+
+
+ANSWER_CONFIGS = {**BLOCK_CONFIGS, "ensemble": {"method": "ensemble", "members": "correlation,knn",
+                                                "min_support": "25", "k": "3"}}
+
+
+def _oracle_predict(imputer, monkeypatch):
+    """``imputer.predict`` as it answered with dicts: a function of (test,
+    cells) returning cell -> Answer, built by ``decide_oracle`` from the
+    very arguments of each ``decide`` call the imputer makes, and for an
+    ensemble by ``ensemble_oracle`` over its members' dicts."""
+    if isinstance(imputer, EnsembleImputer):
+        members = [_oracle_predict(member, monkeypatch) for member in imputer.members]
+        return lambda test, cells: oracles.ensemble_oracle(members, test, cells)
+
+    def predict(test, cells):
+        found = {}
+
+        def recording(*args, **kwargs):
+            found.update(oracles.decide_oracle(*args, **kwargs))
+            return decide(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            for module in ("frequency", "knn", "correlation", "ridge"):
+                patch.setattr(f"typoimpute.imputers.{module}.decide", recording)
+            imputer.predict(test, cells)
+        return found
+
+    return predict
+
+
+@pytest.mark.parametrize("name", sorted(ANSWER_CONFIGS))
+def test_answers_match_the_dict_oracle(name, monkeypatch):
+    """For every config, built as ``impute`` builds it (the method, then
+    the global mode), ``predict``'s arrays equal the per-cell dicts that
+    the oracle versions of ``decide`` and the ensemble make from the same
+    scores: the same cells, values and sources, each cell once, and the
+    confidences bit for bit.  ``fill_dataset`` writes the dataset that
+    the oracle fill writes from those dicts."""
+    train, test, vectors = _block_sources(name)
+    # each feature's values of its own, so that no target's value codes
+    # read the right names from another target's
+    train, test = (build_dataset(d.languages, {
+        (code, f): Cell(cell.state, cell.value and f"{f[:3]}{cell.value}")
+        for (code, f), cell in cells_of(d).items()}) for d in (train, test))
+    imp = EnsembleImputer([build_imputer(ANSWER_CONFIGS[name], vectors=vectors),
+                           GlobalFrequencyImputer()]).fit(train, context=test)
+    cells = np.flatnonzero(test.cell_state != OBSERVED_CODE)
+    answers = imp.predict(test, cells)
+    got = answer_map(answers)
+    want = _oracle_predict(imp, monkeypatch)(test, cells)
+    assert len(answers) == len(got) == len(want) > len(cells) // 2
+    if name == "ensemble":  # both members answer
+        assert {a.source for a in want.values()} == {"correlation", "knn-agreement"}
+
+    def bits(mapping):
+        return {cell: (a.value, a.confidence.hex(), a.source) for cell, a in mapping.items()}
+
+    assert bits(got) == bits(want)
+    filled = fill_dataset(imp, test)
+    oracle = oracles.fill_oracle(want, test)
+    assert filled == oracle
+    assert serialize_dataset(filled) == serialize_dataset(oracle)

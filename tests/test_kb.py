@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from typoimpute.coded import CodedCounts
-from typoimpute.imputers import Imputer, Prediction, fill_dataset
+from typoimpute.imputers import Answers, Imputer, fill_dataset
 from typoimpute.kb import (
     BLANKED,
     BLANKED_CODE,
@@ -198,14 +198,17 @@ def test_parsed_dataset_equals_its_coded_twin():
 
 
 class _Canned(Imputer):
-    """Answers the cells of a fixed {cell index: value} table, whatever
-    it is asked about."""
+    """Answers the cells of a fixed {cell index: value} table, or list of
+    (cell index, value) pairs, whatever it is asked about."""
 
     def __init__(self, answers):
-        self.answers = answers
+        self.answers = list(answers.items() if isinstance(answers, dict) else answers)
 
     def predict(self, test, cells):
-        return {cell: Prediction(value, 1.0, "canned") for cell, value in self.answers.items()}
+        n = len(self.answers)
+        return Answers(np.array([cell for cell, _ in self.answers], dtype=np.intp), np.arange(n),
+                       np.ones(n), np.zeros(n, dtype=np.intp),
+                       tuple(value for _, value in self.answers), ("canned",))
 
 
 def test_filled_dataset_serializes_answers_and_keeps_unanswered_gold():
@@ -232,6 +235,17 @@ def test_fill_rejects_an_answer_for_a_cell_it_did_not_ask_about(cell):
                       {("aaa", "f1"): Cell.unknown(), ("aaa", "f2"): Cell.observed("x")})
     with pytest.raises(DatasetError, match="_Canned answered a cell the test set does not hide"):
         fill_dataset(_Canned({0: "y", cell: "y"}), d)
+
+
+def test_fill_rejects_a_cell_answered_twice():
+    """Answers are arrays, which keep a repeated cell where a dict kept
+    its last answer: a second answer for a cell is an error, even one
+    that repeats the value."""
+    d = build_dataset([make_language("aaa")],
+                      {("aaa", "f1"): Cell.unknown(), ("aaa", "f2"): Cell.blanked("g")})
+    for twice in ([(0, "y"), (1, "y"), (0, "z")], [(1, "y"), (1, "y")]):
+        with pytest.raises(DatasetError, match="_Canned answered a cell twice"):
+            fill_dataset(_Canned(twice), d)
 
 
 def test_serialize_reveal_blanked_writes_gold():
