@@ -8,8 +8,7 @@ Columns are ordered by (feature, value), so the columns of one feature
 are contiguous and its values sorted.  Counts stay integers, so no
 result depends on how a BLAS library orders its sums.  The tables of one
 training set are built once, as ``Dataset.counts``, and shared by every
-imputer fitted on it, together with one cached distance row per query
-language for knn's tie-breaks.  ``encode`` maps the
+imputer fitted on it; they hold no per-query state.  ``encode`` maps the
 observed cells of a test set into the same columns, once per prediction
 call.
 
@@ -31,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geo import coordinates, distance_matrix
+from .geo import coordinates
 from .kb import OBSERVED_CODE, Dataset, Language, intern_names
 
 __all__ = ["CodedCounts", "GroupCounts", "count_matmul"]
@@ -95,7 +94,6 @@ class CodedCounts:
         self.onehot[row, column] = True
         self.seen = np.zeros((len(self.languages), len(self.feature_index)), dtype=bool)
         self.seen[row, self.feature_of[column]] = True
-        self._km: dict[Language, np.ndarray] = {}
 
     @cached_property
     def joint(self) -> np.ndarray:
@@ -136,16 +134,6 @@ class CodedCounts:
     def coords(self) -> np.ndarray:
         """(languages, 2) coordinates of the rows, as ``geo.coordinates``."""
         return coordinates(self.languages)
-
-    def distances(self, language: Language) -> np.ndarray:
-        """Kilometres from ``language`` to every row language: one kernel
-        row per query language, cached for ``knn``'s tie-breaks.
-        ``geo_backoff`` keeps only each language's rows within its far
-        radius, and ridge computes its radius counts in blocks."""
-        km = self._km.get(language)
-        if km is None:
-            km = self._km[language] = distance_matrix(coordinates([language]), self.coords)[0]
-        return km
 
     def encode(self, d: Dataset) -> tuple[np.ndarray, np.ndarray]:
         """The observed cells of ``d`` in these tables' columns: a rows x

@@ -12,8 +12,8 @@ compared by agreement over shared observed features
 geographic distance breaks ties.  Agreement is counted from the
 training set's shared integer tables, ``Dataset.counts``, as one test
 rows x training rows matrix per prediction call; geographic distance is
-read from the table's cached distance row of a test language, computed
-only when candidates tie at the k-th place.
+read from a test language's distance row, computed only when candidates
+tie at the k-th place and cached by the imputer until its next ``fit``.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from typing import Mapping
 import numpy as np
 
 from ..coded import count_matmul
+from ..geo import coordinates, distance_matrix
 from ..geo import haversine_km  # noqa: F401  (bench/trace_child.py counts calls through this name)
-from ..kb import Dataset, DatasetError
+from ..kb import Dataset, DatasetError, Language
 from .base import Answers, Imputer, by_target, decide
 
 __all__ = ["NearestNeighborImputer", "load_language_vectors"]
@@ -83,6 +84,7 @@ class NearestNeighborImputer(Imputer):
         zero = np.zeros(len(next(iter(vectors.values()), ())))
         self._vectors = np.array([vectors.get(lang.code, zero) for lang in languages], dtype=float)
         self._norms = np.sqrt(np.einsum("ij,ij->i", self._vectors, self._vectors))
+        self._km: dict[Language, np.ndarray] = {}  # distance rows of tied query languages
         return self
 
     def _distances(self, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +123,11 @@ class NearestNeighborImputer(Imputer):
         need = self.k - ahead.sum(axis=1)
         km = np.zeros(d.shape)
         for i in np.flatnonzero((tied.sum(axis=1) > need) & ~by_vector[crowded]).tolist():
-            km[i] = self._counts.distances(languages[crowded[i]])[candidates]
+            language = languages[crowded[i]]
+            if language not in self._km:
+                self._km[language] = distance_matrix(coordinates([language]),
+                                                     self._counts.coords)[0]
+            km[i] = self._km[language][candidates]
         code_rank = np.broadcast_to(self._counts.code_rank[candidates], d.shape)
         place = np.lexsort((code_rank, np.where(tied, km, np.inf)), axis=1).argsort(axis=1)
         taken[crowded] = ahead | (tied & (place < need[:, None]))

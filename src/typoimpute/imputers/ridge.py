@@ -29,18 +29,18 @@ tiles of at most ``_TILE_BLOCK`` one-hot entries a side, from weights
 rounded so that their sums are exact, so no entry depends on the
 tiling; it is solved in place.  ``fit`` solves the targets with the
 most training rows first, so that the largest Gram matrix exists before
-the other targets' weights do.  A narrower target gathers its design
-matrix, and ``solve_ridge`` solves its primal system.
+the other targets' weights do.  A narrower target stacks its design
+with ``dense``, and ``solve_ridge`` solves its primal system in place.
 
 A fitted target keeps its weights, its biases and its
 ``PriorFeatureSpace``: block offsets and int32 key maps over the shared
 count tables, whose pair counts it reads when it needs a key's target
 counts.  The test languages needing one target are scored a block of
 rows at a time, at most ``_PREDICT_BLOCK`` prior-vector entries each:
-their prior vectors, from the same writer as the training design minus
-the leave-one-out, and one ``einsum`` with the weights, which scores each
-row on its own, scores every value; ``decide`` answers the first maximum
-of the raw scores, with its softmax share as the confidence.
+their prior vectors, from ``dense`` as the training design's are, and
+one ``einsum`` with the weights, which scores each row on its own,
+scores every value; ``decide`` answers the first maximum of the raw
+scores, with its softmax share as the confidence.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ ALL_BLOCKS = ("genetic", "areal", "implicational", "indicators")
 _KERNEL_BLOCK = 1 << 16
 _TILE_BLOCK = 1 << 14  # one-hot entries per tile side of the dual Gram's key products
 _PREDICT_BLOCK = 1 << 14  # prior-vector entries per block of test rows in predict
-_SOLVE_BLOCK = 64  # rows per block of the dual solve, columns per tile of its Gram
+_SOLVE_BLOCK = 64  # rows per block of the in-place solve, columns per tile of the dual Gram
 
 
 def solve_ridge(
@@ -80,8 +80,9 @@ def solve_ridge(
     """Minimize ||Xw + b - y||^2 + lam*||w||^2 with an unpenalized bias.
 
     Solved exactly via the centered normal equations, a d x d system
-    whatever the row count.  Neither ``X`` nor ``y`` is modified.  ``y`` is one target of shape
-    (n,) or k targets of shape (n, k) sharing one factorization.
+    whatever the row count, by ``_solve_in_place``.  Neither ``X`` nor
+    ``y`` is modified.  ``y`` is one target of shape (n,) or k targets
+    of shape (n, k) sharing one elimination.
     Returns (w, b): w of shape (d,) with a float b, or (d, k) with b of
     shape (k,).
     """
@@ -101,7 +102,8 @@ def solve_ridge(
     Xc = X - x_mean
     gram = Xc.T @ Xc
     gram[np.diag_indices_from(gram)] += lam
-    w = np.linalg.solve(gram, Xc.T @ (y - y_mean))
+    rhs = Xc.T @ (y - y_mean)
+    w = _solve_in_place(gram, rhs.reshape(len(gram), -1)).reshape(rhs.shape)
     b = y_mean - x_mean @ w
     return w, (float(b) if y.ndim == 1 else b)
 
@@ -288,41 +290,6 @@ class PriorFeatureSpace:
             X[:, self._areal_start:] = self._shares(areal)
         return X
 
-    def _groups(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """The group rows and radius target counts of the statistics
-        rows ``rows``, as ``_leading`` takes them."""
-        counts = self.counts
-        areal = None if self.areal is None else self.areal[np.ix_(rows, self._target_columns)]
-        return counts.genus.of[rows], counts.family.of[rows], areal
-
-    def _vectors(self, groups: tuple, own: np.ndarray,
-                 entries: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Prior vectors, one row per language: ``groups`` as ``_leading``
-        takes them, ``own`` the languages' own target one-hot, left out
-        of the genus, family and implicational counts, and ``entries``
-        their one-hot entries as (row, statistics column)."""
-        n_values = len(self.inventory)
-        X = np.zeros((len(own), self._size))
-        X[:, :self._impl_start] = self._leading(*groups, own)
-        rows, columns = entries
-        keys = self._impl_key[columns]
-        impl = keys >= 0
-        impl_rows, keys = rows[impl], keys[impl]
-        X[impl_rows[:, None], self._impl_start + keys[:, None] * n_values + np.arange(n_values)] = \
-            self._shares(self.counts.joint[np.ix_(columns[impl], self._target_columns)]
-                         - own[impl_rows])
-        keys = self._obs_key[columns]
-        X[rows[keys >= 0], self._obs_start + keys[keys >= 0]] = 1.0
-        return X
-
-    def design(self, rows: np.ndarray) -> np.ndarray:
-        """Training design matrix of the statistics rows ``rows``, each
-        observing the target; its own observation is left out of every
-        distribution."""
-        onehot = self.counts.onehot
-        own = onehot[np.ix_(rows, self._target_columns)]
-        return self._vectors(self._groups(rows), own, np.nonzero(onehot[rows]))
-
     def solve_dual(
         self,
         rows: np.ndarray,
@@ -332,8 +299,8 @@ class PriorFeatureSpace:
         """Weights (one row per value) and biases of every value's +/-1
         regressor over the statistics rows ``rows``, sorted by ``y``,
         the inventory position of their own target value: the solution
-        of ``solve_ridge(self.design(rows), ...)``, from the design's
-        Gram matrix built out of the count tables, never the design.
+        of ``solve_ridge`` over the rows' ``dense`` prior vectors, from
+        their Gram matrix built out of the count tables, never the vectors.
 
         Let O be the rows x keys one-hot of the columns holding an
         implicational or indicator key, C_u the target counts of key u
@@ -354,7 +321,8 @@ class PriorFeatureSpace:
         counts = self.counts
         n_values = len(self.inventory)
         own = counts.onehot[np.ix_(rows, self._target_columns)]
-        lead = self._leading(*self._groups(rows), own)
+        areal = None if self.areal is None else self.areal[np.ix_(rows, self._target_columns)]
+        lead = self._leading(counts.genus.of[rows], counts.family.of[rows], areal, own)
         keys = np.flatnonzero((self._impl_key[:-1] >= 0) | (self._obs_key[:-1] >= 0))
         impl, obs = self._impl_key[keys], self._obs_key[keys]
         has_impl, has_obs = impl >= 0, obs >= 0
@@ -405,21 +373,33 @@ class PriorFeatureSpace:
 
     def dense(self, genus: np.ndarray, family: np.ndarray, areal: np.ndarray | None,
               onehot: np.ndarray) -> np.ndarray:
-        """Prior vectors of test languages, one row each, from their rows
-        ``genus`` and ``family`` of the group tables, their radius counts
-        ``areal`` (None without the areal block) and their observed
-        values ``onehot``, both in the statistics columns.  Nothing is
-        left out."""
+        """Prior vectors, one row per language, from their rows ``genus``
+        and ``family`` of the group tables, their radius counts ``areal``
+        (None without the areal block) and their observed values
+        ``onehot``, both in the statistics columns.  Each row's own
+        target one-hot is left out of its genus, family and implicational
+        counts: a leave-one-out that only a training row observing the
+        target gets, never the hidden cell of a test row in ``predict``."""
         tc = self._target_columns
-        own = np.zeros((len(genus), len(tc)), dtype=bool)
-        groups = (genus, family, None if areal is None else areal[:, tc])
-        return self._vectors(groups, own, np.nonzero(onehot))
+        n_values = len(self.inventory)
+        own = onehot[:, tc]
+        X = np.zeros((len(own), self._size))
+        X[:, :self._impl_start] = self._leading(genus, family,
+                                                None if areal is None else areal[:, tc], own)
+        rows, columns = np.nonzero(onehot)
+        keys = self._impl_key[columns]
+        impl = keys >= 0
+        impl_rows, keys = rows[impl], keys[impl]
+        X[impl_rows[:, None], self._impl_start + keys[:, None] * n_values + np.arange(n_values)] = \
+            self._shares(self.counts.joint[np.ix_(columns[impl], tc)] - own[impl_rows])
+        keys = self._obs_key[columns]
+        X[rows[keys >= 0], self._obs_start + keys[keys >= 0]] = 1.0
+        return X
 
 
 @dataclass
 class _FittedFeature:
     space: PriorFeatureSpace
-    values: tuple[str, ...]
     weights: np.ndarray  # one row per value
     biases: np.ndarray
 
@@ -488,20 +468,22 @@ class RidgePriorImputer(Imputer):
             inventory = inventories[target]
             space = PriorFeatureSpace(counts, self._areal, target, inventory, inventories,
                                       self.min_support, self.blocks)
-            values = tuple(inventory)
-            own = counts.onehot[:n_train, [counts.columns[target][v] for v in values]]
+            own = counts.onehot[:n_train, [counts.columns[target][v] for v in inventory]]
             rows = np.flatnonzero(own.any(axis=1))
-            if len(values) == 1 or len(space) == 0:
-                weights, biases = np.zeros((len(values), len(space))), np.zeros(len(values))
+            if len(inventory) == 1 or len(space) == 0:
+                weights, biases = np.zeros((len(inventory), len(space))), np.zeros(len(inventory))
             elif len(space) > len(rows):
                 y = own[rows].argmax(axis=1)
                 order = np.argsort(y, kind="stable")
                 weights, biases = space.solve_dual(rows[order], y[order], self.lam)
             else:
-                Y = np.where(own[rows], 1.0, -1.0)
-                w, biases = solve_ridge(space.design(rows), Y, self.lam)
+                w, biases = solve_ridge(
+                    space.dense(counts.genus.of[rows], counts.family.of[rows],
+                                None if self._areal is None else self._areal[rows],
+                                counts.onehot[rows]),
+                    np.where(own[rows], 1.0, -1.0), self.lam)
                 weights = np.ascontiguousarray(w.T)
-            self._fitted[target] = _FittedFeature(space, values, weights, biases)
+            self._fitted[target] = _FittedFeature(space, weights, biases)
         return self
 
     def predict(self, test: Dataset, cells: np.ndarray) -> Answers:
@@ -524,7 +506,8 @@ class RidgePriorImputer(Imputer):
             fitted = self._fitted.get(target)
             if fitted is None:
                 continue
-            raw = np.empty((len(rows), len(fitted.values)))
+            values = fitted.space.inventory
+            raw = np.empty((len(rows), len(values)))
             step = max(1, _PREDICT_BLOCK // max(len(fitted.space), 1))
             for lo in range(0, len(rows), step):
                 at = rows[lo:lo + step]
@@ -534,7 +517,7 @@ class RidgePriorImputer(Imputer):
                 # language scores the same whatever else shares its target
                 raw[lo:lo + step] = np.einsum("ij,kj->ik", X, fitted.weights)
             raw += fitted.biases
-            label = "ridge" if len(fitted.values) > 1 else "ridge-constant"
-            parts.append(decide(block, fitted.values, raw, (label,),
+            label = "ridge" if len(values) > 1 else "ridge-constant"
+            parts.append(decide(block, values, raw, (label,),
                                 mass=np.exp(raw - raw.max(axis=1, keepdims=True))))
         return Answers.join(parts)

@@ -638,12 +638,12 @@ def _tied_train(same_place):
 
 
 def _count_distance_rows(monkeypatch):
-    """Rows of every distance kernel call made for the coded tables."""
-    from typoimpute import coded
+    """Rows of every distance kernel call made by knn."""
+    from typoimpute.imputers import knn
 
     rows = []
-    real = coded.distance_matrix
-    monkeypatch.setattr(coded, "distance_matrix", lambda a, b: rows.append(len(a)) or real(a, b))
+    real = knn.distance_matrix
+    monkeypatch.setattr(knn, "distance_matrix", lambda a, b: rows.append(len(a)) or real(a, b))
     return rows
 
 
@@ -658,7 +658,7 @@ def test_knn_agreement_ties_match_oracle(monkeypatch, same_place, k):
         query = (qlang, {"g": "1"}, "f")
         want = knn_oracle(train, qlang, {"g": "1"}, "f", k)
         assert _answer(predict_one(imp, *query)) == want
-        assert _answer(predict_one(imp, *query)) == want  # from the table's cache
+        assert _answer(predict_one(imp, *query)) == want  # from the imputer's cache
     # every query language ties, and gets one distance row
     assert rows == [1, 1, 1]
 

@@ -102,3 +102,31 @@ def test_no_module_holds_a_whole_file_copy():
     modules = {str(path.relative_to(PACKAGE)): _calls(path) for path in sorted(PACKAGE.rglob("*.py"))}
     assert [path for path, names in modules.items() if "read_bytes" in names] == []
     assert "serialize_dataset" not in modules["cli.py"]
+
+
+def _linalg_uses(tree: ast.AST) -> list[ast.AST]:
+    """The nodes of ``tree`` that read a ``linalg`` attribute or import
+    from ``numpy.linalg``."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "linalg"
+            or isinstance(node, ast.Import) and any("linalg" in a.name for a in node.names)
+            or isinstance(node, ast.ImportFrom) and ("linalg" in (node.module or "")
+                                                     or any(a.name == "linalg" for a in node.names))]
+
+
+def test_one_linear_solver():
+    """Ridge's primal and dual systems share one solver: ``src/`` reads
+    ``linalg`` only inside ``imputers/ridge.py::_solve_in_place``, whose
+    ``np.linalg.solve`` calls see at most one block of rows each."""
+    inside, outside = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path == PACKAGE / "imputers" / "ridge.py":
+            solver = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "_solve_in_place")
+            allowed = {id(node) for node in ast.walk(solver)}
+        for node in _linalg_uses(tree):
+            (inside if id(node) in allowed else outside).append(
+                f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert inside and outside == []

@@ -20,7 +20,6 @@ from typoimpute.imputers import (
     fill_dataset,
     solve_ridge,
 )
-from typoimpute import coded
 from typoimpute.coded import CodedCounts
 from typoimpute.imputers import ridge
 from typoimpute.imputers.ridge import _radius_counts
@@ -48,7 +47,7 @@ def _scores(imp, lang, observed, target):
     the prior vector of one language."""
     fitted = imp._fitted[target]
     raw = fitted.weights @ _dense(fitted.space, lang, observed, imp.areal_km) + fitted.biases
-    return dict(zip(fitted.values, raw.tolist()))
+    return dict(zip(fitted.space.inventory, raw.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +244,10 @@ def _run_child(probe, threads):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "solve_ridge forms Xc.T @ Xc in one product and solves it with one np.linalg.solve, "
-    "both threaded by OpenBLAS, so its weights follow the thread count; 64-column tiles of "
-    "Xc.T @ Xc do not help, as a (150 x 400) @ (400 x 64) product still differs between "
-    "thread counts, while Xc.T @ (y - mean y) does not"))
+    "solve_ridge solves its d x d system in 64-row blocks, which ignore the thread count, but "
+    "forms Xc.T @ Xc in one product, threaded by OpenBLAS, so its weights follow the thread "
+    "count; 64-column tiles of Xc.T @ Xc do not help, as a (150 x 400) @ (400 x 64) product "
+    "still differs between thread counts, while Xc.T @ (y - mean y) does not"))
 def test_primal_weights_ignore_blas_thread_count():
     """``solve_ridge``'s weights for a seeded 400 x 150 design have the
     same bytes at 1 and 2 BLAS threads."""
@@ -304,12 +303,21 @@ def _space(stats, train, target, min_support=5, blocks=ALL_BLOCKS):
     )
 
 
+def _design(space, rows, onehot=None):
+    """``space.dense`` of the statistics rows ``rows``, as ``fit`` stacks
+    a narrow target's design, with their one-hot rows or ``onehot``."""
+    counts = space.counts
+    return space.dense(counts.genus.of[rows], counts.family.of[rows],
+                       None if space.areal is None else space.areal[rows],
+                       counts.onehot[rows] if onehot is None else onehot)
+
+
 def _training_design(space, train, target):
     """Codes of the training languages observing ``target``, with the
     design matrix of their rows."""
     codes = [code for code in train.codes() if target in observed_of(train, code)]
     rows = np.array([space.counts.rows[code] for code in codes], dtype=np.intp)
-    return codes, space.design(rows)
+    return codes, _design(space, rows)
 
 
 def _dense_block(space, block, areal_km=2500.0):
@@ -562,6 +570,37 @@ def test_leave_one_out_design_ignores_own_value():
     assert checked > 50
 
 
+def test_dense_leaves_out_only_an_observed_own_value():
+    """``dense`` has one leave-one-out rule.  The training rows observing
+    the target equal the counted oracle with their ``own_value`` left
+    out; the same rows with the target columns of their one-hot cleared,
+    as a hidden target cell leaves them, equal it with nothing left out."""
+    rng = random.Random(96)
+    checked = moved = 0
+    for trial in range(8):
+        train, context = _random_sources(rng, with_context=trial % 2 == 1)
+        sources = [train] + ([context] if context else [])
+        stats = _stats(CodedCounts(sources), 2500.0)
+        counted = CountedPriorStats(sources, 2500.0)
+        inventories = _inventories(train)
+        for target in train.features():
+            space = _space(stats, train, target, min_support=1)
+            oracle = CountedPriorSpace(counted, target, inventories[target], inventories, 1)
+            codes, loo = _training_design(space, train, target)
+            rows = np.array([space.counts.rows[code] for code in codes], dtype=np.intp)
+            hidden = space.counts.onehot[rows]
+            hidden[:, space._target_columns] = False
+            plain = _design(space, rows, hidden)
+            for code, got_loo, got_plain in zip(codes, loo, plain):
+                full = observed_of(train, code)
+                lang, observed = language_of(train, code), _others(full, target)
+                assert np.array_equal(got_loo, oracle.dense(lang, observed, own_value=full[target]))
+                assert np.array_equal(got_plain, oracle.dense(lang, observed))
+                checked += 1
+                moved += not np.array_equal(got_loo, got_plain)
+    assert checked > 100 and moved > 50
+
+
 def test_prior_blocks_are_distributions():
     rng = random.Random(85)
     for trial in range(10):
@@ -686,7 +725,6 @@ def test_query_neighbourhood_scanned_once_per_language(monkeypatch):
         return distance_matrix(a, b)
 
     monkeypatch.setattr(ridge, "distance_matrix", counted)
-    monkeypatch.setattr(coded, "distance_matrix", counted)
     strangers = [make_language(f"q{i}", lat=10.0 * i, lon=20.0) for i in range(3)]
     test, cells = _hiding_test_set(train, [*strangers, *train.languages[:2]])
     for _ in range(2):
@@ -716,7 +754,6 @@ def test_fit_computes_radius_counts_only_for_the_areal_block(monkeypatch, blocks
         return distance_matrix(a, b)
 
     monkeypatch.setattr(ridge, "distance_matrix", counted)
-    monkeypatch.setattr(coded, "distance_matrix", counted)
     monkeypatch.setattr(ridge, "_KERNEL_BLOCK", 7 * n)  # blocks of 7 rows
     RidgePriorImputer(min_support=1, blocks=blocks).fit(train)
     # each statistics language's kernel row once, against every language
@@ -1009,7 +1046,7 @@ def test_context_fit_builds_no_training_table():
     train, context = _bench_shaped_sources(rng)
     imp = RidgePriorImputer(min_support=1, use_context=True).fit(train, context=context)
     assert "counts" not in vars(train)
-    assert {target: fitted.values for target, fitted in imp._fitted.items()} == \
+    assert {target: fitted.space.inventory for target, fitted in imp._fitted.items()} == \
         {f: tuple(values) for f, values in train.counts.columns.items()}
 
 
@@ -1022,7 +1059,7 @@ def _design_fit(space, target, rows, lam):
     per value of ``target``) and biases."""
     counts = space.counts
     own = counts.onehot[np.ix_(rows, [counts.columns[target][v] for v in space.inventory])]
-    w, b = solve_ridge(space.design(rows), np.where(own, 1.0, -1.0), lam)
+    w, b = solve_ridge(_design(space, rows), np.where(own, 1.0, -1.0), lam)
     return w.T, b
 
 
@@ -1113,7 +1150,7 @@ def test_dual_fit_predicts_as_the_design_solve():
         dense._fitted = {}
         n_train = len(train.languages)
         for target, fitted in imp._fitted.items():
-            if len(fitted.values) > 1:
+            if len(fitted.space.inventory) > 1:
                 rows = _target_rows(fitted.space, target, n_train)
                 assert len(fitted.space) > len(rows)  # every target takes the dual path
                 weights, biases = _design_fit(fitted.space, target, rows, imp.lam)
@@ -1149,18 +1186,19 @@ def test_ridge_answers_do_not_depend_on_the_batch(use_context):
 
 def test_fit_builds_the_design_only_for_narrow_targets(monkeypatch):
     """A target with more columns than training rows is fitted from the
-    count tables, never its design."""
+    count tables, never its design; a narrower one stacks its design with
+    ``dense``, once."""
     rng = random.Random(100)
     train = random_dataset(rng, n_languages=60, n_features=6, min_observed=2)
     built = []
-    design = PriorFeatureSpace.design
+    dense = PriorFeatureSpace.dense
 
-    def recorded(space, rows):
-        X = design(space, rows)
+    def recorded(space, *args):
+        X = dense(space, *args)
         built.append(X.shape)
         return X
 
-    monkeypatch.setattr(PriorFeatureSpace, "design", recorded)
+    monkeypatch.setattr(PriorFeatureSpace, "dense", recorded)
     imp = RidgePriorImputer(min_support=1).fit(train)
     assert built == []
     RidgePriorImputer(min_support=1, blocks=("genetic", "areal")).fit(train)
@@ -1387,8 +1425,8 @@ def test_predict_matches_sorted_softmax_oracle():
     for use_context in (False, True):
         imp = RidgePriorImputer(min_support=1, use_context=use_context)
         imp.fit(train, context=context)
-        fitted = next(f for f in imp._fitted.values() if len(f.values) >= 3)
-        n_values = len(fitted.values)
+        fitted = next(f for f in imp._fitted.values() if len(f.space.inventory) >= 3)
+        n_values = len(fitted.space.inventory)
         # weights of zero leave the biases as scores: a tie between the
         # second and the last value, and a tie between all values
         zero = np.zeros_like(fitted.weights)
@@ -1406,9 +1444,9 @@ def test_predict_matches_sorted_softmax_oracle():
                 if len(top) < 2 or top[1] - top[0] > 1e-9 or top[1] == top[0]:
                     assert pred.value == value
                 assert (pred.confidence, pred.source) == (pytest.approx(confidence), source)
-        assert predict_one(imp, stranger, {}, "tie-pair").value == fitted.values[1]
+        assert predict_one(imp, stranger, {}, "tie-pair").value == fitted.space.inventory[1]
         assert predict_one(imp, stranger, {}, "tie-all") == Answer(
-            fitted.values[0], 1.0 / n_values, "ridge")
+            fitted.space.inventory[0], 1.0 / n_values, "ridge")
         constant = RidgePriorImputer(use_context=use_context).fit(only, context=context)
         pred = predict_one(constant, stranger, {}, "T")
         assert (pred.value, pred.confidence, pred.source) == \
@@ -1459,6 +1497,6 @@ def test_fit_matches_counted_oracle():
                 top = np.sort(raw)[-2:]
                 if len(top) == 2 and top[1] - top[0] > 1e-6:
                     assert predict_one(imp, lang, observed, target).value == \
-                        fitted.values[int(np.argmax(raw))]
+                        fitted.space.inventory[int(np.argmax(raw))]
                     compared += 1
     assert compared > 200

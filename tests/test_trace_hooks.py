@@ -83,3 +83,51 @@ def test_traced_impute_records_method_and_fallback_spans(trace_child, tmp_path, 
     assert names.count(f"imputers.{method}.predict") == 1
     # the parse hook counts the cells of both files it parsed
     assert tracer.counts["kb.cells_parsed"] == len(train.cell_row) + len(test.cell_row)
+
+
+@pytest.mark.parametrize("blocks,primal", [("indicators", True), (None, False)],
+                         ids=["indicators", "default"])
+def test_traced_ridge_fit_records_a_design_per_primal_solve(trace_child, tmp_path, blocks, primal):
+    """The tracer's ``design`` span wraps ``dense`` inside ``fit``, which
+    builds a design only for a target that ``solve_ridge`` solves: with
+    ``blocks=indicators`` some targets here are narrow and each solve has
+    its design; with the default blocks every target is wide, solved in
+    the dual, and neither span is recorded."""
+    import random
+
+    from synth import blank_some, random_dataset
+    from typoimpute import cli, imputers
+    from typoimpute.kb import serialize_dataset
+
+    rng = random.Random(7)
+    data = random_dataset(rng, n_languages=50, n_features=8, p_observed=0.7)
+    codes = data.codes()
+    train = data.subset(codes[:40])
+    (tmp_path / "train.tsv").write_text(serialize_dataset(train))
+    test = blank_some(data.subset(codes[40:]), rng, per_language=2)
+    (tmp_path / "test.tsv").write_text(serialize_dataset(test))
+    config = "method=ridge\n" + (f"blocks={blocks}\n" if blocks else "")
+    (tmp_path / "ridge.cfg").write_text(config)
+    argv = ["impute", "--train", str(tmp_path / "train.tsv"),
+            "--test", str(tmp_path / "test.tsv"), "--out", str(tmp_path / "filled.tsv"),
+            "--imputer-config", str(tmp_path / "ridge.cfg")]
+
+    # the routes the fit takes, read from the fitted imputer
+    fitted = imputers.build_imputer(dict(line.split("=") for line in config.split())).fit(train)
+    counts = fitted._counts
+    narrow = sum(
+        len(f.space.inventory) > 1
+        and 0 < len(f.space) <= int(counts.onehot[:, f.space._target_columns].any(axis=1).sum())
+        for f in fitted._fitted.values())
+    assert (narrow > 0) == primal
+
+    tracer, patches = trace_child.Tracer(), trace_child.Patches()
+    trace_child.install(tracer, patches)
+    try:
+        code = tracer.call("cli.impute", cli.main, argv)
+    finally:
+        patches.undo()
+    assert code == 0
+    names = [span[1] for span in tracer.spans]
+    assert "imputers.ridge.fit" in names
+    assert names.count("imputers.ridge.design") == names.count("imputers.ridge.solve") == narrow
