@@ -84,9 +84,16 @@ def _manifest(command: str, params: Mapping[str, str], inputs: Mapping[str, str 
 
 
 def _load_dataset(path: str | Path, gold: Optional[Dataset] = None) -> Dataset:
+    """The dataset in the file ``path``, parsed as it is read, line by
+    line: its whole text is never held.  Bytes that are not UTF-8 are a
+    data error."""
     from .kb import parse_dataset
 
-    return parse_dataset(Path(path).read_text(encoding="utf-8-sig"), gold=gold)
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            return parse_dataset(handle, gold=gold)
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def _fmt(value: object) -> str:
@@ -295,14 +302,15 @@ def cmd_impute(args: argparse.Namespace) -> int:
     from .imputers import EnsembleImputer, GlobalFrequencyImputer, build_imputer, fill_dataset
     from .kb import OBSERVED_CODE, write_dataset
 
-    train = _load_dataset(args.train)
-    test = _load_dataset(args.test)
-    if not (train.cell_state == OBSERVED_CODE).any():
-        raise DatasetError(f"{args.train} has no observed cells to train on")
+    # A bad config fails before any dataset is parsed.
     config = read_kv(args.imputer_config) if args.imputer_config else {"method": "frequency"}
     imputer = build_imputer(config, vectors=args.vectors)
     if not args.no_fallback:
         imputer = EnsembleImputer([imputer, GlobalFrequencyImputer()])
+    train = _load_dataset(args.train)
+    test = _load_dataset(args.test)
+    if not (train.cell_state == OBSERVED_CODE).any():
+        raise DatasetError(f"{args.train} has no observed cells to train on")
     imputer.fit(train, context=test)
     # A fitted imputer keeps the count tables, not the training cell table.
     del train
@@ -362,12 +370,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     gold_values = _load_dataset(args.gold)
     gold = _load_dataset(args.test, gold=gold_values)
+    del gold_values  # ``gold`` holds the gold values it reads
 
-    reports: list[ev.EvalReport] = []
-    for name, path in systems:
-        filled = _load_dataset(path)
-        output = ev.output_from_dataset(name, filled, gold)
-        reports.append(ev.score(gold, output, exclude_missing=args.exclude_missing))
+    # Each filled dataset is dropped once scored, and ``gold`` after the
+    # last: only the reports are read from here on.
+    reports = [ev.score(gold, ev.output_from_dataset(name, _load_dataset(path), gold),
+                        exclude_missing=args.exclude_missing)
+               for name, path in systems]
+    del gold
 
     held_genera: tuple[str, ...] = ()
     if args.spec:

@@ -18,8 +18,9 @@ tie at the k-th place and cached by the imputer until its next ``fit``.
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -39,9 +40,20 @@ def load_language_vectors(path: str | Path) -> dict[str, np.ndarray]:
     vectors in one file must share a dimension, and a file without any
     vector is an error.
     """
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            vectors = _read_vectors(chain.from_iterable(map(str.splitlines, handle)))
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"vector file {path} is not UTF-8 text: {exc.reason}") from None
+    if not vectors:
+        raise DatasetError(f"vector file {path} holds no language vectors")
+    return vectors
+
+
+def _read_vectors(lines: Iterable[str]) -> dict[str, np.ndarray]:
     vectors: dict[str, np.ndarray] = {}
     dim = None
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -60,8 +72,6 @@ def load_language_vectors(path: str | Path) -> dict[str, np.ndarray]:
         if code in vectors:
             raise DatasetError(f"vector file line {lineno}: duplicate code {code!r}")
         vectors[code] = vec
-    if not vectors:
-        raise DatasetError(f"vector file {path} holds no language vectors")
     return vectors
 
 

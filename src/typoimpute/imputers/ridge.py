@@ -374,9 +374,9 @@ class PriorFeatureSpace:
     def dense(self, genus: np.ndarray, family: np.ndarray, areal: np.ndarray | None,
               onehot: np.ndarray) -> np.ndarray:
         """Prior vectors, one row per language, from their rows ``genus``
-        and ``family`` of the group tables, their radius counts ``areal``
-        (None without the areal block) and their observed values
-        ``onehot``, both in the statistics columns.  Each row's own
+        and ``family`` of the group tables, the target columns of their
+        radius counts ``areal`` (None without the areal block) and their
+        observed values ``onehot`` in the statistics columns.  Each row's own
         target one-hot is left out of its genus, family and implicational
         counts: a leave-one-out that only a training row observing the
         target gets, never the hidden cell of a test row in ``predict``."""
@@ -384,8 +384,7 @@ class PriorFeatureSpace:
         n_values = len(self.inventory)
         own = onehot[:, tc]
         X = np.zeros((len(own), self._size))
-        X[:, :self._impl_start] = self._leading(genus, family,
-                                                None if areal is None else areal[:, tc], own)
+        X[:, :self._impl_start] = self._leading(genus, family, areal, own)
         rows, columns = np.nonzero(onehot)
         keys = self._impl_key[columns]
         impl = keys >= 0
@@ -477,9 +476,10 @@ class RidgePriorImputer(Imputer):
                 order = np.argsort(y, kind="stable")
                 weights, biases = space.solve_dual(rows[order], y[order], self.lam)
             else:
+                areal = (None if self._areal is None
+                         else self._areal[np.ix_(rows, space._target_columns)])
                 w, biases = solve_ridge(
-                    space.dense(counts.genus.of[rows], counts.family.of[rows],
-                                None if self._areal is None else self._areal[rows],
+                    space.dense(counts.genus.of[rows], counts.family.of[rows], areal,
                                 counts.onehot[rows]),
                     np.where(own[rows], 1.0, -1.0), self.lam)
                 weights = np.ascontiguousarray(w.T)
@@ -511,8 +511,10 @@ class RidgePriorImputer(Imputer):
             step = max(1, _PREDICT_BLOCK // max(len(fitted.space), 1))
             for lo in range(0, len(rows), step):
                 at = rows[lo:lo + step]
-                X = fitted.space.dense(genus[at], family[at],
-                                       None if areal is None else areal[at], onehot[at])
+                X = fitted.space.dense(
+                    genus[at], family[at],
+                    None if areal is None else areal[np.ix_(at, fitted.space._target_columns)],
+                    onehot[at])
                 # einsum, not BLAS, whose kernel follows the block's shape: a
                 # language scores the same whatever else shares its target
                 raw[lo:lo + step] = np.einsum("ij,kj->ik", X, fitted.weights)

@@ -13,11 +13,14 @@ as one logical field: the extra tabs are normalized to single spaces
 instead of shifting columns.
 
 Lines are split with ``str.splitlines`` and numbered from 1, and only
-line 1 may be a header.  The parser works once per line and once per
+line 1 may be a header.  ``parse_dataset`` takes a whole text or an open
+file, which it reads one line at a time, so the CLI never holds an
+input's whole text.  The parser works once per line and once per
 distinct feature segment, never once per cell: each file interns its raw
 segments in one table, each distinct segment is split into name and
 value and checked once, and the cell arrays are built by indexing that
-table.  Errors are still reported at the first faulty line in file order.
+table, already in ``Dataset`` order.  Errors are still reported at the
+first faulty line in file order.
 
 Each dataset is one integer-coded cell table, the only data model every
 pipeline stage and every imputer reads: a cell is an index into its
@@ -30,7 +33,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
+from itertools import chain, count
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -65,7 +68,7 @@ OBSERVED_CODE, BLANKED_CODE, UNKNOWN_CODE = range(len(STATES))
 _CELL_ARRAYS = ("cell_row", "cell_feature", "cell_value", "cell_state")
 
 # Languages per block of ``serialize_dataset`` and ``write_dataset``.
-_SERIALIZE_BLOCK = 256
+_SERIALIZE_BLOCK = 64
 
 # Recognized header spellings for the latitude/longitude columns; a first
 # line whose 3rd/4th fields match is treated as a header and skipped.
@@ -217,8 +220,14 @@ def _is_header(fields: list[str]) -> bool:
     )
 
 
-def parse_dataset(text: str, gold: Dataset | None = None) -> Dataset:
+def parse_dataset(text: str | Iterable[str], gold: Dataset | None = None) -> Dataset:
     """Parse tab-separated records into a Dataset.
+
+    ``text`` is the whole text or an iterable of its lines, such as an
+    open file, read one at a time.  Each string is split again with
+    ``str.splitlines``, so a file's lines and their numbers are exactly
+    those of its text's ``splitlines()``, whatever line separators the
+    file's own newline handling leaves in them.
 
     Columns 1-7 are positional; every remaining field belongs to the
     feature list and is re-joined with a single space, so tabs inside
@@ -240,8 +249,9 @@ def parse_dataset(text: str, gold: Dataset | None = None) -> Dataset:
     cell_segments = array("q")
     row_sizes = array("q")
     fault: DatasetError | None = None
+    source = (text,) if isinstance(text, str) else text
     try:
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(chain.from_iterable(map(str.splitlines, source)), start=1):
             if not line.strip():
                 continue
             fields = line.split("\t", 7)
@@ -280,7 +290,7 @@ def parse_dataset(text: str, gold: Dataset | None = None) -> Dataset:
         fault = exc
     # The caller's text is passed on, not kept: each intermediate is
     # dropped as soon as the next step no longer reads it.
-    del text
+    del text, source
 
     # Per distinct segment: feature and value codes; feature -1 marks a
     # whitespace-only segment and -2 a malformed one.
@@ -305,42 +315,60 @@ def parse_dataset(text: str, gold: Dataset | None = None) -> Dataset:
             segment_value[i] = -1 if value == UNKNOWN_MARKER else values.setdefault(value, len(values))
     del segments
 
+    # Feature codes in name order: cells sorted by (row, feature) code are
+    # then in ``Dataset`` order, which construction need not redo.
+    names = sorted(features)
+    rank = np.empty(len(names), dtype=np.intp)
+    rank[[features[name] for name in names]] = np.arange(len(names))
+    named = segment_feature >= 0
+    segment_feature[named] = rank[segment_feature[named]]
+
+    # Each per-cell array is dropped as soon as the next step no longer reads it.
     segment = np.frombuffer(cell_segments, dtype=np.int64)
-    row = np.repeat(np.arange(len(row_sizes)), np.frombuffer(row_sizes, dtype=np.int64))
+    sizes = np.frombuffer(row_sizes, dtype=np.int64)
     feature = segment_feature[segment]
     faulty = feature == -2
     kept = np.flatnonzero(feature >= 0)
-    # A cell repeating an earlier cell's feature on its line is faulty.
-    key = row[kept] * len(features) + feature[kept]
+    key = np.repeat(np.arange(len(sizes)), sizes)[kept]
+    key *= len(names)
+    key += feature[kept]
+    del feature
     order = np.argsort(key, kind="stable")
-    repeated = key[order[1:]] == key[order[:-1]]
-    faulty[kept[order[1:][repeated]]] = True
+    key = key[order]
+    # A cell repeating an earlier cell's feature on its line is faulty.
+    faulty[kept[order[1:][key[1:] == key[:-1]]]] = True
     if faulty.any():
+        row = np.repeat(np.arange(len(sizes)), sizes)
+        feature = segment_feature[segment]
         r = int(row[np.argmax(faulty)])
         # On the first faulty line, a malformed segment is reported before
         # a repeated feature.
         cells = np.flatnonzero(faulty & (row == r))
         first = int(cells[np.argmax(feature[cells] == -2)])
         raise ParseError(linenos[r], malformed.get(int(segment[first])) or (
-            f"duplicate feature {list(features)[feature[first]]!r} "
+            f"duplicate feature {names[feature[first]]!r} "
             f"for language {languages[r].code!r}"))
     if fault is not None:
         raise fault
 
-    del faulty, key, order, repeated, row_sizes
-    row, feature, value = row[kept], feature[kept], segment_value[segment[kept]]
-    del segment, cell_segments, kept, segment_feature, segment_value
+    del faulty, sizes, row_sizes
+    cells = kept[order]
+    del kept, order
+    value = segment_value[segment[cells]]
+    del segment, cell_segments, cells, segment_feature, segment_value
+    row, feature = np.divmod(key, max(len(names), 1))
+    del key
     state = np.where(value < 0, UNKNOWN_CODE, OBSERVED_CODE).astype(np.int8)
     value_names = list(values)
     if gold is not None:
-        at = locate_cells(gold, list(rows), list(features), row, feature)
+        at = locate_cells(gold, list(rows), names, row, feature)
         hidden = (value < 0) & (at >= 0)
         hidden[hidden] = gold.cell_state[at[hidden]] == OBSERVED_CODE
         state[hidden] = BLANKED_CODE
         # Gold value codes follow this file's own value names.
         value[hidden] = len(value_names) + gold.cell_value[at[hidden]]
         value_names += gold.value_names
-    return Dataset(languages, list(features), value_names, row, feature, value, state)
+    return Dataset(languages, names, value_names, row, feature, value, state)
 
 
 def _serialized_blocks(d: Dataset, reveal_blanked: bool) -> Iterator[str]:

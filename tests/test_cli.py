@@ -1352,3 +1352,61 @@ def test_impute_without_training_cells_is_data_error(tmp_path, impute_files, cap
     assert code == 2
     assert "no observed cells" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _non_utf8_copy(source: Path, path: Path) -> Path:
+    """``source`` with a 0xff byte in the first feature value."""
+    data = source.read_bytes()
+    at = data.index(b"=") + 1
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    return path
+
+
+def test_filter_non_utf8_input_is_data_error(tmp_path, corpus, capsys):
+    bad = _non_utf8_copy(corpus, tmp_path / "bad.tsv")
+    out = tmp_path / "f.tsv"
+    assert main(["filter", "--input", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(bad) in err and "Traceback" not in err
+    assert not out.exists()
+    assert not Path(f"{out}.manifest").exists()
+
+
+def test_impute_non_utf8_train_is_data_error(tmp_path, impute_files, capsys):
+    bad = _non_utf8_copy(impute_files / "train.tsv", tmp_path / "train.tsv")
+    out = tmp_path / "f.tsv"
+    assert main(["impute", "--train", str(bad), "--test", str(impute_files / "test.tsv"),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(bad) in err and "Traceback" not in err
+    assert not out.exists()
+    assert not Path(f"{out}.manifest").exists()
+
+
+def test_impute_non_utf8_vectors_is_data_error(tmp_path, impute_files, capsys):
+    vectors = tmp_path / "vectors.tsv"
+    vectors.write_bytes(b"aaa\t0.5\xff\t1.0\n")
+    cfg = tmp_path / "imputer.cfg"
+    cfg.write_text("method=knn\n", encoding="utf-8")
+    out = tmp_path / "f.tsv"
+    assert main(["impute", "--train", str(impute_files / "train.tsv"),
+                 "--test", str(impute_files / "test.tsv"), "--out", str(out),
+                 "--imputer-config", str(cfg), "--vectors", str(vectors)]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: vector file {vectors} is not UTF-8")
+    assert not out.exists()
+
+
+def test_impute_reads_its_config_before_its_data(tmp_path, capsys):
+    """A bad config is reported even when ``--train`` does not exist:
+    the config is checked before any dataset is read.  Both errors exit
+    1, so only the message tells them apart."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("method=telepathy\n", encoding="utf-8")
+    out = tmp_path / "f.tsv"
+    code = main(["impute", "--train", str(tmp_path / "absent.tsv"),
+                 "--test", str(tmp_path / "absent_test.tsv"), "--out", str(out),
+                 "--imputer-config", str(cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "missing input:" not in err
+    assert not out.exists()

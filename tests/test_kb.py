@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from typoimpute import kb
+from typoimpute.cli import _load_dataset
 from typoimpute.coded import CodedCounts
 from typoimpute.imputers import Answers, Imputer, fill_dataset
 from typoimpute.kb import (
@@ -708,6 +710,76 @@ def test_parse_matches_oracle_on_random_texts():
         assert any(kind in message for message in raised), kind
 
 
+# Line separators of ``str.splitlines``: a text file's own newline
+# handling turns "\r\n" and "\r" into "\n" and leaves the others inside
+# the lines it yields, for ``parse_dataset`` to split.
+_SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+def _separator_texts():
+    bad = "abc\tAbc\tnorth\t2.0\tGen\tFam\tXX\tf1=a"
+    for sep in _SEPARATORS:
+        for lines, end in (([ROW_MHI, ROW_JPN], sep), (["", ROW_MHI, "", "", ROW_JPN, ""], sep),
+                           ([HEADER, ROW_MHI, ROW_JPN], ""), ([ROW_MHI, "", bad, ROW_JPN], sep),
+                           ([ROW_MHI, ROW_MHI], "")):
+            for bom in ("", "\ufeff"):
+                yield bom + sep.join(lines) + end
+    yield "\r\n".join([ROW_MHI, "\x85" + ROW_JPN, "\u2028", "\r", bad])
+
+
+def _assert_streamed_as_text(path: Path, gold: Dataset | None = None) -> None:
+    """``_load_dataset`` of ``path`` gives the dataset, or the error, of
+    ``parse_dataset`` on the file's whole text."""
+    try:
+        want = parse_dataset(path.read_text(encoding="utf-8-sig"), gold=gold)
+    except DatasetError as exc:
+        with pytest.raises(DatasetError) as got:
+            _load_dataset(path, gold=gold)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        assert getattr(got.value, "lineno", None) == getattr(exc, "lineno", None)
+        return
+    assert _load_dataset(path, gold=gold) == want
+
+
+def test_streamed_parse_matches_the_text_parse(tmp_path):
+    """A file read line by line parses as its whole text does: the
+    fault-ordering texts, with and without gold, and every line
+    separator, a BOM, blank lines, a header and no final newline."""
+    path = tmp_path / "in.tsv"
+    raised = 0
+    for seed, faults in _differential_cases():
+        rng = random.Random(seed)
+        path.write_bytes(_random_text(rng, faults).encode("utf-8"))
+        gold = parse_dataset(_random_text(rng, []))
+        for g in (None, gold):
+            _assert_streamed_as_text(path, g)
+        raised += bool(faults)
+    for text in _separator_texts():
+        path.write_bytes(text.encode("utf-8"))
+        _assert_streamed_as_text(path)
+    assert raised
+
+
+def test_streamed_parse_peak_memory_is_below_the_text_parse(tmp_path):
+    """Reading the largest bench file line by line holds no whole text:
+    the ``tracemalloc`` peak of ``_load_dataset`` is at least half the
+    file's length below that of ``read_text`` and ``parse_dataset``."""
+    import tracemalloc
+
+    path = tmp_path / "in.tsv"
+    path.write_text(_bench_text("baselines-L"), encoding="utf-8")
+    peaks = []
+    for load in (lambda: parse_dataset(path.read_text(encoding="utf-8-sig")),
+                 lambda: _load_dataset(path)):
+        tracemalloc.start()
+        try:
+            load()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] - path.stat().st_size / 2
+
+
 def test_parse_peak_memory_stays_within_six_times_the_text():
     """Parsing holds no per-cell Python string: the ``tracemalloc`` peak of
     one parse of the largest bench file stays under 6x its length."""
@@ -759,9 +831,11 @@ def test_write_dataset_writes_the_serialized_bytes_of_bench_datasets(workload, t
         _assert_written_as_serialized(part, tmp_path / "out.tsv")
 
 
-@pytest.mark.parametrize("n_languages", [0, 255, 256, 257])
+@pytest.mark.parametrize("n_languages", [0] + [blocks * kb._SERIALIZE_BLOCK + d
+                                               for blocks in (1, 2) for d in (-1, 0, 1)])
 def test_write_dataset_writes_the_serialized_bytes_at_block_edges(n_languages, tmp_path):
-    """No language, and one language short of, at and past one block."""
+    """No language, and one language short of, at and past one and two
+    blocks."""
     d = (parse_dataset("") if n_languages == 0
          else _hidden_cells_dataset(random.Random(n_languages), n_languages - 1))
     assert len(d.languages) == n_languages

@@ -130,3 +130,45 @@ def test_one_linear_solver():
             (inside if id(node) in allowed else outside).append(
                 f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert inside and outside == []
+
+
+def _uses_by_function(path: Path, used) -> set[str]:
+    """``module::function`` for each function of ``path`` (``<module>``
+    outside any) holding a node for which ``used`` is true."""
+    found = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            if used(child):
+                found.add(f"{path.relative_to(PACKAGE)}::{inner}")
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def _reads_a_whole_file(node: ast.AST) -> bool:
+    """``read_text`` named anywhere, or a ``.read()`` with no size."""
+    if isinstance(node, ast.Attribute) and node.attr == "read_text":
+        return True
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "read" and not node.args and not node.keywords)
+
+
+def _calls_parse_dataset(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "parse_dataset"
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "parse_dataset")
+
+
+def test_no_stage_reads_a_dataset_whole():
+    """Datasets are parsed as their files are read, line by line: only
+    ``cli._load_dataset`` calls ``parse_dataset``, and a file's whole
+    text is read only by the readers of small files, ``configio.read_kv``
+    (configs and specs) and ``cli._read_table`` (evaluation tables)."""
+    paths = sorted(PACKAGE.rglob("*.py"))
+    assert set().union(*(_uses_by_function(path, _reads_a_whole_file) for path in paths)) == {
+        "configio.py::read_kv", "cli.py::_read_table"}
+    assert set().union(*(_uses_by_function(path, _calls_parse_dataset) for path in paths)) == {
+        "cli.py::_load_dataset"}

@@ -308,7 +308,8 @@ def _design(space, rows, onehot=None):
     a narrow target's design, with their one-hot rows or ``onehot``."""
     counts = space.counts
     return space.dense(counts.genus.of[rows], counts.family.of[rows],
-                       None if space.areal is None else space.areal[rows],
+                       None if space.areal is None
+                       else space.areal[np.ix_(rows, space._target_columns)],
                        counts.onehot[rows] if onehot is None else onehot)
 
 
@@ -332,7 +333,8 @@ def _dense_block(space, block, areal_km=2500.0):
         for lang in block.languages]).reshape(len(block.languages), -1)
     return space.dense(counts.genus.index(lang.genus for lang in block.languages),
                        counts.family.index(lang.family for lang in block.languages),
-                       None if space.areal is None else areal, onehot)
+                       None if space.areal is None else areal[:, space._target_columns],
+                       onehot)
 
 
 def _dense(space, lang, observed, areal_km=2500.0):
@@ -1500,3 +1502,38 @@ def test_fit_matches_counted_oracle():
                         fitted.space.inventory[int(np.argmax(raw))]
                     compared += 1
     assert compared > 200
+
+
+def test_primal_fit_of_genetic_and_areal_blocks_matches_counted_oracle(monkeypatch):
+    """With ``blocks=genetic,areal`` every target has fewer columns than
+    training rows, so ``fit`` solves each with ``solve_ridge`` over
+    ``dense``, which reads only the target's radius-count columns.  The
+    weights and biases equal the counted oracle's at rtol 1e-9, and the
+    answers for training and unseen languages are the oracle's."""
+    primal = []
+    monkeypatch.setattr(ridge, "solve_ridge",
+                        lambda X, y, lam, solve=ridge.solve_ridge: primal.append(1) or solve(X, y, lam))
+    monkeypatch.setattr(PriorFeatureSpace, "solve_dual", lambda *args: pytest.fail("dual route"))
+    rng = random.Random(111)
+    blocks = ("genetic", "areal")
+    compared = solved = 0
+    for trial in range(4):
+        data = random_dataset(rng, n_languages=48, n_features=4, p_observed=0.8, min_observed=1)
+        train = data.subset(data.codes()[:40])
+        areal_km = rng.choice([800.0, 2500.0])
+        imp = RidgePriorImputer(areal_km=areal_km, blocks=blocks).fit(train)
+        want = counted_ridge_fit(train, areal_km=areal_km, blocks=blocks)
+        solved += sum(len(fitted.space.inventory) > 1 for fitted in imp._fitted.values())
+        for target, (space, weights, biases) in want.items():
+            fitted = imp._fitted[target]
+            _assert_close_fit((fitted.weights, fitted.biases), (weights, biases))
+            for lang in data.languages:
+                observed = _others(observed_of(data, lang.code), target)
+                raw = weights @ space.dense(lang, observed) + biases
+                top = np.sort(raw)[-2:]
+                if len(top) == 2 and top[1] - top[0] > 1e-6:
+                    assert predict_one(imp, lang, observed, target).value == \
+                        fitted.space.inventory[int(np.argmax(raw))]
+                    compared += 1
+    assert len(primal) == solved > 0
+    assert compared > 300
