@@ -358,6 +358,10 @@ def _parse_system_args(specs: Sequence[str]) -> list[tuple[str, str]]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    # numpy.random imports ``secrets`` and so ``hashlib``, which would map
+    # OpenSSL's libcrypto; without ``_hashlib`` it takes the interpreter's
+    # own digests, and a seeded generator never reads them.
+    sys.modules.setdefault("_hashlib", None)
     from . import evaluate as ev
 
     if args.samples < 1:

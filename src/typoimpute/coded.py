@@ -6,11 +6,14 @@ back-offs, knn, correlation, ridge) reads these tables: a language x
 products, column totals, and one-hot counts grouped by genus or family.
 Columns are ordered by (feature, value), so the columns of one feature
 are contiguous and its values sorted.  Counts stay integers, so no
-result depends on how a BLAS library orders its sums.  The tables of one
-training set are built once, as ``Dataset.counts``, and shared by every
-imputer fitted on it; they hold no per-query state.  ``encode`` maps the
-observed cells of a test set into the same columns, once per prediction
-call.
+result depends on how a BLAS library orders its sums.  ``count_matmul``
+forms every product of 0/1 tables, reduced over slabs of at most
+``_COUNT_SLAB`` inner rows, so that the operand panels OpenBLAS packs,
+whose pages stay resident until the process exits, stay narrow.  The
+tables of one training set are built once, as ``Dataset.counts``, and
+shared by every imputer fitted on it; they hold no per-query state.
+``encode`` maps the observed cells of a test set into the same columns,
+once per prediction call.
 
 Each table is held at the width its values need:
 
@@ -39,16 +42,24 @@ __all__ = ["CodedCounts", "GroupCounts", "count_matmul"]
 # One-hot cells per block of the group-count build.
 _GROUP_BLOCK = 2**16
 
+# Inner rows per slab of a count product.
+_COUNT_SLAB = 64
+
 
 def count_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of 0/1 count matrices; float sums of small integers are
-    exact in any order, so the result does not depend on BLAS threads.
-    A table times its own transpose is cast once, and BLAS forms the
+    """Product of 0/1 count matrices, reduced over the inner dimension
+    in slabs of at most ``_COUNT_SLAB`` rows into one float64 sum.
+    Float sums of small integers are exact in any order, so the result
+    depends neither on the slabs nor on BLAS threads.  A table times its
+    own transpose casts each slab once, and BLAS forms the slab's
     product as a symmetric rank-k update."""
-    fa = a.astype(float)
     own_transpose = (a.shape == b.shape[::-1] and a.strides == b.strides[::-1]
                      and a.ctypes.data == b.ctypes.data)
-    return (fa @ (fa.T if own_transpose else b.astype(float))).astype(np.int64)
+    total = np.zeros((a.shape[0], b.shape[1]))
+    for lo in range(0, a.shape[1], _COUNT_SLAB):
+        fa = a[:, lo:lo + _COUNT_SLAB].astype(float)
+        total += fa @ (fa.T if own_transpose else b[lo:lo + _COUNT_SLAB].astype(float))
+    return total.astype(np.int64)
 
 
 class CodedCounts:

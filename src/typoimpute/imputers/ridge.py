@@ -50,7 +50,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..coded import CodedCounts
+from ..coded import CodedCounts, count_matmul
 from ..geo import coordinates, distance_matrix
 from ..geo import haversine_km  # noqa: F401  (bench/trace_child.py counts calls through this name)
 from ..kb import Dataset
@@ -143,10 +143,11 @@ def _radius_counts(counts: CodedCounts, points: np.ndarray, areal_km: float,
     for point i, or nothing where it is -1.
 
     One block of kernel rows at a time is multiplied by one block of
-    one-hot columns at a time, at most ``_KERNEL_BLOCK`` entries each: a
-    kernel row equals the same row of the full matrix and the counts
-    are exact integers, so the blocks change no count.  A count never
-    exceeds the number of languages, so int32 holds it.
+    one-hot columns at a time, at most ``_KERNEL_BLOCK`` entries each,
+    through ``count_matmul``: a kernel row equals the same row of the
+    full matrix and the counts are exact integers, so neither the blocks
+    nor ``count_matmul``'s slabs of languages change a count.  A count
+    never exceeds the number of languages, so int32 holds it.
     """
     onehot = counts.onehot
     step = max(1, _KERNEL_BLOCK // max(len(onehot), 1))
@@ -156,9 +157,8 @@ def _radius_counts(counts: CodedCounts, points: np.ndarray, areal_km: float,
         within = distance_matrix(points[start:stop], counts.coords) <= areal_km
         held = np.flatnonzero(own[start:stop] >= 0)
         within[held, own[start:stop][held]] = False
-        within = within.astype(float)
         for lo in range(0, onehot.shape[1], step):
-            areal[start:stop, lo:lo + step] = within @ onehot[:, lo:lo + step].astype(float)
+            areal[start:stop, lo:lo + step] = count_matmul(within, onehot[:, lo:lo + step])
     return areal
 
 

@@ -1,15 +1,18 @@
 """The coded count tables at their narrow widths, against the plain
 int64 construction in ``oracles``, and the memory they take to build."""
 
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from typoimpute.coded import CodedCounts, GroupCounts, count_matmul
+from typoimpute.coded import _COUNT_SLAB, CodedCounts, GroupCounts, count_matmul
 
 from oracles import add_at_group_table, coded_tables_oracle, encode_oracle, observed_maps
-from synth import Cell, build_dataset, make_language, random_dataset
+from synth import Cell, build_dataset, child_env, make_language, random_dataset
 
 DTYPES = {"onehot": np.bool_, "seen": np.bool_, "joint": np.int64, "support": np.int64,
           "marginal": np.int64, "totals": np.int64}
@@ -124,6 +127,70 @@ def test_count_matmul_casts_an_own_transpose_once():
     square = rng.random((9, 9)) < 0.5
     assert np.array_equal(count_matmul(square, square), square.astype(np.int64) @ square)
     assert count_matmul(a.T, a).dtype == np.int64
+
+
+@pytest.mark.parametrize("languages", [1, _COUNT_SLAB - 1, _COUNT_SLAB, _COUNT_SLAB + 1,
+                                       2 * _COUNT_SLAB + 1])
+def test_count_matmul_slabs_match_int64_oracle(languages):
+    """Around each slab edge the slabbed products equal the int64
+    products, for an own transpose and for two separate tables."""
+    rng = np.random.default_rng(languages)
+    onehot = rng.random((languages, 23)) < 0.3
+    seen = rng.random((languages, 7)) < 0.6
+    other = rng.random((languages, 23)) < 0.5
+    wide = onehot.astype(np.int64)
+    cases = [(onehot.T, onehot, wide.T @ wide), (seen.T, seen, seen.T.astype(np.int64) @ seen),
+             (onehot.T, seen, wide.T @ seen), (onehot.T, other, wide.T @ other),
+             (onehot[:9], onehot.T, wide[:9] @ wide.T)]
+    for a, b, expected in cases:
+        product = count_matmul(a, b)
+        assert product.dtype == np.int64
+        assert np.array_equal(product, expected)
+
+
+_BUFFER_PROBE = """
+import ctypes, sys
+import numpy as np
+from typoimpute.coded import count_matmul
+
+def rss():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmRSS"))
+
+onehot = np.random.default_rng(1).random((720, 235)) < 0.3
+np.ones((2, 2)) @ np.ones((2, 2))
+with open("/proc/self/maps") as maps:
+    if "openblas" not in maps.read().lower():
+        sys.exit("numpy's BLAS is not OpenBLAS")
+ctypes.CDLL(None).malloc_trim(0)
+before = rss()
+if sys.argv[1] == "slabs":
+    joint = count_matmul(onehot.T, onehot)
+else:
+    wide = onehot.T.astype(float)
+    joint = (wide @ wide.T).astype(np.int64)
+    del wide
+del joint
+ctypes.CDLL(None).malloc_trim(0)
+print(rss() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_count_slabs_keep_openblas_buffer_small():
+    """OpenBLAS keeps every page of its packing buffer that a product
+    touched: a 720-language ``joint`` formed in slabs leaves less than
+    half of what one product over all 720 leaves resident, at one BLAS
+    thread in a fresh interpreter, with freed heap trimmed."""
+    kept = {}
+    for route in ("slabs", "one-shot"):
+        done = subprocess.run([sys.executable, "-c", _BUFFER_PROBE, route], env=child_env("1"),
+                              capture_output=True, text=True, timeout=120)
+        if "not OpenBLAS" in done.stderr:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        assert done.returncode == 0, done.stderr
+        kept[route] = int(done.stdout.split()[-1])
+    assert kept["slabs"] < kept["one-shot"] / 2, kept
 
 
 def test_bool_tables_refuse_bool_subtraction():
