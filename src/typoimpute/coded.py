@@ -4,14 +4,15 @@ Every counting imputer (frequency, the genus/family and geographic
 back-offs, knn, correlation, ridge) reads these tables: a language x
 (feature, value) one-hot, a language x feature observation mask, their
 products, column totals, and one-hot counts grouped by genus or family.
-Columns are ordered by (feature, value), so the columns of one feature
-are contiguous and its values sorted.  Counts stay integers, so no
-result depends on how a BLAS library orders its sums.  ``count_matmul``
-forms every product of 0/1 tables, reduced over slabs of at most
-``_COUNT_SLAB`` inner rows, so that the operand panels OpenBLAS packs,
-whose pages stay resident until the process exits, stay narrow.  The
-tables of one training set are built once, as ``Dataset.counts``, and
-shared by every imputer fitted on it; they hold no per-query state.
+Columns are ordered by (feature, value), so the columns of one feature,
+its ``span``, are contiguous and its values sorted.  Counts stay
+integers, so no result depends on how a BLAS library orders its sums.
+``count_matmul`` forms every product of 0/1 tables, reduced over slabs
+of at most ``_COUNT_SLAB`` inner rows, so that the operand panels
+OpenBLAS packs, whose pages stay resident until the process exits, stay
+narrow.  The tables of one training set are built once, as
+``Dataset.counts``, and shared by every imputer fitted on it; they hold
+no per-query state.
 ``encode`` maps the observed cells of a test set into the same columns,
 once per prediction call.
 
@@ -50,15 +51,11 @@ def count_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of 0/1 count matrices, reduced over the inner dimension
     in slabs of at most ``_COUNT_SLAB`` rows into one float64 sum.
     Float sums of small integers are exact in any order, so the result
-    depends neither on the slabs nor on BLAS threads.  A table times its
-    own transpose casts each slab once, and BLAS forms the slab's
-    product as a symmetric rank-k update."""
-    own_transpose = (a.shape == b.shape[::-1] and a.strides == b.strides[::-1]
-                     and a.ctypes.data == b.ctypes.data)
+    depends neither on the slabs nor on BLAS threads."""
     total = np.zeros((a.shape[0], b.shape[1]))
     for lo in range(0, a.shape[1], _COUNT_SLAB):
-        fa = a[:, lo:lo + _COUNT_SLAB].astype(float)
-        total += fa @ (fa.T if own_transpose else b[lo:lo + _COUNT_SLAB].astype(float))
+        hi = lo + _COUNT_SLAB
+        total += a[:, lo:hi].astype(float) @ b[lo:hi].astype(float)
     return total.astype(np.int64)
 
 
@@ -68,7 +65,7 @@ class CodedCounts:
 
     A language code seen in an earlier source keeps its first row.
     ``columns`` maps feature -> value -> one-hot column over every value
-    any of these languages observes.
+    any of these languages observes; ``span`` gives a feature's columns.
     """
 
     def __init__(self, sources: Sequence[Dataset]):
@@ -105,6 +102,12 @@ class CodedCounts:
         self.onehot[row, column] = True
         self.seen = np.zeros((len(self.languages), len(self.feature_index)), dtype=bool)
         self.seen[row, self.feature_of[column]] = True
+
+    def span(self, feature: str) -> slice:
+        """The one-hot columns of ``feature``, in value order."""
+        values = self.columns[feature]
+        start = next(iter(values.values()))
+        return slice(start, start + len(values))
 
     @cached_property
     def joint(self) -> np.ndarray:
@@ -157,7 +160,7 @@ class CodedCounts:
         column = np.array([self.columns.get(d.feature_names[c // width], {})
                            .get(d.value_names[c % width], -1) for c in codes.tolist()],
                           dtype=np.intp)[pair]
-        feature = np.array([self.feature_index.get(f, -1) for f in d.feature_names] + [-1],
+        feature = np.array([self.feature_index.get(f, -1) for f in d.feature_names],
                            dtype=np.intp)[features]
         onehot = np.zeros((len(d.languages), len(self.feature_of)), dtype=bool)
         onehot[rows[column >= 0], column[column >= 0]] = True

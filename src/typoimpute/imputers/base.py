@@ -13,7 +13,7 @@ cell table.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -70,7 +70,10 @@ class Answers:
 
 
 class Imputer:
-    """Base class; fitted models are immutable and predict is pure."""
+    """Base class.  ``fit`` fixes a model's parameters; ``predict`` may
+    fill caches of per-language geometry (knn's ``_km``, geo back-off's
+    ``_rings``), but no answer depends on them: a language gets the same
+    answers alone as in any test set, whatever was predicted before."""
 
     def fit(self, train: Dataset, context: Dataset | None = None) -> "Imputer":
         raise NotImplementedError
@@ -82,15 +85,19 @@ class Imputer:
         raise NotImplementedError
 
 
-def by_target(test: Dataset, cells: np.ndarray) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
-    """``cells`` grouped by target feature, in feature order: the
-    feature name, its cells in table order, and their test rows."""
+def by_target(test: Dataset, cells: np.ndarray,
+              known: Mapping[str, Any]) -> Iterator[tuple[str, Any, np.ndarray, np.ndarray]]:
+    """``cells`` grouped by target feature, in feature order, for the
+    targets ``known`` holds: the feature name, ``known[target]``, its
+    cells in table order, and their test rows."""
     features = test.cell_feature[cells]
     order = np.argsort(features, kind="stable")
     cells, features = cells[order], features[order]
     starts = np.flatnonzero(np.diff(features, prepend=-1))
     for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(cells)]):
-        yield test.feature_names[features[lo]], cells[lo:hi], test.cell_row[cells[lo:hi]]
+        target = test.feature_names[features[lo]]
+        if target in known:
+            yield target, known[target], cells[lo:hi], test.cell_row[cells[lo:hi]]
 
 
 def decide(cells: np.ndarray, values: Sequence[str], scores: np.ndarray,

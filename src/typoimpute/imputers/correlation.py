@@ -82,18 +82,14 @@ class CorrelationImputer(Imputer):
         rows, columns = np.nonzero(onehot)
         column[rows, counts.feature_of[columns]] = columns
         parts = []
-        for target, block, rows in by_target(test, cells):
-            if target not in counts.columns:
-                continue
-            values = list(counts.columns[target])
+        for target, values, block, rows in by_target(test, cells, counts.columns):
             t = counts.feature_index[target]
-            first = counts.starts[t]
             voting = (seen[rows] > 0) & self._can_vote[:, t]  # rows x voters
             col = column[rows]
             known = col >= 0
             denom = np.where(known, counts.marginal[col, t], 0) + self.alpha * self._sizes[t]
             use = (voting & (denom > 0))[..., None]  # rows x voters x values
-            joint = np.where(known[..., None], counts.joint[col, first:first + len(values)], 0)
+            joint = np.where(known[..., None], counts.joint[col, counts.span(target)], 0)
             p = np.divide(joint + self.alpha, denom[..., None], out=np.zeros(joint.shape),
                           where=use)
             # Each voter adds its weighted share in feature order, as a
@@ -103,5 +99,5 @@ class CorrelationImputer(Imputer):
             # a row whose voters all weigh 0 still answers: the first
             # value, with confidence 1/len(values)
             totals[voting.any(axis=1) & ~totals.any(axis=1)] = 1.0
-            parts.append(decide(block, values, totals, ("correlation",)))
+            parts.append(decide(block, list(values), totals, ("correlation",)))
         return Answers.join(parts)

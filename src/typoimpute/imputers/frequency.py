@@ -57,12 +57,8 @@ def _backoff(counts: CodedCounts, levels: tuple[str, ...], test: Dataset, cells:
                getattr(counts, level).index(getattr(lang, level) for lang in test.languages))
               for level in reversed(levels)]
     parts = []
-    for target, block, rows in by_target(test, cells):
-        values = counts.columns.get(target)
-        if not values:
-            continue
-        start = counts.starts[counts.feature_index[target]]
-        columns = slice(start, start + len(values))
+    for target, values, block, rows in by_target(test, cells, counts.columns):
+        columns = counts.span(target)
         scores = np.repeat(counts.totals[None, columns], len(rows), axis=0)
         source = np.zeros(len(rows), dtype=np.intp)  # global
         for level, table, group in groups:

@@ -148,11 +148,8 @@ class NearestNeighborImputer(Imputer):
         distance, by_vector = self._distances(test)
         own = np.array([counts.rows.get(lang.code, -1) for lang in test.languages], dtype=np.intp)
         parts = []
-        for target, block, rows in by_target(test, cells):
-            values = counts.columns.get(target)
-            if not values:
-                continue
-            observing = counts.onehot[:, list(values.values())]
+        for target, values, block, rows in by_target(test, cells, counts.columns):
+            observing = counts.onehot[:, counts.span(target)]
             candidates = np.flatnonzero(observing.any(axis=1))
             taken = self._nearest([test.languages[r] for r in rows.tolist()], candidates,
                                   candidates != own[rows][:, None],

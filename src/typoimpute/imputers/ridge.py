@@ -15,7 +15,7 @@ statistics languages: the training set's shared ``Dataset.counts`` or,
 with the evaluation set's cells, a ``CodedCounts`` over both.  Its
 one-hot, joint, support, genus and family counts serve as they are;
 the radius counts come from ``_radius_counts``, one block of
-distance-kernel rows and one block of one-hot columns at a time, int32.
+distance-kernel rows at a time, int32.
 ``fit`` counts every statistics language's neighbours once (itself
 left out); ``predict`` counts, once per call, those of the test
 languages that are not statistics languages, and a test language that
@@ -142,23 +142,23 @@ def _radius_counts(counts: CodedCounts, points: np.ndarray, areal_km: float,
     ``geo.coordinates`` returns), leaving out statistics row ``own[i]``
     for point i, or nothing where it is -1.
 
-    One block of kernel rows at a time is multiplied by one block of
-    one-hot columns at a time, at most ``_KERNEL_BLOCK`` entries each,
-    through ``count_matmul``: a kernel row equals the same row of the
-    full matrix and the counts are exact integers, so neither the blocks
-    nor ``count_matmul``'s slabs of languages change a count.  A count
-    never exceeds the number of languages, so int32 holds it.
+    One block of kernel rows at a time is multiplied by the one-hot
+    through ``count_matmul``, with so few rows that neither the block
+    nor its counts exceed ``_KERNEL_BLOCK`` entries: a kernel row equals
+    the same row of the full matrix and the counts are exact integers,
+    so neither the blocks nor ``count_matmul``'s slabs of languages
+    change a count.  A count never exceeds the number of languages, so
+    int32 holds it.
     """
     onehot = counts.onehot
-    step = max(1, _KERNEL_BLOCK // max(len(onehot), 1))
+    step = max(1, _KERNEL_BLOCK // max(*onehot.shape, 1))
     areal = np.empty((len(points), onehot.shape[1]), dtype=np.int32)
     for start in range(0, len(points), step):
         stop = min(start + step, len(points))
         within = distance_matrix(points[start:stop], counts.coords) <= areal_km
         held = np.flatnonzero(own[start:stop] >= 0)
         within[held, own[start:stop][held]] = False
-        for lo in range(0, onehot.shape[1], step):
-            areal[start:stop, lo:lo + step] = count_matmul(within, onehot[:, lo:lo + step])
+        areal[start:stop] = count_matmul(within, onehot)
     return areal
 
 
@@ -215,9 +215,8 @@ class PriorFeatureSpace:
     ("impl", A, a, v), and ("obs", A, a); their order fixes the column
     order of the design matrix.  The space stores only the offsets of
     its blocks and, for every one-hot column, its implicational and
-    indicator key as int32 (-1 for none, also in a spare last slot that
-    stands for values the statistics never observe).  A key's target
-    counts are read from ``counts.joint`` where they are needed.
+    indicator key as int32 (-1 for none).  A key's target counts are
+    read from ``counts.joint`` where they are needed.
     """
 
     def __init__(
@@ -238,23 +237,22 @@ class PriorFeatureSpace:
 
         # Every statistics value of the target: shares divide by all of
         # them, columns exist only for the inventory.
-        target_columns = counts.columns.get(target, {})
-        self._target_columns = np.array(list(target_columns.values()), dtype=np.intp)
-        position = {v: i for i, v in enumerate(target_columns)}
-        self._value_positions = np.array([position[v] for v in self.inventory], dtype=np.intp)
+        self._target_columns = counts.span(target)
+        self._value_positions = np.array([counts.columns[target][v] for v in self.inventory],
+                                         dtype=np.intp) - self._target_columns.start
 
         others = sorted(f for f in inventories if f != target)
         impl_features = []
         if "implicational" in self.blocks:
             index = counts.feature_index
-            support = counts.support[index[target]] if target in index else np.zeros(len(index))
+            support = counts.support[index[target]]
             impl_features = [f for f in others if support[index[f]] >= min_support]
         obs_features = others if "indicators" in self.blocks else []
         impl_columns = [counts.columns[f][a] for f in impl_features for a in inventories[f]]
         obs_columns = [counts.columns[f][a] for f in obs_features for a in inventories[f]]
-        self._impl_key = np.full(counts.onehot.shape[1] + 1, -1, dtype=np.int32)
+        self._impl_key = np.full(counts.onehot.shape[1], -1, dtype=np.int32)
         self._impl_key[impl_columns] = np.arange(len(impl_columns))
-        self._obs_key = np.full(counts.onehot.shape[1] + 1, -1, dtype=np.int32)
+        self._obs_key = np.full(counts.onehot.shape[1], -1, dtype=np.int32)
         self._obs_key[obs_columns] = np.arange(len(obs_columns))
         self._areal_start = 2 * n_values if "genetic" in self.blocks else 0
         self._impl_start = self._areal_start + (n_values if "areal" in self.blocks else 0)
@@ -284,8 +282,8 @@ class PriorFeatureSpace:
         n_values = len(self.inventory)
         X = np.zeros((len(own), self._impl_start))
         if "genetic" in self.blocks:
-            X[:, :n_values] = self._shares(counts.genus.table[np.ix_(genus, tc)] - own)
-            X[:, n_values:2 * n_values] = self._shares(counts.family.table[np.ix_(family, tc)] - own)
+            X[:, :n_values] = self._shares(counts.genus.table[genus, tc] - own)
+            X[:, n_values:2 * n_values] = self._shares(counts.family.table[family, tc] - own)
         if "areal" in self.blocks:
             X[:, self._areal_start:] = self._shares(areal)
         return X
@@ -320,15 +318,15 @@ class PriorFeatureSpace:
         """
         counts = self.counts
         n_values = len(self.inventory)
-        own = counts.onehot[np.ix_(rows, self._target_columns)]
-        areal = None if self.areal is None else self.areal[np.ix_(rows, self._target_columns)]
+        own = counts.onehot[rows, self._target_columns]
+        areal = None if self.areal is None else self.areal[rows, self._target_columns]
         lead = self._leading(counts.genus.of[rows], counts.family.of[rows], areal, own)
-        keys = np.flatnonzero((self._impl_key[:-1] >= 0) | (self._obs_key[:-1] >= 0))
+        keys = np.flatnonzero((self._impl_key >= 0) | (self._obs_key >= 0))
         impl, obs = self._impl_key[keys], self._obs_key[keys]
         has_impl, has_obs = impl >= 0, obs >= 0
         # target counts of each key; a key without an implicational
         # block counts none
-        target_counts = counts.joint[np.ix_(keys, self._target_columns)]
+        target_counts = counts.joint[keys, self._target_columns]
         target_counts[~has_impl] = 0
         C = target_counts[:, self._value_positions]
         N = target_counts.sum(axis=1)
@@ -390,7 +388,7 @@ class PriorFeatureSpace:
         impl = keys >= 0
         impl_rows, keys = rows[impl], keys[impl]
         X[impl_rows[:, None], self._impl_start + keys[:, None] * n_values + np.arange(n_values)] = \
-            self._shares(self.counts.joint[np.ix_(columns[impl], tc)] - own[impl_rows])
+            self._shares(self.counts.joint[columns[impl], tc] - own[impl_rows])
         keys = self._obs_key[columns]
         X[rows[keys >= 0], self._obs_start + keys[keys >= 0]] = 1.0
         return X
@@ -467,7 +465,7 @@ class RidgePriorImputer(Imputer):
             inventory = inventories[target]
             space = PriorFeatureSpace(counts, self._areal, target, inventory, inventories,
                                       self.min_support, self.blocks)
-            own = counts.onehot[:n_train, [counts.columns[target][v] for v in inventory]]
+            own = counts.onehot[:n_train, space._target_columns][:, space._value_positions]
             rows = np.flatnonzero(own.any(axis=1))
             if len(inventory) == 1 or len(space) == 0:
                 weights, biases = np.zeros((len(inventory), len(space))), np.zeros(len(inventory))
@@ -477,7 +475,7 @@ class RidgePriorImputer(Imputer):
                 weights, biases = space.solve_dual(rows[order], y[order], self.lam)
             else:
                 areal = (None if self._areal is None
-                         else self._areal[np.ix_(rows, space._target_columns)])
+                         else self._areal[rows, space._target_columns])
                 w, biases = solve_ridge(
                     space.dense(counts.genus.of[rows], counts.family.of[rows], areal,
                                 counts.onehot[rows]),
@@ -502,10 +500,7 @@ class RidgePriorImputer(Imputer):
                 counts, coordinates(lang for lang, n in zip(test.languages, new.tolist()) if n),
                 self.areal_km, row[new])
         parts = []
-        for target, block, rows in by_target(test, cells):
-            fitted = self._fitted.get(target)
-            if fitted is None:
-                continue
+        for _, fitted, block, rows in by_target(test, cells, self._fitted):
             values = fitted.space.inventory
             raw = np.empty((len(rows), len(values)))
             step = max(1, _PREDICT_BLOCK // max(len(fitted.space), 1))
@@ -513,7 +508,7 @@ class RidgePriorImputer(Imputer):
                 at = rows[lo:lo + step]
                 X = fitted.space.dense(
                     genus[at], family[at],
-                    None if areal is None else areal[np.ix_(at, fitted.space._target_columns)],
+                    None if areal is None else areal[at, fitted.space._target_columns],
                     onehot[at])
                 # einsum, not BLAS, whose kernel follows the block's shape: a
                 # language scores the same whatever else shares its target

@@ -100,6 +100,24 @@ def test_group_counts_span_column_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(10))
+def test_spans_tile_the_columns_in_feature_and_value_order(seed):
+    """Each feature's span holds its ``columns`` in value order, and the
+    spans, in feature order, tile the one-hot's columns, for one source
+    and for a training set with its context."""
+    train, context = _datasets(seed)
+    for counts in (train.counts, CodedCounts([train, context])):
+        spans = [counts.span(f) for f in counts.feature_index]
+        stops = [0] + [span.stop for span in spans]
+        assert [span.start for span in spans] == stops[:-1]
+        assert stops[-1] == counts.onehot.shape[1]
+        for feature, span in zip(counts.feature_index, spans):
+            values = counts.columns[feature]
+            assert list(values) == sorted(values)
+            assert list(values.values()) == list(range(span.start, span.stop))
+            assert (counts.feature_of[span] == counts.feature_index[feature]).all()
+
+
+@pytest.mark.parametrize("seed", range(10))
 def test_encode_matches_int64_oracle(seed):
     train, context = _datasets(seed)
     counts = train.counts
@@ -113,9 +131,9 @@ def test_encode_matches_int64_oracle(seed):
                              for lang in context.languages]
 
 
-def test_count_matmul_casts_an_own_transpose_once():
-    """A table times its own transpose gives the int64 product, as a
-    product of two separate tables does."""
+def test_count_matmul_ignores_whether_its_operands_share_a_buffer():
+    """A table times its own transpose, a view of its own buffer, gives
+    the int64 product, as a product of two separate tables does."""
     rng = np.random.default_rng(5)
     a = rng.random((40, 13)) < 0.3
     expected = a.astype(np.int64).T @ a.astype(np.int64)

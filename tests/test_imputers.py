@@ -22,7 +22,7 @@ from typoimpute.imputers import (
     build_imputer,
     load_language_vectors,
 )
-from typoimpute.imputers.base import decide
+from typoimpute.imputers.base import by_target, decide
 
 import oracles
 from oracles import (
@@ -959,3 +959,30 @@ def test_answers_match_the_dict_oracle(name, monkeypatch):
     oracle = oracles.fill_oracle(want, test)
     assert filled == oracle
     assert serialize_dataset(filled) == serialize_dataset(oracle)
+
+
+def test_by_target_groups_the_cells_of_known_targets_in_feature_order():
+    """``by_target`` yields one group per target that ``known`` holds, in
+    feature order, with ``known[target]``, the target's cells in table
+    order and their test rows, and skips every other target."""
+    langs = [make_language(code) for code in ("aaa", "bbb", "ccc")]
+    test = build_dataset(langs, {
+        ("ccc", "f2"): Cell.unknown(), ("aaa", "f3"): Cell.blanked("x"),
+        ("bbb", "f1"): Cell.observed("y"), ("bbb", "f2"): Cell.blanked("y"),
+        ("aaa", "f1"): Cell.unknown(), ("ccc", "f3"): Cell.unknown(),
+        ("aaa", "f2"): Cell.blanked("z"),
+    })
+    cells = np.flatnonzero(test.cell_state != OBSERVED_CODE)
+    known = {"f3": "third", "f2": "second", "f9": "absent"}
+    got = [(target, entry, block.tolist(), rows.tolist())
+           for target, entry, block, rows in by_target(test, cells, known)]
+    codes = test.codes()
+    expected = []
+    for target in ("f2", "f3"):
+        block = [int(c) for c in cells if test.feature_names[test.cell_feature[c]] == target]
+        expected.append((target, known[target], block, [int(test.cell_row[c]) for c in block]))
+    assert got == expected
+    assert [[codes[r] for r in rows] for _, _, _, rows in got] == [["aaa", "bbb", "ccc"],
+                                                                   ["aaa", "ccc"]]
+    assert all(np.all(np.diff(block) > 0) for _, _, block, _ in got)
+    assert list(by_target(test, cells, {})) == []

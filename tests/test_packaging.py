@@ -48,10 +48,21 @@ def test_runtime_dependencies_are_what_the_package_imports():
     assert _third_party_imports() == _declared_dependencies() == {"numpy"}
 
 
+# The modules whose ``haversine_km`` import no code reads: the benchmark's
+# tracer (bench/trace_child.py) counts the scalar haversine calls of each
+# through that name, so each import is marked ``# noqa: F401``.
+TRACED_IMPORTS = {
+    "splits.py": "haversine_km",
+    "imputers/frequency.py": "haversine_km",
+    "imputers/knn.py": "haversine_km",
+    "imputers/ridge.py": "haversine_km",
+}
+
+
 def _unused_imports(path: Path) -> list[str]:
     """``line: name`` for each name a module imports and never reads,
-    leaving out names listed in its ``__all__`` and import lines marked
-    ``# noqa: F401``."""
+    leaving out names listed in its ``__all__`` and the traced imports,
+    and ``line: name (noqa)`` for any other import marked ``# noqa: F401``."""
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     tree = ast.parse(text)
@@ -69,12 +80,18 @@ def _unused_imports(path: Path) -> list[str]:
             continue
         for alias in node.names:
             bound = alias.asname or alias.name.split(".")[0]
-            if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+            traced = TRACED_IMPORTS.get(path.relative_to(PACKAGE).as_posix()) == bound
+            if "# noqa: F401" in lines[alias.lineno - 1]:
+                if not traced:
+                    unused.append(f"{alias.lineno}: {bound} (noqa)")
+            elif bound not in used:
                 unused.append(f"{alias.lineno}: {bound}")
     return unused
 
 
 def test_every_imported_name_is_used():
+    """Every import is read, but the four traced ``haversine_km`` ones,
+    and no other import hides behind a ``# noqa: F401`` marker."""
     unused = {str(path.relative_to(PACKAGE)): names for path in sorted(PACKAGE.rglob("*.py"))
               if (names := _unused_imports(path))}
     assert unused == {}

@@ -309,7 +309,7 @@ def _design(space, rows, onehot=None):
     counts = space.counts
     return space.dense(counts.genus.of[rows], counts.family.of[rows],
                        None if space.areal is None
-                       else space.areal[np.ix_(rows, space._target_columns)],
+                       else space.areal[rows, space._target_columns],
                        counts.onehot[rows] if onehot is None else onehot)
 
 
@@ -826,7 +826,7 @@ def test_radius_counts_peak_memory_is_linear_in_the_languages():
     assert peak <= 4 * 4 * counts.onehot.size + 4 * 8 * ridge._KERNEL_BLOCK
 
 
-def test_radius_counts_cast_one_block_of_columns_at_a_time():
+def test_radius_counts_make_no_float_copy_of_the_one_hot():
     """On a one-hot wider than a kernel block, the counts are int32 and
     no float copy of the whole one-hot exists: the ``tracemalloc`` peak
     stays within one int32 copy plus four float kernel blocks, below a
@@ -1124,11 +1124,11 @@ def test_dual_fit_matches_design_solve():
             first = rows[counts.onehot[rows, column]]
             _assert_close_fit(_dual_fit(space, target, first, lam),
                               _design_fit(space, target, first, lam))
-            impl_columns = np.flatnonzero(space._impl_key[:-1] >= 0)
-            observed = counts.joint[np.ix_(impl_columns, space._target_columns)].sum(axis=1)
+            impl_columns = np.flatnonzero(space._impl_key >= 0)
+            observed = counts.joint[impl_columns, space._target_columns].sum(axis=1)
             lonely_keys += int((observed == 1).sum())
             no_impl += "implicational" in blocks and not len(impl_columns)
-            own = counts.onehot[np.ix_(rows, space._target_columns)].sum(axis=0)
+            own = counts.onehot[rows, space._target_columns].sum(axis=0)
             one_row_classes += int((own == 1).sum())
     assert lonely_keys and no_impl and one_row_classes
 
@@ -1242,7 +1242,7 @@ def test_dual_fit_peak_memory_is_below_the_dense_design():
     target = train.features()[0]
     space = PriorFeatureSpace(*stats, target, inventories[target], inventories, 1, ALL_BLOCKS)
     rows = _target_rows(space, target, len(train.languages))
-    y = train.counts.onehot[np.ix_(rows, space._target_columns)].argmax(axis=1)
+    y = train.counts.onehot[rows, space._target_columns].argmax(axis=1)
     order = np.argsort(y, kind="stable")
     rows, y = rows[order], y[order]
     design_bytes = 8 * len(rows) * len(space)
@@ -1278,7 +1278,7 @@ def _dominant_target(seed, n_languages, n_features):
 def _key_count(space):
     """The number of one-hot columns holding an implicational or
     indicator key: the width of the Gram's key products."""
-    return int(((space._impl_key[:-1] >= 0) | (space._obs_key[:-1] >= 0)).sum())
+    return int(((space._impl_key >= 0) | (space._obs_key >= 0)).sum())
 
 
 def _counting_tiles(monkeypatch):
@@ -1304,7 +1304,7 @@ def test_dual_fit_tiles_are_bit_exact(monkeypatch, tile_rows):
     default budget, whose one tile holds every row, and match the dense
     design's solve at rtol 1e-9."""
     space, target, rows = _dominant_target(103, n_languages=90, n_features=8)
-    sizes = np.bincount(space.counts.onehot[np.ix_(rows, space._target_columns)].argmax(axis=1))
+    sizes = np.bincount(space.counts.onehot[rows, space._target_columns].argmax(axis=1))
     assert sorted(sizes.tolist()) == [1, 22, 67] and len(space) > len(rows)
     assert ridge._TILE_BLOCK // _key_count(space) >= len(rows)
     tiles = _counting_tiles(monkeypatch)
@@ -1326,7 +1326,7 @@ def test_dual_fit_peak_memory_is_the_gram_and_kernel_blocks():
     import tracemalloc
 
     space, target, rows = _dominant_target(104, n_languages=400, n_features=100)
-    own = space.counts.onehot[np.ix_(rows, space._target_columns)]
+    own = space.counts.onehot[rows, space._target_columns]
     y = own.argmax(axis=1)
     order = np.argsort(y, kind="stable")
     rows, y = rows[order], y[order]
@@ -1353,7 +1353,7 @@ def test_dual_coefficients_ignore_blas_thread_count():
         "from test_ridge import _dominant_target",
         "from typoimpute.imputers import ridge",
         "space, target, rows = _dominant_target(104, n_languages=500, n_features=40)",
-        "y = space.counts.onehot[np.ix_(rows, space._target_columns)].argmax(axis=1)",
+        "y = space.counts.onehot[rows, space._target_columns].argmax(axis=1)",
         "order = np.argsort(y, kind='stable')",
         "assert len(space) > len(rows) == 500",
         "solve = ridge._solve_in_place",
@@ -1382,7 +1382,7 @@ def test_dual_fit_holds_one_gram_matrix_at_wals_scale():
         "    with open('/proc/self/status') as f:",
         "        return next(int(line.split()[1]) for line in f if line.startswith(key + ':'))",
         "space, target, rows = _dominant_target(105, n_languages=1400, n_features=100)",
-        "y = space.counts.onehot[np.ix_(rows, space._target_columns)].argmax(axis=1)",
+        "y = space.counts.onehot[rows, space._target_columns].argmax(axis=1)",
         "order = np.argsort(y, kind='stable')",
         "space.counts.joint, space.counts.genus, space.counts.family",
         "np.linalg.solve(np.eye(100) + 1.0, np.ones((100, 3)))",
