@@ -974,15 +974,12 @@ def test_by_target_groups_the_cells_of_known_targets_in_feature_order():
     })
     cells = np.flatnonzero(test.cell_state != OBSERVED_CODE)
     known = {"f3": "third", "f2": "second", "f9": "absent"}
-    got = [(target, entry, block.tolist(), rows.tolist())
-           for target, entry, block, rows in by_target(test, cells, known)]
+    groups = list(by_target(test, cells, known))
     codes = test.codes()
-    expected = []
-    for target in ("f2", "f3"):
-        block = [int(c) for c in cells if test.feature_names[test.cell_feature[c]] == target]
-        expected.append((target, known[target], block, [int(test.cell_row[c]) for c in block]))
-    assert got == expected
-    assert [[codes[r] for r in rows] for _, _, _, rows in got] == [["aaa", "bbb", "ccc"],
-                                                                   ["aaa", "ccc"]]
-    assert all(np.all(np.diff(block) > 0) for _, _, block, _ in got)
+    assert [(target, entry, [codes[r] for r in rows.tolist()])
+            for target, entry, _, rows in groups] == [("f2", "second", ["aaa", "bbb", "ccc"]),
+                                                      ("f3", "third", ["aaa", "ccc"])]
+    for target, _, block, rows in groups:
+        assert np.all(np.diff(block) > 0) and np.array_equal(test.cell_row[block], rows)
+        assert {test.feature_names[f] for f in test.cell_feature[block].tolist()} == {target}
     assert list(by_target(test, cells, {})) == []
